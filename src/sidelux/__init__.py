@@ -19,8 +19,6 @@ from .daylight import (
     direct_at_point,
     externally_reflected_component,
     internally_reflected_component,
-    simulate_period,
-    simulate_timestep,
     sky_component,
 )
 from .errors import (

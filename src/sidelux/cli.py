@@ -31,13 +31,17 @@ from .io import (
     write_results,
 )
 from .metrics import SeriesPair, build_margins, evaluate_pair, resample_hourly
+from .solar import LOCAL_TIME
 
 
 def _parse_ts(text: str) -> datetime:
     try:
-        return datetime.fromisoformat(text)
+        ts = datetime.fromisoformat(text)
     except ValueError:
         raise DataError(f"bad timestamp {text!r} (expected ISO-8601)") from None
+    if ts.tzinfo is not None:
+        raise DataError(f"timestamp {text!r} has a UTC offset; {LOCAL_TIME}")
+    return ts
 
 
 def _parse_probes(text: str) -> list[tuple[float, float]]:

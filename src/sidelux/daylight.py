@@ -31,20 +31,24 @@ import numpy as np
 
 from .errors import ConfigError, DataError, GeometryError
 from .geometry import (
+    BOUNDARY_TOL,
+    EMPTY_AREA,
+    PARALLEL_TOL,
     PLANARITY_TOL,
     GridMesh,
     Point3,
     Polygon3,
-    convex_contains_mask,
+    clip_rings,
     decompose_convex,
+    signed_ring_areas,
     point_in_polygon,
     points_in_polygon_mask,
     project_polygon_along_direction,
     clip_polygon,
     workplane_grid_for_parts,
 )
-from .solar import EfficacyModel, GeoLocation, OutdoorIlluminance, SolarState, WeatherRecord, \
-    reconstruct_illuminance, sun_position
+from .solar import LOCAL_TIME, EfficacyModel, GeoLocation, OutdoorIlluminance, SolarState, \
+    WeatherRecord, outdoor_illuminance, reconstruct_illuminance, sun_position, sun_positions
 
 # Horizontal illuminance of the full CIE overcast dome for unit zenith
 # luminance: integral of (1+2 sin g)/3 * sin g over the hemisphere = 7*pi/9.
@@ -54,6 +58,7 @@ DEFAULT_ANGULAR_STEP = 0.5          # degrees, sky integration resolution
 DEFAULT_LUMINANCE_FRACTION = 0.2    # obstruction luminance relative to the sky it hides
 UNOBSTRUCTED_C = 39.0               # split-flux obstruction coefficient, clear horizon
 PATCH_SCOPES = ("patch", "room")
+BLOCK_STEPS = 512                   # timesteps per array pass of Simulator.run
 
 
 @dataclass(frozen=True)
@@ -456,6 +461,71 @@ def compute_sun_patch(room: Room, ap: Aperture, sun: SolarState, plane_z: float,
     return SunPatch(tuple(pieces), area)
 
 
+class BeamKernel:
+    """The sun patches of all apertures for a batch of sun directions.
+
+    Per step and aperture it projects the window along the sun direction d
+    onto the plane z = ``plane_z``, clips the image against every convex
+    floor part (:func:`~sidelux.geometry.clip_rings`) and tests which of the
+    given points the image covers. The rules are those of
+    :func:`compute_sun_patch`: a patch needs the sun above the horizon,
+    d . n_out < -1e-9, |d_z| > PARALLEL_TOL and no vertex projected
+    backwards; pieces of at most EMPTY_AREA count as empty, and the pieces'
+    areas are summed over the floor parts.
+    """
+
+    def __init__(self, room: Room, plane_z: float):
+        self.plane_z = plane_z
+        n_vert = max((len(ap.polygon.coords) for ap in room.apertures), default=3)
+        # shorter rings repeat their last vertex: a zero-length edge adds nothing
+        self.windows = np.empty((len(room.apertures), n_vert, 3))
+        for k, ap in enumerate(room.apertures):
+            c = ap.polygon.coords
+            self.windows[k, :len(c)] = c
+            self.windows[k, len(c):] = c[-1]
+        self.outward = np.array(
+            [room.aperture_outward(k) for k in range(len(room.apertures))]
+        ).reshape(-1, 3)
+        self.parts = []
+        for part in room.parts:
+            v2 = part.coords[:, :2]
+            self.parts.append(v2 if signed_ring_areas(v2[None], v2[0])[0] > 0.0 else v2[::-1])
+
+    def __call__(self, altitude: np.ndarray, direction: np.ndarray,
+                 points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Patch area per step and aperture, shape (B, K), and whether each
+        of the (N, 2) ``points`` lies in each non-empty patch, (B, K, N)."""
+        n_steps, n_ap = len(altitude), len(self.windows)
+        areas = np.zeros((n_steps, n_ap))
+        lit = np.zeros((n_steps, n_ap, len(points)), dtype=bool)
+        d = direction / np.sqrt(np.sum(direction * direction, axis=1))[:, None]
+        facing = np.sum(direction[:, None, :] * self.outward[None], axis=2) < -1e-9
+        ok = facing & ((altitude > 0.0) & (np.abs(d[:, 2]) > PARALLEL_TOL))[:, None]
+        b, k = np.nonzero(ok)
+        win = self.windows[k]
+        t = (self.plane_z - win[:, :, 2]) / d[b, 2][:, None]
+        forward = np.all(t >= -1e-9, axis=1)
+        b, k, win, t = b[forward], k[forward], win[forward], t[forward]
+        images = win[:, :, :2] + t[:, :, None] * d[b][:, None, :2]
+
+        area = np.zeros(len(b))
+        for part in self.parts:
+            piece = np.abs(signed_ring_areas(clip_rings(images, part), part.mean(axis=0)))
+            area = area + np.where(piece > EMPTY_AREA, piece, 0.0)
+        areas[b, k] = area
+
+        sunlit = area > 0.0
+        if len(points) and sunlit.any():
+            a = images[sunlit]
+            e = np.roll(a, -1, axis=1) - a
+            orient = np.sign(signed_ring_areas(a, a[:, 0]))
+            cross = (e[:, :, 0, None] * (points[None, None, :, 1] - a[:, :, 1, None])
+                     - e[:, :, 1, None] * (points[None, None, :, 0] - a[:, :, 0, None]))
+            lit[b[sunlit], k[sunlit]] = np.all(
+                cross * orient[:, None, None] >= -BOUNDARY_TOL, axis=1)
+        return areas, lit
+
+
 def diffuse_at_point(point, df: float, outdoor: OutdoorIlluminance, patch: SunPatch | None,
                      room: Room, scope: str = "patch") -> float:
     """Diffuse illuminance at a point: the daylight-factor part plus, when a
@@ -493,11 +563,7 @@ class IlluminanceField:
     e_diffuse: np.ndarray
     e_direct: np.ndarray
     e_global: np.ndarray
-    patches: tuple[SunPatch, ...]
-
-    @property
-    def patch_area(self) -> float:
-        return float(sum(p.area for p in self.patches))
+    patch_area: float
 
 
 @dataclass(eq=False)
@@ -541,12 +607,71 @@ class PeriodResult:
         )
 
 
+_EPOCH = datetime(1970, 1, 1)
+_MICROSECOND = timedelta(microseconds=1)
+
+
+class _WeatherColumns:
+    """Weather records as columns: irradiances (and, when asked for, the
+    measured illuminances) in the records' order, plus a lookup from a
+    timestamp to its record, the last one when a timestamp repeats."""
+
+    def __init__(self, records: list[WeatherRecord], with_illuminance: bool):
+        n = len(records)
+        try:
+            micros = np.fromiter(((r.timestamp - _EPOCH) // _MICROSECOND for r in records),
+                                 np.int64, n)
+        except TypeError:  # an offset-aware timestamp cannot be subtracted from a naive one
+            raise DataError(f"weather timestamps must be naive datetimes; {LOCAL_TIME}") from None
+        self.gh = np.fromiter((r.gh for r in records), float, n)
+        self.dh = np.fromiter((r.dh for r in records), float, n)
+        self.measured = self.ev_global = self.ev_diffuse = None
+        if with_illuminance:
+            self.measured = np.fromiter(
+                (r.ev_global is not None and r.ev_diffuse is not None for r in records), bool, n)
+            self.ev_global = np.fromiter((r.ev_global or 0.0 for r in records), float, n)
+            self.ev_diffuse = np.fromiter((r.ev_diffuse or 0.0 for r in records), float, n)
+        times = micros.astype("datetime64[us]")
+        order = np.argsort(times, kind="stable")
+        ordered = times[order]
+        last = np.ones(n, dtype=bool)
+        last[:-1] = ordered[1:] != ordered[:-1]
+        self._times = ordered[last]
+        self._source = order[last]
+
+    def rows(self, times: np.ndarray) -> np.ndarray:
+        """Record index for each timestamp; a timestamp without a record is
+        an error naming the first one."""
+        pos = np.minimum(np.searchsorted(self._times, times), len(self._times) - 1)
+        found = self._times[pos] == times
+        if not found.all():
+            missing = times[np.argmin(found)].astype(datetime)
+            raise DataError(f"no weather record for {missing.isoformat()}")
+        return self._source[pos]
+
+    def outdoor(self, rows: np.ndarray, altitude: np.ndarray,
+                eff: EfficacyModel) -> tuple[np.ndarray, np.ndarray]:
+        """Outdoor diffuse and direct illuminance for the given records."""
+        ev = (None,) * 3 if self.measured is None else (
+            self.measured[rows], self.ev_global[rows], self.ev_diffuse[rows])
+        return outdoor_illuminance(altitude, self.gh[rows], self.dh[rows], eff, *ev)
+
+
+def _naive(when: datetime) -> datetime:
+    if when.tzinfo is not None:
+        raise DataError(f"timestamp {when.isoformat()} has a UTC offset; {LOCAL_TIME}")
+    return when
+
+
 class Simulator:
     """Workplane illuminance engine for one room.
 
     The daylight-factor field depends on geometry only, so it is computed
     once at construction and reused for every timestep; per step only the
-    outdoor conversion and the sun-patch geometry change.
+    outdoor conversion and the sun-patch geometry change. Periods are
+    stepped in blocks of ``BLOCK_STEPS`` timesteps, each block as a few
+    array passes, so the working arrays depend on the block size, not on
+    the period.
     """
 
     def __init__(self, room: Room, location: GeoLocation, cell: float = 0.1,
@@ -560,7 +685,7 @@ class Simulator:
         self.patch_scope = patch_scope
         self.angular_step = angular_step
         self.grid = room.workplane(cell, workplane_height)
-        self._lifted_parts = [part.at_z(self.grid.plane_z) for part in room.parts]
+        self.beam = BeamKernel(room, self.grid.plane_z)
         self._irc = [internally_reflected_component(room, ap) for ap in room.apertures]
         self.df_per_aperture, self.df = self._df_for_points(self.grid.points)
         self._probe_cache: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
@@ -579,51 +704,39 @@ class Simulator:
             total = total + df
         return per_ap, total
 
-    def _patch_mask(self, patch: SunPatch, px: np.ndarray, py: np.ndarray) -> np.ndarray:
-        mask = np.zeros(px.shape, dtype=bool)
-        for piece in patch.pieces:
-            v2 = piece.coords[:, :2]
-            area2 = 0.5 * float(
-                np.sum(v2[:, 0] * np.roll(v2[:, 1], -1) - np.roll(v2[:, 0], -1) * v2[:, 1])
-            )
-            if area2 < 0.0:
-                v2 = v2[::-1]
-            mask |= convex_contains_mask(px, py, v2)
-        return mask
-
-    def _evaluate_arrays(self, outdoor: OutdoorIlluminance, sun: SolarState | None,
-                         px: np.ndarray, py: np.ndarray, df: np.ndarray):
-        e_dif = df * outdoor.e_global
-        e_dir = np.zeros(len(px))
-        patches: list[SunPatch] = []
-        if outdoor.e_direct > 0.0 and sun is not None and sun.altitude > 0.0:
-            rho = self.room.optics.floor
-            for k, ap in enumerate(self.room.apertures):
-                patch = compute_sun_patch(
-                    self.room, ap, sun, self.grid.plane_z,
-                    outward=self.room.aperture_outward(k),
-                    lifted_parts=self._lifted_parts,
-                )
-                patches.append(patch)
-                if patch.area <= 0.0:
-                    continue
-                mask = self._patch_mask(patch, px, py)
-                term = outdoor.e_direct * rho * patch.area / self.room.s_t
-                if self.patch_scope == "patch":
-                    e_dif = e_dif + term * mask
-                else:
-                    e_dif = e_dif + term
-                e_dir = e_dir + mask * (outdoor.e_direct * ap.tau)
-        else:
-            patches = [SunPatch.empty() for _ in self.room.apertures]
-        return e_dif, e_dir, tuple(patches)
+    def _illuminance(self, altitude: np.ndarray, direction: np.ndarray, e_global: np.ndarray,
+                     e_direct: np.ndarray, points: np.ndarray, df: np.ndarray):
+        """Total patch area per step and diffuse and direct illuminance at
+        ``points`` (shape (steps, points)) for a batch of steps; the beam
+        terms need the sun above the horizon and a direct component."""
+        e_dif = df[None, :] * e_global[:, None]
+        e_dir = np.zeros_like(e_dif)
+        area = np.zeros(len(altitude))
+        sunny = np.flatnonzero((altitude > 0.0) & (e_direct > 0.0))
+        if len(sunny) == 0:
+            return area, e_dif, e_dir
+        areas, lit = self.beam(altitude[sunny], direction[sunny], points[:, :2])
+        ed = e_direct[sunny]
+        dif, dirc, total = e_dif[sunny], e_dir[sunny], area[sunny]
+        for k, ap in enumerate(self.room.apertures):
+            term = ed * self.room.optics.floor * areas[:, k] / self.room.s_t
+            if self.patch_scope == "patch":
+                dif = dif + term[:, None] * lit[:, k]
+            else:
+                dif = dif + term[:, None]
+            dirc = dirc + lit[:, k] * (ed * ap.tau)[:, None]
+            total = total + areas[:, k]
+        e_dif[sunny], e_dir[sunny], area[sunny] = dif, dirc, total
+        return area, e_dif, e_dir
 
     def evaluate(self, outdoor: OutdoorIlluminance, sun: SolarState | None,
                  timestamp: datetime | None = None) -> IlluminanceField:
         """Field over the workplane grid for given outdoor conditions."""
-        pts = self.grid.points
-        e_dif, e_dir, patches = self._evaluate_arrays(
-            outdoor, sun, pts[:, 0], pts[:, 1], self.df
+        altitude = np.array([sun.altitude if sun is not None else 0.0])
+        direction = (sun.direction if sun is not None else np.zeros(3)).reshape(1, 3)
+        area, e_dif, e_dir = self._illuminance(
+            altitude, direction, np.array([outdoor.e_global]), np.array([outdoor.e_direct]),
+            self.grid.points, self.df,
         )
         return IlluminanceField(
             grid=self.grid,
@@ -631,10 +744,10 @@ class Simulator:
             outdoor=outdoor,
             sun=sun,
             df=self.df,
-            e_diffuse=e_dif,
-            e_direct=e_dir,
-            e_global=e_dif + e_dir,
-            patches=patches,
+            e_diffuse=e_dif[0],
+            e_direct=e_dir[0],
+            e_global=e_dif[0] + e_dir[0],
+            patch_area=float(area[0]),
         )
 
     def step(self, record: WeatherRecord) -> IlluminanceField:
@@ -658,109 +771,73 @@ class Simulator:
 
     def run(self, records, start: datetime | None = None, end: datetime | None = None,
             step_minutes: int = 1, probes=(), field_at=(), hourly: bool = False) -> PeriodResult:
-        """Iterate timesteps over [start, end) and collect probe series.
+        """Step over [start, end) and collect probe series.
 
-        ``records`` must cover every step; a missing timestamp is an error.
-        Full fields are kept only for the instants listed in ``field_at``.
+        ``records`` may come in any order; when a timestamp repeats, the
+        last record wins. They must cover every step; a missing timestamp
+        is an error. ``start`` defaults to the first record's timestamp and
+        ``end`` to one step past the last record's. Full fields are built
+        only for the instants listed in ``field_at``.
         """
         if step_minutes < 1:
             raise ConfigError("step must be at least one minute")
         records = list(records)
         if not records:
             raise DataError("empty weather series")
-        index = {r.timestamp: r for r in records}
-        if start is None:
-            start = records[0].timestamp
+        start = _naive(records[0].timestamp if start is None else start)
         if end is None:
             end = records[-1].timestamp + timedelta(minutes=step_minutes)
+        end = _naive(end)
         step = timedelta(minutes=step_minutes)
         probes = tuple((float(x), float(y)) for x, y in probes)
         probe_names = tuple(f"p{i + 1}" for i in range(len(probes)))
-        field_set = set(field_at)
+        probe_pts, probe_df = self._probe_df(probes)
 
-        grid_pts = self.grid.points
-        n_grid = len(grid_pts)
-        if probes:
-            probe_pts, probe_df = self._probe_df(probes)
-            px = np.concatenate((grid_pts[:, 0], probe_pts[:, 0]))
-            py = np.concatenate((grid_pts[:, 1], probe_pts[:, 1]))
-            df_all = np.concatenate((self.df, probe_df))
-        else:
-            px, py, df_all = grid_pts[:, 0], grid_pts[:, 1], self.df
-
-        timestamps: list[datetime] = []
-        og: list[float] = []
-        od: list[float] = []
-        ob: list[float] = []
-        pa: list[float] = []
-        probe_rows: list[np.ndarray] = []
-        fields: dict[datetime, IlluminanceField] = {}
-        zeros_probe = np.zeros(len(probes))
-        dark = OutdoorIlluminance.from_components(0.0, 0.0)
-
-        t = start
-        while t < end:
-            rec = index.get(t)
-            if rec is None:
-                raise DataError(f"no weather record for {t.isoformat()}")
-            sun = sun_position(t, self.location)
-            outdoor = reconstruct_illuminance(rec, sun, self.efficacy)
-            timestamps.append(t)
-            og.append(outdoor.e_global)
-            od.append(outdoor.e_diffuse)
-            ob.append(outdoor.e_direct)
-            if outdoor.e_global <= 0.0 and outdoor.e_direct <= 0.0:
-                pa.append(0.0)
-                probe_rows.append(zeros_probe)
-                if t in field_set:
-                    z = np.zeros(n_grid)
-                    fields[t] = IlluminanceField(
-                        grid=self.grid, timestamp=t, outdoor=dark, sun=sun, df=self.df,
-                        e_diffuse=z, e_direct=z.copy(), e_global=z.copy(),
-                        patches=tuple(SunPatch.empty() for _ in self.room.apertures),
-                    )
-                t += step
-                continue
-            e_dif, e_dir, patches = self._evaluate_arrays(outdoor, sun, px, py, df_all)
-            pa.append(float(sum(p.area for p in patches)))
-            e_glo = e_dif + e_dir
-            probe_rows.append(e_glo[n_grid:].copy() if probes else zeros_probe)
-            if t in field_set:
-                fields[t] = IlluminanceField(
-                    grid=self.grid, timestamp=t, outdoor=outdoor, sun=sun, df=self.df,
-                    e_diffuse=e_dif[:n_grid].copy(), e_direct=e_dir[:n_grid].copy(),
-                    e_global=e_glo[:n_grid].copy(), patches=patches,
-                )
-            t += step
-
-        if not timestamps:
+        weather = _WeatherColumns(records, self.efficacy.mode == "passthrough")
+        n = max(0, -((start - end) // step))
+        times = np.datetime64(start, "us") + np.arange(n) * np.timedelta64(step)
+        rows = weather.rows(times)
+        if n == 0:
             raise DataError("empty simulation period (end must be after start)")
-        missing = sorted(field_set - set(fields))
+
+        outdoor_global, outdoor_diffuse, outdoor_direct, patch_area = np.empty((4, n))
+        probe_global = np.empty((n, len(probes)))
+        for i in range(0, n, BLOCK_STEPS):
+            block = slice(i, i + BLOCK_STEPS)
+            altitude, _, direction = sun_positions(times[block], self.location)
+            diffuse, direct = weather.outdoor(rows[block], altitude, self.efficacy)
+            e_global = diffuse + direct
+            outdoor_global[block], outdoor_diffuse[block], outdoor_direct[block] = \
+                e_global, diffuse, direct
+            patch_area[block], e_dif, e_dir = self._illuminance(
+                altitude, direction, e_global, direct, probe_pts, probe_df)
+            probe_global[block] = e_dif + e_dir
+
+        fields: dict[datetime, IlluminanceField] = {}
+        missing = []
+        for when in set(field_at):
+            k, rest = divmod(_naive(when) - start, step)
+            if rest or not 0 <= k < n:
+                missing.append(when)
+                continue
+            sun = sun_position(when, self.location)
+            outdoor = OutdoorIlluminance(
+                float(outdoor_global[k]), float(outdoor_diffuse[k]), float(outdoor_direct[k]))
+            fields[when] = self.evaluate(outdoor, sun, when)
         if missing:
             raise DataError(
                 "field requested at instants not visited by the stepping: "
-                + ", ".join(ts.isoformat() for ts in missing)
+                + ", ".join(ts.isoformat() for ts in sorted(missing))
             )
         result = PeriodResult(
-            timestamps=timestamps,
-            outdoor_global=np.array(og),
-            outdoor_diffuse=np.array(od),
-            outdoor_direct=np.array(ob),
-            patch_area=np.array(pa),
+            timestamps=times.tolist(),
+            outdoor_global=outdoor_global,
+            outdoor_diffuse=outdoor_diffuse,
+            outdoor_direct=outdoor_direct,
+            patch_area=patch_area,
             probe_points=probes,
             probe_names=probe_names,
-            probe_global=np.vstack(probe_rows) if probe_rows else np.zeros((0, len(probes))),
+            probe_global=probe_global,
             fields=fields,
         )
         return result.hourly() if hourly else result
-
-
-def simulate_timestep(sim: Simulator, record: WeatherRecord) -> IlluminanceField:
-    """One-record convenience wrapper around :meth:`Simulator.step`."""
-    return sim.step(record)
-
-
-def simulate_period(sim: Simulator, records, start=None, end=None, step_minutes: int = 1,
-                    probes=(), field_at=(), hourly: bool = False) -> PeriodResult:
-    """Convenience wrapper around :meth:`Simulator.run`."""
-    return sim.run(records, start, end, step_minutes, probes, field_at, hourly)

@@ -20,6 +20,8 @@ from .errors import DegenerateMeshError, GeometryError
 PLANARITY_TOL = 1e-6   # m: how far vertices may sit off their common plane
 PARALLEL_TOL = 1e-9    # dot-product threshold for grazing directions
 BOUNDARY_TOL = 1e-9    # m: points this close to an edge count as inside
+CLIP_TOL = 1e-12       # clip-side test: vertices this far outside a clip edge are kept
+EMPTY_AREA = 1e-12     # m^2: clipped pieces this small count as empty
 
 
 @dataclass(frozen=True)
@@ -245,9 +247,9 @@ def clip_polygon(subject: Polygon3, clip: Polygon3) -> Polygon3 | None:
         if not inp:
             return None
         sx, sy = inp[-1]
-        s_in = ex * (sy - ay) - ey * (sx - ax) >= -1e-12
+        s_in = ex * (sy - ay) - ey * (sx - ax) >= -CLIP_TOL
         for px, py in inp:
-            p_in = ex * (py - ay) - ey * (px - ax) >= -1e-12
+            p_in = ex * (py - ay) - ey * (px - ax) >= -CLIP_TOL
             if p_in:
                 if not s_in:
                     out.append(_edge_line_isect(sx, sy, px, py, ax, ay, ex, ey))
@@ -264,9 +266,61 @@ def clip_polygon(subject: Polygon3, clip: Polygon3) -> Polygon3 | None:
         result = Polygon3(lifted)
     except GeometryError:
         return None
-    if result.area <= 1e-12:
+    if result.area <= EMPTY_AREA:
         return None
     return result
+
+
+def clip_rings(rings: np.ndarray, clip_ccw: np.ndarray) -> np.ndarray:
+    """Clip a batch of convex 2-D rings, shape (R, W, 2), against one convex
+    counter-clockwise ring with Sutherland-Hodgman, as :func:`clip_polygon`
+    does for one polygon (same side test and edge intersection).
+
+    Every pass keeps the rows at one common width: a row with fewer vertices
+    repeats its last one, a zero-length edge that adds no area, and a row
+    clipped away is all zeros.
+    """
+    m = len(clip_ccw)
+    rows = np.arange(len(rings))[:, None]
+    for i in range(m):
+        ax, ay = clip_ccw[i]
+        bx, by = clip_ccw[(i + 1) % m]
+        ex, ey = bx - ax, by - ay
+        px, py = rings[:, :, 0], rings[:, :, 1]
+        side = ex * (py - ay) - ey * (px - ax)
+        p_in = side >= -CLIP_TOL
+        s_in = np.roll(p_in, 1, axis=1)
+        crossing = p_in != s_in
+        # intersection of each crossing edge s -> p with the clip line
+        sx, sy = np.roll(px, 1, axis=1), np.roll(py, 1, axis=1)
+        dx, dy = px - sx, py - sy
+        denom = ex * dy - ey * dx
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = np.clip(-np.roll(side, 1, axis=1) / denom, 0.0, 1.0)
+        t = np.where(denom == 0.0, 0.5, t)
+        # per input vertex: the intersection (if any), then the vertex (if inside)
+        n_out = crossing.astype(np.intp) + p_in
+        first = np.cumsum(n_out, axis=1) - n_out
+        count = first[:, -1] + n_out[:, -1]
+        width = max(int(count.max(initial=0)), 1)
+        out = np.zeros((len(rings), width, 2))
+        r = np.broadcast_to(rows, crossing.shape)
+        out[r[crossing], first[crossing]] = np.stack(
+            (sx + t * dx, sy + t * dy), axis=-1)[crossing]
+        out[r[p_in], first[p_in] + crossing[p_in]] = rings[p_in]
+        pad = np.minimum(np.arange(width), np.maximum(count - 1, 0)[:, None])
+        rings = out[rows, pad]
+    return rings
+
+
+def signed_ring_areas(rings: np.ndarray, origin) -> np.ndarray:
+    """Shoelace areas (positive counter-clockwise) of a batch of 2-D rings,
+    shape (R, W, 2), taken about ``origin``, one point or one per ring: a
+    point near the rings keeps the cross products small, so a sliver's area
+    is not buried in cancellation noise."""
+    rel = rings - np.asarray(origin, dtype=float)[..., None, :]
+    x, y = rel[:, :, 0], rel[:, :, 1]
+    return 0.5 * np.sum(x * np.roll(y, -1, axis=1) - np.roll(x, -1, axis=1) * y, axis=1)
 
 
 def _edge_line_isect(sx, sy, px, py, ax, ay, ex, ey):
@@ -346,17 +400,6 @@ def points_in_polygon_mask(px: np.ndarray, py: np.ndarray, v2: np.ndarray,
             on_edge |= dx * dx + dy * dy <= tol2
         inside |= on_edge
     return inside
-
-
-def convex_contains_mask(px: np.ndarray, py: np.ndarray, v2_ccw: np.ndarray) -> np.ndarray:
-    """Half-plane containment for a convex CCW ring, boundary inclusive."""
-    mask = np.ones(px.shape, dtype=bool)
-    n = len(v2_ccw)
-    for i in range(n):
-        ax, ay = v2_ccw[i]
-        bx, by = v2_ccw[(i + 1) % n]
-        mask &= (bx - ax) * (py - ay) - (by - ay) * (px - ax) >= -BOUNDARY_TOL
-    return mask
 
 
 @dataclass(eq=False)

@@ -38,7 +38,7 @@ from .daylight import (
 )
 from .errors import ConfigError, DataError, GeometryError, ParseError
 from .geometry import GridMesh, Polygon3
-from .solar import DH_GH_TOL, EfficacyModel, GeoLocation, WeatherRecord
+from .solar import DH_GH_TOL, LOCAL_TIME, EfficacyModel, GeoLocation, WeatherRecord
 
 WEATHER_COLUMNS = ("timestamp", "Gh_Wm2", "Dh_Wm2")
 WEATHER_COLUMNS_ILLUM = WEATHER_COLUMNS + ("Evg_lux", "Evd_lux")
@@ -54,6 +54,7 @@ _T2_GHILL = slice(35, 39)
 _T2_DHILL = slice(47, 51)
 _T2_MIN_LEN = 53
 _T2_MISSING = 9999
+_SUMMARY_ROWS_PER_WRITE = 4096
 
 
 def _check_dh_gh(gh: float, dh: float, line: int) -> None:
@@ -93,6 +94,9 @@ def parse_weather_csv(path) -> list[WeatherRecord]:
             ts = datetime.fromisoformat(parts[0].strip())
         except ValueError:
             raise ParseError(f"bad timestamp {parts[0]!r}", line=lineno) from None
+        if ts.tzinfo is not None:
+            raise ParseError(f"timestamp {parts[0].strip()!r} has a UTC offset; {LOCAL_TIME}",
+                             line=lineno)
         try:
             gh = float(parts[1])
             dh = float(parts[2])
@@ -376,18 +380,20 @@ def write_results(result: PeriodResult, prefix) -> list[Path]:
     summary = Path(f"{prefix}_summary.csv")
     header = ["timestamp", "E_out_G_lux", "E_out_dif_lux", "E_out_Dir_S_lux", "S_TS_m2"]
     header += [f"E_glo_{name}_lux" for name in result.probe_names]
-    lines = [",".join(header)]
-    for i, ts in enumerate(result.timestamps):
-        row = [
-            ts.isoformat(),
-            _fmt(result.outdoor_global[i]),
-            _fmt(result.outdoor_diffuse[i]),
-            _fmt(result.outdoor_direct[i]),
-            _fmt(result.patch_area[i]),
-        ]
-        row += [_fmt(v) for v in result.probe_global[i]]
-        lines.append(",".join(row))
-    summary.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    # one format operation per row, the same text as _fmt per value
+    row_format = "%s" + ",%#.6g" * (len(header) - 1)
+    columns = (result.outdoor_global, result.outdoor_diffuse, result.outdoor_direct,
+               result.patch_area)
+    with summary.open("w", encoding="utf-8") as out:
+        out.write(",".join(header) + "\n")
+        # converted to Python floats a block at a time, so memory stays flat
+        for i in range(0, len(result.timestamps), _SUMMARY_ROWS_PER_WRITE):
+            block = slice(i, i + _SUMMARY_ROWS_PER_WRITE)
+            values = np.column_stack([c[block] for c in columns] + [result.probe_global[block]])
+            out.write("".join(
+                row_format % (ts.isoformat(), *row) + "\n"
+                for ts, row in zip(result.timestamps[block], values.tolist())
+            ))
     paths.append(summary)
     for ts in sorted(result.fields):
         fld: IlluminanceField = result.fields[ts]

@@ -20,6 +20,7 @@ import numpy as np
 from .errors import DataError
 
 DH_GH_TOL = 0.02  # tolerated diffuse excess over global before data is rejected
+LOCAL_TIME = "timestamps are local civil time; the building's tz gives their UTC offset"
 
 
 @dataclass(frozen=True)
@@ -73,47 +74,63 @@ class SolarState:
         return cls(altitude, azimuth, np.array(_sun_direction(altitude, azimuth)))
 
 
-_J2000 = datetime(2000, 1, 1, 12, 0, 0)
+_J2000 = np.datetime64("2000-01-01T12:00:00", "us")
+_US_PER_HOUR = 3_600_000_000
 
 
-def sun_position(when: datetime, loc: GeoLocation) -> SolarState:
-    """Sun altitude/azimuth for a local civil timestamp.
+def sun_positions(times: np.ndarray, loc: GeoLocation) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sun altitude, azimuth (degrees) and unit direction from the sun toward
+    the ground, shape (n, 3), for an array of local civil timestamps.
 
     Standard geometry: declination and the equation of time from the sun's
     low-precision mean elements, hour angle from true solar time.
     """
-    if not 1950 <= when.year <= 2100:
-        raise ValueError(f"timestamp year {when.year} outside supported range 1950-2100")
-    days = (when - _J2000).total_seconds() / 86400.0 - loc.timezone / 24.0
-    mean_long = math.radians((280.460 + 0.9856474 * days) % 360.0)
-    mean_anom = math.radians((357.528 + 0.9856003 * days) % 360.0)
-    ecl_long = mean_long + math.radians(
-        1.915 * math.sin(mean_anom) + 0.020 * math.sin(2.0 * mean_anom)
+    t = np.asarray(times, dtype="datetime64[us]")
+    years = t.astype("datetime64[Y]").astype(np.int64) + 1970
+    bad = (years < 1950) | (years > 2100)
+    if bad.any():
+        year = int(years[np.argmax(bad)])
+        raise ValueError(f"timestamp year {year} outside supported range 1950-2100")
+    days = (t - _J2000).astype(np.int64) / 1e6 / 86400.0 - loc.timezone / 24.0
+    mean_long = np.radians((280.460 + 0.9856474 * days) % 360.0)
+    mean_anom = np.radians((357.528 + 0.9856003 * days) % 360.0)
+    ecl_long = mean_long + np.radians(
+        1.915 * np.sin(mean_anom) + 0.020 * np.sin(2.0 * mean_anom)
     )
-    obliq = math.radians(23.439 - 0.0000004 * days)
-    decl = math.asin(math.sin(obliq) * math.sin(ecl_long))
-    ra = math.atan2(math.cos(obliq) * math.sin(ecl_long), math.cos(ecl_long))
+    obliq = np.radians(23.439 - 0.0000004 * days)
+    decl = np.arcsin(np.sin(obliq) * np.sin(ecl_long))
+    ra = np.arctan2(np.cos(obliq) * np.sin(ecl_long), np.cos(ecl_long))
     # equation of time in minutes: mean longitude minus right ascension
-    eqtime = 4.0 * math.degrees(
-        (mean_long - ra + math.pi) % (2.0 * math.pi) - math.pi
-    )
-    hours = when.hour + when.minute / 60.0 + when.second / 3600.0 + when.microsecond / 3.6e9
+    eqtime = 4.0 * np.degrees((mean_long - ra + math.pi) % (2.0 * math.pi) - math.pi)
+    us = (t - t.astype("datetime64[D]")).astype(np.int64)
+    hours = (us // _US_PER_HOUR + (us // 60_000_000 % 60) / 60.0
+             + (us // 1_000_000 % 60) / 3600.0 + (us % 1_000_000) / 3.6e9)
     tst = hours * 60.0 + eqtime + 4.0 * loc.longitude - 60.0 * loc.timezone
-    ha = math.radians(tst / 4.0 - 180.0)
+    ha = np.radians(tst / 4.0 - 180.0)
     phi = math.radians(loc.latitude)
-    sin_alt = math.sin(phi) * math.sin(decl) + math.cos(phi) * math.cos(decl) * math.cos(ha)
-    sin_alt = min(1.0, max(-1.0, sin_alt))
-    altitude = math.degrees(math.asin(sin_alt))
+    sin_alt = math.sin(phi) * np.sin(decl) + math.cos(phi) * np.cos(decl) * np.cos(ha)
+    altitude = np.degrees(np.arcsin(np.clip(sin_alt, -1.0, 1.0)))
     azimuth = (
-        math.degrees(
-            math.atan2(
-                math.sin(ha) * math.cos(decl),
-                math.cos(ha) * math.cos(decl) * math.sin(phi) - math.sin(decl) * math.cos(phi),
+        np.degrees(
+            np.arctan2(
+                np.sin(ha) * np.cos(decl),
+                np.cos(ha) * np.cos(decl) * math.sin(phi) - np.sin(decl) * math.cos(phi),
             )
         )
         + 180.0
-    )
-    return SolarState.from_angles(altitude, azimuth)
+    ) % 360.0
+    h = np.radians(altitude)
+    a = np.radians(azimuth)
+    ch = np.cos(h)
+    direction = np.column_stack((-np.sin(a) * ch, -np.cos(a) * ch, -np.sin(h)))
+    return altitude, azimuth, direction
+
+
+def sun_position(when: datetime, loc: GeoLocation) -> SolarState:
+    """Sun altitude/azimuth for one local civil timestamp (see
+    :func:`sun_positions`)."""
+    altitude, azimuth, direction = sun_positions(np.array([when], dtype="datetime64[us]"), loc)
+    return SolarState(float(altitude[0]), float(azimuth[0]), direction[0])
 
 
 @dataclass(frozen=True, slots=True)
@@ -190,25 +207,37 @@ class OutdoorIlluminance:
         return OutdoorIlluminance.from_components(self.e_diffuse * factor, self.e_direct * factor)
 
 
+def outdoor_illuminance(altitude: np.ndarray, gh: np.ndarray, dh: np.ndarray,
+                        eff: EfficacyModel, measured: np.ndarray | None = None,
+                        ev_global: np.ndarray | None = None,
+                        ev_diffuse: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Outdoor diffuse and direct horizontal illuminance (lux) per step.
+
+    Below the horizon everything is zero. In passthrough mode the measured
+    illuminances are used where ``measured`` is set; everywhere else the
+    beam horizontal irradiance max(0, Gh - Dh) and the diffuse irradiance
+    are converted with the configured efficacies.
+    """
+    up = altitude > 0.0
+    diffuse = np.where(up, eff.kd * dh, 0.0)
+    # fmax, not maximum: a NaN difference gives no direct part
+    direct = np.where(up, eff.kb * np.fmax(0.0, gh - dh), 0.0)
+    if eff.mode == "passthrough" and measured is not None:
+        use = up & measured
+        diffuse = np.where(use, ev_diffuse, diffuse)
+        direct = np.where(use, np.fmax(0.0, ev_global - ev_diffuse), direct)
+    return diffuse, direct
+
+
 def reconstruct_illuminance(
     rec: WeatherRecord, sun: SolarState, eff: EfficacyModel
 ) -> OutdoorIlluminance:
-    """Outdoor illuminance for one record.
-
-    Below the horizon everything is zero. In passthrough mode measured
-    illuminances are used directly when present; otherwise the beam
-    horizontal irradiance max(0, Gh - Dh) and the diffuse irradiance are
-    converted with the configured efficacies.
-    """
-    if sun.altitude <= 0.0:
-        return OutdoorIlluminance.from_components(0.0, 0.0)
-    if eff.mode == "passthrough" and rec.ev_global is not None and rec.ev_diffuse is not None:
-        diffuse = rec.ev_diffuse
-        direct = max(0.0, rec.ev_global - rec.ev_diffuse)
-        return OutdoorIlluminance.from_components(diffuse, direct)
-    if rec.dh > rec.gh * (1.0 + DH_GH_TOL) + 1e-9:
-        raise DataError(
-            f"diffuse irradiance {rec.dh} exceeds global {rec.gh} by more than {DH_GH_TOL:.0%}"
-        )
-    beam = max(0.0, rec.gh - rec.dh)
-    return OutdoorIlluminance.from_components(eff.kd * rec.dh, eff.kb * beam)
+    """Outdoor illuminance for one record (see :func:`outdoor_illuminance`)."""
+    measured = rec.ev_global is not None and rec.ev_diffuse is not None
+    diffuse, direct = outdoor_illuminance(
+        np.array([sun.altitude]), np.array([rec.gh]), np.array([rec.dh]), eff,
+        np.array([measured]),
+        np.array([rec.ev_global if measured else 0.0]),
+        np.array([rec.ev_diffuse if measured else 0.0]),
+    )
+    return OutdoorIlluminance.from_components(float(diffuse[0]), float(direct[0]))

@@ -183,6 +183,28 @@ class TestDfmap:
         assert sims["dark"].df.max() < 1e-6
 
 
+class TestLocalTime:
+    """Timestamps are local civil time: the building's tz already fixes their
+    offset, so one written with a UTC offset is an input error."""
+
+    def test_weather_with_utc_offset_exits_2(self, tmp_path, building_file, capsys):
+        weather = tmp_path / "w.csv"
+        weather.write_text("timestamp,Gh_Wm2,Dh_Wm2\n2009-07-01T12:00+04:00,500,100\n",
+                           encoding="utf-8")
+        code = main(["simulate", "--building", str(building_file), "--weather", str(weather),
+                     "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert "line 2: timestamp '2009-07-01T12:00+04:00' has a UTC offset" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--start", "--end", "--field-at"])
+    def test_option_with_utc_offset_exits_2(self, tmp_path, building_file, capsys, flag):
+        weather = overcast_day_csv(tmp_path / "day.csv")
+        code = main(["simulate", "--building", str(building_file), "--weather", str(weather),
+                     "--out", str(tmp_path / "run"), flag, "2009-03-21T12:00+04:00"])
+        assert code == 2
+        assert "has a UTC offset" in capsys.readouterr().err
+
+
 class TestUsageErrors:
     def test_unknown_command_exits_2(self):
         with pytest.raises(SystemExit) as err:

@@ -20,7 +20,6 @@ from sidelux.daylight import (
     direct_at_point,
     externally_reflected_component,
     internally_reflected_component,
-    simulate_timestep,
     sky_component,
     split_flux_irc,
 )
@@ -321,23 +320,24 @@ class TestPointFormulas:
 
 class TestSimulate:
     def test_night_all_zero(self, coarse_sim):
-        fld = simulate_timestep(coarse_sim, WeatherRecord(datetime(2009, 7, 15, 1, 0), 0.0, 0.0))
+        fld = coarse_sim.step(WeatherRecord(datetime(2009, 7, 15, 1, 0), 0.0, 0.0))
         assert not fld.e_global.any()
         assert not fld.e_diffuse.any()
         assert not fld.e_direct.any()
 
     def test_overcast_regime(self, coarse_sim):
-        fld = simulate_timestep(coarse_sim, WeatherRecord(datetime(2009, 7, 15, 10, 0), 300.0, 300.0))
+        fld = coarse_sim.step(WeatherRecord(datetime(2009, 7, 15, 10, 0), 300.0, 300.0))
         assert fld.patch_area == 0.0
         assert not fld.e_direct.any()
         assert np.allclose(fld.e_global, coarse_sim.df * fld.outdoor.e_global, rtol=1e-12, atol=0)
 
     def test_clear_noon_manual_recomputation(self, canonical_sim):
         sim = canonical_sim
-        fld = simulate_timestep(sim, WeatherRecord(datetime(2009, 7, 15, 10, 0), 600.0, 150.0))
+        fld = sim.step(WeatherRecord(datetime(2009, 7, 15, 10, 0), 600.0, 150.0))
         assert fld.patch_area > 0.0
-        patch = fld.patches[0]
         ap = sim.room.apertures[0]
+        patch = compute_sun_patch(sim.room, ap, fld.sun, sim.grid.plane_z)
+        assert patch.area == pytest.approx(fld.patch_area, abs=1e-12)
         rng = np.random.default_rng(3)
         for i in rng.choice(sim.grid.n_points, size=5, replace=False):
             p = sim.grid.points[i]
@@ -348,12 +348,12 @@ class TestSimulate:
             assert fld.e_global[i] == pytest.approx(e_dif + e_dir, rel=1e-9)
 
     def test_decomposition_bitwise(self, canonical_sim):
-        fld = simulate_timestep(canonical_sim, WeatherRecord(datetime(2009, 7, 15, 10, 0), 600.0, 150.0))
+        fld = canonical_sim.step(WeatherRecord(datetime(2009, 7, 15, 10, 0), 600.0, 150.0))
         assert np.array_equal(fld.e_global, fld.e_diffuse + fld.e_direct)
 
     def test_df_field_reused_between_steps(self, coarse_sim):
-        a = simulate_timestep(coarse_sim, WeatherRecord(datetime(2009, 7, 15, 10, 0), 300.0, 300.0))
-        b = simulate_timestep(coarse_sim, WeatherRecord(datetime(2009, 7, 16, 10, 0), 500.0, 100.0))
+        a = coarse_sim.step(WeatherRecord(datetime(2009, 7, 15, 10, 0), 300.0, 300.0))
+        b = coarse_sim.step(WeatherRecord(datetime(2009, 7, 16, 10, 0), 500.0, 100.0))
         assert a.df is b.df
 
     def test_patch_scope_room_spreads_term(self):

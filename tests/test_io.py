@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from sidelux.errors import ConfigError, DataError, GeometryError, ParseError
+from sidelux.daylight import PeriodResult
 from sidelux.geometry import Polygon3, make_workplane_grid
 from sidelux.io import (
     parse_building,
@@ -40,6 +41,15 @@ class TestWeatherCsv:
         with pytest.raises(DataError) as err:
             parse_weather_csv(p)
         assert err.value.line == 2
+
+    def test_utc_offset_is_located_parse_error(self, tmp_path):
+        p = write(
+            tmp_path,
+            "timestamp,Gh_Wm2,Dh_Wm2\n2009-07-01T11:59,500,100\n2009-07-01T12:00+04:00,500,100\n",
+        )
+        with pytest.raises(ParseError, match="UTC offset") as err:
+            parse_weather_csv(p)
+        assert err.value.line == 3
 
     def test_illuminance_columns(self, tmp_path):
         p = write(
@@ -304,6 +314,33 @@ class TestResultWriters:
         paths = write_results(res, tmp_path / "run")
         header = paths[0].read_text().splitlines()[0]
         assert header == "timestamp,E_out_G_lux,E_out_dif_lux,E_out_Dir_S_lux,S_TS_m2"
+
+    def test_summary_rows_match_per_value_format(self, tmp_path):
+        """The summary is written one format operation per row and a block
+        of rows at a time; its text is that of formatting every value on
+        its own with six significant digits."""
+        rng = np.random.default_rng(5)
+        n = 9000
+        start = datetime(2009, 7, 1, 0, 0, 30)
+        values = rng.lognormal(4.0, 6.0, (n, 7)) * (rng.random((n, 7)) < 0.8)
+        values[:12, 0] = [0.0, -0.0, 1e-12, 3.6e-12, 99999.95, 999999.5, 0.1 + 0.2,
+                          123456789.0, 5e-324, 1e300, 12345.65, 0.5]
+        result = PeriodResult(
+            timestamps=[start + timedelta(minutes=7 * i) for i in range(n)],
+            outdoor_global=values[:, 0], outdoor_diffuse=values[:, 1],
+            outdoor_direct=values[:, 2], patch_area=values[:, 3],
+            probe_points=((1.0, 1.0), (2.0, 2.0), (3.0, 3.0)), probe_names=("p1", "p2", "p3"),
+            probe_global=values[:, 4:],
+        )
+        [path] = write_results(result, tmp_path / "run")
+        lines = path.read_text(encoding="utf-8").split("\n")
+        assert lines[0] == ("timestamp,E_out_G_lux,E_out_dif_lux,E_out_Dir_S_lux,S_TS_m2,"
+                            "E_glo_p1_lux,E_glo_p2_lux,E_glo_p3_lux")
+        assert lines[-1] == ""
+        assert lines[1:-1] == [
+            ",".join([ts.isoformat()] + [f"{v:#.6g}" for v in row])
+            for ts, row in zip(result.timestamps, values)
+        ]
 
     def test_mixed_missing_illuminance_rejected(self, tmp_path):
         recs = [
