@@ -31,13 +31,11 @@ from .errors import (
 )
 from .geometry import (
     GridMesh,
-    Point3,
     Polygon3,
     clip_polygon,
     decompose_convex,
     make_workplane_grid,
     point_in_polygon,
-    polygon_area,
     project_polygon_along_direction,
 )
 from .metrics import (

@@ -138,7 +138,6 @@ def _cmd_dfmap(args) -> int:
         cell=building.workplane_cell,
         workplane_height=building.workplane_height,
         efficacy=building.efficacy,
-        patch_scope=args.patch_scope or building.patch_scope,
     )
     write_field_file(args.out, sim.grid, sim.df * 100.0, "DF_pct")
     print(f"{sim.grid.n_points} grid points; wrote {args.out}", file=sys.stderr)
@@ -183,7 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
     dfm = sub.add_parser("dfmap", help="write the daylight-factor field")
     dfm.add_argument("--building", required=True, help="building JSON path")
     dfm.add_argument("--out", required=True, help="field file path")
-    dfm.add_argument("--patch-scope", choices=["patch", "room"], help=argparse.SUPPRESS)
     dfm.set_defaults(func=_cmd_dfmap)
     return parser
 

@@ -36,7 +36,6 @@ from .geometry import (
     PARALLEL_TOL,
     PLANARITY_TOL,
     GridMesh,
-    Point3,
     Polygon3,
     clip_rings,
     decompose_convex,
@@ -54,7 +53,7 @@ from .solar import LOCAL_TIME, EfficacyModel, GeoLocation, OutdoorIlluminance, S
 # luminance: integral of (1+2 sin g)/3 * sin g over the hemisphere = 7*pi/9.
 OVERCAST_DOME = 7.0 * math.pi / 9.0
 
-DEFAULT_ANGULAR_STEP = 0.5          # degrees, sky integration resolution
+ANGULAR_STEP = 0.5                  # degrees, sky integration resolution
 DEFAULT_LUMINANCE_FRACTION = 0.2    # obstruction luminance relative to the sky it hides
 UNOBSTRUCTED_C = 39.0               # split-flux obstruction coefficient, clear horizon
 PATCH_SCOPES = ("patch", "room")
@@ -136,15 +135,12 @@ class Room:
     obstructions: tuple[Obstruction, ...] = ()
 
     def __post_init__(self):
-        if self.height <= 0.0:
+        if not self.height > 0.0:
             raise ConfigError(f"room height {self.height} must be positive")
         if abs(abs(float(self.floor.normal[2])) - 1.0) > PLANARITY_TOL:
             raise GeometryError("floor polygon must be horizontal")
         xy = self.floor.coords[:, :2]
-        signed = 0.5 * float(
-            np.sum(xy[:, 0] * np.roll(xy[:, 1], -1) - np.roll(xy[:, 0], -1) * xy[:, 1])
-        )
-        if signed < 0.0:  # normalize to counter-clockwise seen from above
+        if signed_ring_areas(xy[None], xy[0])[0] < 0.0:  # make it counter-clockwise from above
             self.floor = Polygon3(self.floor.coords[::-1])
         self.apertures = tuple(self.apertures)
         self.obstructions = tuple(self.obstructions)
@@ -187,7 +183,7 @@ class Room:
         return float(np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1).sum())
 
     def contains(self, point) -> bool:
-        p = point.as_array() if isinstance(point, Point3) else np.asarray(point, dtype=float)
+        p = np.asarray(point, dtype=float)
         if not self.floor_z - PLANARITY_TOL <= p[2] <= self.floor_z + self.height + PLANARITY_TOL:
             return False
         mask = points_in_polygon_mask(
@@ -216,16 +212,15 @@ def df_from_components(sc: float, erc: float, irc: float, fc: float,
     return (sc + erc + irc * fc) * mf * fr * gl * mg
 
 
-def _sky_integral(point, window: Polygon3 | None, obstructions=(),
-                  step_deg: float = DEFAULT_ANGULAR_STEP) -> tuple[float, float]:
+def _sky_integral(point, window: Polygon3 | None, obstructions=()) -> tuple[float, float]:
     """Numerically integrate the overcast-sky luminance over the sky
     directions seen through ``window`` (or the full dome when None).
 
     Returns (sc, erc): the unobstructed fraction and the fraction re-emitted
     by obstructions, both normalized by the full-dome horizontal illuminance.
     """
-    p = point.as_array() if isinstance(point, Point3) else np.asarray(point, dtype=float)
-    h = math.radians(step_deg)
+    p = np.asarray(point, dtype=float)
+    h = math.radians(ANGULAR_STEP)
 
     if window is None:
         g_lo, g_hi = 1e-9, math.pi / 2.0
@@ -322,8 +317,7 @@ def _sky_integral(point, window: Polygon3 | None, obstructions=(),
     return sc, erc
 
 
-def sky_component(point, aperture, obstructions=(), room: Room | None = None,
-                  step_deg: float = DEFAULT_ANGULAR_STEP) -> float:
+def sky_component(point, aperture, obstructions=(), room: Room | None = None) -> float:
     """Fraction of the unobstructed overcast-dome horizontal illuminance
     received at ``point`` directly from sky visible through the aperture.
 
@@ -333,17 +327,17 @@ def sky_component(point, aperture, obstructions=(), room: Room | None = None,
     if room is not None and not room.contains(point):
         raise ValueError("point lies outside the room")
     poly = aperture.polygon if isinstance(aperture, Aperture) else aperture
-    return _sky_integral(point, poly, obstructions, step_deg)[0]
+    return _sky_integral(point, poly, obstructions)[0]
 
 
-def externally_reflected_component(point, aperture, obstructions, room: Room | None = None,
-                                   step_deg: float = DEFAULT_ANGULAR_STEP) -> float:
+def externally_reflected_component(point, aperture, obstructions,
+                                   room: Room | None = None) -> float:
     """Same integration as :func:`sky_component`, but over sky directions
     hidden by obstructions, each weighted by its luminance fraction."""
     if room is not None and not room.contains(point):
         raise ValueError("point lies outside the room")
     poly = aperture.polygon if isinstance(aperture, Aperture) else aperture
-    return _sky_integral(point, poly, obstructions, step_deg)[1]
+    return _sky_integral(point, poly, obstructions)[1]
 
 
 def split_flux_irc(window_area: float, total_area: float, mean_reflectance: float,
@@ -397,14 +391,11 @@ def internally_reflected_component(room: Room, ap: Aperture) -> float:
     return split_flux_irc(ap.area, total, r_mean, r_lower, r_upper, c)
 
 
-def daylight_factor(point, room: Room, ap: Aperture, obstructions=None,
-                    step_deg: float = DEFAULT_ANGULAR_STEP) -> DFBreakdown:
+def daylight_factor(point, room: Room, ap: Aperture) -> DFBreakdown:
     """Daylight factor (as a fraction) at a point for one aperture."""
-    if obstructions is None:
-        obstructions = room.obstructions
     if not room.contains(point):
         raise ValueError("point lies outside the room")
-    sc, erc = _sky_integral(point, ap.polygon, obstructions, step_deg)
+    sc, erc = _sky_integral(point, ap.polygon, room.obstructions)
     irc = internally_reflected_component(room, ap)
     df = df_from_components(sc, erc, irc, ap.fc, ap.mf, ap.fr, ap.tau, ap.mg)
     return DFBreakdown(sc=sc, erc=erc, irc=irc, df=df)
@@ -430,8 +421,7 @@ class SunPatch:
         return any(point_in_polygon(point, piece) for piece in self.pieces)
 
 
-def compute_sun_patch(room: Room, ap: Aperture, sun: SolarState, plane_z: float,
-                      outward=None, lifted_parts=None) -> SunPatch:
+def compute_sun_patch(room: Room, ap: Aperture, sun: SolarState, plane_z: float) -> SunPatch:
     """Project an aperture along the sun direction onto the plane
     z = ``plane_z`` and clip the image against the floor.
 
@@ -439,20 +429,17 @@ def compute_sun_patch(room: Room, ap: Aperture, sun: SolarState, plane_z: float,
     """
     if sun.altitude <= 0.0:
         return SunPatch.empty()
-    if outward is None:
-        outward = room.aperture_outward(room.apertures.index(ap))
+    outward = room.aperture_outward(room.apertures.index(ap))
     d = sun.direction
     if float(d @ outward) >= -1e-9:
         return SunPatch.empty()
     img = project_polygon_along_direction(ap.polygon, d, plane_z)
     if img is None:
         return SunPatch.empty()
-    if lifted_parts is None:
-        lifted_parts = [part.at_z(plane_z) for part in room.parts]
     pieces = []
     area = 0.0
-    for part in lifted_parts:
-        piece = clip_polygon(img, part)
+    for part in room.parts:
+        piece = clip_polygon(img, part.at_z(plane_z))
         if piece is not None:
             pieces.append(piece)
             area += piece.area
@@ -676,33 +663,27 @@ class Simulator:
 
     def __init__(self, room: Room, location: GeoLocation, cell: float = 0.1,
                  workplane_height: float = 0.01, efficacy: EfficacyModel | None = None,
-                 patch_scope: str = "patch", angular_step: float = DEFAULT_ANGULAR_STEP):
+                 patch_scope: str = "patch"):
         if patch_scope not in PATCH_SCOPES:
             raise ConfigError(f"patch scope must be one of {PATCH_SCOPES}")
         self.room = room
         self.location = location
         self.efficacy = efficacy if efficacy is not None else EfficacyModel()
         self.patch_scope = patch_scope
-        self.angular_step = angular_step
         self.grid = room.workplane(cell, workplane_height)
         self.beam = BeamKernel(room, self.grid.plane_z)
         self._irc = [internally_reflected_component(room, ap) for ap in room.apertures]
-        self.df_per_aperture, self.df = self._df_for_points(self.grid.points)
-        self._probe_cache: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+        self.df = self._df_for_points(self.grid.points)
 
-    def _df_for_points(self, points: np.ndarray) -> tuple[list[dict], np.ndarray]:
-        per_ap: list[dict] = []
+    def _df_for_points(self, points: np.ndarray) -> np.ndarray:
         total = np.zeros(len(points))
         for k, ap in enumerate(self.room.apertures):
             sc = np.empty(len(points))
             erc = np.empty(len(points))
             for i, p in enumerate(points):
-                sc[i], erc[i] = _sky_integral(p, ap.polygon, self.room.obstructions,
-                                              self.angular_step)
-            df = (sc + erc + self._irc[k] * ap.fc) * ap.mf * ap.fr * ap.tau * ap.mg
-            per_ap.append({"sc": sc, "erc": erc, "irc": self._irc[k], "df": df})
-            total = total + df
-        return per_ap, total
+                sc[i], erc[i] = _sky_integral(p, ap.polygon, self.room.obstructions)
+            total = total + (sc + erc + self._irc[k] * ap.fc) * ap.mf * ap.fr * ap.tau * ap.mg
+        return total
 
     def _illuminance(self, altitude: np.ndarray, direction: np.ndarray, e_global: np.ndarray,
                      e_direct: np.ndarray, points: np.ndarray, df: np.ndarray):
@@ -757,17 +738,11 @@ class Simulator:
         return self.evaluate(outdoor, sun, record.timestamp)
 
     def _probe_df(self, probes: tuple[tuple[float, float], ...]):
-        key = tuple(probes)
-        if key not in self._probe_cache:
-            pts = np.array(
-                [(x, y, self.grid.plane_z) for x, y in probes], dtype=float
-            ).reshape(-1, 3)
-            for p in pts:
-                if not self.room.contains(p):
-                    raise ConfigError(f"probe ({p[0]}, {p[1]}) lies outside the room")
-            _, df = self._df_for_points(pts)
-            self._probe_cache[key] = (pts, df)
-        return self._probe_cache[key]
+        pts = np.array([(x, y, self.grid.plane_z) for x, y in probes], dtype=float).reshape(-1, 3)
+        for p in pts:
+            if not self.room.contains(p):
+                raise ConfigError(f"probe ({p[0]}, {p[1]}) lies outside the room")
+        return pts, self._df_for_points(pts)
 
     def run(self, records, start: datetime | None = None, end: datetime | None = None,
             step_minutes: int = 1, probes=(), field_at=(), hourly: bool = False) -> PeriodResult:

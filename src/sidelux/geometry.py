@@ -8,10 +8,9 @@ concurrently.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -24,49 +23,29 @@ CLIP_TOL = 1e-12       # clip-side test: vertices this far outside a clip edge a
 EMPTY_AREA = 1e-12     # m^2: clipped pieces this small count as empty
 
 
-@dataclass(frozen=True)
-class Point3:
-    """A position in meters."""
-
-    x: float
-    y: float
-    z: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.z)):
-            raise GeometryError(f"non-finite coordinates ({self.x}, {self.y}, {self.z})")
-
-    def as_array(self) -> np.ndarray:
-        return np.array((self.x, self.y, self.z), dtype=float)
-
-
-def _as_point(v) -> Point3:
-    if isinstance(v, Point3):
-        return v
-    x, y, z = (float(c) for c in v)
-    return Point3(x, y, z)
-
-
 class Polygon3:
     """Planar polygon with at least three vertices and a well-defined normal.
 
-    Vertices keep their given order; the unit normal follows the right-hand
-    rule around that order. Construction validates planarity (within
-    ``PLANARITY_TOL``), rejects collinear rings and self-intersections.
+    ``coords`` is the validated, read-only (n, 3) vertex array, a copy of the
+    input in its given order; the unit normal follows the right-hand rule
+    around that order. Construction rejects non-finite coordinates, duplicate
+    consecutive vertices, collinear rings, vertices off their common plane
+    (by more than ``PLANARITY_TOL``) and self-intersections.
     """
 
-    def __init__(self, vertices: Iterable):
-        self.vertices: tuple[Point3, ...] = tuple(_as_point(v) for v in vertices)
-        if len(self.vertices) < 3:
+    def __init__(self, vertices):
+        try:
+            pts = np.array(vertices, dtype=float)
+        except (TypeError, ValueError):
+            raise GeometryError("vertices must be [x, y, z] coordinates") from None
+        if pts.ndim != 2 or pts.shape[1] != 3:
+            raise GeometryError(f"vertices must form an (n, 3) array, got shape {pts.shape}")
+        if len(pts) < 3:
             raise GeometryError("a polygon needs at least three vertices")
-        self._validate()
-
-    @cached_property
-    def coords(self) -> np.ndarray:
-        return np.array([(p.x, p.y, p.z) for p in self.vertices], dtype=float)
-
-    def _validate(self) -> None:
-        pts = self.coords
+        if not np.isfinite(pts).all():
+            raise GeometryError("non-finite vertex coordinates")
+        pts.flags.writeable = False
+        self.coords = pts
         edges = np.roll(pts, -1, axis=0) - pts
         if np.any(np.linalg.norm(edges, axis=1) < 1e-12):
             raise GeometryError("duplicate consecutive vertices")
@@ -76,41 +55,20 @@ class Polygon3:
         scale = max(1.0, float(np.abs(centered).max()))
         if nrm <= 1e-12 * scale * scale:
             raise GeometryError("degenerate polygon (collinear vertices)")
-        unit = newell / nrm
-        off = (pts - pts[0]) @ unit
-        if float(np.abs(off).max()) > PLANARITY_TOL:
+        self.normal = newell / nrm
+        if float(np.abs((pts - pts[0]) @ self.normal).max()) > PLANARITY_TOL:
             raise GeometryError("polygon vertices are not coplanar")
-        self.__dict__["normal"] = unit
-        self.__dict__["area"] = nrm / 2.0
+        self.area = nrm / 2.0
+        # orthonormal in-plane axes (u, v) with u along the first edge
+        u = edges[0] / np.linalg.norm(edges[0])
+        self.basis = (u, np.cross(self.normal, u))
+        self._verts2d = self.to_plane_2d(pts)
         if _ring_self_intersects(self._verts2d):
             raise GeometryError("self-intersecting polygon")
 
     @cached_property
-    def normal(self) -> np.ndarray:
-        raise AssertionError("set during validation")  # pragma: no cover
-
-    @cached_property
-    def area(self) -> float:
-        raise AssertionError("set during validation")  # pragma: no cover
-
-    @cached_property
     def centroid(self) -> np.ndarray:
         return self.coords.mean(axis=0)
-
-    @cached_property
-    def basis(self) -> tuple[np.ndarray, np.ndarray]:
-        """Orthonormal in-plane axes (u, v) with u along the first edge."""
-        pts = self.coords
-        u = pts[1] - pts[0]
-        u = u / np.linalg.norm(u)
-        v = np.cross(self.normal, u)
-        return u, v
-
-    @cached_property
-    def _verts2d(self) -> np.ndarray:
-        u, v = self.basis
-        rel = self.coords - self.coords[0]
-        return np.column_stack((rel @ u, rel @ v))
 
     def to_plane_2d(self, points: np.ndarray) -> np.ndarray:
         """Express 3-D points in this polygon's in-plane (u, v) frame."""
@@ -131,12 +89,6 @@ class Polygon3:
         tol = 1e-12 * max(1.0, float(np.abs(v2).max()) ** 2)
         return bool(np.all(cross >= -tol) or np.all(cross <= tol))
 
-    def contains(self, point) -> bool:
-        return point_in_polygon(point, self)
-
-    def translated(self, offset) -> "Polygon3":
-        return Polygon3(self.coords + np.asarray(offset, dtype=float))
-
     def at_z(self, z: float) -> "Polygon3":
         """Copy of a horizontal polygon moved to the plane z = ``z``."""
         pts = self.coords.copy()
@@ -144,15 +96,7 @@ class Polygon3:
         return Polygon3(pts)
 
     def __repr__(self) -> str:  # pragma: no cover
-        return f"Polygon3({len(self.vertices)} vertices, area={self.area:.4g} m^2)"
-
-
-def _segment_point_dist2(q: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
-    ab = b - a
-    denom = float(ab @ ab)
-    t = 0.0 if denom == 0.0 else float(np.clip((q - a) @ ab / denom, 0.0, 1.0))
-    d = q - (a + t * ab)
-    return float(d @ d)
+        return f"Polygon3({len(self.coords)} vertices, area={self.area:.4g} m^2)"
 
 
 def _orient(a, b, c) -> float:
@@ -184,11 +128,6 @@ def _ring_self_intersects(v2: np.ndarray) -> bool:
                 if min(hi1, hi2) - max(lo1, lo2) > eps:
                     return True
     return False
-
-
-def polygon_area(poly: Polygon3) -> float:
-    """Planar area in square meters (shoelace sum in the polygon's plane)."""
-    return poly.area
 
 
 def project_polygon_along_direction(poly: Polygon3, direction, plane_z: float) -> Polygon3 | None:
@@ -233,7 +172,7 @@ def clip_polygon(subject: Polygon3, clip: Polygon3) -> Polygon3 | None:
 
     subj2 = clip.to_plane_2d(subject.coords)
     clip2 = clip._verts2d
-    if _signed_area_2d(clip2) < 0.0:
+    if signed_ring_areas(clip2[None], clip2[0])[0] < 0.0:
         clip2 = clip2[::-1]
 
     out = [tuple(p) for p in subj2]
@@ -345,36 +284,21 @@ def _dedupe_ring(pts: Sequence[tuple[float, float]]) -> list[tuple[float, float]
     return out
 
 
-def _signed_area_2d(v2: np.ndarray) -> float:
-    x, y = v2[:, 0], v2[:, 1]
-    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
-
-
 def point_in_polygon(point, poly: Polygon3) -> bool:
-    """Closed-region containment test (boundary points count as inside)."""
-    p = point.as_array() if isinstance(point, Point3) else np.asarray(point, dtype=float)
+    """Closed-region containment test for one point on the polygon's plane
+    (see :func:`points_in_polygon_mask`)."""
+    p = np.asarray(point, dtype=float)
     if abs(float((p - poly.coords[0]) @ poly.normal)) > PLANARITY_TOL:
         raise GeometryError("point does not lie on the polygon's plane")
-    q = poly.to_plane_2d(p)[0]
-    v2 = poly._verts2d
-    n = len(v2)
-    for i in range(n):
-        if _segment_point_dist2(q, v2[i], v2[(i + 1) % n]) <= BOUNDARY_TOL**2:
-            return True
-    inside = False
-    for i in range(n):
-        ax, ay = v2[i]
-        bx, by = v2[(i + 1) % n]
-        if (ay > q[1]) != (by > q[1]):
-            x_int = ax + (q[1] - ay) * (bx - ax) / (by - ay)
-            if q[0] < x_int:
-                inside = not inside
-    return inside
+    q = poly.to_plane_2d(p)
+    return bool(points_in_polygon_mask(q[:, 0], q[:, 1], poly._verts2d)[0])
 
 
 def points_in_polygon_mask(px: np.ndarray, py: np.ndarray, v2: np.ndarray,
                            boundary_tol: float = BOUNDARY_TOL) -> np.ndarray:
-    """Vectorized even-odd containment for many 2-D points at once."""
+    """Even-odd containment of 2-D points in the ring ``v2``: horizontal
+    edges are skipped, and points within ``boundary_tol`` of an edge count
+    as inside."""
     inside = np.zeros(px.shape, dtype=bool)
     n = len(v2)
     for i in range(n):
@@ -411,7 +335,6 @@ class GridMesh:
     (iu, iv) index into that full grid.
     """
 
-    origin: Point3
     du: float
     dv: float
     nu: int
@@ -420,8 +343,6 @@ class GridMesh:
     plane_z: float
     points: np.ndarray
     cells: np.ndarray
-    u_axis: np.ndarray = field(default_factory=lambda: np.array([1.0, 0.0, 0.0]))
-    v_axis: np.ndarray = field(default_factory=lambda: np.array([0.0, 1.0, 0.0]))
 
     def __post_init__(self):
         if self.nu < 1 or self.nv < 1 or len(self.points) < 1:
@@ -430,10 +351,6 @@ class GridMesh:
     @property
     def n_points(self) -> int:
         return len(self.points)
-
-    @property
-    def is_full(self) -> bool:
-        return self.n_points == self.nu * self.nv
 
     def full_matrix(self, values: np.ndarray, fill: float = 0.0) -> np.ndarray:
         """Scatter per-point values into the (nv, nu) bounding-box matrix."""
@@ -445,8 +362,6 @@ class GridMesh:
 def make_workplane_grid(floor: Polygon3, cell: float, height: float) -> GridMesh:
     """Mesh a horizontal convex floor with square cells of side ``cell``;
     the resulting plane sits ``height`` meters above the floor."""
-    if cell <= 0.0:
-        raise ValueError("cell size must be positive")
     if not floor.is_convex:
         raise GeometryError("floor polygon must be convex (decompose it first)")
     return workplane_grid_for_parts((floor,), cell, height)
@@ -496,7 +411,6 @@ def workplane_grid_for_parts(parts: Sequence[Polygon3], cell: float, height: flo
     pts = np.column_stack((px[keep], py[keep], np.full(int(keep.sum()), plane_z)))
     cells = np.column_stack((iu.ravel()[keep], iv.ravel()[keep])).astype(int)
     return GridMesh(
-        origin=Point3(float(xs[0]), float(ys[0]), plane_z),
         du=cell,
         dv=cell,
         nu=nu,
@@ -518,7 +432,7 @@ def decompose_convex(poly: Polygon3) -> list[Polygon3]:
         return [poly]
     v2 = poly._verts2d
     order = list(range(len(v2)))
-    if _signed_area_2d(v2) < 0.0:
+    if signed_ring_areas(v2[None], v2[0])[0] < 0.0:
         order.reverse()
     tris: list[list[int]] = []
     idx = order[:]

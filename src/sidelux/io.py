@@ -21,6 +21,7 @@ carries the offending line number; nothing is silently skipped.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
@@ -38,7 +39,7 @@ from .daylight import (
 )
 from .errors import ConfigError, DataError, GeometryError, ParseError
 from .geometry import GridMesh, Polygon3
-from .solar import DH_GH_TOL, LOCAL_TIME, EfficacyModel, GeoLocation, WeatherRecord
+from .solar import LOCAL_TIME, EfficacyModel, GeoLocation, WeatherRecord
 
 WEATHER_COLUMNS = ("timestamp", "Gh_Wm2", "Dh_Wm2")
 WEATHER_COLUMNS_ILLUM = WEATHER_COLUMNS + ("Evg_lux", "Evd_lux")
@@ -55,14 +56,6 @@ _T2_DHILL = slice(47, 51)
 _T2_MIN_LEN = 53
 _T2_MISSING = 9999
 _SUMMARY_ROWS_PER_WRITE = 4096
-
-
-def _check_dh_gh(gh: float, dh: float, line: int) -> None:
-    if dh > gh * (1.0 + DH_GH_TOL) + 1e-9:
-        raise DataError(
-            f"diffuse irradiance {dh} exceeds global {gh} by more than {DH_GH_TOL:.0%}",
-            line=line,
-        )
 
 
 def parse_weather_csv(path) -> list[WeatherRecord]:
@@ -104,7 +97,6 @@ def parse_weather_csv(path) -> list[WeatherRecord]:
             evd = float(parts[4]) if with_illum else None
         except ValueError:
             raise ParseError(f"non-numeric value in {raw!r}", line=lineno) from None
-        _check_dh_gh(gh, dh, lineno)
         if last_ts is not None:
             if ts == last_ts:
                 raise ParseError(f"duplicate timestamp {ts.isoformat()}", line=lineno)
@@ -180,7 +172,6 @@ def parse_tmy2_subset(path) -> list[WeatherRecord]:
         dh_ill = _t2_int(raw, _T2_DHILL, "diffuse illuminance", lineno)
         evg = None if gh_ill == _T2_MISSING else gh_ill * 100.0
         evd = None if dh_ill == _T2_MISSING else dh_ill * 100.0
-        _check_dh_gh(float(ghi), float(dhi), lineno)
         try:
             records.append(WeatherRecord(ts, float(ghi), float(dhi), evg, evd))
         except DataError as exc:
@@ -230,14 +221,28 @@ def _require(mapping: dict, key: str, where: str):
     return mapping[key]
 
 
+def _number(mapping: dict, key: str, where: str, default: float | None = None) -> float:
+    """``mapping[key]`` as a finite float; required when there is no default."""
+    raw = _require(mapping, key, where) if default is None else mapping.get(key, default)
+    try:
+        value = float(raw)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{where}.{key}: {raw!r} is not a number") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{where}.{key}: {value} is not a finite number")
+    return value
+
+
 def _vertices(raw, where: str) -> Polygon3:
     if not isinstance(raw, list) or len(raw) < 3:
         raise ConfigError(f"{where}: need a list of at least 3 [x, y, z] vertices")
     for v in raw:
         if not isinstance(v, list) or len(v) != 3:
             raise ConfigError(f"{where}: each vertex must be [x, y, z]")
+    coords = [[_number(dict(zip("xyz", v)), c, f"{where}[{i}]") for c in "xyz"]
+              for i, v in enumerate(raw)]
     try:
-        return Polygon3(raw)
+        return Polygon3(coords)
     except GeometryError as exc:
         raise ConfigError(f"{where}: {exc}") from None
 
@@ -262,21 +267,16 @@ def parse_building(path) -> BuildingDescription:
         raise ParseError(f"invalid JSON: {exc}", line=exc.lineno) from None
 
     loc_d = _require(data, "location", "building")
-    loc = GeoLocation(
-        latitude=float(_require(loc_d, "lat", "location")),
-        longitude=float(_require(loc_d, "lon", "location")),
-        timezone=float(_require(loc_d, "tz", "location")),
-        albedo=float(_require(loc_d, "albedo", "location")),
-    )
+    loc = GeoLocation(*(_number(loc_d, key, "location") for key in ("lat", "lon", "tz", "albedo")))
 
     room_d = _require(data, "room", "building")
     floor = _vertices(_require(room_d, "floor_vertices", "room"), "room.floor_vertices")
-    height = float(_require(room_d, "height", "room"))
+    height = _number(room_d, "height", "room")
 
     refl = {}
     for i, s in enumerate(_require(room_d, "surfaces", "room")):
         role = _require(s, "role", f"room.surfaces[{i}]")
-        value = float(_require(s, "reflectance", f"room.surfaces[{i}]"))
+        value = _number(s, "reflectance", f"room.surfaces[{i}]")
         if not 0.0 <= value <= 1.0:
             raise ConfigError(f"room.surfaces[{i}].reflectance: {value} out of [0, 1]")
         if role not in ("floor", "walls", "ceiling"):
@@ -291,17 +291,15 @@ def parse_building(path) -> BuildingDescription:
     for i, a in enumerate(room_d.get("apertures", [])):
         where = f"room.apertures[{i}]"
         poly = _vertices(_require(a, "vertices", where), f"{where}.vertices")
+        factors = dict(
+            tau=_number(a, "tau_vitre", where, 0.9),
+            mf=_number(a, "MF", where, 1.0),
+            fr=_number(a, "FR", where, 1.0),
+            mg=_number(a, "MG", where, 1.0),
+            fc=_number(a, "FC", where, 1.0),
+        )
         try:
-            apertures.append(
-                Aperture(
-                    polygon=poly,
-                    tau=float(a.get("tau_vitre", 0.9)),
-                    mf=float(a.get("MF", 1.0)),
-                    fr=float(a.get("FR", 1.0)),
-                    mg=float(a.get("MG", 1.0)),
-                    fc=float(a.get("FC", 1.0)),
-                )
-            )
+            apertures.append(Aperture(polygon=poly, **factors))
         except (ConfigError, GeometryError) as exc:
             raise type(exc)(f"{where}: {exc}") from None
 
@@ -309,11 +307,9 @@ def parse_building(path) -> BuildingDescription:
     for i, o in enumerate(data.get("obstructions", [])):
         where = f"obstructions[{i}]"
         poly = _vertices(_require(o, "vertices", where), f"{where}.vertices")
+        fraction = _number(o, "luminance_fraction", where, 0.2)
         try:
-            obstructions.append(
-                Obstruction(polygon=poly,
-                            luminance_fraction=float(o.get("luminance_fraction", 0.2)))
-            )
+            obstructions.append(Obstruction(polygon=poly, luminance_fraction=fraction))
         except (ConfigError, GeometryError) as exc:
             raise type(exc)(f"{where}: {exc}") from None
 
@@ -326,18 +322,15 @@ def parse_building(path) -> BuildingDescription:
     )
 
     wp = _require(data, "workplane", "building")
-    cell = float(_require(wp, "cell", "workplane"))
+    cell = _number(wp, "cell", "workplane")
     if cell <= 0.0:
         raise ConfigError(f"workplane.cell: {cell} must be positive")
-    wp_height = float(wp.get("height", 0.01))
+    wp_height = _number(wp, "height", "workplane", 0.01)
 
     eff_d = data.get("efficacy", {})
+    kd, kb = _number(eff_d, "Kd", "efficacy", 120.0), _number(eff_d, "Kb", "efficacy", 93.0)
     try:
-        efficacy = EfficacyModel(
-            mode=eff_d.get("mode", "constant"),
-            kd=float(eff_d.get("Kd", 120.0)),
-            kb=float(eff_d.get("Kb", 93.0)),
-        )
+        efficacy = EfficacyModel(mode=eff_d.get("mode", "constant"), kd=kd, kb=kb)
     except ValueError as exc:
         raise ConfigError(f"efficacy: {exc}") from None
 

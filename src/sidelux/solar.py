@@ -146,6 +146,10 @@ class WeatherRecord:
     ev_diffuse: float | None = None
 
     def __post_init__(self):
+        for name, v in (("global irradiance", self.gh), ("diffuse irradiance", self.dh),
+                        ("ev_global", self.ev_global), ("ev_diffuse", self.ev_diffuse)):
+            if v is not None and not math.isfinite(v):
+                raise DataError(f"{name} {v} is not a finite number")
         if not 0.0 <= self.gh <= 1500.0:
             raise DataError(f"global irradiance {self.gh} W/m^2 out of [0, 1500]")
         if self.dh < 0.0:
@@ -173,14 +177,13 @@ class EfficacyModel:
     mode: str = "constant"
     kd: float = 120.0
     kb: float = 93.0
-    kg: float | None = None
 
     def __post_init__(self):
         if self.mode not in ("constant", "passthrough"):
             raise ValueError(f"unknown efficacy mode {self.mode!r}")
         if self.mode == "constant":
-            for name, v in (("kd", self.kd), ("kb", self.kb), ("kg", self.kg)):
-                if v is not None and not 50.0 <= v <= 200.0:
+            for name, v in (("kd", self.kd), ("kb", self.kb)):
+                if not 50.0 <= v <= 200.0:
                     raise ValueError(f"efficacy {name}={v} lm/W out of [50, 200]")
 
 

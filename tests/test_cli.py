@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import overcast_day_csv
+from conftest import BUILDING_JSON, overcast_day_csv
 from sidelux.cli import main
 
 
@@ -203,6 +203,28 @@ class TestLocalTime:
                      "--out", str(tmp_path / "run"), flag, "2009-03-21T12:00+04:00"])
         assert code == 2
         assert "has a UTC offset" in capsys.readouterr().err
+
+
+class TestNonFiniteInput:
+    def test_simulate_nan_diffuse_exits_2(self, tmp_path, building_file, capsys):
+        weather = tmp_path / "w.csv"
+        weather.write_text("timestamp,Gh_Wm2,Dh_Wm2\n2009-07-01T12:00,500,nan\n",
+                           encoding="utf-8")
+        code = main(["simulate", "--building", str(building_file), "--weather", str(weather),
+                     "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert "line 2: diffuse irradiance nan is not a finite number" in capsys.readouterr().err
+        assert not (tmp_path / "run_summary.csv").exists()
+
+    def test_dfmap_nan_height_exits_2(self, tmp_path, capsys):
+        building = tmp_path / "b.json"
+        text = (BUILDING_JSON % {"cell": "0.5"}).replace('"height": 2.8', '"height": NaN')
+        building.write_text(text, encoding="utf-8")
+        out = tmp_path / "df.txt"
+        code = main(["dfmap", "--building", str(building), "--out", str(out)])
+        assert code == 2
+        assert "room.height: nan is not a finite number" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestUsageErrors:

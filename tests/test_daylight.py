@@ -264,6 +264,12 @@ class TestRoomValidation:
         with pytest.raises(ConfigError):
             Aperture(WINDOW, tau=0.0)
 
+    @pytest.mark.parametrize("height", [0.0, -1.0, float("nan")])
+    def test_height_not_positive_rejected(self, height):
+        floor = Polygon3([(0, 0, 0), (4, 0, 0), (4, 4, 0), (0, 4, 0)])
+        with pytest.raises(ConfigError, match="must be positive"):
+            Room(floor=floor, height=height, optics=SurfaceOptics(0.2, 0.6, 0.6))
+
 
 UNIT_PATCH = SunPatch(
     (Polygon3([(1.0, 1.0, 0.01), (2.0, 1.0, 0.01), (2.0, 2.0, 0.01), (1.0, 2.0, 0.01)]),),

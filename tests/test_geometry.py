@@ -7,13 +7,11 @@ from hypothesis import given, settings, strategies as st
 from oracles import rasterized_overlap_area
 from sidelux.errors import DegenerateMeshError, GeometryError
 from sidelux.geometry import (
-    Point3,
     Polygon3,
     clip_polygon,
     decompose_convex,
     make_workplane_grid,
     point_in_polygon,
-    polygon_area,
     project_polygon_along_direction,
 )
 
@@ -24,11 +22,11 @@ def square(side=1.0, z=0.0):
 
 class TestPolygon:
     def test_unit_square_area(self):
-        assert polygon_area(square()) == pytest.approx(1.0, abs=1e-12)
+        assert square().area == pytest.approx(1.0, abs=1e-12)
 
     def test_rectangle_area(self):
         rect = Polygon3([(0, 0, 0), (3.9, 0, 0), (3.9, 3.5, 0), (0, 3.5, 0)])
-        assert polygon_area(rect) == pytest.approx(13.65, abs=1e-9)
+        assert rect.area == pytest.approx(13.65, abs=1e-9)
 
     def test_collinear_raises(self):
         with pytest.raises(GeometryError):
@@ -48,7 +46,20 @@ class TestPolygon:
 
     def test_non_finite_raises(self):
         with pytest.raises(GeometryError):
-            Point3(float("nan"), 0.0, 0.0)
+            Polygon3([(float("nan"), 0.0, 0.0), (1, 0, 0), (1, 1, 0)])
+
+    def test_two_dimensional_vertices_raise(self):
+        with pytest.raises(GeometryError):
+            Polygon3(np.array([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0)]))
+
+    def test_coords_read_only_and_copied(self):
+        pts = np.array([(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (1.0, 1.0, 0.0), (0.0, 1.0, 0.0)])
+        poly = Polygon3(pts)
+        with pytest.raises(ValueError):
+            poly.coords[0, 0] = 5.0
+        pts[0] = (9.0, 9.0, 9.0)
+        assert poly.coords[0].tolist() == [0.0, 0.0, 0.0]
+        assert poly.area == pytest.approx(1.0, abs=1e-12)
 
     def test_l_shape_accepted_and_not_convex(self):
         ell = Polygon3([(0, 0, 0), (4, 0, 0), (4, 2, 0), (2, 2, 0), (2, 4, 0), (0, 4, 0)])
@@ -88,7 +99,7 @@ class TestProjection:
         d = np.array([0.1, 0.2, -0.9])
         d /= np.linalg.norm(d)
         img = project_polygon_along_direction(tri, d, 0.0)
-        assert img is not None and len(img.vertices) == 3
+        assert img is not None and len(img.coords) == 3
 
 
 class TestClip:
@@ -231,7 +242,7 @@ def test_projection_preserves_vertex_count_or_empty(poly, dx, dy, dz):
     d = np.array([dx, dy, -dz])
     d /= np.linalg.norm(d)
     img = project_polygon_along_direction(poly, d, 0.0)
-    assert img is None or len(img.vertices) == len(poly.vertices)
+    assert img is None or len(img.coords) == len(poly.coords)
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,4 +1,5 @@
 import json
+import re
 from datetime import datetime, timedelta
 from pathlib import Path
 
@@ -39,6 +40,18 @@ class TestWeatherCsv:
     def test_diffuse_above_global_is_located_data_error(self, tmp_path):
         p = write(tmp_path, "timestamp,Gh_Wm2,Dh_Wm2\n2009-03-21T12:00,100,500\n")
         with pytest.raises(DataError) as err:
+            parse_weather_csv(p)
+        assert err.value.line == 2
+
+    @pytest.mark.parametrize("row,message", [
+        ("nan,0,49200,12000", "global irradiance nan"),
+        ("500,nan,49200,12000", "diffuse irradiance nan"),
+        ("500,100,inf,12000", "ev_global inf"),
+        ("500,100,49200,nan", "ev_diffuse nan"),
+    ])
+    def test_non_finite_value_is_located_data_error(self, tmp_path, row, message):
+        p = write(tmp_path, f"timestamp,Gh_Wm2,Dh_Wm2,Evg_lux,Evd_lux\n2009-07-01T12:00,{row}\n")
+        with pytest.raises(DataError, match=f"^line 2: {message} is not a finite number$") as err:
             parse_weather_csv(p)
         assert err.value.line == 2
 
@@ -230,6 +243,28 @@ class TestBuilding:
         with pytest.raises(ConfigError) as err:
             parse_building(self._patched(tmp_path, mutate))
         assert "albedo" in str(err.value)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("path,name", [
+        (("location", "lat"), "location.lat"),
+        (("location", "lon"), "location.lon"),
+        (("location", "tz"), "location.tz"),
+        (("location", "albedo"), "location.albedo"),
+        (("room", "height"), "room.height"),
+        (("workplane", "cell"), "workplane.cell"),
+        (("workplane", "height"), "workplane.height"),
+        (("room", "apertures", 0, "tau_vitre"), "room.apertures[0].tau_vitre"),
+        (("room", "floor_vertices", 2, 1), "room.floor_vertices[2].y"),
+    ])
+    def test_non_finite_number_names_its_field(self, tmp_path, path, name, value):
+        def mutate(d):
+            for key in path[:-1]:
+                d = d[key]
+            d[path[-1]] = value
+
+        with pytest.raises(ConfigError,
+                           match=rf"^{re.escape(name)}: {value} is not a finite number$"):
+            parse_building(self._patched(tmp_path, mutate))
 
     def test_bad_patch_scope(self, tmp_path):
         def mutate(d):

@@ -230,8 +230,8 @@ def check_against_reference(sim, records, probes, field_at, step_minutes=1):
     step = timedelta(minutes=step_minutes)
     z = sim.grid.plane_z
     probe_pts = np.array([(x, y, z) for x, y in probes])
-    probe_df = np.array([sum(daylight_factor(p, sim.room, ap, step_deg=sim.angular_step).df
-                             for ap in sim.room.apertures) for p in probe_pts])
+    probe_df = np.array([sum(daylight_factor(p, sim.room, ap).df for ap in sim.room.apertures)
+                         for p in probe_pts])
     expected = []
     t = records[0].timestamp
     while t < records[-1].timestamp + step:
