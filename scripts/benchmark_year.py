@@ -8,33 +8,26 @@ loop, since it runs once per geometry.
 """
 
 import argparse
-import math
 import sys
 import time
-from datetime import datetime, timedelta
 from pathlib import Path
+
+import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from sidelux.daylight import Simulator  # noqa: E402
 from sidelux.io import parse_building  # noqa: E402
-from sidelux.solar import WeatherRecord  # noqa: E402
+from sidelux.solar import WeatherSeries  # noqa: E402
 
 
-def year_records(year=2009):
-    daytime = [0.0] * 1440
-    for minute in range(1440):
-        x = (minute - 360) / 720.0
-        if 0.0 <= x <= 1.0:
-            daytime[minute] = math.sin(math.pi * x)
-    records = []
-    t = datetime(year, 1, 1)
-    one = timedelta(minutes=1)
-    for _ in range(525_600):
-        gh = 900.0 * daytime[t.hour * 60 + t.minute]
-        records.append(WeatherRecord(t, gh, 0.35 * gh))
-        t += one
-    return records
+def year_weather(year=2009) -> WeatherSeries:
+    """A clear-sky-like year of minutes: a half sine from 06:00 to 18:00."""
+    minutes = np.arange(525_600)
+    x = (minutes % 1440 - 360) / 720.0
+    gh = 900.0 * np.where((x >= 0.0) & (x <= 1.0), np.sin(np.pi * x), 0.0)
+    times = np.datetime64(f"{year}-01-01", "us") + minutes * np.timedelta64(1, "m")
+    return WeatherSeries(times, gh, 0.35 * gh)
 
 
 def main() -> None:
@@ -57,10 +50,10 @@ def main() -> None:
     t_df = time.perf_counter() - t0
     print(f"daylight-factor precompute: {sim.grid.n_points} points in {t_df:.2f} s")
 
-    records = year_records()
+    weather = year_weather()
     probes = [(1.95, 3.27), (1.95, 2.77), (1.95, 2.27), (1.95, 1.77), (1.95, 1.27)]
     t0 = time.perf_counter()
-    result = sim.run(records, step_minutes=args.step, probes=probes)
+    result = sim.run(weather, step_minutes=args.step, probes=probes)
     elapsed = time.perf_counter() - t0
     n = len(result.timestamps)
     print(f"{n} steps on {sim.grid.n_points} points: {elapsed:.1f} s "

@@ -10,30 +10,28 @@ per-probe series CSV ready for `sidelux validate`.
 """
 
 import argparse
-import math
 import sys
 from datetime import datetime, timedelta
 from pathlib import Path
+
+import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from sidelux.daylight import Simulator  # noqa: E402
 from sidelux.io import parse_building, write_field_file, write_probe_series_csv, \
     write_results  # noqa: E402
-from sidelux.solar import WeatherRecord  # noqa: E402
+from sidelux.solar import WeatherSeries  # noqa: E402
 
 PROBES = [(1.95, 3.27), (1.95, 2.77), (1.95, 2.27), (1.95, 1.77), (1.95, 1.27)]
 
 
-def day_records(day: datetime, peak_gh: float, diffuse_fraction: float):
-    records = []
-    for minute in range(1440):
-        t = day + timedelta(minutes=minute)
-        x = (minute - 360) / 720.0
-        f = math.sin(math.pi * x) if 0.0 <= x <= 1.0 else 0.0
-        gh = peak_gh * max(0.0, f)
-        records.append(WeatherRecord(t, gh, diffuse_fraction * gh))
-    return records
+def day_weather(day: datetime, peak_gh: float, diffuse_fraction: float) -> WeatherSeries:
+    minutes = np.arange(1440)
+    x = (minutes - 360) / 720.0
+    gh = peak_gh * np.where((x >= 0.0) & (x <= 1.0), np.maximum(0.0, np.sin(np.pi * x)), 0.0)
+    times = np.datetime64(day, "us") + minutes * np.timedelta64(1, "m")
+    return WeatherSeries(times, gh, diffuse_fraction * gh)
 
 
 def main() -> None:
@@ -60,11 +58,11 @@ def main() -> None:
     day = datetime.fromisoformat(args.day)
     noon = day + timedelta(hours=12)
     cases = {
-        "clear": day_records(day, peak_gh=900.0, diffuse_fraction=0.3),
-        "overcast": day_records(day, peak_gh=350.0, diffuse_fraction=1.0),
+        "clear": day_weather(day, peak_gh=900.0, diffuse_fraction=0.3),
+        "overcast": day_weather(day, peak_gh=350.0, diffuse_fraction=1.0),
     }
-    for name, records in cases.items():
-        result = sim.run(records, probes=PROBES, field_at=[noon])
+    for name, weather in cases.items():
+        result = sim.run(weather, probes=PROBES, field_at=[noon])
         write_results(result, out / name)
         write_probe_series_csv(result, 0, out / f"{name}_probe1.csv")
         hourly = result.hourly()

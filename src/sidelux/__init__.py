@@ -55,7 +55,7 @@ from .solar import (
     GeoLocation,
     OutdoorIlluminance,
     SolarState,
-    WeatherRecord,
+    WeatherSeries,
     reconstruct_illuminance,
     sun_position,
 )

@@ -20,6 +20,8 @@ import time
 from datetime import datetime
 from pathlib import Path
 
+import numpy as np
+
 from .daylight import Simulator
 from .errors import ConfigError, DataError, GeometryError, MetricError, ParseError
 from .io import (
@@ -31,17 +33,13 @@ from .io import (
     write_results,
 )
 from .metrics import SeriesPair, build_margins, evaluate_pair, resample_hourly
-from .solar import LOCAL_TIME
 
 
 def _parse_ts(text: str) -> datetime:
     try:
-        ts = datetime.fromisoformat(text)
+        return datetime.fromisoformat(text)
     except ValueError:
         raise DataError(f"bad timestamp {text!r} (expected ISO-8601)") from None
-    if ts.tzinfo is not None:
-        raise DataError(f"timestamp {text!r} has a UTC offset; {LOCAL_TIME}")
-    return ts
 
 
 def _parse_probes(text: str) -> list[tuple[float, float]]:
@@ -71,14 +69,14 @@ def _load_weather(path: str):
 
 def _cmd_simulate(args) -> int:
     building = parse_building(args.building)
-    records = _load_weather(args.weather)
+    weather = _load_weather(args.weather)
     sim = Simulator(
         room=building.room,
         location=building.location,
         cell=building.workplane_cell,
         workplane_height=building.workplane_height,
         efficacy=building.efficacy,
-        patch_scope=args.patch_scope or building.patch_scope,
+        patch_scope=building.patch_scope,
     )
     start = _parse_ts(args.start) if args.start else None
     end = _parse_ts(args.end) if args.end else None
@@ -86,7 +84,7 @@ def _cmd_simulate(args) -> int:
     field_at = [_parse_ts(t) for t in args.field_at or []]
     t0 = time.perf_counter()
     result = sim.run(
-        records, start=start, end=end, step_minutes=args.step,
+        weather, start=start, end=end, step_minutes=args.step,
         probes=probes, field_at=field_at,
     )
     elapsed = time.perf_counter() - t0
@@ -105,7 +103,7 @@ def _cmd_validate(args) -> int:
     if args.resample == "hourly":
         ts_sim, v_sim = resample_hourly(ts_sim, v_sim)
         ts_ref, v_ref = resample_hourly(ts_ref, v_ref)
-    if list(ts_sim) != list(ts_ref):
+    if not np.array_equal(ts_sim, ts_ref):
         raise DataError(
             "timestamp mismatch between simulated and reference series "
             "(consider --resample hourly)"
@@ -155,14 +153,12 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--building", required=True, help="building JSON path")
     sim.add_argument("--weather", required=True, help="weather CSV or TMY2 path")
     sim.add_argument("--start", help="first step (ISO-8601, default: first record)")
-    sim.add_argument("--end", help="end of the run, exclusive (default: past last record)")
+    sim.add_argument("--end", help="end of the run, exclusive (default: through the last record)")
     sim.add_argument("--step", type=int, default=1, help="step in minutes (default 1)")
     sim.add_argument("--out", required=True, help="output path prefix")
     sim.add_argument("--field-at", action="append", metavar="TS",
                      help="emit a detailed field file at this instant (repeatable)")
     sim.add_argument("--probes", help="probe positions as 'x,y;x,y;...'")
-    sim.add_argument("--patch-scope", choices=["patch", "room"],
-                     help="where the patch-reflected diffuse term applies")
     sim.set_defaults(func=_cmd_simulate)
 
     val = sub.add_parser("validate", help="compare simulated vs reference series")

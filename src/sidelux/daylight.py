@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from datetime import datetime, timedelta
+from datetime import datetime
 
 import numpy as np
 
@@ -46,8 +46,9 @@ from .geometry import (
     clip_polygon,
     workplane_grid_for_parts,
 )
-from .solar import LOCAL_TIME, EfficacyModel, GeoLocation, OutdoorIlluminance, SolarState, \
-    WeatherRecord, outdoor_illuminance, reconstruct_illuminance, sun_position, sun_positions
+from .metrics import hour_groups
+from .solar import EfficacyModel, GeoLocation, OutdoorIlluminance, SolarState, WeatherSeries, \
+    local_time, outdoor_illuminance, reconstruct_illuminance, sun_position, sun_positions
 
 # Horizontal illuminance of the full CIE overcast dome for unit zenith
 # luminance: integral of (1+2 sin g)/3 * sin g over the hemisphere = 7*pi/9.
@@ -555,11 +556,11 @@ class IlluminanceField:
 
 @dataclass(eq=False)
 class PeriodResult:
-    """Time series produced by a period simulation: outdoor conditions,
-    total patch area and workplane illuminance at the probe points, plus
-    full fields at explicitly requested instants."""
+    """Time series produced by a period simulation on ``datetime64[us]`` step
+    times: outdoor conditions, total patch area and workplane illuminance at
+    the probe points, plus full fields at explicitly requested instants."""
 
-    timestamps: list[datetime]
+    timestamps: np.ndarray
     outdoor_global: np.ndarray
     outdoor_diffuse: np.ndarray
     outdoor_direct: np.ndarray
@@ -570,84 +571,23 @@ class PeriodResult:
     fields: dict[datetime, IlluminanceField] = field(default_factory=dict)
 
     def hourly(self) -> "PeriodResult":
-        """Average the minute series into clock hours (fields left as-is)."""
-        from .metrics import resample_hourly
-
-        hours, og = resample_hourly(self.timestamps, self.outdoor_global)
-        _, od = resample_hourly(self.timestamps, self.outdoor_diffuse)
-        _, ob = resample_hourly(self.timestamps, self.outdoor_direct)
-        _, pa = resample_hourly(self.timestamps, self.patch_area)
-        cols = []
-        for j in range(self.probe_global.shape[1]):
-            cols.append(resample_hourly(self.timestamps, self.probe_global[:, j])[1])
-        probe = np.column_stack(cols) if cols else np.zeros((len(hours), 0))
+        """Average the series into clock hours (fields left as-is); one
+        grouping by hour serves every column."""
+        hours, mean = hour_groups(self.timestamps)
+        probe = np.empty((len(hours), self.probe_global.shape[1]))
+        for j, column in enumerate(self.probe_global.T):
+            probe[:, j] = mean(column)
         return PeriodResult(
             timestamps=hours,
-            outdoor_global=og,
-            outdoor_diffuse=od,
-            outdoor_direct=ob,
-            patch_area=pa,
+            outdoor_global=mean(self.outdoor_global),
+            outdoor_diffuse=mean(self.outdoor_diffuse),
+            outdoor_direct=mean(self.outdoor_direct),
+            patch_area=mean(self.patch_area),
             probe_points=self.probe_points,
             probe_names=self.probe_names,
             probe_global=probe,
             fields=dict(self.fields),
         )
-
-
-_EPOCH = datetime(1970, 1, 1)
-_MICROSECOND = timedelta(microseconds=1)
-
-
-class _WeatherColumns:
-    """Weather records as columns: irradiances (and, when asked for, the
-    measured illuminances) in the records' order, plus a lookup from a
-    timestamp to its record, the last one when a timestamp repeats."""
-
-    def __init__(self, records: list[WeatherRecord], with_illuminance: bool):
-        n = len(records)
-        try:
-            micros = np.fromiter(((r.timestamp - _EPOCH) // _MICROSECOND for r in records),
-                                 np.int64, n)
-        except TypeError:  # an offset-aware timestamp cannot be subtracted from a naive one
-            raise DataError(f"weather timestamps must be naive datetimes; {LOCAL_TIME}") from None
-        self.gh = np.fromiter((r.gh for r in records), float, n)
-        self.dh = np.fromiter((r.dh for r in records), float, n)
-        self.measured = self.ev_global = self.ev_diffuse = None
-        if with_illuminance:
-            self.measured = np.fromiter(
-                (r.ev_global is not None and r.ev_diffuse is not None for r in records), bool, n)
-            self.ev_global = np.fromiter((r.ev_global or 0.0 for r in records), float, n)
-            self.ev_diffuse = np.fromiter((r.ev_diffuse or 0.0 for r in records), float, n)
-        times = micros.astype("datetime64[us]")
-        order = np.argsort(times, kind="stable")
-        ordered = times[order]
-        last = np.ones(n, dtype=bool)
-        last[:-1] = ordered[1:] != ordered[:-1]
-        self._times = ordered[last]
-        self._source = order[last]
-
-    def rows(self, times: np.ndarray) -> np.ndarray:
-        """Record index for each timestamp; a timestamp without a record is
-        an error naming the first one."""
-        pos = np.minimum(np.searchsorted(self._times, times), len(self._times) - 1)
-        found = self._times[pos] == times
-        if not found.all():
-            missing = times[np.argmin(found)].astype(datetime)
-            raise DataError(f"no weather record for {missing.isoformat()}")
-        return self._source[pos]
-
-    def outdoor(self, rows: np.ndarray, altitude: np.ndarray,
-                eff: EfficacyModel) -> tuple[np.ndarray, np.ndarray]:
-        """Outdoor diffuse and direct illuminance for the given records."""
-        ev = (None,) * 3 if self.measured is None else (
-            self.measured[rows], self.ev_global[rows], self.ev_diffuse[rows])
-        return outdoor_illuminance(altitude, self.gh[rows], self.dh[rows], eff, *ev)
-
-
-def _naive(when: datetime) -> datetime:
-    if when.tzinfo is not None:
-        raise DataError(f"timestamp {when.isoformat()} has a UTC offset; {LOCAL_TIME}")
-    return when
 
 
 class Simulator:
@@ -731,11 +671,13 @@ class Simulator:
             patch_area=float(area[0]),
         )
 
-    def step(self, record: WeatherRecord) -> IlluminanceField:
-        """Field for one weather record."""
-        sun = sun_position(record.timestamp, self.location)
-        outdoor = reconstruct_illuminance(record, sun, self.efficacy)
-        return self.evaluate(outdoor, sun, record.timestamp)
+    def step(self, when: datetime, gh: float, dh: float, ev_global: float | None = None,
+             ev_diffuse: float | None = None) -> IlluminanceField:
+        """Field for one weather sample, validated as a one-sample series."""
+        WeatherSeries([when], [gh], [dh], [ev_global], [ev_diffuse])
+        sun = sun_position(when, self.location)
+        outdoor = reconstruct_illuminance(sun, gh, dh, self.efficacy, ev_global, ev_diffuse)
+        return self.evaluate(outdoor, sun, when)
 
     def _probe_df(self, probes: tuple[tuple[float, float], ...]):
         pts = np.array([(x, y, self.grid.plane_z) for x, y in probes], dtype=float).reshape(-1, 3)
@@ -744,43 +686,48 @@ class Simulator:
                 raise ConfigError(f"probe ({p[0]}, {p[1]}) lies outside the room")
         return pts, self._df_for_points(pts)
 
-    def run(self, records, start: datetime | None = None, end: datetime | None = None,
-            step_minutes: int = 1, probes=(), field_at=(), hourly: bool = False) -> PeriodResult:
-        """Step over [start, end) and collect probe series.
+    def run(self, weather: WeatherSeries, start: datetime | None = None,
+            end: datetime | None = None, step_minutes: int = 1, probes=(),
+            field_at=()) -> PeriodResult:
+        """Step from ``start`` (default: the first sample) up to ``end``,
+        exclusive, or without ``end`` through the last sample, and collect
+        probe series.
 
-        ``records`` may come in any order; when a timestamp repeats, the
-        last record wins. They must cover every step; a missing timestamp
-        is an error. ``start`` defaults to the first record's timestamp and
-        ``end`` to one step past the last record's. Full fields are built
-        only for the instants listed in ``field_at``.
+        Every step needs a sample at its exact time; a missing one is an
+        error. Full fields are built only for the instants listed in
+        ``field_at``.
         """
         if step_minutes < 1:
             raise ConfigError("step must be at least one minute")
-        records = list(records)
-        if not records:
+        if len(weather) == 0:
             raise DataError("empty weather series")
-        start = _naive(records[0].timestamp if start is None else start)
-        if end is None:
-            end = records[-1].timestamp + timedelta(minutes=step_minutes)
-        end = _naive(end)
-        step = timedelta(minutes=step_minutes)
+        first = weather.times[0] if start is None else np.datetime64(local_time(start), "us")
+        # without an end, up to and including the last sample
+        end = weather.times[-1] + 1 if end is None else np.datetime64(local_time(end), "us")
+        step = np.timedelta64(step_minutes * 60_000_000, "us")
+        n = int(-((first - end) // step))
         probes = tuple((float(x), float(y)) for x, y in probes)
         probe_names = tuple(f"p{i + 1}" for i in range(len(probes)))
         probe_pts, probe_df = self._probe_df(probes)
-
-        weather = _WeatherColumns(records, self.efficacy.mode == "passthrough")
-        n = max(0, -((start - end) // step))
-        times = np.datetime64(start, "us") + np.arange(n) * np.timedelta64(step)
-        rows = weather.rows(times)
-        if n == 0:
+        if n <= 0:
             raise DataError("empty simulation period (end must be after start)")
+
+        times = first + np.arange(n) * step
+        rows = np.minimum(np.searchsorted(weather.times, times), len(weather) - 1)
+        found = weather.times[rows] == times
+        if not found.all():
+            missing = times[np.argmin(found)].astype(datetime)
+            raise DataError(f"no weather record for {missing.isoformat()}")
 
         outdoor_global, outdoor_diffuse, outdoor_direct, patch_area = np.empty((4, n))
         probe_global = np.empty((n, len(probes)))
         for i in range(0, n, BLOCK_STEPS):
             block = slice(i, i + BLOCK_STEPS)
+            r = rows[block]
             altitude, _, direction = sun_positions(times[block], self.location)
-            diffuse, direct = weather.outdoor(rows[block], altitude, self.efficacy)
+            diffuse, direct = outdoor_illuminance(
+                altitude, weather.gh[r], weather.dh[r], self.efficacy,
+                weather.ev_global[r], weather.ev_diffuse[r])
             e_global = diffuse + direct
             outdoor_global[block], outdoor_diffuse[block], outdoor_direct[block] = \
                 e_global, diffuse, direct
@@ -791,7 +738,7 @@ class Simulator:
         fields: dict[datetime, IlluminanceField] = {}
         missing = []
         for when in set(field_at):
-            k, rest = divmod(_naive(when) - start, step)
+            k, rest = divmod(np.datetime64(local_time(when), "us") - first, step)
             if rest or not 0 <= k < n:
                 missing.append(when)
                 continue
@@ -804,8 +751,8 @@ class Simulator:
                 "field requested at instants not visited by the stepping: "
                 + ", ".join(ts.isoformat() for ts in sorted(missing))
             )
-        result = PeriodResult(
-            timestamps=times.tolist(),
+        return PeriodResult(
+            timestamps=times,
             outdoor_global=outdoor_global,
             outdoor_diffuse=outdoor_diffuse,
             outdoor_direct=outdoor_direct,
@@ -815,4 +762,3 @@ class Simulator:
             probe_global=probe_global,
             fields=fields,
         )
-        return result.hourly() if hourly else result

@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from datetime import datetime
+from datetime import datetime, timedelta
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +39,7 @@ from .daylight import (
 )
 from .errors import ConfigError, DataError, GeometryError, ParseError
 from .geometry import GridMesh, Polygon3
-from .solar import LOCAL_TIME, EfficacyModel, GeoLocation, WeatherRecord
+from .solar import LOCAL_TIME, EfficacyModel, GeoLocation, WeatherSeries
 
 WEATHER_COLUMNS = ("timestamp", "Gh_Wm2", "Dh_Wm2")
 WEATHER_COLUMNS_ILLUM = WEATHER_COLUMNS + ("Evg_lux", "Evd_lux")
@@ -56,10 +56,30 @@ _T2_DHILL = slice(47, 51)
 _T2_MIN_LEN = 53
 _T2_MISSING = 9999
 _SUMMARY_ROWS_PER_WRITE = 4096
+_EPOCH = datetime(1970, 1, 1)
+_MICROSECOND = timedelta(microseconds=1)
 
 
-def parse_weather_csv(path) -> list[WeatherRecord]:
-    """Read a weather CSV into records, preserving the stored values."""
+def _micros(text: str, line: int) -> int:
+    """Microseconds since 1970 of an ISO-8601 local timestamp."""
+    try:
+        ts = datetime.fromisoformat(text.strip())
+    except ValueError:
+        raise ParseError(f"bad timestamp {text!r}", line=line) from None
+    if ts.tzinfo is not None:
+        raise ParseError(f"timestamp {text.strip()!r} has a UTC offset; {LOCAL_TIME}", line=line)
+    return (ts - _EPOCH) // _MICROSECOND
+
+
+def _iso(times: np.ndarray) -> np.ndarray:
+    """ISO-8601 text of ``datetime64[us]`` times, as ``datetime.isoformat``
+    writes them when either all or none of them have a microsecond part."""
+    whole_seconds = not (times.astype(np.int64) % 1_000_000).any()
+    return np.datetime_as_string(times, unit="s" if whole_seconds else "us")
+
+
+def parse_weather_csv(path) -> WeatherSeries:
+    """Read a weather CSV into a series, preserving the stored values."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines:
         raise ParseError("empty weather file", line=1)
@@ -75,55 +95,47 @@ def parse_weather_csv(path) -> list[WeatherRecord]:
             line=1,
         )
     n_cols = 5 if with_illum else 3
-    records: list[WeatherRecord] = []
-    last_ts: datetime | None = None
+    # filled in place, so no per-row object outlives its line
+    micros, source = np.empty((2, len(lines) - 1), dtype=np.int64)
+    gh, dh, evg, evd = np.full((4, len(lines) - 1), np.nan)
+    k = 0
     for lineno, raw in enumerate(lines[1:], start=2):
         if not raw.strip():
             continue
         parts = raw.split(",")
         if len(parts) != n_cols:
             raise ParseError(f"expected {n_cols} columns, got {len(parts)}", line=lineno)
+        micros[k] = _micros(parts[0], lineno)
         try:
-            ts = datetime.fromisoformat(parts[0].strip())
-        except ValueError:
-            raise ParseError(f"bad timestamp {parts[0]!r}", line=lineno) from None
-        if ts.tzinfo is not None:
-            raise ParseError(f"timestamp {parts[0].strip()!r} has a UTC offset; {LOCAL_TIME}",
-                             line=lineno)
-        try:
-            gh = float(parts[1])
-            dh = float(parts[2])
-            evg = float(parts[3]) if with_illum else None
-            evd = float(parts[4]) if with_illum else None
+            gh[k], dh[k] = float(parts[1]), float(parts[2])
+            if with_illum:
+                evg[k], evd[k] = float(parts[3]), float(parts[4])
         except ValueError:
             raise ParseError(f"non-numeric value in {raw!r}", line=lineno) from None
-        if last_ts is not None:
-            if ts == last_ts:
-                raise ParseError(f"duplicate timestamp {ts.isoformat()}", line=lineno)
-            if ts < last_ts:
-                raise ParseError(f"timestamps not ascending at {ts.isoformat()}", line=lineno)
-        last_ts = ts
-        try:
-            records.append(WeatherRecord(ts, gh, dh, evg, evd))
-        except DataError as exc:
-            raise DataError(str(exc), line=lineno) from None
-    return records
+        source[k] = lineno
+        k += 1
+    if with_illum:  # the file has no way to mark an illuminance as not measured
+        unmeasured = np.isnan(evg[:k]) | np.isnan(evd[:k])
+        if unmeasured.any():
+            row = int(np.argmax(unmeasured))
+            name = "ev_global" if np.isnan(evg[row]) else "ev_diffuse"
+            raise DataError(f"{name} nan is not a finite number", line=int(source[row]))
+    return WeatherSeries(micros[:k].view("datetime64[us]"), gh[:k], dh[:k], evg[:k], evd[:k],
+                         lines=source[:k])
 
 
-def write_weather_csv(records, path) -> None:
-    """Write records in the weather CSV format (round-trips exactly)."""
-    records = list(records)
-    with_illum = any(r.ev_global is not None or r.ev_diffuse is not None for r in records)
-    if with_illum and any(r.ev_global is None or r.ev_diffuse is None for r in records):
+def write_weather_csv(weather: WeatherSeries, path) -> None:
+    """Write a series in the weather CSV format (round-trips exactly)."""
+    measured = ~np.isnan(np.stack((weather.ev_global, weather.ev_diffuse)))
+    if measured.any() and not measured.all():
         raise DataError("cannot serialize records that mix present and missing illuminance")
-    cols = WEATHER_COLUMNS_ILLUM if with_illum else WEATHER_COLUMNS
-    lines = [",".join(cols)]
-    for r in records:
-        row = [r.timestamp.isoformat(), repr(r.gh), repr(r.dh)]
-        if with_illum:
-            row.append("" if r.ev_global is None else repr(r.ev_global))
-            row.append("" if r.ev_diffuse is None else repr(r.ev_diffuse))
-        lines.append(",".join(row))
+    columns = [weather.gh, weather.dh]
+    if measured.any():
+        columns += [weather.ev_global, weather.ev_diffuse]
+    values = np.column_stack(columns)
+    lines = [",".join(WEATHER_COLUMNS_ILLUM if measured.any() else WEATHER_COLUMNS)]
+    for ts, row in zip(_iso(weather.times).tolist(), values.tolist()):
+        lines.append(",".join([ts, *map(repr, row)]))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -135,15 +147,17 @@ def _t2_int(line: str, sl: slice, what: str, lineno: int) -> int:
         raise ParseError(f"non-numeric {what} field {text!r}", line=lineno) from None
 
 
-def parse_tmy2_subset(path) -> list[WeatherRecord]:
+def parse_tmy2_subset(path) -> WeatherSeries:
     """Read the irradiance/illuminance subset of a TMY2 file."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines:
         raise ParseError("empty TMY2 file", line=1)
     if len(lines[0].split()) < 7:
         raise ParseError("TMY2 header line too short", line=1)
-    records: list[WeatherRecord] = []
+    micros, source = np.empty((2, len(lines) - 1), dtype=np.int64)
+    values = np.empty((4, len(lines) - 1))
     nominal_year: int | None = None
+    k = 0
     for lineno, raw in enumerate(lines[1:], start=2):
         if not raw.strip():
             continue
@@ -161,7 +175,7 @@ def parse_tmy2_subset(path) -> list[WeatherRecord]:
         if not 1 <= hour <= 24:
             raise ParseError(f"hour {hour} out of 1..24", line=lineno)
         try:
-            ts = datetime(nominal_year, month, day, hour - 1)
+            micros[k] = (datetime(nominal_year, month, day, hour - 1) - _EPOCH) // _MICROSECOND
         except ValueError as exc:
             raise ParseError(f"bad date: {exc}", line=lineno) from None
         ghi = _t2_int(raw, _T2_GHI, "global irradiance", lineno)
@@ -170,37 +184,41 @@ def parse_tmy2_subset(path) -> list[WeatherRecord]:
             raise DataError("missing irradiance in TMY2 record", line=lineno)
         gh_ill = _t2_int(raw, _T2_GHILL, "global illuminance", lineno)
         dh_ill = _t2_int(raw, _T2_DHILL, "diffuse illuminance", lineno)
-        evg = None if gh_ill == _T2_MISSING else gh_ill * 100.0
-        evd = None if dh_ill == _T2_MISSING else dh_ill * 100.0
-        try:
-            records.append(WeatherRecord(ts, float(ghi), float(dhi), evg, evd))
-        except DataError as exc:
-            raise DataError(str(exc), line=lineno) from None
-    return records
+        values[:, k] = [ghi, dhi] + [np.nan if v == _T2_MISSING else v * 100.0
+                                     for v in (gh_ill, dh_ill)]
+        source[k] = lineno
+        k += 1
+    return WeatherSeries(micros[:k].view("datetime64[us]"), *values[:, :k], lines=source[:k])
 
 
-def parse_series_csv(path) -> tuple[list[datetime], np.ndarray]:
-    """Read a two-column ``timestamp,value`` CSV (any value column name)."""
+def parse_series_csv(path) -> tuple[np.ndarray, np.ndarray]:
+    """Read a two-column ``timestamp,value`` CSV (any value column name)
+    into ``datetime64[us]`` times and finite values."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines:
         raise ParseError("empty series file", line=1)
     header = [c.strip() for c in lines[0].split(",")]
     if len(header) != 2 or header[0] != "timestamp":
         raise ParseError("expected a two-column header starting with 'timestamp'", line=1)
-    timestamps: list[datetime] = []
-    values: list[float] = []
+    micros = np.empty(len(lines) - 1, dtype=np.int64)
+    values = np.empty(len(lines) - 1)
+    k = 0
     for lineno, raw in enumerate(lines[1:], start=2):
         if not raw.strip():
             continue
         parts = raw.split(",")
         if len(parts) != 2:
             raise ParseError(f"expected 2 columns, got {len(parts)}", line=lineno)
+        micros[k] = _micros(parts[0], lineno)
         try:
-            timestamps.append(datetime.fromisoformat(parts[0].strip()))
-            values.append(float(parts[1]))
+            value = float(parts[1])
         except ValueError:
             raise ParseError(f"malformed row {raw!r}", line=lineno) from None
-    return timestamps, np.array(values)
+        if not math.isfinite(value):
+            raise DataError(f"value {value} is not a finite number", line=lineno)
+        values[k] = value
+        k += 1
+    return micros[:k].view("datetime64[us]"), values[:k]
 
 
 @dataclass(eq=False)
@@ -384,8 +402,8 @@ def write_results(result: PeriodResult, prefix) -> list[Path]:
             block = slice(i, i + _SUMMARY_ROWS_PER_WRITE)
             values = np.column_stack([c[block] for c in columns] + [result.probe_global[block]])
             out.write("".join(
-                row_format % (ts.isoformat(), *row) + "\n"
-                for ts, row in zip(result.timestamps[block], values.tolist())
+                row_format % (ts, *row) + "\n"
+                for ts, row in zip(_iso(result.timestamps[block]).tolist(), values.tolist())
             ))
     paths.append(summary)
     for ts in sorted(result.fields):
@@ -399,6 +417,6 @@ def write_results(result: PeriodResult, prefix) -> list[Path]:
 def write_probe_series_csv(result: PeriodResult, probe_index: int, path) -> None:
     """One probe's illuminance as a two-column series CSV (for validation)."""
     lines = ["timestamp,E_glo_lux"]
-    for i, ts in enumerate(result.timestamps):
-        lines.append(f"{ts.isoformat()},{_fmt(result.probe_global[i, probe_index])}")
+    for ts, value in zip(_iso(result.timestamps), result.probe_global[:, probe_index]):
+        lines.append(f"{ts},{_fmt(value)}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from datetime import datetime
 
 import numpy as np
 
@@ -133,19 +132,35 @@ def build_margins(ref, error_fraction: float) -> tuple[np.ndarray, np.ndarray]:
     return ref * (1.0 - error_fraction), ref * (1.0 + error_fraction)
 
 
-def resample_hourly(timestamps, values) -> tuple[list[datetime], np.ndarray]:
+def hour_groups(timestamps):
+    """Group samples by clock hour, once for any number of value columns.
+
+    Returns the hour starts (``datetime64[us]``, chronological) and a
+    function giving, for values aligned with ``timestamps``, the arithmetic
+    mean per hour: a 1-D mean of the hour's samples in their given order,
+    the same value to the bit as ``np.mean`` of that hour's list.
+    """
+    hours = np.asarray(timestamps, dtype="datetime64[us]").astype("datetime64[h]")
+    order = np.argsort(hours, kind="stable")
+    hours = hours[order]
+    first = np.ones(len(hours), dtype=bool)
+    first[1:] = hours[1:] != hours[:-1]
+    starts = np.flatnonzero(first)
+
+    def mean(values) -> np.ndarray:
+        groups = np.split(np.asarray(values, dtype=float)[order], starts)[1:]
+        return np.array([g.mean() for g in groups], dtype=float)
+
+    return hours[starts].astype("datetime64[us]"), mean
+
+
+def resample_hourly(timestamps, values) -> tuple[np.ndarray, np.ndarray]:
     """Arithmetic mean per clock hour; hours without samples are omitted.
 
     Returns (hour starts, means) in chronological order.
     """
-    values = np.asarray(values, dtype=float)
-    groups: dict[datetime, list[float]] = {}
-    for ts, v in zip(timestamps, values):
-        key = ts.replace(minute=0, second=0, microsecond=0)
-        groups.setdefault(key, []).append(float(v))
-    hours = sorted(groups)
-    means = np.array([float(np.mean(groups[h])) for h in hours])
-    return hours, means
+    hours, mean = hour_groups(timestamps)
+    return hours, mean(values)
 
 
 @dataclass(eq=False)

@@ -1,5 +1,5 @@
-"""Solar position and reconstruction of outdoor illuminance from
-irradiance-only weather records.
+"""Solar position, the weather series, and reconstruction of outdoor
+illuminance from irradiance-only weather.
 
 The position algorithm follows the Astronomical Almanac's low-precision
 form: the sun's mean longitude and anomaly give the ecliptic longitude,
@@ -17,7 +17,7 @@ from datetime import datetime
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, ParseError
 
 DH_GH_TOL = 0.02  # tolerated diffuse excess over global before data is rejected
 LOCAL_TIME = "timestamps are local civil time; the building's tz gives their UTC offset"
@@ -133,44 +133,69 @@ def sun_position(when: datetime, loc: GeoLocation) -> SolarState:
     return SolarState(float(altitude[0]), float(azimuth[0]), direction[0])
 
 
-@dataclass(frozen=True, slots=True)
-class WeatherRecord:
-    """One weather sample: local civil timestamp, global and diffuse
-    horizontal irradiance in W/m^2, optional measured horizontal
-    illuminances in lux."""
+def local_time(when: datetime) -> datetime:
+    """``when`` itself; an offset-aware timestamp is an error."""
+    if when.tzinfo is not None:
+        raise DataError(f"timestamp {when.isoformat()} has a UTC offset; {LOCAL_TIME}")
+    return when
 
-    timestamp: datetime
-    gh: float
-    dh: float
-    ev_global: float | None = None
-    ev_diffuse: float | None = None
 
-    def __post_init__(self):
-        for name, v in (("global irradiance", self.gh), ("diffuse irradiance", self.dh),
-                        ("ev_global", self.ev_global), ("ev_diffuse", self.ev_diffuse)):
-            if v is not None and not math.isfinite(v):
-                raise DataError(f"{name} {v} is not a finite number")
-        if not 0.0 <= self.gh <= 1500.0:
-            raise DataError(f"global irradiance {self.gh} W/m^2 out of [0, 1500]")
-        if self.dh < 0.0:
-            raise DataError(f"diffuse irradiance {self.dh} W/m^2 negative")
-        if self.dh > self.gh * (1.0 + DH_GH_TOL) + 1e-9:
-            raise DataError(
-                f"diffuse irradiance {self.dh} exceeds global {self.gh} by more than "
-                f"{DH_GH_TOL:.0%}"
-            )
-        for name, v in (("ev_global", self.ev_global), ("ev_diffuse", self.ev_diffuse)):
-            if v is not None and v < 0.0:
-                raise DataError(f"{name} {v} lux negative")
+class WeatherSeries:
+    """Weather samples as columns: strictly ascending local civil timestamps
+    (``datetime64[us]``), global and diffuse horizontal irradiance (W/m^2),
+    and measured global and diffuse horizontal illuminance (lux), NaN where
+    not measured. Validated once, as a whole: the error names the first
+    sample that breaks a rule, then its first broken rule, and its source
+    line when ``lines`` gives one per sample.
+    """
+
+    def __init__(self, times, gh, dh, ev_global=None, ev_diffuse=None, lines=None):
+        times = np.asarray(times)
+        for when in times.flat if times.dtype == object else ():
+            local_time(when)
+        self.times = t = times.astype("datetime64[us]")
+        self.gh, self.dh, self.ev_global, self.ev_diffuse = gh, dh, evg, evd = [
+            np.full(len(t), np.nan) if c is None else np.asarray(c, dtype=float)
+            for c in (gh, dh, ev_global, ev_diffuse)]
+        if any(c.shape != (len(t),) for c in (t, gh, dh, evg, evd)):
+            raise DataError("weather columns must be one-dimensional and of equal length")
+        same, back = np.zeros((2, len(t)), dtype=bool)
+        same[1:], back[1:] = t[1:] == t[:-1], t[1:] < t[:-1]
+        # time-order faults are ParseErrors, as in the files they come from
+        rules = (
+            (same, ParseError, "duplicate timestamp {t}"),
+            (back, ParseError, "timestamps not ascending at {t}"),
+            (~np.isfinite(gh), DataError, "global irradiance {gh} is not a finite number"),
+            (~np.isfinite(dh), DataError, "diffuse irradiance {dh} is not a finite number"),
+            (np.isinf(evg), DataError, "ev_global {evg} is not a finite number"),
+            (np.isinf(evd), DataError, "ev_diffuse {evd} is not a finite number"),
+            ((gh < 0.0) | (gh > 1500.0), DataError,
+             "global irradiance {gh} W/m^2 out of [0, 1500]"),
+            (dh < 0.0, DataError, "diffuse irradiance {dh} W/m^2 negative"),
+            (dh > gh * (1.0 + DH_GH_TOL) + 1e-9, DataError,
+             f"diffuse irradiance {{dh}} exceeds global {{gh}} by more than {DH_GH_TOL:.0%}"),
+            (evg < 0.0, DataError, "ev_global {evg} lux negative"),
+            (evd < 0.0, DataError, "ev_diffuse {evd} lux negative"),
+        )
+        hits = [(int(np.argmax(bad)), k) for k, (bad, _, _) in enumerate(rules) if bad.any()]
+        if hits:
+            row, k = min(hits)
+            _, error, message = rules[k]
+            raise error(message.format(t=t[row].astype(datetime).isoformat(), gh=float(gh[row]),
+                                       dh=float(dh[row]), evg=float(evg[row]), evd=float(evd[row])),
+                        line=None if lines is None else int(lines[row]))
+
+    def __len__(self) -> int:
+        return len(self.times)
 
 
 @dataclass(frozen=True)
 class EfficacyModel:
-    """How outdoor illuminance is obtained from a weather record.
+    """How outdoor illuminance is obtained from a weather sample.
 
     ``constant`` converts irradiance with fixed luminous efficacies
     (kd for the diffuse part, kb for the beam part, lm/W); ``passthrough``
-    prefers measured illuminance fields when a record carries them and
+    prefers measured illuminances where a sample carries them and
     falls back to the constant conversion otherwise.
     """
 
@@ -211,36 +236,33 @@ class OutdoorIlluminance:
 
 
 def outdoor_illuminance(altitude: np.ndarray, gh: np.ndarray, dh: np.ndarray,
-                        eff: EfficacyModel, measured: np.ndarray | None = None,
-                        ev_global: np.ndarray | None = None,
-                        ev_diffuse: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+                        eff: EfficacyModel, ev_global: np.ndarray,
+                        ev_diffuse: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Outdoor diffuse and direct horizontal illuminance (lux) per step.
 
     Below the horizon everything is zero. In passthrough mode the measured
-    illuminances are used where ``measured`` is set; everywhere else the
-    beam horizontal irradiance max(0, Gh - Dh) and the diffuse irradiance
+    illuminances are used where both are measured (not NaN); everywhere else
+    the beam horizontal irradiance max(0, Gh - Dh) and the diffuse irradiance
     are converted with the configured efficacies.
     """
     up = altitude > 0.0
     diffuse = np.where(up, eff.kd * dh, 0.0)
     # fmax, not maximum: a NaN difference gives no direct part
     direct = np.where(up, eff.kb * np.fmax(0.0, gh - dh), 0.0)
-    if eff.mode == "passthrough" and measured is not None:
-        use = up & measured
+    if eff.mode == "passthrough":
+        use = up & ~np.isnan(ev_global) & ~np.isnan(ev_diffuse)
         diffuse = np.where(use, ev_diffuse, diffuse)
         direct = np.where(use, np.fmax(0.0, ev_global - ev_diffuse), direct)
     return diffuse, direct
 
 
-def reconstruct_illuminance(
-    rec: WeatherRecord, sun: SolarState, eff: EfficacyModel
-) -> OutdoorIlluminance:
-    """Outdoor illuminance for one record (see :func:`outdoor_illuminance`)."""
-    measured = rec.ev_global is not None and rec.ev_diffuse is not None
+def reconstruct_illuminance(sun: SolarState, gh: float, dh: float, eff: EfficacyModel,
+                            ev_global: float | None = None,
+                            ev_diffuse: float | None = None) -> OutdoorIlluminance:
+    """Outdoor illuminance for one sample (see :func:`outdoor_illuminance`);
+    a measured illuminance left out counts as not measured."""
     diffuse, direct = outdoor_illuminance(
-        np.array([sun.altitude]), np.array([rec.gh]), np.array([rec.dh]), eff,
-        np.array([measured]),
-        np.array([rec.ev_global if measured else 0.0]),
-        np.array([rec.ev_diffuse if measured else 0.0]),
+        np.array([sun.altitude]), np.array([gh]), np.array([dh]), eff,
+        np.array([ev_global], dtype=float), np.array([ev_diffuse], dtype=float),
     )
     return OutdoorIlluminance.from_components(float(diffuse[0]), float(direct[0]))

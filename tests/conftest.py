@@ -91,6 +91,12 @@ def building_file(tmp_path):
     return path
 
 
+def same_weather(a, b) -> bool:
+    """Two weather series hold the same samples (NaN equal to NaN)."""
+    return all(np.array_equal(getattr(a, c), getattr(b, c), equal_nan=c != "times")
+               for c in ("times", "gh", "dh", "ev_global", "ev_diffuse"))
+
+
 def overcast_day_csv(path, day="2009-03-21", gh=200.0):
     lines = ["timestamp,Gh_Wm2,Dh_Wm2"]
     for minute in range(1440):

@@ -4,7 +4,6 @@ criterion at the end of the run.
 """
 
 import json
-import math
 import time
 from datetime import datetime, timedelta
 from pathlib import Path
@@ -12,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_room
+from conftest import random_room, same_weather
 from oracles import loop_metrics, mc_sky_fractions
 from sidelux.daylight import (
     Aperture,
@@ -36,7 +35,7 @@ from sidelux.metrics import (
     rmsd,
     rsd,
 )
-from sidelux.solar import GeoLocation, SolarState, WeatherRecord, sun_position
+from sidelux.solar import GeoLocation, SolarState, WeatherSeries, sun_position
 from test_io import TMY2_HEADER, tmy2_line
 
 DATA = Path(__file__).parent / "data"
@@ -56,8 +55,7 @@ def test_c01_decomposition_identity():
             hour = int(rng.integers(7, 18))
             gh = float(rng.uniform(50.0, 1000.0))
             dh = gh * float(rng.uniform(0.2, 1.0))
-            rec = WeatherRecord(datetime(2009, month, 15, hour, 0), gh, dh)
-            fld = sim.step(rec)
+            fld = sim.step(datetime(2009, month, 15, hour, 0), gh, dh)
             assert np.allclose(
                 fld.e_global, fld.e_diffuse + fld.e_direct, rtol=1e-9, atol=1e-12
             )
@@ -70,7 +68,7 @@ def test_c02_overcast_regime(canonical_sim):
     """Gh = Dh gives an empty sun patch, zero transmitted beam, and the
     pure daylight-factor field, pointwise to 1e-12."""
     for gh in (50.0, 300.0, 900.0):
-        fld = canonical_sim.step(WeatherRecord(datetime(2009, 7, 15, 11, 0), gh, gh))
+        fld = canonical_sim.step(datetime(2009, 7, 15, 11, 0), gh, gh)
         assert fld.patch_area == 0.0
         assert not fld.e_direct.any()
         expected = canonical_sim.df * fld.outdoor.e_global
@@ -193,7 +191,7 @@ def test_c08_daylight_factor_substitution():
 def test_c09_linearity(canonical_sim):
     """Scaling the outdoor illuminance scales every indoor output by the
     same factor to 1e-9 relative."""
-    base = canonical_sim.step(WeatherRecord(datetime(2009, 7, 15, 10, 0), 600.0, 150.0))
+    base = canonical_sim.step(datetime(2009, 7, 15, 10, 0), 600.0, 150.0)
     assert base.patch_area > 0.0  # exercise all three terms
     for lam in (0.5, 2.0, 10.0):
         scaled = canonical_sim.evaluate(base.outdoor.scaled(lam), base.sun)
@@ -206,30 +204,22 @@ def test_c09_linearity(canonical_sim):
 
 
 def _year_of_minutes(year=2009):
-    """Synthetic minute records for a full non-leap year."""
-    daytime = {}
-    for minute in range(1440):
-        x = (minute - 360) / 720.0  # 06:00 to 18:00
-        daytime[minute] = max(0.0, math.sin(math.pi * x)) if 0.0 <= x <= 1.0 else 0.0
-    records = []
-    t = datetime(year, 1, 1)
-    one = timedelta(minutes=1)
-    for _ in range(525_600):
-        f = daytime[t.hour * 60 + t.minute]
-        gh = 900.0 * f
-        records.append(WeatherRecord(t, gh, 0.35 * gh))
-        t += one
-    return records
+    """Synthetic minute weather for a full non-leap year."""
+    minutes = np.arange(525_600)
+    x = (minutes % 1440 - 360) / 720.0  # 06:00 to 18:00
+    gh = 900.0 * np.where((x >= 0.0) & (x <= 1.0), np.maximum(0.0, np.sin(np.pi * x)), 0.0)
+    times = np.datetime64(f"{year}-01-01", "us") + minutes * np.timedelta64(1, "m")
+    return WeatherSeries(times, gh, 0.35 * gh)
 
 
 def test_c10_full_year_performance(canonical_sim):
     """A precomputed-DF full-year minute-step simulation on the 1365-point
     grid finishes within the ten-minute budget."""
-    records = _year_of_minutes()
-    assert len(records) == 525_600
+    weather = _year_of_minutes()
+    assert len(weather) == 525_600
     probes = [(1.95, 3.27), (1.95, 2.77), (1.95, 2.27), (1.95, 1.77), (1.95, 1.27)]
     t0 = time.perf_counter()
-    result = canonical_sim.run(records, step_minutes=1, probes=probes)
+    result = canonical_sim.run(weather, step_minutes=1, probes=probes)
     elapsed = time.perf_counter() - t0
     assert len(result.timestamps) == 525_600
     assert result.probe_global.shape == (525_600, 5)
@@ -261,10 +251,10 @@ def test_c11_roundtrip_and_parser_totality(tmp_path):
         "2009-03-21T12:01,501.5,99.875,49300.0,11900.0\n",
         encoding="utf-8",
     )
-    records = parse_weather_csv(src)
+    weather = parse_weather_csv(src)
     round_path = tmp_path / "round.csv"
-    write_weather_csv(records, round_path)
-    assert parse_weather_csv(round_path) == records
+    write_weather_csv(weather, round_path)
+    assert same_weather(parse_weather_csv(round_path), weather)
 
     for i, (body, line) in enumerate(MALFORMED_WEATHER):
         bad = tmp_path / f"bad{i}.csv"
@@ -284,7 +274,7 @@ def test_c11_roundtrip_and_parser_totality(tmp_path):
         "timestamp,Gh_Wm2,Dh_Wm2,Evg_lux,Evd_lux\n1985-03-21T12:00,500,100,49200,12000\n",
         encoding="utf-8",
     )
-    assert parse_tmy2_subset(t2) == parse_weather_csv(csv)
+    assert same_weather(parse_tmy2_subset(t2), parse_weather_csv(csv))
 
 
 def test_c12_hourly_resampling():
@@ -293,6 +283,6 @@ def test_c12_hourly_resampling():
     ts = [t0 + timedelta(minutes=m) for m in range(120)]
     values = list(range(60)) + [10.0] * 60
     hours, means = resample_hourly(ts, values)
-    assert hours == [t0, t0 + timedelta(hours=1)]
+    assert hours.tolist() == [t0, t0 + timedelta(hours=1)]
     assert means[0] == 29.5  # mean of 0..59 exactly
     assert means[1] == 10.0

@@ -65,6 +65,22 @@ class TestSimulate:
         lines = Path(f"{out}_summary.csv").read_text().splitlines()
         assert len(lines) == 4  # header + three hourly rows
 
+    @pytest.mark.parametrize("step,rows", [(7, 206), (60, 24)])
+    def test_coarse_steps_on_minute_weather(self, tmp_path, building_file, step, rows):
+        """Without --end the run stops at the last sample: 00:00 to 23:59
+        in 7- or 60-minute steps."""
+        weather = overcast_day_csv(tmp_path / "day.csv")
+        out = tmp_path / "run"
+        code = main([
+            "simulate", "--building", str(building_file), "--weather", str(weather),
+            "--out", str(out), "--step", str(step),
+        ])
+        assert code == 0
+        lines = Path(f"{out}_summary.csv").read_text().splitlines()
+        assert len(lines) == rows + 1
+        assert lines[-1].startswith(f"2009-03-21T{(rows - 1) * step // 60:02d}:"
+                                    f"{(rows - 1) * step % 60:02d}:00,")
+
     def test_start_end_window(self, tmp_path, building_file):
         weather = overcast_day_csv(tmp_path / "day.csv")
         out = tmp_path / "run"
@@ -119,6 +135,23 @@ class TestValidate:
         code = main(["validate", str(sim), str(ref)])
         assert code == 2
         assert "mismatch" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text,message", [
+        ("nan", "line 3: value nan is not a finite number"),
+        ("2009-03-21T10:01+04:00", "line 3: timestamp '2009-03-21T10:01+04:00' has a UTC offset"),
+    ])
+    @pytest.mark.parametrize("resample", [[], ["--resample", "hourly"]])
+    def test_bad_series_row_exits_2(self, tmp_path, capsys, text, message, resample):
+        t0 = datetime(2009, 3, 21, 10, 0)
+        ref = series_csv(tmp_path / "ref.csv", [(t0, 100.0), (t0 + timedelta(minutes=1), 100.0),
+                                                (t0 + timedelta(minutes=2), 100.0)])
+        row = f"2009-03-21T10:01,{text}" if text == "nan" else f"{text},100.0"
+        sim = tmp_path / "sim.csv"
+        sim.write_text(f"timestamp,E_lux\n2009-03-21T10:00,100.0\n{row}\n"
+                       "2009-03-21T10:02,100.0\n", encoding="utf-8")
+        code = main(["validate", str(sim), str(ref), "--mode", "margin", *resample])
+        assert code == 2
+        assert message in capsys.readouterr().err
 
     def test_resample_hourly_aligns(self, tmp_path, capsys):
         t0 = datetime(2009, 3, 21, 10, 0)

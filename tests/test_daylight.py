@@ -24,7 +24,7 @@ from sidelux.daylight import (
     split_flux_irc,
 )
 from sidelux.geometry import Polygon3, project_polygon_along_direction
-from sidelux.solar import EfficacyModel, OutdoorIlluminance, SolarState, WeatherRecord
+from sidelux.solar import EfficacyModel, OutdoorIlluminance, SolarState, WeatherSeries
 
 WINDOW = Polygon3([(1.5, 0, 0.8), (2.5, 0, 0.8), (2.5, 0, 1.8), (1.5, 0, 1.8)])
 WINDOW_RECT = ((1.5, 0.0, 0.8), (1.0, 0.0, 0.0), (0.0, 0.0, 1.0))
@@ -326,20 +326,20 @@ class TestPointFormulas:
 
 class TestSimulate:
     def test_night_all_zero(self, coarse_sim):
-        fld = coarse_sim.step(WeatherRecord(datetime(2009, 7, 15, 1, 0), 0.0, 0.0))
+        fld = coarse_sim.step(datetime(2009, 7, 15, 1, 0), 0.0, 0.0)
         assert not fld.e_global.any()
         assert not fld.e_diffuse.any()
         assert not fld.e_direct.any()
 
     def test_overcast_regime(self, coarse_sim):
-        fld = coarse_sim.step(WeatherRecord(datetime(2009, 7, 15, 10, 0), 300.0, 300.0))
+        fld = coarse_sim.step(datetime(2009, 7, 15, 10, 0), 300.0, 300.0)
         assert fld.patch_area == 0.0
         assert not fld.e_direct.any()
         assert np.allclose(fld.e_global, coarse_sim.df * fld.outdoor.e_global, rtol=1e-12, atol=0)
 
     def test_clear_noon_manual_recomputation(self, canonical_sim):
         sim = canonical_sim
-        fld = sim.step(WeatherRecord(datetime(2009, 7, 15, 10, 0), 600.0, 150.0))
+        fld = sim.step(datetime(2009, 7, 15, 10, 0), 600.0, 150.0)
         assert fld.patch_area > 0.0
         ap = sim.room.apertures[0]
         patch = compute_sun_patch(sim.room, ap, fld.sun, sim.grid.plane_z)
@@ -354,28 +354,27 @@ class TestSimulate:
             assert fld.e_global[i] == pytest.approx(e_dif + e_dir, rel=1e-9)
 
     def test_decomposition_bitwise(self, canonical_sim):
-        fld = canonical_sim.step(WeatherRecord(datetime(2009, 7, 15, 10, 0), 600.0, 150.0))
+        fld = canonical_sim.step(datetime(2009, 7, 15, 10, 0), 600.0, 150.0)
         assert np.array_equal(fld.e_global, fld.e_diffuse + fld.e_direct)
 
     def test_df_field_reused_between_steps(self, coarse_sim):
-        a = coarse_sim.step(WeatherRecord(datetime(2009, 7, 15, 10, 0), 300.0, 300.0))
-        b = coarse_sim.step(WeatherRecord(datetime(2009, 7, 16, 10, 0), 500.0, 100.0))
+        a = coarse_sim.step(datetime(2009, 7, 15, 10, 0), 300.0, 300.0)
+        b = coarse_sim.step(datetime(2009, 7, 16, 10, 0), 500.0, 100.0)
         assert a.df is b.df
 
     def test_patch_scope_room_spreads_term(self):
         room = make_canonical_room()
         sim_patch = Simulator(room, TROPICAL_SITE, cell=0.5, patch_scope="patch")
         sim_room = Simulator(room, TROPICAL_SITE, cell=0.5, patch_scope="room")
-        rec = WeatherRecord(datetime(2009, 7, 15, 10, 0), 600.0, 150.0)
-        f_patch = sim_patch.step(rec)
-        f_room = sim_room.step(rec)
+        sample = (datetime(2009, 7, 15, 10, 0), 600.0, 150.0)
+        f_patch = sim_patch.step(*sample)
+        f_room = sim_room.step(*sample)
         assert f_patch.patch_area > 0.0
         assert np.all(f_room.e_diffuse >= f_patch.e_diffuse - 1e-12)
         assert f_room.e_diffuse.sum() > f_patch.e_diffuse.sum()
 
     def test_linearity(self, canonical_sim):
-        rec = WeatherRecord(datetime(2009, 7, 15, 10, 0), 600.0, 150.0)
-        base = canonical_sim.step(rec)
+        base = canonical_sim.step(datetime(2009, 7, 15, 10, 0), 600.0, 150.0)
         for lam in (0.5, 2.0, 10.0):
             scaled = canonical_sim.evaluate(base.outdoor.scaled(lam), base.sun)
             assert np.allclose(scaled.e_global, lam * base.e_global, rtol=1e-9)
@@ -404,8 +403,8 @@ class TestMultiAperture:
     def test_df_and_field_sum_over_apertures(self):
         both, only1, only2 = self.sims()
         assert np.allclose(both.df, only1.df + only2.df, rtol=1e-9)
-        rec = WeatherRecord(datetime(2009, 7, 15, 10, 0), 600.0, 150.0)
-        fb, f1, f2 = both.step(rec), only1.step(rec), only2.step(rec)
+        sample = (datetime(2009, 7, 15, 10, 0), 600.0, 150.0)
+        fb, f1, f2 = both.step(*sample), only1.step(*sample), only2.step(*sample)
         assert fb.patch_area == pytest.approx(f1.patch_area + f2.patch_area, rel=1e-9)
         assert fb.patch_area > 0.0
         assert np.allclose(fb.e_direct, f1.e_direct + f2.e_direct, rtol=1e-9)
@@ -431,10 +430,9 @@ class TestObstructedRoom:
         assert shaded_df.df < open_df.df
 
 
-def minute_records(start, minutes, gh, dh):
-    return [
-        WeatherRecord(start + timedelta(minutes=m), gh, dh) for m in range(minutes)
-    ]
+def minute_weather(start, minutes, gh, dh):
+    times = np.datetime64(start, "us") + np.arange(minutes) * np.timedelta64(1, "m")
+    return WeatherSeries(times, np.full(minutes, gh), np.full(minutes, dh))
 
 
 class TestPeriod:
@@ -442,7 +440,7 @@ class TestPeriod:
 
     def test_constant_overcast_probes_constant(self, coarse_sim):
         start = datetime(2009, 7, 15, 10, 0)
-        res = coarse_sim.run(minute_records(start, 120, 300.0, 300.0), probes=self.PROBES)
+        res = coarse_sim.run(minute_weather(start, 120, 300.0, 300.0), probes=self.PROBES)
         assert res.probe_global.shape == (120, 5)
         for j in range(5):
             col = res.probe_global[:, j]
@@ -450,16 +448,15 @@ class TestPeriod:
 
     def test_hourly_averaging(self, coarse_sim):
         start = datetime(2009, 7, 15, 10, 0)
-        res = coarse_sim.run(minute_records(start, 120, 300.0, 300.0), probes=self.PROBES[:1])
+        res = coarse_sim.run(minute_weather(start, 120, 300.0, 300.0), probes=self.PROBES[:1])
         hourly = res.hourly()
         assert len(hourly.timestamps) == 2
         assert hourly.probe_global[0, 0] == pytest.approx(res.probe_global[:60, 0].mean())
 
     def test_full_day_hourly_gives_24_rows(self, coarse_sim):
         start = datetime(2009, 7, 15, 0, 0)
-        res = coarse_sim.run(
-            minute_records(start, 1440, 300.0, 300.0), probes=self.PROBES[:2], hourly=True
-        )
+        res = coarse_sim.run(minute_weather(start, 1440, 300.0, 300.0), probes=self.PROBES[:2])
+        res = res.hourly()
         assert len(res.timestamps) == 24
         assert res.probe_global.shape == (24, 2)
 
@@ -467,24 +464,24 @@ class TestPeriod:
         room = make_canonical_room()
         sim = Simulator(room, TROPICAL_SITE, cell=0.5,
                         efficacy=EfficacyModel(mode="passthrough"))
-        rec = WeatherRecord(datetime(2009, 7, 15, 11, 0), 300.0, 300.0, 25000.0, 25000.0)
-        fld = sim.step(rec)
+        fld = sim.step(datetime(2009, 7, 15, 11, 0), 300.0, 300.0, 25000.0, 25000.0)
         assert fld.outdoor.e_global == pytest.approx(25000.0)
         assert fld.outdoor.e_direct == 0.0
         assert np.allclose(fld.e_global, sim.df * 25000.0, rtol=1e-12)
 
     def test_missing_record_named(self, coarse_sim):
         start = datetime(2009, 7, 15, 10, 0)
-        records = minute_records(start, 30, 300.0, 300.0)
-        del records[10]
+        weather = minute_weather(start, 30, 300.0, 300.0)
+        keep = np.arange(30) != 10
+        weather = WeatherSeries(weather.times[keep], weather.gh[keep], weather.dh[keep])
         with pytest.raises(DataError) as err:
-            coarse_sim.run(records, start=start, end=start + timedelta(minutes=30))
+            coarse_sim.run(weather, start=start, end=start + timedelta(minutes=30))
         assert "10:10" in str(err.value)
 
     def test_field_snapshot(self, coarse_sim):
         start = datetime(2009, 7, 15, 10, 0)
         when = start + timedelta(minutes=5)
-        res = coarse_sim.run(minute_records(start, 10, 300.0, 300.0), field_at=[when])
+        res = coarse_sim.run(minute_weather(start, 10, 300.0, 300.0), field_at=[when])
         assert set(res.fields) == {when}
         fld = res.fields[when]
         assert np.array_equal(fld.e_global, fld.e_diffuse + fld.e_direct)
@@ -492,9 +489,9 @@ class TestPeriod:
     def test_probe_outside_room_rejected(self, coarse_sim):
         start = datetime(2009, 7, 15, 10, 0)
         with pytest.raises(ConfigError):
-            coarse_sim.run(minute_records(start, 5, 300.0, 300.0), probes=[(50.0, 50.0)])
+            coarse_sim.run(minute_weather(start, 5, 300.0, 300.0), probes=[(50.0, 50.0)])
 
     def test_empty_period_rejected(self, coarse_sim):
         start = datetime(2009, 7, 15, 10, 0)
         with pytest.raises(DataError):
-            coarse_sim.run(minute_records(start, 5, 300.0, 300.0), start=start, end=start)
+            coarse_sim.run(minute_weather(start, 5, 300.0, 300.0), start=start, end=start)

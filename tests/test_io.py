@@ -18,7 +18,8 @@ from sidelux.io import (
     write_results,
     write_weather_csv,
 )
-from sidelux.solar import WeatherRecord
+from conftest import same_weather
+from sidelux.solar import WeatherSeries
 
 DATA = Path(__file__).parent / "data"
 
@@ -32,10 +33,11 @@ def write(tmp_path, text, name="weather.csv"):
 class TestWeatherCsv:
     def test_basic_row(self, tmp_path):
         p = write(tmp_path, "timestamp,Gh_Wm2,Dh_Wm2\n2009-03-21T12:00,500,100\n")
-        recs = parse_weather_csv(p)
-        assert len(recs) == 1
-        assert recs[0].gh == 500.0 and recs[0].dh == 100.0
-        assert recs[0].ev_global is None
+        weather = parse_weather_csv(p)
+        assert len(weather) == 1
+        assert weather.times.tolist() == [datetime(2009, 3, 21, 12, 0)]
+        assert weather.gh.tolist() == [500.0] and weather.dh.tolist() == [100.0]
+        assert np.isnan(weather.ev_global).all()
 
     def test_diffuse_above_global_is_located_data_error(self, tmp_path):
         p = write(tmp_path, "timestamp,Gh_Wm2,Dh_Wm2\n2009-03-21T12:00,100,500\n")
@@ -55,6 +57,13 @@ class TestWeatherCsv:
             parse_weather_csv(p)
         assert err.value.line == 2
 
+    def test_first_faulty_row_then_its_first_rule(self, tmp_path):
+        p = write(tmp_path, "timestamp,Gh_Wm2,Dh_Wm2\n2009-07-01T12:00,500,100\n"
+                            "2009-07-01T12:01,-5,600\n2009-07-01T12:00,1600,100\n")
+        with pytest.raises(DataError,
+                           match=r"^line 3: global irradiance -5.0 W/m\^2 out of \[0, 1500\]$"):
+            parse_weather_csv(p)
+
     def test_utc_offset_is_located_parse_error(self, tmp_path):
         p = write(
             tmp_path,
@@ -69,9 +78,9 @@ class TestWeatherCsv:
             tmp_path,
             "timestamp,Gh_Wm2,Dh_Wm2,Evg_lux,Evd_lux\n2009-03-21T12:00,500,100,49200,12000\n",
         )
-        recs = parse_weather_csv(p)
-        assert recs[0].ev_global == 49200.0
-        assert recs[0].ev_diffuse == 12000.0
+        weather = parse_weather_csv(p)
+        assert weather.ev_global.tolist() == [49200.0]
+        assert weather.ev_diffuse.tolist() == [12000.0]
 
     def test_roundtrip_exact(self, tmp_path):
         src = write(
@@ -80,19 +89,19 @@ class TestWeatherCsv:
             "2009-03-21T12:00,500.25,100.125\n"
             "2009-03-21T12:01,501.5,99.875\n",
         )
-        recs = parse_weather_csv(src)
+        weather = parse_weather_csv(src)
         out = tmp_path / "again.csv"
-        write_weather_csv(recs, out)
-        assert parse_weather_csv(out) == recs
+        write_weather_csv(weather, out)
+        assert same_weather(parse_weather_csv(out), weather)
 
     def test_roundtrip_with_illuminance(self, tmp_path):
-        recs = [
-            WeatherRecord(datetime(2009, 3, 21, 12, 0), 500.0, 100.0, 49200.0, 12000.0),
-            WeatherRecord(datetime(2009, 3, 21, 12, 1), 400.0, 90.0, 40000.0, 11000.0),
-        ]
+        weather = WeatherSeries(
+            [datetime(2009, 3, 21, 12, 0), datetime(2009, 3, 21, 12, 1)],
+            [500.0, 400.0], [100.0, 90.0], [49200.0, 40000.0], [12000.0, 11000.0],
+        )
         out = tmp_path / "w.csv"
-        write_weather_csv(recs, out)
-        assert parse_weather_csv(out) == recs
+        write_weather_csv(weather, out)
+        assert same_weather(parse_weather_csv(out), weather)
 
     @pytest.mark.parametrize(
         "body,line",
@@ -156,13 +165,13 @@ class TestTmy2:
             tmp_path,
             "timestamp,Gh_Wm2,Dh_Wm2,Evg_lux,Evd_lux\n1985-03-21T12:00,500,100,49200,12000\n",
         )
-        assert parse_tmy2_subset(t2) == parse_weather_csv(csv)
+        assert same_weather(parse_tmy2_subset(t2), parse_weather_csv(csv))
 
     def test_missing_illuminance_sentinel(self, tmp_path):
         ts = datetime(1985, 3, 21, 12, 0)
         t2 = write(tmp_path, TMY2_HEADER + "\n" + tmy2_line(ts, 500, 100) + "\n", name="s.tm2")
-        recs = parse_tmy2_subset(t2)
-        assert recs[0].ev_global is None and recs[0].ev_diffuse is None
+        weather = parse_tmy2_subset(t2)
+        assert np.isnan(weather.ev_global).all() and np.isnan(weather.ev_diffuse).all()
 
     def test_truncated_line(self, tmp_path):
         t2 = write(tmp_path, TMY2_HEADER + "\n 8503211" + "\n", name="s.tm2")
@@ -173,28 +182,54 @@ class TestTmy2:
     def test_hour_24_maps_to_23(self, tmp_path):
         line = tmy2_line(datetime(1985, 3, 21, 23, 0), 0, 0)
         t2 = write(tmp_path, TMY2_HEADER + "\n" + line + "\n", name="s.tm2")
-        assert parse_tmy2_subset(t2)[0].timestamp == datetime(1985, 3, 21, 23, 0)
+        assert parse_tmy2_subset(t2).times.tolist() == [datetime(1985, 3, 21, 23, 0)]
 
     def test_nominal_year_applied_to_all_records(self, tmp_path):
         a = tmy2_line(datetime(1985, 1, 1, 12, 0), 100, 50)
         b = tmy2_line(datetime(1977, 2, 1, 12, 0), 100, 50)  # different source year
         t2 = write(tmp_path, TMY2_HEADER + "\n" + a + "\n" + b + "\n", name="s.tm2")
-        recs = parse_tmy2_subset(t2)
-        assert [r.timestamp.year for r in recs] == [1985, 1985]
+        weather = parse_tmy2_subset(t2)
+        assert [t.year for t in weather.times.tolist()] == [1985, 1985]
+
+
+    @pytest.mark.parametrize("hours,message", [
+        ((12, 11), "line 3: timestamps not ascending at 1985-03-21T11:00:00"),
+        ((12, 12), "line 3: duplicate timestamp 1985-03-21T12:00:00"),
+    ])
+    def test_unordered_records_are_located(self, tmp_path, hours, message):
+        body = "\n".join(tmy2_line(datetime(1985, 3, 21, h, 0), 100, 50) for h in hours)
+        t2 = write(tmp_path, TMY2_HEADER + "\n" + body + "\n", name="s.tm2")
+        with pytest.raises(ParseError, match=f"^{message}$"):
+            parse_tmy2_subset(t2)
 
 
 class TestSeriesCsv:
     def test_basic(self, tmp_path):
         p = write(tmp_path, "timestamp,E_lux\n2009-03-21T12:00,123.5\n", name="s.csv")
         ts, v = parse_series_csv(p)
-        assert ts == [datetime(2009, 3, 21, 12, 0)]
-        assert v[0] == 123.5
+        assert ts.dtype == np.dtype("datetime64[us]")
+        assert ts.tolist() == [datetime(2009, 3, 21, 12, 0)]
+        assert v.tolist() == [123.5]
 
     def test_malformed(self, tmp_path):
         p = write(tmp_path, "timestamp,E_lux\n2009-03-21T12:00\n", name="s.csv")
         with pytest.raises(ParseError) as err:
             parse_series_csv(p)
         assert err.value.line == 2
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value_is_located_data_error(self, tmp_path, value):
+        p = write(tmp_path, f"timestamp,E_lux\n2009-03-21T12:00,1\n2009-03-21T12:01,{value}\n",
+                  name="s.csv")
+        with pytest.raises(DataError, match=f"^line 3: value {value} is not a finite number$"):
+            parse_series_csv(p)
+
+    def test_utc_offset_is_located_parse_error(self, tmp_path):
+        """The same located error as in the weather CSV."""
+        p = write(tmp_path, "timestamp,E_lux\n2009-07-01T12:00+04:00,1\n", name="s.csv")
+        with pytest.raises(ParseError, match="^line 2: timestamp '2009-07-01T12:00\\+04:00' "
+                                             "has a UTC offset"):
+            parse_series_csv(p)
 
 
 class TestBuilding:
@@ -329,10 +364,9 @@ class TestResultWriters:
 
     def test_summary_and_determinism(self, tmp_path, coarse_sim):
         start = datetime(2009, 7, 15, 10, 0)
-        records = [
-            WeatherRecord(start + timedelta(minutes=m), 300.0, 300.0) for m in range(5)
-        ]
-        res = coarse_sim.run(records, probes=[(1.95, 1.27)], field_at=[start])
+        weather = WeatherSeries([start + timedelta(minutes=m) for m in range(5)],
+                                [300.0] * 5, [300.0] * 5)
+        res = coarse_sim.run(weather, probes=[(1.95, 1.27)], field_at=[start])
         paths1 = write_results(res, tmp_path / "runA")
         paths2 = write_results(res, tmp_path / "runB")
         assert len(paths1) == 2
@@ -344,8 +378,7 @@ class TestResultWriters:
 
     def test_summary_without_probes(self, tmp_path, coarse_sim):
         start = datetime(2009, 7, 15, 10, 0)
-        records = [WeatherRecord(start, 300.0, 300.0)]
-        res = coarse_sim.run(records)
+        res = coarse_sim.run(WeatherSeries([start], [300.0], [300.0]))
         paths = write_results(res, tmp_path / "run")
         header = paths[0].read_text().splitlines()[0]
         assert header == "timestamp,E_out_G_lux,E_out_dif_lux,E_out_Dir_S_lux,S_TS_m2"
@@ -361,7 +394,7 @@ class TestResultWriters:
         values[:12, 0] = [0.0, -0.0, 1e-12, 3.6e-12, 99999.95, 999999.5, 0.1 + 0.2,
                           123456789.0, 5e-324, 1e300, 12345.65, 0.5]
         result = PeriodResult(
-            timestamps=[start + timedelta(minutes=7 * i) for i in range(n)],
+            timestamps=np.datetime64(start, "us") + np.arange(n) * np.timedelta64(7, "m"),
             outdoor_global=values[:, 0], outdoor_diffuse=values[:, 1],
             outdoor_direct=values[:, 2], patch_area=values[:, 3],
             probe_points=((1.0, 1.0), (2.0, 2.0), (3.0, 3.0)), probe_names=("p1", "p2", "p3"),
@@ -374,13 +407,21 @@ class TestResultWriters:
         assert lines[-1] == ""
         assert lines[1:-1] == [
             ",".join([ts.isoformat()] + [f"{v:#.6g}" for v in row])
-            for ts, row in zip(result.timestamps, values)
+            for ts, row in zip(result.timestamps.tolist(), values)
         ]
 
+    @pytest.mark.parametrize("start", [datetime(2009, 7, 15, 10, 0, 30),
+                                       datetime(2009, 7, 15, 10, 0, 30, 250)])
+    def test_summary_timestamps_are_isoformat(self, tmp_path, coarse_sim, start):
+        weather = WeatherSeries([start + timedelta(minutes=m) for m in range(4)],
+                                [300.0] * 4, [300.0] * 4)
+        [path] = write_results(coarse_sim.run(weather), tmp_path / "run")
+        stamps = [line.split(",")[0] for line in path.read_text().splitlines()[1:]]
+        assert stamps == [(start + timedelta(minutes=m)).isoformat() for m in range(4)]
+
     def test_mixed_missing_illuminance_rejected(self, tmp_path):
-        recs = [
-            WeatherRecord(datetime(2009, 1, 1, 12), 100.0, 50.0, 10000.0, 6000.0),
-            WeatherRecord(datetime(2009, 1, 1, 13), 100.0, 50.0),
-        ]
+        weather = WeatherSeries([datetime(2009, 1, 1, 12), datetime(2009, 1, 1, 13)],
+                                [100.0, 100.0], [50.0, 50.0], [10000.0, np.nan],
+                                [6000.0, np.nan])
         with pytest.raises(DataError):
-            write_weather_csv(recs, tmp_path / "w.csv")
+            write_weather_csv(weather, tmp_path / "w.csv")

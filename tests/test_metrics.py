@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import loop_metrics
 from sidelux.errors import MetricError
+from sidelux.daylight import PeriodResult
 from sidelux.metrics import (
     SeriesPair,
     build_margins,
@@ -141,7 +142,7 @@ class TestResampleHourly:
         t0 = datetime(2009, 3, 21, 10, 0)
         ts = [t0 + timedelta(minutes=m) for m in range(60)]
         hours, means = resample_hourly(ts, [42.0] * 60)
-        assert hours == [t0] and means[0] == 42.0
+        assert hours.tolist() == [t0] and means[0] == 42.0
 
     def test_linear_ramp(self):
         t0 = datetime(2009, 3, 21, 10, 0)
@@ -155,6 +156,43 @@ class TestResampleHourly:
         hours, means = resample_hourly(ts, [1.0] * 60 + [3.0] * 60)
         assert len(hours) == 2
         assert list(means) == [1.0, 3.0]
+
+
+def test_hourly_means_match_a_per_hour_mean_loop_bit_for_bit():
+    """Unsorted, irregular samples over several columns: ``resample_hourly``
+    and ``PeriodResult.hourly`` give, for every hour, ``np.mean`` of that
+    hour's samples in their given order, to the bit."""
+    rng = np.random.default_rng(17)
+    n = 5000
+    start = np.datetime64("2009-07-01T00:00:00", "us")
+    times = start + rng.integers(0, 40 * 3_600_000_000, n).astype("timedelta64[us]")
+    values = rng.lognormal(6.0, 2.0, (n, 7)) * (rng.random((n, 7)) < 0.7)
+    groups: dict = {}
+    for i, ts in enumerate(times.tolist()):
+        groups.setdefault(ts.replace(minute=0, second=0, microsecond=0), []).append(i)
+    hours = sorted(groups)
+    expected = np.array([[np.mean([float(v) for v in values[groups[h], j]]) for j in range(7)]
+                         for h in hours])
+    assert len(hours) == 40 and not np.all(np.diff(times) > np.timedelta64(0))
+
+    got_hours, means = resample_hourly(times, values[:, 0])
+    assert got_hours.dtype == np.dtype("datetime64[us]") and got_hours.tolist() == hours
+    assert means.tobytes() == expected[:, 0].tobytes()
+
+    result = PeriodResult(
+        timestamps=times, outdoor_global=values[:, 0], outdoor_diffuse=values[:, 1],
+        outdoor_direct=values[:, 2], patch_area=values[:, 3], probe_points=((1, 1),) * 3,
+        probe_names=("p1", "p2", "p3"), probe_global=values[:, 4:],
+    ).hourly()
+    assert result.timestamps.tolist() == hours
+    got = np.column_stack((result.outdoor_global, result.outdoor_diffuse, result.outdoor_direct,
+                           result.patch_area, result.probe_global))
+    assert got.tobytes() == expected.tobytes()
+
+
+def test_resample_hourly_of_nothing_is_empty():
+    hours, means = resample_hourly(np.array([], dtype="datetime64[us]"), [])
+    assert len(hours) == 0 and len(means) == 0
 
 
 class TestAgainstLoopOracle:

@@ -1,0 +1,31 @@
+"""Smoke runs of the scripts under ``scripts/`` with small arguments."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def run_script(name, *args, cwd):
+    done = subprocess.run([sys.executable, str(SCRIPTS / name), *args], cwd=cwd,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_run_test_cell_day(tmp_path):
+    out = run_script("run_test_cell_day.py", "--out", str(tmp_path / "out"), cwd=tmp_path)
+    assert "clear: patch area at noon" in out and "overcast:" in out
+    for name in ("df_map.txt", "clear_summary.csv", "overcast_summary.csv",
+                 "clear_probe1.csv", "clear_field_20090715T1200.txt"):
+        assert (tmp_path / "out" / name).is_file(), name
+    summary = (tmp_path / "out" / "clear_summary.csv").read_text().splitlines()
+    assert len(summary) == 1441 and summary[-1].startswith("2009-07-15T23:59:00,")
+    probe = (tmp_path / "out" / "clear_probe1.csv").read_text().splitlines()
+    assert probe[0] == "timestamp,E_glo_lux" and probe[1].startswith("2009-07-15T00:00:00,")
+
+
+def test_benchmark_year_hourly_steps(tmp_path):
+    out = run_script("benchmark_year.py", "--step", "60", "--cell", "0.3", cwd=tmp_path)
+    assert "8760 steps" in out

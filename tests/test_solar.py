@@ -1,7 +1,8 @@
 import json
-from datetime import datetime
+from datetime import datetime, timedelta
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,7 +11,7 @@ from sidelux.solar import (
     EfficacyModel,
     GeoLocation,
     SolarState,
-    WeatherRecord,
+    WeatherSeries,
     reconstruct_illuminance,
     sun_position,
 )
@@ -77,17 +78,59 @@ class TestGeoLocation:
 
 
 class TestWeatherRecord:
+    """The rules on one weather record, checked as a one-sample series."""
+
     def test_diffuse_exceeding_global_rejected(self):
         with pytest.raises(DataError):
-            WeatherRecord(datetime(2009, 1, 1), 100.0, 500.0)
+            WeatherSeries([datetime(2009, 1, 1)], [100.0], [500.0])
 
     def test_small_excess_tolerated(self):
-        rec = WeatherRecord(datetime(2009, 1, 1), 100.0, 101.0)
-        assert rec.dh == 101.0
+        weather = WeatherSeries([datetime(2009, 1, 1)], [100.0], [101.0])
+        assert weather.dh.tolist() == [101.0]
 
     def test_irradiance_cap(self):
         with pytest.raises(DataError):
-            WeatherRecord(datetime(2009, 1, 1), 1600.0, 100.0)
+            WeatherSeries([datetime(2009, 1, 1)], [1600.0], [100.0])
+
+
+class TestWeatherSeries:
+    T0 = datetime(2009, 7, 1, 12, 0)
+
+    def times(self, *minutes):
+        return [self.T0 + timedelta(minutes=m) for m in minutes]
+
+    @pytest.mark.parametrize("minutes,message", [
+        ((0, 2, 1), "timestamps not ascending at 2009-07-01T12:01:00"),
+        ((0, 1, 1), "duplicate timestamp 2009-07-01T12:01:00"),
+    ])
+    def test_unordered_or_duplicate_time_raises(self, minutes, message):
+        with pytest.raises(DataError, match=f"^{message}$") as err:
+            WeatherSeries(self.times(*minutes), [100.0] * 3, [50.0] * 3)
+        assert err.value.line is None
+
+    def test_nan_global_raises(self):
+        with pytest.raises(DataError, match="^global irradiance nan is not a finite number$"):
+            WeatherSeries(self.times(0, 1), [100.0, float("nan")], [50.0, 50.0])
+
+    def test_first_faulty_sample_then_its_first_rule(self):
+        with pytest.raises(DataError, match="^line 8: diffuse irradiance -1.0 W/m\\^2 negative$"):
+            WeatherSeries(self.times(0, 1, 1), [100.0, 100.0, 2000.0], [50.0, -1.0, 5000.0],
+                          [1.0, -1.0, 1.0], [1.0, 1.0, 1.0], lines=[5, 8, 9])
+
+    def test_missing_illuminance_is_nan(self):
+        weather = WeatherSeries(self.times(0, 1), [100.0, 100.0], [50.0, 50.0],
+                                ev_global=[9000.0, float("nan")])
+        assert weather.times.dtype == np.dtype("datetime64[us]")
+        assert weather.ev_global[0] == 9000.0 and np.isnan(weather.ev_global[1])
+        assert np.isnan(weather.ev_diffuse).all()
+
+    def test_infinite_illuminance_raises(self):
+        with pytest.raises(DataError, match="^ev_diffuse inf is not a finite number$"):
+            WeatherSeries(self.times(0), [100.0], [50.0], [1.0], [float("inf")])
+
+    def test_columns_of_unequal_length_raise(self):
+        with pytest.raises(DataError, match="equal length"):
+            WeatherSeries(self.times(0, 1), [100.0], [50.0, 50.0])
 
 
 HIGH_SUN = SolarState.from_angles(60.0, 0.0)
@@ -97,35 +140,31 @@ EFF = EfficacyModel()
 
 class TestReconstruct:
     def test_zero_inputs(self):
-        out = reconstruct_illuminance(WeatherRecord(datetime(2009, 1, 1, 12), 0.0, 0.0), HIGH_SUN, EFF)
+        out = reconstruct_illuminance(HIGH_SUN, 0.0, 0.0, EFF)
         assert (out.e_global, out.e_diffuse, out.e_direct) == (0.0, 0.0, 0.0)
 
     def test_constant_efficacies(self):
-        rec = WeatherRecord(datetime(2009, 1, 1, 12), 500.0, 100.0)
-        out = reconstruct_illuminance(rec, HIGH_SUN, EFF)
+        out = reconstruct_illuminance(HIGH_SUN, 500.0, 100.0, EFF)
         assert out.e_diffuse == pytest.approx(12000.0)
         assert out.e_direct == pytest.approx(37200.0)
         assert out.e_global == pytest.approx(49200.0)
 
     def test_passthrough_overcast(self):
-        rec = WeatherRecord(datetime(2009, 1, 1, 12), 200.0, 200.0, 10000.0, 10000.0)
-        out = reconstruct_illuminance(rec, HIGH_SUN, EfficacyModel(mode="passthrough"))
+        out = reconstruct_illuminance(HIGH_SUN, 200.0, 200.0, EfficacyModel(mode="passthrough"),
+                                      10000.0, 10000.0)
         assert out.e_direct == 0.0
         assert out.e_global == pytest.approx(10000.0)
 
     def test_passthrough_without_measurements_falls_back(self):
-        rec = WeatherRecord(datetime(2009, 1, 1, 12), 500.0, 100.0)
-        out = reconstruct_illuminance(rec, HIGH_SUN, EfficacyModel(mode="passthrough"))
+        out = reconstruct_illuminance(HIGH_SUN, 500.0, 100.0, EfficacyModel(mode="passthrough"))
         assert out.e_global == pytest.approx(49200.0)
 
     def test_night_zero(self):
-        rec = WeatherRecord(datetime(2009, 1, 1, 0), 500.0, 100.0)
-        out = reconstruct_illuminance(rec, NIGHT_SUN, EFF)
+        out = reconstruct_illuminance(NIGHT_SUN, 500.0, 100.0, EFF)
         assert out.e_global == 0.0
 
     def test_clamp_small_diffuse_excess(self):
-        rec = WeatherRecord(datetime(2009, 1, 1, 12), 100.0, 101.0)
-        out = reconstruct_illuminance(rec, HIGH_SUN, EFF)
+        out = reconstruct_illuminance(HIGH_SUN, 100.0, 101.0, EFF)
         assert out.e_direct == 0.0
         assert out.e_diffuse == pytest.approx(12120.0)
 
@@ -147,16 +186,14 @@ class TestEfficacyModel:
     st.floats(1.0, 89.0),
 )
 def test_additivity_property(gh, frac, alt):
-    rec = WeatherRecord(datetime(2009, 6, 1, 12), gh, gh * frac)
-    out = reconstruct_illuminance(rec, SolarState.from_angles(alt, 180.0), EFF)
+    out = reconstruct_illuminance(SolarState.from_angles(alt, 180.0), gh, gh * frac, EFF)
     assert out.e_global == out.e_diffuse + out.e_direct
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.floats(0.0, 1200.0), st.floats(0.0, 1.0), st.floats(-89.0, 0.0))
 def test_night_monotonicity_property(gh, frac, alt):
-    rec = WeatherRecord(datetime(2009, 6, 1, 2), gh, gh * frac)
-    out = reconstruct_illuminance(rec, SolarState.from_angles(alt, 0.0), EFF)
+    out = reconstruct_illuminance(SolarState.from_angles(alt, 0.0), gh, gh * frac, EFF)
     assert out.e_global == 0.0 and out.e_diffuse == 0.0 and out.e_direct == 0.0
 
 
@@ -166,7 +203,7 @@ def test_continuity_in_irradiance(gh, frac, delta):
     """The conversion is linear, so small input changes bound output changes."""
     sun = SolarState.from_angles(45.0, 180.0)
     dh = gh * frac
-    a = reconstruct_illuminance(WeatherRecord(datetime(2009, 6, 1, 12), gh, dh), sun, EFF)
+    a = reconstruct_illuminance(sun, gh, dh, EFF)
     gh2 = min(gh + delta, 1500.0)
-    b = reconstruct_illuminance(WeatherRecord(datetime(2009, 6, 1, 12), gh2, dh), sun, EFF)
+    b = reconstruct_illuminance(sun, gh2, dh, EFF)
     assert abs(b.e_global - a.e_global) <= 200.0 * (gh2 - gh) + 1e-9

@@ -28,7 +28,7 @@ from sidelux.geometry import Polygon3, points_in_polygon_mask
 from sidelux.solar import (
     EfficacyModel,
     SolarState,
-    WeatherRecord,
+    WeatherSeries,
     reconstruct_illuminance,
     sun_position,
     sun_positions,
@@ -182,36 +182,41 @@ def test_sun_positions_match_the_scalar_wrapper():
 # ---------------------------------------------------------------------------
 # Whole runs against the per-step reference.
 
-def winter_records(days, start=datetime(2009, 7, 1), measured_every=0):
+def winter_weather(days, start=datetime(2009, 7, 1), measured_every=0):
     """Clear austral-winter minutes with three half-hour overcast spells a
-    day (Dh = Gh); with ``measured_every``, every so many records also carry
+    day (Dh = Gh); with ``measured_every``, every so many samples also carry
     measured illuminances."""
     rng = np.random.default_rng(days)
-    stamps = [start + timedelta(minutes=m) for m in range(days * 1440)]
-    altitude, _, _ = sun_positions(np.array(stamps, dtype="datetime64[us]"), TROPICAL_SITE)
+    times = np.datetime64(start, "us") + np.arange(days * 1440) * np.timedelta64(1, "m")
+    altitude, _, _ = sun_positions(times, TROPICAL_SITE)
     sin_h = np.clip(np.sin(np.radians(altitude)), 0.0, 1.0)
-    gh = 1050.0 * sin_h**1.15 * rng.uniform(0.95, 1.05, len(stamps))
+    gh = 1050.0 * sin_h**1.15 * rng.uniform(0.95, 1.05, len(times))
     dh = gh * (0.12 + 0.10 * (1.0 - sin_h))
     for day in range(days):
         for hour in (8, 11, 14):
             m = day * 1440 + hour * 60 + int(rng.integers(0, 120))
             gh[m:m + 30] *= 0.4
             dh[m:m + 30] = gh[m:m + 30]
-    records = []
-    for i, ts in enumerate(stamps):
-        if measured_every and i % measured_every == 0:
-            records.append(WeatherRecord(ts, gh[i], dh[i], 115.0 * gh[i], 118.0 * dh[i]))
-        else:
-            records.append(WeatherRecord(ts, gh[i], dh[i]))
-    return records
+    measured = np.zeros(len(times), dtype=bool)
+    if measured_every:
+        measured[::measured_every] = True
+    return WeatherSeries(times, gh, dh, np.where(measured, 115.0 * gh, np.nan),
+                         np.where(measured, 118.0 * dh, np.nan))
 
 
-def reference_step(sim, rec, when, points, df):
-    """Outdoor illuminance, patch area and illuminance at ``points`` for one
-    step, the way the engine computed them before it stepped in blocks."""
+def subset(weather, keep):
+    return WeatherSeries(weather.times[keep], weather.gh[keep], weather.dh[keep],
+                         weather.ev_global[keep], weather.ev_diffuse[keep])
+
+
+def reference_step(sim, weather, i, points, df):
+    """Outdoor illuminance, patch area and illuminance at ``points`` for the
+    step at sample ``i``, the way the engine computed them before it stepped
+    in blocks."""
     room, z = sim.room, sim.grid.plane_z
-    sun = sun_position(when, sim.location)
-    out = reconstruct_illuminance(rec, sun, sim.efficacy)
+    sun = sun_position(weather.times[i].astype(datetime), sim.location)
+    out = reconstruct_illuminance(sun, weather.gh[i], weather.dh[i], sim.efficacy,
+                                  weather.ev_global[i], weather.ev_diffuse[i])
     values = df * out.e_global
     area = 0.0
     if out.e_direct > 0.0 and sun.altitude > 0.0:
@@ -224,21 +229,23 @@ def reference_step(sim, rec, when, points, df):
     return out, area, values
 
 
-def check_against_reference(sim, records, probes, field_at, step_minutes=1):
-    res = sim.run(records, step_minutes=step_minutes, probes=probes, field_at=field_at)
-    index = {r.timestamp: r for r in records}
+def check_against_reference(sim, weather, probes, field_at, step_minutes=1):
+    res = sim.run(weather, step_minutes=step_minutes, probes=probes, field_at=field_at)
+    stamps = weather.times.astype(datetime).tolist()
+    index = {t: i for i, t in enumerate(stamps)}
     step = timedelta(minutes=step_minutes)
     z = sim.grid.plane_z
     probe_pts = np.array([(x, y, z) for x, y in probes])
     probe_df = np.array([sum(daylight_factor(p, sim.room, ap).df for ap in sim.room.apertures)
                          for p in probe_pts])
     expected = []
-    t = records[0].timestamp
-    while t < records[-1].timestamp + step:
-        out, area, values = reference_step(sim, index[t], t, probe_pts, probe_df)
+    t = stamps[0]
+    while t <= stamps[-1]:
+        out, area, values = reference_step(sim, weather, index[t], probe_pts, probe_df)
         expected.append((t, out.e_global, out.e_diffuse, out.e_direct, area, values))
         t += step
-    assert res.timestamps == [e[0] for e in expected]
+    assert res.timestamps.dtype == np.dtype("datetime64[us]")
+    assert res.timestamps.astype(datetime).tolist() == [e[0] for e in expected]
     for col, attr in enumerate(("outdoor_global", "outdoor_diffuse", "outdoor_direct"), start=1):
         np.testing.assert_allclose(getattr(res, attr), [e[col] for e in expected],
                                    rtol=1e-12, atol=1e-9)
@@ -248,7 +255,7 @@ def check_against_reference(sim, records, probes, field_at, step_minutes=1):
     assert set(res.fields) == set(field_at)
     for when in field_at:
         fld = res.fields[when]
-        _, area, values = reference_step(sim, index[when], when, sim.grid.points, sim.df)
+        _, area, values = reference_step(sim, weather, index[when], sim.grid.points, sim.df)
         assert fld.patch_area == pytest.approx(area, abs=1e-12)
         np.testing.assert_allclose(fld.e_global, values, rtol=1e-12, atol=1e-8)
         assert np.array_equal(fld.e_global, fld.e_diffuse + fld.e_direct)
@@ -256,11 +263,11 @@ def check_against_reference(sim, records, probes, field_at, step_minutes=1):
 
 
 def test_run_matches_reference_clear_winter_week(coarse_sim):
-    records = winter_records(7)
-    assert len(records) > 10 * BLOCK_STEPS
+    weather = winter_weather(7)
+    assert len(weather) > 10 * BLOCK_STEPS
     field_at = [datetime(2009, 7, 2, 3, 0), datetime(2009, 7, 3, 10, 17),
                 datetime(2009, 7, 5, 12, 0)]
-    res = check_against_reference(coarse_sim, records, CELL_PROBES, field_at)
+    res = check_against_reference(coarse_sim, weather, CELL_PROBES, field_at)
     assert (res.patch_area > 0.0).sum() > 2000
     assert ((res.outdoor_direct == 0.0) & (res.outdoor_global > 0.0)).sum() > 500
     assert not res.fields[field_at[0]].e_global.any()
@@ -268,9 +275,9 @@ def test_run_matches_reference_clear_winter_week(coarse_sim):
 
 def test_run_matches_reference_l_room_seven_minute_steps():
     sim = Simulator(make_l_room(), TROPICAL_SITE, cell=0.5)
-    records = winter_records(2)[:7 * 411 + 1]  # the last record on the 7-minute grid
+    weather = subset(winter_weather(2), slice(0, 7 * 411 + 1))  # the last sample on the grid
     field_at = [datetime(2009, 7, 1, 9, 6), datetime(2009, 7, 2, 15, 47)]
-    res = check_against_reference(sim, records, L_PROBES, field_at, step_minutes=7)
+    res = check_against_reference(sim, weather, L_PROBES, field_at, step_minutes=7)
     assert len(res.timestamps) == 412
     assert (res.patch_area > 0.0).sum() > 100
 
@@ -278,75 +285,86 @@ def test_run_matches_reference_l_room_seven_minute_steps():
 def test_run_matches_reference_passthrough_efficacy():
     sim = Simulator(make_canonical_room(), TROPICAL_SITE, cell=0.5,
                     efficacy=EfficacyModel(mode="passthrough"))
-    records = winter_records(1, measured_every=3)
-    res = check_against_reference(sim, records, CELL_PROBES[:2],
+    weather = winter_weather(1, measured_every=3)
+    res = check_against_reference(sim, weather, CELL_PROBES[:2],
                                   [datetime(2009, 7, 1, 12, 0), datetime(2009, 7, 1, 12, 1)])
-    noon = res.timestamps.index(datetime(2009, 7, 1, 12, 0))
-    assert res.outdoor_diffuse[noon] == pytest.approx(118.0 * records[noon].dh)
+    noon = 12 * 60
+    assert res.timestamps[noon] == np.datetime64("2009-07-01T12:00")
+    assert res.outdoor_diffuse[noon] == pytest.approx(118.0 * weather.dh[noon])
 
 
 # ---------------------------------------------------------------------------
 # Semantics of run that the batching keeps.
 
 def overcast_minutes(start, n, gh=300.0):
-    return [WeatherRecord(start + timedelta(minutes=m), gh + m % 100, gh + m % 100)
-            for m in range(n)]
+    times = np.datetime64(start, "us") + np.arange(n) * np.timedelta64(1, "m")
+    values = gh + np.arange(n) % 100
+    return WeatherSeries(times, values, values)
 
 
-def test_records_in_any_order_last_duplicate_wins(coarse_sim):
-    start = datetime(2009, 7, 15, 10, 0)
-    records = overcast_minutes(start, 40)
-    dup = WeatherRecord(start + timedelta(minutes=20), 900.0, 900.0)
-    middle = records[1:-1]
-    np.random.default_rng(3).shuffle(middle)
-    shuffled = [records[0], *middle[:10], WeatherRecord(dup.timestamp, 1.0, 1.0),
-                *middle[10:], dup, records[-1]]
-    expected = records.copy()
-    expected[20] = dup
-    a = coarse_sim.run(shuffled, probes=CELL_PROBES)
-    b = coarse_sim.run(expected, probes=CELL_PROBES)
-    assert a.timestamps == b.timestamps
-    assert np.array_equal(a.outdoor_global, b.outdoor_global)
-    assert np.array_equal(a.probe_global, b.probe_global)
+@pytest.mark.parametrize("order,message", [
+    ([0, 1, 2, 4, 3, 5], "line 6: timestamps not ascending at 2009-07-15T10:03:00"),
+    ([0, 1, 2, 2, 3, 4], "line 5: duplicate timestamp 2009-07-15T10:02:00"),
+], ids=["unordered", "duplicate"])
+def test_unordered_or_duplicate_times_raise(order, message):
+    """Samples come in strictly ascending time; the later sample of an
+    unordered or repeated pair is named."""
+    weather = overcast_minutes(datetime(2009, 7, 15, 10, 0), 6)
+    with pytest.raises(DataError, match=f"^{message}$"):
+        WeatherSeries(weather.times[order], weather.gh[order], weather.dh[order],
+                      lines=np.arange(len(order)) + 2)
+    with pytest.raises(DataError, match=f"^{message[8:]}$"):
+        WeatherSeries(weather.times[order], weather.gh[order], weather.dh[order])
 
 
 def test_start_and_end_default_to_first_and_last_given_record(coarse_sim):
     start = datetime(2009, 7, 15, 10, 0)
-    records = overcast_minutes(start, 30)
-    res = coarse_sim.run([records[5], *records[:5], *records[6:20]], step_minutes=2)
-    # from the first record given to one step past the last one given
-    assert res.timestamps[0] == records[5].timestamp
-    assert res.timestamps[-1] == records[19].timestamp
+    weather = overcast_minutes(start, 30)
+    res = coarse_sim.run(subset(weather, slice(5, 20)), step_minutes=2)
+    # from the first sample given up to and including the last one given
+    assert res.timestamps[0] == weather.times[5]
+    assert res.timestamps[-1] == weather.times[19]
     assert len(res.timestamps) == 8
-    res = coarse_sim.run(records, start=start + timedelta(minutes=3),
+    res = coarse_sim.run(weather, start=start + timedelta(minutes=3),
                          end=start + timedelta(minutes=9))
-    assert res.timestamps == [r.timestamp for r in records[3:9]]
+    assert np.array_equal(res.timestamps, weather.times[3:9])
+
+
+@pytest.mark.parametrize("step,n", [(7, 5), (60, 1), (29, 2)])
+def test_default_end_stops_at_the_last_sample(coarse_sim, step, n):
+    """Without ``end`` the run takes (last - start) // step + 1 steps, so a
+    step coarser than the samples never lands past the last one."""
+    weather = overcast_minutes(datetime(2009, 7, 15, 10, 0), 30)
+    res = coarse_sim.run(weather, step_minutes=step)
+    assert len(res.timestamps) == n
+    assert res.timestamps[-1] == weather.times[(n - 1) * step]
 
 
 def test_first_missing_record_is_named(coarse_sim):
     start = datetime(2009, 7, 15, 10, 0)
-    records = overcast_minutes(start, 1500)
-    del records[1200]
-    del records[700]
+    weather = overcast_minutes(start, 1500)
+    keep = ~np.isin(np.arange(1500), [700, 1200])
     with pytest.raises(DataError, match="no weather record for 2009-07-15T21:40:00$"):
-        coarse_sim.run(records)
+        coarse_sim.run(subset(weather, keep))
 
 
 def test_field_at_an_instant_not_visited(coarse_sim):
     start = datetime(2009, 7, 15, 10, 0)
-    records = overcast_minutes(start, 31)
+    weather = overcast_minutes(start, 31)
     off_grid = start + timedelta(minutes=3)
     after = start + timedelta(minutes=40)
     with pytest.raises(DataError, match="not visited") as err:
-        coarse_sim.run(records, step_minutes=2, field_at=[after, start, off_grid])
+        coarse_sim.run(weather, step_minutes=2, field_at=[after, start, off_grid])
     assert str(err.value).endswith("2009-07-15T10:03:00, 2009-07-15T10:40:00")
 
 
 def test_utc_offset_rejected(coarse_sim):
     start = datetime(2009, 7, 15, 10, 0)
-    records = overcast_minutes(start, 5)
+    weather = overcast_minutes(start, 5)
     aware = start.replace(tzinfo=timezone(timedelta(hours=4)))
     with pytest.raises(DataError, match="UTC offset"):
-        coarse_sim.run(records, start=aware)
+        coarse_sim.run(weather, start=aware)
     with pytest.raises(DataError, match="UTC offset"):
-        coarse_sim.run([records[0], WeatherRecord(aware, 1.0, 1.0), *records[1:]])
+        WeatherSeries([start - timedelta(minutes=1), aware], [1.0, 1.0], [1.0, 1.0])
+    with pytest.raises(DataError, match="UTC offset"):
+        coarse_sim.step(aware, 1.0, 1.0)
