@@ -2,10 +2,12 @@
 illuminance.
 
 The diffuse side rests on the standard overcast-sky daylight factor: the sky
-component (SC) and externally-reflected component (ERC) are numerical
-integrals of the CIE overcast luminance distribution L(gamma) proportional to
-(1 + 2 sin gamma)/3 over the aperture's spherical projection, and the
-internally-reflected component (IRC) uses the split-flux average formula.
+component (SC) and externally-reflected component (ERC) integrate the CIE
+overcast luminance distribution L(gamma) proportional to (1 + 2 sin gamma)/3
+over the part of the window a point sees, cut into convex pieces by the
+point's horizon, the room's other walls and the obstructions beyond the
+window (:class:`SkyKernel`), and the internally-reflected component (IRC)
+uses the split-flux average formula.
 The direct side projects each aperture along the sun direction onto the
 workplane to form the sun patch; points inside it receive the transmitted
 beam, and the patch also feeds a floor-reflected diffuse term proportional
@@ -40,6 +42,7 @@ from .geometry import (
     clip_rings,
     decompose_convex,
     signed_ring_areas,
+    split_rings,
     point_in_polygon,
     points_in_polygon_mask,
     project_polygon_along_direction,
@@ -54,7 +57,7 @@ from .solar import EfficacyModel, GeoLocation, OutdoorIlluminance, SolarState, W
 # luminance: integral of (1+2 sin g)/3 * sin g over the hemisphere = 7*pi/9.
 OVERCAST_DOME = 7.0 * math.pi / 9.0
 
-ANGULAR_STEP = 0.5                  # degrees, sky integration resolution
+CHUNK_POINTS = 512                  # points per array pass of the sky integral
 DEFAULT_LUMINANCE_FRACTION = 0.2    # obstruction luminance relative to the sky it hides
 UNOBSTRUCTED_C = 39.0               # split-flux obstruction coefficient, clear horizon
 PATCH_SCOPES = ("patch", "room")
@@ -148,14 +151,16 @@ class Room:
         self.parts: list[Polygon3] = decompose_convex(self.floor)
         self.floor_z = float(self.floor.coords[:, 2].mean())
         self.s_t = self.floor.area
-        self._aperture_outward = [self._wall_outward_for(ap) for ap in self.apertures]
+        self._aperture_outward = [self._wall_of(ap.polygon)[1] for ap in self.apertures]
 
-    def _wall_outward_for(self, ap: Aperture) -> np.ndarray:
+    def _wall_of(self, window: Polygon3) -> tuple[int, np.ndarray]:
+        """Index of the floor edge whose wall holds ``window``, and that
+        wall's outward unit normal."""
         pts = self.floor.coords
         n = len(pts)
         lo = self.floor_z - PLANARITY_TOL
         hi = self.floor_z + self.height + PLANARITY_TOL
-        apts = ap.polygon.coords
+        apts = window.coords
         if apts[:, 2].min() < lo or apts[:, 2].max() > hi:
             raise GeometryError("aperture extends beyond the wall height")
         for i in range(n):
@@ -172,11 +177,20 @@ class Room:
             s = (apts[:, 0] - a[0]) * ex + (apts[:, 1] - a[1]) * ey
             if s.min() < -PLANARITY_TOL or s.max() > length + PLANARITY_TOL:
                 continue
-            return outward
+            return i, outward
         raise GeometryError("aperture does not lie on any wall of the floor outline")
 
     def aperture_outward(self, index: int) -> np.ndarray:
         return self._aperture_outward[index]
+
+    def sky_kernel(self, window: Polygon3, obstructions) -> "SkyKernel":
+        """The sky integral of a window on one of the walls, which the other
+        walls may hide from parts of the room."""
+        wall, outward = self._wall_of(window)
+        ring = self.floor.coords[:, :2]
+        n = len(ring)
+        walls = [(ring[i], ring[(i + 1) % n]) for i in range(n) if i != wall]
+        return SkyKernel(window, outward, walls, obstructions)
 
     @property
     def perimeter(self) -> float:
@@ -213,109 +227,221 @@ def df_from_components(sc: float, erc: float, irc: float, fc: float,
     return (sc + erc + irc * fc) * mf * fr * gl * mg
 
 
-def _sky_integral(point, window: Polygon3 | None, obstructions=()) -> tuple[float, float]:
-    """Numerically integrate the overcast-sky luminance over the sky
-    directions seen through ``window`` (or the full dome when None).
+class SkyKernel:
+    """Sky and externally reflected components of one vertical window at a
+    batch of points, in chunks of ``CHUNK_POINTS``.
 
-    Returns (sc, erc): the unobstructed fraction and the fraction re-emitted
-    by obstructions, both normalized by the full-dome horizontal illuminance.
+    For each point the window is cut into convex pieces that each see one
+    thing. The window is clipped at the point's horizon. The strips that the
+    room's other walls hide are cut away: walls are full height and the
+    window vertical, so each strip is bounded by vertical lines found in
+    plan view. The rest is cut by the central projection, from the point
+    onto the window plane, of every obstruction part beyond that plane;
+    where two projections overlap, a line on the window divides the overlap
+    between them by which obstruction is nearer. A piece that sees sky adds
+    to the SC, one that sees an obstruction adds to the ERC at that
+    obstruction's luminance fraction.
+
+    Over a piece, L(g) sin(g) = (sin g + 2 sin^2 g)/3 integrates exactly
+    from the piece's corners, seen as unit vectors from the point. With
+    m = a x b and theta the angle of each edge a -> b, the first moment of
+    sin g is -1/2 sum theta m_z/|m| (Lambert's formula), and the second is
+    Omega/3 - 1/3 sum m_z (a_z + b_z)/(1 + a.b) (Arvo's axial moment), where
+    Omega is the piece's solid angle. Both are normalized by OVERCAST_DOME.
     """
-    p = np.asarray(point, dtype=float)
-    h = math.radians(ANGULAR_STEP)
 
-    if window is None:
-        g_lo, g_hi = 1e-9, math.pi / 2.0
-        f_lo, f_hi = -math.pi, math.pi
-        ref = 0.0
-        step_g = step_f = h
-    else:
-        # sample the window boundary to bound its spherical projection
-        bpts = []
-        V = window.coords
-        for i in range(len(V)):
-            a, b = V[i], V[(i + 1) % len(V)]
-            ts = np.linspace(0.0, 1.0, 97)[:-1]
-            bpts.append(a + ts[:, None] * (b - a))
-        bpts = np.vstack(bpts)
-        dirs = bpts - p
-        r = np.linalg.norm(dirs, axis=1)
-        if r.min() < 1e-9:
+    def __init__(self, window: Polygon3, outward, walls=(), obstructions=()):
+        n = np.array([outward[0], outward[1], 0.0])
+        self.normal = n / np.linalg.norm(n)
+        self.along = np.array([self.normal[1], -self.normal[0], 0.0])  # (along, normal, z) right-handed
+        self.origin = np.array([*window.coords[0, :2], 0.0])  # window coordinates (u, z) map to origin + u along + z ez
+        ring = np.column_stack(((window.coords - self.origin) @ self.along, window.coords[:, 2]))
+        self.ring = ring if signed_ring_areas(ring[None], ring[0])[0] > 0.0 else ring[::-1]
+        self.walls = np.asarray(walls, dtype=float).reshape(-1, 2, 2)
+        self.luminance = np.array([o.luminance_fraction for o in obstructions])
+        self.planes = np.array([(*o.polygon.normal, o.polygon.normal @ o.polygon.coords[0])
+                                for o in obstructions]).reshape(-1, 4)
+        # the convex obstruction parts beyond the window plane, with their obstruction
+        self.parts = []
+        for j, obs in enumerate(obstructions):
+            for part in decompose_convex(obs.polygon):
+                beyond, _ = split_rings(part.coords[None], ((part.coords - self.origin) @ self.normal)[None])
+                ring3 = beyond[0][np.any(beyond[0] != np.roll(beyond[0], 1, axis=0), axis=1)]
+                if len(ring3) >= 3:
+                    self.parts.append((ring3, j))
+
+    def __call__(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(sc, erc) at each of the (N, 3) ``points``."""
+        points = np.asarray(points, dtype=float).reshape(-1, 3)
+        sc, erc = np.zeros((2, len(points)))
+        for i in range(0, len(points), CHUNK_POINTS):
+            chunk = points[i:i + CHUNK_POINTS]
+            rings, owner, cls, (u, h, z) = self._pieces(chunk)
+            value = _piece_integrals(rings, u[owner], h[owner], z[owner])
+            sky = cls < 0
+            sc[i:i + len(chunk)] = np.bincount(owner[sky], value[sky], minlength=len(chunk))
+            erc[i:i + len(chunk)] = np.bincount(owner[~sky], value[~sky] * self.luminance[cls[~sky]],
+                                                minlength=len(chunk))
+        return sc, erc
+
+    def _pieces(self, p: np.ndarray):
+        """The pieces of the window seen from the points ``p``: their rings
+        (Q, W, 2) in (along-wall, z) window coordinates, counter-clockwise;
+        the index of the point each belongs to; what each sees (-1 sky, j
+        obstruction j); and per point its along-wall coordinate, distance in
+        front of the window plane and height."""
+        rel = p - self.origin
+        h = -(rel @ self.normal)
+        u = rel @ self.along
+        z = p[:, 2]
+        on_plane = np.abs(h) < BOUNDARY_TOL
+        if on_plane.any() and points_in_polygon_mask(u[on_plane], z[on_plane], self.ring).any():
             raise GeometryError("point lies on the aperture polygon")
-        gam = np.arcsin(np.clip(dirs[:, 2] / r, -1.0, 1.0))
-        phi = np.arctan2(dirs[:, 0], dirs[:, 1])
-        cen = window.centroid - p
-        ref = math.atan2(cen[0], cen[1])
-        dphi = (phi - ref + math.pi) % (2.0 * math.pi) - math.pi
-        if gam.max() <= 1e-9:
-            return 0.0, 0.0
-        ext_g = max(float(gam.max() - gam.min()), 1e-6)
-        ext_f = max(float(dphi.max() - dphi.min()), 1e-6)
-        step_g = min(h, ext_g / 6.0)
-        step_f = min(h, ext_f / 6.0)
-        g_lo = max(1e-9, float(gam.min()) - 4.0 * step_g)
-        g_hi = min(math.pi / 2.0, float(gam.max()) + 4.0 * step_g)
-        f_lo = float(dphi.min()) - 4.0 * step_f
-        f_hi = float(dphi.max()) + 4.0 * step_f
-        if f_hi - f_lo >= 2.0 * math.pi:
-            f_lo, f_hi = -math.pi, math.pi
-        if g_hi <= g_lo:
-            return 0.0, 0.0
+        live = np.flatnonzero(h >= BOUNDARY_TOL)  # only points in front of the window see through it
+        pl, hl, ul, zl = p[live], h[live], u[live], z[live]
 
-    ng = max(1, int(math.ceil((g_hi - g_lo) / step_g)))
-    nf = max(1, int(math.ceil((f_hi - f_lo) / step_f)))
-    dg = (g_hi - g_lo) / ng
-    df_ = (f_hi - f_lo) / nf
-    gam = g_lo + (np.arange(ng) + 0.5) * dg
-    phi = ref + f_lo + (np.arange(nf) + 0.5) * df_
-    gam, phi = np.meshgrid(gam, phi, indexing="ij")
-    gam = gam.ravel()
-    phi = phi.ravel()
-    sin_g = np.sin(gam)
-    cos_g = np.cos(gam)
-    d = np.column_stack((np.sin(phi) * cos_g, np.cos(phi) * cos_g, sin_g))
-    weight = (1.0 + 2.0 * sin_g) / 3.0 * sin_g * cos_g * dg * df_
+        rings = np.broadcast_to(self.ring, (len(live),) + self.ring.shape)
+        rings, _ = split_rings(rings, rings[:, :, 1] - zl[:, None])  # the sky above the horizon
+        rings, owner = _nonempty(rings, np.arange(len(live)))
 
-    if window is None:
-        through = np.ones(len(d), dtype=bool)
-        t_win = np.zeros(len(d))
+        lo, hi = self._wall_shadows(pl, hl, ul)
+        for k in np.flatnonzero((lo < hi).any(axis=0)):
+            cut = lo[owner, k] < hi[owner, k]
+            r, o = rings[cut], owner[cut]
+            beyond, before = split_rings(r, r[:, :, 0] - lo[o, k][:, None])
+            after, _ = split_rings(beyond, beyond[:, :, 0] - hi[o, k][:, None])
+            rings, owner = _nonempty(_stack(rings[~cut], before, after),
+                                     np.concatenate((owner[~cut], o, o)))
+
+        cls = np.full(len(owner), -1)
+        for ring3, j in self.parts:
+            rings, owner, cls = self._cut_by_part(rings, owner, cls, ring3, j, pl, hl, ul, zl)
+        return rings, live[owner], cls, (u, h, z)
+
+    def _wall_shadows(self, p, h, u) -> tuple[np.ndarray, np.ndarray]:
+        """Per point and wall, the span [lo, hi] of the window's along-wall
+        coordinate that the wall hides (lo >= hi where it hides nothing).
+        Only the part of a wall between the point and the window line can
+        hide anything; its ends project from the point onto that line."""
+        rel = self.walls[None, :, :, :] - p[:, None, None, :2]     # (n, K, 2 ends, 2)
+        depth = rel @ self.normal[:2]
+        side = rel @ self.along[:2]
+        s_lo, s_hi = np.zeros(depth.shape[:2]), np.ones(depth.shape[:2])
+        for g0, g1 in ((depth[..., 0], depth[..., 1]),
+                       (h[:, None] - depth[..., 0], h[:, None] - depth[..., 1])):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                s = g0 / (g0 - g1)
+            s_lo = np.where(g0 < 0.0, np.maximum(s_lo, np.where(g1 < 0.0, np.inf, s)), s_lo)
+            s_hi = np.where(g1 < 0.0, np.minimum(s_hi, np.where(g0 < 0.0, -np.inf, s)), s_hi)
+        ends = []
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for s in (s_lo, s_hi):
+                d = np.maximum(depth[..., 0] + s * (depth[..., 1] - depth[..., 0]), 0.0)
+                lateral = side[..., 0] + s * (side[..., 1] - side[..., 0])
+                ends.append(u[:, None] + h[:, None] * (lateral / d))
+        lo = np.maximum(np.fmin(*ends), self.ring[:, 0].min())
+        hi = np.minimum(np.fmax(*ends), self.ring[:, 0].max())
+        hidden = (s_lo < s_hi) & ~np.isnan(ends[0]) & ~np.isnan(ends[1])
+        return np.where(hidden, lo, 0.0), np.where(hidden, hi, 0.0)
+
+    def _cut_by_part(self, rings, owner, cls, ring3, j, p, h, u, z):
+        """Cut the pieces by the central projection of one obstruction part
+        onto the window plane: pieces outside it keep their class, the
+        overlap goes to obstruction j where j is nearer."""
+        q = ring3[None] - p[:, None]
+        scale = h[:, None] / (q @ self.normal)
+        proj = np.stack((u[:, None] + scale * (q @ self.along), z[:, None] + scale * q[:, :, 2]),
+                        axis=-1)
+        area = signed_ring_areas(proj, proj[:, 0])
+        proj = np.where((area < 0.0)[:, None, None], proj[:, ::-1], proj)
+        cut = (area != 0.0)[owner]
+        r, o, c = rings[cut], owner[cut], cls[cut]
+        a = proj[o]
+        e = np.roll(a, -1, axis=1) - a
+        outside = []
+        for i in range(len(ring3)):
+            side = (e[:, i, None, 0] * (r[:, :, 1] - a[:, i, None, 1])
+                    - e[:, i, None, 1] * (r[:, :, 0] - a[:, i, None, 0]))
+            r, out = split_rings(r, side)
+            outside.append(out)
+        behind = (c >= 0) & (c != j)  # overlap with another obstruction's projection
+        nearer_j, nearer_other = split_rings(r[behind], self._nearer(j, c[behind], o[behind], r[behind], p))
+        pieces = _stack(rings[~cut], *outside, r[~behind], nearer_j, nearer_other)
+        oo, ob = o[~behind], o[behind]
+        owner = np.concatenate([owner[~cut]] + [o] * len(outside) + [oo, ob, ob])
+        cls = np.concatenate([cls[~cut]] + [c] * len(outside)
+                             + [np.full(len(oo) + len(ob), j), c[behind]])
+        return _nonempty(pieces, owner, cls)
+
+    def _nearer(self, j, other, owner, rings, p) -> np.ndarray:
+        """At each vertex of the pieces, a value that is positive where
+        obstruction j is nearer than obstruction ``other`` along the ray
+        from the point through the window: the ray meets plane k at
+        t = A_k / D_k, with A_k = c_k - n_k.p and D_k = n_k.(x - p)."""
+        pts = p[owner]
+        x = (self.origin[None, None, :] + rings[:, :, :1] * self.along
+             + rings[:, :, 1:] * np.array([0.0, 0.0, 1.0]))
+        nj, ni = self.planes[j, :3], self.planes[other, :3]
+        a_j = self.planes[j, 3] - pts @ nj
+        a_i = self.planes[other, 3] - np.sum(pts * ni, axis=1)
+        d_j = np.sum((x - pts[:, None]) * nj, axis=2)
+        d_i = np.sum((x - pts[:, None]) * ni[:, None], axis=2)
+        side = np.sign(a_i * a_j)[:, None] * (a_i[:, None] * d_j - a_j[:, None] * d_i)
+        # coplanar obstructions: give the overlap to j
+        return np.where(np.all(side == 0.0, axis=1)[:, None], 1.0, side)
+
+
+def _stack(*parts: np.ndarray) -> np.ndarray:
+    """Concatenate batches of rings, padding each to the widest by repeating
+    its rows' last vertex."""
+    width = max(r.shape[1] for r in parts)
+    return np.concatenate([np.concatenate((r, np.repeat(r[:, -1:], width - r.shape[1], axis=1)),
+                                          axis=1) for r in parts])
+
+
+def _nonempty(rings: np.ndarray, *columns: np.ndarray):
+    """Keep the rings of positive area, with the matching entries of each column."""
+    keep = signed_ring_areas(rings, rings[:, 0]) > 0.0
+    return (rings[keep],) + tuple(c[keep] for c in columns)
+
+
+def _piece_integrals(rings, u, h, z) -> np.ndarray:
+    """Integral of L(g) sin(g) over the solid angle of each counter-clockwise
+    piece on the window plane, seen from a point at along-wall coordinate
+    ``u``, height ``z`` and distance ``h`` in front of the plane, over
+    OVERCAST_DOME."""
+    v = np.stack((rings[:, :, 0] - u[:, None], np.broadcast_to(h[:, None], rings.shape[:2]),
+                  rings[:, :, 1] - z[:, None]), axis=-1)
+    v /= np.linalg.norm(v, axis=2, keepdims=True)
+    w = np.roll(v, -1, axis=1)
+    m = np.cross(v, w)
+    sin = np.linalg.norm(m, axis=2)
+    cos = np.sum(v * w, axis=2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        turn = np.where(sin > 0.0, np.arctan2(sin, cos) / sin, 0.0)
+    first = -0.5 * np.sum(turn * m[:, :, 2], axis=1)
+    g = np.sum(v * v[:, :1], axis=2)
+    fan = np.arctan2(np.sum(v[:, :1] * m[:, 1:-1], axis=2), 1.0 + g[:, 1:-1] + cos[:, 1:-1] + g[:, 2:])
+    omega = np.abs(2.0 * np.sum(fan, axis=1))
+    second = (omega - np.sum(m[:, :, 2] * (v[:, :, 2] + w[:, :, 2]) / (1.0 + cos), axis=1)) / 3.0
+    return (first + 2.0 * second) / (3.0 * OVERCAST_DOME)
+
+
+def _sky_at(point, aperture, obstructions, room: Room | None) -> tuple[float, float]:
+    """(sc, erc) of one aperture at one point. With a room, its other walls
+    may hide the window; without one, the window is seen from the point's
+    side of its plane."""
+    if room is not None and not room.contains(point):
+        raise ValueError("point lies outside the room")
+    window = aperture.polygon if isinstance(aperture, Aperture) else aperture
+    p = np.asarray(point, dtype=float).reshape(1, 3)
+    if room is not None:
+        kernel = room.sky_kernel(window, obstructions)
     else:
-        n_w = window.normal
-        denom = d @ n_w
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t_win = ((window.coords[0] - p) @ n_w) / denom
-        hit = np.isfinite(t_win) & (t_win > 1e-9)
-        through = np.zeros(len(d), dtype=bool)
-        if hit.any():
-            x = p + t_win[hit, None] * d[hit]
-            x2 = window.to_plane_2d(x)
-            through[hit] = points_in_polygon_mask(
-                x2[:, 0], x2[:, 1], window._verts2d, boundary_tol=0.0
-            )
-        t_win = np.where(through, t_win, 0.0)
-
-    blocked_fraction = np.zeros(len(d))
-    t_best = np.full(len(d), np.inf)
-    for obs in obstructions:
-        n_o = obs.polygon.normal
-        denom = d @ n_o
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t_o = ((obs.polygon.coords[0] - p) @ n_o) / denom
-        cand = np.isfinite(t_o) & (t_o > 1e-9) & through & (t_o > t_win - 1e-9)
-        if not cand.any():
-            continue
-        x = p + t_o[cand, None] * d[cand]
-        x2 = obs.polygon.to_plane_2d(x)
-        inside = points_in_polygon_mask(x2[:, 0], x2[:, 1], obs.polygon._verts2d, boundary_tol=0.0)
-        idx = np.flatnonzero(cand)[inside]
-        closer = t_o[idx] < t_best[idx]
-        idx = idx[closer]
-        blocked_fraction[idx] = obs.luminance_fraction
-        t_best[idx] = t_o[idx]
-
-    blocked = np.isfinite(t_best) & (t_best < np.inf)
-    sc = float(weight[through & ~blocked].sum()) / OVERCAST_DOME
-    erc = float((weight * blocked_fraction)[through & blocked].sum()) / OVERCAST_DOME
-    return sc, erc
+        facing = float((window.coords[0] - p[0]) @ window.normal) >= 0.0
+        kernel = SkyKernel(window, window.normal if facing else -window.normal, (), obstructions)
+    sc, erc = kernel(p)
+    return float(sc[0]), float(erc[0])
 
 
 def sky_component(point, aperture, obstructions=(), room: Room | None = None) -> float:
@@ -325,20 +451,19 @@ def sky_component(point, aperture, obstructions=(), room: Room | None = None) ->
     ``aperture`` may be an :class:`Aperture`, a bare :class:`Polygon3`, or
     None for the hypothetical full-dome view (which yields 1.0).
     """
-    if room is not None and not room.contains(point):
-        raise ValueError("point lies outside the room")
-    poly = aperture.polygon if isinstance(aperture, Aperture) else aperture
-    return _sky_integral(point, poly, obstructions)[0]
+    if aperture is None:
+        if room is not None and not room.contains(point):
+            raise ValueError("point lies outside the room")
+        return 1.0
+    return _sky_at(point, aperture, obstructions, room)[0]
 
 
 def externally_reflected_component(point, aperture, obstructions,
                                    room: Room | None = None) -> float:
-    """Same integration as :func:`sky_component`, but over sky directions
-    hidden by obstructions, each weighted by its luminance fraction."""
-    if room is not None and not room.contains(point):
-        raise ValueError("point lies outside the room")
-    poly = aperture.polygon if isinstance(aperture, Aperture) else aperture
-    return _sky_integral(point, poly, obstructions)[1]
+    """Same integral as :func:`sky_component`, but over the parts of the
+    window behind which an obstruction hides the sky, each weighted by that
+    obstruction's luminance fraction."""
+    return _sky_at(point, aperture, obstructions, room)[1]
 
 
 def split_flux_irc(window_area: float, total_area: float, mean_reflectance: float,
@@ -394,9 +519,7 @@ def internally_reflected_component(room: Room, ap: Aperture) -> float:
 
 def daylight_factor(point, room: Room, ap: Aperture) -> DFBreakdown:
     """Daylight factor (as a fraction) at a point for one aperture."""
-    if not room.contains(point):
-        raise ValueError("point lies outside the room")
-    sc, erc = _sky_integral(point, ap.polygon, room.obstructions)
+    sc, erc = _sky_at(point, ap, room.obstructions, room)
     irc = internally_reflected_component(room, ap)
     df = df_from_components(sc, erc, irc, ap.fc, ap.mf, ap.fr, ap.tau, ap.mg)
     return DFBreakdown(sc=sc, erc=erc, irc=irc, df=df)
@@ -613,15 +736,13 @@ class Simulator:
         self.grid = room.workplane(cell, workplane_height)
         self.beam = BeamKernel(room, self.grid.plane_z)
         self._irc = [internally_reflected_component(room, ap) for ap in room.apertures]
+        self._sky = [room.sky_kernel(ap.polygon, room.obstructions) for ap in room.apertures]
         self.df = self._df_for_points(self.grid.points)
 
     def _df_for_points(self, points: np.ndarray) -> np.ndarray:
         total = np.zeros(len(points))
         for k, ap in enumerate(self.room.apertures):
-            sc = np.empty(len(points))
-            erc = np.empty(len(points))
-            for i, p in enumerate(points):
-                sc[i], erc[i] = _sky_integral(p, ap.polygon, self.room.obstructions)
+            sc, erc = self._sky[k](points)
             total = total + (sc + erc + self._irc[k] * ap.fc) * ap.mf * ap.fr * ap.tau * ap.mg
         return total
 
@@ -706,11 +827,11 @@ class Simulator:
         end = weather.times[-1] + 1 if end is None else np.datetime64(local_time(end), "us")
         step = np.timedelta64(step_minutes * 60_000_000, "us")
         n = int(-((first - end) // step))
+        if n <= 0:
+            raise DataError("empty simulation period (end must be after start)")
         probes = tuple((float(x), float(y)) for x, y in probes)
         probe_names = tuple(f"p{i + 1}" for i in range(len(probes)))
         probe_pts, probe_df = self._probe_df(probes)
-        if n <= 0:
-            raise DataError("empty simulation period (end must be after start)")
 
         times = first + np.arange(n) * step
         rows = np.minimum(np.searchsorted(weather.times, times), len(weather) - 1)

@@ -220,7 +220,6 @@ def clip_rings(rings: np.ndarray, clip_ccw: np.ndarray) -> np.ndarray:
     clipped away is all zeros.
     """
     m = len(clip_ccw)
-    rows = np.arange(len(rings))[:, None]
     for i in range(m):
         ax, ay = clip_ccw[i]
         bx, by = clip_ccw[(i + 1) % m]
@@ -237,19 +236,44 @@ def clip_rings(rings: np.ndarray, clip_ccw: np.ndarray) -> np.ndarray:
         with np.errstate(divide="ignore", invalid="ignore"):
             t = np.clip(-np.roll(side, 1, axis=1) / denom, 0.0, 1.0)
         t = np.where(denom == 0.0, 0.5, t)
-        # per input vertex: the intersection (if any), then the vertex (if inside)
-        n_out = crossing.astype(np.intp) + p_in
-        first = np.cumsum(n_out, axis=1) - n_out
-        count = first[:, -1] + n_out[:, -1]
-        width = max(int(count.max(initial=0)), 1)
-        out = np.zeros((len(rings), width, 2))
-        r = np.broadcast_to(rows, crossing.shape)
-        out[r[crossing], first[crossing]] = np.stack(
-            (sx + t * dx, sy + t * dy), axis=-1)[crossing]
-        out[r[p_in], first[p_in] + crossing[p_in]] = rings[p_in]
-        pad = np.minimum(np.arange(width), np.maximum(count - 1, 0)[:, None])
-        rings = out[rows, pad]
+        rings = _emit_rings(rings, np.stack((sx + t * dx, sy + t * dy), axis=-1), crossing, p_in)
     return rings
+
+
+def _emit_rings(rings: np.ndarray, cuts: np.ndarray, crossing: np.ndarray,
+                keep: np.ndarray) -> np.ndarray:
+    """One Sutherland-Hodgman output pass over a batch of rings: per input
+    vertex, the cut point of the edge that ends there (where ``crossing``),
+    then the vertex itself (where ``keep``). Rows are padded to one width
+    by repeating their last vertex; a row with nothing kept is all zeros."""
+    n_out = crossing.astype(np.intp) + keep
+    first = np.cumsum(n_out, axis=1) - n_out
+    count = first[:, -1] + n_out[:, -1]
+    width = max(int(count.max(initial=0)), 1)
+    out = np.zeros((len(rings), width, rings.shape[2]))
+    rows = np.arange(len(rings))[:, None]
+    r = np.broadcast_to(rows, crossing.shape)
+    out[r[crossing], first[crossing]] = cuts[crossing]
+    out[r[keep], first[keep] + crossing[keep]] = rings[keep]
+    pad = np.minimum(np.arange(width), np.maximum(count - 1, 0)[:, None])
+    return out[rows, pad]
+
+
+def split_rings(rings: np.ndarray, side: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cut a batch of convex rings, shape (R, W, D), each by its own line (or
+    plane), given as the value ``side`` (R, W) of an affine function at every
+    vertex. Returns the parts where side >= 0 and where side <= 0, padded as
+    :func:`clip_rings` pads; a vertex with side == 0 goes to both, so a ring
+    with an edge on the line comes back whole on its side and as that edge
+    alone, of zero area, on the other."""
+    prev = np.roll(side, 1, axis=1)
+    crossing = ((prev > 0.0) & (side < 0.0)) | ((prev < 0.0) & (side > 0.0))
+    start = np.roll(rings, 1, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.where(crossing, prev / (prev - side), 0.0)
+    cuts = start + t[..., None] * (rings - start)
+    return (_emit_rings(rings, cuts, crossing, side >= 0.0),
+            _emit_rings(rings, cuts, crossing, side <= 0.0))
 
 
 def signed_ring_areas(rings: np.ndarray, origin) -> np.ndarray:

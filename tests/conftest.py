@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sidelux.daylight import Aperture, Room, Simulator, SurfaceOptics
+from sidelux.daylight import Aperture, Obstruction, Room, Simulator, SurfaceOptics
 from sidelux.geometry import Polygon3
 from sidelux.solar import GeoLocation
 
@@ -142,3 +142,64 @@ def random_room(rng: np.random.Generator) -> tuple[Room, GeoLocation]:
         timezone=0.0,
     )
     return room, loc
+
+
+def random_l_room(rng: np.random.Generator) -> Room:
+    """A random L-shaped room (a rectangle with one corner notched out,
+    turned by a random quarter turn) with one window on a random wall of
+    its convex hull, so the re-entrant walls hide it from part of the
+    floor."""
+    w, d = rng.uniform(4.0, 8.0, 2)
+    wn, dn = w * rng.uniform(0.35, 0.65), d * rng.uniform(0.35, 0.65)
+    ring = np.array([(0, 0), (w, 0), (w, d - dn), (w - wn, d - dn), (w - wn, d), (0, d)])
+    hull_walls = (0, 1, 4, 5)
+    i = hull_walls[rng.integers(0, 4)]
+    a, b = ring[i], ring[(i + 1) % 6]
+    length = float(np.linalg.norm(b - a))
+    width = rng.uniform(0.6, min(2.0, length - 0.2))
+    start = rng.uniform(0.1, length - width - 0.1)
+    e = (b - a) / length
+    h = rng.uniform(2.5, 3.2)
+    sill = rng.uniform(0.5, 1.2)
+    head = min(sill + rng.uniform(0.6, 1.4), h - 0.1)
+    p0, p1 = a + start * e, a + (start + width) * e
+    win = [(*p0, sill), (*p1, sill), (*p1, head), (*p0, head)]
+    turn = np.array([[0, -1], [1, 0]])
+    k = int(rng.integers(0, 4))
+    rot = np.linalg.matrix_power(turn, k)
+    ring = ring @ rot.T
+    win = [(*(rot @ np.array(v[:2])), v[2]) for v in win]
+    return Room(
+        floor=Polygon3([(x, y, 0.0) for x, y in ring]),
+        height=h,
+        optics=SurfaceOptics(floor=rng.uniform(0.15, 0.3), walls=rng.uniform(0.5, 0.7),
+                             ceiling=rng.uniform(0.6, 0.8)),
+        apertures=(Aperture(Polygon3(win), tau=rng.uniform(0.7, 0.95)),),
+    )
+
+
+def with_obstructions(room: Room, rng: np.random.Generator, count: int) -> Room:
+    """The room with ``count`` random vertical rectangular obstructions in
+    front of its first window, turned up to 60 degrees from the wall and
+    kept at least 0.3 m beyond the window plane; two of them usually
+    overlap as seen through the window."""
+    ap = room.apertures[0]
+    n = room.aperture_outward(0)
+    along = np.array([n[1], -n[0], 0.0])
+    centre = ap.polygon.centroid
+    plane = float(centre @ n)
+    obstructions = []
+    while len(obstructions) < count:
+        angle = np.radians(rng.uniform(-60.0, 60.0))
+        axis = np.cos(angle) * along + np.sin(angle) * n
+        mid = centre + rng.uniform(1.0, 8.0) * n + rng.uniform(-3.0, 3.0) * along
+        half = 0.5 * rng.uniform(2.0, 10.0)
+        a, b = mid - half * axis, mid + half * axis
+        if min(a @ n, b @ n) - plane < 0.3:
+            continue
+        top = rng.uniform(1.0, 8.0)
+        obstructions.append(Obstruction(
+            Polygon3([(a[0], a[1], 0.0), (b[0], b[1], 0.0), (b[0], b[1], top), (a[0], a[1], top)]),
+            float(rng.uniform(0.1, 0.5))))
+    return Room(floor=room.floor, height=room.height, optics=room.optics,
+                apertures=room.apertures, obstructions=tuple(obstructions))

@@ -64,6 +64,132 @@ def mc_sky_fractions(point, window_rect, obstruction_rects=(), n=1_200_000, seed
     return sc, erc
 
 
+def _orient2(a, b, q):
+    q = np.asarray(q, dtype=float)
+    return (b[0] - a[0]) * (q[..., 1] - a[1]) - (b[1] - a[1]) * (q[..., 0] - a[0])
+
+
+def walls_other_than(floor_ring, window_rect):
+    """The plan wall segments of a floor ring, shape (K, 2, 2), leaving out
+    the walls on the window's line."""
+    ring = np.asarray(floor_ring, dtype=float)
+    corner = np.asarray(window_rect[0], dtype=float)[:2]
+    edge = np.asarray(window_rect[1], dtype=float)[:2]
+    tip = corner + edge
+    walls = []
+    for i in range(len(ring)):
+        a, b = ring[i], ring[(i + 1) % len(ring)]
+        if abs(_orient2(corner, tip, a)) > 1e-9 or abs(_orient2(corner, tip, b)) > 1e-9:
+            walls.append((a, b))
+    return np.array(walls).reshape(-1, 2, 2)
+
+
+def sight_classes(point, targets, walls, obstruction_rects=()):
+    """What the ray from ``point`` through each window point in ``targets``
+    meets beyond it: -2 nothing (the target is not above the point's horizon,
+    or the plan segment to it properly crosses one of ``walls``), -1 sky,
+    j the nearest obstruction rectangle j (corner, edge1, edge2, fraction)."""
+    p = np.asarray(point, dtype=float)
+    x = np.asarray(targets, dtype=float)
+    vec = x - p
+    r = np.linalg.norm(vec, axis=1)
+    dirs = vec / r[:, None]
+    cls = np.full(len(x), -1)
+    t_best = np.full(len(x), np.inf)
+    for j, (corner, e1, e2, _) in enumerate(obstruction_rects):
+        with np.errstate(invalid="ignore"):  # rays parallel to the rectangle miss it
+            hit, t = _ray_hits_rect(p, dirs, rect_frame(corner, e1, e2))
+        nearer = hit & (t > r) & (t < t_best)
+        cls[nearer] = j
+        t_best[nearer] = t[nearer]
+    hidden = dirs[:, 2] <= 0.0
+    d = x[:, :2] - p[:2]
+    for a, b in walls:
+        crosses = _orient2(a, b, p[:2]) * _orient2(a, b, x[:, :2]) < 0.0
+        straddles = ((d[:, 0] * (a[1] - p[1]) - d[:, 1] * (a[0] - p[0]))
+                     * (d[:, 0] * (b[1] - p[1]) - d[:, 1] * (b[0] - p[0]))) < 0.0
+        hidden |= crosses & straddles
+    cls[hidden] = -2
+    return cls
+
+
+def ray_cast_sky(point, window_rect, walls, obstruction_rects=(), cells=64):
+    """Sky and externally reflected components, as fractions of the
+    overcast dome, of a vertical rectangular window (corner, horizontal
+    edge1, vertical edge2): a composite two-point Gauss rule on cells x
+    cells cells over the part of the window above the point's horizon, one
+    ray per node, integrating (1 + 2 sin g)/3 sin g cos(theta_w)/r^2 dA."""
+    p = np.asarray(point, dtype=float)
+    corner, e1, e2, n = rect_frame(*window_rect)
+    if e1[2] != 0.0 or e2[0] != 0.0 or e2[1] != 0.0 or e2[2] <= 0.0:
+        raise ValueError("window edges must be horizontal, then vertical upwards")
+    bottom = min(max((p[2] - corner[2]) / e2[2], 0.0), 1.0)
+    g = 0.5 / math.sqrt(3.0)
+    s = ((np.arange(cells)[:, None] + np.array([0.5 - g, 0.5 + g])[None]) / cells).ravel()
+    su, sv = np.meshgrid(s, bottom + (1.0 - bottom) * s, indexing="ij")
+    x = corner + su.ravel()[:, None] * e1 + sv.ravel()[:, None] * e2
+    node_area = (1.0 - bottom) * float(np.linalg.norm(np.cross(e1, e2))) / (2 * cells) ** 2
+    vec = x - p
+    r = np.linalg.norm(vec, axis=1)
+    sin_g = vec[:, 2] / r
+    cos_w = np.abs(vec @ n) / r
+    f = (1.0 + 2.0 * sin_g) / 3.0 * sin_g * cos_w / r**2 * node_area / (7.0 * math.pi / 9.0)
+    cls = sight_classes(p, x, walls, obstruction_rects)
+    sc = float(f[cls == -1].sum())
+    erc = sum(float(f[cls == j].sum()) * rect[3] for j, rect in enumerate(obstruction_rects))
+    return sc, erc
+
+
+def split_flux_irc_reference(floor_ring, height, rho, window_rect, floor_z=0.0,
+                             obstruction_rects=()):
+    """Split-flux internally reflected component of one window:
+    0.85 W / (A (1 - R)) (C R_fw + 5 R_cw) / 100, with C = 39 reduced
+    linearly to 0 as the mean obstruction elevation seen from the window
+    centre reaches 80 degrees."""
+    ring = np.asarray(floor_ring, dtype=float)
+    x, y = ring[:, 0], ring[:, 1]
+    floor = abs(0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)))
+    perimeter = float(np.linalg.norm(np.roll(ring, -1, axis=0) - ring, axis=1).sum())
+    rho_floor, rho_walls, rho_ceiling = rho
+    walls = perimeter * height
+    total = 2.0 * floor + walls
+    corner, e1, e2, _ = rect_frame(*window_rect)
+    centre = corner + 0.5 * (e1 + e2)
+    below = perimeter * min(max(float(centre[2]) - floor_z, 0.0), height)
+    above = walls - below
+    r_mean = (rho_floor * floor + rho_ceiling * floor + rho_walls * walls) / total
+    r_low = (rho_floor * floor + rho_walls * below) / (floor + below)
+    r_up = (rho_ceiling * floor + rho_walls * above) / (floor + above)
+    c = 39.0
+    if obstruction_rects:
+        angles = []
+        for o_corner, o1, o2, _ in obstruction_rects:
+            o_corner, o1, o2 = (np.asarray(v, dtype=float) for v in (o_corner, o1, o2))
+            o_centre = o_corner + 0.5 * (o1 + o2)
+            top = max(o_corner[2], (o_corner + o1)[2], (o_corner + o2)[2], (o_corner + o1 + o2)[2])
+            horiz = max(math.hypot(o_centre[0] - centre[0], o_centre[1] - centre[1]), 1e-9)
+            angles.append(max(0.0, math.degrees(math.atan2(top - centre[2], horiz))))
+        c = 39.0 * max(0.0, 1.0 - min(sum(angles) / len(angles), 80.0) / 80.0)
+    area = float(np.linalg.norm(np.cross(e1, e2)))
+    return 0.85 * area / (total * (1.0 - r_mean)) * (c * r_low + 5.0 * r_up) / 100.0
+
+
+def ray_cast_daylight_factor(point, room, cells=64):
+    """Daylight factor of a room given as plain data: ``floor`` (n, 2) plan
+    ring at ``floor_z``, ``height``, ``rho`` (floor, walls, ceiling),
+    ``windows`` as (rect, (tau, mf, fr, mg, fc)) and ``obstructions`` as
+    rectangles with a luminance fraction. Each window's sky and externally
+    reflected components come from :func:`ray_cast_sky`."""
+    total = 0.0
+    for rect, (tau, mf, fr, mg, fc) in room["windows"]:
+        walls = walls_other_than(room["floor"], rect)
+        sc, erc = ray_cast_sky(point, rect, walls, room["obstructions"], cells)
+        irc = split_flux_irc_reference(room["floor"], room["height"], room["rho"], rect,
+                                       room["floor_z"], room["obstructions"])
+        total += (sc + erc + irc * fc) * mf * fr * tau * mg
+    return total
+
+
 def _even_odd_mask(px, py, ring):
     inside = np.zeros(px.shape, dtype=bool)
     m = len(ring)
