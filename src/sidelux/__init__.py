@@ -10,13 +10,9 @@ from .daylight import (
     PeriodResult,
     Room,
     Simulator,
-    SunPatch,
     SurfaceOptics,
-    compute_sun_patch,
     daylight_factor,
     df_from_components,
-    diffuse_at_point,
-    direct_at_point,
     externally_reflected_component,
     internally_reflected_component,
     sky_component,
@@ -35,8 +31,6 @@ from .geometry import (
     clip_polygon,
     decompose_convex,
     make_workplane_grid,
-    point_in_polygon,
-    project_polygon_along_direction,
 )
 from .metrics import (
     SeriesPair,

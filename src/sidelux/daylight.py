@@ -1,4 +1,4 @@
-"""Daylight-factor components, sun-patch geometry and per-point workplane
+"""Daylight-factor components, the sun patch and per-point workplane
 illuminance.
 
 The diffuse side rests on the standard overcast-sky daylight factor: the sky
@@ -8,10 +8,11 @@ over the part of the window a point sees, cut into convex pieces by the
 point's horizon, the room's other walls and the obstructions beyond the
 window (:class:`SkyKernel`), and the internally-reflected component (IRC)
 uses the split-flux average formula.
-The direct side projects each aperture along the sun direction onto the
-workplane to form the sun patch; points inside it receive the transmitted
-beam, and the patch also feeds a floor-reflected diffuse term proportional
-to its share of the floor area.
+The direct side projects every aperture along the sun direction onto the
+workplane and clips the image to the floor, for a batch of steps at once
+(:class:`BeamKernel`); that is the sun patch. Points inside it receive the
+transmitted beam, and the patch also feeds a floor-reflected diffuse term
+proportional to its share of the floor area.
 
 Per point p, with outdoor global/diffuse/direct horizontal illuminances:
 
@@ -43,10 +44,9 @@ from .geometry import (
     decompose_convex,
     signed_ring_areas,
     split_rings,
-    point_in_polygon,
     points_in_polygon_mask,
     project_polygon_along_direction,
-    clip_polygon,
+    clip_polygon,  # not used here: perfbench's tracer self-test rebinds it in this module
     workplane_grid_for_parts,
 )
 from .metrics import hour_groups
@@ -525,64 +525,19 @@ def daylight_factor(point, room: Room, ap: Aperture) -> DFBreakdown:
     return DFBreakdown(sc=sc, erc=erc, irc=irc, df=df)
 
 
-@dataclass(frozen=True, eq=False)
-class SunPatch:
-    """Sunlit region on the workplane: the aperture projected along the sun
-    direction and clipped to the floor. May consist of several convex
-    pieces when the floor was decomposed."""
-
-    pieces: tuple[Polygon3, ...]
-    area: float
-
-    @classmethod
-    def empty(cls) -> "SunPatch":
-        return cls((), 0.0)
-
-    def __bool__(self) -> bool:
-        return self.area > 0.0
-
-    def contains(self, point) -> bool:
-        return any(point_in_polygon(point, piece) for piece in self.pieces)
-
-
-def compute_sun_patch(room: Room, ap: Aperture, sun: SolarState, plane_z: float) -> SunPatch:
-    """Project an aperture along the sun direction onto the plane
-    z = ``plane_z`` and clip the image against the floor.
-
-    Empty when the sun is below the horizon or behind the aperture's wall.
-    """
-    if sun.altitude <= 0.0:
-        return SunPatch.empty()
-    outward = room.aperture_outward(room.apertures.index(ap))
-    d = sun.direction
-    if float(d @ outward) >= -1e-9:
-        return SunPatch.empty()
-    img = project_polygon_along_direction(ap.polygon, d, plane_z)
-    if img is None:
-        return SunPatch.empty()
-    pieces = []
-    area = 0.0
-    for part in room.parts:
-        piece = clip_polygon(img, part.at_z(plane_z))
-        if piece is not None:
-            pieces.append(piece)
-            area += piece.area
-    if not pieces:
-        return SunPatch.empty()
-    return SunPatch(tuple(pieces), area)
-
-
 class BeamKernel:
     """The sun patches of all apertures for a batch of sun directions.
 
-    Per step and aperture it projects the window along the sun direction d
-    onto the plane z = ``plane_z``, clips the image against every convex
-    floor part (:func:`~sidelux.geometry.clip_rings`) and tests which of the
-    given points the image covers. The rules are those of
-    :func:`compute_sun_patch`: a patch needs the sun above the horizon,
-    d . n_out < -1e-9, |d_z| > PARALLEL_TOL and no vertex projected
-    backwards; pieces of at most EMPTY_AREA count as empty, and the pieces'
-    areas are summed over the floor parts.
+    Per step and aperture it slides the window along the unit sun direction
+    d (from the sun toward the ground) onto the plane z = ``plane_z`` and
+    clips the image against every convex floor part. A window casts a patch
+    only when the sun is above the horizon, the light enters through it
+    (d . n_out < -1e-9, n_out its wall's outward normal), |d_z| >
+    PARALLEL_TOL and no vertex travels backwards (t >= -1e-9 along d). A
+    clipped piece of at most EMPTY_AREA counts as empty; the patch area sums
+    the pieces. A point is lit when the patch is non-empty and the point is
+    in the image, edges within BOUNDARY_TOL included. Nothing shades the
+    beam: other walls and obstructions do not cut the image.
     """
 
     def __init__(self, room: Room, plane_z: float):
@@ -613,11 +568,9 @@ class BeamKernel:
         facing = np.sum(direction[:, None, :] * self.outward[None], axis=2) < -1e-9
         ok = facing & ((altitude > 0.0) & (np.abs(d[:, 2]) > PARALLEL_TOL))[:, None]
         b, k = np.nonzero(ok)
-        win = self.windows[k]
-        t = (self.plane_z - win[:, :, 2]) / d[b, 2][:, None]
+        images, t = project_polygon_along_direction(self.windows[k], d[b], self.plane_z)
         forward = np.all(t >= -1e-9, axis=1)
-        b, k, win, t = b[forward], k[forward], win[forward], t[forward]
-        images = win[:, :, :2] + t[:, :, None] * d[b][:, None, :2]
+        b, k, images = b[forward], k[forward], images[forward]
 
         area = np.zeros(len(b))
         for part in self.parts:
@@ -637,29 +590,12 @@ class BeamKernel:
         return areas, lit
 
 
-def diffuse_at_point(point, df: float, outdoor: OutdoorIlluminance, patch: SunPatch | None,
-                     room: Room, scope: str = "patch") -> float:
-    """Diffuse illuminance at a point: the daylight-factor part plus, when a
-    sun patch exists, the floor-reflected patch contribution."""
-    if room.s_t <= 0.0:
-        raise ConfigError("room floor area is zero")
-    value = df * outdoor.e_global
-    if (
-        patch is not None
-        and patch.area > 0.0
-        and outdoor.e_direct > 0.0
-        and (scope == "room" or patch.contains(point))
-    ):
-        value += outdoor.e_direct * room.optics.floor * patch.area / room.s_t
-    return value
-
-
-def direct_at_point(point, patch: SunPatch | None, outdoor: OutdoorIlluminance,
-                    ap: Aperture) -> float:
-    """Transmitted beam illuminance: nonzero only inside the sun patch."""
-    if patch is None or patch.area <= 0.0 or outdoor.e_direct <= 0.0:
-        return 0.0
-    return outdoor.e_direct * ap.tau if patch.contains(point) else 0.0
+def compute_sun_patch(room: Room, ap: Aperture, sun: SolarState, plane_z: float) -> float:
+    """Sun patch area (m^2) of one aperture for one sun position on the plane
+    z = ``plane_z``: a batch of one through :class:`BeamKernel`."""
+    areas, _ = BeamKernel(room, plane_z)(np.array([sun.altitude]), sun.direction[None],
+                                         np.zeros((0, 2)))
+    return float(areas[0, room.apertures.index(ap)])
 
 
 @dataclass(eq=False)
@@ -743,7 +679,8 @@ class Simulator:
         total = np.zeros(len(points))
         for k, ap in enumerate(self.room.apertures):
             sc, erc = self._sky[k](points)
-            total = total + (sc + erc + self._irc[k] * ap.fc) * ap.mf * ap.fr * ap.tau * ap.mg
+            total = total + df_from_components(sc, erc, self._irc[k], ap.fc,
+                                               ap.mf, ap.fr, ap.tau, ap.mg)
         return total
 
     def _illuminance(self, altitude: np.ndarray, direction: np.ndarray, e_global: np.ndarray,
@@ -820,6 +757,8 @@ class Simulator:
         """
         if step_minutes < 1:
             raise ConfigError("step must be at least one minute")
+        if step_minutes > np.iinfo(np.int64).max // 60_000_000:  # microseconds must fit int64
+            raise ConfigError(f"step of {step_minutes} minutes is too long")
         if len(weather) == 0:
             raise DataError("empty weather series")
         first = weather.times[0] if start is None else np.datetime64(local_time(start), "us")

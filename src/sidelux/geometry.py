@@ -89,12 +89,6 @@ class Polygon3:
         tol = 1e-12 * max(1.0, float(np.abs(v2).max()) ** 2)
         return bool(np.all(cross >= -tol) or np.all(cross <= tol))
 
-    def at_z(self, z: float) -> "Polygon3":
-        """Copy of a horizontal polygon moved to the plane z = ``z``."""
-        pts = self.coords.copy()
-        pts[:, 2] = z
-        return Polygon3(pts)
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"Polygon3({len(self.coords)} vertices, area={self.area:.4g} m^2)"
 
@@ -130,31 +124,14 @@ def _ring_self_intersects(v2: np.ndarray) -> bool:
     return False
 
 
-def project_polygon_along_direction(poly: Polygon3, direction, plane_z: float) -> Polygon3 | None:
-    """Slide each vertex along ``direction`` until it reaches the horizontal
-    plane z = ``plane_z``.
-
-    Returns None when the direction is (near) parallel to the plane, when the
-    projection would have to travel backwards (the plane lies "behind" the
-    polygon along the direction), or when the image collapses to a sliver.
-    """
-    d = np.asarray(direction, dtype=float)
-    nrm = float(np.linalg.norm(d))
-    if nrm == 0.0:
-        raise ValueError("projection direction must be non-zero")
-    d = d / nrm
-    if abs(d[2]) <= PARALLEL_TOL:
-        return None
-    pts = poly.coords
-    t = (plane_z - pts[:, 2]) / d[2]
-    if np.any(t < -1e-9):
-        return None
-    img = pts + t[:, None] * d
-    img[:, 2] = plane_z
-    try:
-        return Polygon3(img)
-    except GeometryError:
-        return None
+def project_polygon_along_direction(rings: np.ndarray, directions: np.ndarray,
+                                    plane_z: float) -> tuple[np.ndarray, np.ndarray]:
+    """Slide every vertex of a batch of 3-D rings, shape (R, W, 3), along its
+    ring's direction (R, 3) until it reaches the plane z = ``plane_z``: the
+    plan images (R, W, 2) and the distance (R, W) each vertex travelled in
+    units of its direction's length, negative where it went backwards."""
+    t = (plane_z - rings[:, :, 2]) / directions[:, 2][:, None]
+    return rings[:, :, :2] + t[:, :, None] * directions[:, None, :2], t
 
 
 def clip_polygon(subject: Polygon3, clip: Polygon3) -> Polygon3 | None:
@@ -306,16 +283,6 @@ def _dedupe_ring(pts: Sequence[tuple[float, float]]) -> list[tuple[float, float]
     while len(out) > 1 and abs(out[0][0] - out[-1][0]) < 1e-12 and abs(out[0][1] - out[-1][1]) < 1e-12:
         out.pop()
     return out
-
-
-def point_in_polygon(point, poly: Polygon3) -> bool:
-    """Closed-region containment test for one point on the polygon's plane
-    (see :func:`points_in_polygon_mask`)."""
-    p = np.asarray(point, dtype=float)
-    if abs(float((p - poly.coords[0]) @ poly.normal)) > PLANARITY_TOL:
-        raise GeometryError("point does not lie on the polygon's plane")
-    q = poly.to_plane_2d(p)
-    return bool(points_in_polygon_mask(q[:, 0], q[:, 1], poly._verts2d)[0])
 
 
 def points_in_polygon_mask(px: np.ndarray, py: np.ndarray, v2: np.ndarray,

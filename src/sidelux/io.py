@@ -233,18 +233,26 @@ class BuildingDescription:
     patch_scope: str
 
 
+def _typed(node, kind: type, where: str):
+    """``node`` when it is a JSON object (``kind`` dict) or list."""
+    if not isinstance(node, kind):
+        raise ConfigError(f"{where}: expected {'an object' if kind is dict else 'a list'}")
+    return node
+
+
 def _require(mapping: dict, key: str, where: str):
-    if key not in mapping:
+    if key not in _typed(mapping, dict, where):
         raise ConfigError(f"{where}.{key}: missing required field")
     return mapping[key]
 
 
 def _number(mapping: dict, key: str, where: str, default: float | None = None) -> float:
     """``mapping[key]`` as a finite float; required when there is no default."""
+    mapping = _typed(mapping, dict, where)
     raw = _require(mapping, key, where) if default is None else mapping.get(key, default)
     try:
         value = float(raw)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{where}.{key}: {raw!r} is not a number") from None
     if not math.isfinite(value):
         raise ConfigError(f"{where}.{key}: {value} is not a finite number")
@@ -292,7 +300,7 @@ def parse_building(path) -> BuildingDescription:
     height = _number(room_d, "height", "room")
 
     refl = {}
-    for i, s in enumerate(_require(room_d, "surfaces", "room")):
+    for i, s in enumerate(_typed(_require(room_d, "surfaces", "room"), list, "room.surfaces")):
         role = _require(s, "role", f"room.surfaces[{i}]")
         value = _number(s, "reflectance", f"room.surfaces[{i}]")
         if not 0.0 <= value <= 1.0:
@@ -306,7 +314,7 @@ def parse_building(path) -> BuildingDescription:
     optics = SurfaceOptics(floor=refl["floor"], walls=refl["walls"], ceiling=refl["ceiling"])
 
     apertures = []
-    for i, a in enumerate(room_d.get("apertures", [])):
+    for i, a in enumerate(_typed(room_d.get("apertures", []), list, "room.apertures")):
         where = f"room.apertures[{i}]"
         poly = _vertices(_require(a, "vertices", where), f"{where}.vertices")
         factors = dict(
@@ -322,7 +330,7 @@ def parse_building(path) -> BuildingDescription:
             raise type(exc)(f"{where}: {exc}") from None
 
     obstructions = []
-    for i, o in enumerate(data.get("obstructions", [])):
+    for i, o in enumerate(_typed(data.get("obstructions", []), list, "obstructions")):
         where = f"obstructions[{i}]"
         poly = _vertices(_require(o, "vertices", where), f"{where}.vertices")
         fraction = _number(o, "luminance_fraction", where, 0.2)

@@ -231,9 +231,6 @@ class OutdoorIlluminance:
     def from_components(cls, diffuse: float, direct: float) -> "OutdoorIlluminance":
         return cls(diffuse + direct, diffuse, direct)
 
-    def scaled(self, factor: float) -> "OutdoorIlluminance":
-        return OutdoorIlluminance.from_components(self.e_diffuse * factor, self.e_direct * factor)
-
 
 def outdoor_illuminance(altitude: np.ndarray, gh: np.ndarray, dh: np.ndarray,
                         eff: EfficacyModel, ev_global: np.ndarray,

@@ -147,8 +147,7 @@ def split_flux_irc_reference(floor_ring, height, rho, window_rect, floor_z=0.0,
     linearly to 0 as the mean obstruction elevation seen from the window
     centre reaches 80 degrees."""
     ring = np.asarray(floor_ring, dtype=float)
-    x, y = ring[:, 0], ring[:, 1]
-    floor = abs(0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)))
+    floor = shoelace_area(ring)
     perimeter = float(np.linalg.norm(np.roll(ring, -1, axis=0) - ring, axis=1).sum())
     rho_floor, rho_walls, rho_ceiling = rho
     walls = perimeter * height
@@ -201,6 +200,93 @@ def _even_odd_mask(px, py, ring):
             xi = ax + (py - ay) * (bx - ax) / (by - ay)
             inside ^= cond & (px < xi)
     return inside
+
+
+def _line_intervals(ring, y):
+    """The intervals of the horizontal line at height ``y`` inside a simple
+    ring (even-odd)."""
+    a, b = ring, np.roll(ring, -1, axis=0)
+    cross = (a[:, 1] > y) != (b[:, 1] > y)
+    xs = np.sort(a[cross, 0] + (y - a[cross, 1]) * (b[cross, 0] - a[cross, 0])
+                 / (b[cross, 1] - a[cross, 1]))
+    return xs.reshape(-1, 2)
+
+
+def overlap_area(ring_a, ring_b):
+    """Exact area of the intersection of two simple 2-D polygons by
+    scanlines: the overlap length of a horizontal line is linear in y
+    between the vertex heights and the heights where an edge of one ring
+    crosses an edge of the other, so the midpoint rule on each such slab is
+    exact."""
+    a = np.asarray(ring_a, dtype=float)
+    b = np.asarray(ring_b, dtype=float)
+    p, r = a[:, None], (np.roll(a, -1, axis=0) - a)[:, None]
+    q, s = b[None], (np.roll(b, -1, axis=0) - b)[None]
+    den = r[..., 0] * s[..., 1] - r[..., 1] * s[..., 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = ((q[..., 0] - p[..., 0]) * s[..., 1] - (q[..., 1] - p[..., 1]) * s[..., 0]) / den
+        u = ((q[..., 0] - p[..., 0]) * r[..., 1] - (q[..., 1] - p[..., 1]) * r[..., 0]) / den
+        y_cross = p[..., 1] + t * r[..., 1]
+    crossing = (t > 0.0) & (t < 1.0) & (u > 0.0) & (u < 1.0)
+    lo = max(a[:, 1].min(), b[:, 1].min())
+    hi = min(a[:, 1].max(), b[:, 1].max())
+    ys = np.concatenate((a[:, 1], b[:, 1], y_cross[crossing], [lo, hi]))
+    ys = np.unique(ys[(ys >= lo) & (ys <= hi)])
+    area = 0.0
+    for y0, y1 in zip(ys[:-1], ys[1:]):
+        y = 0.5 * (y0 + y1)
+        for a0, a1 in _line_intervals(a, y):
+            for b0, b1 in _line_intervals(b, y):
+                area += (y1 - y0) * max(0.0, min(a1, b1) - max(a0, b0))
+    return area
+
+
+def shoelace_area(ring):
+    ring = np.asarray(ring, dtype=float)
+    x, y = ring[:, 0], ring[:, 1]
+    return abs(0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)))
+
+
+def beam_image(floor, window, d, plane_z):
+    """Plan ring of a vertical convex window (m, 3) slid along the sun
+    direction ``d`` (from the sun toward the ground) onto the plane
+    z = ``plane_z``, or None when no beam passes the window onto the floor.
+
+    The conventions the engine states for the beam: the light must enter the
+    room through the window (d . n_out < -1e-9, with n_out the horizontal
+    normal pointing away from the ``floor`` ring), the sun must be above the
+    horizon and not grazing (d_z < -1e-9 for unit d), and no vertex may
+    travel backwards to reach the plane (t >= -1e-9)."""
+    d = np.asarray(d, dtype=float) / np.linalg.norm(d)
+    w = np.asarray(window, dtype=float)
+    floor = np.asarray(floor, dtype=float)
+    n = np.cross(w[1] - w[0], w[2] - w[0])
+    n = np.array([n[0], n[1]]) / np.hypot(n[0], n[1])
+    centre = w[:, :2].mean(axis=0)
+    step = centre + 1e-3 * n
+    if _even_odd_mask(step[:1], step[1:], floor)[0]:
+        n = -n
+    if d[:2] @ n >= -1e-9 or d[2] >= -1e-9:
+        return None
+    t = (plane_z - w[:, 2]) / d[2]
+    if np.any(t < -1e-9):
+        return None
+    return w[:, :2] + t[:, None] * d[:2]
+
+
+def beam_patch(floor, window, d, plane_z, points=()):
+    """The sun patch of one window on the plane z = ``plane_z``: the exact
+    area of (image of :func:`beam_image`) intersected with the floor ring,
+    zero when it is at most 1e-12 m^2, and whether each (x, y) point lies
+    in both (even-odd, boundary undecided) while the patch is non-empty.
+    Nothing shades the beam."""
+    points = np.asarray(points, dtype=float).reshape(-1, 2)
+    image = beam_image(floor, window, d, plane_z)
+    area = 0.0 if image is None else overlap_area(image, floor)
+    if area <= 1e-12:
+        return 0.0, np.zeros(len(points), dtype=bool)
+    px, py = points[:, 0], points[:, 1]
+    return area, _even_odd_mask(px, py, image) & _even_odd_mask(px, py, np.asarray(floor))
 
 
 def rasterized_overlap_area(ring_a, ring_b, res=0.001):

@@ -15,10 +15,10 @@ from conftest import random_room, same_weather
 from oracles import loop_metrics, mc_sky_fractions
 from sidelux.daylight import (
     Aperture,
+    BeamKernel,
     Room,
     Simulator,
     SurfaceOptics,
-    compute_sun_patch,
     df_from_components,
     sky_component,
 )
@@ -35,7 +35,8 @@ from sidelux.metrics import (
     rmsd,
     rsd,
 )
-from sidelux.solar import GeoLocation, SolarState, WeatherSeries, sun_position
+from sidelux.solar import GeoLocation, OutdoorIlluminance, SolarState, WeatherSeries, \
+    sun_position
 from test_io import TMY2_HEADER, tmy2_line
 
 DATA = Path(__file__).parent / "data"
@@ -91,13 +92,13 @@ def test_c04_sun_patch_analytic():
     room = Room(floor=floor, height=2.8, optics=SurfaceOptics(0.2, 0.6, 0.6),
                 apertures=(Aperture(win),))
     sun = SolarState.from_angles(45.0, 180.0)
-    patch = compute_sun_patch(room, room.apertures[0], sun, 0.0)
-    assert patch.area == pytest.approx(1.0, abs=1e-6)
-    pts = np.vstack([p.coords for p in patch.pieces])
-    assert pts[:, 1].min() == pytest.approx(1.0, abs=1e-6)
-    assert pts[:, 1].max() == pytest.approx(2.0, abs=1e-6)
-    assert pts[:, 0].min() == pytest.approx(1.5, abs=1e-6)
-    assert pts[:, 0].max() == pytest.approx(2.5, abs=1e-6)
+    # probes 1e-6 m inside, then outside, each edge x = 1.5, x = 2.5, y = 1, y = 2
+    edges = np.array([(1.5, 1.5), (2.5, 1.5), (2.0, 1.0), (2.0, 2.0)])
+    step = 1e-6 * np.array([(1, 0), (-1, 0), (0, 1), (0, -1)])
+    areas, lit = BeamKernel(room, 0.0)(np.array([sun.altitude]), sun.direction[None],
+                                       np.concatenate((edges + step, edges - step)))
+    assert areas[0, 0] == pytest.approx(1.0, abs=1e-6)
+    assert lit[0, 0].tolist() == [True] * 4 + [False] * 4
 
 
 def test_c05_sky_component_oracle():
@@ -194,7 +195,9 @@ def test_c09_linearity(canonical_sim):
     base = canonical_sim.step(datetime(2009, 7, 15, 10, 0), 600.0, 150.0)
     assert base.patch_area > 0.0  # exercise all three terms
     for lam in (0.5, 2.0, 10.0):
-        scaled = canonical_sim.evaluate(base.outdoor.scaled(lam), base.sun)
+        out = OutdoorIlluminance.from_components(lam * base.outdoor.e_diffuse,
+                                                 lam * base.outdoor.e_direct)
+        scaled = canonical_sim.evaluate(out, base.sun)
         for a, b in (
             (scaled.e_diffuse, base.e_diffuse),
             (scaled.e_direct, base.e_direct),

@@ -1,3 +1,4 @@
+import json
 from datetime import datetime, timedelta
 from pathlib import Path
 
@@ -265,6 +266,24 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as err:
             main(["frobnicate"])
         assert err.value.code == 2
+
+    def test_building_node_of_wrong_type_exits_2(self, tmp_path, capsys):
+        data = json.loads(BUILDING_JSON % {"cell": "0.5"})
+        data["room"]["surfaces"] = [5]
+        building = tmp_path / "b.json"
+        building.write_text(json.dumps(data), encoding="utf-8")
+        code = main(["dfmap", "--building", str(building), "--out", str(tmp_path / "df.txt")])
+        assert code == 2
+        assert "error: room.surfaces[0]: expected an object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("step", ["0", "1000000000000000"])
+    def test_step_out_of_range_exits_2(self, tmp_path, building_file, capsys, step):
+        weather = overcast_day_csv(tmp_path / "w.csv")
+        code = main(["simulate", "--building", str(building_file), "--weather", str(weather),
+                     "--out", str(tmp_path / "run"), "--step", step])
+        assert code == 2
+        assert "error: step" in capsys.readouterr().err
+        assert not (tmp_path / "run_summary.csv").exists()
 
     def test_internal_building_error_is_input_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

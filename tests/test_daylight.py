@@ -4,26 +4,25 @@ import numpy as np
 import pytest
 
 from conftest import TROPICAL_SITE, make_canonical_room
-from oracles import mc_sky_fractions, rasterized_overlap_area
+from oracles import (beam_image, beam_patch, mc_sky_fractions, overlap_area,
+                     rasterized_overlap_area, shoelace_area)
 from sidelux.errors import ConfigError, DataError, GeometryError
 from sidelux.daylight import (
     Aperture,
+    BeamKernel,
     Obstruction,
     Room,
     Simulator,
-    SunPatch,
     SurfaceOptics,
     compute_sun_patch,
     daylight_factor,
     df_from_components,
-    diffuse_at_point,
-    direct_at_point,
     externally_reflected_component,
     internally_reflected_component,
     sky_component,
     split_flux_irc,
 )
-from sidelux.geometry import Polygon3, project_polygon_along_direction
+from sidelux.geometry import Polygon3
 from sidelux.solar import EfficacyModel, OutdoorIlluminance, SolarState, WeatherSeries
 
 WINDOW = Polygon3([(1.5, 0, 0.8), (2.5, 0, 0.8), (2.5, 0, 1.8), (1.5, 0, 1.8)])
@@ -165,54 +164,69 @@ class TestDaylightFactor:
         assert all(a > b for a, b in zip(values, values[1:]))
 
 
+def square_room(window: Polygon3) -> Room:
+    floor = Polygon3([(0, 0, 0), (4, 0, 0), (4, 4, 0), (0, 4, 0)])
+    return Room(floor=floor, height=2.8, optics=SurfaceOptics(0.2, 0.6, 0.6),
+                apertures=(Aperture(window),))
+
+
+SOUTH_WINDOW = Polygon3([(1.5, 0, 1), (2.5, 0, 1), (2.5, 0, 2), (1.5, 0, 2)])
+SUN_45_SOUTH = SolarState.from_angles(45.0, 180.0)
+
+
 class TestSunPatch:
     def test_night_empty(self):
         room = make_canonical_room("south")
         sun = SolarState.from_angles(-5.0, 180.0)
-        patch = compute_sun_patch(room, room.apertures[0], sun, 0.0)
-        assert patch.area == 0.0 and not patch
+        assert compute_sun_patch(room, room.apertures[0], sun, 0.0) == 0.0
 
     def test_sun_behind_wall_empty(self):
         room = make_canonical_room("south")  # window faces -y (south)
         sun = SolarState.from_angles(45.0, 0.0)  # sun due north
-        patch = compute_sun_patch(room, room.apertures[0], sun, 0.0)
-        assert patch.area == 0.0
+        assert compute_sun_patch(room, room.apertures[0], sun, 0.0) == 0.0
+        # a window on the re-entrant wall x = 2 of an L faces the notch; with
+        # the sun behind that wall its image lands on the floor's other wing
+        ell = Polygon3([(0, 0, 0), (4, 0, 0), (4, 2, 0), (2, 2, 0), (2, 4, 0), (0, 4, 0)])
+        win = Polygon3([(2, 2.5, 0.8), (2, 3.5, 0.8), (2, 3.5, 1.8), (2, 2.5, 1.8)])
+        room = Room(floor=ell, height=2.5, optics=SurfaceOptics(0.2, 0.6, 0.6),
+                    apertures=(Aperture(win),))
+        sun = SolarState.from_angles(30.0, 330.0)  # light heads south-south-east, out through x = 2
+        t = (0.01 - win.coords[:, 2:]) / sun.direction[2]
+        image = win.coords[:, :2] + t * sun.direction[:2]
+        assert overlap_area(image, ell.coords[:, :2]) > 0.1
+        assert compute_sun_patch(room, room.apertures[0], sun, 0.01) == 0.0
 
     def test_analytic_45_degree_case(self):
-        floor = Polygon3([(0, 0, 0), (4, 0, 0), (4, 4, 0), (0, 4, 0)])
-        win = Polygon3([(1.5, 0, 1), (2.5, 0, 1), (2.5, 0, 2), (1.5, 0, 2)])
-        room = Room(floor=floor, height=2.8, optics=SurfaceOptics(0.2, 0.6, 0.6),
-                    apertures=(Aperture(win),))
-        sun = SolarState.from_angles(45.0, 180.0)
-        patch = compute_sun_patch(room, room.apertures[0], sun, 0.0)
-        assert patch.area == pytest.approx(1.0, abs=1e-6)
-        ys = np.vstack([p.coords for p in patch.pieces])[:, 1]
-        assert ys.min() == pytest.approx(1.0, abs=1e-6)
-        assert ys.max() == pytest.approx(2.0, abs=1e-6)
+        """The beam reaches exactly the grid points of the 1 m^2 patch
+        spanning x 1.5-2.5 and y 1-2."""
+        sim = Simulator(square_room(SOUTH_WINDOW), TROPICAL_SITE, cell=0.25, workplane_height=0.0)
+        fld = sim.evaluate(OutdoorIlluminance.from_components(0.0, 60000.0), SUN_45_SOUTH)
+        assert fld.patch_area == pytest.approx(1.0, abs=1e-6)
+        x, y = sim.grid.points[:, 0], sim.grid.points[:, 1]
+        inside = (x > 1.5) & (x < 2.5) & (y > 1.0) & (y < 2.0)
+        assert inside.sum() == 16
+        assert np.array_equal(fld.e_direct > 0.0, inside)
 
     def test_low_sun_clipped_against_raster_oracle(self, canonical_room):
         room = canonical_room  # window on y=3.5 facing north
         sun = SolarState.from_angles(20.0, 0.0)
         plane_z = 0.01
-        ap = room.apertures[0]
-        img = project_polygon_along_direction(ap.polygon, sun.direction, plane_z)
-        patch = compute_sun_patch(room, ap, sun, plane_z)
-        assert 0.0 < patch.area < img.area
-        assert patch.area <= room.s_t + 1e-9
-        oracle = rasterized_overlap_area(
-            img.coords[:, :2], room.floor.coords[:, :2], res=0.002
-        )
-        assert patch.area == pytest.approx(oracle, abs=0.01)
+        floor = room.floor.coords[:, :2]
+        img = beam_image(floor, room.apertures[0].polygon.coords, sun.direction, plane_z)
+        area = compute_sun_patch(room, room.apertures[0], sun, plane_z)
+        assert 0.0 < area < shoelace_area(img)
+        assert area <= room.s_t + 1e-9
+        assert area == pytest.approx(rasterized_overlap_area(img, floor, res=0.002), abs=0.01)
+        assert area == pytest.approx(overlap_area(img, floor), abs=1e-12)
 
     def test_patch_bound_over_random_suns(self, canonical_room):
         rng = np.random.default_rng(11)
-        ap = canonical_room.apertures[0]
-        for _ in range(40):
-            sun = SolarState.from_angles(
-                float(rng.uniform(-10, 85)), float(rng.uniform(0, 360))
-            )
-            patch = compute_sun_patch(canonical_room, ap, sun, 0.01)
-            assert 0.0 <= patch.area <= canonical_room.s_t + 1e-9
+        suns = [SolarState.from_angles(float(rng.uniform(-10, 85)), float(rng.uniform(0, 360)))
+                for _ in range(40)]
+        areas = BeamKernel(canonical_room, 0.01)(np.array([s.altitude for s in suns]),
+                                                  np.array([s.direction for s in suns]),
+                                                  np.zeros((0, 2)))[0]
+        assert np.all((areas >= 0.0) & (areas <= canonical_room.s_t + 1e-9))
 
 
 class TestLShapedRoom:
@@ -231,13 +245,11 @@ class TestLShapedRoom:
     def test_patch_clipped_to_l(self):
         room = self.room()
         sun = SolarState.from_angles(25.0, 180.0)
-        ap = room.apertures[0]
-        img = project_polygon_along_direction(ap.polygon, sun.direction, 0.01)
-        patch = compute_sun_patch(room, ap, sun, 0.01)
-        oracle = rasterized_overlap_area(
-            img.coords[:, :2], room.floor.coords[:, :2], res=0.002
-        )
-        assert patch.area == pytest.approx(oracle, abs=0.01)
+        floor = room.floor.coords[:, :2]
+        img = beam_image(floor, room.apertures[0].polygon.coords, sun.direction, 0.01)
+        area = compute_sun_patch(room, room.apertures[0], sun, 0.01)
+        assert area == pytest.approx(rasterized_overlap_area(img, floor, res=0.002), abs=0.01)
+        assert area == pytest.approx(overlap_area(img, floor), abs=1e-12)
 
 
 class TestRoomValidation:
@@ -271,57 +283,62 @@ class TestRoomValidation:
             Room(floor=floor, height=height, optics=SurfaceOptics(0.2, 0.6, 0.6))
 
 
-UNIT_PATCH = SunPatch(
-    (Polygon3([(1.0, 1.0, 0.01), (2.0, 1.0, 0.01), (2.0, 2.0, 0.01), (1.0, 2.0, 0.01)]),),
-    1.0,
-)
-
-
 class TestPointFormulas:
-    def test_diffuse_without_patch(self, canonical_room):
-        out = OutdoorIlluminance.from_components(10000.0, 0.0)
-        v = diffuse_at_point((1.5, 1.5, 0.01), 0.02, out, None, canonical_room)
-        assert v == pytest.approx(200.0, rel=1e-12)
+    """The three terms at the points of a 0.5 m grid in a 4 m x 4 m room
+    (rho_floor 0.2, tau 0.9) whose south window casts the 1 m^2 patch
+    x 1.5-2.5, y 1-2 under a 45-degree sun; four grid points lie in it."""
 
-    def test_diffuse_with_patch_term(self, canonical_room):
+    @pytest.fixture(scope="class")
+    def sim(self):
+        return Simulator(square_room(SOUTH_WINDOW), TROPICAL_SITE, cell=0.5)
+
+    @staticmethod
+    def in_patch(sim):
+        x, y = sim.grid.points[:, 0], sim.grid.points[:, 1]
+        inside = (x > 1.5) & (x < 2.5) & (y > 1.0) & (y < 2.0)
+        assert inside.sum() == 4
+        return inside
+
+    def test_diffuse_without_patch(self, sim):
+        fld = sim.evaluate(OutdoorIlluminance.from_components(10000.0, 0.0), None)
+        assert np.array_equal(fld.e_diffuse, sim.df * 10000.0)
+
+    def test_diffuse_with_patch_term(self, sim):
         # the patch adds E_direct * rho_floor * S_patch / S_floor on top of
-        # the daylight-factor base (checked in isolation via the difference,
-        # since global = diffuse + direct ties the base to E_direct as well)
+        # the daylight-factor base DF * (E_diffuse + E_direct)
+        fld = sim.evaluate(OutdoorIlluminance.from_components(10000.0, 50000.0), SUN_45_SOUTH)
+        inside = self.in_patch(sim)
+        base = sim.df * 60000.0
+        np.testing.assert_allclose(fld.e_diffuse[inside] - base[inside],
+                                   50000.0 * 0.2 * 1.0 / 16.0, rtol=1e-9)
+        assert np.array_equal(fld.e_diffuse[~inside], base[~inside])
+
+    def test_diffuse_overcast_no_patch_term(self, sim):
+        fld = sim.evaluate(OutdoorIlluminance.from_components(10000.0, 0.0), SUN_45_SOUTH)
+        assert fld.patch_area == 0.0
+        assert np.array_equal(fld.e_diffuse, sim.df * 10000.0)
+
+    def test_diffuse_outside_patch_scope_room(self, sim):
         out = OutdoorIlluminance.from_components(10000.0, 50000.0)
-        p = (1.5, 1.5, 0.01)
-        with_patch = diffuse_at_point(p, 0.02, out, UNIT_PATCH, canonical_room)
-        base = diffuse_at_point(p, 0.02, out, None, canonical_room)
-        assert base == pytest.approx(0.02 * 60000.0, rel=1e-12)
-        assert with_patch - base == pytest.approx(50000.0 * 0.2 * 1.0 / 13.65, rel=1e-12)
-        assert with_patch - base == pytest.approx(732.6, abs=0.05)
+        outside = ~self.in_patch(sim)
+        room_sim = Simulator(sim.room, TROPICAL_SITE, cell=0.5, patch_scope="room")
+        v_patch = sim.evaluate(out, SUN_45_SOUTH).e_diffuse
+        v_room = room_sim.evaluate(out, SUN_45_SOUTH).e_diffuse
+        assert np.array_equal(v_patch[outside], sim.df[outside] * out.e_global)
+        assert np.all(v_room[outside] > v_patch[outside])
 
-    def test_diffuse_overcast_no_patch_term(self, canonical_room):
-        out = OutdoorIlluminance.from_components(10000.0, 0.0)
-        v = diffuse_at_point((1.5, 1.5, 0.01), 0.02, out, UNIT_PATCH, canonical_room)
-        assert v == pytest.approx(200.0, rel=1e-12)
+    def test_direct_inside_patch(self, sim):
+        fld = sim.evaluate(OutdoorIlluminance.from_components(0.0, 60000.0), SUN_45_SOUTH)
+        np.testing.assert_allclose(fld.e_direct[self.in_patch(sim)], 54000.0, rtol=1e-12)
 
-    def test_diffuse_outside_patch_scope_room(self, canonical_room):
-        out = OutdoorIlluminance.from_components(10000.0, 50000.0)
-        outside = (3.5, 3.0, 0.01)
-        v_patch = diffuse_at_point(outside, 0.02, out, UNIT_PATCH, canonical_room, "patch")
-        v_room = diffuse_at_point(outside, 0.02, out, UNIT_PATCH, canonical_room, "room")
-        assert v_patch == pytest.approx(0.02 * out.e_global, rel=1e-12)
-        assert v_room > v_patch
+    def test_direct_outside_patch(self, sim):
+        fld = sim.evaluate(OutdoorIlluminance.from_components(0.0, 60000.0), SUN_45_SOUTH)
+        assert not fld.e_direct[~self.in_patch(sim)].any()
 
-    def test_direct_inside_patch(self, canonical_room):
-        out = OutdoorIlluminance.from_components(0.0, 60000.0)
-        ap = canonical_room.apertures[0]
-        assert direct_at_point((1.5, 1.5, 0.01), UNIT_PATCH, out, ap) == pytest.approx(54000.0)
-
-    def test_direct_outside_patch(self, canonical_room):
-        out = OutdoorIlluminance.from_components(0.0, 60000.0)
-        ap = canonical_room.apertures[0]
-        assert direct_at_point((3.5, 3.0, 0.01), UNIT_PATCH, out, ap) == 0.0
-
-    def test_direct_empty_patch(self, canonical_room):
-        out = OutdoorIlluminance.from_components(0.0, 60000.0)
-        ap = canonical_room.apertures[0]
-        assert direct_at_point((1.5, 1.5, 0.01), SunPatch.empty(), out, ap) == 0.0
+    def test_direct_empty_patch(self, sim):
+        behind = SolarState.from_angles(45.0, 0.0)
+        fld = sim.evaluate(OutdoorIlluminance.from_components(0.0, 60000.0), behind)
+        assert fld.patch_area == 0.0 and not fld.e_direct.any()
 
 
 class TestSimulate:
@@ -342,13 +359,17 @@ class TestSimulate:
         fld = sim.step(datetime(2009, 7, 15, 10, 0), 600.0, 150.0)
         assert fld.patch_area > 0.0
         ap = sim.room.apertures[0]
-        patch = compute_sun_patch(sim.room, ap, fld.sun, sim.grid.plane_z)
-        assert patch.area == pytest.approx(fld.patch_area, abs=1e-12)
+        out = fld.outdoor
+        area, lit = beam_patch(sim.room.floor.coords[:, :2], ap.polygon.coords, fld.sun.direction,
+                               sim.grid.plane_z, sim.grid.points[:, :2])
+        assert area == pytest.approx(fld.patch_area, abs=1e-12)
         rng = np.random.default_rng(3)
-        for i in rng.choice(sim.grid.n_points, size=5, replace=False):
-            p = sim.grid.points[i]
-            e_dif = diffuse_at_point(p, sim.df[i], fld.outdoor, patch, sim.room, sim.patch_scope)
-            e_dir = direct_at_point(p, patch, fld.outdoor, ap)
+        picks = np.concatenate((rng.choice(np.flatnonzero(lit), size=3, replace=False),
+                                rng.choice(np.flatnonzero(~lit), size=3, replace=False)))
+        for i in picks:
+            e_dif = sim.df[i] * out.e_global + lit[i] * out.e_direct * sim.room.optics.floor \
+                * area / sim.room.s_t
+            e_dir = lit[i] * out.e_direct * ap.tau
             assert fld.e_diffuse[i] == pytest.approx(e_dif, rel=1e-9)
             assert fld.e_direct[i] == pytest.approx(e_dir, rel=1e-9)
             assert fld.e_global[i] == pytest.approx(e_dif + e_dir, rel=1e-9)
@@ -376,7 +397,9 @@ class TestSimulate:
     def test_linearity(self, canonical_sim):
         base = canonical_sim.step(datetime(2009, 7, 15, 10, 0), 600.0, 150.0)
         for lam in (0.5, 2.0, 10.0):
-            scaled = canonical_sim.evaluate(base.outdoor.scaled(lam), base.sun)
+            out = OutdoorIlluminance.from_components(lam * base.outdoor.e_diffuse,
+                                                     lam * base.outdoor.e_direct)
+            scaled = canonical_sim.evaluate(out, base.sun)
             assert np.allclose(scaled.e_global, lam * base.e_global, rtol=1e-9)
             assert np.allclose(scaled.e_diffuse, lam * base.e_diffuse, rtol=1e-9)
             assert np.allclose(scaled.e_direct, lam * base.e_direct, rtol=1e-9)

@@ -6,12 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import rasterized_overlap_area
 from sidelux.errors import DegenerateMeshError, GeometryError
+from sidelux.daylight import Aperture, BeamKernel, Room, SurfaceOptics
 from sidelux.geometry import (
     Polygon3,
     clip_polygon,
     decompose_convex,
     make_workplane_grid,
-    point_in_polygon,
+    points_in_polygon_mask,
     project_polygon_along_direction,
 )
 
@@ -67,39 +68,48 @@ class TestPolygon:
         assert ell.area == pytest.approx(12.0, abs=1e-9)
 
 
+def window_image_area(d, plane_z):
+    """Sun patch of a 1 m x 1 m window (sill 1 m) on the wall y = 0 of a
+    4 m x 4 m room, light travelling along ``d``."""
+    floor = Polygon3([(0, 0, 0), (4, 0, 0), (4, 4, 0), (0, 4, 0)])
+    win = Polygon3([(1.5, 0, 1), (2.5, 0, 1), (2.5, 0, 2), (1.5, 0, 2)])
+    room = Room(floor=floor, height=2.8, optics=SurfaceOptics(0.2, 0.6, 0.6),
+                apertures=(Aperture(win),))
+    d = np.asarray(d, dtype=float)[None]
+    altitude = np.degrees(np.arcsin(-d[:, 2] / np.linalg.norm(d)))
+    return BeamKernel(room, plane_z)(altitude, d, np.zeros((0, 2)))[0][0, 0]
+
+
 class TestProjection:
+    """Sliding a window along the sun direction onto a horizontal plane, as
+    the beam kernel does."""
+
     def test_window_45_degrees(self):
         # 1 m x 1 m window, sill at 1 m, light sliding down at 45 deg along +y
-        win = Polygon3([(1.5, 0, 1), (2.5, 0, 1), (2.5, 0, 2), (1.5, 0, 2)])
         d = np.array([0.0, math.cos(math.radians(45)), -math.sin(math.radians(45))])
-        img = project_polygon_along_direction(win, d, 0.0)
-        assert img is not None
-        assert img.area == pytest.approx(1.0, abs=1e-9)
-        ys = img.coords[:, 1]
-        assert ys.min() == pytest.approx(1.0, abs=1e-9)
-        assert ys.max() == pytest.approx(2.0, abs=1e-9)
+        assert window_image_area(d, 0.0) == pytest.approx(1.0, abs=1e-9)
 
     def test_parallel_direction_empty(self):
-        win = square()
-        assert project_polygon_along_direction(win, (1.0, 0.0, 0.0), -1.0) is None
-
-    def test_upward_projection_empty(self):
-        # plane above the polygon while the direction points down
-        win = Polygon3([(1.5, 0, 1), (2.5, 0, 1), (2.5, 0, 2), (1.5, 0, 2)])
-        d = np.array([0.0, 0.5, -0.5])
-        d /= np.linalg.norm(d)
-        assert project_polygon_along_direction(win, d, 3.0) is None
-
-    def test_zero_direction_raises(self):
-        with pytest.raises(ValueError):
-            project_polygon_along_direction(square(), (0.0, 0.0, 0.0), 0.0)
+        # on a plane at the sill a low sun stretches the image over the whole
+        # floor depth; within PARALLEL_TOL of horizontal there is no image
+        assert window_image_area((0.0, 1.0, -1e-3), 1.0) == pytest.approx(4.0, rel=1e-9)
+        assert window_image_area((0.0, 1.0, -1e-10), 1.0) == 0.0
 
     def test_vertex_count_preserved(self):
-        tri = Polygon3([(0, 0, 2), (1, 0, 2), (0, 1, 3)])
-        d = np.array([0.1, 0.2, -0.9])
-        d /= np.linalg.norm(d)
-        img = project_polygon_along_direction(tri, d, 0.0)
-        assert img is not None and len(img.coords) == 3
+        tri = np.array([[(0, 0, 2), (1, 0, 2), (0, 1, 3)]], dtype=float)
+        d = np.array([[0.1, 0.2, -0.9]]) / np.linalg.norm([0.1, 0.2, -0.9])
+        image, t = project_polygon_along_direction(tri, d, 0.0)
+        assert image.shape == (1, 3, 2) and t.shape == (1, 3)
+        np.testing.assert_allclose(tri[0, :, 2] + t[0] * d[0, 2], 0.0, atol=1e-15)
+        np.testing.assert_allclose(image[0], tri[0, :, :2] + t[0, :, None] * d[0, :2], rtol=1e-15)
+
+    def test_upward_projection_empty(self):
+        # a plane above the sill while the direction points down: the sill
+        # would have to travel backwards, out through the wall
+        d = np.array([0.0, 0.5, -0.5]) / np.linalg.norm([0.0, 0.5, -0.5])
+        assert window_image_area(d, 1.5) == 0.0
+        assert window_image_area(d, 3.0) == 0.0
+        assert window_image_area(d, 0.0) > 0.0
 
 
 class TestClip:
@@ -133,22 +143,23 @@ class TestClip:
             clip_polygon(square(), ell)
 
 
+def contains(point, poly: Polygon3) -> bool:
+    return bool(points_in_polygon_mask(np.array([point[0]]), np.array([point[1]]),
+                                       poly.coords[:, :2])[0])
+
+
 class TestPointInPolygon:
     def test_center_inside(self):
-        assert point_in_polygon((0.5, 0.5, 0.0), square())
+        assert contains((0.5, 0.5), square())
 
     def test_outside(self):
-        assert not point_in_polygon((2.0, 2.0, 0.0), square())
+        assert not contains((2.0, 2.0), square())
 
     def test_edge_midpoint_is_inside(self):
-        assert point_in_polygon((0.5, 0.0, 0.0), square())
+        assert contains((0.5, 0.0), square())
 
     def test_vertex_is_inside(self):
-        assert point_in_polygon((0.0, 0.0, 0.0), square())
-
-    def test_off_plane_raises(self):
-        with pytest.raises(GeometryError):
-            point_in_polygon((0.5, 0.5, 1.0), square())
+        assert contains((0.0, 0.0), square())
 
 
 class TestWorkplaneGrid:
@@ -177,7 +188,7 @@ class TestWorkplaneGrid:
         g = make_workplane_grid(tri, 0.25, 0.0)
         assert g.n_points < g.nu * g.nv  # the empty half got dropped
         for p in g.points:
-            assert point_in_polygon((p[0], p[1], 0.0), tri)
+            assert contains(p, tri)
 
     def test_full_matrix_scatter(self):
         g = make_workplane_grid(square(), 0.5, 0.0)
@@ -231,20 +242,6 @@ def test_clipping_never_increases_area(a, b):
         assert out.area <= min(a.area, b.area) + 1e-9
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    convex_polys(z=2.0),
-    st.floats(-1, 1),
-    st.floats(-1, 1),
-    st.floats(0.2, 1.0),
-)
-def test_projection_preserves_vertex_count_or_empty(poly, dx, dy, dz):
-    d = np.array([dx, dy, -dz])
-    d /= np.linalg.norm(d)
-    img = project_polygon_along_direction(poly, d, 0.0)
-    assert img is None or len(img.coords) == len(poly.coords)
-
-
 @settings(max_examples=40, deadline=None)
 @given(
     st.floats(1.0, 10.0),
@@ -260,7 +257,7 @@ def test_grid_centers_inside_rectangle(w, d, cell):
         return
     assert g.n_points == g.nu * g.nv
     for p in g.points[:: max(1, g.n_points // 25)]:
-        assert point_in_polygon((p[0], p[1], 0.0), floor)
+        assert contains(p, floor)
 
 
 @settings(max_examples=60, deadline=None)

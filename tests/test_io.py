@@ -301,6 +301,30 @@ class TestBuilding:
                            match=rf"^{re.escape(name)}: {value} is not a finite number$"):
             parse_building(self._patched(tmp_path, mutate))
 
+    @pytest.mark.parametrize("path,value,message", [
+        ((), 5, r"building: expected an object"),
+        (("room",), [1], r"room: expected an object"),
+        (("location",), "north", r"location: expected an object"),
+        (("room", "surfaces"), 5, r"room.surfaces: expected a list"),
+        (("room", "surfaces"), [5], r"room.surfaces\[0\]: expected an object"),
+        (("room", "apertures"), [3], r"room.apertures\[0\]: expected an object"),
+        (("obstructions",), [7], r"obstructions\[0\]: expected an object"),
+        (("efficacy",), 3, r"efficacy: expected an object"),
+        (("room", "height"), 10**400, r"room.height: 10{400} is not a number"),
+    ], ids=["top", "room", "location", "surfaces", "surface", "aperture", "obstruction",
+            "efficacy", "huge-int"])
+    def test_node_of_wrong_type_names_its_path(self, tmp_path, path, value, message):
+        def mutate(d):
+            for key in path[:-1]:
+                d = d[key]
+            d[path[-1]] = value
+
+        p = self._patched(tmp_path, mutate) if path else tmp_path / "b.json"
+        if not path:
+            p.write_text(json.dumps(value), encoding="utf-8")
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            parse_building(p)
+
     def test_bad_patch_scope(self, tmp_path):
         def mutate(d):
             d["patch_scope"] = "everywhere"

@@ -106,7 +106,8 @@ def test_windows_hidden_in_plan_give_no_sky(seed, fx, fy):
     assume(room.contains(p))
     ap = room.apertures[0]
     corner, e1, e2 = rect_of(ap.polygon)
-    nodes = corner + ((np.arange(32) + 0.5) / 32)[:, None] * e1 + 0.5 * e2
+    # both ends included: the visible part can be a sliver at one end
+    nodes = corner + np.linspace(0.0, 1.0, 33)[:, None] * e1 + 0.5 * e2
     walls = walls_other_than(room.floor.coords[:, :2], (corner, e1, e2))
     hidden = sight_classes(p, nodes, walls) == -2
     sc = sky_component(p, ap, (), room)

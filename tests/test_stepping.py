@@ -1,8 +1,8 @@
-"""The batched stepping of ``Simulator.run`` against the scalar per-step path
-it replaced: the beam kernel against ``compute_sun_patch`` and per-piece
-containment, and whole runs against a reference stepped one minute at a
-time with ``sun_position``, ``reconstruct_illuminance`` and
-``compute_sun_patch``.
+"""The batched stepping of ``Simulator.run`` against independent references:
+the beam kernel against the scanline patch oracle of ``tests/oracles.py``
+(area, empty set and lit points), the beam invariants as property tests,
+and whole runs against a reference stepped one minute at a time with
+``sun_position``, ``reconstruct_illuminance`` and that oracle.
 """
 
 import math
@@ -10,8 +10,10 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from conftest import TROPICAL_SITE, make_canonical_room
+from conftest import TROPICAL_SITE, make_canonical_room, random_l_room, with_obstructions
+from oracles import beam_image, beam_patch, overlap_area, shoelace_area
 from sidelux.daylight import (
     BLOCK_STEPS,
     Aperture,
@@ -20,13 +22,13 @@ from sidelux.daylight import (
     Room,
     Simulator,
     SurfaceOptics,
-    compute_sun_patch,
     daylight_factor,
 )
-from sidelux.errors import DataError
-from sidelux.geometry import Polygon3, points_in_polygon_mask
+from sidelux.errors import ConfigError, DataError
+from sidelux.geometry import Polygon3
 from sidelux.solar import (
     EfficacyModel,
+    OutdoorIlluminance,
     SolarState,
     WeatherSeries,
     reconstruct_illuminance,
@@ -73,15 +75,26 @@ def kernel_inputs(suns):
     return (np.array([s.altitude for s in suns]), np.array([s.direction for s in suns]))
 
 
+def oracle_patches(room, suns, points=()):
+    """Areas (S, K) and lit points (S, K, N) of the scanline oracle."""
+    floor = room.floor.coords[:, :2]
+    areas = np.zeros((len(suns), len(room.apertures)))
+    lit = np.zeros((len(suns), len(room.apertures), len(points)), dtype=bool)
+    for i, sun in enumerate(suns):
+        for k, ap in enumerate(room.apertures):
+            areas[i, k], lit[i, k] = beam_patch(floor, ap.polygon.coords, sun.direction, PLANE_Z,
+                                                points)
+    return areas, lit
+
+
 @pytest.mark.parametrize("name", sorted(ROOMS))
-def test_kernel_area_matches_compute_sun_patch(name):
+def test_kernel_area_matches_patch_oracle(name):
     room = ROOMS[name]()
     suns = random_suns(np.random.default_rng(7), 2400)
     areas, lit = BeamKernel(room, PLANE_Z)(*kernel_inputs(suns), np.zeros((0, 2)))
     assert areas.shape == (len(suns), len(room.apertures))
     assert lit.shape == (len(suns), len(room.apertures), 0)
-    expected = np.array([[compute_sun_patch(room, ap, sun, PLANE_Z).area
-                          for ap in room.apertures] for sun in suns])
+    expected, _ = oracle_patches(room, suns)
     assert np.count_nonzero(expected) > 400
     np.testing.assert_allclose(areas, expected, rtol=0.0, atol=1e-12)
     assert np.array_equal(areas > 0.0, expected > 0.0)
@@ -97,7 +110,9 @@ def _distance_to_edges(points, ring):
 
 
 @pytest.mark.parametrize("name", sorted(ROOMS))
-def test_kernel_lit_matches_piece_containment(name):
+def test_kernel_lit_matches_patch_oracle(name):
+    """Lit points agree with the oracle's even-odd containment in the image
+    and the floor, outside a 1e-9 m band around the edges of both."""
     room = ROOMS[name]()
     rng = np.random.default_rng(11)
     suns = random_suns(rng, 600)
@@ -105,17 +120,17 @@ def test_kernel_lit_matches_piece_containment(name):
     points = rng.uniform(lo, hi, (300, 2))
     points = points[[room.contains((x, y, PLANE_Z)) for x, y in points]]
     areas, lit = BeamKernel(room, PLANE_Z)(*kernel_inputs(suns), points)
+    expected_areas, expected = oracle_patches(room, suns, points)
+    floor = room.floor.coords[:, :2]
+    clear_of_floor = _distance_to_edges(points, floor) > 1e-9
     checked = 0
     for i, sun in enumerate(suns):
         for k, ap in enumerate(room.apertures):
-            patch = compute_sun_patch(room, ap, sun, PLANE_Z)
-            inside = np.zeros(len(points), dtype=bool)
-            clear = np.ones(len(points), dtype=bool)
-            for piece in patch.pieces:
-                ring = piece.coords[:, :2]
-                inside |= points_in_polygon_mask(points[:, 0], points[:, 1], ring)
-                clear &= _distance_to_edges(points, ring) > 1e-9
-            assert np.array_equal(lit[i, k, clear], inside[clear]), (sun, k)
+            clear = clear_of_floor.copy()
+            image = beam_image(floor, ap.polygon.coords, sun.direction, PLANE_Z)
+            if expected_areas[i, k] > 0.0:
+                clear &= _distance_to_edges(points, image) > 1e-9
+            assert np.array_equal(lit[i, k, clear], expected[i, k, clear]), (sun, k)
             checked += clear.sum()
     assert checked > 0.999 * len(suns) * len(room.apertures) * len(points)
     assert lit.sum() > 1000 and not lit.all()
@@ -123,14 +138,14 @@ def test_kernel_lit_matches_piece_containment(name):
 
 def test_sunrise_sliver_is_empty():
     """One minute after sunrise the L-room's east window projects hundreds
-    of meters west; the clipped pieces must come out exactly empty, as
-    ``compute_sun_patch`` makes them, not as cancellation noise."""
+    of meters west; the clipped pieces must come out exactly empty, as the
+    oracle finds them, not as cancellation noise."""
     room = make_l_room()
     sun = sun_position(datetime(2009, 7, 3, 7, 1), TROPICAL_SITE)
     assert 0.0 < sun.altitude < 0.5
     areas, _ = BeamKernel(room, PLANE_Z)(*kernel_inputs([sun]), np.zeros((0, 2)))
     assert areas.tolist() == [[0.0, 0.0]]
-    assert [compute_sun_patch(room, ap, sun, PLANE_Z).area for ap in room.apertures] == [0.0, 0.0]
+    assert oracle_patches(room, [sun])[0].tolist() == [[0.0, 0.0]]
 
 
 def square_room_with_west_window(sill: float, head: float) -> Room:
@@ -148,20 +163,20 @@ def test_pieces_of_at_most_empty_area_count_as_empty(gap, expected_area):
     altitude = math.degrees(math.atan2(1.0 - PLANE_Z, 4.0 - gap))
     sun = SolarState.from_angles(altitude, 270.0)
     areas, _ = BeamKernel(room, PLANE_Z)(*kernel_inputs([sun]), np.zeros((0, 2)))
-    patch = compute_sun_patch(room, room.apertures[0], sun, PLANE_Z)
+    expected, _ = oracle_patches(room, [sun])
     assert areas[0, 0] == pytest.approx(expected_area, rel=1e-6, abs=0.0)
-    assert patch.area == pytest.approx(expected_area, rel=1e-6, abs=0.0)
+    assert expected[0, 0] == pytest.approx(expected_area, rel=1e-6, abs=0.0)
 
 
 def test_window_reaching_below_the_workplane_casts_no_patch():
     """A vertex below the workplane would be projected backwards: no patch,
-    as in ``compute_sun_patch``; the same window above it casts one."""
+    as the oracle rules; the same window above it casts one."""
     suns = random_suns(np.random.default_rng(13), 400)
     for sill, lit in ((0.0, False), (0.2, True)):
         room = square_room_with_west_window(sill, 2.0)
         areas, _ = BeamKernel(room, PLANE_Z)(*kernel_inputs(suns), np.zeros((0, 2)))
-        expected = [compute_sun_patch(room, room.apertures[0], sun, PLANE_Z).area for sun in suns]
-        np.testing.assert_allclose(areas[:, 0], expected, rtol=0.0, atol=1e-12)
+        expected, _ = oracle_patches(room, suns)
+        np.testing.assert_allclose(areas, expected, rtol=0.0, atol=1e-12)
         assert areas.any() == lit
 
 
@@ -177,6 +192,63 @@ def test_sun_positions_match_the_scalar_wrapper():
     with pytest.raises(ValueError, match="year 2101"):
         sun_positions(np.array(["2009-01-01", "2101-01-01"], dtype="datetime64[us]"),
                       TROPICAL_SITE)
+
+
+# ---------------------------------------------------------------------------
+# Beam invariants over random L-rooms with 0-2 obstructions, which do not
+# shade the beam.
+
+def random_room_and_suns(seed, n_suns=48):
+    rng = np.random.default_rng(seed)
+    room = with_obstructions(random_l_room(rng), rng, seed % 3)
+    return room, random_suns(rng, n_suns)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_patch_area_is_bounded_by_the_window_image(seed):
+    """Per window, the patch area is at most A_win |d.n_w| / |d_z|, the area
+    of the window's image, and equals it (flux balance) where the oracle
+    finds the whole image on the floor."""
+    room, suns = random_room_and_suns(seed)
+    altitude, direction = kernel_inputs(suns)
+    areas, _ = BeamKernel(room, PLANE_Z)(altitude, direction, np.zeros((0, 2)))
+    floor = room.floor.coords[:, :2]
+    for k, ap in enumerate(room.apertures):
+        bound = ap.area * np.abs(direction @ room.aperture_outward(k)) / np.abs(direction[:, 2])
+        assert np.all(areas[:, k] <= bound + 1e-9)
+        for i, sun in enumerate(suns):
+            image = beam_image(floor, ap.polygon.coords, sun.direction, PLANE_Z)
+            whole = image is not None and \
+                overlap_area(image, floor) >= (1 - 1e-12) * shoelace_area(image)
+            if whole:
+                assert areas[i, k] == pytest.approx(bound[i], rel=1e-9)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), e_direct=st.floats(100.0, 9000.0))
+def test_beam_terms_are_linear_in_the_direct_illuminance(seed, e_direct):
+    """At a fixed E_global, doubling E_direct doubles the transmitted beam
+    and the patch-reflected term and leaves the DF * E_global part as it is."""
+    room, suns = random_room_and_suns(seed)
+    sim = Simulator(room, TROPICAL_SITE, cell=0.5)
+    areas, _ = sim.beam(*kernel_inputs(suns), np.zeros((0, 2)))
+    assume(areas.any())
+    sun = suns[int(np.argmax(areas.sum(axis=1) > 0.0))]
+    e_global = 20000.0
+    base, once, twice = (
+        sim.evaluate(OutdoorIlluminance.from_components(e_global - m * e_direct, m * e_direct), sun)
+        for m in (0.0, 1.0, 2.0))
+    assert np.array_equal(base.e_diffuse, sim.df * e_global) and not base.e_direct.any()
+    lit = once.e_direct > 0.0
+    assert once.patch_area > 0.0 and twice.patch_area == once.patch_area
+    np.testing.assert_allclose(once.e_direct[lit], e_direct * room.apertures[0].tau, rtol=1e-12)
+    np.testing.assert_allclose(twice.e_direct, 2.0 * once.e_direct, rtol=1e-12, atol=0.0)
+    term_once, term_twice = once.e_diffuse - base.e_diffuse, twice.e_diffuse - base.e_diffuse
+    assert not term_once[~lit].any() and not term_twice[~lit].any()
+    np.testing.assert_allclose(term_once[lit], e_direct * room.optics.floor * once.patch_area
+                               / room.s_t, rtol=1e-9)
+    np.testing.assert_allclose(term_twice, 2.0 * term_once, rtol=1e-9, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -211,20 +283,20 @@ def subset(weather, keep):
 
 def reference_step(sim, weather, i, points, df):
     """Outdoor illuminance, patch area and illuminance at ``points`` for the
-    step at sample ``i``, the way the engine computed them before it stepped
-    in blocks."""
+    step at sample ``i``: one step at a time, with the scalar sun position
+    and outdoor conversion and the oracle's patch."""
     room, z = sim.room, sim.grid.plane_z
     sun = sun_position(weather.times[i].astype(datetime), sim.location)
     out = reconstruct_illuminance(sun, weather.gh[i], weather.dh[i], sim.efficacy,
                                   weather.ev_global[i], weather.ev_diffuse[i])
     values = df * out.e_global
     area = 0.0
-    if out.e_direct > 0.0 and sun.altitude > 0.0:
+    if out.e_direct > 0.0:
         for ap in room.apertures:
-            patch = compute_sun_patch(room, ap, sun, z)
-            area += patch.area
-            lit = np.array([patch.contains((x, y, z)) for x, y in points[:, :2]], dtype=bool)
-            values = values + lit * (out.e_direct * room.optics.floor * patch.area / room.s_t)
+            patch, lit = beam_patch(room.floor.coords[:, :2], ap.polygon.coords, sun.direction, z,
+                                    points[:, :2])
+            area += patch
+            values = values + lit * (out.e_direct * room.optics.floor * patch / room.s_t)
             values = values + lit * (out.e_direct * ap.tau)
     return out, area, values
 
@@ -300,6 +372,21 @@ def overcast_minutes(start, n, gh=300.0):
     times = np.datetime64(start, "us") + np.arange(n) * np.timedelta64(1, "m")
     values = gh + np.arange(n) % 100
     return WeatherSeries(times, values, values)
+
+
+@pytest.mark.parametrize("step,message", [
+    (0, "step must be at least one minute"),
+    (-1, "step must be at least one minute"),
+    (10**15, "step of 1000000000000000 minutes is too long"),
+], ids=["zero", "negative", "overflowing"])
+def test_step_below_one_minute_or_too_long_raises(coarse_sim, step, message):
+    """A step is at least a minute, and its length in microseconds fits the
+    int64 time axis."""
+    weather = overcast_minutes(datetime(2009, 7, 15, 10, 0), 5)
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        coarse_sim.run(weather, step_minutes=step)
+    longest = np.iinfo(np.int64).max // 60_000_000
+    assert len(coarse_sim.run(weather, step_minutes=longest).timestamps) == 1
 
 
 @pytest.mark.parametrize("order,message", [
