@@ -42,6 +42,16 @@ def _parse_ts(text: str) -> datetime:
         raise DataError(f"bad timestamp {text!r} (expected ISO-8601)") from None
 
 
+def _number_in(lo: float, hi: float):
+    """An argparse type: a number in [lo, hi], so NaN and infinities fail."""
+    def number(text: str) -> float:
+        value = float(text)
+        if not lo <= value <= hi:
+            raise argparse.ArgumentTypeError(f"{text} is not a number in [{lo:g}, {hi:g}]")
+        return value
+    return number
+
+
 def _parse_probes(text: str) -> list[tuple[float, float]]:
     probes = []
     for chunk in text.split(";"):
@@ -165,11 +175,11 @@ def build_parser() -> argparse.ArgumentParser:
     val.add_argument("sim", help="simulated series CSV (timestamp,value)")
     val.add_argument("reference", help="reference series CSV (timestamp,value)")
     val.add_argument("--mode", choices=["margin", "error"], default="error")
-    val.add_argument("--error", type=float, default=0.15,
+    val.add_argument("--error", type=_number_in(0.0, 1.0), default=0.15,
                      help="total error fraction for margin mode (default 0.15)")
     val.add_argument("--resample", choices=["hourly"],
                      help="average both series per clock hour before comparing")
-    val.add_argument("--require-rsd", type=float, default=None, metavar="PCT",
+    val.add_argument("--require-rsd", type=_number_in(0.0, 100.0), default=None, metavar="PCT",
                      help="exit 1 when the reliability falls below this percentage")
     val.add_argument("--name", help="test name in the report (default: sim file stem)")
     val.add_argument("--out", default="-", help="report path ('-' for stdout)")

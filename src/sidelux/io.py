@@ -15,7 +15,9 @@ Formats:
                       per requested field instant.
 
 Every parser either consumes its file completely or raises an error that
-carries the offending line number; nothing is silently skipped.
+carries the offending line number; nothing is silently skipped. A CSV file
+in the plain shape (see ``_plain_table``) is read in array passes, any other
+one row by row; both readers give the same arrays or the same error.
 """
 
 from __future__ import annotations
@@ -23,8 +25,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from datetime import datetime, timedelta
+from datetime import datetime
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,8 +59,21 @@ _T2_DHILL = slice(47, 51)
 _T2_MIN_LEN = 53
 _T2_MISSING = 9999
 _SUMMARY_ROWS_PER_WRITE = 4096
-_EPOCH = datetime(1970, 1, 1)
-_MICROSECOND = timedelta(microseconds=1)
+_EPOCH_ORDINAL = datetime(1970, 1, 1).toordinal()
+# what a CSV file in the plain shape is made of (see _plain_table)
+_LF, _COMMA = ord("\n"), ord(",")
+_PLAIN_BYTES = bytes([_LF, *range(0x20, 0x7F)])
+_STAMP = "YYYY-MM-DDThh:mm:ss"  # each letter a digit of that field
+# a value column costs rows x its widest value in bytes; a wider value sends
+# the file row by row
+_MAX_VALUE_WIDTH = 32
+_BLOCK_ROWS = 1 << 16
+
+
+def _epoch_micros(ts: datetime) -> int:
+    """Microseconds since 1970 of a naive datetime, in integer arithmetic."""
+    seconds = ((ts.toordinal() - _EPOCH_ORDINAL) * 24 + ts.hour) * 60 + ts.minute
+    return (seconds * 60 + ts.second) * 1_000_000 + ts.microsecond
 
 
 def _micros(text: str, line: int) -> int:
@@ -68,7 +84,7 @@ def _micros(text: str, line: int) -> int:
         raise ParseError(f"bad timestamp {text!r}", line=line) from None
     if ts.tzinfo is not None:
         raise ParseError(f"timestamp {text.strip()!r} has a UTC offset; {LOCAL_TIME}", line=line)
-    return (ts - _EPOCH) // _MICROSECOND
+    return _epoch_micros(ts)
 
 
 def _iso(times: np.ndarray) -> np.ndarray:
@@ -78,22 +94,151 @@ def _iso(times: np.ndarray) -> np.ndarray:
     return np.datetime_as_string(times, unit="s" if whole_seconds else "us")
 
 
-def parse_weather_csv(path) -> WeatherSeries:
-    """Read a weather CSV into a series, preserving the stored values."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines:
-        raise ParseError("empty weather file", line=1)
-    header = tuple(c.strip() for c in lines[0].split(","))
-    if header == WEATHER_COLUMNS:
-        with_illum = False
-    elif header == WEATHER_COLUMNS_ILLUM:
-        with_illum = True
-    else:
+class _Table(NamedTuple):
+    header: str
+    micros: np.ndarray  # int64 microseconds since 1970, one per body row
+    values: np.ndarray  # float64, one row per value column
+
+
+def _plain_table(data: bytes) -> _Table | None:
+    """A CSV file's header, stamps and values, read in array passes when the
+    whole file has the plain shape; None for any other file.
+
+    The plain shape: printable ASCII and LF line ends only; at least one body
+    row and no blank one; every body row a ``YYYY-MM-DDTHH:MM`` or
+    ``YYYY-MM-DDTHH:MM:SS`` stamp (one width for the whole file) with a valid
+    calendar date and time, then exactly as many commas as the header and no
+    empty or overlong value. Values go through numpy's cast from bytes, which
+    applies Python's ``float``. On such a file the per-line readers build the
+    same arrays, so they stay the reference and the readers of every other
+    file, and they locate its errors.
+    """
+    if not data or data.translate(None, _PLAIN_BYTES):
+        return None
+    buf = np.frombuffer(data, np.uint8)
+    ends = _offsets(buf, _LF)
+    if not data.endswith(b"\n"):
+        ends = np.append(ends, len(buf))
+    if len(ends) < 2:
+        return None
+    header = data[:ends[0]].decode("ascii")
+    n_sep = header.count(",")
+    starts, ends = ends[:-1] + 1, ends[1:]
+    commas = _offsets(buf, _COMMA)[n_sep:]
+    if n_sep == 0 or len(commas) != len(starts) * n_sep:
+        return None
+    # each row's commas lie between its stamp and its end, so every row has n_sep
+    commas = commas.reshape(-1, n_sep)
+    width = int(commas[0, 0] - starts[0])
+    if (width not in (16, 19) or np.count_nonzero(commas[:, 0] - starts != width)
+            or np.count_nonzero(commas[:, -1] >= ends)):
+        return None
+    micros = np.empty(len(starts), np.int64)
+    values = np.empty((n_sep, len(starts)))
+    for i in range(0, len(starts), _BLOCK_ROWS):  # a block at a time, so temporaries stay small
+        rows = slice(i, i + _BLOCK_ROWS)
+        block = _stamp_micros(buf, starts[rows], width)
+        if block is None:
+            return None
+        micros[rows] = block
+        for j in range(n_sep):
+            block = _float_fields(buf, commas[rows, j] + 1,
+                                  commas[rows, j + 1] if j + 1 < n_sep else ends[rows])
+            if block is None:
+                return None
+            values[j, rows] = block
+    return _Table(header, micros, values)
+
+
+def _offsets(buf: np.ndarray, byte: int) -> np.ndarray:
+    """Offsets of every ``byte`` in a non-empty ``buf``, searched a MiB at a time."""
+    step = 1 << 20
+    return np.concatenate([np.flatnonzero(buf[i:i + step] == byte) + i
+                           for i in range(0, len(buf), step)])
+
+
+def _stamp_micros(buf: np.ndarray, starts: np.ndarray, width: int) -> np.ndarray | None:
+    """Microseconds since 1970 of the plain stamps at ``starts``; None unless
+    every one is a valid date and time."""
+    fields = dict.fromkeys("YMDhms", 0)
+    for k, c in enumerate(_STAMP[:width]):
+        column = buf[starts + k]
+        if c in fields:
+            digit = column - np.uint8(ord("0"))  # bytes below "0" wrap past 9
+            if np.count_nonzero(digit > 9):
+                return None
+            fields[c] = fields[c] * 10 + digit.astype(np.int64)
+        elif np.count_nonzero(column != ord(c)):
+            return None
+    year, month, day, hour, minute, second = fields.values()
+    if np.count_nonzero((year < 1) | (month < 1) | (month > 12) | (hour > 23) | (minute > 59)
+                        | (second > 59)):
+        return None
+    month_index = (year - 1970) * 12 + month - 1
+    first, following = (m.astype("datetime64[M]").astype("datetime64[D]").view(np.int64)
+                        for m in (month_index, month_index + 1))
+    if np.count_nonzero((day < 1) | (day > following - first)):
+        return None
+    return ((((first + day - 1) * 24 + hour) * 60 + minute) * 60 + second) * 1_000_000
+
+
+def _float_fields(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray | None:
+    """The fields ``buf[lo:hi]`` as floats by Python's ``float`` rules; None
+    if any of them is empty, overlong or not a number."""
+    size = hi - lo
+    width = int(size.max())
+    if size.min() == 0 or width > _MAX_VALUE_WIDTH:
+        return None
+    cells = np.zeros((len(lo), width), np.uint8)  # right-padded with NUL, which the cast drops
+    for k in range(width):
+        cells[:, k] = np.where(k < size, buf.take(lo + k, mode="clip"), 0)
+    try:
+        return cells.view(f"S{width}")[:, 0].astype(np.float64)
+    except ValueError:
+        return None
+
+
+def _weather_header(line: str) -> bool:
+    """Whether a weather CSV header line names the illuminance columns."""
+    header = tuple(c.strip() for c in line.split(","))
+    if header not in (WEATHER_COLUMNS, WEATHER_COLUMNS_ILLUM):
         raise ParseError(
             f"unexpected header {','.join(header)!r}; expected "
             f"{','.join(WEATHER_COLUMNS)} optionally followed by Evg_lux,Evd_lux",
             line=1,
         )
+    return header == WEATHER_COLUMNS_ILLUM
+
+
+def _weather_series(micros, gh, dh, evg, evd, source, with_illum: bool) -> WeatherSeries:
+    if with_illum:  # the file has no way to mark an illuminance as not measured
+        unmeasured = np.isnan(evg) | np.isnan(evd)
+        if unmeasured.any():
+            row = int(np.argmax(unmeasured))
+            name = "ev_global" if np.isnan(evg[row]) else "ev_diffuse"
+            raise DataError(f"{name} nan is not a finite number", line=int(source[row]))
+    return WeatherSeries(micros.view("datetime64[us]"), gh, dh, evg, evd, lines=source)
+
+
+def parse_weather_csv(path) -> WeatherSeries:
+    """Read a weather CSV into a series, preserving the stored values.
+
+    A file in the plain shape is read in array passes (:func:`_plain_table`),
+    any other file row by row (:func:`_weather_rows`); both give the same
+    series or the same located error."""
+    table = _plain_table(Path(path).read_bytes())
+    if table is None:
+        return _weather_rows(Path(path).read_text(encoding="utf-8").splitlines())
+    with_illum = _weather_header(table.header)
+    gh, dh = table.values[:2]
+    evg, evd = table.values[2:] if with_illum else (None, None)  # None: not measured
+    return _weather_series(table.micros, gh, dh, evg, evd, np.arange(2, len(gh) + 2), with_illum)
+
+
+def _weather_rows(lines: list[str]) -> WeatherSeries:
+    if not lines:
+        raise ParseError("empty weather file", line=1)
+    with_illum = _weather_header(lines[0])
     n_cols = 5 if with_illum else 3
     # filled in place, so no per-row object outlives its line
     micros, source = np.empty((2, len(lines) - 1), dtype=np.int64)
@@ -114,14 +259,7 @@ def parse_weather_csv(path) -> WeatherSeries:
             raise ParseError(f"non-numeric value in {raw!r}", line=lineno) from None
         source[k] = lineno
         k += 1
-    if with_illum:  # the file has no way to mark an illuminance as not measured
-        unmeasured = np.isnan(evg[:k]) | np.isnan(evd[:k])
-        if unmeasured.any():
-            row = int(np.argmax(unmeasured))
-            name = "ev_global" if np.isnan(evg[row]) else "ev_diffuse"
-            raise DataError(f"{name} nan is not a finite number", line=int(source[row]))
-    return WeatherSeries(micros[:k].view("datetime64[us]"), gh[:k], dh[:k], evg[:k], evd[:k],
-                         lines=source[:k])
+    return _weather_series(micros[:k], gh[:k], dh[:k], evg[:k], evd[:k], source[:k], with_illum)
 
 
 def write_weather_csv(weather: WeatherSeries, path) -> None:
@@ -175,7 +313,7 @@ def parse_tmy2_subset(path) -> WeatherSeries:
         if not 1 <= hour <= 24:
             raise ParseError(f"hour {hour} out of 1..24", line=lineno)
         try:
-            micros[k] = (datetime(nominal_year, month, day, hour - 1) - _EPOCH) // _MICROSECOND
+            micros[k] = _epoch_micros(datetime(nominal_year, month, day, hour - 1))
         except ValueError as exc:
             raise ParseError(f"bad date: {exc}", line=lineno) from None
         ghi = _t2_int(raw, _T2_GHI, "global irradiance", lineno)
@@ -193,13 +331,27 @@ def parse_tmy2_subset(path) -> WeatherSeries:
 
 def parse_series_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Read a two-column ``timestamp,value`` CSV (any value column name)
-    into ``datetime64[us]`` times and finite values."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines:
-        raise ParseError("empty series file", line=1)
-    header = [c.strip() for c in lines[0].split(",")]
+    into ``datetime64[us]`` times and finite values.
+
+    As in :func:`parse_weather_csv`, a plain file is read in array passes;
+    any other file, and one with a non-finite value, row by row."""
+    table = _plain_table(Path(path).read_bytes())
+    if table is None or not np.isfinite(table.values).all():
+        return _series_rows(Path(path).read_text(encoding="utf-8").splitlines())
+    _series_header(table.header)
+    return table.micros.view("datetime64[us]"), table.values[0]
+
+
+def _series_header(line: str) -> None:
+    header = [c.strip() for c in line.split(",")]
     if len(header) != 2 or header[0] != "timestamp":
         raise ParseError("expected a two-column header starting with 'timestamp'", line=1)
+
+
+def _series_rows(lines: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    if not lines:
+        raise ParseError("empty series file", line=1)
+    _series_header(lines[0])
     micros = np.empty(len(lines) - 1, dtype=np.int64)
     values = np.empty(len(lines) - 1)
     k = 0

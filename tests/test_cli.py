@@ -129,6 +129,36 @@ class TestValidate:
         assert code == 1
         assert "below required" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,value,bounds", [
+        ("--require-rsd", "nan", "[0, 100]"),
+        ("--require-rsd", "-inf", "[0, 100]"),
+        ("--require-rsd", "-1", "[0, 100]"),
+        ("--require-rsd", "100.5", "[0, 100]"),
+        ("--error", "nan", "[0, 1]"),
+        ("--error", "inf", "[0, 1]"),
+        ("--error", "-1", "[0, 1]"),
+        ("--error", "1.5", "[0, 1]"),
+    ])
+    @pytest.mark.parametrize("mode", ["margin", "error"])
+    def test_threshold_outside_its_range_exits_2(self, tmp_path, capsys, flag, value, bounds,
+                                                   mode):
+        """A NaN threshold would turn the gate off silently; every mode rejects it."""
+        rows = [(datetime(2009, 3, 21, 10, 0), 100.0)]
+        sim = series_csv(tmp_path / "sim.csv", rows)
+        ref = series_csv(tmp_path / "ref.csv", rows)
+        with pytest.raises(SystemExit) as err:
+            main(["validate", str(sim), str(ref), "--mode", mode, f"{flag}={value}"])
+        assert err.value.code == 2
+        assert f"argument {flag}: {value} is not a number in {bounds}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,value", [("--require-rsd", "0"), ("--require-rsd", "100"),
+                                            ("--error", "0"), ("--error", "1")])
+    def test_threshold_at_its_bounds_is_accepted(self, tmp_path, flag, value):
+        rows = [(datetime(2009, 3, 21, 10, 0), 100.0)]
+        sim = series_csv(tmp_path / "sim.csv", rows)
+        ref = series_csv(tmp_path / "ref.csv", rows)
+        assert main(["validate", str(sim), str(ref), "--mode", "margin", flag, value]) == 0
+
     def test_timestamp_mismatch_without_resample(self, tmp_path, capsys):
         t0 = datetime(2009, 3, 21, 10, 0)
         sim = series_csv(tmp_path / "sim.csv", [(t0, 1.0)])

@@ -2,10 +2,13 @@ import json
 import re
 from datetime import datetime, timedelta
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from sidelux import io as sidelux_io
 from sidelux.errors import ConfigError, DataError, GeometryError, ParseError
 from sidelux.daylight import PeriodResult
 from sidelux.geometry import Polygon3, make_workplane_grid
@@ -18,7 +21,7 @@ from sidelux.io import (
     write_results,
     write_weather_csv,
 )
-from conftest import same_weather
+from conftest import overcast_day_csv, same_weather
 from sidelux.solar import WeatherSeries
 
 DATA = Path(__file__).parent / "data"
@@ -230,6 +233,244 @@ class TestSeriesCsv:
         with pytest.raises(ParseError, match="^line 2: timestamp '2009-07-01T12:00\\+04:00' "
                                              "has a UTC offset"):
             parse_series_csv(p)
+
+
+class _Recorded(WeatherSeries):
+    """A weather series that keeps the source lines it was built with."""
+
+    def __init__(self, *columns, lines=None):
+        super().__init__(*columns, lines=lines)
+        self.source = np.asarray(lines)
+
+
+def _outcome(read):
+    """Every array a reader returns, as dtype and bytes; or its error's type,
+    line and message."""
+    try:
+        result = read()
+    except ValueError as exc:
+        return type(exc), getattr(exc, "line", None), str(exc)
+    if isinstance(result, WeatherSeries):
+        result = (result.times, result.gh, result.dh, result.ev_global, result.ev_diffuse,
+                  result.source)
+    return [(a.dtype.str, a.tobytes()) for a in result]
+
+
+def both_readers(path):
+    """The outcome of the public reader and of the per-line reader on one
+    file: the weather reader unless the header names a series."""
+    weather = not path.read_bytes().startswith(b"timestamp,E_lux")
+    public, rows = ((parse_weather_csv, sidelux_io._weather_rows) if weather
+                    else (parse_series_csv, sidelux_io._series_rows))
+    with mock.patch.object(sidelux_io, "WeatherSeries", _Recorded):
+        return (_outcome(lambda: public(path)),
+                _outcome(lambda: rows(path.read_text(encoding="utf-8").splitlines())))
+
+
+def is_plain(path) -> bool:
+    """Whether a file is read in array passes."""
+    return sidelux_io._plain_table(path.read_bytes()) is not None
+
+
+W3 = "timestamp,Gh_Wm2,Dh_Wm2\n"
+W5 = "timestamp,Gh_Wm2,Dh_Wm2,Evg_lux,Evd_lux\n"
+S2 = "timestamp,E_lux\n"
+# Files the other tests read, as text: each is read the same by both paths.
+EXISTING = [
+    W3 + "2009-03-21T12:00,500,100\n",
+    W3 + "2009-03-21T12:00,100,500\n",
+    W3 + "2009-07-01T12:00,500,100\n2009-07-01T12:01,-5,600\n2009-07-01T12:00,1600,100\n",
+    W3 + "2009-07-01T11:59,500,100\n2009-07-01T12:00+04:00,500,100\n",
+    W5 + "2009-03-21T12:00,500,100,49200,12000\n",
+    W3 + "2009-03-21T12:00,500.25,100.125\n2009-03-21T12:01,501.5,99.875\n",
+    W3 + "2009-03-21T12:00:00,500.25,100.125\n2009-03-21T12:01:00,501.5,99.875\n",
+    W5 + "2009-03-21T12:00:00,500.0,100.0,49200.0,12000.0\n"
+         "2009-03-21T12:01:00,400.0,90.0,40000.0,11000.0\n",
+    W5 + "2009-03-21T12:00,500.25,100.125,49200.5,12000.25\n"
+         "2009-03-21T12:01,501.5,99.875,49300.0,11900.0\n",
+    W5 + "1985-03-21T12:00,500,100,49200,12000\n",
+    *(W5 + f"2009-07-01T12:00,{row}\n" for row in ("nan,0,49200,12000", "500,nan,49200,12000",
+                                                   "500,100,inf,12000", "500,100,49200,nan")),
+    *(W3 + body for body in ("not-a-time,500,100\n", "2009-03-21T12:00,abc,100\n",
+                             "2009-03-21T12:00,500\n", "2009-03-21T12:00,500,100,49200\n",
+                             "2009-03-21T12:00,500,100\n2009-03-21T12:00,500,100\n",
+                             "2009-03-21T12:01,500,100\n2009-03-21T12:00,500,100\n",
+                             "2009-03-21T12:00,-5,0\n", "2009-03-21T12:00,1600,100\n")),
+    "time,G,D\n2009-03-21T12:00,500,100\n",
+    "",
+    S2 + "2009-03-21T12:00,123.5\n",
+    S2 + "2009-03-21T12:00\n",
+    *(S2 + f"2009-03-21T12:00,1\n2009-03-21T12:01,{v}\n" for v in ("nan", "inf", "-inf")),
+    S2 + "2009-07-01T12:00+04:00,1\n",
+    S2 + "".join(f"2009-03-21T10:{m:02d}:00,{100.0 + m}\n" for m in range(10)),
+    S2 + "2009-03-21T10:00,100.0\n2009-03-21T10:01,nan\n2009-03-21T10:02,100.0\n",
+    S2 + "2009-03-21T10:00,100.0\n2009-03-21T10:01+04:00,100.0\n2009-03-21T10:02,100.0\n",
+]
+ROW = "2009-07-01T12:00,500,100"
+NEXT = "2009-07-01T12:01,500,100"
+ADVERSARIAL = [
+    # line ends and blank lines
+    W3 + ROW + "\r\n" + NEXT + "\r\n",
+    W3 + ROW + "\r" + NEXT + "\n",
+    W3 + ROW + "\x85" + NEXT + "\n",
+    W3 + ROW + "\u2028" + NEXT + "\n",
+    W3 + ROW + "\x1c" + NEXT + "\n",
+    W3 + ROW + "\n\n" + NEXT + "\n",
+    W3 + ROW + "\n" + NEXT + "\n\n",
+    W3 + ROW + "\n   \n" + NEXT + "\n",
+    W3 + ROW + "\n" + NEXT,
+    W3,
+    W3.rstrip("\n"),
+    "\n" + ROW + "\n",
+    "\ufeff" + W3 + ROW + "\n",
+    # other timestamp forms
+    *(W3 + f"{stamp},500,100\n" for stamp in (
+        "2009-07-01", "2009-07-01 12:00", "20090701T1200", "2009-07-01T12:00:00.5",
+        "2009-07-01T12", "2009-07-01T12:00:00.000000", " 2009-07-01T12:00",
+        "2009-07-01T12:00 ", "2009-07-01t12:00", "2009/07/01T12:00", "2009-07-01T12-00",
+        "+009-07-01T12:00", "2009-07-01T1:000", "2009-07-01T12:0a")),
+    W3 + ROW + "\n2009-07-01T12:01:00,500,100\n",
+    W3 + "2009-07-01T12:00:00,500,100\n" + NEXT + "\n",
+    # time-zone suffixes
+    W3 + "2009-07-01T12:00Z,500,100\n",
+    W3 + "2009-07-01T12:00+04:00,500,100\n",
+    W3 + "2009-07-01T12:00:00-03:00,500,100\n",
+    # impossible and edge dates and times
+    *(W3 + f"{stamp},500,100\n" for stamp in (
+        "2009-02-29T12:00", "2008-02-29T12:00", "1900-02-29T12:00", "2000-02-29T12:00",
+        "2009-04-31T12:00", "2009-04-30T12:00", "2009-07-01T24:00", "2009-07-01T12:60",
+        "2009-07-01T12:00:60", "2009-07-01T23:59:59", "0000-01-01T00:00", "0001-01-01T00:00",
+        "9999-12-31T23:59", "2009-13-01T12:00", "2009-00-10T12:00", "2009-07-00T12:00",
+        "2009-12-32T12:00", "1969-12-31T23:59", "1970-01-01T00:00")),
+    # values
+    *(W3 + f"2009-07-01T12:00,{gh},{dh}\n" for gh, dh in (
+        ("1_000", "100"), (" 5 ", "1"), ("5", " 1"), ("nan", "1"), ("inf", "1"), ("1e400", "1"),
+        ("500", "1e-400"), ("-0", "0"), ("+5", ".5"), ("5.", "1e0"), ("1E2", "5e+1"),
+        ("1__0", "1"), ("0x10", "1"), ("abc", "1"), ("", "1"), ("5", ""), ("\t5", "1"),
+        ("5\x00", "1"), ("\uff15", "1"), ("5\u00a0", "1"), ("0" * 40 + "5", "1"),
+        ("Infinity", "1"), ("-nan", "1"), ("5 5", "1"))),
+    W3 + ROW + ",\n",
+    W3 + "2009-07-01T12:00,500,,100\n",
+    W3 + "2009-07-01T12:00,500\n" + NEXT + ",7\n",
+    W3 + ROW + "\n" + NEXT + ",\n",
+    "timestamp, Gh_Wm2 ,Dh_Wm2\n" + ROW + "\n",
+    "timestamp,Gh_Wm2\n2009-07-01T12:00,500\n",
+    W5 + "2009-07-01T12:00,500,100,nan,1\n",
+    W5 + "2009-07-01T12:00,500,100,1,-1\n",
+    W5 + "2009-07-01T12:00,500,100,1\n",
+    *(S2 + f"2009-07-01T12:00,{v}\n" for v in ("1_000", " 5 ", "nan", "inf", "-inf", "1e400",
+                                               "-1e400", "", "x", "1,2", "5\x00")),
+    S2 + "2009-07-01T12:00,1\n2009-07-01T12:01,nan\n2009-07-01T12:02,x\n",
+    S2 + "2009-07-01T12:00,1\n2009-07-01T12:01,x\n2009-07-01T12:02,nan\n",
+    S2 + "2009-07-01T12:00,nan\n2009-07-01T24:00,1\n",
+    S2 + "2009-07-01T12:00,1\n2009-07-01T12:00,1\n2009-07-01T11:00,1\n",
+    "timestamp,E_lux,x\n2009-07-01T12:00,1,2\n",
+    "time,E_lux\n2009-07-01T12:00,1\n",
+]
+# Inputs of both shapes that must take the array path, so that the gate
+# compares two readers and not one reader with itself.
+PLAIN = [
+    W3 + ROW + "\n" + NEXT + "\n",
+    W3 + ROW + "\n" + NEXT,
+    W3 + "2009-03-21T12:00:00,500.25,100.125\n2009-03-21T12:01:00,501.5,99.875\n",
+    W5 + "2009-03-21T12:00,500.25,100.125,49200.5,12000.25\n",
+    W3 + "2008-02-29T12:00,500,100\n2009-07-01T12:00,1_000, 5 \n",
+    W3 + "2009-07-01T12:00,nan,inf\n",
+    W3 + "2009-07-01T12:01,500,100\n2009-07-01T12:00,500,100\n",
+    "time,G,D\n2009-03-21T12:00,500,100\n",
+    S2 + "2009-03-21T10:00:00,100.0\n2009-03-21T10:01:00,101.0\n",
+]
+
+
+class TestArrayPath:
+    """Plain files are read in array passes; the per-line reader is the
+    reference and reads every other file."""
+
+    @pytest.mark.parametrize("text", EXISTING + ADVERSARIAL,
+                             ids=[f"existing{i}" for i in range(len(EXISTING))]
+                             + [f"adversarial{i}" for i in range(len(ADVERSARIAL))])
+    def test_both_readers_agree(self, tmp_path, text):
+        path = tmp_path / "in.csv"
+        path.write_bytes(text.encode("utf-8"))
+        public, rows = both_readers(path)
+        assert public == rows
+
+    @pytest.mark.parametrize("text", PLAIN, ids=[f"plain{i}" for i in range(len(PLAIN))])
+    def test_plain_files_take_the_array_path(self, tmp_path, text):
+        path = tmp_path / "in.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert is_plain(path)
+
+    @pytest.mark.parametrize("text", [ADVERSARIAL[0], ADVERSARIAL[5], W3 + "2009-07-01,500,100\n",
+                                      W3 + "2009-02-29T12:00,500,100\n",
+                                      W3 + "2009-07-01T12:00,abc,100\n"])
+    def test_other_files_take_the_per_line_path(self, tmp_path, text):
+        path = tmp_path / "in.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert not is_plain(path)
+
+    def test_a_day_of_minutes_is_read_the_same(self, tmp_path):
+        path = overcast_day_csv(tmp_path / "day.csv")
+        assert is_plain(path)
+        public, rows = both_readers(path)
+        assert public == rows and len(public[0][1]) == 1440 * 8
+
+    def test_source_lines_count_from_two(self, tmp_path):
+        path = write(tmp_path, W3 + ROW + "\n" + NEXT + "\n")
+        with mock.patch.object(sidelux_io, "WeatherSeries", _Recorded):
+            assert parse_weather_csv(path).source.tolist() == [2, 3]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.datetimes(datetime(1, 1, 1), datetime(9999, 12, 31, 23, 59, 59, 999999)))
+def test_epoch_micros_is_the_timedelta_quotient(ts):
+    """The per-line readers' integer conversion equals the exact quotient
+    ``(ts - 1970-01-01) // 1 µs`` it replaces, before 1970 too."""
+    assert sidelux_io._epoch_micros(ts) == (ts - datetime(1970, 1, 1)) // timedelta(microseconds=1)
+
+
+PERTURBING = "0123456789-:T ,.+eE_nafiZz\t\r\n\x00\x1c\x85\u2028\u00e9"
+
+
+@st.composite
+def plain_files(draw):
+    """A plain weather (three or five columns) or series file, as lines."""
+    kind = draw(st.sampled_from([W3, W5, S2]))
+    seconds = draw(st.booleans())
+    when = draw(st.datetimes(datetime(1, 1, 1), datetime(9998, 12, 31))).replace(microsecond=0)
+    if not seconds:
+        when = when.replace(second=0)
+    form = draw(st.sampled_from(["{:.2f}", "{!r}", "{:g}", "{:.0f}", "{:.3e}"]))
+    lines = [kind.rstrip("\n")]
+    for _ in range(draw(st.integers(1, 8))):
+        when += timedelta(minutes=draw(st.integers(1, 100_000)))
+        gh = draw(st.floats(0.0, 1500.0))
+        values = ([draw(st.floats(-1e6, 1e6))] if kind == S2 else
+                  [gh, gh * draw(st.floats(0.0, 1.0))] + [draw(st.floats(0.0, 1e5))
+                                                          for _ in range(2 * (kind == W5))])
+        lines.append(",".join([when.isoformat(timespec="seconds" if seconds else "minutes"),
+                               *(form.format(v) for v in values)]))
+    return lines
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=plain_files(), data=st.data())
+def test_one_perturbed_row_is_read_the_same_by_both_readers(tmp_path_factory, lines, data):
+    path = tmp_path_factory.mktemp("perturbed") / "in.csv"
+    path.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+    assert is_plain(path)
+    public, rows = both_readers(path)
+    assert public == rows
+    row = data.draw(st.integers(1, len(lines) - 1))
+    text = lines[row] + "\n"
+    at = data.draw(st.integers(0, len(text) - 1))
+    char = data.draw(st.sampled_from(PERTURBING))
+    op = data.draw(st.sampled_from(["replace", "insert", "delete"]))
+    text = text[:at] + {"replace": char, "insert": char + text[at], "delete": ""}[op] + text[at + 1:]
+    path.write_bytes(("\n".join(lines[:row]) + "\n" + text
+                      + "".join(line + "\n" for line in lines[row + 1:])).encode("utf-8"))
+    public, rows = both_readers(path)
+    assert public == rows
 
 
 class TestBuilding:
