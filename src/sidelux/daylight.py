@@ -44,6 +44,7 @@ from .geometry import (
     decompose_convex,
     signed_ring_areas,
     split_rings,
+    stack_rings,
     points_in_polygon_mask,
     project_polygon_along_direction,
     clip_polygon,  # not used here: perfbench's tracer self-test rebinds it in this module
@@ -130,7 +131,8 @@ class Obstruction:
 @dataclass(eq=False)
 class Room:
     """A closed room: horizontal floor outline (convex or L-shaped), flat
-    ceiling at ``height`` above it, apertures on the walls."""
+    ceiling at ``height`` above it, apertures on the walls. The outline is
+    stored counter-clockwise from above, and so are its convex ``parts``."""
 
     floor: Polygon3
     height: float
@@ -310,7 +312,7 @@ class SkyKernel:
             r, o = rings[cut], owner[cut]
             beyond, before = split_rings(r, r[:, :, 0] - lo[o, k][:, None])
             after, _ = split_rings(beyond, beyond[:, :, 0] - hi[o, k][:, None])
-            rings, owner = _nonempty(_stack(rings[~cut], before, after),
+            rings, owner = _nonempty(stack_rings(rings[~cut], before, after),
                                      np.concatenate((owner[~cut], o, o)))
 
         cls = np.full(len(owner), -1)
@@ -366,7 +368,7 @@ class SkyKernel:
             outside.append(out)
         behind = (c >= 0) & (c != j)  # overlap with another obstruction's projection
         nearer_j, nearer_other = split_rings(r[behind], self._nearer(j, c[behind], o[behind], r[behind], p))
-        pieces = _stack(rings[~cut], *outside, r[~behind], nearer_j, nearer_other)
+        pieces = stack_rings(rings[~cut], *outside, r[~behind], nearer_j, nearer_other)
         oo, ob = o[~behind], o[behind]
         owner = np.concatenate([owner[~cut]] + [o] * len(outside) + [oo, ob, ob])
         cls = np.concatenate([cls[~cut]] + [c] * len(outside)
@@ -389,14 +391,6 @@ class SkyKernel:
         side = np.sign(a_i * a_j)[:, None] * (a_i[:, None] * d_j - a_j[:, None] * d_i)
         # coplanar obstructions: give the overlap to j
         return np.where(np.all(side == 0.0, axis=1)[:, None], 1.0, side)
-
-
-def _stack(*parts: np.ndarray) -> np.ndarray:
-    """Concatenate batches of rings, padding each to the widest by repeating
-    its rows' last vertex."""
-    width = max(r.shape[1] for r in parts)
-    return np.concatenate([np.concatenate((r, np.repeat(r[:, -1:], width - r.shape[1], axis=1)),
-                                          axis=1) for r in parts])
 
 
 def _nonempty(rings: np.ndarray, *columns: np.ndarray):
@@ -542,20 +536,13 @@ class BeamKernel:
 
     def __init__(self, room: Room, plane_z: float):
         self.plane_z = plane_z
-        n_vert = max((len(ap.polygon.coords) for ap in room.apertures), default=3)
-        # shorter rings repeat their last vertex: a zero-length edge adds nothing
-        self.windows = np.empty((len(room.apertures), n_vert, 3))
-        for k, ap in enumerate(room.apertures):
-            c = ap.polygon.coords
-            self.windows[k, :len(c)] = c
-            self.windows[k, len(c):] = c[-1]
+        # the empty batch leads, so a room without windows gets one of shape (0, 1, 3)
+        self.windows = stack_rings(np.empty((0, 1, 3)),
+                                   *(ap.polygon.coords[None] for ap in room.apertures))
         self.outward = np.array(
             [room.aperture_outward(k) for k in range(len(room.apertures))]
         ).reshape(-1, 3)
-        self.parts = []
-        for part in room.parts:
-            v2 = part.coords[:, :2]
-            self.parts.append(v2 if signed_ring_areas(v2[None], v2[0])[0] > 0.0 else v2[::-1])
+        self.parts = [part.coords[:, :2] for part in room.parts]
 
     def __call__(self, altitude: np.ndarray, direction: np.ndarray,
                  points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1,6 +1,13 @@
 """Planar-polygon kernel: 3-D polygons, directional projection, convex
 clipping, point containment and workplane meshing.
 
+Convex rings are cut in batches of one common width, a short row repeating
+its last vertex (:func:`stack_rings`). There is one cut: :func:`split_rings`
+divides each ring along the zero line of an affine function given at its
+vertices; :func:`clip_rings` keeps the inner side of that cut along each
+edge of a convex clip ring, and :func:`clip_polygon` is :func:`clip_rings`
+on a batch of one.
+
 Coordinates are metric with z up. Everything is a pure function of its
 inputs (or a read-only method), so all operations are safe to call
 concurrently.
@@ -19,7 +26,6 @@ from .errors import DegenerateMeshError, GeometryError
 PLANARITY_TOL = 1e-6   # m: how far vertices may sit off their common plane
 PARALLEL_TOL = 1e-9    # dot-product threshold for grazing directions
 BOUNDARY_TOL = 1e-9    # m: points this close to an edge count as inside
-CLIP_TOL = 1e-12       # clip-side test: vertices this far outside a clip edge are kept
 EMPTY_AREA = 1e-12     # m^2: clipped pieces this small count as empty
 
 
@@ -135,10 +141,10 @@ def project_polygon_along_direction(rings: np.ndarray, directions: np.ndarray,
 
 
 def clip_polygon(subject: Polygon3, clip: Polygon3) -> Polygon3 | None:
-    """Intersection of two coplanar polygons (Sutherland-Hodgman).
-
-    The clip polygon must be convex; the subject may be any simple polygon.
-    Returns None for an empty intersection.
+    """Intersection of two coplanar convex polygons: :func:`clip_rings` on
+    a batch of one in the clip polygon's plane. Returns None for an empty
+    intersection, one of at most EMPTY_AREA or one too thin for
+    :class:`Polygon3`.
     """
     if abs(abs(float(subject.normal @ clip.normal)) - 1.0) > 1e-9:
         raise GeometryError("polygons are not coplanar (normals differ)")
@@ -146,75 +152,50 @@ def clip_polygon(subject: Polygon3, clip: Polygon3) -> Polygon3 | None:
         raise GeometryError("polygons are not coplanar (planes offset)")
     if not clip.is_convex:
         raise GeometryError("clip polygon must be convex")
+    if not subject.is_convex:
+        raise GeometryError("subject polygon must be convex (decompose it first)")
 
-    subj2 = clip.to_plane_2d(subject.coords)
     clip2 = clip._verts2d
     if signed_ring_areas(clip2[None], clip2[0])[0] < 0.0:
         clip2 = clip2[::-1]
-
-    out = [tuple(p) for p in subj2]
-    m = len(clip2)
-    for i in range(m):
-        ax, ay = clip2[i]
-        bx, by = clip2[(i + 1) % m]
-        ex, ey = bx - ax, by - ay
-        inp = out
-        out = []
-        if not inp:
-            return None
-        sx, sy = inp[-1]
-        s_in = ex * (sy - ay) - ey * (sx - ax) >= -CLIP_TOL
-        for px, py in inp:
-            p_in = ex * (py - ay) - ey * (px - ax) >= -CLIP_TOL
-            if p_in:
-                if not s_in:
-                    out.append(_edge_line_isect(sx, sy, px, py, ax, ay, ex, ey))
-                out.append((px, py))
-            elif s_in:
-                out.append(_edge_line_isect(sx, sy, px, py, ax, ay, ex, ey))
-            sx, sy, s_in = px, py, p_in
-
-    pts = _dedupe_ring(out)
-    if len(pts) < 3:
+    ring = clip_rings(clip.to_plane_2d(subject.coords)[None], clip2)[0]
+    if abs(signed_ring_areas(ring[None], clip2[0])[0]) <= EMPTY_AREA:
         return None
-    lifted = clip.from_plane_2d(np.array(pts))
+    # drop the padding and cut points that coincide with their predecessor
+    ring = ring[np.linalg.norm(ring - np.roll(ring, 1, axis=0), axis=1) >= 1e-12]
     try:
-        result = Polygon3(lifted)
+        return Polygon3(clip.from_plane_2d(ring))
     except GeometryError:
         return None
-    if result.area <= EMPTY_AREA:
-        return None
-    return result
 
 
 def clip_rings(rings: np.ndarray, clip_ccw: np.ndarray) -> np.ndarray:
     """Clip a batch of convex 2-D rings, shape (R, W, 2), against one convex
-    counter-clockwise ring with Sutherland-Hodgman, as :func:`clip_polygon`
-    does for one polygon (same side test and edge intersection).
-
-    Every pass keeps the rows at one common width: a row with fewer vertices
-    repeats its last one, a zero-length edge that adds no area, and a row
-    clipped away is all zeros.
+    counter-clockwise ring: per clip edge, the inner side of the cut that
+    :func:`split_rings` makes along that edge's line. Rows come back padded
+    as :func:`stack_rings` pads them; a row clipped away is all zeros.
     """
     m = len(clip_ccw)
     for i in range(m):
         ax, ay = clip_ccw[i]
         bx, by = clip_ccw[(i + 1) % m]
-        ex, ey = bx - ax, by - ay
-        px, py = rings[:, :, 0], rings[:, :, 1]
-        side = ex * (py - ay) - ey * (px - ax)
-        p_in = side >= -CLIP_TOL
-        s_in = np.roll(p_in, 1, axis=1)
-        crossing = p_in != s_in
-        # intersection of each crossing edge s -> p with the clip line
-        sx, sy = np.roll(px, 1, axis=1), np.roll(py, 1, axis=1)
-        dx, dy = px - sx, py - sy
-        denom = ex * dy - ey * dx
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = np.clip(-np.roll(side, 1, axis=1) / denom, 0.0, 1.0)
-        t = np.where(denom == 0.0, 0.5, t)
-        rings = _emit_rings(rings, np.stack((sx + t * dx, sy + t * dy), axis=-1), crossing, p_in)
+        side = (bx - ax) * (rings[:, :, 1] - ay) - (by - ay) * (rings[:, :, 0] - ax)
+        cuts, crossing = _cuts(rings, side)
+        rings = _emit_rings(rings, cuts, crossing, side >= 0.0)
     return rings
+
+
+def _cuts(rings: np.ndarray, side: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where each edge of a batch of rings crosses the zero of the affine
+    function whose value at every vertex is ``side``: per vertex, the
+    crossing point of the edge that ends there, and whether that edge
+    crosses (its ends strictly on opposite sides)."""
+    prev = np.roll(side, 1, axis=1)
+    crossing = ((prev > 0.0) & (side < 0.0)) | ((prev < 0.0) & (side > 0.0))
+    start = np.roll(rings, 1, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.where(crossing, prev / (prev - side), 0.0)
+    return start + t[..., None] * (rings - start), crossing
 
 
 def _emit_rings(rings: np.ndarray, cuts: np.ndarray, crossing: np.ndarray,
@@ -236,19 +217,24 @@ def _emit_rings(rings: np.ndarray, cuts: np.ndarray, crossing: np.ndarray,
     return out[rows, pad]
 
 
+def stack_rings(*batches: np.ndarray) -> np.ndarray:
+    """Concatenate batches of rings, shape (R_i, W_i, D), padding each row
+    to the widest W_i by repeating its last vertex, the padding every ring
+    batch here uses: a zero-length edge adds no area and crosses no line."""
+    width = max(r.shape[1] for r in batches)
+    return np.concatenate([np.concatenate((r, np.repeat(r[:, -1:], width - r.shape[1], axis=1)),
+                                          axis=1) for r in batches])
+
+
 def split_rings(rings: np.ndarray, side: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Cut a batch of convex rings, shape (R, W, D), each by its own line (or
     plane), given as the value ``side`` (R, W) of an affine function at every
-    vertex. Returns the parts where side >= 0 and where side <= 0, padded as
-    :func:`clip_rings` pads; a vertex with side == 0 goes to both, so a ring
-    with an edge on the line comes back whole on its side and as that edge
-    alone, of zero area, on the other."""
-    prev = np.roll(side, 1, axis=1)
-    crossing = ((prev > 0.0) & (side < 0.0)) | ((prev < 0.0) & (side > 0.0))
-    start = np.roll(rings, 1, axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.where(crossing, prev / (prev - side), 0.0)
-    cuts = start + t[..., None] * (rings - start)
+    vertex. This is the package's one convex cut. Returns the parts where
+    side >= 0 and where side <= 0, padded as :func:`stack_rings` pads; a
+    vertex with side == 0 goes to both, so a ring with an edge on the line
+    comes back whole on its side and as that edge alone, of zero area, on
+    the other."""
+    cuts, crossing = _cuts(rings, side)
     return (_emit_rings(rings, cuts, crossing, side >= 0.0),
             _emit_rings(rings, cuts, crossing, side <= 0.0))
 
@@ -261,28 +247,6 @@ def signed_ring_areas(rings: np.ndarray, origin) -> np.ndarray:
     rel = rings - np.asarray(origin, dtype=float)[..., None, :]
     x, y = rel[:, :, 0], rel[:, :, 1]
     return 0.5 * np.sum(x * np.roll(y, -1, axis=1) - np.roll(x, -1, axis=1) * y, axis=1)
-
-
-def _edge_line_isect(sx, sy, px, py, ax, ay, ex, ey):
-    dx, dy = px - sx, py - sy
-    denom = ex * dy - ey * dx
-    if denom == 0.0:
-        t = 0.5
-    else:
-        t = -(ex * (sy - ay) - ey * (sx - ax)) / denom
-        t = min(max(t, 0.0), 1.0)
-    return (sx + t * dx, sy + t * dy)
-
-
-def _dedupe_ring(pts: Sequence[tuple[float, float]]) -> list[tuple[float, float]]:
-    out: list[tuple[float, float]] = []
-    for p in pts:
-        if out and abs(p[0] - out[-1][0]) < 1e-12 and abs(p[1] - out[-1][1]) < 1e-12:
-            continue
-        out.append(p)
-    while len(out) > 1 and abs(out[0][0] - out[-1][0]) < 1e-12 and abs(out[0][1] - out[-1][1]) < 1e-12:
-        out.pop()
-    return out
 
 
 def points_in_polygon_mask(px: np.ndarray, py: np.ndarray, v2: np.ndarray,

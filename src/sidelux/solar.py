@@ -41,12 +41,13 @@ class GeoLocation:
             raise ValueError(f"albedo {self.albedo} out of [0, 1]")
 
 
-def _sun_direction(altitude: float, azimuth: float) -> tuple[float, float, float]:
-    """Unit vector pointing from the sun toward the ground."""
-    h = math.radians(altitude)
-    a = math.radians(azimuth)
-    ch = math.cos(h)
-    return (-math.sin(a) * ch, -math.cos(a) * ch, -math.sin(h))
+def _sun_direction(altitude, azimuth) -> np.ndarray:
+    """Unit vectors pointing from the sun toward the ground, shape (..., 3),
+    for altitudes and azimuths in degrees (scalars or arrays)."""
+    h = np.radians(altitude)
+    a = np.radians(azimuth)
+    ch = np.cos(h)
+    return np.stack((-np.sin(a) * ch, -np.cos(a) * ch, -np.sin(h)), axis=-1)
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -63,15 +64,13 @@ class SolarState:
             raise ValueError(f"altitude {self.altitude} out of [-90, 90]")
         if not 0.0 <= self.azimuth < 360.0:
             raise ValueError(f"azimuth {self.azimuth} out of [0, 360)")
-        dx, dy, dz = _sun_direction(self.altitude, self.azimuth)
-        d = self.direction
-        if max(abs(d[0] - dx), abs(d[1] - dy), abs(d[2] - dz)) > 1e-9:
+        if not np.abs(self.direction - _sun_direction(self.altitude, self.azimuth)).max() <= 1e-9:
             raise ValueError("direction vector inconsistent with altitude/azimuth")
 
     @classmethod
     def from_angles(cls, altitude: float, azimuth: float) -> "SolarState":
         azimuth = azimuth % 360.0
-        return cls(altitude, azimuth, np.array(_sun_direction(altitude, azimuth)))
+        return cls(altitude, azimuth, _sun_direction(altitude, azimuth))
 
 
 _J2000 = np.datetime64("2000-01-01T12:00:00", "us")
@@ -119,11 +118,7 @@ def sun_positions(times: np.ndarray, loc: GeoLocation) -> tuple[np.ndarray, np.n
         )
         + 180.0
     ) % 360.0
-    h = np.radians(altitude)
-    a = np.radians(azimuth)
-    ch = np.cos(h)
-    direction = np.column_stack((-np.sin(a) * ch, -np.cos(a) * ch, -np.sin(h)))
-    return altitude, azimuth, direction
+    return altitude, azimuth, _sun_direction(altitude, azimuth)
 
 
 def sun_position(when: datetime, loc: GeoLocation) -> SolarState:

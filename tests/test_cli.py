@@ -1,3 +1,4 @@
+import argparse
 import json
 from datetime import datetime, timedelta
 from pathlib import Path
@@ -5,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from conftest import BUILDING_JSON, overcast_day_csv
-from sidelux.cli import main
+from sidelux.cli import build_parser, main
 
 
 def series_csv(path, rows):
@@ -245,6 +246,48 @@ class TestDfmap:
         assert np.allclose(ratio, 2.0, rtol=1e-12)
         assert int(np.argmax(sims["base"].df)) == int(np.argmax(sims["half"].df))
         assert sims["dark"].df.max() < 1e-6
+
+
+def test_room_without_apertures_is_dark(tmp_path):
+    """``room.apertures`` is optional: under a clear sky a room without
+    windows has DF 0, no sun patch and no light at its probes and grid."""
+    data = json.loads(BUILDING_JSON % {"cell": "0.5"})
+    del data["room"]["apertures"]
+    building = tmp_path / "b.json"
+    building.write_text(json.dumps(data), encoding="utf-8")
+    weather = tmp_path / "clear.csv"
+    weather.write_text("timestamp,Gh_Wm2,Dh_Wm2\n" + "".join(
+        f"2009-07-01T{h:02d}:00,600,150\n" for h in range(24)), encoding="utf-8")
+    out = tmp_path / "run"
+    assert main(["simulate", "--building", str(building), "--weather", str(weather),
+                 "--out", str(out), "--step", "60", "--probes", "1.95,1.27;1.95,3.27",
+                 "--field-at", "2009-07-01T12:00"]) == 0
+    rows = [line.split(",") for line in Path(f"{out}_summary.csv").read_text().splitlines()[1:]]
+    assert len(rows) == 24
+    assert max(float(r[3]) for r in rows) > 0.0  # the sun shines outside
+    assert all(float(v) == 0.0 for r in rows for v in r[4:])  # patch and both probes
+    assert main(["dfmap", "--building", str(building), "--out", str(tmp_path / "df.txt")]) == 0
+    for name in ("df.txt", "run_field_20090701T1200.txt"):
+        lines = (tmp_path / name).read_text().splitlines()
+        assert [float(v) for row in lines[1:] for v in row.split()] == [0.0] * 49
+
+
+def test_settable_options_are_pinned():
+    """Every argument of every subcommand (8 + 8 + 2). A new knob fails this
+    test, so the change that adds one has to edit this list and say why."""
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert [a.dest for a in parser._actions if not isinstance(a, argparse._HelpAction)] == ["command"]
+    got = {name: [a.option_strings[0] if a.option_strings else a.dest
+                  for a in p._actions if not isinstance(a, argparse._HelpAction)]
+           for name, p in sub.choices.items()}
+    assert got == {
+        "simulate": ["--building", "--weather", "--start", "--end", "--step", "--out",
+                     "--field-at", "--probes"],
+        "validate": ["sim", "reference", "--mode", "--error", "--resample", "--require-rsd",
+                     "--name", "--out"],
+        "dfmap": ["--building", "--out"],
+    }
 
 
 class TestLocalTime:

@@ -4,16 +4,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import rasterized_overlap_area
+from conftest import random_l_room
+from oracles import overlap_area, rasterized_overlap_area
 from sidelux.errors import DegenerateMeshError, GeometryError
 from sidelux.daylight import Aperture, BeamKernel, Room, SurfaceOptics
 from sidelux.geometry import (
     Polygon3,
     clip_polygon,
+    clip_rings,
     decompose_convex,
     make_workplane_grid,
     points_in_polygon_mask,
     project_polygon_along_direction,
+    signed_ring_areas,
 )
 
 
@@ -133,6 +136,14 @@ class TestClip:
         oracle = rasterized_overlap_area(rect.coords[:, :2], sq.coords[:, :2], res=0.001)
         assert out.area == pytest.approx(oracle, abs=5e-3)
 
+    def test_corner_just_beyond_an_edge(self):
+        """A subject corner 1e-13 m beyond a clip edge is cut off by two
+        points 1e-13 m apart, which the result holds as one vertex."""
+        tip = Polygon3([(1, -1e-13, 0), (1.5, 1, 0), (0.5, 1, 0)])
+        out = clip_polygon(tip, square(2.0))
+        assert out is not None
+        assert out.area == pytest.approx(0.5, abs=1e-12)
+
     def test_non_coplanar_raises(self):
         with pytest.raises(GeometryError):
             clip_polygon(square(z=0.0), square(z=1.0))
@@ -141,6 +152,16 @@ class TestClip:
         ell = Polygon3([(0, 0, 0), (4, 0, 0), (4, 2, 0), (2, 2, 0), (2, 4, 0), (0, 4, 0)])
         with pytest.raises(GeometryError):
             clip_polygon(square(), ell)
+
+    def test_non_convex_subject_raises(self):
+        """A U cut by a band across its arms leaves two squares, which no
+        one polygon holds: the subject must be convex too."""
+        u = Polygon3([(0, 0, 0), (3, 0, 0), (3, 3, 0), (2, 3, 0), (2, 1, 0), (1, 1, 0),
+                      (1, 3, 0), (0, 3, 0)])
+        band = Polygon3([(-1, 2, 0), (4, 2, 0), (4, 4, 0), (-1, 4, 0)])
+        assert overlap_area(u.coords[:, :2], band.coords[:, :2]) == pytest.approx(2.0, abs=1e-12)
+        with pytest.raises(GeometryError, match="subject polygon must be convex"):
+            clip_polygon(u, band)
 
 
 def contains(point, poly: Polygon3) -> bool:
@@ -240,6 +261,75 @@ def test_clipping_never_increases_area(a, b):
     out = clip_polygon(a, b)
     if out is not None:
         assert out.area <= min(a.area, b.area) + 1e-9
+
+
+def circle_ring(cx, cy, r, angles):
+    """Convex counter-clockwise ring of points on a circle at the given angles."""
+    a = np.array(sorted(set(angles)))
+    return np.column_stack((cx + r * np.cos(a), cy + r * np.sin(a)))
+
+
+circles = st.tuples(st.floats(-5, 5), st.floats(-5, 5), st.floats(0.5, 4),
+                    st.lists(st.floats(0, 2 * math.pi - 1e-3), min_size=3, max_size=8,
+                             unique_by=lambda a: round(a, 3)))
+
+
+@st.composite
+def clip_pairs(draw):
+    """A convex counter-clockwise clip ring and a convex subject ring. Half
+    the subjects have a vertex within 1e-13 of a clip edge's line, on either
+    side; the rest are the clip itself, a triangle on one of its edges
+    (inside or outside) or an unrelated ring."""
+    clip = circle_ring(*draw(circles))
+    i = draw(st.integers(0, len(clip) - 1))
+    a, b = clip[i], clip[(i + 1) % len(clip)]
+    if draw(st.booleans()):
+        normal = np.array([a[1] - b[1], b[0] - a[0]]) / np.linalg.norm(b - a)
+        q = a + draw(st.floats(0.0, 1.0)) * (b - a) + draw(st.floats(-1e-13, 1e-13)) * normal
+        r = draw(st.floats(0.5, 4))
+        phi = draw(st.floats(0, 2 * math.pi))
+        centre = q - r * np.array([math.cos(phi), math.sin(phi)])
+        others = draw(st.lists(st.floats(0.05, 2 * math.pi - 0.05), min_size=2, max_size=6,
+                               unique_by=lambda t: round(t, 2)))
+        subject = circle_ring(*centre, r, [phi] + [phi + t for t in others])
+        subject[0] = q
+        return clip, subject
+    kind = draw(st.sampled_from(["same", "edge", "free"]))
+    if kind == "same":
+        return clip, clip.copy()
+    if kind == "edge":
+        apex = np.array([draw(st.floats(-9, 9)), draw(st.floats(-9, 9))])
+        return clip, np.array([b, a, apex])
+    return clip, circle_ring(*draw(circles))
+
+
+@settings(max_examples=300, deadline=None)
+@given(clip_pairs())
+def test_clip_rings_matches_the_scanline_oracle(pair):
+    """The subject, from two starting vertices, each padded by repeating its
+    last vertex twice, clips to the exact overlap area within 1e-12 m^2."""
+    clip, subject = pair
+    rings = np.stack([np.concatenate((s, s[-1:], s[-1:]))
+                      for s in (subject, np.roll(subject, 1, axis=0))])
+    out = clip_rings(rings, clip)
+    area = np.abs(signed_ring_areas(out, clip.mean(axis=0)))
+    expected = overlap_area(subject, clip)
+    assert np.all(np.abs(area - expected) <= 1e-12), (area, expected)
+
+
+def test_room_parts_are_counter_clockwise():
+    """The beam kernel clips against ``Room.parts`` as they come: each part
+    is counter-clockwise from above, whichever way the floor was given."""
+    rng = np.random.default_rng(3)
+    floors = [Polygon3(square(3.0).coords[::-1])]
+    for _ in range(20):
+        ell = random_l_room(rng).floor
+        floors += [ell, Polygon3(ell.coords[::-1])]
+    for floor in floors:
+        parts = Room(floor=floor, height=2.8, optics=SurfaceOptics(0.2, 0.6, 0.6)).parts
+        areas = [signed_ring_areas(p.coords[None, :, :2], p.coords[0, :2])[0] for p in parts]
+        assert min(areas) > 0.0
+        assert sum(areas) == pytest.approx(floor.area, rel=1e-12)
 
 
 @settings(max_examples=40, deadline=None)
