@@ -45,7 +45,7 @@ from .geometry import (
     signed_ring_areas,
     split_rings,
     stack_rings,
-    points_in_polygon_mask,
+    points_in_convex_rings,
     project_polygon_along_direction,
     clip_polygon,  # not used here: perfbench's tracer self-test rebinds it in this module
     workplane_grid_for_parts,
@@ -199,14 +199,14 @@ class Room:
         pts = self.floor.coords
         return float(np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1).sum())
 
-    def contains(self, point) -> bool:
-        p = np.asarray(point, dtype=float)
-        if not self.floor_z - PLANARITY_TOL <= p[2] <= self.floor_z + self.height + PLANARITY_TOL:
-            return False
-        mask = points_in_polygon_mask(
-            np.array([p[0]]), np.array([p[1]]), self.floor.coords[:, :2]
-        )
-        return bool(mask[0])
+    def contains(self, points: np.ndarray) -> np.ndarray:
+        """Which of the (N, 3) ``points`` lie in the room: over a floor part
+        (edges within BOUNDARY_TOL included) and from floor to ceiling."""
+        p = np.asarray(points, dtype=float).reshape(-1, 3)
+        rings = stack_rings(*(part.coords[None, :, :2] for part in self.parts))
+        return ((self.floor_z - PLANARITY_TOL <= p[:, 2])
+                & (p[:, 2] <= self.floor_z + self.height + PLANARITY_TOL)
+                & points_in_convex_rings(p[:, :2], rings).any(axis=0))
 
     def workplane(self, cell: float, height: float = 0.01) -> GridMesh:
         return workplane_grid_for_parts(self.parts, cell, height)
@@ -297,7 +297,7 @@ class SkyKernel:
         u = rel @ self.along
         z = p[:, 2]
         on_plane = np.abs(h) < BOUNDARY_TOL
-        if on_plane.any() and points_in_polygon_mask(u[on_plane], z[on_plane], self.ring).any():
+        if points_in_convex_rings(np.column_stack((u, z))[on_plane], self.ring[None]).any():
             raise GeometryError("point lies on the aperture polygon")
         live = np.flatnonzero(h >= BOUNDARY_TOL)  # only points in front of the window see through it
         pl, hl, ul, zl = p[live], h[live], u[live], z[live]
@@ -425,7 +425,7 @@ def _sky_at(point, aperture, obstructions, room: Room | None) -> tuple[float, fl
     """(sc, erc) of one aperture at one point. With a room, its other walls
     may hide the window; without one, the window is seen from the point's
     side of its plane."""
-    if room is not None and not room.contains(point):
+    if room is not None and not room.contains(point)[0]:
         raise ValueError("point lies outside the room")
     window = aperture.polygon if isinstance(aperture, Aperture) else aperture
     p = np.asarray(point, dtype=float).reshape(1, 3)
@@ -446,7 +446,7 @@ def sky_component(point, aperture, obstructions=(), room: Room | None = None) ->
     None for the hypothetical full-dome view (which yields 1.0).
     """
     if aperture is None:
-        if room is not None and not room.contains(point):
+        if room is not None and not room.contains(point)[0]:
             raise ValueError("point lies outside the room")
         return 1.0
     return _sky_at(point, aperture, obstructions, room)[0]
@@ -530,8 +530,9 @@ class BeamKernel:
     PARALLEL_TOL and no vertex travels backwards (t >= -1e-9 along d). A
     clipped piece of at most EMPTY_AREA counts as empty; the patch area sums
     the pieces. A point is lit when the patch is non-empty and the point is
-    in the image, edges within BOUNDARY_TOL included. Nothing shades the
-    beam: other walls and obstructions do not cut the image.
+    in the (convex) image, within BOUNDARY_TOL metres of its edges included
+    (:func:`points_in_convex_rings`). Nothing shades the beam: other walls
+    and obstructions do not cut the image.
     """
 
     def __init__(self, room: Room, plane_z: float):
@@ -566,14 +567,7 @@ class BeamKernel:
         areas[b, k] = area
 
         sunlit = area > 0.0
-        if len(points) and sunlit.any():
-            a = images[sunlit]
-            e = np.roll(a, -1, axis=1) - a
-            orient = np.sign(signed_ring_areas(a, a[:, 0]))
-            cross = (e[:, :, 0, None] * (points[None, None, :, 1] - a[:, :, 1, None])
-                     - e[:, :, 1, None] * (points[None, None, :, 0] - a[:, :, 0, None]))
-            lit[b[sunlit], k[sunlit]] = np.all(
-                cross * orient[:, None, None] >= -BOUNDARY_TOL, axis=1)
+        lit[b[sunlit], k[sunlit]] = points_in_convex_rings(points, images[sunlit])
         return areas, lit
 
 
@@ -656,6 +650,9 @@ class Simulator:
         self.location = location
         self.efficacy = efficacy if efficacy is not None else EfficacyModel()
         self.patch_scope = patch_scope
+        if not 0.0 <= workplane_height <= room.height:
+            raise ConfigError(f"workplane height {workplane_height} m must lie between the "
+                              f"floor (0 m) and the ceiling ({room.height} m)")
         self.grid = room.workplane(cell, workplane_height)
         self.beam = BeamKernel(room, self.grid.plane_z)
         self._irc = [internally_reflected_component(room, ap) for ap in room.apertures]
@@ -726,9 +723,10 @@ class Simulator:
 
     def _probe_df(self, probes: tuple[tuple[float, float], ...]):
         pts = np.array([(x, y, self.grid.plane_z) for x, y in probes], dtype=float).reshape(-1, 3)
-        for p in pts:
-            if not self.room.contains(p):
-                raise ConfigError(f"probe ({p[0]}, {p[1]}) lies outside the room")
+        outside = np.flatnonzero(~self.room.contains(pts))
+        if len(outside):
+            x, y, _ = pts[outside[0]]
+            raise ConfigError(f"probe ({x}, {y}) lies outside the room")
         return pts, self._df_for_points(pts)
 
     def run(self, weather: WeatherSeries, start: datetime | None = None,

@@ -6,7 +6,11 @@ its last vertex (:func:`stack_rings`). There is one cut: :func:`split_rings`
 divides each ring along the zero line of an affine function given at its
 vertices; :func:`clip_rings` keeps the inner side of that cut along each
 edge of a convex clip ring, and :func:`clip_polygon` is :func:`clip_rings`
-on a batch of one.
+on a batch of one. There is one containment test on the same batches:
+:func:`points_in_convex_rings` counts a point inside a convex ring when it
+lies on the inner side of every edge line or within BOUNDARY_TOL metres of
+it. Non-convex outlines are tested through their :func:`decompose_convex`
+parts.
 
 Coordinates are metric with z up. Everything is a pure function of its
 inputs (or a read-only method), so all operations are safe to call
@@ -249,35 +253,18 @@ def signed_ring_areas(rings: np.ndarray, origin) -> np.ndarray:
     return 0.5 * np.sum(x * np.roll(y, -1, axis=1) - np.roll(x, -1, axis=1) * y, axis=1)
 
 
-def points_in_polygon_mask(px: np.ndarray, py: np.ndarray, v2: np.ndarray,
-                           boundary_tol: float = BOUNDARY_TOL) -> np.ndarray:
-    """Even-odd containment of 2-D points in the ring ``v2``: horizontal
-    edges are skipped, and points within ``boundary_tol`` of an edge count
-    as inside."""
-    inside = np.zeros(px.shape, dtype=bool)
-    n = len(v2)
-    for i in range(n):
-        ax, ay = v2[i]
-        bx, by = v2[(i + 1) % n]
-        cond = (ay > py) != (by > py)
-        if by != ay:
-            x_int = ax + (py - ay) * (bx - ax) / (by - ay)
-            inside ^= cond & (px < x_int)
-    if boundary_tol > 0.0:
-        on_edge = np.zeros(px.shape, dtype=bool)
-        tol2 = boundary_tol**2
-        for i in range(n):
-            a = v2[i]
-            b = v2[(i + 1) % n]
-            ab = b - a
-            denom = float(ab @ ab)
-            if denom == 0.0:
-                continue
-            t = np.clip(((px - a[0]) * ab[0] + (py - a[1]) * ab[1]) / denom, 0.0, 1.0)
-            dx = px - (a[0] + t * ab[0])
-            dy = py - (a[1] + t * ab[1])
-            on_edge |= dx * dx + dy * dy <= tol2
-        inside |= on_edge
+def points_in_convex_rings(points: np.ndarray, rings: np.ndarray) -> np.ndarray:
+    """Which of the 2-D ``points`` (N, 2) lie in each convex ring of a batch
+    (R, W, 2) of either orientation, padded as :func:`stack_rings` pads:
+    a point is inside when its signed distance to every edge line is at
+    least -BOUNDARY_TOL metres. Returns (R, N); one pass per edge keeps
+    the working memory at one (R, N) mask."""
+    sign = np.where(signed_ring_areas(rings, rings[:, 0]) < 0.0, -1.0, 1.0)[:, None]
+    inside = np.ones((len(rings), len(points)), dtype=bool)
+    for a, b in zip(rings.transpose(1, 0, 2), np.roll(rings, -1, axis=1).transpose(1, 0, 2)):
+        ex, ey = (b - a).T[:, :, None]
+        cross = ex * (points[:, 1] - a[:, 1, None]) - ey * (points[:, 0] - a[:, 0, None])
+        inside &= sign * cross >= -BOUNDARY_TOL * np.hypot(ex, ey)
     return inside
 
 
@@ -317,8 +304,6 @@ class GridMesh:
 def make_workplane_grid(floor: Polygon3, cell: float, height: float) -> GridMesh:
     """Mesh a horizontal convex floor with square cells of side ``cell``;
     the resulting plane sits ``height`` meters above the floor."""
-    if not floor.is_convex:
-        raise GeometryError("floor polygon must be convex (decompose it first)")
     return workplane_grid_for_parts((floor,), cell, height)
 
 
@@ -333,6 +318,8 @@ def workplane_grid_for_parts(parts: Sequence[Polygon3], cell: float, height: flo
     for part in parts:
         if abs(abs(float(part.normal[2])) - 1.0) > PLANARITY_TOL:
             raise GeometryError("floor parts must be horizontal")
+        if not part.is_convex:
+            raise GeometryError("floor parts must be convex (decompose the floor first)")
         zs.append(float(part.coords[:, 2].mean()))
     floor_z = zs[0]
     if max(abs(z - floor_z) for z in zs) > PLANARITY_TOL:
@@ -352,18 +339,15 @@ def workplane_grid_for_parts(parts: Sequence[Polygon3], cell: float, height: flo
     xs = xmin + (np.arange(nu) + 0.5) * cell
     ys = ymin + (np.arange(nv) + 0.5) * cell
     iu, iv = np.meshgrid(np.arange(nu), np.arange(nv), indexing="ij")
-    px = xs[iu.ravel()]
-    py = ys[iv.ravel()]
+    xy = np.column_stack((xs[iu.ravel()], ys[iv.ravel()]))
 
-    keep = np.zeros(px.shape, dtype=bool)
-    for part in parts:
-        v2 = part.coords[:, :2]
-        keep |= points_in_polygon_mask(px, py, v2)
+    rings = stack_rings(*(part.coords[None, :, :2] for part in parts))
+    keep = points_in_convex_rings(xy, rings).any(axis=0)
     if not keep.any():
         raise DegenerateMeshError("no cell center falls inside the floor")
 
     plane_z = floor_z + height
-    pts = np.column_stack((px[keep], py[keep], np.full(int(keep.sum()), plane_z)))
+    pts = np.column_stack((xy[keep], np.full(int(keep.sum()), plane_z)))
     cells = np.column_stack((iu.ravel()[keep], iv.ravel()[keep])).astype(int)
     return GridMesh(
         du=cell,
@@ -391,36 +375,16 @@ def decompose_convex(poly: Polygon3) -> list[Polygon3]:
         order.reverse()
     tris: list[list[int]] = []
     idx = order[:]
-    guard = 0
     while len(idx) > 3:
-        guard += 1
-        if guard > 10000:
-            raise GeometryError("cannot decompose polygon into convex parts")
-        found = False
-        n = len(idx)
-        for k in range(n):
-            i0, i1, i2 = idx[k - 1], idx[k], idx[(k + 1) % n]
-            a, b, c = v2[i0], v2[i1], v2[i2]
-            if _orient(a, b, c) <= 1e-12:
-                continue  # reflex or collinear corner: not an ear
-            ear_ok = True
-            for j in idx:
-                if j in (i0, i1, i2):
-                    continue
-                q = v2[j]
-                if (
-                    _orient(a, b, q) >= -1e-12
-                    and _orient(b, c, q) >= -1e-12
-                    and _orient(c, a, q) >= -1e-12
-                ):
-                    ear_ok = False
-                    break
-            if ear_ok:
-                tris.append([i0, i1, i2])
+        for k in range(len(idx)):
+            ear = [idx[k - 1], idx[k], idx[(k + 1) % len(idx)]]
+            # an ear: a convex corner whose triangle holds no other vertex
+            if _orient(*v2[ear]) > 1e-12 and not points_in_convex_rings(
+                    v2[[j for j in idx if j not in ear]], v2[ear][None]).any():
+                tris.append(ear)
                 idx.pop(k)
-                found = True
                 break
-        if not found:
+        else:
             raise GeometryError("cannot decompose polygon into convex parts")
     tris.append(idx)
     pieces = []

@@ -445,7 +445,11 @@ def parse_building(path) -> BuildingDescription:
         raise ParseError(f"invalid JSON: {exc}", line=exc.lineno) from None
 
     loc_d = _require(data, "location", "building")
-    loc = GeoLocation(*(_number(loc_d, key, "location") for key in ("lat", "lon", "tz", "albedo")))
+    site = [_number(loc_d, key, "location") for key in ("lat", "lon", "tz", "albedo")]
+    try:
+        loc = GeoLocation(*site)
+    except ValueError as exc:
+        raise ConfigError(f"location: {exc}") from None
 
     room_d = _require(data, "room", "building")
     floor = _vertices(_require(room_d, "floor_vertices", "room"), "room.floor_vertices")

@@ -334,6 +334,33 @@ class TestNonFiniteInput:
         assert not out.exists()
 
 
+class TestWorkplaneHeight:
+    """The workplane lies between the floor and the ceiling (2.8 m here)."""
+
+    @pytest.mark.parametrize("height", [-1.0, 5.0])
+    @pytest.mark.parametrize("command", ["simulate", "dfmap"])
+    def test_outside_the_room_exits_2(self, tmp_path, capsys, command, height):
+        data = json.loads(BUILDING_JSON % {"cell": "0.5"})
+        data["workplane"]["height"] = height
+        building = tmp_path / "b.json"
+        building.write_text(json.dumps(data), encoding="utf-8")
+        args = {"simulate": ["--weather", str(overcast_day_csv(tmp_path / "day.csv")),
+                             "--out", str(tmp_path / "run"), "--probes", "1.95,1.27"],
+                "dfmap": ["--out", str(tmp_path / "df.txt")]}[command]
+        assert main([command, "--building", str(building), *args]) == 2
+        err = capsys.readouterr().err
+        assert f"workplane height {height} m must lie between the floor (0 m) and the ceiling (2.8 m)" in err
+        assert list(tmp_path.glob("run*")) == [] and not (tmp_path / "df.txt").exists()
+
+    @pytest.mark.parametrize("height", [0.0, 0.01, 2.8])
+    def test_floor_to_ceiling_is_accepted(self, tmp_path, height):
+        data = json.loads(BUILDING_JSON % {"cell": "0.5"})
+        data["workplane"]["height"] = height
+        building = tmp_path / "b.json"
+        building.write_text(json.dumps(data), encoding="utf-8")
+        assert main(["dfmap", "--building", str(building), "--out", str(tmp_path / "df.txt")]) == 0
+
+
 class TestUsageErrors:
     def test_unknown_command_exits_2(self):
         with pytest.raises(SystemExit) as err:

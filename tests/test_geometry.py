@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_l_room
-from oracles import overlap_area, rasterized_overlap_area
+from oracles import _even_odd_mask, overlap_area, rasterized_overlap_area
 from sidelux.errors import DegenerateMeshError, GeometryError
 from sidelux.daylight import Aperture, BeamKernel, Room, SurfaceOptics
 from sidelux.geometry import (
@@ -14,9 +14,10 @@ from sidelux.geometry import (
     clip_rings,
     decompose_convex,
     make_workplane_grid,
-    points_in_polygon_mask,
+    points_in_convex_rings,
     project_polygon_along_direction,
     signed_ring_areas,
+    stack_rings,
 )
 
 
@@ -165,8 +166,7 @@ class TestClip:
 
 
 def contains(point, poly: Polygon3) -> bool:
-    return bool(points_in_polygon_mask(np.array([point[0]]), np.array([point[1]]),
-                                       poly.coords[:, :2])[0])
+    return bool(points_in_convex_rings(np.array([point[:2]]), poly.coords[None, :, :2])[0, 0])
 
 
 class TestPointInPolygon:
@@ -181,6 +181,14 @@ class TestPointInPolygon:
 
     def test_vertex_is_inside(self):
         assert contains((0.0, 0.0), square())
+
+    def test_band_is_a_distance(self):
+        """The band reaches 1e-9 m beyond every edge line, on a 4 m edge and
+        on a 1 mm one alike."""
+        sliver = np.array([[(0.0, 0.0), (4.0, 0.0), (4.0, 0.001), (0.0, 0.001)]])
+        points = np.array([(2.0, -0.5e-9), (2.0, -1.5e-9), (4.0 + 0.5e-9, 0.0005),
+                           (4.0 + 1.5e-9, 0.0005)])
+        assert points_in_convex_rings(points, sliver).tolist() == [[True, False, True, False]]
 
 
 class TestWorkplaneGrid:
@@ -253,6 +261,73 @@ def convex_polys(z=0.0):
         .filter(lambda pts: len(pts) >= 3)
         .map(lambda pts: Polygon3(pts))
     )
+
+
+def _signed_distances(points, ring):
+    """Signed distance (positive inside) from each 2-D point to each edge
+    line of a convex ring without repeated vertices, shape (N, m)."""
+    ccw = ring if signed_ring_areas(ring[None], ring[0])[0] > 0.0 else ring[::-1]
+    e = np.roll(ccw, -1, axis=0) - ccw
+    rel = points[:, None, :] - ccw[None]
+    return (e[:, 0] * rel[..., 1] - e[:, 1] * rel[..., 0]) / np.hypot(e[:, 0], e[:, 1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(convex_polys(), min_size=1, max_size=4), st.data())
+def test_convex_containment_matches_even_odd_outside_the_band(polys, data):
+    """Batched containment against the even-odd oracle on random points
+    more than 1e-9 m from every ring's boundary lines (rings of either
+    orientation, from a random start vertex, all padded); vertices, edge
+    midpoints and points 0.5e-9 m beyond an edge are inside, points
+    1.5e-9 m beyond it outside."""
+    rings = []
+    for poly in polys:
+        ring = poly.coords[:, :2]
+        ring = ring[::-1] if data.draw(st.booleans()) else ring
+        rings.append(np.roll(ring, data.draw(st.integers(0, len(ring) - 1)), axis=0))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    points = rng.uniform(-10.0, 10.0, (400, 2))
+    inside = points_in_convex_rings(points, stack_rings(np.empty((0, 9, 2)),
+                                                        *(r[None] for r in rings)))
+    assert inside.shape == (len(rings), len(points))
+    for ring, got in zip(rings, inside):
+        d = _signed_distances(points, ring).min(axis=1)
+        clear = np.abs(d) > 1e-9
+        assert np.array_equal(got[clear], _even_odd_mask(points[clear, 0], points[clear, 1], ring))
+
+        ccw = ring if signed_ring_areas(ring[None], ring[0])[0] > 0.0 else ring[::-1]
+        e = np.roll(ccw, -1, axis=0) - ccw
+        outward = np.column_stack((e[:, 1], -e[:, 0])) / np.hypot(e[:, 0], e[:, 1])[:, None]
+        mid = ccw + 0.5 * e
+        probes = np.concatenate((ring, mid, mid + 0.5e-9 * outward, mid + 1.5e-9 * outward))
+        m = len(ring)
+        got = points_in_convex_rings(probes, stack_rings(ring[None], np.empty((0, 9, 2))))[0]
+        assert got.tolist() == [True] * 3 * m + [False] * m
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_room_contains_matches_the_l_outline(seed):
+    """``Room.contains`` tests the floor's convex parts at once; it agrees
+    with the even-odd oracle on the whole L outline away from its edges,
+    takes its vertices and edge midpoints, and checks the height."""
+    rng = np.random.default_rng(seed)
+    room = random_l_room(rng)
+    ring = room.floor.coords[:, :2]
+    xy = rng.uniform(ring.min(axis=0) - 0.5, ring.max(axis=0) + 0.5, (500, 2))
+    z = rng.uniform(-0.5, room.height + 0.5, len(xy))
+    got = room.contains(np.column_stack((xy, z)))
+    assert got.shape == (len(xy),)
+    e = np.roll(ring, -1, axis=0) - ring
+    t = np.clip(np.sum((xy[:, None] - ring) * e, axis=2) / np.sum(e * e, axis=1), 0.0, 1.0)
+    clear = np.linalg.norm(xy[:, None] - (ring + t[..., None] * e), axis=2).min(axis=1) > 1e-9
+    expected = _even_odd_mask(xy[:, 0], xy[:, 1], ring) & (z >= 0.0) & (z <= room.height)
+    assert np.array_equal(got[clear], expected[clear])
+    assert got.any() and not got.all()
+
+    edge_points = np.concatenate((ring, ring + 0.5 * e))
+    heights = rng.uniform(0.0, room.height, len(edge_points))
+    assert room.contains(np.column_stack((edge_points, heights))).all()
 
 
 @settings(max_examples=60, deadline=None)

@@ -566,6 +566,20 @@ class TestBuilding:
         with pytest.raises(ConfigError, match=f"^{message}$"):
             parse_building(p)
 
+    @pytest.mark.parametrize("key,value,message", [
+        ("lat", 100, "latitude 100.0 out of [-90, 90]"),
+        ("lat", -90.5, "latitude -90.5 out of [-90, 90]"),
+        ("lon", 181, "longitude 181.0 out of [-180, 180]"),
+        ("albedo", 1.5, "albedo 1.5 out of [0, 1]"),
+        ("albedo", -0.1, "albedo -0.1 out of [0, 1]"),
+    ])
+    def test_site_out_of_range_names_the_location(self, tmp_path, key, value, message):
+        def mutate(d):
+            d["location"][key] = value
+
+        with pytest.raises(ConfigError, match=f"^location: {re.escape(message)}$"):
+            parse_building(self._patched(tmp_path, mutate))
+
     def test_bad_patch_scope(self, tmp_path):
         def mutate(d):
             d["patch_scope"] = "everywhere"

@@ -63,7 +63,7 @@ def random_points(room: Room, rng, n, heights=(0.01,)):
     while len(points) < n:
         x, y = rng.uniform(lo, hi)
         z = heights[0] if len(heights) == 1 else rng.uniform(*heights)
-        if room.contains((x, y, z)):
+        if room.contains([(x, y, z)])[0]:
             points.append((x, y, z))
     return np.array(points)
 
@@ -103,7 +103,7 @@ def test_windows_hidden_in_plan_give_no_sky(seed, fx, fy):
     room = random_l_room(np.random.default_rng(seed))
     lo, hi = room.floor.coords[:, :2].min(axis=0), room.floor.coords[:, :2].max(axis=0)
     p = np.array([lo[0] + fx * (hi[0] - lo[0]), lo[1] + fy * (hi[1] - lo[1]), 0.01])
-    assume(room.contains(p))
+    assume(room.contains(p[None])[0])
     ap = room.apertures[0]
     corner, e1, e2 = rect_of(ap.polygon)
     # both ends included: the visible part can be a sliver at one end

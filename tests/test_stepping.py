@@ -118,7 +118,7 @@ def test_kernel_lit_matches_patch_oracle(name):
     suns = random_suns(rng, 600)
     lo, hi = room.floor.coords[:, :2].min(axis=0), room.floor.coords[:, :2].max(axis=0)
     points = rng.uniform(lo, hi, (300, 2))
-    points = points[[room.contains((x, y, PLANE_Z)) for x, y in points]]
+    points = points[room.contains(np.column_stack((points, np.full(len(points), PLANE_Z))))]
     areas, lit = BeamKernel(room, PLANE_Z)(*kernel_inputs(suns), points)
     expected_areas, expected = oracle_patches(room, suns, points)
     floor = room.floor.coords[:, :2]
@@ -134,6 +134,22 @@ def test_kernel_lit_matches_patch_oracle(name):
             checked += clear.sum()
     assert checked > 0.999 * len(suns) * len(room.apertures) * len(points)
     assert lit.sum() > 1000 and not lit.all()
+
+
+@pytest.mark.parametrize("altitude,offset,expected", [
+    (60.0, 1.5e-9, False), (60.0, 0.5e-9, True), (30.0, 0.7e-9, True), (30.0, 1.3e-9, False),
+])
+def test_lit_band_is_a_distance_in_metres(altitude, offset, expected):
+    """With the sun due north the test cell's window image has side edges
+    on x = 1.45 and x = 2.45 of cot(altitude) m (0.577 m at 60 deg, 1.73 m
+    at 30 deg); a point ``offset`` beyond either, halfway along it, is lit
+    exactly when the offset is within 1e-9 m, whatever the edge's length."""
+    sun = SolarState.from_angles(altitude, 0.0)
+    y = 3.5 - 1.49 / math.tan(math.radians(altitude))  # the image of the window's mid-height
+    points = np.array([(1.45 - offset, y), (2.45 + offset, y)])
+    areas, lit = BeamKernel(make_canonical_room(), PLANE_Z)(*kernel_inputs([sun]), points)
+    assert areas[0, 0] > 0.0
+    assert lit[0, 0].tolist() == [expected, expected]
 
 
 def test_sunrise_sliver_is_empty():
