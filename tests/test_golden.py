@@ -1,0 +1,65 @@
+"""Golden outputs: the sha256 of every file the CLI writes for the two
+benchmark buildings of ``perfbench/inputs.py``.
+
+Per building: ``simulate`` over 2 clear days of minutes with the building's
+probes and two ``--field-at`` instants (the summary and both field files),
+and ``dfmap``. A change that moves any output byte must edit the digest
+here and say in CHANGES.md why the output moved.
+"""
+
+import hashlib
+import sys
+from pathlib import Path
+
+import pytest
+
+from sidelux.cli import main
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import inputs  # noqa: E402
+
+SEED = 7
+DAYS = 2
+
+CASES = {
+    "test_cell": (inputs.TEST_CELL_PROBES, inputs.TEST_CELL_INSTANTS[:2]),
+    "l_room": (inputs.L_ROOM_PROBES, inputs.L_ROOM_INSTANTS[:2]),
+}
+
+GOLDEN = {
+    "test_cell": {
+        "df.txt": "ef182b4b55fad337fe25896e9f31099b5e489df5f56641684123aefc7447e531",
+        "run_field_20090701T0900.txt":
+            "d1fbd8005923c0fe3abaf3fa9b6f65098e392e56e029e72f244e04d249637e22",
+        "run_field_20090701T1200.txt":
+            "af958877ad6f481f5811be926d68480f580ccf2f2dd0696c8235798f974542bb",
+        "run_summary.csv": "63801996121a86697a2d540289da3f2c79f73972840bd6f2313ea0ab166e5716",
+    },
+    "l_room": {
+        "df.txt": "24c57542bbc666506852833fd980967cb388cdda55e40f16a2a560bf20f827c4",
+        "run_field_20090701T0900.txt":
+            "0591c6a90e2d90b7918c4051bf0c3787b1e670417ac81fe97b1a3c9e05dd5c67",
+        "run_field_20090701T1100.txt":
+            "185a1117d622336db27b38c851911419cbd1562f9ecaa859ad21975aab138498",
+        "run_summary.csv": "29ca3c1d94d6e2ca08eb4e7d15c5cf26c87ce14a12a3b1efb4a79f39403ad5df",
+    },
+}
+
+
+def outputs(tmp_path: Path, name: str) -> dict[str, str]:
+    probes, instants = CASES[name]
+    building, weather = tmp_path / "building.json", tmp_path / "weather.csv"
+    inputs.write_building(building, name)
+    inputs.write_weather(weather, *inputs.clear_weather(SEED, "2009-07-01", DAYS, instants))
+    fields = [a for t in instants for a in ("--field-at", t)]
+    assert main(["simulate", "--building", str(building), "--weather", str(weather),
+                 "--out", str(tmp_path / "run"),
+                 "--probes", ";".join(f"{x},{y}" for x, y in probes), *fields]) == 0
+    assert main(["dfmap", "--building", str(building), "--out", str(tmp_path / "df.txt")]) == 0
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(tmp_path.iterdir()) if p.name not in (building.name, weather.name)}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_outputs_match_golden_digests(tmp_path, name):
+    assert outputs(tmp_path, name) == GOLDEN[name]
