@@ -114,10 +114,13 @@ class Aperture:
 @dataclass(frozen=True, eq=False)
 class Obstruction:
     """External vertical obstruction with a luminance expressed as a
-    fraction of the sky luminance it hides."""
+    fraction of the sky luminance it hides. ``parts`` is its convex
+    decomposition (:func:`decompose_convex`), a (P, W, 3) batch of its own
+    vertices, worked out once here."""
 
     polygon: Polygon3
     luminance_fraction: float = DEFAULT_LUMINANCE_FRACTION
+    parts: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if abs(float(self.polygon.normal[2])) > PLANARITY_TOL:
@@ -126,13 +129,20 @@ class Obstruction:
             raise ConfigError(
                 f"luminance fraction {self.luminance_fraction} out of [0, 1]"
             )
+        object.__setattr__(self, "parts", decompose_convex(self.polygon))
 
 
 @dataclass(eq=False)
 class Room:
     """A closed room: horizontal floor outline (convex or L-shaped), flat
     ceiling at ``height`` above it, apertures on the walls. The outline is
-    stored counter-clockwise from above, and so are its convex ``parts``."""
+    stored counter-clockwise from above.
+
+    Its derived geometry is worked out once, at construction: ``parts`` are
+    the plan rings (P, W, 2) of the floor's convex parts
+    (:func:`decompose_convex`), counter-clockwise from above, and
+    ``outward`` (K, 3) holds the outward unit normal of the wall that holds
+    each aperture."""
 
     floor: Polygon3
     height: float
@@ -150,10 +160,11 @@ class Room:
             self.floor = Polygon3(self.floor.coords[::-1])
         self.apertures = tuple(self.apertures)
         self.obstructions = tuple(self.obstructions)
-        self.parts: list[Polygon3] = decompose_convex(self.floor)
+        self.parts = decompose_convex(self.floor)[:, :, :2]
         self.floor_z = float(self.floor.coords[:, 2].mean())
         self.s_t = self.floor.area
-        self._aperture_outward = [self._wall_of(ap.polygon)[1] for ap in self.apertures]
+        self.outward = np.array([self._wall_of(ap.polygon)[1] for ap in self.apertures]
+                                ).reshape(-1, 3)
 
     def _wall_of(self, window: Polygon3) -> tuple[int, np.ndarray]:
         """Index of the floor edge whose wall holds ``window``, and that
@@ -182,9 +193,6 @@ class Room:
             return i, outward
         raise GeometryError("aperture does not lie on any wall of the floor outline")
 
-    def aperture_outward(self, index: int) -> np.ndarray:
-        return self._aperture_outward[index]
-
     def sky_kernel(self, window: Polygon3, obstructions) -> "SkyKernel":
         """The sky integral of a window on one of the walls, which the other
         walls may hide from parts of the room."""
@@ -203,13 +211,12 @@ class Room:
         """Which of the (N, 3) ``points`` lie in the room: over a floor part
         (edges within BOUNDARY_TOL included) and from floor to ceiling."""
         p = np.asarray(points, dtype=float).reshape(-1, 3)
-        rings = stack_rings(*(part.coords[None, :, :2] for part in self.parts))
         return ((self.floor_z - PLANARITY_TOL <= p[:, 2])
                 & (p[:, 2] <= self.floor_z + self.height + PLANARITY_TOL)
-                & points_in_convex_rings(p[:, :2], rings).any(axis=0))
+                & points_in_convex_rings(p[:, :2], self.parts).any(axis=0))
 
     def workplane(self, cell: float, height: float = 0.01) -> GridMesh:
-        return workplane_grid_for_parts(self.parts, cell, height)
+        return workplane_grid_for_parts(self.parts, self.floor_z, cell, height)
 
 
 @dataclass(frozen=True)
@@ -266,8 +273,8 @@ class SkyKernel:
         # the convex obstruction parts beyond the window plane, with their obstruction
         self.parts = []
         for j, obs in enumerate(obstructions):
-            for part in decompose_convex(obs.polygon):
-                beyond, _ = split_rings(part.coords[None], ((part.coords - self.origin) @ self.normal)[None])
+            for part in obs.parts:
+                beyond, _ = split_rings(part[None], ((part - self.origin) @ self.normal)[None])
                 ring3 = beyond[0][np.any(beyond[0] != np.roll(beyond[0], 1, axis=0), axis=1)]
                 if len(ring3) >= 3:
                     self.parts.append((ring3, j))
@@ -524,9 +531,10 @@ class BeamKernel:
 
     Per step and aperture it slides the window along the unit sun direction
     d (from the sun toward the ground) onto the plane z = ``plane_z`` and
-    clips the image against every convex floor part. A window casts a patch
-    only when the sun is above the horizon, the light enters through it
-    (d . n_out < -1e-9, n_out its wall's outward normal), |d_z| >
+    clips the image against every convex floor part (``Room.parts``). A
+    window casts a patch only when the sun is above the horizon, the light
+    enters through it (d . n_out < -1e-9, n_out its wall's outward normal in
+    ``Room.outward``), |d_z| >
     PARALLEL_TOL and no vertex travels backwards (t >= -1e-9 along d). A
     clipped piece of at most EMPTY_AREA counts as empty; the patch area sums
     the pieces. A point is lit when the patch is non-empty and the point is
@@ -536,14 +544,11 @@ class BeamKernel:
     """
 
     def __init__(self, room: Room, plane_z: float):
+        self.room = room
         self.plane_z = plane_z
         # the empty batch leads, so a room without windows gets one of shape (0, 1, 3)
         self.windows = stack_rings(np.empty((0, 1, 3)),
                                    *(ap.polygon.coords[None] for ap in room.apertures))
-        self.outward = np.array(
-            [room.aperture_outward(k) for k in range(len(room.apertures))]
-        ).reshape(-1, 3)
-        self.parts = [part.coords[:, :2] for part in room.parts]
 
     def __call__(self, altitude: np.ndarray, direction: np.ndarray,
                  points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -553,7 +558,7 @@ class BeamKernel:
         areas = np.zeros((n_steps, n_ap))
         lit = np.zeros((n_steps, n_ap, len(points)), dtype=bool)
         d = direction / np.sqrt(np.sum(direction * direction, axis=1))[:, None]
-        facing = np.sum(direction[:, None, :] * self.outward[None], axis=2) < -1e-9
+        facing = np.sum(direction[:, None, :] * self.room.outward[None], axis=2) < -1e-9
         ok = facing & ((altitude > 0.0) & (np.abs(d[:, 2]) > PARALLEL_TOL))[:, None]
         b, k = np.nonzero(ok)
         images, t = project_polygon_along_direction(self.windows[k], d[b], self.plane_z)
@@ -561,7 +566,7 @@ class BeamKernel:
         b, k, images = b[forward], k[forward], images[forward]
 
         area = np.zeros(len(b))
-        for part in self.parts:
+        for part in self.room.parts:
             piece = np.abs(signed_ring_areas(clip_rings(images, part), part.mean(axis=0)))
             area = area + np.where(piece > EMPTY_AREA, piece, 0.0)
         areas[b, k] = area

@@ -9,8 +9,12 @@ edge of a convex clip ring, and :func:`clip_polygon` is :func:`clip_rings`
 on a batch of one. There is one containment test on the same batches:
 :func:`points_in_convex_rings` counts a point inside a convex ring when it
 lies on the inner side of every edge line or within BOUNDARY_TOL metres of
-it. Non-convex outlines are tested through their :func:`decompose_convex`
-parts.
+it. :class:`Polygon3` is the one validated input type; what is derived from
+it is a ring batch. :func:`decompose_convex` gives a polygon's convex parts
+as a batch of its own vertices, so a non-convex outline (an L-shaped floor,
+an obstruction) is cut and tested through its parts; ``Room`` and
+``Obstruction`` work these out once, at construction, and every consumer
+reads them as they are.
 
 Coordinates are metric with z up. Everything is a pure function of its
 inputs (or a read-only method), so all operations are safe to call
@@ -21,7 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
@@ -304,30 +307,23 @@ class GridMesh:
 def make_workplane_grid(floor: Polygon3, cell: float, height: float) -> GridMesh:
     """Mesh a horizontal convex floor with square cells of side ``cell``;
     the resulting plane sits ``height`` meters above the floor."""
-    return workplane_grid_for_parts((floor,), cell, height)
+    if abs(abs(float(floor.normal[2])) - 1.0) > PLANARITY_TOL:
+        raise GeometryError("floor must be horizontal")
+    if not floor.is_convex:
+        raise GeometryError("floor must be convex (decompose it first)")
+    return workplane_grid_for_parts(floor.coords[None, :, :2], float(floor.coords[:, 2].mean()),
+                                    cell, height)
 
 
-def workplane_grid_for_parts(parts: Sequence[Polygon3], cell: float, height: float) -> GridMesh:
-    """Like :func:`make_workplane_grid` for a floor already split into
-    convex parts (cell centers are kept when inside any part)."""
+def workplane_grid_for_parts(parts: np.ndarray, floor_z: float, cell: float,
+                             height: float) -> GridMesh:
+    """Like :func:`make_workplane_grid` for a floor at z = ``floor_z`` given
+    as the plan rings (P, W, 2) of its convex parts, such as ``Room.parts``
+    (cell centers are kept when inside any part)."""
     if cell <= 0.0:
         raise ValueError("cell size must be positive")
-    if not parts:
-        raise GeometryError("no floor parts given")
-    zs = []
-    for part in parts:
-        if abs(abs(float(part.normal[2])) - 1.0) > PLANARITY_TOL:
-            raise GeometryError("floor parts must be horizontal")
-        if not part.is_convex:
-            raise GeometryError("floor parts must be convex (decompose the floor first)")
-        zs.append(float(part.coords[:, 2].mean()))
-    floor_z = zs[0]
-    if max(abs(z - floor_z) for z in zs) > PLANARITY_TOL:
-        raise GeometryError("floor parts do not share a plane")
-
-    allc = np.vstack([p.coords for p in parts])
-    xmin, ymin = allc[:, 0].min(), allc[:, 1].min()
-    xmax, ymax = allc[:, 0].max(), allc[:, 1].max()
+    xmin, ymin = parts[:, :, 0].min(), parts[:, :, 1].min()
+    xmax, ymax = parts[:, :, 0].max(), parts[:, :, 1].max()
     # 1e-6 slack so spans that are exact multiples of the cell size survive
     # floating-point division (3.9 / 0.1 must give 39 cells, not 38)
     nu = int((xmax - xmin) / cell + 1e-6)
@@ -341,8 +337,7 @@ def workplane_grid_for_parts(parts: Sequence[Polygon3], cell: float, height: flo
     iu, iv = np.meshgrid(np.arange(nu), np.arange(nv), indexing="ij")
     xy = np.column_stack((xs[iu.ravel()], ys[iv.ravel()]))
 
-    rings = stack_rings(*(part.coords[None, :, :2] for part in parts))
-    keep = points_in_convex_rings(xy, rings).any(axis=0)
+    keep = points_in_convex_rings(xy, parts).any(axis=0)
     if not keep.any():
         raise DegenerateMeshError("no cell center falls inside the floor")
 
@@ -361,20 +356,17 @@ def workplane_grid_for_parts(parts: Sequence[Polygon3], cell: float, height: flo
     )
 
 
-def decompose_convex(poly: Polygon3) -> list[Polygon3]:
-    """Split a simple polygon into convex pieces (ear clipping).
-
-    Convex input comes back unchanged as a single piece; non-convex rings
-    (L-shaped floors) become triangles.
+def decompose_convex(poly: Polygon3) -> np.ndarray:
+    """The convex parts of a simple polygon as a (P, W, 3) batch of its own
+    vertices, each part in the polygon's order (counter-clockwise about its
+    normal). A convex polygon is one part; any other is ear-clipped into
+    triangles (an L-shaped floor into four).
     """
     if poly.is_convex:
-        return [poly]
-    v2 = poly._verts2d
-    order = list(range(len(v2)))
-    if signed_ring_areas(v2[None], v2[0])[0] < 0.0:
-        order.reverse()
+        return poly.coords[None]
+    v2 = poly._verts2d  # counter-clockwise: the normal follows the vertex order
+    idx = list(range(len(v2)))
     tris: list[list[int]] = []
-    idx = order[:]
     while len(idx) > 3:
         for k in range(len(idx)):
             ear = [idx[k - 1], idx[k], idx[(k + 1) % len(idx)]]
@@ -387,8 +379,4 @@ def decompose_convex(poly: Polygon3) -> list[Polygon3]:
         else:
             raise GeometryError("cannot decompose polygon into convex parts")
     tris.append(idx)
-    pieces = []
-    for tri in tris:
-        pts3 = poly.from_plane_2d(v2[tri])
-        pieces.append(Polygon3(pts3))
-    return pieces
+    return poly.coords[tris]

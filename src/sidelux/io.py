@@ -68,6 +68,18 @@ _STAMP = "YYYY-MM-DDThh:mm:ss"  # each letter a digit of that field
 # the file row by row
 _MAX_VALUE_WIDTH = 32
 _BLOCK_ROWS = 1 << 16
+# The fields each object of a building file may set, by its path ("[]": each
+# item of a list). Seven of them name objects, the other 22 hold values.
+BUILDING_FIELDS = {
+    "building": ("location", "room", "obstructions", "workplane", "efficacy", "patch_scope"),
+    "location": ("lat", "lon", "tz", "albedo"),
+    "room": ("floor_vertices", "height", "surfaces", "apertures"),
+    "room.surfaces[]": ("role", "reflectance"),
+    "room.apertures[]": ("vertices", "tau_vitre", "MF", "FR", "MG", "FC"),
+    "obstructions[]": ("vertices", "luminance_fraction"),
+    "workplane": ("cell", "height"),
+    "efficacy": ("mode", "Kd", "Kb"),
+}
 
 
 def _epoch_micros(ts: datetime) -> int:
@@ -392,6 +404,16 @@ def _typed(node, kind: type, where: str):
     return node
 
 
+def _fields(node, kind: str, where: str = "") -> dict:
+    """``node`` as a JSON object that sets no field outside
+    ``BUILDING_FIELDS[kind]``; errors name ``where``, by default ``kind``."""
+    where = where or kind
+    for key in _typed(node, dict, where):
+        if key not in BUILDING_FIELDS[kind]:
+            raise ConfigError(f"{where}: unknown field {key!r}")
+    return node
+
+
 def _require(mapping: dict, key: str, where: str):
     if key not in _typed(mapping, dict, where):
         raise ConfigError(f"{where}.{key}: missing required field")
@@ -437,32 +459,38 @@ def parse_building(path) -> BuildingDescription:
       efficacy{mode,Kd,Kb}                             (optional)
       patch_scope                                      (optional, patch|room)
 
-    L-shaped floors are accepted and decomposed into convex parts.
+    L-shaped floors are accepted and decomposed into convex parts. A field
+    outside this schema (:data:`BUILDING_FIELDS`) and a surface role given
+    twice are errors that name their path.
     """
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}", line=exc.lineno) from None
 
-    loc_d = _require(data, "location", "building")
+    data = _fields(data, "building")
+    loc_d = _fields(_require(data, "location", "building"), "location")
     site = [_number(loc_d, key, "location") for key in ("lat", "lon", "tz", "albedo")]
     try:
         loc = GeoLocation(*site)
     except ValueError as exc:
         raise ConfigError(f"location: {exc}") from None
 
-    room_d = _require(data, "room", "building")
+    room_d = _fields(_require(data, "room", "building"), "room")
     floor = _vertices(_require(room_d, "floor_vertices", "room"), "room.floor_vertices")
     height = _number(room_d, "height", "room")
 
     refl = {}
     for i, s in enumerate(_typed(_require(room_d, "surfaces", "room"), list, "room.surfaces")):
-        role = _require(s, "role", f"room.surfaces[{i}]")
-        value = _number(s, "reflectance", f"room.surfaces[{i}]")
+        where = f"room.surfaces[{i}]"
+        role = _require(_fields(s, "room.surfaces[]", where), "role", where)
+        value = _number(s, "reflectance", where)
         if not 0.0 <= value <= 1.0:
-            raise ConfigError(f"room.surfaces[{i}].reflectance: {value} out of [0, 1]")
+            raise ConfigError(f"{where}.reflectance: {value} out of [0, 1]")
         if role not in ("floor", "walls", "ceiling"):
-            raise ConfigError(f"room.surfaces[{i}].role: unknown role {role!r}")
+            raise ConfigError(f"{where}.role: unknown role {role!r}")
+        if role in refl:
+            raise ConfigError(f"{where}.role: duplicate role {role!r}")
         refl[role] = value
     for role in ("floor", "walls", "ceiling"):
         if role not in refl:
@@ -472,6 +500,7 @@ def parse_building(path) -> BuildingDescription:
     apertures = []
     for i, a in enumerate(_typed(room_d.get("apertures", []), list, "room.apertures")):
         where = f"room.apertures[{i}]"
+        a = _fields(a, "room.apertures[]", where)
         poly = _vertices(_require(a, "vertices", where), f"{where}.vertices")
         factors = dict(
             tau=_number(a, "tau_vitre", where, 0.9),
@@ -488,6 +517,7 @@ def parse_building(path) -> BuildingDescription:
     obstructions = []
     for i, o in enumerate(_typed(data.get("obstructions", []), list, "obstructions")):
         where = f"obstructions[{i}]"
+        o = _fields(o, "obstructions[]", where)
         poly = _vertices(_require(o, "vertices", where), f"{where}.vertices")
         fraction = _number(o, "luminance_fraction", where, 0.2)
         try:
@@ -503,13 +533,13 @@ def parse_building(path) -> BuildingDescription:
         obstructions=tuple(obstructions),
     )
 
-    wp = _require(data, "workplane", "building")
+    wp = _fields(_require(data, "workplane", "building"), "workplane")
     cell = _number(wp, "cell", "workplane")
     if cell <= 0.0:
         raise ConfigError(f"workplane.cell: {cell} must be positive")
     wp_height = _number(wp, "height", "workplane", 0.01)
 
-    eff_d = data.get("efficacy", {})
+    eff_d = _fields(data.get("efficacy", {}), "efficacy")
     kd, kb = _number(eff_d, "Kd", "efficacy", 120.0), _number(eff_d, "Kb", "efficacy", 93.0)
     try:
         efficacy = EfficacyModel(mode=eff_d.get("mode", "constant"), kd=kd, kb=kb)

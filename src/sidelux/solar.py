@@ -37,6 +37,8 @@ class GeoLocation:
             raise ValueError(f"latitude {self.latitude} out of [-90, 90]")
         if not -180.0 <= self.longitude <= 180.0:
             raise ValueError(f"longitude {self.longitude} out of [-180, 180]")
+        if not -12.0 <= self.timezone <= 14.0:
+            raise ValueError(f"timezone {self.timezone} out of [-12, 14]")
         if not 0.0 <= self.albedo <= 1.0:
             raise ValueError(f"albedo {self.albedo} out of [0, 1]")
 

@@ -184,7 +184,7 @@ def with_obstructions(room: Room, rng: np.random.Generator, count: int) -> Room:
     kept at least 0.3 m beyond the window plane; two of them usually
     overlap as seen through the window."""
     ap = room.apertures[0]
-    n = room.aperture_outward(0)
+    n = room.outward[0]
     along = np.array([n[1], -n[0], 0.0])
     centre = ap.polygon.centroid
     plane = float(centre @ n)

@@ -376,6 +376,23 @@ class TestUsageErrors:
         assert code == 2
         assert "error: room.surfaces[0]: expected an object" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mutate,message", [
+        (lambda d: d["location"].update(tz=1000), "location: timezone 1000.0 out of [-12, 14]"),
+        (lambda d: d["room"]["apertures"][0].update(tau_vitr=0.1),
+         "room.apertures[0]: unknown field 'tau_vitr'"),
+        (lambda d: d["room"]["surfaces"].append({"role": "floor", "reflectance": 0.3}),
+         "room.surfaces[3].role: duplicate role 'floor'"),
+    ], ids=["timezone", "unknown-field", "duplicate-role"])
+    def test_building_file_error_exits_2(self, tmp_path, capsys, mutate, message):
+        data = json.loads(BUILDING_JSON % {"cell": "0.5"})
+        mutate(data)
+        building = tmp_path / "b.json"
+        building.write_text(json.dumps(data), encoding="utf-8")
+        code = main(["dfmap", "--building", str(building), "--out", str(tmp_path / "df.txt")])
+        assert code == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "df.txt").exists()
+
     @pytest.mark.parametrize("step", ["0", "1000000000000000"])
     def test_step_out_of_range_exits_2(self, tmp_path, building_file, capsys, step):
         weather = overcast_day_csv(tmp_path / "w.csv")

@@ -229,13 +229,26 @@ class TestWorkplaneGrid:
 class TestDecompose:
     def test_convex_passthrough(self):
         s = square()
-        assert decompose_convex(s) == [s]
+        assert np.array_equal(decompose_convex(s), s.coords[None])
 
     def test_l_shape_triangulated(self):
         ell = Polygon3([(0, 0, 0), (4, 0, 0), (4, 2, 0), (2, 2, 0), (2, 4, 0), (0, 4, 0)])
         parts = decompose_convex(ell)
-        assert all(p.is_convex for p in parts)
-        assert sum(p.area for p in parts) == pytest.approx(ell.area, rel=1e-9)
+        assert parts.shape == (4, 3, 3)
+        assert all(Polygon3(p).is_convex for p in parts)
+        assert sum(Polygon3(p).area for p in parts) == pytest.approx(ell.area, rel=1e-9)
+
+    def test_parts_are_the_input_vertices_bit_for_bit(self):
+        """On a floor turned by 0.3 rad, where no in-plane frame maps the
+        coordinates back exactly, every part vertex is one of the input's."""
+        c, s = math.cos(0.3), math.sin(0.3)
+        ell = [(0, 0), (4, 0), (4, 2), (2, 2), (2, 4), (0, 4)]
+        floor = Polygon3([(1.3 + c * x - s * y, -0.7 + s * x + c * y, 0.25) for x, y in ell])
+        parts = decompose_convex(floor)
+        assert len(parts) == 4
+        vertices = {tuple(v) for v in floor.coords.tolist()}
+        assert {tuple(v) for v in parts.reshape(-1, 3).tolist()} <= vertices
+        assert min(Polygon3(p).normal @ floor.normal for p in parts) > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +415,7 @@ def test_room_parts_are_counter_clockwise():
         floors += [ell, Polygon3(ell.coords[::-1])]
     for floor in floors:
         parts = Room(floor=floor, height=2.8, optics=SurfaceOptics(0.2, 0.6, 0.6)).parts
-        areas = [signed_ring_areas(p.coords[None, :, :2], p.coords[0, :2])[0] for p in parts]
+        areas = signed_ring_areas(parts, parts[:, 0])
         assert min(areas) > 0.0
         assert sum(areas) == pytest.approx(floor.area, rel=1e-12)
 

@@ -13,6 +13,7 @@ from sidelux.errors import ConfigError, DataError, GeometryError, ParseError
 from sidelux.daylight import PeriodResult
 from sidelux.geometry import Polygon3, make_workplane_grid
 from sidelux.io import (
+    BUILDING_FIELDS,
     parse_building,
     parse_series_csv,
     parse_tmy2_subset,
@@ -572,12 +573,60 @@ class TestBuilding:
         ("lon", 181, "longitude 181.0 out of [-180, 180]"),
         ("albedo", 1.5, "albedo 1.5 out of [0, 1]"),
         ("albedo", -0.1, "albedo -0.1 out of [0, 1]"),
+        ("tz", 1000, "timezone 1000.0 out of [-12, 14]"),
     ])
     def test_site_out_of_range_names_the_location(self, tmp_path, key, value, message):
         def mutate(d):
             d["location"][key] = value
 
         with pytest.raises(ConfigError, match=f"^location: {re.escape(message)}$"):
+            parse_building(self._patched(tmp_path, mutate))
+
+    @pytest.mark.parametrize("path,key,where", [
+        ((), "patch_scop", "building"),
+        (("location",), "timezone", "location"),
+        (("room",), "width", "room"),
+        (("room", "surfaces", 1), "colour", "room.surfaces[1]"),
+        (("room", "apertures", 0), "tau_vitr", "room.apertures[0]"),
+        (("obstructions", 0), "height", "obstructions[0]"),
+        (("workplane",), "size", "workplane"),
+        (("efficacy",), "kd", "efficacy"),
+    ])
+    def test_unknown_field_names_its_path(self, tmp_path, path, key, where):
+        """A misspelt field is an error, not a silent default."""
+        def mutate(d):
+            d["obstructions"] = [{"vertices": [[-5, 6, 0], [10, 6, 0], [10, 6, 6], [-5, 6, 6]]}]
+            for k in path:
+                d = d[k]
+            d[key] = 0.1
+
+        with pytest.raises(ConfigError, match=rf"^{re.escape(where)}: unknown field '{key}'$"):
+            parse_building(self._patched(tmp_path, mutate))
+
+    def test_building_fields_are_pinned(self):
+        """Every field a building file may set: 22 that hold values, 7 that
+        hold objects. A new field fails this test, so the change that adds
+        one has to edit this table and say why."""
+        assert BUILDING_FIELDS == {
+            "building": ("location", "room", "obstructions", "workplane", "efficacy",
+                         "patch_scope"),
+            "location": ("lat", "lon", "tz", "albedo"),
+            "room": ("floor_vertices", "height", "surfaces", "apertures"),
+            "room.surfaces[]": ("role", "reflectance"),
+            "room.apertures[]": ("vertices", "tau_vitre", "MF", "FR", "MG", "FC"),
+            "obstructions[]": ("vertices", "luminance_fraction"),
+            "workplane": ("cell", "height"),
+            "efficacy": ("mode", "Kd", "Kb"),
+        }
+        objects = len(BUILDING_FIELDS) - 1  # every object but the file is a field of another
+        assert sum(map(len, BUILDING_FIELDS.values())) - objects == 22
+
+    def test_duplicate_role_names_its_path(self, tmp_path):
+        """A role listed twice is an error, not last-one-wins."""
+        def mutate(d):
+            d["room"]["surfaces"].append({"role": "floor", "reflectance": 0.3})
+
+        with pytest.raises(ConfigError, match=r"^room\.surfaces\[3\]\.role: duplicate role 'floor'$"):
             parse_building(self._patched(tmp_path, mutate))
 
     def test_bad_patch_scope(self, tmp_path):
