@@ -16,7 +16,6 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from sidelux.daylight import Simulator  # noqa: E402
 from sidelux.io import parse_building  # noqa: E402
 from sidelux.solar import WeatherSeries  # noqa: E402
 
@@ -38,15 +37,9 @@ def main() -> None:
     args = parser.parse_args()
 
     building = parse_building(args.building)
+    building.workplane_cell = args.cell
     t0 = time.perf_counter()
-    sim = Simulator(
-        room=building.room,
-        location=building.location,
-        cell=args.cell,
-        workplane_height=building.workplane_height,
-        efficacy=building.efficacy,
-        patch_scope=building.patch_scope,
-    )
+    sim = building.simulator()
     t_df = time.perf_counter() - t0
     print(f"daylight-factor precompute: {sim.grid.n_points} points in {t_df:.2f} s")
 

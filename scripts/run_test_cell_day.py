@@ -18,7 +18,6 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from sidelux.daylight import Simulator  # noqa: E402
 from sidelux.io import parse_building, write_field_file, write_probe_series_csv, \
     write_results  # noqa: E402
 from sidelux.solar import WeatherSeries  # noqa: E402
@@ -44,14 +43,7 @@ def main() -> None:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     building = parse_building(args.building)
-    sim = Simulator(
-        room=building.room,
-        location=building.location,
-        cell=building.workplane_cell,
-        workplane_height=building.workplane_height,
-        efficacy=building.efficacy,
-        patch_scope=building.patch_scope,
-    )
+    sim = building.simulator()
     print(f"grid: {sim.grid.nu} x {sim.grid.nv} cells, {sim.grid.n_points} points")
     write_field_file(out / "df_map.txt", sim.grid, sim.df * 100.0, "DF_pct")
 

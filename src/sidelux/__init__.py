@@ -30,7 +30,6 @@ from .geometry import (
     Polygon3,
     clip_polygon,
     decompose_convex,
-    make_workplane_grid,
 )
 from .metrics import (
     SeriesPair,

@@ -22,7 +22,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .daylight import Simulator
 from .errors import ConfigError, DataError, GeometryError, MetricError, ParseError
 from .io import (
     parse_building,
@@ -80,14 +79,7 @@ def _load_weather(path: str):
 def _cmd_simulate(args) -> int:
     building = parse_building(args.building)
     weather = _load_weather(args.weather)
-    sim = Simulator(
-        room=building.room,
-        location=building.location,
-        cell=building.workplane_cell,
-        workplane_height=building.workplane_height,
-        efficacy=building.efficacy,
-        patch_scope=building.patch_scope,
-    )
+    sim = building.simulator()
     start = _parse_ts(args.start) if args.start else None
     end = _parse_ts(args.end) if args.end else None
     probes = _parse_probes(args.probes) if args.probes else []
@@ -140,13 +132,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_dfmap(args) -> int:
     building = parse_building(args.building)
-    sim = Simulator(
-        room=building.room,
-        location=building.location,
-        cell=building.workplane_cell,
-        workplane_height=building.workplane_height,
-        efficacy=building.efficacy,
-    )
+    sim = building.simulator()
     write_field_file(args.out, sim.grid, sim.df * 100.0, "DF_pct")
     print(f"{sim.grid.n_points} grid points; wrote {args.out}", file=sys.stderr)
     return 0

@@ -52,7 +52,7 @@ from .geometry import (
 )
 from .metrics import hour_groups
 from .solar import EfficacyModel, GeoLocation, OutdoorIlluminance, SolarState, WeatherSeries, \
-    local_time, outdoor_illuminance, reconstruct_illuminance, sun_position, sun_positions
+    local_time, outdoor_illuminance, sun_position, sun_positions
 
 # Horizontal illuminance of the full CIE overcast dome for unit zenith
 # luminance: integral of (1+2 sin g)/3 * sin g over the hemisphere = 7*pi/9.
@@ -140,9 +140,12 @@ class Room:
 
     Its derived geometry is worked out once, at construction: ``parts`` are
     the plan rings (P, W, 2) of the floor's convex parts
-    (:func:`decompose_convex`), counter-clockwise from above, and
-    ``outward`` (K, 3) holds the outward unit normal of the wall that holds
-    each aperture."""
+    (:func:`decompose_convex`), counter-clockwise from above. Per aperture,
+    from the wall found to hold it: ``outward`` (K, 3), that wall's outward
+    unit normal; ``sky``, its :class:`SkyKernel` behind the other walls and
+    the obstructions; ``irc``, its internally-reflected component. Two may
+    share an edge but not overlap; an error about aperture k starts with
+    ``room.apertures[k]: ``."""
 
     floor: Polygon3
     height: float
@@ -163,19 +166,32 @@ class Room:
         self.parts = decompose_convex(self.floor)[:, :, :2]
         self.floor_z = float(self.floor.coords[:, 2].mean())
         self.s_t = self.floor.area
-        self.outward = np.array([self._wall_of(ap.polygon)[1] for ap in self.apertures]
-                                ).reshape(-1, 3)
+        walls = [self._wall_of(k, ap.polygon) for k, ap in enumerate(self.apertures)]
+        for j, (wall, _, ring) in enumerate(walls):
+            for i, (other, _, clip) in enumerate(walls[:j]):
+                if other == wall and abs(signed_ring_areas(clip_rings(ring[None], clip),
+                                                           clip[0])[0]) > EMPTY_AREA:
+                    raise GeometryError(f"room.apertures[{j}]: overlaps room.apertures[{i}] "
+                                        "on the same wall")
+        self.outward = np.array([outward for _, outward, _ in walls]).reshape(-1, 3)
+        plan = self.floor.coords[:, :2]
+        edges = np.stack((plan, np.roll(plan, -1, axis=0)), axis=1)  # walls: (n, 2 ends, 2)
+        self.sky = tuple(SkyKernel(ap.polygon, outward, np.delete(edges, wall, axis=0),
+                                   self.obstructions)
+                         for ap, (wall, outward, _) in zip(self.apertures, walls))
+        self.irc = tuple(internally_reflected_component(self, ap) for ap in self.apertures)
 
-    def _wall_of(self, window: Polygon3) -> tuple[int, np.ndarray]:
-        """Index of the floor edge whose wall holds ``window``, and that
-        wall's outward unit normal."""
+    def _wall_of(self, k: int, window: Polygon3) -> tuple[int, np.ndarray, np.ndarray]:
+        """Index of the floor edge whose wall holds aperture ``k``'s
+        ``window``, that wall's outward unit normal, and the window's ring in
+        (along-wall, z) coordinates, counter-clockwise."""
         pts = self.floor.coords
         n = len(pts)
         lo = self.floor_z - PLANARITY_TOL
         hi = self.floor_z + self.height + PLANARITY_TOL
         apts = window.coords
         if apts[:, 2].min() < lo or apts[:, 2].max() > hi:
-            raise GeometryError("aperture extends beyond the wall height")
+            raise GeometryError(f"room.apertures[{k}]: aperture extends beyond the wall height")
         for i in range(n):
             a, b = pts[i], pts[(i + 1) % n]
             e = b - a
@@ -190,17 +206,11 @@ class Room:
             s = (apts[:, 0] - a[0]) * ex + (apts[:, 1] - a[1]) * ey
             if s.min() < -PLANARITY_TOL or s.max() > length + PLANARITY_TOL:
                 continue
-            return i, outward
-        raise GeometryError("aperture does not lie on any wall of the floor outline")
-
-    def sky_kernel(self, window: Polygon3, obstructions) -> "SkyKernel":
-        """The sky integral of a window on one of the walls, which the other
-        walls may hide from parts of the room."""
-        wall, outward = self._wall_of(window)
-        ring = self.floor.coords[:, :2]
-        n = len(ring)
-        walls = [(ring[i], ring[(i + 1) % n]) for i in range(n) if i != wall]
-        return SkyKernel(window, outward, walls, obstructions)
+            ring = np.column_stack((s, apts[:, 2]))
+            ccw = signed_ring_areas(ring[None], ring[0])[0] > 0.0
+            return i, outward, ring if ccw else ring[::-1]
+        raise GeometryError(f"room.apertures[{k}]: aperture does not lie on any wall of the "
+                            "floor outline")
 
     @property
     def perimeter(self) -> float:
@@ -429,20 +439,30 @@ def _piece_integrals(rings, u, h, z) -> np.ndarray:
 
 
 def _sky_at(point, aperture, obstructions, room: Room | None) -> tuple[float, float]:
-    """(sc, erc) of one aperture at one point. With a room, its other walls
-    may hide the window; without one, the window is seen from the point's
-    side of its plane."""
-    if room is not None and not room.contains(point)[0]:
-        raise ValueError("point lies outside the room")
-    window = aperture.polygon if isinstance(aperture, Aperture) else aperture
+    """(sc, erc) of one aperture at one point. With a room, the room's own
+    kernel of that aperture, whose other walls may hide the window; without
+    one, the window is seen from the point's side of its plane."""
     p = np.asarray(point, dtype=float).reshape(1, 3)
-    if room is not None:
-        kernel = room.sky_kernel(window, obstructions)
-    else:
+    if room is None:
+        window = aperture.polygon if isinstance(aperture, Aperture) else aperture
         facing = float((window.coords[0] - p[0]) @ window.normal) >= 0.0
         kernel = SkyKernel(window, window.normal if facing else -window.normal, (), obstructions)
+    elif not room.contains(p)[0]:
+        raise ValueError("point lies outside the room")
+    elif tuple(obstructions) != room.obstructions:
+        raise ValueError("obstructions must be the room's own (room.obstructions)")
+    else:
+        kernel = room.sky[_aperture_index(room, aperture)]
     sc, erc = kernel(p)
     return float(sc[0]), float(erc[0])
+
+
+def _aperture_index(room: Room, aperture) -> int:
+    """Index of ``aperture``, an :class:`Aperture` or its polygon, in the room."""
+    for k, ap in enumerate(room.apertures):
+        if aperture is ap or aperture is ap.polygon:
+            return k
+    raise ValueError("aperture is not one of the room's apertures")
 
 
 def sky_component(point, aperture, obstructions=(), room: Room | None = None) -> float:
@@ -519,9 +539,9 @@ def internally_reflected_component(room: Room, ap: Aperture) -> float:
 
 
 def daylight_factor(point, room: Room, ap: Aperture) -> DFBreakdown:
-    """Daylight factor (as a fraction) at a point for one aperture."""
+    """Daylight factor (as a fraction) at a point for one of the room's apertures."""
     sc, erc = _sky_at(point, ap, room.obstructions, room)
-    irc = internally_reflected_component(room, ap)
+    irc = room.irc[_aperture_index(room, ap)]
     df = df_from_components(sc, erc, irc, ap.fc, ap.mf, ap.fr, ap.tau, ap.mg)
     return DFBreakdown(sc=sc, erc=erc, irc=irc, df=df)
 
@@ -660,16 +680,13 @@ class Simulator:
                               f"floor (0 m) and the ceiling ({room.height} m)")
         self.grid = room.workplane(cell, workplane_height)
         self.beam = BeamKernel(room, self.grid.plane_z)
-        self._irc = [internally_reflected_component(room, ap) for ap in room.apertures]
-        self._sky = [room.sky_kernel(ap.polygon, room.obstructions) for ap in room.apertures]
         self.df = self._df_for_points(self.grid.points)
 
     def _df_for_points(self, points: np.ndarray) -> np.ndarray:
         total = np.zeros(len(points))
-        for k, ap in enumerate(self.room.apertures):
-            sc, erc = self._sky[k](points)
-            total = total + df_from_components(sc, erc, self._irc[k], ap.fc,
-                                               ap.mf, ap.fr, ap.tau, ap.mg)
+        for ap, sky, irc in zip(self.room.apertures, self.room.sky, self.room.irc):
+            sc, erc = sky(points)
+            total = total + df_from_components(sc, erc, irc, ap.fc, ap.mf, ap.fr, ap.tau, ap.mg)
         return total
 
     def _illuminance(self, altitude: np.ndarray, direction: np.ndarray, e_global: np.ndarray,
@@ -720,11 +737,10 @@ class Simulator:
 
     def step(self, when: datetime, gh: float, dh: float, ev_global: float | None = None,
              ev_diffuse: float | None = None) -> IlluminanceField:
-        """Field for one weather sample, validated as a one-sample series."""
-        WeatherSeries([when], [gh], [dh], [ev_global], [ev_diffuse])
-        sun = sun_position(when, self.location)
-        outdoor = reconstruct_illuminance(sun, gh, dh, self.efficacy, ev_global, ev_diffuse)
-        return self.evaluate(outdoor, sun, when)
+        """Field for one weather sample: a one-sample :meth:`run`, so the
+        sample is validated as a one-sample series."""
+        series = WeatherSeries([when], [gh], [dh], [ev_global], [ev_diffuse])
+        return self.run(series, field_at=[when]).fields[when]
 
     def _probe_df(self, probes: tuple[tuple[float, float], ...]):
         pts = np.array([(x, y, self.grid.plane_z) for x, y in probes], dtype=float).reshape(-1, 3)

@@ -304,22 +304,12 @@ class GridMesh:
         return out
 
 
-def make_workplane_grid(floor: Polygon3, cell: float, height: float) -> GridMesh:
-    """Mesh a horizontal convex floor with square cells of side ``cell``;
-    the resulting plane sits ``height`` meters above the floor."""
-    if abs(abs(float(floor.normal[2])) - 1.0) > PLANARITY_TOL:
-        raise GeometryError("floor must be horizontal")
-    if not floor.is_convex:
-        raise GeometryError("floor must be convex (decompose it first)")
-    return workplane_grid_for_parts(floor.coords[None, :, :2], float(floor.coords[:, 2].mean()),
-                                    cell, height)
-
-
 def workplane_grid_for_parts(parts: np.ndarray, floor_z: float, cell: float,
                              height: float) -> GridMesh:
-    """Like :func:`make_workplane_grid` for a floor at z = ``floor_z`` given
-    as the plan rings (P, W, 2) of its convex parts, such as ``Room.parts``
-    (cell centers are kept when inside any part)."""
+    """Mesh a horizontal floor at z = ``floor_z``, given as the plan rings
+    (P, W, 2) of its convex parts such as ``Room.parts``, with square cells
+    of side ``cell``; a cell center is kept when inside any part, and the
+    plane sits ``height`` meters above the floor."""
     if cell <= 0.0:
         raise ValueError("cell size must be positive")
     xmin, ymin = parts[:, :, 0].min(), parts[:, :, 1].min()

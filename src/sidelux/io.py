@@ -37,6 +37,7 @@ from .daylight import (
     Obstruction,
     PeriodResult,
     Room,
+    Simulator,
     SurfaceOptics,
     PATCH_SCOPES,
 )
@@ -395,6 +396,12 @@ class BuildingDescription:
     workplane_height: float
     efficacy: EfficacyModel
     patch_scope: str
+
+    def simulator(self) -> Simulator:
+        """The :class:`Simulator` of this room, site and settings."""
+        return Simulator(self.room, self.location, cell=self.workplane_cell,
+                         workplane_height=self.workplane_height, efficacy=self.efficacy,
+                         patch_scope=self.patch_scope)
 
 
 def _typed(node, kind: type, where: str):

@@ -23,7 +23,7 @@ from sidelux.daylight import (
     sky_component,
 )
 from sidelux.errors import DataError, ParseError
-from sidelux.geometry import Polygon3, make_workplane_grid
+from sidelux.geometry import Polygon3, workplane_grid_for_parts
 from sidelux.io import parse_tmy2_subset, parse_weather_csv, write_weather_csv
 from sidelux.metrics import (
     SeriesPair,
@@ -79,7 +79,7 @@ def test_c02_overcast_regime(canonical_sim):
 def test_c03_grid_reproduction():
     """A 3.9 m x 3.5 m floor at 0.1 m cells meshes to exactly 39 x 35."""
     floor = Polygon3([(0, 0, 0), (3.9, 0, 0), (3.9, 3.5, 0), (0, 3.5, 0)])
-    grid = make_workplane_grid(floor, 0.1, 0.01)
+    grid = workplane_grid_for_parts(floor.coords[None, :, :2], 0.0, 0.1, 0.01)
     assert (grid.nu, grid.nv) == (39, 35)
     assert grid.n_points == 1365
 

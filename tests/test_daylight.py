@@ -434,6 +434,31 @@ class TestMultiAperture:
         assert np.allclose(fb.e_diffuse, f1.e_diffuse + f2.e_diffuse, rtol=1e-9)
         assert np.array_equal(fb.e_global, fb.e_diffuse + fb.e_direct)
 
+    def room(self, *windows):
+        return Room(floor=self.FLOOR, height=2.8, optics=SurfaceOptics(0.2, 0.6, 0.6),
+                    apertures=tuple(Aperture(w) for w in windows))
+
+    def test_separate_windows_on_one_wall_are_accepted(self):
+        assert len(self.room(self.W1, self.W2).outward) == 2
+
+    def test_windows_sharing_an_edge_are_accepted(self):
+        right = Polygon3([(1.5, 4, 1.0), (2.5, 4, 1.0), (2.5, 4, 2.0), (1.5, 4, 2.0)])
+        above = Polygon3([(1.5, 4, 2.0), (0.5, 4, 2.0), (0.5, 4, 2.6), (1.5, 4, 2.6)])
+        assert len(self.room(self.W1, right, above).outward) == 3
+
+    @pytest.mark.parametrize("second", [
+        W1,
+        Polygon3([(0.5, 4, 2.0), (0.5, 4, 1.0), (1.5, 4, 1.0), (1.5, 4, 2.0)]),  # same, reordered
+        Polygon3([(1.0, 4, 1.5), (2.0, 4, 1.5), (2.0, 4, 2.5), (1.0, 4, 2.5)]),
+        Polygon3([(0.8, 4, 1.2), (1.2, 4, 1.2), (1.2, 4, 1.6), (0.8, 4, 1.6)]),  # inside W1
+    ], ids=["identical", "reversed", "partly", "nested"])
+    def test_overlapping_windows_are_rejected(self, second):
+        """A window listed twice would count its sky and its beam twice."""
+        with pytest.raises(GeometryError,
+                           match=r"^room\.apertures\[2\]: overlaps room\.apertures\[0\] "
+                                 r"on the same wall$"):
+            self.room(self.W1, self.W2, second)
+
 
 class TestObstructedRoom:
     def test_obstruction_lowers_daylight_factor(self):

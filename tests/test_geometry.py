@@ -13,16 +13,22 @@ from sidelux.geometry import (
     clip_polygon,
     clip_rings,
     decompose_convex,
-    make_workplane_grid,
     points_in_convex_rings,
     project_polygon_along_direction,
     signed_ring_areas,
     stack_rings,
+    workplane_grid_for_parts,
 )
 
 
 def square(side=1.0, z=0.0):
     return Polygon3([(0, 0, z), (side, 0, z), (side, side, z), (0, side, z)])
+
+
+def floor_grid(floor: Polygon3, cell: float, height: float):
+    """The workplane grid of a horizontal convex floor: one part."""
+    return workplane_grid_for_parts(floor.coords[None, :, :2], float(floor.coords[0, 2]), cell,
+                                    height)
 
 
 class TestPolygon:
@@ -194,33 +200,33 @@ class TestPointInPolygon:
 class TestWorkplaneGrid:
     def test_reference_grid_39_by_35(self):
         floor = Polygon3([(0, 0, 0), (3.9, 0, 0), (3.9, 3.5, 0), (0, 3.5, 0)])
-        g = make_workplane_grid(floor, 0.1, 0.01)
+        g = floor_grid(floor, 0.1, 0.01)
         assert (g.nu, g.nv) == (39, 35)
         assert g.n_points == 1365
         assert g.plane_z == pytest.approx(0.01)
 
     def test_small_grid(self):
-        g = make_workplane_grid(square(), 0.5, 0.0)
+        g = floor_grid(square(), 0.5, 0.0)
         assert (g.nu, g.nv) == (2, 2)
         assert g.n_points == 4
 
     def test_cell_too_large(self):
         with pytest.raises(DegenerateMeshError):
-            make_workplane_grid(square(), 2.0, 0.0)
+            floor_grid(square(), 2.0, 0.0)
 
     def test_cell_not_positive(self):
         with pytest.raises(ValueError):
-            make_workplane_grid(square(), 0.0, 0.0)
+            floor_grid(square(), 0.0, 0.0)
 
     def test_centers_inside_floor(self):
         tri = Polygon3([(0, 0, 0), (2, 0, 0), (0, 2, 0)])
-        g = make_workplane_grid(tri, 0.25, 0.0)
+        g = floor_grid(tri, 0.25, 0.0)
         assert g.n_points < g.nu * g.nv  # the empty half got dropped
         for p in g.points:
             assert contains(p, tri)
 
     def test_full_matrix_scatter(self):
-        g = make_workplane_grid(square(), 0.5, 0.0)
+        g = floor_grid(square(), 0.5, 0.0)
         m = g.full_matrix(np.arange(4, dtype=float))
         assert m.shape == (2, 2)
         assert sorted(m.ravel()) == [0.0, 1.0, 2.0, 3.0]
@@ -429,7 +435,7 @@ def test_room_parts_are_counter_clockwise():
 def test_grid_centers_inside_rectangle(w, d, cell):
     floor = Polygon3([(0, 0, 0), (w, 0, 0), (w, d, 0), (0, d, 0)])
     try:
-        g = make_workplane_grid(floor, cell, 0.01)
+        g = floor_grid(floor, cell, 0.01)
     except DegenerateMeshError:
         assert cell > w or cell > d
         return

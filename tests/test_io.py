@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from sidelux import io as sidelux_io
 from sidelux.errors import ConfigError, DataError, GeometryError, ParseError
 from sidelux.daylight import PeriodResult
-from sidelux.geometry import Polygon3, make_workplane_grid
+from sidelux.geometry import workplane_grid_for_parts
 from sidelux.io import (
     BUILDING_FIELDS,
     parse_building,
@@ -629,6 +629,21 @@ class TestBuilding:
         with pytest.raises(ConfigError, match=r"^room\.surfaces\[3\]\.role: duplicate role 'floor'$"):
             parse_building(self._patched(tmp_path, mutate))
 
+    @pytest.mark.parametrize("vertices,message", [
+        ([[1.0, 2.0, 1.0], [2.0, 2.0, 1.0], [2.0, 2.0, 2.0], [1.0, 2.0, 2.0]],
+         "aperture does not lie on any wall of the floor outline"),
+        ([[0.0, 1.0, 2.0], [0.0, 2.0, 2.0], [0.0, 2.0, 3.0], [0.0, 1.0, 3.0]],
+         "aperture extends beyond the wall height"),
+        ([[1.45, 3.5, 1.0], [2.45, 3.5, 1.0], [2.45, 3.5, 2.0], [1.45, 3.5, 2.0]],
+         "overlaps room.apertures[0] on the same wall"),
+    ], ids=["off-wall", "too-tall", "overlap"])
+    def test_misplaced_aperture_names_its_path(self, tmp_path, vertices, message):
+        def mutate(d):
+            d["room"]["apertures"].append({"vertices": vertices})
+
+        with pytest.raises(GeometryError, match=rf"^room\.apertures\[1\]: {re.escape(message)}$"):
+            parse_building(self._patched(tmp_path, mutate))
+
     def test_bad_patch_scope(self, tmp_path):
         def mutate(d):
             d["patch_scope"] = "everywhere"
@@ -679,9 +694,8 @@ class TestBuilding:
 
 class TestResultWriters:
     def test_field_file_block(self, tmp_path):
-        grid = make_workplane_grid(
-            Polygon3([(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0)]), 0.5, 0.0
-        )
+        grid = workplane_grid_for_parts(np.array([[(0, 0), (1, 0), (1, 1), (0, 1)]], dtype=float),
+                                        0.0, 0.5, 0.0)
         path = tmp_path / "field.txt"
         write_field_file(path, grid, np.full(4, 100.0), "2009-03-21T12:00")
         text = path.read_text()

@@ -17,11 +17,13 @@ from oracles import ray_cast_daylight_factor, sight_classes, walls_other_than
 from test_stepping import L_PROBES, make_l_room
 from sidelux.daylight import (
     Aperture,
+    DFBreakdown,
     Obstruction,
     Room,
-    Simulator,
+    SkyKernel,
     _piece_integrals,
     daylight_factor,
+    df_from_components,
     externally_reflected_component,
     sky_component,
 )
@@ -91,7 +93,7 @@ def test_points_hidden_by_re_entrant_walls_get_no_sky(window, point):
     assert externally_reflected_component(p, ap, room.obstructions, room) == 0.0
     parts = daylight_factor(p, room, ap)
     assert parts.sc == 0.0 and parts.erc == 0.0 and parts.irc > 0.0
-    sc, erc = room.sky_kernel(ap.polygon, room.obstructions)(np.array([p]))
+    sc, erc = room.sky[window](np.array([p]))
     assert sc.tolist() == [0.0] and erc.tolist() == [0.0]
     # without the room's walls the same window is in plain view
     assert sky_component(p, ap) > 1e-4
@@ -147,8 +149,7 @@ def check_pieces(room: Room, points: np.ndarray, rng, n_cover=64):
     their own class, or in none where hidden. Pieces whose integral is at
     most 1e-12 are not sampled: they cannot move a DF by more than that."""
     checked = 0
-    for ap in room.apertures:
-        kernel = room.sky_kernel(ap.polygon, room.obstructions)
+    for ap, kernel in zip(room.apertures, room.sky):
         rings, owner, cls, (u, h, z) = kernel._pieces(points)
         value = _piece_integrals(rings, u[owner], h[owner], z[owner])
         rect = rect_of(ap.polygon)
@@ -212,7 +213,7 @@ def test_pieces_where_two_obstructions_overlap_and_cross():
     points = np.concatenate((random_points(room, rng, 30), random_points(room, rng, 30, (1.0, 2.0))))
     check_pieces(room, points, rng)
     # both obstructions are seen, and each is nearer somewhere in the overlap
-    kernel = room.sky_kernel(room.apertures[0].polygon, room.obstructions)
+    kernel = room.sky[0]
     _, owner, cls, _ = kernel._pieces(points)
     both = [i for i in range(len(points)) if {0, 1} <= set(cls[owner == i].tolist())]
     assert len(both) > 10
@@ -274,20 +275,88 @@ def benchmark_inputs():
     return inputs
 
 
-@pytest.mark.parametrize("name", ["test_cell", "l_room"])
-def test_probe_daylight_factors_match_the_benchmark_references(name, tmp_path):
+def benchmark_room(name, tmp_path):
+    """A benchmark building, parsed, and its probes."""
     inputs = benchmark_inputs()
-    ref = json.loads((PERFBENCH / "refs.json").read_text(encoding="utf-8"))[name]
-    probes = {"test_cell": inputs.TEST_CELL_PROBES, "l_room": inputs.L_ROOM_PROBES}[name]
-    assert [tuple(p) for p in ref["probes"]] == [tuple(p) for p in probes]
     path = tmp_path / "building.json"
     path.write_text(json.dumps(inputs.BUILDINGS[name]), encoding="utf-8")
-    b = parse_building(path)
-    sim = Simulator(b.room, b.location, cell=b.workplane_cell, workplane_height=b.workplane_height)
-    _, df = sim._probe_df(tuple(probes))
+    probes = {"test_cell": inputs.TEST_CELL_PROBES, "l_room": inputs.L_ROOM_PROBES}[name]
+    return parse_building(path), tuple(probes)
+
+
+@pytest.mark.parametrize("name", ["test_cell", "l_room"])
+def test_probe_daylight_factors_match_the_benchmark_references(name, tmp_path):
+    b, probes = benchmark_room(name, tmp_path)
+    ref = json.loads((PERFBENCH / "refs.json").read_text(encoding="utf-8"))[name]
+    assert [tuple(p) for p in ref["probes"]] == [tuple(p) for p in probes]
+    sim = b.simulator()
+    _, df = sim._probe_df(probes)
     np.testing.assert_allclose(df, ref["df"], rtol=0.0, atol=1e-8)
     single = [engine_df(b.room, (x, y, sim.grid.plane_z)) for x, y in probes]
     np.testing.assert_allclose(single, ref["df"], rtol=0.0, atol=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# One daylight-factor path: the point functions read the room's own kernels.
+
+@pytest.mark.parametrize("name", ["test_cell", "l_room"])
+def test_point_functions_build_no_kernel(name, tmp_path, monkeypatch):
+    b, probes = benchmark_room(name, tmp_path)
+    built = []
+    init = SkyKernel.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SkyKernel, "__init__", counted)
+    room = b.room
+    for x, y in probes:
+        p = (x, y, 0.01)
+        for ap in room.apertures:
+            daylight_factor(p, room, ap)
+            sky_component(p, ap, room.obstructions, room)
+            externally_reflected_component(p, ap.polygon, room.obstructions, room)
+    assert built == []
+
+
+@pytest.mark.parametrize("name", ["test_cell", "l_room"])
+def test_point_daylight_factors_are_the_simulators_to_the_bit(name, tmp_path):
+    b, probes = benchmark_room(name, tmp_path)
+    room = b.room
+    sim = b.simulator()
+    points, df = sim._probe_df(probes)
+    assert np.array_equal([engine_df(room, p) for p in points], df)
+    for ap, kernel, irc in zip(room.apertures, room.sky, room.irc):
+        sc, erc = kernel(points)
+        for i, p in enumerate(points):
+            assert daylight_factor(p, room, ap) == DFBreakdown(
+                sc[i], erc[i], irc, df_from_components(sc[i], erc[i], irc, ap.fc, ap.mf, ap.fr,
+                                                       ap.tau, ap.mg))
+
+
+def test_point_functions_reject_what_the_room_does_not_hold():
+    room = make_l_room()
+    p = (1.45, 1.45, 0.01)
+    ap = room.apertures[0]
+    twin = Aperture(ap.polygon, tau=0.5)  # the same window with other glazing
+    west = Polygon3([(0, 2.2, 0.9), (0, 0.8, 0.9), (0, 0.8, 2.1), (0, 2.2, 2.1)])
+    for foreign in (twin, west):
+        with pytest.raises(ValueError, match="^aperture is not one of the room's apertures$"):
+            sky_component(p, foreign, room.obstructions, room)
+        with pytest.raises(ValueError, match="^aperture is not one of the room's apertures$"):
+            externally_reflected_component(p, foreign, room.obstructions, room)
+    with pytest.raises(ValueError, match="^aperture is not one of the room's apertures$"):
+        daylight_factor(p, room, twin)
+    for obstructions in ((), room.obstructions[:1], room.obstructions[::-1]):
+        with pytest.raises(ValueError, match=r"^obstructions must be the room's own"):
+            sky_component(p, ap, obstructions, room)
+        with pytest.raises(ValueError, match=r"^obstructions must be the room's own"):
+            externally_reflected_component(p, ap.polygon, obstructions, room)
+    # the room's own, as a list, and the default () for a room without any
+    assert sky_component(p, ap, list(room.obstructions), room) == daylight_factor(p, room, ap).sc
+    cell = make_canonical_room()
+    assert sky_component((1.95, 1.27, 0.01), cell.apertures[0], room=cell) > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +391,7 @@ def test_window_seen_from_either_side_without_a_room():
 def test_batched_and_single_points_agree():
     room = crossing_obstructions_room()
     points = random_points(room, np.random.default_rng(4), 700, (0.01, 1.9))
-    kernel = room.sky_kernel(room.apertures[0].polygon, room.obstructions)
+    kernel = room.sky[0]
     sc, erc = kernel(points)
     for i in range(0, 700, 97):
         s1, e1 = kernel(points[i:i + 1])
