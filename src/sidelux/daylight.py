@@ -144,8 +144,8 @@ class Room:
     from the wall found to hold it: ``outward`` (K, 3), that wall's outward
     unit normal; ``sky``, its :class:`SkyKernel` behind the other walls and
     the obstructions; ``irc``, its internally-reflected component. Two may
-    share an edge but not overlap; an error about aperture k starts with
-    ``room.apertures[k]: ``."""
+    share an edge but not overlap. An error starts with the building-file
+    path it is about, such as ``room.height: `` or ``room.apertures[k]: ``."""
 
     floor: Polygon3
     height: float
@@ -155,9 +155,9 @@ class Room:
 
     def __post_init__(self):
         if not self.height > 0.0:
-            raise ConfigError(f"room height {self.height} must be positive")
+            raise ConfigError(f"room.height: {self.height} must be positive")
         if abs(abs(float(self.floor.normal[2])) - 1.0) > PLANARITY_TOL:
-            raise GeometryError("floor polygon must be horizontal")
+            raise GeometryError("room.floor_vertices: floor polygon must be horizontal")
         xy = self.floor.coords[:, :2]
         if signed_ring_areas(xy[None], xy[0])[0] < 0.0:  # make it counter-clockwise from above
             self.floor = Polygon3(self.floor.coords[::-1])
@@ -179,7 +179,10 @@ class Room:
         self.sky = tuple(SkyKernel(ap.polygon, outward, np.delete(edges, wall, axis=0),
                                    self.obstructions)
                          for ap, (wall, outward, _) in zip(self.apertures, walls))
-        self.irc = tuple(internally_reflected_component(self, ap) for ap in self.apertures)
+        try:
+            self.irc = tuple(internally_reflected_component(self, ap) for ap in self.apertures)
+        except ConfigError as exc:
+            raise ConfigError(f"room.surfaces: {exc}") from None
 
     def _wall_of(self, k: int, window: Polygon3) -> tuple[int, np.ndarray, np.ndarray]:
         """Index of the floor edge whose wall holds aperture ``k``'s
@@ -219,7 +222,8 @@ class Room:
 
     def contains(self, points: np.ndarray) -> np.ndarray:
         """Which of the (N, 3) ``points`` lie in the room: over a floor part
-        (edges within BOUNDARY_TOL included) and from floor to ceiling."""
+        (edges within BOUNDARY_TOL included) and from floor to ceiling
+        (within PLANARITY_TOL)."""
         p = np.asarray(points, dtype=float).reshape(-1, 3)
         return ((self.floor_z - PLANARITY_TOL <= p[:, 2])
                 & (p[:, 2] <= self.floor_z + self.height + PLANARITY_TOL)
@@ -254,8 +258,9 @@ class SkyKernel:
     thing. The window is clipped at the point's horizon. The strips that the
     room's other walls hide are cut away: walls are full height and the
     window vertical, so each strip is bounded by vertical lines found in
-    plan view. The rest is cut by the central projection, from the point
-    onto the window plane, of every obstruction part beyond that plane;
+    plan view. The rest is clipped by the central projection, from the
+    point onto the window plane, of every obstruction part beyond that
+    plane, one ring per piece, keeping the overlap and the slabs around it;
     where two projections overlap, a line on the window divides the overlap
     between them by which obstruction is nearer. A piece that sees sky adds
     to the SC, one that sees an obstruction adds to the ERC at that
@@ -364,9 +369,10 @@ class SkyKernel:
         return np.where(hidden, lo, 0.0), np.where(hidden, hi, 0.0)
 
     def _cut_by_part(self, rings, owner, cls, ring3, j, p, h, u, z):
-        """Cut the pieces by the central projection of one obstruction part
-        onto the window plane: pieces outside it keep their class, the
-        overlap goes to obstruction j where j is nearer."""
+        """Clip the pieces by the central projection of one obstruction part
+        onto the window plane (:func:`clip_rings`, both outputs): the slabs
+        cut off keep their class, the overlap goes to obstruction j where j
+        is nearer."""
         q = ring3[None] - p[:, None]
         scale = h[:, None] / (q @ self.normal)
         proj = np.stack((u[:, None] + scale * (q @ self.along), z[:, None] + scale * q[:, :, 2]),
@@ -374,15 +380,8 @@ class SkyKernel:
         area = signed_ring_areas(proj, proj[:, 0])
         proj = np.where((area < 0.0)[:, None, None], proj[:, ::-1], proj)
         cut = (area != 0.0)[owner]
-        r, o, c = rings[cut], owner[cut], cls[cut]
-        a = proj[o]
-        e = np.roll(a, -1, axis=1) - a
-        outside = []
-        for i in range(len(ring3)):
-            side = (e[:, i, None, 0] * (r[:, :, 1] - a[:, i, None, 1])
-                    - e[:, i, None, 1] * (r[:, :, 0] - a[:, i, None, 0]))
-            r, out = split_rings(r, side)
-            outside.append(out)
+        o, c = owner[cut], cls[cut]
+        r, outside = clip_rings(rings[cut], proj[o], outside=True)
         behind = (c >= 0) & (c != j)  # overlap with another obstruction's projection
         nearer_j, nearer_other = split_rings(r[behind], self._nearer(j, c[behind], o[behind], r[behind], p))
         pieces = stack_rings(rings[~cut], *outside, r[~behind], nearer_j, nearer_other)

@@ -4,9 +4,10 @@ clipping, point containment and workplane meshing.
 Convex rings are cut in batches of one common width, a short row repeating
 its last vertex (:func:`stack_rings`). There is one cut: :func:`split_rings`
 divides each ring along the zero line of an affine function given at its
-vertices; :func:`clip_rings` keeps the inner side of that cut along each
-edge of a convex clip ring, and :func:`clip_polygon` is :func:`clip_rings`
-on a batch of one. There is one containment test on the same batches:
+vertices; :func:`clip_rings` makes it along each edge of a convex clip
+ring, shared or one per row, and returns the inner side and, if asked, the
+slabs cut off; :func:`clip_polygon` is :func:`clip_rings` on a batch of
+one. There is one containment test on the same batches:
 :func:`points_in_convex_rings` counts a point inside a convex ring when it
 lies on the inner side of every edge line or within BOUNDARY_TOL metres of
 it. :class:`Polygon3` is the one validated input type; what is derived from
@@ -176,20 +177,24 @@ def clip_polygon(subject: Polygon3, clip: Polygon3) -> Polygon3 | None:
         return None
 
 
-def clip_rings(rings: np.ndarray, clip_ccw: np.ndarray) -> np.ndarray:
-    """Clip a batch of convex 2-D rings, shape (R, W, 2), against one convex
-    counter-clockwise ring: per clip edge, the inner side of the cut that
-    :func:`split_rings` makes along that edge's line. Rows come back padded
-    as :func:`stack_rings` pads them; a row clipped away is all zeros.
+def clip_rings(rings: np.ndarray, clips: np.ndarray, outside: bool = False):
+    """Clip a batch of convex 2-D rings (R, W, 2) against convex
+    counter-clockwise rings, one shared (M, 2) or one per row (R, M, 2), by
+    :func:`split_rings`' cut along each clip edge. Returns the inner side,
+    padded as :func:`stack_rings` pads (a row clipped away is all zeros),
+    and with ``outside`` also the M slabs cut off, one batch per edge.
     """
-    m = len(clip_ccw)
-    for i in range(m):
-        ax, ay = clip_ccw[i]
-        bx, by = clip_ccw[(i + 1) % m]
-        side = (bx - ax) * (rings[:, :, 1] - ay) - (by - ay) * (rings[:, :, 0] - ax)
-        cuts, crossing = _cuts(rings, side)
-        rings = _emit_rings(rings, cuts, crossing, side >= 0.0)
-    return rings
+    edges = np.roll(clips, -1, axis=-2) - clips
+    slabs = []
+    for i in range(clips.shape[-2]):
+        a, e = clips[..., i, None, :], edges[..., i, None, :]
+        side = e[..., 0] * (rings[:, :, 1] - a[..., 1]) - e[..., 1] * (rings[:, :, 0] - a[..., 0])
+        if outside:
+            rings, slab = split_rings(rings, side)
+            slabs.append(slab)
+        else:
+            rings = _emit_rings(rings, *_cuts(rings, side), side >= 0.0)
+    return (rings, slabs) if outside else rings
 
 
 def _cuts(rings: np.ndarray, side: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -280,11 +285,8 @@ class GridMesh:
     (iu, iv) index into that full grid.
     """
 
-    du: float
-    dv: float
     nu: int
     nv: int
-    height: float
     plane_z: float
     points: np.ndarray
     cells: np.ndarray
@@ -334,16 +336,7 @@ def workplane_grid_for_parts(parts: np.ndarray, floor_z: float, cell: float,
     plane_z = floor_z + height
     pts = np.column_stack((xy[keep], np.full(int(keep.sum()), plane_z)))
     cells = np.column_stack((iu.ravel()[keep], iv.ravel()[keep])).astype(int)
-    return GridMesh(
-        du=cell,
-        dv=cell,
-        nu=nu,
-        nv=nv,
-        height=height,
-        plane_z=plane_z,
-        points=pts,
-        cells=cells,
-    )
+    return GridMesh(nu=nu, nv=nv, plane_z=plane_z, points=pts, cells=cells)
 
 
 def decompose_convex(poly: Polygon3) -> np.ndarray:

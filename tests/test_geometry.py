@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_l_room
-from oracles import _even_odd_mask, overlap_area, rasterized_overlap_area
+from oracles import _even_odd_mask, overlap_area, rasterized_overlap_area, shoelace_area
 from sidelux.errors import DegenerateMeshError, GeometryError
 from sidelux.daylight import Aperture, BeamKernel, Room, SurfaceOptics
 from sidelux.geometry import (
+    PLANARITY_TOL,
     Polygon3,
     clip_polygon,
     clip_rings,
@@ -328,8 +329,10 @@ def test_convex_containment_matches_even_odd_outside_the_band(polys, data):
 @given(st.integers(0, 2**32 - 1))
 def test_room_contains_matches_the_l_outline(seed):
     """``Room.contains`` tests the floor's convex parts at once; it agrees
-    with the even-odd oracle on the whole L outline away from its edges,
-    takes its vertices and edge midpoints, and checks the height."""
+    with the even-odd oracle on the whole L outline away from its edges
+    and from the floor and ceiling heights (within PLANARITY_TOL of them
+    it accepts), takes its vertices and edge midpoints, and checks the
+    height."""
     rng = np.random.default_rng(seed)
     room = random_l_room(rng)
     ring = room.floor.coords[:, :2]
@@ -339,7 +342,8 @@ def test_room_contains_matches_the_l_outline(seed):
     assert got.shape == (len(xy),)
     e = np.roll(ring, -1, axis=0) - ring
     t = np.clip(np.sum((xy[:, None] - ring) * e, axis=2) / np.sum(e * e, axis=1), 0.0, 1.0)
-    clear = np.linalg.norm(xy[:, None] - (ring + t[..., None] * e), axis=2).min(axis=1) > 1e-9
+    clear = ((np.linalg.norm(xy[:, None] - (ring + t[..., None] * e), axis=2).min(axis=1) > 1e-9)
+             & (np.abs(z) > PLANARITY_TOL) & (np.abs(z - room.height) > PLANARITY_TOL))
     expected = _even_odd_mask(xy[:, 0], xy[:, 1], ring) & (z >= 0.0) & (z <= room.height)
     assert np.array_equal(got[clear], expected[clear])
     assert got.any() and not got.all()
@@ -401,14 +405,20 @@ def clip_pairs(draw):
 @given(clip_pairs())
 def test_clip_rings_matches_the_scanline_oracle(pair):
     """The subject, from two starting vertices, each padded by repeating its
-    last vertex twice, clips to the exact overlap area within 1e-12 m^2."""
+    last vertex twice, clips to the exact overlap area within 1e-12 m^2,
+    with the clip shared or given per row (from two starting vertices too);
+    the inner side and the slabs cut off add up to the subject's area."""
     clip, subject = pair
     rings = np.stack([np.concatenate((s, s[-1:], s[-1:]))
                       for s in (subject, np.roll(subject, 1, axis=0))])
-    out = clip_rings(rings, clip)
-    area = np.abs(signed_ring_areas(out, clip.mean(axis=0)))
     expected = overlap_area(subject, clip)
-    assert np.all(np.abs(area - expected) <= 1e-12), (area, expected)
+    for clips in (clip, np.stack((clip, np.roll(clip, 1, axis=0)))):
+        inside, slabs = clip_rings(rings, clips, outside=True)
+        assert np.array_equal(inside, clip_rings(rings, clips))
+        area = np.abs(signed_ring_areas(inside, clip.mean(axis=0)))
+        assert np.all(np.abs(area - expected) <= 1e-12), (area, expected)
+        whole = area + sum(np.abs(signed_ring_areas(s, clip.mean(axis=0))) for s in slabs)
+        assert np.all(np.abs(whole - shoelace_area(subject)) <= 1e-12), whole
 
 
 def test_room_parts_are_counter_clockwise():

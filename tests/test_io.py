@@ -644,6 +644,20 @@ class TestBuilding:
         with pytest.raises(GeometryError, match=rf"^room\.apertures\[1\]: {re.escape(message)}$"):
             parse_building(self._patched(tmp_path, mutate))
 
+    @pytest.mark.parametrize("key,value,error,message", [
+        ("height", 0.0, ConfigError, "room.height: 0.0 must be positive"),
+        ("surfaces", [{"role": r, "reflectance": 1.0} for r in ("floor", "walls", "ceiling")],
+         ConfigError, "room.surfaces: mean reflectance >= 0.99: inter-reflection diverges"),
+        ("floor_vertices", [[0, 0, 0], [3.9, 0, 0], [3.9, 3.5, 1], [0, 3.5, 1]],
+         GeometryError, "room.floor_vertices: floor polygon must be horizontal"),
+    ], ids=["height", "reflectance", "tilted-floor"])
+    def test_room_error_names_its_path(self, tmp_path, key, value, error, message):
+        def mutate(d):
+            d["room"][key] = value
+
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            parse_building(self._patched(tmp_path, mutate))
+
     def test_bad_patch_scope(self, tmp_path):
         def mutate(d):
             d["patch_scope"] = "everywhere"
