@@ -2,13 +2,15 @@
 """Time a full-year minute-step simulation on the reference grid.
 
 Daylight-factor precomputation is reported separately from the stepping
-loop, since it runs once per geometry.
+loop, since it runs once per geometry, and so is writing the year's results
+(into a temporary directory).
 
     python scripts/benchmark_year.py [--cell 0.1] [--step 1]
 """
 
 import argparse
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -16,7 +18,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from sidelux.io import parse_building  # noqa: E402
+from sidelux.io import parse_building, write_results  # noqa: E402
 from sidelux.solar import WeatherSeries  # noqa: E402
 
 
@@ -51,6 +53,12 @@ def main() -> None:
     n = len(result.timestamps)
     print(f"{n} steps on {sim.grid.n_points} points: {elapsed:.1f} s "
           f"({n / elapsed:.0f} steps/s)")
+
+    with tempfile.TemporaryDirectory() as tmp:
+        t0 = time.perf_counter()
+        write_results(result, Path(tmp) / "year")
+        elapsed = time.perf_counter() - t0
+    print(f"summary write: {n} rows in {elapsed:.2f} s ({n / elapsed:.0f} rows/s)")
 
 
 if __name__ == "__main__":

@@ -89,11 +89,13 @@ def _cmd_simulate(args) -> int:
         weather, start=start, end=end, step_minutes=args.step,
         probes=probes, field_at=field_at,
     )
-    elapsed = time.perf_counter() - t0
+    t1 = time.perf_counter()
     paths = write_results(result, args.out)
+    t2 = time.perf_counter()
     print(
         f"{sim.grid.n_points} grid points, {len(result.timestamps)} steps, "
-        f"{elapsed:.2f} s wall; wrote {', '.join(str(p) for p in paths)}",
+        f"{t1 - t0:.2f} s stepping, {t2 - t1:.2f} s write; "
+        f"wrote {', '.join(str(p) for p in paths)}",
         file=sys.stderr,
     )
     return 0

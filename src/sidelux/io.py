@@ -59,16 +59,26 @@ _T2_GHILL = slice(35, 39)
 _T2_DHILL = slice(47, 51)
 _T2_MIN_LEN = 53
 _T2_MISSING = 9999
-_SUMMARY_ROWS_PER_WRITE = 4096
+_ROWS_PER_WRITE = 4096
 _EPOCH_ORDINAL = datetime(1970, 1, 1).toordinal()
 # what a CSV file in the plain shape is made of (see _plain_table)
-_LF, _COMMA = ord("\n"), ord(",")
+_LF, _COMMA, _SPACE = ord("\n"), ord(","), ord(" ")
 _PLAIN_BYTES = bytes([_LF, *range(0x20, 0x7F)])
 _STAMP = "YYYY-MM-DDThh:mm:ss"  # each letter a digit of that field
 # a value column costs rows x its widest value in bytes; a wider value sends
 # the file row by row
 _MAX_VALUE_WIDTH = 32
 _BLOCK_ROWS = 1 << 16
+# '%#.6g' in array passes (see _cells): a cell holds a lead byte and at most
+# 13 bytes of text, as in "-1.23457e-308"; a stamp at most 26 bytes
+_CELL = 16
+_STAMP_BYTES = 26
+_POW10 = 10.0 ** np.arange(11)
+_DIGITS3 = np.array([sum((48 + int(c)) << 8 * j for j, c in enumerate(f"{k:03d}"))
+                     for k in range(1000)], dtype=np.uint64)  # three ASCII digits of k
+_ZERO_TEXT = int.from_bytes(b"0.00000", "little")
+_FRACTION_PREFIX = np.zeros(8, dtype=np.uint64)  # by X in -4..-1, read as _FRACTION_PREFIX[X]
+_FRACTION_PREFIX[-4:] = [int.from_bytes(b"0." + b"0" * (-x - 1), "little") for x in range(-4, 0)]
 # The fields each object of a building file may set, by its path ("[]": each
 # item of a list). Seven of them name objects, the other 22 hold values.
 BUILDING_FIELDS = {
@@ -101,10 +111,13 @@ def _micros(text: str, line: int) -> int:
 
 
 def _iso(times: np.ndarray) -> np.ndarray:
-    """ISO-8601 text of ``datetime64[us]`` times, as ``datetime.isoformat``
-    writes them when either all or none of them have a microsecond part."""
-    whole_seconds = not (times.astype(np.int64) % 1_000_000).any()
-    return np.datetime_as_string(times, unit="s" if whole_seconds else "us")
+    """ISO-8601 text of ``datetime64[us]`` times as ``datetime.isoformat``
+    writes each: ``S26`` bytes, NUL-padded where there are no microseconds."""
+    times = np.asarray(times, dtype="datetime64[us]")
+    text = times.astype(f"S{_STAMP_BYTES}")
+    whole_seconds = times.astype(np.int64) % 1_000_000 == 0
+    text.view(np.uint8).reshape(-1, _STAMP_BYTES)[whole_seconds, len(_STAMP):] = 0
+    return text
 
 
 class _Table(NamedTuple):
@@ -285,7 +298,7 @@ def write_weather_csv(weather: WeatherSeries, path) -> None:
         columns += [weather.ev_global, weather.ev_diffuse]
     values = np.column_stack(columns)
     lines = [",".join(WEATHER_COLUMNS_ILLUM if measured.any() else WEATHER_COLUMNS)]
-    for ts, row in zip(_iso(weather.times).tolist(), values.tolist()):
+    for ts, row in zip(_iso(weather.times).astype(str).tolist(), values.tolist()):
         lines.append(",".join([ts, *map(repr, row)]))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -567,18 +580,85 @@ def parse_building(path) -> BuildingDescription:
     )
 
 
-def _fmt(value: float) -> str:
-    return f"{value:#.6g}"
+def _cells(values: np.ndarray, lead: int) -> np.ndarray:
+    """``'%#.6g' % v`` of every value as the ASCII bytes of a NUL-padded
+    ``_CELL``-byte cell, after one ``lead`` byte (0: none); shape
+    ``values.shape + (_CELL,)``.
+
+    A positive value that prints in fixed notation (exponent X in [-4, 5])
+    is placed by integer arithmetic: X from ``floor(log10)``, six digits
+    from ``rint`` of v * 10^(5 - X), carried into X + 1 where that rounds to
+    1e6 (which also mends a log10 one too low at a power of ten; one too
+    high leaves v * 10^(5 - X) just under 1e5, which rounds to 1e5 all the
+    same); then the digits with the point after X + 1 of them, or after "0."
+    and -X - 1 zeros. Plain zero is ``0.00000``. Every other value goes
+    through ``%`` on its own: negative, -0.0, non-finite, exponent form, and
+    any value whose v * 10^(5 - X) lies within 1e-6 of a rounding tie, where
+    the product's own rounding (at most 1.2e-10 here) could pick the wrong
+    neighbour.
+    """
+    v = np.asarray(values, dtype=np.float64).ravel()
+    cells = np.empty((v.size, 2), dtype="<u8")  # a cell as two little-endian words
+    cells[:, 0] = lead | _ZERO_TEXT << 8
+    cells[:, 1] = 0
+    at = np.flatnonzero((v >= 9.5e-5) & (v < 999999.5))  # X in [-5, 5], no carry past 5
+    w = v[at]
+    x = np.floor(np.log10(w)).astype(np.int64)
+    scaled = w * _POW10[5 - x]
+    digits = np.rint(scaled)
+    carry = digits >= 1e6
+    x += carry
+    digits = np.where(carry, 1e5, digits).astype(np.int64)
+    exact = (np.abs(scaled - np.floor(scaled) - 0.5) >= 1e-6) & (x >= -4)
+    word = _DIGITS3[digits // 1000] | _DIGITS3[digits % 1000] << 24
+    # X >= 0: the point after X + 1 digits
+    shift = (np.maximum(x, 0) + 1).astype(np.uint64) << 3
+    low = word & ((1 << shift) - 1)
+    text = low | ord(".") << shift | (word ^ low) << 8
+    # X < 0: "0." and -X - 1 zeros, then the digits; up to 11 bytes, so two words
+    small = x < 0
+    shift = (1 - x[small]).astype(np.uint64) << 3
+    text[small] = _FRACTION_PREFIX[x[small]] | word[small] << shift
+    high = np.zeros_like(word)
+    high[small] = word[small] >> (64 - shift)
+    cells[at, 0] = lead | text << 8
+    cells[at, 1] = text >> 56 | high << 8
+    rest = (v != 0.0) | np.signbit(v)  # all but plain zero
+    rest[at[exact]] = False
+    slow = np.flatnonzero(rest)
+    if slow.size:
+        head = bytes([lead])
+        text = np.array([head + b"%#.6g" % f for f in v[slow].tolist()], dtype=f"S{_CELL}")
+        cells[slow] = text.view("<u8").reshape(-1, 2)
+    return cells.view(np.uint8).reshape(*np.shape(values), _CELL)
 
 
 def write_field_file(path, grid: GridMesh, values: np.ndarray, label: str) -> None:
     """Plain-text field matrix: header ``# nu nv label`` then nv rows of nu
-    values (six significant digits); cells outside the floor are zero."""
-    matrix = grid.full_matrix(values)
-    lines = [f"# {grid.nu} {grid.nv} {label}"]
-    for iv in range(grid.nv):
-        lines.append(" ".join(_fmt(v) for v in matrix[iv]))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    values (``%#.6g``); cells outside the floor are zero."""
+    matrix = np.empty((grid.nv, grid.nu * _CELL + 1), dtype=np.uint8)
+    matrix[:, :-1] = _cells(grid.full_matrix(values), _SPACE).reshape(grid.nv, -1)
+    matrix[:, 0] = 0  # a row's first value has no separator
+    matrix[:, -1] = _LF
+    with Path(path).open("wb") as out:
+        out.write(f"# {grid.nu} {grid.nv} {label}\n".encode())
+        out.write(matrix[matrix != 0])
+
+
+def _write_rows(out, times: np.ndarray, columns: list[np.ndarray]) -> None:
+    """Write one CSV row per time: its ISO-8601 stamp, then a comma and
+    ``%#.6g`` per value of the columns (each (n,) or (n, k)). Rows are built
+    as a NUL-padded byte matrix a block at a time, so memory stays flat, and
+    written with the NULs removed."""
+    for i in range(0, len(times), _ROWS_PER_WRITE):
+        block = slice(i, i + _ROWS_PER_WRITE)
+        stamps = _iso(times[block])
+        values = np.column_stack([c[block] for c in columns])
+        rows = np.empty((len(values), _STAMP_BYTES + values.shape[1] * _CELL + 1), dtype=np.uint8)
+        rows[:, :_STAMP_BYTES] = stamps.view(np.uint8).reshape(-1, _STAMP_BYTES)
+        rows[:, _STAMP_BYTES:-1] = _cells(values, _COMMA).reshape(len(values), -1)
+        rows[:, -1] = _LF
+        out.write(rows[rows != 0])
 
 
 def write_results(result: PeriodResult, prefix) -> list[Path]:
@@ -592,20 +672,11 @@ def write_results(result: PeriodResult, prefix) -> list[Path]:
     summary = Path(f"{prefix}_summary.csv")
     header = ["timestamp", "E_out_G_lux", "E_out_dif_lux", "E_out_Dir_S_lux", "S_TS_m2"]
     header += [f"E_glo_{name}_lux" for name in result.probe_names]
-    # one format operation per row, the same text as _fmt per value
-    row_format = "%s" + ",%#.6g" * (len(header) - 1)
-    columns = (result.outdoor_global, result.outdoor_diffuse, result.outdoor_direct,
-               result.patch_area)
-    with summary.open("w", encoding="utf-8") as out:
-        out.write(",".join(header) + "\n")
-        # converted to Python floats a block at a time, so memory stays flat
-        for i in range(0, len(result.timestamps), _SUMMARY_ROWS_PER_WRITE):
-            block = slice(i, i + _SUMMARY_ROWS_PER_WRITE)
-            values = np.column_stack([c[block] for c in columns] + [result.probe_global[block]])
-            out.write("".join(
-                row_format % (ts, *row) + "\n"
-                for ts, row in zip(_iso(result.timestamps[block]).tolist(), values.tolist())
-            ))
+    columns = [result.outdoor_global, result.outdoor_diffuse, result.outdoor_direct,
+               result.patch_area, result.probe_global]
+    with summary.open("wb") as out:
+        out.write((",".join(header) + "\n").encode())
+        _write_rows(out, result.timestamps, columns)
     paths.append(summary)
     for ts in sorted(result.fields):
         fld: IlluminanceField = result.fields[ts]
@@ -617,7 +688,6 @@ def write_results(result: PeriodResult, prefix) -> list[Path]:
 
 def write_probe_series_csv(result: PeriodResult, probe_index: int, path) -> None:
     """One probe's illuminance as a two-column series CSV (for validation)."""
-    lines = ["timestamp,E_glo_lux"]
-    for ts, value in zip(_iso(result.timestamps), result.probe_global[:, probe_index]):
-        lines.append(f"{ts},{_fmt(value)}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with Path(path).open("wb") as out:
+        out.write(b"timestamp,E_glo_lux\n")
+        _write_rows(out, result.timestamps, [result.probe_global[:, probe_index]])

@@ -1,5 +1,6 @@
 import argparse
 import json
+import re
 from datetime import datetime, timedelta
 from pathlib import Path
 
@@ -26,7 +27,10 @@ class TestSimulate:
         assert code == 0
         lines = Path(f"{out}_summary.csv").read_text().splitlines()
         assert len(lines) == 1441  # header + one row per minute
-        assert capsys.readouterr().err.strip()  # one-line run summary on stderr
+        # one-line run summary on stderr: the stepping and the write timed apart
+        assert re.fullmatch(r"\d+ grid points, 1440 steps, \d+\.\d\d s stepping, "
+                            r"\d+\.\d\d s write; wrote \S+_summary\.csv\n",
+                            capsys.readouterr().err)
 
     def test_field_at_writes_detail_file(self, tmp_path, building_file):
         weather = overcast_day_csv(tmp_path / "day.csv")

@@ -1,6 +1,9 @@
 import json
+import math
 import re
+import struct
 from datetime import datetime, timedelta
+from decimal import Decimal
 from pathlib import Path
 from unittest import mock
 
@@ -19,6 +22,7 @@ from sidelux.io import (
     parse_tmy2_subset,
     parse_weather_csv,
     write_field_file,
+    write_probe_series_csv,
     write_results,
     write_weather_csv,
 )
@@ -706,6 +710,52 @@ class TestBuilding:
         assert b.room.s_t == pytest.approx(12.0)
 
 
+def _ties() -> list[float]:
+    """A binary-exact rounding tie at each fixed-notation exponent X: odd
+    m / 2^(6 - X) in [10^X, 10^(X + 1)), whose scaled value ends in .5."""
+    ties = []
+    for x in range(-4, 6):
+        m = math.ceil(10.0 ** x * 2 ** (6 - x)) | 1
+        ties.append(m / 2 ** (6 - x))
+    return ties
+
+
+_POWERS = [10.0 ** k for k in range(-5, 8)]
+# values where a '%#.6g' formatter built on float arithmetic can go wrong
+FORMAT_CASES = [
+    0.0, -0.0, 123456.5, 1234.125, 0.5, 100000.5, *_ties(),
+    *_POWERS, *np.nextafter(_POWERS, 0.0).tolist(), *np.nextafter(_POWERS, np.inf).tolist(),
+    999999.5, 999999.4999999999, 99999.95, 99999.949999, 9.999995e-5, 9.9999949e-5, 9.5e-5,
+    5e-324, 2.2e-308, 1e300, 1e-300, -1e300, -1e-300, -3.25, -0.000123456, -123456.7,
+    0.1 + 0.2, 1 / 3, 2 / 3, 12345.65, 3.6e-12, 123456789.0,
+]
+
+
+def _cell_text(cells: np.ndarray) -> list[str]:
+    return [bytes(cell[cell != 0]).decode() for cell in cells]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(
+    st.integers(0, 2**64 - 1).map(lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0]),
+    st.floats(1e-5, 1e7), st.floats(0.0, 1e3),
+), min_size=1, max_size=40).map(lambda values: [v for v in values if math.isfinite(v)]))
+def test_cells_are_percent_format(values):
+    """Random float64 bit patterns, and values in and near the fixed-notation
+    range, give exactly the bytes of ``'%#.6g' % v``."""
+    cells = sidelux_io._cells(np.array(values, dtype=float), ord(","))
+    assert _cell_text(cells) == [f",{v:#.6g}" for v in values]
+
+
+def test_cells_format_cases_and_shape():
+    cells = sidelux_io._cells(np.array(FORMAT_CASES).reshape(-1, 1), ord(" "))
+    assert cells.shape == (len(FORMAT_CASES), 1, sidelux_io._CELL)
+    assert (cells[:, 0, 0] == ord(" ")).all()  # the lead byte, then the text
+    assert _cell_text(cells[:, 0, 1:]) == [f"{v:#.6g}" for v in FORMAT_CASES]
+    for x, tie in zip(range(-4, 6), _ties()):  # ties indeed, each at its exponent
+        assert 10**x <= tie < 10 ** (x + 1) and Decimal(tie).scaleb(5 - x) % 1 == Decimal("0.5")
+
+
 class TestResultWriters:
     def test_field_file_block(self, tmp_path):
         grid = workplane_grid_for_parts(np.array([[(0, 0), (1, 0), (1, 1), (0, 1)]], dtype=float),
@@ -740,17 +790,20 @@ class TestResultWriters:
         assert header == "timestamp,E_out_G_lux,E_out_dif_lux,E_out_Dir_S_lux,S_TS_m2"
 
     def test_summary_rows_match_per_value_format(self, tmp_path):
-        """The summary is written one format operation per row and a block
-        of rows at a time; its text is that of formatting every value on
-        its own with six significant digits."""
+        """The summary is formatted in array passes and written a block of
+        rows at a time; its text is that of formatting every value on its
+        own with ``%#.6g`` and every stamp with ``isoformat``."""
         rng = np.random.default_rng(5)
-        n = 9000
-        start = datetime(2009, 7, 1, 0, 0, 30)
+        n = 2 * sidelux_io._ROWS_PER_WRITE + 1234  # two full blocks and a partial one
         values = rng.lognormal(4.0, 6.0, (n, 7)) * (rng.random((n, 7)) < 0.8)
-        values[:12, 0] = [0.0, -0.0, 1e-12, 3.6e-12, 99999.95, 999999.5, 0.1 + 0.2,
-                          123456789.0, 5e-324, 1e300, 12345.65, 0.5]
+        values[rng.random(n) < 0.4] = 0.0  # night rows
+        special = np.array(FORMAT_CASES)
+        values.reshape(-1)[:special.size] = special
+        values.reshape(-1)[-special.size:] = special[::-1]
+        stamps = np.datetime64(datetime(2009, 7, 1, 0, 0, 30), "us") + np.arange(n) * np.timedelta64(7, "m")
+        stamps[::1000] += np.timedelta64(250, "us")  # isoformat adds microseconds per stamp
         result = PeriodResult(
-            timestamps=np.datetime64(start, "us") + np.arange(n) * np.timedelta64(7, "m"),
+            timestamps=stamps,
             outdoor_global=values[:, 0], outdoor_diffuse=values[:, 1],
             outdoor_direct=values[:, 2], patch_area=values[:, 3],
             probe_points=((1.0, 1.0), (2.0, 2.0), (3.0, 3.0)), probe_names=("p1", "p2", "p3"),
@@ -763,8 +816,45 @@ class TestResultWriters:
         assert lines[-1] == ""
         assert lines[1:-1] == [
             ",".join([ts.isoformat()] + [f"{v:#.6g}" for v in row])
-            for ts, row in zip(result.timestamps.tolist(), values)
+            for ts, row in zip(result.timestamps.tolist(), values.tolist())
         ]
+
+    def test_field_file_matches_per_value_format(self, tmp_path):
+        """An L-shaped floor: every cell of the bounding box as ``%#.6g``,
+        ``0.00000`` where the box is outside the floor."""
+        parts = np.array([[(0, 0), (4, 0), (4, 1.5), (0, 1.5)], [(0, 1.5), (1.5, 1.5), (1.5, 3), (0, 3)]],
+                         dtype=float)
+        grid = workplane_grid_for_parts(parts, 0.0, 0.25, 0.8)
+        rng = np.random.default_rng(7)
+        values = rng.lognormal(2.0, 5.0, grid.n_points)
+        values[:len(FORMAT_CASES)] = FORMAT_CASES
+        path = tmp_path / "field.txt"
+        write_field_file(path, grid, values, "DF_pct")
+        lines = path.read_text().split("\n")
+        assert lines[0] == f"# {grid.nu} {grid.nv} DF_pct" and lines[-1] == ""
+        matrix = grid.full_matrix(values)
+        assert lines[1:-1] == [" ".join(f"{v:#.6g}" for v in row) for row in matrix.tolist()]
+        outside = np.ones((grid.nv, grid.nu), dtype=bool)
+        outside[grid.cells[:, 1], grid.cells[:, 0]] = False
+        assert outside.sum() == 10 * 6  # the notch, 2.5 m by 1.5 m
+        assert {lines[1 + iv].split(" ")[iu] for iv, iu in zip(*np.nonzero(outside))} == {"0.00000"}
+
+    def test_probe_series_matches_per_value_format(self, tmp_path):
+        rng = np.random.default_rng(9)
+        n = sidelux_io._ROWS_PER_WRITE + 5
+        probes = rng.lognormal(3.0, 4.0, (n, 2)) * (rng.random((n, 2)) < 0.5)
+        probes[:len(FORMAT_CASES), 1] = FORMAT_CASES
+        zeros = np.zeros(n)
+        result = PeriodResult(
+            timestamps=np.datetime64("2009-07-01T06:00", "us") + np.arange(n) * np.timedelta64(1, "m"),
+            outdoor_global=zeros, outdoor_diffuse=zeros, outdoor_direct=zeros, patch_area=zeros,
+            probe_points=((1.0, 1.0), (2.0, 2.0)), probe_names=("p1", "p2"), probe_global=probes,
+        )
+        path = tmp_path / "probe.csv"
+        write_probe_series_csv(result, 1, path)
+        assert path.read_text().split("\n") == ["timestamp,E_glo_lux"] + [
+            f"{ts.isoformat()},{v:#.6g}" for ts, v in zip(result.timestamps.tolist(), probes[:, 1])
+        ] + [""]
 
     @pytest.mark.parametrize("start", [datetime(2009, 7, 15, 10, 0, 30),
                                        datetime(2009, 7, 15, 10, 0, 30, 250)])

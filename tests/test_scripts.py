@@ -1,5 +1,6 @@
 """Smoke runs of the scripts under ``scripts/`` with small arguments."""
 
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -29,3 +30,4 @@ def test_run_test_cell_day(tmp_path):
 def test_benchmark_year_hourly_steps(tmp_path):
     out = run_script("benchmark_year.py", "--step", "60", "--cell", "0.3", cwd=tmp_path)
     assert "8760 steps" in out
+    assert re.search(r"^summary write: 8760 rows in \d+\.\d\d s \(\d+ rows/s\)$", out, re.M)
