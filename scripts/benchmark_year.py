@@ -2,8 +2,8 @@
 """Time a full-year minute-step simulation on the reference grid.
 
 Daylight-factor precomputation is reported separately from the stepping
-loop, since it runs once per geometry, and so is writing the year's results
-(into a temporary directory).
+loop, since it runs once per geometry, and so are parsing the year's weather
+CSV and writing the year's results (both in a temporary directory).
 
     python scripts/benchmark_year.py [--cell 0.1] [--step 1]
 """
@@ -18,7 +18,8 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from sidelux.io import parse_building, write_results  # noqa: E402
+from sidelux.io import (  # noqa: E402
+    parse_building, parse_weather_csv, write_results, write_weather_csv)
 from sidelux.solar import WeatherSeries  # noqa: E402
 
 
@@ -45,16 +46,23 @@ def main() -> None:
     t_df = time.perf_counter() - t0
     print(f"daylight-factor precompute: {sim.grid.n_points} points in {t_df:.2f} s")
 
-    weather = year_weather()
     probes = [(1.95, 3.27), (1.95, 2.77), (1.95, 2.27), (1.95, 1.77), (1.95, 1.27)]
-    t0 = time.perf_counter()
-    result = sim.run(weather, step_minutes=args.step, probes=probes)
-    elapsed = time.perf_counter() - t0
-    n = len(result.timestamps)
-    print(f"{n} steps on {sim.grid.n_points} points: {elapsed:.1f} s "
-          f"({n / elapsed:.0f} steps/s)")
-
     with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "year.csv"
+        write_weather_csv(year_weather(), path)
+        t0 = time.perf_counter()
+        weather = parse_weather_csv(path)
+        elapsed = time.perf_counter() - t0
+        n = len(weather)
+        print(f"weather parse: {n} rows in {elapsed:.2f} s ({n / elapsed:.0f} rows/s)")
+
+        t0 = time.perf_counter()
+        result = sim.run(weather, step_minutes=args.step, probes=probes)
+        elapsed = time.perf_counter() - t0
+        n = len(result.timestamps)
+        print(f"{n} steps on {sim.grid.n_points} points: {elapsed:.1f} s "
+              f"({n / elapsed:.0f} steps/s)")
+
         t0 = time.perf_counter()
         write_results(result, Path(tmp) / "year")
         elapsed = time.perf_counter() - t0

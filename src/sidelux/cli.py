@@ -186,7 +186,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ParseError, DataError, ConfigError, GeometryError, MetricError,
-            FileNotFoundError, ValueError) as exc:
+            OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - defensive

@@ -52,7 +52,7 @@ from .geometry import (
 )
 from .metrics import hour_groups
 from .solar import EfficacyModel, GeoLocation, OutdoorIlluminance, SolarState, WeatherSeries, \
-    local_time, outdoor_illuminance, sun_position, sun_positions
+    local_time, outdoor_illuminance, sun_positions
 
 # Horizontal illuminance of the full CIE overcast dome for unit zenith
 # luminance: integral of (1+2 sin g)/3 * sin g over the hemisphere = 7*pi/9.
@@ -758,7 +758,8 @@ class Simulator:
 
         Every step needs a sample at its exact time; a missing one is an
         error. Full fields are built only for the instants listed in
-        ``field_at``.
+        ``field_at``; each must be a step of the period, which is checked
+        before any step is taken.
         """
         if step_minutes < 1:
             raise ConfigError("step must be at least one minute")
@@ -784,6 +785,14 @@ class Simulator:
             missing = times[np.argmin(found)].astype(datetime)
             raise DataError(f"no weather record for {missing.isoformat()}")
 
+        field_at = sorted(map(local_time, set(field_at)))
+        field_steps, off_step = np.divmod(np.array(field_at, "datetime64[us]") - first, step)
+        missing = [when for when, k, rest in zip(field_at, field_steps, off_step)
+                   if rest or not 0 <= k < n]
+        if missing:
+            raise DataError("field requested at instants not visited by the stepping: "
+                            + ", ".join(ts.isoformat() for ts in missing))
+
         outdoor_global, outdoor_diffuse, outdoor_direct, patch_area = np.empty((4, n))
         probe_global = np.empty((n, len(probes)))
         for i in range(0, n, BLOCK_STEPS):
@@ -801,21 +810,12 @@ class Simulator:
             probe_global[block] = e_dif + e_dir
 
         fields: dict[datetime, IlluminanceField] = {}
-        missing = []
-        for when in set(field_at):
-            k, rest = divmod(np.datetime64(local_time(when), "us") - first, step)
-            if rest or not 0 <= k < n:
-                missing.append(when)
-                continue
-            sun = sun_position(when, self.location)
+        altitude, azimuth, direction = sun_positions(times[field_steps], self.location)
+        for j, (when, k) in enumerate(zip(field_at, field_steps)):
+            sun = SolarState(float(altitude[j]), float(azimuth[j]), direction[j])
             outdoor = OutdoorIlluminance(
                 float(outdoor_global[k]), float(outdoor_diffuse[k]), float(outdoor_direct[k]))
             fields[when] = self.evaluate(outdoor, sun, when)
-        if missing:
-            raise DataError(
-                "field requested at instants not visited by the stepping: "
-                + ", ".join(ts.isoformat() for ts in sorted(missing))
-            )
         return PeriodResult(
             timestamps=times,
             outdoor_global=outdoor_global,

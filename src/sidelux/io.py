@@ -15,15 +15,18 @@ Formats:
                       per requested field instant.
 
 Every parser either consumes its file completely or raises an error that
-carries the offending line number; nothing is silently skipped. A CSV file
-in the plain shape (see ``_plain_table``) is read in array passes, any other
-one row by row; both readers give the same arrays or the same error.
+carries the offending line number; nothing is silently skipped. Both CSV
+formats go through one table reader (``_read_table``): a file in the plain
+shape (see ``_plain_table``) is read in array passes, any other one by one
+per-line loop, and both build the same table. Each format's value rules are
+then checked once, on that table.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from array import array
 from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
@@ -124,6 +127,7 @@ class _Table(NamedTuple):
     header: str
     micros: np.ndarray  # int64 microseconds since 1970, one per body row
     values: np.ndarray  # float64, one row per value column
+    lines: np.ndarray   # int64 file line of each body row, the header being line 1
 
 
 def _plain_table(data: bytes) -> _Table | None:
@@ -135,9 +139,9 @@ def _plain_table(data: bytes) -> _Table | None:
     ``YYYY-MM-DDTHH:MM:SS`` stamp (one width for the whole file) with a valid
     calendar date and time, then exactly as many commas as the header and no
     empty or overlong value. Values go through numpy's cast from bytes, which
-    applies Python's ``float``. On such a file the per-line readers build the
-    same arrays, so they stay the reference and the readers of every other
-    file, and they locate its errors.
+    applies Python's ``float``. On such a file the per-line loop of
+    :func:`_read_table` builds the same table, so that loop stays the
+    reference; it also reads every other file and locates its errors.
     """
     if not data or data.translate(None, _PLAIN_BYTES):
         return None
@@ -173,7 +177,7 @@ def _plain_table(data: bytes) -> _Table | None:
             if block is None:
                 return None
             values[j, rows] = block
-    return _Table(header, micros, values)
+    return _Table(header, micros, values, np.arange(2, len(starts) + 2))
 
 
 def _offsets(buf: np.ndarray, byte: int) -> np.ndarray:
@@ -224,8 +228,55 @@ def _float_fields(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray
         return None
 
 
-def _weather_header(line: str) -> bool:
-    """Whether a weather CSV header line names the illuminance columns."""
+def _decode(data: bytes) -> str:
+    """``data`` as UTF-8 text; a byte sequence that is not UTF-8 is a
+    ParseError on its line, as ``str.splitlines`` numbers the lines."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = len((data[:exc.start].decode("utf-8") + "\ufffd").splitlines())
+        raise ParseError(f"byte {data[exc.start]:#04x} is not UTF-8 ({exc.reason})",
+                         line=line) from None
+
+
+def _read_table(path, check_header) -> _Table:
+    """A CSV file's header, stamps and values, and the file line of each
+    body row, from one read of its bytes.
+
+    A file in the plain shape is read in array passes (:func:`_plain_table`),
+    any other one by the per-line loop below, which skips blank lines and
+    stops at the first malformed row (a wrong column count, a bad stamp, a
+    value ``float`` rejects) with its line. ``check_header`` sees the header
+    line before any row can fail. Both paths build the same table, so each
+    format's value rules are checked once, on the table."""
+    data = Path(path).read_bytes()
+    table = _plain_table(data)
+    lines = [table.header] if table is not None else _decode(data).splitlines()
+    if not lines:
+        raise ParseError("empty CSV file", line=1)
+    check_header(lines[0])
+    if table is not None:
+        return table
+    n_cols = len(lines[0].split(","))
+    # filled row by row, so no per-row object outlives its line
+    micros, source, values = array("q"), array("q"), array("d")
+    for lineno, raw in enumerate(lines[1:], start=2):
+        if not raw.strip():
+            continue
+        parts = raw.split(",")
+        if len(parts) != n_cols:
+            raise ParseError(f"expected {n_cols} columns, got {len(parts)}", line=lineno)
+        micros.append(_micros(parts[0], lineno))
+        try:
+            values.extend(map(float, parts[1:]))
+        except ValueError:
+            raise ParseError(f"non-numeric value in {raw!r}", line=lineno) from None
+        source.append(lineno)
+    return _Table(lines[0], np.array(micros, np.int64),
+                  np.array(values).reshape(-1, n_cols - 1).T.copy(), np.array(source, np.int64))
+
+
+def _weather_header(line: str) -> None:
     header = tuple(c.strip() for c in line.split(","))
     if header not in (WEATHER_COLUMNS, WEATHER_COLUMNS_ILLUM):
         raise ParseError(
@@ -233,59 +284,23 @@ def _weather_header(line: str) -> bool:
             f"{','.join(WEATHER_COLUMNS)} optionally followed by Evg_lux,Evd_lux",
             line=1,
         )
-    return header == WEATHER_COLUMNS_ILLUM
-
-
-def _weather_series(micros, gh, dh, evg, evd, source, with_illum: bool) -> WeatherSeries:
-    if with_illum:  # the file has no way to mark an illuminance as not measured
-        unmeasured = np.isnan(evg) | np.isnan(evd)
-        if unmeasured.any():
-            row = int(np.argmax(unmeasured))
-            name = "ev_global" if np.isnan(evg[row]) else "ev_diffuse"
-            raise DataError(f"{name} nan is not a finite number", line=int(source[row]))
-    return WeatherSeries(micros.view("datetime64[us]"), gh, dh, evg, evd, lines=source)
 
 
 def parse_weather_csv(path) -> WeatherSeries:
     """Read a weather CSV into a series, preserving the stored values.
 
-    A file in the plain shape is read in array passes (:func:`_plain_table`),
-    any other file row by row (:func:`_weather_rows`); both give the same
-    series or the same located error."""
-    table = _plain_table(Path(path).read_bytes())
-    if table is None:
-        return _weather_rows(Path(path).read_text(encoding="utf-8").splitlines())
-    with_illum = _weather_header(table.header)
-    gh, dh = table.values[:2]
-    evg, evd = table.values[2:] if with_illum else (None, None)  # None: not measured
-    return _weather_series(table.micros, gh, dh, evg, evd, np.arange(2, len(gh) + 2), with_illum)
-
-
-def _weather_rows(lines: list[str]) -> WeatherSeries:
-    if not lines:
-        raise ParseError("empty weather file", line=1)
-    with_illum = _weather_header(lines[0])
-    n_cols = 5 if with_illum else 3
-    # filled in place, so no per-row object outlives its line
-    micros, source = np.empty((2, len(lines) - 1), dtype=np.int64)
-    gh, dh, evg, evd = np.full((4, len(lines) - 1), np.nan)
-    k = 0
-    for lineno, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            continue
-        parts = raw.split(",")
-        if len(parts) != n_cols:
-            raise ParseError(f"expected {n_cols} columns, got {len(parts)}", line=lineno)
-        micros[k] = _micros(parts[0], lineno)
-        try:
-            gh[k], dh[k] = float(parts[1]), float(parts[2])
-            if with_illum:
-                evg[k], evd[k] = float(parts[3]), float(parts[4])
-        except ValueError:
-            raise ParseError(f"non-numeric value in {raw!r}", line=lineno) from None
-        source[k] = lineno
-        k += 1
-    return _weather_series(micros[:k], gh[:k], dh[:k], evg[:k], evd[:k], source[:k], with_illum)
+    The file is read by :func:`_read_table`; then a NaN illuminance is an
+    error on its line, and :class:`WeatherSeries` checks the rest."""
+    table = _read_table(path, _weather_header)
+    gh, dh, *illum = table.values
+    evg, evd = illum or (None, None)  # None: not measured
+    if illum:  # the file has no way to mark an illuminance as not measured
+        unmeasured = np.isnan(evg) | np.isnan(evd)
+        if unmeasured.any():
+            row = int(np.argmax(unmeasured))
+            name = "ev_global" if np.isnan(evg[row]) else "ev_diffuse"
+            raise DataError(f"{name} nan is not a finite number", line=int(table.lines[row]))
+    return WeatherSeries(table.micros.view("datetime64[us]"), gh, dh, evg, evd, lines=table.lines)
 
 
 def write_weather_csv(weather: WeatherSeries, path) -> None:
@@ -313,7 +328,7 @@ def _t2_int(line: str, sl: slice, what: str, lineno: int) -> int:
 
 def parse_tmy2_subset(path) -> WeatherSeries:
     """Read the irradiance/illuminance subset of a TMY2 file."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = _decode(Path(path).read_bytes()).splitlines()
     if not lines:
         raise ParseError("empty TMY2 file", line=1)
     if len(lines[0].split()) < 7:
@@ -355,48 +370,26 @@ def parse_tmy2_subset(path) -> WeatherSeries:
     return WeatherSeries(micros[:k].view("datetime64[us]"), *values[:, :k], lines=source[:k])
 
 
-def parse_series_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    """Read a two-column ``timestamp,value`` CSV (any value column name)
-    into ``datetime64[us]`` times and finite values.
-
-    As in :func:`parse_weather_csv`, a plain file is read in array passes;
-    any other file, and one with a non-finite value, row by row."""
-    table = _plain_table(Path(path).read_bytes())
-    if table is None or not np.isfinite(table.values).all():
-        return _series_rows(Path(path).read_text(encoding="utf-8").splitlines())
-    _series_header(table.header)
-    return table.micros.view("datetime64[us]"), table.values[0]
-
-
 def _series_header(line: str) -> None:
     header = [c.strip() for c in line.split(",")]
     if len(header) != 2 or header[0] != "timestamp":
         raise ParseError("expected a two-column header starting with 'timestamp'", line=1)
 
 
-def _series_rows(lines: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    if not lines:
-        raise ParseError("empty series file", line=1)
-    _series_header(lines[0])
-    micros = np.empty(len(lines) - 1, dtype=np.int64)
-    values = np.empty(len(lines) - 1)
-    k = 0
-    for lineno, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            continue
-        parts = raw.split(",")
-        if len(parts) != 2:
-            raise ParseError(f"expected 2 columns, got {len(parts)}", line=lineno)
-        micros[k] = _micros(parts[0], lineno)
-        try:
-            value = float(parts[1])
-        except ValueError:
-            raise ParseError(f"malformed row {raw!r}", line=lineno) from None
-        if not math.isfinite(value):
-            raise DataError(f"value {value} is not a finite number", line=lineno)
-        values[k] = value
-        k += 1
-    return micros[:k].view("datetime64[us]"), values[:k]
+def parse_series_csv(path) -> tuple[np.ndarray, np.ndarray]:
+    """Read a two-column ``timestamp,value`` CSV (any value column name)
+    into ``datetime64[us]`` times and finite values.
+
+    The file is read by :func:`_read_table`; then a non-finite value is an
+    error on its line."""
+    table = _read_table(path, _series_header)
+    values = table.values[0]
+    bad = ~np.isfinite(values)
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise DataError(f"value {float(values[row])} is not a finite number",
+                        line=int(table.lines[row]))
+    return table.micros.view("datetime64[us]"), values
 
 
 @dataclass(eq=False)

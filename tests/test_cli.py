@@ -406,6 +406,24 @@ class TestUsageErrors:
         assert "error: step" in capsys.readouterr().err
         assert not (tmp_path / "run_summary.csv").exists()
 
+    @pytest.mark.parametrize("command", ["simulate-building", "simulate-weather", "validate",
+                                         "dfmap"])
+    def test_unreadable_input_path_exits_2(self, tmp_path, building_file, capsys, command):
+        """A directory in place of an input file is an input error."""
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        weather = overcast_day_csv(tmp_path / "w.csv")
+        series = series_csv(tmp_path / "s.csv", [(datetime(2009, 3, 21, 12, 0), 1.0)])
+        argv = {
+            "simulate-building": ["simulate", "--building", str(folder), "--weather", str(weather)],
+            "simulate-weather": ["simulate", "--building", str(building_file),
+                                 "--weather", str(folder)],
+            "validate": ["validate", str(series), str(folder)],
+            "dfmap": ["dfmap", "--building", str(folder)],
+        }[command]
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+        assert "error: [Errno 21] Is a directory" in capsys.readouterr().err
+
     def test_internal_building_error_is_input_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{}", encoding="utf-8")

@@ -232,12 +232,33 @@ class TestSeriesCsv:
         with pytest.raises(DataError, match=f"^line 3: value {value} is not a finite number$"):
             parse_series_csv(p)
 
+    def test_malformed_row_before_non_finite_value(self, tmp_path):
+        """As in the weather CSV, a malformed row anywhere in the file is
+        reported before a non-finite value on an earlier line."""
+        p = write(tmp_path, "timestamp,E_lux\n2009-07-01T12:00,1\n2009-07-01T12:01,inf\n"
+                            "2009-07-01T12:02,2\n2009-07-01T12:03,x\n", name="s.csv")
+        with pytest.raises(ParseError,
+                           match="^line 5: non-numeric value in '2009-07-01T12:03,x'$"):
+            parse_series_csv(p)
+
     def test_utc_offset_is_located_parse_error(self, tmp_path):
         """The same located error as in the weather CSV."""
         p = write(tmp_path, "timestamp,E_lux\n2009-07-01T12:00+04:00,1\n", name="s.csv")
         with pytest.raises(ParseError, match="^line 2: timestamp '2009-07-01T12:00\\+04:00' "
                                              "has a UTC offset"):
             parse_series_csv(p)
+
+
+@pytest.mark.parametrize("read,head,row", [
+    (parse_weather_csv, "timestamp,Gh_Wm2,Dh_Wm2", "2009-07-01T12:00,500,100"),
+    (parse_series_csv, "timestamp,E_lux", "2009-07-01T12:00,1"),
+    (parse_tmy2_subset, TMY2_HEADER, tmy2_line(datetime(1985, 3, 21, 12, 0), 500, 100)),
+], ids=["weather", "series", "tmy2"])
+def test_byte_that_is_not_utf8_names_its_line(tmp_path, read, head, row):
+    path = tmp_path / "in.txt"
+    path.write_bytes(f"{head}\n{row}\n{row[:12]}".encode() + b"\xff\n")
+    with pytest.raises(ParseError, match=r"^line 3: byte 0xff is not UTF-8 \(invalid start byte\)$"):
+        read(path)
 
 
 class _Recorded(WeatherSeries):
@@ -262,14 +283,15 @@ def _outcome(read):
 
 
 def both_readers(path):
-    """The outcome of the public reader and of the per-line reader on one
-    file: the weather reader unless the header names a series."""
+    """The outcome of the public reader on one file with the array path and
+    with the per-line loop alone: the weather reader unless the header names
+    a series."""
     weather = not path.read_bytes().startswith(b"timestamp,E_lux")
-    public, rows = ((parse_weather_csv, sidelux_io._weather_rows) if weather
-                    else (parse_series_csv, sidelux_io._series_rows))
+    public = parse_weather_csv if weather else parse_series_csv
     with mock.patch.object(sidelux_io, "WeatherSeries", _Recorded):
-        return (_outcome(lambda: public(path)),
-                _outcome(lambda: rows(path.read_text(encoding="utf-8").splitlines())))
+        arrays = _outcome(lambda: public(path))
+        with mock.patch.object(sidelux_io, "_plain_table", lambda data: None):
+            return arrays, _outcome(lambda: public(path))
 
 
 def is_plain(path) -> bool:
@@ -388,7 +410,7 @@ PLAIN = [
 
 
 class TestArrayPath:
-    """Plain files are read in array passes; the per-line reader is the
+    """Plain files are read in array passes; the per-line loop is the
     reference and reads every other file."""
 
     @pytest.mark.parametrize("text", EXISTING + ADVERSARIAL,
@@ -429,7 +451,7 @@ class TestArrayPath:
 @settings(max_examples=300, deadline=None)
 @given(st.datetimes(datetime(1, 1, 1), datetime(9999, 12, 31, 23, 59, 59, 999999)))
 def test_epoch_micros_is_the_timedelta_quotient(ts):
-    """The per-line readers' integer conversion equals the exact quotient
+    """The per-line loop's integer conversion equals the exact quotient
     ``(ts - 1970-01-01) // 1 µs`` it replaces, before 1970 too."""
     assert sidelux_io._epoch_micros(ts) == (ts - datetime(1970, 1, 1)) // timedelta(microseconds=1)
 

@@ -30,4 +30,5 @@ def test_run_test_cell_day(tmp_path):
 def test_benchmark_year_hourly_steps(tmp_path):
     out = run_script("benchmark_year.py", "--step", "60", "--cell", "0.3", cwd=tmp_path)
     assert "8760 steps" in out
+    assert re.search(r"^weather parse: 525600 rows in \d+\.\d\d s \(\d+ rows/s\)$", out, re.M)
     assert re.search(r"^summary write: 8760 rows in \d+\.\d\d s \(\d+ rows/s\)$", out, re.M)

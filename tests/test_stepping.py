@@ -7,6 +7,7 @@ and whole runs against a reference stepped one minute at a time with
 
 import math
 from datetime import datetime, timedelta, timezone
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -459,6 +460,25 @@ def test_field_at_an_instant_not_visited(coarse_sim):
     with pytest.raises(DataError, match="not visited") as err:
         coarse_sim.run(weather, step_minutes=2, field_at=[after, start, off_grid])
     assert str(err.value).endswith("2009-07-15T10:03:00, 2009-07-15T10:40:00")
+
+
+def test_field_instants_are_checked_before_stepping(coarse_sim):
+    weather = overcast_minutes(datetime(2009, 7, 15, 10, 0), 31)
+    with mock.patch.object(coarse_sim, "_illuminance") as illuminance:
+        with pytest.raises(DataError, match="not visited"):
+            coarse_sim.run(weather, field_at=[datetime(2009, 7, 15, 10, 0, 30)])
+    illuminance.assert_not_called()
+
+
+def test_field_patch_area_is_its_step_patch_area(coarse_sim):
+    """A field's sun is its step's sun, so the two patch areas are equal."""
+    weather = winter_weather(1)
+    sunny = np.flatnonzero(coarse_sim.run(weather).patch_area > 0.0)
+    steps = sunny[[0, len(sunny) // 2, -1]]
+    field_at = weather.times[steps].astype(datetime).tolist()
+    res = coarse_sim.run(weather, field_at=field_at)
+    for k, when in zip(steps, field_at):
+        assert res.fields[when].patch_area == res.patch_area[k] > 0.0
 
 
 def test_utc_offset_rejected(coarse_sim):
