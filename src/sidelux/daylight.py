@@ -62,7 +62,7 @@ CHUNK_POINTS = 512                  # points per array pass of the sky integral
 DEFAULT_LUMINANCE_FRACTION = 0.2    # obstruction luminance relative to the sky it hides
 UNOBSTRUCTED_C = 39.0               # split-flux obstruction coefficient, clear horizon
 PATCH_SCOPES = ("patch", "room")
-BLOCK_STEPS = 512                   # timesteps per array pass of Simulator.run
+BLOCK_STEPS = 4096                  # steps per time block and per beam batch of Simulator.run
 
 
 @dataclass(frozen=True)
@@ -560,6 +560,10 @@ class BeamKernel:
     in the (convex) image, within BOUNDARY_TOL metres of its edges included
     (:func:`points_in_convex_rings`). Nothing shades the beam: other walls
     and obstructions do not cut the image.
+
+    :meth:`Simulator.run` calls it on full batches of ``BLOCK_STEPS`` sunny
+    steps, gathered across its time blocks; the clip cuts only the images
+    that a floor part's edge divides.
     """
 
     def __init__(self, room: Room, plane_z: float):
@@ -660,9 +664,12 @@ class Simulator:
     The daylight-factor field depends on geometry only, so it is computed
     once at construction and reused for every timestep; per step only the
     outdoor conversion and the sun-patch geometry change. Periods are
-    stepped in blocks of ``BLOCK_STEPS`` timesteps, each block as a few
-    array passes, so the working arrays depend on the block size, not on
-    the period.
+    stepped in time blocks of ``BLOCK_STEPS`` timesteps: sun position,
+    outdoor conversion and the DF term, each one array pass per block. The
+    sunny steps (sun above the horizon, a direct part) are held across
+    blocks and handed to the :class:`BeamKernel` in batches of
+    ``BLOCK_STEPS``, and once more at the end of the period, so the working
+    arrays depend on the block and batch size, not on the period.
     """
 
     def __init__(self, room: Room, location: GeoLocation, cell: float = 0.1,
@@ -793,8 +800,20 @@ class Simulator:
             raise DataError("field requested at instants not visited by the stepping: "
                             + ", ".join(ts.isoformat() for ts in missing))
 
-        outdoor_global, outdoor_diffuse, outdoor_direct, patch_area = np.empty((4, n))
+        outdoor_global, outdoor_diffuse, outdoor_direct = np.empty((3, n))
+        patch_area = np.zeros(n)
         probe_global = np.empty((n, len(probes)))
+
+        def add_beam(held):
+            """The beam terms of one batch of held steps."""
+            steps, altitude, direction = held
+            patch_area[steps], e_dif, e_dir = self._illuminance(
+                altitude, direction, outdoor_global[steps], outdoor_direct[steps],
+                probe_pts, probe_df)
+            probe_global[steps] = e_dif + e_dir
+
+        # the sunny steps (their index, altitude and direction) not yet lit
+        held = (np.empty(0, dtype=np.intp), np.empty(0), np.empty((0, 3)))
         for i in range(0, n, BLOCK_STEPS):
             block = slice(i, i + BLOCK_STEPS)
             r = rows[block]
@@ -805,9 +824,15 @@ class Simulator:
             e_global = diffuse + direct
             outdoor_global[block], outdoor_diffuse[block], outdoor_direct[block] = \
                 e_global, diffuse, direct
-            patch_area[block], e_dif, e_dir = self._illuminance(
-                altitude, direction, e_global, direct, probe_pts, probe_df)
-            probe_global[block] = e_dif + e_dir
+            # + 0.0, as a sunny step adds its direct term: a -0.0 product reads 0.0
+            probe_global[block] = probe_df[None, :] * e_global[:, None] + 0.0
+            sunny = np.flatnonzero((altitude > 0.0) & (direct > 0.0))
+            held = tuple(np.concatenate((h, new)) for h, new in
+                         zip(held, (sunny + i, altitude[sunny], direction[sunny])))
+            while len(held[0]) >= BLOCK_STEPS:
+                add_beam(tuple(h[:BLOCK_STEPS] for h in held))
+                held = tuple(h[BLOCK_STEPS:] for h in held)
+        add_beam(held)
 
         fields: dict[datetime, IlluminanceField] = {}
         altitude, azimuth, direction = sun_positions(times[field_steps], self.location)

@@ -7,7 +7,10 @@ divides each ring along the zero line of an affine function given at its
 vertices; :func:`clip_rings` makes it along each edge of a convex clip
 ring, shared or one per row, and returns the inner side and, if asked, the
 slabs cut off; :func:`clip_polygon` is :func:`clip_rings` on a batch of
-one. There is one containment test on the same batches:
+one. Both go through :func:`_cut_rings`, which runs the Sutherland-Hodgman
+pass only on the rows a line divides and copies or zeros the rest, with
+the bits of the full pass over every row. There is one containment test on
+the same batches:
 :func:`points_in_convex_rings` counts a point inside a convex ring when it
 lies on the inner side of every edge line or within BOUNDARY_TOL metres of
 it. :class:`Polygon3` is the one validated input type; what is derived from
@@ -193,8 +196,35 @@ def clip_rings(rings: np.ndarray, clips: np.ndarray, outside: bool = False):
             rings, slab = split_rings(rings, side)
             slabs.append(slab)
         else:
-            rings = _emit_rings(rings, *_cuts(rings, side), side >= 0.0)
+            rings = _cut_rings(rings, side, side >= 0.0)[0]
     return (rings, slabs) if outside else rings
+
+
+def _cut_rings(rings: np.ndarray, side: np.ndarray, *keeps: np.ndarray) -> list[np.ndarray]:
+    """Per mask in ``keeps``, the part of each ring that :func:`_emit_rings`
+    keeps when the batch is cut along the zero line of ``side``, with its
+    values and width. Only the rows that some mask keeps in part go through
+    :func:`_cuts` and :func:`_emit_rings`: a row that a mask keeps whole has
+    no crossing edge, so it comes back as it is, padded as
+    :func:`stack_rings` pads, and a row that it keeps nothing of comes back
+    as zeros (the trivial accept and reject of Cohen-Sutherland clipping)."""
+    width = rings.shape[1]
+    counts = [np.count_nonzero(keep, axis=1) for keep in keeps]
+    cut = np.any([(c > 0) & (c < width) for c in counts], axis=0)
+    sub = rings[cut]
+    if len(sub):
+        cuts, crossing = _cuts(sub, side[cut])
+    parts = []
+    for keep, count in zip(keeps, counts):
+        part = _emit_rings(sub, cuts, crossing, keep[cut]) if len(sub) else sub[:, :1]
+        whole = count == width
+        out = np.zeros((len(rings), max(part.shape[1], width if whole.any() else 1),
+                        rings.shape[2]))
+        for rows, kept in ((whole, rings[whole]), (cut, part)):
+            if len(kept):  # padded as stack_rings pads
+                out[rows, :kept.shape[1]], out[rows, kept.shape[1]:] = kept, kept[:, -1:]
+        parts.append(out)
+    return parts
 
 
 def _cuts(rings: np.ndarray, side: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -215,7 +245,8 @@ def _emit_rings(rings: np.ndarray, cuts: np.ndarray, crossing: np.ndarray,
     """One Sutherland-Hodgman output pass over a batch of rings: per input
     vertex, the cut point of the edge that ends there (where ``crossing``),
     then the vertex itself (where ``keep``). Rows are padded to one width
-    by repeating their last vertex; a row with nothing kept is all zeros."""
+    by repeating their last vertex; a row with nothing kept is all zeros.
+    :func:`_cut_rings` gives it only the rows a line divides."""
     n_out = crossing.astype(np.intp) + keep
     first = np.cumsum(n_out, axis=1) - n_out
     count = first[:, -1] + n_out[:, -1]
@@ -246,9 +277,7 @@ def split_rings(rings: np.ndarray, side: np.ndarray) -> tuple[np.ndarray, np.nda
     vertex with side == 0 goes to both, so a ring with an edge on the line
     comes back whole on its side and as that edge alone, of zero area, on
     the other."""
-    cuts, crossing = _cuts(rings, side)
-    return (_emit_rings(rings, cuts, crossing, side >= 0.0),
-            _emit_rings(rings, cuts, crossing, side <= 0.0))
+    return tuple(_cut_rings(rings, side, side >= 0.0, side <= 0.0))
 
 
 def signed_ring_areas(rings: np.ndarray, origin) -> np.ndarray:

@@ -477,7 +477,7 @@ def parse_building(path) -> BuildingDescription:
     twice are errors that name their path.
     """
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        data = json.loads(_decode(Path(path).read_bytes()))
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}", line=exc.lineno) from None
 

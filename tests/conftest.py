@@ -38,6 +38,12 @@ def make_canonical_room(window_wall: str = "north") -> Room:
     )
 
 
+def assert_same_bits(got: np.ndarray, expected: np.ndarray) -> None:
+    """The two arrays hold the same bits: dtype, shape and every byte."""
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
 TROPICAL_SITE = GeoLocation(latitude=-21.34, longitude=55.48, timezone=4.0, albedo=0.7)
 
 

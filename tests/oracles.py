@@ -330,3 +330,52 @@ def loop_metrics(sim, ref):
         "eps_mean_abs": eps_mean_abs,
         "n_excluded": n - len(eps),
     }
+
+
+def full_pass_emission(rings, side, keep):
+    """The convex cut's reference: one Sutherland-Hodgman output pass over
+    every row of a batch of rings (R, W, D) cut along the zero line of the
+    affine function whose value at each vertex is ``side`` (R, W). Per input
+    vertex, the crossing point of the edge that ends there (where its ends
+    lie strictly on opposite sides), then the vertex itself (where
+    ``keep``). Rows are padded to one width by repeating their last vertex;
+    a row with nothing kept is all zeros."""
+    prev = np.roll(side, 1, axis=1)
+    crossing = ((prev > 0.0) & (side < 0.0)) | ((prev < 0.0) & (side > 0.0))
+    start = np.roll(rings, 1, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.where(crossing, prev / (prev - side), 0.0)
+    cuts = start + t[..., None] * (rings - start)
+    n_out = crossing.astype(np.intp) + keep
+    first = np.cumsum(n_out, axis=1) - n_out
+    count = first[:, -1] + n_out[:, -1]
+    width = max(int(count.max(initial=0)), 1)
+    out = np.zeros((len(rings), width, rings.shape[2]))
+    rows = np.arange(len(rings))[:, None]
+    r = np.broadcast_to(rows, crossing.shape)
+    out[r[crossing], first[crossing]] = cuts[crossing]
+    out[r[keep], first[keep] + crossing[keep]] = rings[keep]
+    pad = np.minimum(np.arange(width), np.maximum(count - 1, 0)[:, None])
+    return out[rows, pad]
+
+
+def full_pass_split(rings, side):
+    """Both sides of :func:`full_pass_emission`'s cut: side >= 0, side <= 0."""
+    return full_pass_emission(rings, side, side >= 0.0), full_pass_emission(rings, side, side <= 0.0)
+
+
+def full_pass_clip(rings, clips, outside=False):
+    """Clip a batch of convex 2-D rings (R, W, 2) along each edge of convex
+    counter-clockwise clip rings, one shared (M, 2) or one per row (R, M, 2),
+    by full passes: the inner side, and with ``outside`` the M slabs cut off."""
+    edges = np.roll(clips, -1, axis=-2) - clips
+    slabs = []
+    for i in range(clips.shape[-2]):
+        a, e = clips[..., i, None, :], edges[..., i, None, :]
+        side = e[..., 0] * (rings[:, :, 1] - a[..., 1]) - e[..., 1] * (rings[:, :, 0] - a[..., 0])
+        if outside:
+            rings, slab = full_pass_split(rings, side)
+            slabs.append(slab)
+        else:
+            rings = full_pass_emission(rings, side, side >= 0.0)
+    return (rings, slabs) if outside else rings

@@ -380,6 +380,19 @@ class TestUsageErrors:
         assert code == 2
         assert "error: room.surfaces[0]: expected an object" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["dfmap", "simulate"])
+    def test_building_byte_that_is_not_utf8_exits_2(self, tmp_path, capsys, command):
+        first, rest = (BUILDING_JSON % {"cell": "0.5"}).encode().split(b"\n", 1)
+        building = tmp_path / "b.json"
+        building.write_bytes(first + b"\n\xff" + rest)
+        args = {"simulate": ["--weather", str(overcast_day_csv(tmp_path / "day.csv")),
+                             "--out", str(tmp_path / "run")],
+                "dfmap": ["--out", str(tmp_path / "df.txt")]}[command]
+        assert main([command, "--building", str(building), *args]) == 2
+        assert ("error: line 2: byte 0xff is not UTF-8 (invalid start byte)"
+                in capsys.readouterr().err)
+        assert list(tmp_path.glob("run*")) == [] and not (tmp_path / "df.txt").exists()
+
     @pytest.mark.parametrize("mutate,message", [
         (lambda d: d["location"].update(tz=1000), "location: timezone 1000.0 out of [-12, 14]"),
         (lambda d: d["room"]["apertures"][0].update(tau_vitr=0.1),

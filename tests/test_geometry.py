@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from conftest import random_l_room
-from oracles import _even_odd_mask, overlap_area, rasterized_overlap_area, shoelace_area
+from conftest import assert_same_bits, random_l_room
+from oracles import (_even_odd_mask, full_pass_clip, full_pass_split, overlap_area,
+                     rasterized_overlap_area, shoelace_area)
 from sidelux.errors import DegenerateMeshError, GeometryError
 from sidelux.daylight import Aperture, BeamKernel, Room, SurfaceOptics
 from sidelux.geometry import (
@@ -17,6 +18,7 @@ from sidelux.geometry import (
     points_in_convex_rings,
     project_polygon_along_direction,
     signed_ring_areas,
+    split_rings,
     stack_rings,
     workplane_grid_for_parts,
 )
@@ -420,6 +422,80 @@ def test_clip_rings_matches_the_scanline_oracle(pair):
         whole = area + sum(np.abs(signed_ring_areas(s, clip.mean(axis=0))) for s in slabs)
         assert np.all(np.abs(whole - shoelace_area(subject)) <= 1e-12), whole
 
+
+
+# Counter-clockwise clips on the integer grid, four vertices each, so that a
+# subject vertex on the grid lies exactly on a clip edge's line (side == 0).
+GRID_CLIPS = np.array([[(0, 0), (4, 0), (4, 4), (0, 4)], [(1, 0), (3, 0), (3, 5), (1, 5)],
+                       [(0, 0), (4, 0), (2, 3), (0, 2)], [(4, 4), (0, 4), (0, 0), (4, 0)]],
+                      dtype=float)
+grid_coords = st.integers(-3, 7).map(float)
+
+
+@st.composite
+def grid_rings(draw):
+    """A convex counter-clockwise ring: a rectangle or a triangle with
+    corners on the integer grid around the clips (wholly inside, wholly
+    outside, along an edge's line or touching it at one vertex), or a ring
+    on a circle that crosses edges anywhere; from any starting vertex,
+    padded by repeating its last vertex up to twice."""
+    kind = draw(st.sampled_from(["rect", "tri", "circle"]))
+    if kind == "rect":
+        x0, x1 = sorted(draw(st.lists(grid_coords, min_size=2, max_size=2, unique=True)))
+        y0, y1 = sorted(draw(st.lists(grid_coords, min_size=2, max_size=2, unique=True)))
+        ring = np.array([(x0, y0), (x1, y0), (x1, y1), (x0, y1)])
+    elif kind == "tri":
+        ring = np.array(draw(st.lists(st.tuples(grid_coords, grid_coords), min_size=3, max_size=3)))
+        (ax, ay), (bx, by) = ring[1] - ring[0], ring[2] - ring[0]
+        turn = ax * by - ay * bx
+        assume(turn != 0.0)
+        ring = ring if turn > 0.0 else ring[::-1]
+    else:
+        ring = circle_ring(*draw(circles))
+    ring = np.roll(ring, draw(st.integers(0, len(ring) - 1)), axis=0)
+    return np.concatenate((ring, np.repeat(ring[-1:], draw(st.integers(0, 2)), axis=0)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(grid_rings(), min_size=1, max_size=8), st.data())
+def test_cut_is_bit_identical_to_the_full_pass(subjects, data):
+    """Cutting only the rows that a line divides gives, values and width,
+    the bits of the full Sutherland-Hodgman pass over every row
+    (``tests/oracles.py``): for ``split_rings`` along a grid line, and for
+    ``clip_rings`` with or without the slabs, by a clip shared or one per
+    row, on batches that mix whole, cut, empty, touching and padded rows."""
+    rings = stack_rings(*(s[None] for s in subjects))
+    for side in (rings[:, :, 0] - data.draw(grid_coords), rings[:, :, 1] - data.draw(grid_coords)):
+        for got, expected in zip(split_rings(rings, side), full_pass_split(rings, side)):
+            assert_same_bits(got, expected)
+    shared = GRID_CLIPS[data.draw(st.integers(0, len(GRID_CLIPS) - 1))]
+    per_row = GRID_CLIPS[data.draw(st.lists(st.integers(0, len(GRID_CLIPS) - 1),
+                                            min_size=len(rings), max_size=len(rings)))]
+    for clips in (shared, per_row):
+        assert_same_bits(clip_rings(rings, clips), full_pass_clip(rings, clips))
+        inside, slabs = clip_rings(rings, clips, outside=True)
+        expected_inside, expected_slabs = full_pass_clip(rings, clips, outside=True)
+        assert_same_bits(inside, expected_inside)
+        assert len(slabs) == len(expected_slabs)
+        for got, expected in zip(slabs, expected_slabs):
+            assert_same_bits(got, expected)
+
+
+def test_a_batch_no_edge_cuts_comes_back_unchanged():
+    """Rings inside the clip, one along an edge and one padded, are their
+    own inner side, at their own width."""
+    rings = stack_rings(np.array([[(1.0, 1.0), (3.0, 1.0), (2.0, 3.0)]]),
+                        np.array([[(0.0, 0.0), (4.0, 0.0), (4.0, 4.0), (0.0, 4.0)]]),
+                        np.array([[(0.5, 0.5), (1.5, 0.5), (1.5, 1.5), (0.5, 1.5), (0.5, 1.5)]]))
+    assert_same_bits(clip_rings(rings, GRID_CLIPS[0]), rings)
+
+
+def test_a_batch_wholly_outside_comes_back_as_zeros():
+    """Rings beyond the clip's first edge, one padded, are cut away there;
+    the zero rows then lie on the clip's corner at the origin."""
+    rings = np.array([[(5.0, -2.0), (6.0, -2.0), (6.0, -1.0), (5.0, -1.0)],
+                      [(-2.0, -3.0), (-1.0, -3.0), (-1.0, -1e-300), (-1.0, -1e-300)]])
+    assert_same_bits(clip_rings(rings, GRID_CLIPS[0]), np.zeros((2, 1, 2)))
 
 def test_room_parts_are_counter_clockwise():
     """The beam kernel clips against ``Room.parts`` as they come: each part

@@ -261,6 +261,13 @@ def test_byte_that_is_not_utf8_names_its_line(tmp_path, read, head, row):
         read(path)
 
 
+
+def test_building_byte_that_is_not_utf8_names_its_line(tmp_path):
+    path = tmp_path / "b.json"
+    path.write_bytes(b'{\n  "room": "\xff"\n}\n')
+    with pytest.raises(ParseError, match=r"^line 2: byte 0xff is not UTF-8 \(invalid start byte\)$"):
+        parse_building(path)
+
 class _Recorded(WeatherSeries):
     """A weather series that keeps the source lines it was built with."""
 

@@ -32,3 +32,7 @@ def test_benchmark_year_hourly_steps(tmp_path):
     assert "8760 steps" in out
     assert re.search(r"^weather parse: 525600 rows in \d+\.\d\d s \(\d+ rows/s\)$", out, re.M)
     assert re.search(r"^summary write: 8760 rows in \d+\.\d\d s \(\d+ rows/s\)$", out, re.M)
+    assert re.search(r"^sun position: 8760 steps in \d+\.\d\d s \(\d+\.\d\d us/step\)$", out, re.M)
+    sunny = re.search(r"^sun patch: (\d+) sunny steps in (\d+) batches in \d+\.\d\d s "
+                      r"\(\d+\.\d\d us/step\)$", out, re.M)
+    assert sunny and 0 < int(sunny[1]) < 8760 and int(sunny[2]) == -(-int(sunny[1]) // 4096)

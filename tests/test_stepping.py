@@ -13,10 +13,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import TROPICAL_SITE, make_canonical_room, random_l_room, with_obstructions
+from conftest import (TROPICAL_SITE, assert_same_bits, make_canonical_room, random_l_room,
+                      with_obstructions)
 from oracles import beam_image, beam_patch, overlap_area, shoelace_area
+from sidelux import daylight
 from sidelux.daylight import (
-    BLOCK_STEPS,
     Aperture,
     BeamKernel,
     Obstruction,
@@ -351,9 +352,10 @@ def check_against_reference(sim, weather, probes, field_at, step_minutes=1):
     return res
 
 
-def test_run_matches_reference_clear_winter_week(coarse_sim):
+def test_run_matches_reference_clear_winter_week(coarse_sim, monkeypatch):
+    monkeypatch.setattr(daylight, "BLOCK_STEPS", 512)  # so the week crosses many blocks
     weather = winter_weather(7)
-    assert len(weather) > 10 * BLOCK_STEPS
+    assert len(weather) > 10 * daylight.BLOCK_STEPS
     field_at = [datetime(2009, 7, 2, 3, 0), datetime(2009, 7, 3, 10, 17),
                 datetime(2009, 7, 5, 12, 0)]
     res = check_against_reference(coarse_sim, weather, CELL_PROBES, field_at)
@@ -380,6 +382,46 @@ def test_run_matches_reference_passthrough_efficacy():
     noon = 12 * 60
     assert res.timestamps[noon] == np.datetime64("2009-07-01T12:00")
     assert res.outdoor_diffuse[noon] == pytest.approx(118.0 * weather.dh[noon])
+
+
+@pytest.mark.parametrize("name", sorted(ROOMS))
+def test_run_is_the_same_bits_for_any_block_size(name, monkeypatch):
+    """Time blocks and beam batches of 7 and 500 steps give every series
+    and field of a winter week bit for bit as the default size does. At 7
+    a batch gathers the sunny steps of several blocks; at 500 a batch is
+    also flushed in the middle of a block. Each batch but the last holds
+    exactly that many sunny steps, in time order."""
+    sim = Simulator(ROOMS[name](), TROPICAL_SITE, cell=0.5)
+    weather = winter_weather(7)
+    probes = CELL_PROBES if name == "test_cell" else L_PROBES
+    field_at = [datetime(2009, 7, 2, 10, 17), datetime(2009, 7, 5, 12, 0)]
+    altitude, _, _ = sun_positions(weather.times, TROPICAL_SITE)
+    runs = []
+    for size in (7, 500, daylight.BLOCK_STEPS):
+        with monkeypatch.context() as patch:
+            patch.setattr(daylight, "BLOCK_STEPS", size)
+            with mock.patch.object(sim, "_illuminance", wraps=sim._illuminance) as spy:
+                runs.append(sim.run(weather, probes=probes, field_at=field_at))
+        sunny = np.flatnonzero((altitude > 0.0) & (runs[-1].outdoor_direct > 0.0))
+        batches = [call.args[0] for call in spy.call_args_list[:-len(field_at)]]  # then the fields
+        assert [len(b) for b in batches] == [size] * (len(sunny) // size) + [len(sunny) % size]
+        assert_same_bits(np.concatenate(batches), altitude[sunny])
+        first, last = sunny[::size], sunny[size - 1::size]
+        after = sunny[size::size]
+        if size == 7:
+            assert np.any(first[:len(last)] // size != last // size)  # a batch spans blocks
+        if size == 500:
+            assert np.any(last[:len(after)] // size == after // size)  # a flush inside a block
+    for res in runs[:2]:
+        for attr in ("timestamps", "outdoor_global", "outdoor_diffuse", "outdoor_direct",
+                     "patch_area", "probe_global"):
+            assert_same_bits(getattr(res, attr), getattr(runs[-1], attr))
+        for when in field_at:
+            fld, ref = res.fields[when], runs[-1].fields[when]
+            assert fld.patch_area == ref.patch_area
+            for attr in ("df", "e_diffuse", "e_direct", "e_global"):
+                assert_same_bits(getattr(fld, attr), getattr(ref, attr))
+    assert (runs[-1].patch_area > 0.0).sum() > 2000
 
 
 # ---------------------------------------------------------------------------
