@@ -288,11 +288,9 @@ class SkyKernel:
         # the convex obstruction parts beyond the window plane, with their obstruction
         self.parts = []
         for j, obs in enumerate(obstructions):
-            for part in obs.parts:
-                beyond, _ = split_rings(part[None], ((part - self.origin) @ self.normal)[None])
-                ring3 = beyond[0][np.any(beyond[0] != np.roll(beyond[0], 1, axis=0), axis=1)]
-                if len(ring3) >= 3:
-                    self.parts.append((ring3, j))
+            beyond, _ = split_rings(obs.parts, (obs.parts - self.origin) @ self.normal)
+            # padded as split_rings pads; zeros where nothing lies beyond the plane
+            self.parts += [(piece, j) for piece in beyond if piece.any()]
 
     def __call__(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(sc, erc) at each of the (N, 3) ``points``."""
@@ -548,16 +546,18 @@ def daylight_factor(point, room: Room, ap: Aperture) -> DFBreakdown:
 class BeamKernel:
     """The sun patches of all apertures for a batch of sun directions.
 
-    Per step and aperture it slides the window along the unit sun direction
-    d (from the sun toward the ground) onto the plane z = ``plane_z`` and
-    clips the image against every convex floor part (``Room.parts``). A
+    Each window is cut once, at construction, to its part above the plane
+    z = ``plane_z`` (:func:`split_rings`): only that part casts light onto
+    the plane, and a window wholly below it becomes a zero row, which casts
+    nothing. Per step and aperture the cut window slides along the unit sun
+    direction d (from the sun toward the ground) onto the plane and the
+    image is clipped against every convex floor part (``Room.parts``). A
     window casts a patch only when the sun is above the horizon, the light
     enters through it (d . n_out < -1e-9, n_out its wall's outward normal in
-    ``Room.outward``), |d_z| >
-    PARALLEL_TOL and no vertex travels backwards (t >= -1e-9 along d). A
-    clipped piece of at most EMPTY_AREA counts as empty; the patch area sums
-    the pieces. A point is lit when the patch is non-empty and the point is
-    in the (convex) image, within BOUNDARY_TOL metres of its edges included
+    ``Room.outward``) and |d_z| > PARALLEL_TOL. A clipped piece of at most
+    EMPTY_AREA counts as empty; the patch area sums the pieces. A point is
+    lit when the patch is non-empty and the point is in the (convex) image,
+    within BOUNDARY_TOL metres of its edges included
     (:func:`points_in_convex_rings`). Nothing shades the beam: other walls
     and obstructions do not cut the image.
 
@@ -570,8 +570,9 @@ class BeamKernel:
         self.room = room
         self.plane_z = plane_z
         # the empty batch leads, so a room without windows gets one of shape (0, 1, 3)
-        self.windows = stack_rings(np.empty((0, 1, 3)),
-                                   *(ap.polygon.coords[None] for ap in room.apertures))
+        windows = stack_rings(np.empty((0, 1, 3)),
+                              *(ap.polygon.coords[None] for ap in room.apertures))
+        self.windows = split_rings(windows, windows[:, :, 2] - plane_z)[0]
 
     def __call__(self, altitude: np.ndarray, direction: np.ndarray,
                  points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -584,9 +585,7 @@ class BeamKernel:
         facing = np.sum(direction[:, None, :] * self.room.outward[None], axis=2) < -1e-9
         ok = facing & ((altitude > 0.0) & (np.abs(d[:, 2]) > PARALLEL_TOL))[:, None]
         b, k = np.nonzero(ok)
-        images, t = project_polygon_along_direction(self.windows[k], d[b], self.plane_z)
-        forward = np.all(t >= -1e-9, axis=1)
-        b, k, images = b[forward], k[forward], images[forward]
+        images = project_polygon_along_direction(self.windows[k], d[b], self.plane_z)
 
         area = np.zeros(len(b))
         for part in self.room.parts:

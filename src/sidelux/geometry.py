@@ -13,7 +13,11 @@ the bits of the full pass over every row. There is one containment test on
 the same batches:
 :func:`points_in_convex_rings` counts a point inside a convex ring when it
 lies on the inner side of every edge line or within BOUNDARY_TOL metres of
-it. :class:`Polygon3` is the one validated input type; what is derived from
+it. This module alone decides what an empty ring does: a row that a cut
+leaves nothing of is all zeros and stays so through a clip's later edges,
+a ring of zero area holds no point, and an edge of no length cuts nothing
+off; so callers pass rings and clips padded or clipped away as they come.
+:class:`Polygon3` is the one validated input type; what is derived from
 it is a ring batch. :func:`decompose_convex` gives a polygon's convex parts
 as a batch of its own vertices, so a non-convex outline (an L-shaped floor,
 an obstruction) is cut and tested through its parts; ``Room`` and
@@ -142,13 +146,13 @@ def _ring_self_intersects(v2: np.ndarray) -> bool:
 
 
 def project_polygon_along_direction(rings: np.ndarray, directions: np.ndarray,
-                                    plane_z: float) -> tuple[np.ndarray, np.ndarray]:
+                                    plane_z: float) -> np.ndarray:
     """Slide every vertex of a batch of 3-D rings, shape (R, W, 3), along its
     ring's direction (R, 3) until it reaches the plane z = ``plane_z``: the
-    plan images (R, W, 2) and the distance (R, W) each vertex travelled in
-    units of its direction's length, negative where it went backwards."""
+    plan images (R, W, 2). A vertex below the plane slides backwards, so a
+    caller that wants the light's image cuts its rings at the plane first."""
     t = (plane_z - rings[:, :, 2]) / directions[:, 2][:, None]
-    return rings[:, :, :2] + t[:, :, None] * directions[:, None, :2], t
+    return rings[:, :, :2] + t[:, :, None] * directions[:, None, :2]
 
 
 def clip_polygon(subject: Polygon3, clip: Polygon3) -> Polygon3 | None:
@@ -184,19 +188,27 @@ def clip_rings(rings: np.ndarray, clips: np.ndarray, outside: bool = False):
     """Clip a batch of convex 2-D rings (R, W, 2) against convex
     counter-clockwise rings, one shared (M, 2) or one per row (R, M, 2), by
     :func:`split_rings`' cut along each clip edge. Returns the inner side,
-    padded as :func:`stack_rings` pads (a row clipped away is all zeros),
-    and with ``outside`` also the M slabs cut off, one batch per edge.
+    padded as :func:`stack_rings` pads, and with ``outside`` also the M
+    slabs cut off, one batch per edge. A row that an edge clips away is all
+    zeros and takes no part in the later edges' passes, so its slabs there
+    are zeros too; a batch of such rows comes back as width-1 zeros. An
+    edge of no length, as in a clip padded as :func:`stack_rings` pads,
+    keeps every row whole and cuts off an empty slab.
     """
     edges = np.roll(clips, -1, axis=-2) - clips
+    cuts = np.any(edges != 0.0, axis=-1)  # an edge of no length cuts nothing off
+    alive = np.ones((len(rings), 1), dtype=bool)
     slabs = []
     for i in range(clips.shape[-2]):
         a, e = clips[..., i, None, :], edges[..., i, None, :]
         side = e[..., 0] * (rings[:, :, 1] - a[..., 1]) - e[..., 1] * (rings[:, :, 0] - a[..., 0])
+        keep = (side >= 0.0) & alive
         if outside:
-            rings, slab = split_rings(rings, side)
+            rings, slab = _cut_rings(rings, side, keep, (side <= 0.0) & alive & cuts[..., i, None])
             slabs.append(slab)
         else:
-            rings = _cut_rings(rings, side, side >= 0.0)[0]
+            rings = _cut_rings(rings, side, keep)[0]
+        alive = keep.any(axis=1, keepdims=True)
     return (rings, slabs) if outside else rings
 
 
@@ -207,7 +219,8 @@ def _cut_rings(rings: np.ndarray, side: np.ndarray, *keeps: np.ndarray) -> list[
     :func:`_cuts` and :func:`_emit_rings`: a row that a mask keeps whole has
     no crossing edge, so it comes back as it is, padded as
     :func:`stack_rings` pads, and a row that it keeps nothing of comes back
-    as zeros (the trivial accept and reject of Cohen-Sutherland clipping)."""
+    as zeros (the trivial accept and reject of Cohen-Sutherland clipping),
+    only as wide as the other rows need, width 1 if none."""
     width = rings.shape[1]
     counts = [np.count_nonzero(keep, axis=1) for keep in keeps]
     cut = np.any([(c > 0) & (c < width) for c in counts], axis=0)
@@ -294,10 +307,13 @@ def points_in_convex_rings(points: np.ndarray, rings: np.ndarray) -> np.ndarray:
     """Which of the 2-D ``points`` (N, 2) lie in each convex ring of a batch
     (R, W, 2) of either orientation, padded as :func:`stack_rings` pads:
     a point is inside when its signed distance to every edge line is at
-    least -BOUNDARY_TOL metres. Returns (R, N); one pass per edge keeps
-    the working memory at one (R, N) mask."""
-    sign = np.where(signed_ring_areas(rings, rings[:, 0]) < 0.0, -1.0, 1.0)[:, None]
-    inside = np.ones((len(rings), len(points)), dtype=bool)
+    least -BOUNDARY_TOL metres. A ring of zero area (all zeros, a point or
+    a segment) holds no point, not even one on it; an edge of no length
+    constrains nothing. Returns (R, N); one pass per edge keeps the working
+    memory at one (R, N) mask."""
+    area = signed_ring_areas(rings, rings[:, 0])
+    sign = np.where(area < 0.0, -1.0, 1.0)[:, None]
+    inside = np.repeat(area[:, None] != 0.0, len(points), axis=1)  # an empty ring holds nothing
     for a, b in zip(rings.transpose(1, 0, 2), np.roll(rings, -1, axis=1).transpose(1, 0, 2)):
         ex, ey = (b - a).T[:, :, None]
         cross = ex * (points[:, 1] - a[:, 1, None]) - ey * (points[:, 0] - a[:, 0, None])
@@ -328,9 +344,10 @@ class GridMesh:
     def n_points(self) -> int:
         return len(self.points)
 
-    def full_matrix(self, values: np.ndarray, fill: float = 0.0) -> np.ndarray:
-        """Scatter per-point values into the (nv, nu) bounding-box matrix."""
-        out = np.full((self.nv, self.nu), fill, dtype=float)
+    def full_matrix(self, values: np.ndarray) -> np.ndarray:
+        """Scatter per-point values into the (nv, nu) bounding-box matrix,
+        zero at the cells outside the floor."""
+        out = np.zeros((self.nv, self.nu))
         out[self.cells[:, 1], self.cells[:, 0]] = values
         return out
 

@@ -248,15 +248,16 @@ def shoelace_area(ring):
 
 
 def beam_image(floor, window, d, plane_z):
-    """Plan ring of a vertical convex window (m, 3) slid along the sun
-    direction ``d`` (from the sun toward the ground) onto the plane
-    z = ``plane_z``, or None when no beam passes the window onto the floor.
+    """Plan ring of the part above the plane z = ``plane_z`` of a vertical
+    convex window (m, 3), slid along the sun direction ``d`` (from the sun
+    toward the ground) onto that plane, or None when no beam passes the
+    window onto the floor.
 
     The conventions the engine states for the beam: the light must enter the
     room through the window (d . n_out < -1e-9, with n_out the horizontal
     normal pointing away from the ``floor`` ring), the sun must be above the
-    horizon and not grazing (d_z < -1e-9 for unit d), and no vertex may
-    travel backwards to reach the plane (t >= -1e-9)."""
+    horizon and not grazing (d_z < -1e-9 for unit d), and only the part of
+    the window at z >= plane_z casts light onto the plane."""
     d = np.asarray(d, dtype=float) / np.linalg.norm(d)
     w = np.asarray(window, dtype=float)
     floor = np.asarray(floor, dtype=float)
@@ -268,9 +269,16 @@ def beam_image(floor, window, d, plane_z):
         n = -n
     if d[:2] @ n >= -1e-9 or d[2] >= -1e-9:
         return None
-    t = (plane_z - w[:, 2]) / d[2]
-    if np.any(t < -1e-9):
+    above = []
+    for a, b in zip(w, np.roll(w, -1, axis=0)):
+        if a[2] >= plane_z:
+            above.append(a)
+        if (a[2] >= plane_z) != (b[2] >= plane_z):
+            above.append(a + (plane_z - a[2]) / (b[2] - a[2]) * (b - a))
+    if len(above) < 3:
         return None
+    w = np.array(above)
+    t = (plane_z - w[:, 2]) / d[2]
     return w[:, :2] + t[:, None] * d[:2]
 
 
@@ -367,15 +375,19 @@ def full_pass_split(rings, side):
 def full_pass_clip(rings, clips, outside=False):
     """Clip a batch of convex 2-D rings (R, W, 2) along each edge of convex
     counter-clockwise clip rings, one shared (M, 2) or one per row (R, M, 2),
-    by full passes: the inner side, and with ``outside`` the M slabs cut off."""
+    by full passes: the inner side, and with ``outside`` the M slabs cut off.
+    A row that an edge cuts away keeps nothing at the later edges, and an
+    edge of no length (a padded clip) cuts no slab off."""
     edges = np.roll(clips, -1, axis=-2) - clips
+    alive = np.ones((len(rings), 1), dtype=bool)
     slabs = []
     for i in range(clips.shape[-2]):
         a, e = clips[..., i, None, :], edges[..., i, None, :]
         side = e[..., 0] * (rings[:, :, 1] - a[..., 1]) - e[..., 1] * (rings[:, :, 0] - a[..., 0])
+        inner = (side >= 0.0) & alive
         if outside:
-            rings, slab = full_pass_split(rings, side)
-            slabs.append(slab)
-        else:
-            rings = full_pass_emission(rings, side, side >= 0.0)
+            length = np.hypot(e[..., 0], e[..., 1])
+            slabs.append(full_pass_emission(rings, side, (side <= 0.0) & alive & (length > 0.0)))
+        rings = full_pass_emission(rings, side, inner)
+        alive = inner.any(axis=1)[:, None]
     return (rings, slabs) if outside else rings

@@ -111,18 +111,19 @@ class TestProjection:
     def test_vertex_count_preserved(self):
         tri = np.array([[(0, 0, 2), (1, 0, 2), (0, 1, 3)]], dtype=float)
         d = np.array([[0.1, 0.2, -0.9]]) / np.linalg.norm([0.1, 0.2, -0.9])
-        image, t = project_polygon_along_direction(tri, d, 0.0)
-        assert image.shape == (1, 3, 2) and t.shape == (1, 3)
-        np.testing.assert_allclose(tri[0, :, 2] + t[0] * d[0, 2], 0.0, atol=1e-15)
-        np.testing.assert_allclose(image[0], tri[0, :, :2] + t[0, :, None] * d[0, :2], rtol=1e-15)
+        image = project_polygon_along_direction(tri, d, 0.0)
+        assert image.shape == (1, 3, 2)
+        t = -tri[0, :, 2] / d[0, 2]  # how far along d each vertex travels to z = 0
+        np.testing.assert_allclose(image[0], tri[0, :, :2] + t[:, None] * d[0, :2], rtol=1e-15)
 
-    def test_upward_projection_empty(self):
-        # a plane above the sill while the direction points down: the sill
-        # would have to travel backwards, out through the wall
+    def test_plane_above_the_sill_gets_the_upper_part(self):
+        # only the part of the window above the plane casts light onto it:
+        # at 1.5 m the upper 1 m x 0.5 m, whose image at 45 deg has the same
+        # area, A_upper |d.n| / |d_z|; above the head nothing
         d = np.array([0.0, 0.5, -0.5]) / np.linalg.norm([0.0, 0.5, -0.5])
-        assert window_image_area(d, 1.5) == 0.0
+        assert window_image_area(d, 1.5) == pytest.approx(0.5, rel=1e-12)
         assert window_image_area(d, 3.0) == 0.0
-        assert window_image_area(d, 0.0) > 0.0
+        assert window_image_area(d, 0.0) == pytest.approx(1.0, rel=1e-12)
 
 
 class TestClip:
@@ -176,6 +177,64 @@ class TestClip:
 
 def contains(point, poly: Polygon3) -> bool:
     return bool(points_in_convex_rings(np.array([point[:2]]), poly.coords[None, :, :2])[0, 0])
+
+
+def ring_area(rings: np.ndarray) -> np.ndarray:
+    return np.abs(signed_ring_areas(rings, rings[:, 0]))
+
+
+class TestEmptyRings:
+    """What ``geometry`` does with a ring that is clipped away or has no
+    area: a row clipped away stays away, an empty ring holds no point, and
+    an edge of no length cuts nothing off."""
+
+    def test_rows_clipped_away_by_different_edges_stay_away(self):
+        # one ring beyond the square's right edge, one beyond its top edge:
+        # the first comes back as zeros at the origin, which the later edges
+        # keep whole, unless it stays out of their passes
+        rings = np.array([[(5.0, 1.0), (6.0, 1.0), (6.0, 2.0), (5.0, 2.0)],
+                          [(1.0, 5.0), (2.0, 5.0), (2.0, 6.0), (1.0, 6.0)]])
+        assert_same_bits(clip_rings(rings, GRID_CLIPS[0]), np.zeros((2, 1, 2)))
+        inside, slabs = clip_rings(rings, GRID_CLIPS[0], outside=True)
+        assert_same_bits(inside, np.zeros((2, 1, 2)))
+        # each ring is cut off whole by the edge that rejects it, and only there
+        assert [ring_area(s).tolist() for s in slabs] == [[0.0, 0.0], [1.0, 0.0],
+                                                          [0.0, 1.0], [0.0, 0.0]]
+
+    @pytest.mark.parametrize("ring", [
+        [(0.0, 0.0)] * 4,
+        [(3.0, 3.0)] * 3,
+        [(0.0, 0.0), (2.0, 2.0), (2.0, 2.0)],
+        [(1.0, 0.0), (1.0, 4.0), (1.0, 4.0), (1.0, 4.0)],
+    ])
+    def test_an_empty_ring_holds_no_point(self, ring):
+        """Zero rings and two-point segments contain no point, not even the
+        points on them; a sliver of positive area keeps the band
+        (``TestPointInPolygon.test_band_is_a_distance``)."""
+        ring = np.array([ring])
+        points = np.concatenate((ring[0], 0.5 * (ring[0] + np.roll(ring[0], -1, axis=0)),
+                                 [(0.0, 0.0), (3.0, 3.0), (1.0, 1.0), (2.0, 0.5)]))
+        assert not points_in_convex_rings(points, ring).any()
+        square_ring = np.array([[(0.0, 0.0), (4.0, 0.0), (4.0, 4.0), (0.0, 4.0)]])
+        both = points_in_convex_rings(points, stack_rings(ring, square_ring))
+        assert not both[0].any() and both[1].all()
+
+    def test_an_edge_of_no_length_cuts_nothing_off(self):
+        """A clip padded as ``stack_rings`` pads, shared or one per row: the
+        inner side and the slabs come to the ring's area, and the padding
+        edge's slab is empty."""
+        ring = np.array([[(0.0, 0.0), (2.0, 0.0), (2.0, 2.0), (0.0, 2.0)]])
+        clip = np.array([(1.0, -1.0), (3.0, -1.0), (3.0, -1.0), (3.0, 3.0), (1.0, 3.0)])
+        for rings, clips in ((ring, clip), (np.concatenate((ring, np.roll(ring, 1, axis=1))),
+                                            np.stack((clip, np.roll(clip, 2, axis=0))))):
+            inside, slabs = clip_rings(rings, clips, outside=True)
+            assert_same_bits(inside, clip_rings(rings, clips))
+            np.testing.assert_allclose(ring_area(inside), 2.0, rtol=0.0, atol=1e-15)
+            np.testing.assert_allclose(ring_area(inside) + sum(map(ring_area, slabs)), 4.0,
+                                       rtol=0.0, atol=1e-15)
+            for i, slab in enumerate(slabs):
+                padding = np.all(clips[..., i, :] == np.roll(clips, -1, axis=-2)[..., i, :], axis=-1)
+                assert not slab[np.broadcast_to(padding, len(rings))].any()
 
 
 class TestPointInPolygon:
@@ -456,6 +515,12 @@ def grid_rings(draw):
     return np.concatenate((ring, np.repeat(ring[-1:], draw(st.integers(0, 2)), axis=0)))
 
 
+def padded(clip: np.ndarray, at) -> np.ndarray:
+    """The clip with the vertices at the indices ``at`` repeated, each
+    repeat an edge of no length, as ``stack_rings`` pads."""
+    return np.insert(clip, at, clip[at], axis=0)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.lists(grid_rings(), min_size=1, max_size=8), st.data())
 def test_cut_is_bit_identical_to_the_full_pass(subjects, data):
@@ -463,14 +528,20 @@ def test_cut_is_bit_identical_to_the_full_pass(subjects, data):
     the bits of the full Sutherland-Hodgman pass over every row
     (``tests/oracles.py``): for ``split_rings`` along a grid line, and for
     ``clip_rings`` with or without the slabs, by a clip shared or one per
-    row, on batches that mix whole, cut, empty, touching and padded rows."""
+    row, each padded by up to two edges of no length, on batches that mix
+    whole, cut, empty, touching and padded rows."""
     rings = stack_rings(*(s[None] for s in subjects))
     for side in (rings[:, :, 0] - data.draw(grid_coords), rings[:, :, 1] - data.draw(grid_coords)):
         for got, expected in zip(split_rings(rings, side), full_pass_split(rings, side)):
             assert_same_bits(got, expected)
-    shared = GRID_CLIPS[data.draw(st.integers(0, len(GRID_CLIPS) - 1))]
-    per_row = GRID_CLIPS[data.draw(st.lists(st.integers(0, len(GRID_CLIPS) - 1),
-                                            min_size=len(rings), max_size=len(rings)))]
+    n_pad = data.draw(st.integers(0, 2))
+
+    def draw_clip():
+        clip = GRID_CLIPS[data.draw(st.integers(0, len(GRID_CLIPS) - 1))]
+        return padded(clip, data.draw(st.lists(st.integers(0, 3), min_size=n_pad, max_size=n_pad)))
+
+    shared = draw_clip()
+    per_row = np.stack([draw_clip() for _ in rings])
     for clips in (shared, per_row):
         assert_same_bits(clip_rings(rings, clips), full_pass_clip(rings, clips))
         inside, slabs = clip_rings(rings, clips, outside=True)

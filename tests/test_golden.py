@@ -3,17 +3,24 @@ benchmark buildings of ``perfbench/inputs.py``.
 
 Per building: ``simulate`` over 2 clear days of minutes with the building's
 probes and two ``--field-at`` instants (the summary and both field files),
-and ``dfmap``. A change that moves any output byte must edit the digest
-here and say in CHANGES.md why the output moved.
+and ``dfmap``. The CLI writes 6 significant digits, which can hide a move
+in the last bits, so the raw bits of the beam are pinned as well: one
+sha256 per building of ``BeamKernel``'s areas and lit masks over a year of
+suns. A change that moves any output byte must edit the digest here and
+say in CHANGES.md why the output moved.
 """
 
 import hashlib
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sidelux.cli import main
+from sidelux.daylight import BLOCK_STEPS, BeamKernel
+from sidelux.io import parse_building
+from sidelux.solar import sun_positions
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import inputs  # noqa: E402
@@ -46,6 +53,12 @@ GOLDEN = {
 }
 
 
+BEAM_BITS = {
+    "test_cell": "b82c5791213832d3b7a51cbcc395f2f06a36afd126faca807c6b3767f6b6db43",
+    "l_room": "c323b67428b01991b641b5a259f0850106ba184ec646530bd59e8fed7d2cc1ca",
+}
+
+
 def outputs(tmp_path: Path, name: str) -> dict[str, str]:
     probes, instants = CASES[name]
     building, weather = tmp_path / "building.json", tmp_path / "weather.csv"
@@ -63,3 +76,35 @@ def outputs(tmp_path: Path, name: str) -> dict[str, str]:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_outputs_match_golden_digests(tmp_path, name):
     assert outputs(tmp_path, name) == GOLDEN[name]
+
+
+def beam_bits(tmp_path: Path, name: str) -> str:
+    """sha256 of the beam's areas and lit masks at the building's probes
+    over every 7th minute of 2009 with the sun up, in batches of
+    ``BLOCK_STEPS`` steps as ``Simulator.run`` hands them over. The sun
+    directions are rounded to float32 first, so the digest does not hang
+    on the last bits of the platform's trigonometry; the beam itself uses
+    only + - * / and sqrt."""
+    probes, _ = CASES[name]
+    building = tmp_path / "building.json"
+    inputs.write_building(building, name)
+    description = parse_building(building)
+    kernel = BeamKernel(description.room, description.room.floor_z
+                        + description.workplane_height)
+    times = np.arange("2009-01-01", "2010-01-01", np.timedelta64(7, "m"), dtype="datetime64[us]")
+    altitude, _, direction = sun_positions(times, description.location)
+    up = altitude > 0.0
+    altitude = altitude[up].astype(np.float32).astype(float)
+    direction = direction[up].astype(np.float32).astype(float)
+    digest = hashlib.sha256()
+    for i in range(0, len(altitude), BLOCK_STEPS):
+        areas, lit = kernel(altitude[i:i + BLOCK_STEPS], direction[i:i + BLOCK_STEPS],
+                            np.array(probes, dtype=float))
+        digest.update(areas.tobytes())
+        digest.update(lit.tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_beam_bits_match_golden_digests(tmp_path, name):
+    assert beam_bits(tmp_path, name) == BEAM_BITS[name]

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import make_canonical_room, random_l_room, random_room, with_obstructions
-from oracles import ray_cast_daylight_factor, sight_classes, walls_other_than
+from oracles import ray_cast_daylight_factor, ray_cast_sky, sight_classes, walls_other_than
 from test_stepping import L_PROBES, make_l_room
 from sidelux.daylight import (
     Aperture,
@@ -79,6 +79,20 @@ def crossing_obstructions_room() -> Room:
     oblique = Obstruction(Polygon3([(-3, -1.5, 0), (6, -5, 0), (6, -5, 7), (-3, -1.5, 7)]), 0.45)
     return Room(floor=base.floor, height=base.height, optics=base.optics,
                 apertures=base.apertures, obstructions=(parallel, oblique))
+
+
+def l_fin_room() -> Room:
+    """A south window, an L-shaped fin beside the room in the plane x = 4
+    across the window plane y = 0, and a wall wholly behind that plane.
+    The cut at the plane divides two of the fin's four ear triangles, one
+    into a triangle and one into a quadrilateral, and leaves two whole, so
+    three pieces come back padded to four vertices."""
+    base = make_canonical_room("south")
+    outline = [(-3, 0), (1, 0), (1, 1.5), (-1, 1.5), (-1, 4), (-3, 4)]
+    fin = Obstruction(Polygon3([(4.0, y, z) for y, z in outline]), 0.4)
+    behind = Obstruction(Polygon3([(5, 0.5, 0), (5, 3, 0), (5, 3, 3), (5, 0.5, 3)]), 0.3)
+    return Room(floor=base.floor, height=base.height, optics=base.optics,
+                apertures=base.apertures, obstructions=(fin, behind))
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +275,31 @@ def test_partly_hidden_points_match_the_oracle_within_its_own_resolution():
             errors.append(abs(engine_df(r, p) - fine))
     assert max(changes) <= ORACLE_HALVING_CHANGE
     assert max(errors) <= ORACLE_HALVING_CHANGE
+
+
+def test_an_obstruction_across_the_window_plane_matches_the_oracle():
+    """The pieces of the fin beyond the window plane are used as the cut
+    returns them, padding included, and the wall behind the plane is
+    skipped: the sky and externally reflected components match the ray
+    cast, which sees the fin as its two rectangles, within the oracle's
+    own resolution."""
+    room = l_fin_room()
+    kernel = room.sky[0]
+    assert [j for _, j in kernel.parts] == [0, 0, 0, 0]
+    assert sum(np.array_equal(piece[-1], piece[-2]) for piece, _ in kernel.parts) == 3
+    points = np.array([(0.3, 0.4, 1.2), (0.6, 0.2, 0.01), (0.2, 1.0, 1.5), (1.0, 0.3, 0.8),
+                       (0.5, 1.0, 0.01), (0.3, 2.0, 0.5)])
+    sc, erc = kernel(points)
+    window = rect_of(room.apertures[0].polygon)
+    walls = walls_other_than(room.floor.coords[:, :2], window)
+    rects = [((4.0, -3.0, 0.0), (0.0, 2.0, 0.0), (0.0, 0.0, 4.0), 0.4),
+             ((4.0, -1.0, 0.0), (0.0, 2.0, 0.0), (0.0, 0.0, 1.5), 0.4),
+             (*rect_of(room.obstructions[1].polygon), 0.3)]
+    for p, got in zip(points, zip(sc, erc)):
+        coarse, fine = (np.array(ray_cast_sky(p, window, walls, rects, c)) for c in (64, 128))
+        assert np.abs(fine - coarse).max() <= ORACLE_HALVING_CHANGE
+        assert np.abs(np.array(got) - fine).max() <= ORACLE_HALVING_CHANGE, p
+    assert np.count_nonzero(erc > 1e-4) >= 4
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@ and whole runs against a reference stepped one minute at a time with
 """
 
 import math
+import sys
 from datetime import datetime, timedelta, timezone
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -37,6 +39,10 @@ from sidelux.solar import (
     sun_position,
     sun_positions,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import inputs  # noqa: E402
+import physics  # noqa: E402
 
 PLANE_Z = 0.01
 CELL_PROBES = [(1.95, 3.27), (1.95, 2.77), (1.95, 2.27), (1.95, 1.77), (1.95, 1.27)]
@@ -186,16 +192,99 @@ def test_pieces_of_at_most_empty_area_count_as_empty(gap, expected_area):
     assert expected[0, 0] == pytest.approx(expected_area, rel=1e-6, abs=0.0)
 
 
-def test_window_reaching_below_the_workplane_casts_no_patch():
-    """A vertex below the workplane would be projected backwards: no patch,
-    as the oracle rules; the same window above it casts one."""
-    suns = random_suns(np.random.default_rng(13), 400)
-    for sill, lit in ((0.0, False), (0.2, True)):
+def test_window_reaching_below_the_workplane_casts_its_upper_part():
+    """Only the part of a window above the workplane casts light onto it,
+    as the oracle rules, whether the sill lies below the plane or above it;
+    a window wholly below the plane casts nothing."""
+    rng = np.random.default_rng(13)
+    suns = random_suns(rng, 400)
+    for sill in (0.0, 0.2):
         room = square_room_with_west_window(sill, 2.0)
         areas, _ = BeamKernel(room, PLANE_Z)(*kernel_inputs(suns), np.zeros((0, 2)))
         expected, _ = oracle_patches(room, suns)
         np.testing.assert_allclose(areas, expected, rtol=0.0, atol=1e-12)
-        assert areas.any() == lit
+        assert areas.any()
+    areas, lit = BeamKernel(room, 2.5)(*kernel_inputs(suns), rng.uniform(0.0, 4.0, (50, 2)))
+    assert not areas.any() and not lit.any()
+
+
+def rectangular_building(width, depth, window, plane_z) -> dict:
+    """A plain building of the benchmark's layout (``perfbench/inputs.py``):
+    a ``width`` x ``depth`` floor, 2.8 m high, one window given by its
+    vertices, the workplane at ``plane_z``."""
+    return dict(inputs.TEST_CELL, obstructions=[],
+                workplane={"cell": 0.1, "height": plane_z},
+                room=dict(inputs.TEST_CELL["room"], apertures=[{"vertices": window}],
+                          floor_vertices=[[0, 0, 0], [width, 0, 0], [width, depth, 0],
+                                          [0, depth, 0]]))
+
+
+def room_of(building: dict) -> Room:
+    room = building["room"]
+    return Room(floor=Polygon3(room["floor_vertices"]), height=room["height"],
+                optics=SurfaceOptics(0.2, 0.6, 0.6),
+                apertures=tuple(Aperture(Polygon3(a["vertices"])) for a in room["apertures"]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), sill=st.floats(0.0, 1.5), tall=st.floats(0.3, 1.2),
+       plane_z=st.floats(0.0, 2.5))
+def test_a_window_cut_by_the_workplane_matches_the_benchmark_reference(seed, sill, tall, plane_z):
+    """Random sills and workplane heights in a rectangular room against
+    ``perfbench/physics.py::patch_area``, which clips the window to
+    z >= plane_z on its own; in a convex room the other walls cast no
+    shadow on the patch, so both models agree."""
+    rng = np.random.default_rng(seed)
+    width, depth = rng.uniform(2.5, 6.0, 2)
+    x0 = rng.uniform(0.0, width - 0.3)
+    x1 = rng.uniform(x0 + 0.3, width)
+    window = [[x1, depth, sill], [x0, depth, sill], [x0, depth, sill + tall],
+              [x1, depth, sill + tall]]
+    building = rectangular_building(width, depth, window, plane_z)
+    suns = random_suns(rng, 24)
+    areas, _ = BeamKernel(room_of(building), plane_z)(*kernel_inputs(suns), np.zeros((0, 2)))
+    scene = physics.Scene(building)
+    expected = [physics.patch_area(scene, sun.direction) if sun.altitude > 0.0 else 0.0
+                for sun in suns]
+    np.testing.assert_allclose(areas[:, 0], expected, rtol=1e-9, atol=1e-9)
+
+
+# The test cell with its sill at 0.6 m, on 2009-06-21 with a sun every
+# 30 min from 07:00 to 16:30: the largest patch, from physics.patch_area.
+LOW_SILL_PATCHES = [(0.55, 1.6985), (0.65, 1.6776), (0.85, 1.5383)]
+
+
+@pytest.mark.parametrize("plane_z, largest", LOW_SILL_PATCHES)
+def test_the_test_cell_with_a_low_sill_matches_the_reference_table(plane_z, largest):
+    room_d = inputs.TEST_CELL["room"]
+    window = [[x, y, 0.6 if z == 1.0 else z] for x, y, z in room_d["apertures"][0]["vertices"]]
+    building = rectangular_building(3.9, 3.5, window, plane_z)
+    times = np.datetime64("2009-06-21T07:00", "us") + np.arange(20) * np.timedelta64(30, "m")
+    altitude, _, direction = sun_positions(times, TROPICAL_SITE)
+    areas, _ = BeamKernel(room_of(building), plane_z)(altitude, direction, np.zeros((0, 2)))
+    scene = physics.Scene(building)
+    expected = [physics.patch_area(scene, d) if a > 0.0 else 0.0
+                for a, d in zip(altitude, direction)]
+    np.testing.assert_allclose(areas[:, 0], expected, rtol=0.0, atol=1e-4)
+    assert areas.max() == pytest.approx(largest, abs=1e-4)
+
+
+@pytest.mark.parametrize("plane_z", [0.5, 1.0, 1.5])
+def test_a_cut_image_wholly_on_the_floor_balances_the_flux(plane_z):
+    """A 2 m x 1.5 m north window (sill 0.3 m) in a 10 m square room, suns
+    in front of it: the image of its part above the plane lies wholly on
+    the floor, so the patch is A_upper |d.n_w| / |d_z|."""
+    window = [[6, 10, 0.3], [4, 10, 0.3], [4, 10, 1.8], [6, 10, 1.8]]
+    room = room_of(rectangular_building(10.0, 10.0, window, plane_z))
+    rng = np.random.default_rng(int(plane_z * 10))
+    suns = [SolarState.from_angles(a, z) for a, z in zip(rng.uniform(35.0, 70.0, 50),
+                                                        rng.uniform(-30.0, 30.0, 50) % 360.0)]
+    altitude, direction = kernel_inputs(suns)
+    areas, _ = BeamKernel(room, plane_z)(altitude, direction, np.zeros((0, 2)))
+    upper = 2.0 * (1.8 - plane_z)
+    d = direction / np.linalg.norm(direction, axis=1)[:, None]
+    np.testing.assert_allclose(areas[:, 0], upper * np.abs(d[:, 1]) / np.abs(d[:, 2]),
+                               rtol=1e-12, atol=0.0)
 
 
 def test_sun_positions_match_the_scalar_wrapper():
