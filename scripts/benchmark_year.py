@@ -6,7 +6,11 @@ loop, since it runs once per geometry, and so are parsing the year's weather
 CSV and writing the year's results (both in a temporary directory). Two
 layers of the stepping are also timed on their own, in the stepping's
 ``BLOCK_STEPS`` blocks: the sun position of every step, and the sun patches
-(``Simulator.beam``) of the steps with the sun up and a direct part.
+(``Simulator.beam``) of the steps with the sun up and a direct part. The
+sun patches of the benchmark's L-shaped room (``perfbench/inputs.py``,
+``L_ROOM``) are timed too, over every 3rd step with 5 of its probes, best
+of 5 passes: its floor is cut into convex parts, so this is the layer
+those parts weigh on.
 
     python scripts/benchmark_year.py [--cell 0.1] [--step 1]
 """
@@ -19,9 +23,12 @@ from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "perfbench"))
 
-from sidelux.daylight import BLOCK_STEPS  # noqa: E402
+import inputs  # noqa: E402
+from sidelux.daylight import BLOCK_STEPS, BeamKernel  # noqa: E402
 from sidelux.io import (  # noqa: E402
     parse_building, parse_weather_csv, write_results, write_weather_csv)
 from sidelux.solar import WeatherSeries, outdoor_illuminance, sun_positions  # noqa: E402
@@ -36,30 +43,65 @@ def year_weather(year=2009) -> WeatherSeries:
     return WeatherSeries(times, gh, 0.35 * gh)
 
 
+def sun_blocks(times: np.ndarray, location):
+    """Altitude and direction of the sun at ``times``, in the stepping's
+    ``BLOCK_STEPS`` blocks."""
+    suns = [sun_positions(times[i:i + BLOCK_STEPS], location)
+            for i in range(0, len(times), BLOCK_STEPS)]
+    altitude, _, direction = (np.concatenate(c) for c in zip(*suns))
+    return altitude, direction
+
+
+def sunny(altitude, direction, weather: WeatherSeries, stride: int, efficacy):
+    """The suns of every ``stride``-th sample with the sun up and a direct part."""
+    _, direct = outdoor_illuminance(altitude, weather.gh[::stride], weather.dh[::stride],
+                                    efficacy, weather.ev_global[::stride],
+                                    weather.ev_diffuse[::stride])
+    up = np.flatnonzero((altitude > 0.0) & (direct > 0.0))
+    return altitude[up], direction[up]
+
+
+def time_beam(beam: BeamKernel, altitude, direction, probes, repeats: int = 1) -> float:
+    """The best of ``repeats`` passes of the beam over the suns, in
+    ``BLOCK_STEPS`` batches."""
+    points = np.array(probes, dtype=float)
+    best = float("inf")
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        for i in range(0, len(altitude), BLOCK_STEPS):
+            beam(altitude[i:i + BLOCK_STEPS], direction[i:i + BLOCK_STEPS], points)
+        best = min(best, time.perf_counter() - t0)
+    return best
+
+
 def time_layers(sim, weather: WeatherSeries, step: int, probes) -> None:
     """Print the time per step of the sun position and of the sun patch."""
     times = weather.times[::step]
     t0 = time.perf_counter()
-    suns = [sun_positions(times[i:i + BLOCK_STEPS], sim.location)
-            for i in range(0, len(times), BLOCK_STEPS)]
+    altitude, direction = sun_blocks(times, sim.location)
     elapsed = time.perf_counter() - t0
     print(f"sun position: {len(times)} steps in {elapsed:.2f} s "
           f"({1e6 * elapsed / len(times):.2f} us/step)")
 
-    altitude, _, direction = (np.concatenate(c) for c in zip(*suns))
-    _, direct = outdoor_illuminance(altitude, weather.gh[::step], weather.dh[::step],
-                                    sim.efficacy, weather.ev_global[::step],
-                                    weather.ev_diffuse[::step])
-    sunny = np.flatnonzero((altitude > 0.0) & (direct > 0.0))
-    altitude, direction = altitude[sunny], direction[sunny]
-    points = np.array(probes, dtype=float)
-    t0 = time.perf_counter()
-    for i in range(0, len(sunny), BLOCK_STEPS):
-        sim.beam(altitude[i:i + BLOCK_STEPS], direction[i:i + BLOCK_STEPS], points)
-    elapsed = time.perf_counter() - t0
-    batches = -(-len(sunny) // BLOCK_STEPS)
-    print(f"sun patch: {len(sunny)} sunny steps in {batches} batches in {elapsed:.2f} s "
-          f"({1e6 * elapsed / max(len(sunny), 1):.2f} us/step)")
+    altitude, direction = sunny(altitude, direction, weather, step, sim.efficacy)
+    elapsed = time_beam(sim.beam, altitude, direction, probes)
+    print(f"sun patch: {len(altitude)} sunny steps in {-(-len(altitude) // BLOCK_STEPS)} batches "
+          f"in {elapsed:.2f} s ({1e6 * elapsed / max(len(altitude), 1):.2f} us/step)")
+
+
+def time_l_room_beam(weather: WeatherSeries, step: int, tmp: Path) -> None:
+    """Print the time per sunny step of the L-shaped room's sun patches."""
+    path = tmp / "l_room.json"
+    inputs.write_building(path, "l_room")
+    building = parse_building(path)
+    room = building.room
+    altitude, direction = sunny(*sun_blocks(weather.times[::3 * step], building.location),
+                                weather, 3 * step, building.efficacy)
+    beam = BeamKernel(room, room.floor_z + building.workplane_height)
+    elapsed = time_beam(beam, altitude, direction, inputs.L_ROOM_PROBES[:5], repeats=5)
+    per_step = 1e6 * elapsed / max(len(altitude), 1)
+    print(f"L-room sun patch ({len(room.parts)} floor parts): {len(altitude)} sunny steps of "
+          f"every 3rd step in {elapsed:.2f} s, best of 5 ({per_step:.2f} us/step)")
 
 
 def main() -> None:
@@ -93,6 +135,7 @@ def main() -> None:
         print(f"{n} steps on {sim.grid.n_points} points: {elapsed:.1f} s "
               f"({n / elapsed:.0f} steps/s)")
         time_layers(sim, weather, args.step, probes)
+        time_l_room_beam(weather, args.step, Path(tmp))
 
         t0 = time.perf_counter()
         write_results(result, Path(tmp) / "year")

@@ -20,8 +20,9 @@ Per point p, with outdoor global/diffuse/direct horizontal illuminances:
     E_direct(p)  = [p in patch] * E_direct * tau_glazing
     E(p)         = E_diffuse(p) + E_direct(p)
 
-All evaluation functions are deterministic and side-effect free; the field
-loop is embarrassingly parallel over grid points.
+All evaluation functions are deterministic and side-effect free. The full
+fields of a run are one batched pass over their instants and the grid
+points, through the same kernel as the probes.
 """
 
 from __future__ import annotations
@@ -722,23 +723,22 @@ class Simulator:
     def evaluate(self, outdoor: OutdoorIlluminance, sun: SolarState | None,
                  timestamp: datetime | None = None) -> IlluminanceField:
         """Field over the workplane grid for given outdoor conditions."""
-        altitude = np.array([sun.altitude if sun is not None else 0.0])
-        direction = (sun.direction if sun is not None else np.zeros(3)).reshape(1, 3)
+        return self._fields([timestamp], [outdoor], [sun])[0]
+
+    def _fields(self, timestamps, outdoors, suns) -> list[IlluminanceField]:
+        """Fields over the workplane grid at a batch of instants, each with
+        its outdoor conditions and sun (None: below the horizon), from one
+        :meth:`_illuminance` pass over the instants and the grid points."""
+        altitude = np.array([0.0 if sun is None else sun.altitude for sun in suns])
+        direction = np.array([np.zeros(3) if sun is None else sun.direction
+                              for sun in suns]).reshape(-1, 3)
         area, e_dif, e_dir = self._illuminance(
-            altitude, direction, np.array([outdoor.e_global]), np.array([outdoor.e_direct]),
-            self.grid.points, self.df,
-        )
-        return IlluminanceField(
-            grid=self.grid,
-            timestamp=timestamp,
-            outdoor=outdoor,
-            sun=sun,
-            df=self.df,
-            e_diffuse=e_dif[0],
-            e_direct=e_dir[0],
-            e_global=e_dif[0] + e_dir[0],
-            patch_area=float(area[0]),
-        )
+            altitude, direction, np.array([o.e_global for o in outdoors]),
+            np.array([o.e_direct for o in outdoors]), self.grid.points, self.df)
+        return [IlluminanceField(grid=self.grid, timestamp=when, outdoor=outdoor, sun=sun,
+                                 df=self.df, e_diffuse=e_dif[j], e_direct=e_dir[j],
+                                 e_global=e_dif[j] + e_dir[j], patch_area=float(area[j]))
+                for j, (when, outdoor, sun) in enumerate(zip(timestamps, outdoors, suns))]
 
     def step(self, when: datetime, gh: float, dh: float, ev_global: float | None = None,
              ev_diffuse: float | None = None) -> IlluminanceField:
@@ -833,13 +833,11 @@ class Simulator:
                 held = tuple(h[BLOCK_STEPS:] for h in held)
         add_beam(held)
 
-        fields: dict[datetime, IlluminanceField] = {}
         altitude, azimuth, direction = sun_positions(times[field_steps], self.location)
-        for j, (when, k) in enumerate(zip(field_at, field_steps)):
-            sun = SolarState(float(altitude[j]), float(azimuth[j]), direction[j])
-            outdoor = OutdoorIlluminance(
-                float(outdoor_global[k]), float(outdoor_diffuse[k]), float(outdoor_direct[k]))
-            fields[when] = self.evaluate(outdoor, sun, when)
+        suns = [SolarState(float(a), float(z), d) for a, z, d in zip(altitude, azimuth, direction)]
+        outdoors = [OutdoorIlluminance(float(outdoor_global[k]), float(outdoor_diffuse[k]),
+                                       float(outdoor_direct[k])) for k in field_steps]
+        fields = dict(zip(field_at, self._fields(field_at, outdoors, suns)))
         return PeriodResult(
             timestamps=times,
             outdoor_global=outdoor_global,

@@ -19,7 +19,8 @@ a ring of zero area holds no point, and an edge of no length cuts nothing
 off; so callers pass rings and clips padded or clipped away as they come.
 :class:`Polygon3` is the one validated input type; what is derived from
 it is a ring batch. :func:`decompose_convex` gives a polygon's convex parts
-as a batch of its own vertices, so a non-convex outline (an L-shaped floor,
+as a batch of its own vertices, its ear triangles merged by Hertel and
+Mehlhorn's rule (two for an L), so a non-convex outline (an L-shaped floor,
 an obstruction) is cut and tested through its parts; ``Room`` and
 ``Obstruction`` work these out once, at construction, and every consumer
 reads them as they are.
@@ -387,25 +388,48 @@ def workplane_grid_for_parts(parts: np.ndarray, floor_z: float, cell: float,
 
 def decompose_convex(poly: Polygon3) -> np.ndarray:
     """The convex parts of a simple polygon as a (P, W, 3) batch of its own
-    vertices, each part in the polygon's order (counter-clockwise about its
-    normal). A convex polygon is one part; any other is ear-clipped into
-    triangles (an L-shaped floor into four).
+    vertices, padded as :func:`stack_rings` pads, each part in the
+    polygon's order (counter-clockwise about its normal). A convex polygon
+    is one part. Any other is ear-clipped into triangles, and the
+    Hertel-Mehlhorn merge then drops, in the order the ears were cut, every
+    diagonal whose removal leaves both its ends convex: at most 2r + 1
+    parts for r reflex vertices, and two for an L-shaped floor.
     """
     if poly.is_convex:
         return poly.coords[None]
     v2 = poly._verts2d  # counter-clockwise: the normal follows the vertex order
     idx = list(range(len(v2)))
-    tris: list[list[int]] = []
+    parts: list[list[int]] = []
     while len(idx) > 3:
-        for k in range(len(idx)):
-            ear = [idx[k - 1], idx[k], idx[(k + 1) % len(idx)]]
-            # an ear: a convex corner whose triangle holds no other vertex
-            if _orient(*v2[ear]) > 1e-12 and not points_in_convex_rings(
-                    v2[[j for j in idx if j not in ear]], v2[ear][None]).any():
-                tris.append(ear)
-                idx.pop(k)
-                break
-        else:
+        corners = ([idx[k - 1], idx[k], idx[(k + 1) % len(idx)]] for k in range(len(idx)))
+        # an ear: a convex corner whose triangle holds no other vertex
+        ears = [ear for ear in corners if _orient(*v2[ear]) > 1e-12 and not points_in_convex_rings(
+            v2[[j for j in idx if j not in ear]], v2[ear][None]).any()]
+        if not ears:
             raise GeometryError("cannot decompose polygon into convex parts")
-    tris.append(idx)
-    return poly.coords[tris]
+        # the ear with the shortest diagonal, the first one in a tie: an L's
+        # longest, across its bounding box, would leave it three parts
+        ear = min(ears, key=lambda e: float(np.sum((v2[e[2]] - v2[e[0]]) ** 2)))
+        parts.append(ear)
+        idx.remove(ear[1])
+    parts.append(idx)
+    for a, _, b in parts[:-1]:  # each ear's diagonal b -> a; the rest of the polygon runs a -> b
+        p = next(i for i, part in enumerate(parts) if _has_edge(part, b, a))
+        q = next(i for i, part in enumerate(parts) if _has_edge(part, a, b))
+        first, second = _starting_at(parts[p], a), _starting_at(parts[q], b)  # a..b, b..a
+        if (_orient(*v2[[second[-2], a, first[1]]]) > 1e-12
+                and _orient(*v2[[first[-2], b, second[1]]]) > 1e-12):
+            parts[p] = first + second[1:-1]
+            del parts[q]
+    return stack_rings(*(poly.coords[part][None] for part in parts))
+
+
+def _has_edge(part: list[int], a: int, b: int) -> bool:
+    """Whether ``b`` follows ``a`` around the ring of vertex indices ``part``."""
+    return a in part and part[(part.index(a) + 1) % len(part)] == b
+
+
+def _starting_at(part: list[int], a: int) -> list[int]:
+    """The ring of vertex indices ``part`` turned to start at ``a``."""
+    k = part.index(a)
+    return part[k:] + part[:k]

@@ -299,10 +299,14 @@ class TestDecompose:
         s = square()
         assert np.array_equal(decompose_convex(s), s.coords[None])
 
-    def test_l_shape_triangulated(self):
+    def test_l_shape_merged_into_two_parts(self):
+        """The four ear triangles merge across the two diagonals that leave
+        both ends convex; the one from the outer corner to the re-entrant
+        corner stays."""
         ell = Polygon3([(0, 0, 0), (4, 0, 0), (4, 2, 0), (2, 2, 0), (2, 4, 0), (0, 4, 0)])
         parts = decompose_convex(ell)
-        assert parts.shape == (4, 3, 3)
+        assert parts.shape == (2, 4, 3)
+        assert np.array_equal(parts, ell.coords[[[1, 2, 3, 0], [5, 0, 3, 4]]])
         assert all(Polygon3(p).is_convex for p in parts)
         assert sum(Polygon3(p).area for p in parts) == pytest.approx(ell.area, rel=1e-9)
 
@@ -313,7 +317,7 @@ class TestDecompose:
         ell = [(0, 0), (4, 0), (4, 2), (2, 2), (2, 4), (0, 4)]
         floor = Polygon3([(1.3 + c * x - s * y, -0.7 + s * x + c * y, 0.25) for x, y in ell])
         parts = decompose_convex(floor)
-        assert len(parts) == 4
+        assert len(parts) == 2
         vertices = {tuple(v) for v in floor.coords.tolist()}
         assert {tuple(v) for v in parts.reshape(-1, 3).tolist()} <= vertices
         assert min(Polygon3(p).normal @ floor.normal for p in parts) > 0.0
@@ -321,6 +325,97 @@ class TestDecompose:
 
 # ---------------------------------------------------------------------------
 # property tests
+
+def _turn(a, b, c) -> float:
+    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+
+@st.composite
+def star_polygons(draw):
+    """Horizontal simple polygons star-shaped about a random centre: 6 to
+    12 vertices at increasing angles, with random radii, listed either way
+    round; kept when at least two vertices are reflex."""
+    n = draw(st.integers(6, 12))
+    gaps = np.array(draw(st.lists(st.floats(0.2, 1.0), min_size=n, max_size=n)))
+    angles = 2.0 * math.pi * np.cumsum(gaps) / gaps.sum()
+    radii = np.array(draw(st.lists(st.floats(0.5, 3.0), min_size=n, max_size=n)))
+    cx, cy, z = (draw(st.floats(-5.0, 5.0)) for _ in range(3))
+    ring = np.column_stack((cx + radii * np.cos(angles), cy + radii * np.sin(angles)))
+    reflex = sum(_turn(ring[i - 1], ring[i], ring[(i + 1) % n]) < 0.0 for i in range(n))
+    assume(reflex >= 2)
+    if draw(st.booleans()):
+        ring = ring[::-1]
+    try:
+        return Polygon3([(x, y, z) for x, y in ring])
+    except GeometryError:
+        assume(False)
+
+
+def _l_floor(seed: int) -> Polygon3:
+    return random_l_room(np.random.default_rng(seed)).floor
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(star_polygons().map(lambda poly: (poly, False)),
+                 st.integers(0, 2**32 - 1).map(lambda seed: (_l_floor(seed), True))),
+       st.integers(0, 2**32 - 1))
+def test_merged_parts_cover_the_polygon_and_cannot_merge_further(case, seed):
+    """The merged parts of a simple polygon are convex, counter-clockwise
+    about its normal and made of its own vertices, bit for bit; they cover
+    it exactly, are no more than its ear triangles nor than 2r + 1 for r
+    reflex vertices (an L gives two), no two of them that share a diagonal
+    could merge into a convex part, and their union holds the points the
+    even-odd rule puts inside the outline."""
+    poly, is_l = case
+    parts = decompose_convex(poly)
+    n = len(poly.coords)
+    index = {tuple(v): i for i, v in enumerate(poly.coords.tolist())}
+    assert {tuple(v) for v in parts.reshape(-1, 3).tolist()} <= set(index)
+    rings = []
+    for part in parts:
+        ids = [index[tuple(v)] for v in part.tolist()]
+        while ids[-1] == ids[-2]:  # the padding repeats the last vertex
+            ids.pop()
+        assert len(set(ids)) == len(ids) >= 3
+        rings.append(ids)
+    v2 = poly.to_plane_2d(poly.coords)
+    reflex = sum(_turn(v2[i - 1], v2[i], v2[(i + 1) % n]) <= 1e-12 for i in range(n))
+    assert len(parts) <= min(n - 2, 2 * reflex + 1)
+    if is_l:
+        assert len(parts) == 2
+    for ids in rings:
+        assert all(_turn(*v2[[ids[i - 1], ids[i], ids[(i + 1) % len(ids)]]]) > 1e-12
+                   for i in range(len(ids)))
+    areas = signed_ring_areas(parts[:, :, :2], parts[0, 0, :2]) * np.sign(poly.normal[2])
+    assert np.all(areas > 0.0)
+    assert areas.sum() == pytest.approx(poly.area, rel=1e-12)
+
+    def after(ids, a):
+        return ids[(ids.index(a) + 1) % len(ids)]
+
+    def before(ids, a):
+        return ids[ids.index(a) - 1]
+
+    for first in rings:
+        for second in rings:
+            for a, b in zip(first, first[1:] + first[:1]):
+                if b in second and after(second, b) == a:
+                    # a -> b in first, b -> a in second: the merged ring turns
+                    # at a from first into second and at b back into first
+                    at_a = _turn(*v2[[before(first, a), a, after(second, a)]])
+                    at_b = _turn(*v2[[before(second, b), b, after(first, b)]])
+                    assert not (at_a > 1e-12 and at_b > 1e-12), (first, second)
+
+    rng = np.random.default_rng(seed)
+    xy = poly.coords[:, :2]
+    points = rng.uniform(xy.min(axis=0) - 0.5, xy.max(axis=0) + 0.5, (500, 2))
+    a, e = xy, np.roll(xy, -1, axis=0) - xy
+    t = np.clip(np.sum((points[:, None] - a) * e, axis=2) / np.sum(e * e, axis=1), 0.0, 1.0)
+    gap = np.linalg.norm(points[:, None] - (a + t[:, :, None] * e), axis=2).min(axis=1)
+    clear = points[gap > 1e-6]
+    assert np.array_equal(points_in_convex_rings(clear, parts[:, :, :2]).any(axis=0),
+                          _even_odd_mask(clear[:, 0], clear[:, 1], xy))
+
 
 def convex_polys(z=0.0):
     """Convex polygons built from sorted angles on a circle."""

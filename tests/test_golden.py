@@ -55,7 +55,7 @@ GOLDEN = {
 
 BEAM_BITS = {
     "test_cell": "b82c5791213832d3b7a51cbcc395f2f06a36afd126faca807c6b3767f6b6db43",
-    "l_room": "c323b67428b01991b641b5a259f0850106ba184ec646530bd59e8fed7d2cc1ca",
+    "l_room": "80a2d82ee270bf0331d1e88238c7a462054a712d3817ee81995a6e2304d1eafc",
 }
 
 

@@ -84,9 +84,8 @@ def crossing_obstructions_room() -> Room:
 def l_fin_room() -> Room:
     """A south window, an L-shaped fin beside the room in the plane x = 4
     across the window plane y = 0, and a wall wholly behind that plane.
-    The cut at the plane divides two of the fin's four ear triangles, one
-    into a triangle and one into a quadrilateral, and leaves two whole, so
-    three pieces come back padded to four vertices."""
+    The fin's two convex parts are quadrilaterals; the cut at the plane
+    divides one into a smaller quadrilateral and leaves the other whole."""
     base = make_canonical_room("south")
     outline = [(-3, 0), (1, 0), (1, 1.5), (-1, 1.5), (-1, 4), (-3, 4)]
     fin = Obstruction(Polygon3([(4.0, y, z) for y, z in outline]), 0.4)
@@ -277,29 +276,60 @@ def test_partly_hidden_points_match_the_oracle_within_its_own_resolution():
     assert max(errors) <= ORACLE_HALVING_CHANGE
 
 
-def test_an_obstruction_across_the_window_plane_matches_the_oracle():
-    """The pieces of the fin beyond the window plane are used as the cut
-    returns them, padding included, and the wall behind the plane is
-    skipped: the sky and externally reflected components match the ray
-    cast, which sees the fin as its two rectangles, within the oracle's
-    own resolution."""
-    room = l_fin_room()
-    kernel = room.sky[0]
-    assert [j for _, j in kernel.parts] == [0, 0, 0, 0]
-    assert sum(np.array_equal(piece[-1], piece[-2]) for piece, _ in kernel.parts) == 3
+def assert_fin_room_matches_the_oracle(room, fin_rects):
+    """The sky and externally reflected components of the first window of
+    a room from :func:`l_fin_room` or :func:`t_fin_room` match the ray
+    cast, which sees its fin as ``fin_rects``, within the oracle's own
+    resolution, at points that see the fin."""
     points = np.array([(0.3, 0.4, 1.2), (0.6, 0.2, 0.01), (0.2, 1.0, 1.5), (1.0, 0.3, 0.8),
                        (0.5, 1.0, 0.01), (0.3, 2.0, 0.5)])
-    sc, erc = kernel(points)
+    sc, erc = room.sky[0](points)
     window = rect_of(room.apertures[0].polygon)
     walls = walls_other_than(room.floor.coords[:, :2], window)
-    rects = [((4.0, -3.0, 0.0), (0.0, 2.0, 0.0), (0.0, 0.0, 4.0), 0.4),
-             ((4.0, -1.0, 0.0), (0.0, 2.0, 0.0), (0.0, 0.0, 1.5), 0.4),
-             (*rect_of(room.obstructions[1].polygon), 0.3)]
+    rects = [(*rect, 0.4) for rect in fin_rects] + [(*rect_of(room.obstructions[1].polygon), 0.3)]
     for p, got in zip(points, zip(sc, erc)):
         coarse, fine = (np.array(ray_cast_sky(p, window, walls, rects, c)) for c in (64, 128))
         assert np.abs(fine - coarse).max() <= ORACLE_HALVING_CHANGE
         assert np.abs(np.array(got) - fine).max() <= ORACLE_HALVING_CHANGE, p
     assert np.count_nonzero(erc > 1e-4) >= 4
+
+
+def test_an_obstruction_across_the_window_plane_matches_the_oracle():
+    """The fin's two merged parts are cut at the window plane into two
+    pieces of four vertices, and the wall behind the plane is skipped."""
+    room = l_fin_room()
+    kernel = room.sky[0]
+    assert [j for _, j in kernel.parts] == [0, 0]
+    assert not any(np.array_equal(piece[-1], piece[-2]) for piece, _ in kernel.parts)
+    assert_fin_room_matches_the_oracle(room, [
+        ((4.0, -3.0, 0.0), (0.0, 2.0, 0.0), (0.0, 0.0, 4.0)),
+        ((4.0, -1.0, 0.0), (0.0, 2.0, 0.0), (0.0, 0.0, 1.5))])
+
+
+def t_fin_room() -> Room:
+    """:func:`l_fin_room` with a T-shaped fin across the window plane in
+    place of the L, a bar on a stem: its merged parts are triangles and
+    quadrilaterals, so the triangles come back from
+    :func:`decompose_convex` padded."""
+    room = l_fin_room()
+    outline = [(-2, 0), (-1, 0), (-1, 2), (1, 2), (1, 3), (-3, 3), (-3, 2), (-2, 2)]
+    fin = Obstruction(Polygon3([(4.0, y, z) for y, z in outline]), 0.4)
+    return Room(floor=room.floor, height=room.height, optics=room.optics,
+                apertures=room.apertures, obstructions=(fin, room.obstructions[1]))
+
+
+def test_a_padded_obstruction_piece_matches_the_oracle():
+    """The pieces of the T-shaped fin beyond the window plane are used as
+    the cut returns them, padding included."""
+    room = t_fin_room()
+    widths = {len(np.unique(part, axis=0)) for part in room.obstructions[0].parts}
+    assert widths == {3, 4}
+    kernel = room.sky[0]
+    assert {j for _, j in kernel.parts} == {0}
+    assert any(np.array_equal(piece[-1], piece[-2]) for piece, _ in kernel.parts)
+    assert_fin_room_matches_the_oracle(room, [
+        ((4.0, -2.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 2.0)),
+        ((4.0, -3.0, 2.0), (0.0, 4.0, 0.0), (0.0, 0.0, 1.0))])
 
 
 # ---------------------------------------------------------------------------

@@ -492,7 +492,9 @@ def test_run_is_the_same_bits_for_any_block_size(name, monkeypatch):
             with mock.patch.object(sim, "_illuminance", wraps=sim._illuminance) as spy:
                 runs.append(sim.run(weather, probes=probes, field_at=field_at))
         sunny = np.flatnonzero((altitude > 0.0) & (runs[-1].outdoor_direct > 0.0))
-        batches = [call.args[0] for call in spy.call_args_list[:-len(field_at)]]  # then the fields
+        *beam, fields = spy.call_args_list  # the beam batches, then one call for all the fields
+        assert len(fields.args[0]) == len(field_at)
+        batches = [call.args[0] for call in beam]
         assert [len(b) for b in batches] == [size] * (len(sunny) // size) + [len(sunny) % size]
         assert_same_bits(np.concatenate(batches), altitude[sunny])
         first, last = sunny[::size], sunny[size - 1::size]
@@ -511,6 +513,43 @@ def test_run_is_the_same_bits_for_any_block_size(name, monkeypatch):
             for attr in ("df", "e_diffuse", "e_direct", "e_global"):
                 assert_same_bits(getattr(fld, attr), getattr(ref, attr))
     assert (runs[-1].patch_area > 0.0).sum() > 2000
+
+
+@pytest.mark.parametrize("name", sorted(ROOMS))
+def test_run_fields_are_evaluate_bit_for_bit(name):
+    """``run`` builds all its fields in one pass over their instants: three
+    sunny ones, one with the sun below the horizon and one overcast (no
+    direct part). Each field is bit for bit what ``evaluate`` gives for
+    that instant alone, and what ``step``, a one-sample run, gives."""
+    sim = Simulator(ROOMS[name](), TROPICAL_SITE, cell=0.5)
+    weather = winter_weather(1)
+    altitude, azimuth, direction = sun_positions(weather.times, TROPICAL_SITE)
+    plain = sim.run(weather)
+    sunny = np.flatnonzero(plain.patch_area > 0.0)
+    dark = np.flatnonzero(altitude <= 0.0)[0]
+    overcast = np.flatnonzero((altitude > 0.0) & (plain.outdoor_direct == 0.0))[0]
+    steps = sorted([dark, overcast, *sunny[[0, len(sunny) // 2, -1]]])
+    field_at = weather.times[steps].astype(datetime).tolist()
+    res = sim.run(weather, field_at=field_at)
+    assert len(res.fields) == 5
+    for k, when in zip(steps, field_at):
+        outdoor = OutdoorIlluminance(float(res.outdoor_global[k]), float(res.outdoor_diffuse[k]),
+                                     float(res.outdoor_direct[k]))
+        sun = SolarState(float(altitude[k]), float(azimuth[k]), direction[k])
+        fld = res.fields[when]
+        assert fld.timestamp == when and fld.outdoor == outdoor
+        assert fld.patch_area == res.patch_area[k]
+        for ref in (sim.evaluate(outdoor, sun, when),
+                    sim.step(when, float(weather.gh[k]), float(weather.dh[k]))):
+            assert ref.timestamp == when and ref.outdoor == outdoor
+            assert (ref.sun.altitude, ref.sun.azimuth) == (fld.sun.altitude, fld.sun.azimuth)
+            assert_same_bits(ref.sun.direction, fld.sun.direction)
+            assert ref.patch_area == fld.patch_area
+            for attr in ("df", "e_diffuse", "e_direct", "e_global"):
+                assert_same_bits(getattr(ref, attr), getattr(fld, attr))
+    assert res.fields[field_at[steps.index(dark)]].patch_area == 0.0
+    assert not res.fields[field_at[steps.index(overcast)]].e_direct.any()
+    assert res.fields[field_at[steps.index(sunny[len(sunny) // 2])]].e_direct.any()
 
 
 # ---------------------------------------------------------------------------
