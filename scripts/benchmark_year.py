@@ -3,10 +3,11 @@
 
 Daylight-factor precomputation is reported separately from the stepping
 loop, since it runs once per geometry, and so are parsing the year's weather
-CSV and writing the year's results (both in a temporary directory). Two
+CSV and writing the year's results (both in a temporary directory). Three
 layers of the stepping are also timed on their own, in the stepping's
-``BLOCK_STEPS`` blocks: the sun position of every step, and the sun patches
-(``Simulator.beam``) of the steps with the sun up and a direct part. The
+``BLOCK_STEPS`` blocks: the sun position (altitude) of every step, and for
+the sunny steps, those with the sun up and a direct part, the sun's
+direction and the sun patches (``Simulator.beam``). The
 sun patches of the benchmark's L-shaped room (``perfbench/inputs.py``,
 ``L_ROOM``) are timed too, over every 3rd step with 5 of its probes, best
 of 5 passes: its floor is cut into convex parts, so this is the layer
@@ -31,7 +32,8 @@ import inputs  # noqa: E402
 from sidelux.daylight import BLOCK_STEPS, BeamKernel  # noqa: E402
 from sidelux.io import (  # noqa: E402
     parse_building, parse_weather_csv, write_results, write_weather_csv)
-from sidelux.solar import WeatherSeries, outdoor_illuminance, sun_positions  # noqa: E402
+from sidelux.solar import (  # noqa: E402
+    WeatherSeries, outdoor_illuminance, sun_altitudes, sun_directions)
 
 
 def year_weather(year=2009) -> WeatherSeries:
@@ -44,21 +46,28 @@ def year_weather(year=2009) -> WeatherSeries:
 
 
 def sun_blocks(times: np.ndarray, location):
-    """Altitude and direction of the sun at ``times``, in the stepping's
-    ``BLOCK_STEPS`` blocks."""
-    suns = [sun_positions(times[i:i + BLOCK_STEPS], location)
+    """Altitude of the sun at ``times`` and the terms of its direction, in
+    the stepping's ``BLOCK_STEPS`` blocks."""
+    suns = [sun_altitudes(times[i:i + BLOCK_STEPS], location)
             for i in range(0, len(times), BLOCK_STEPS)]
-    altitude, _, direction = (np.concatenate(c) for c in zip(*suns))
-    return altitude, direction
+    return (np.concatenate([altitude for altitude, _ in suns]),
+            np.concatenate([terms for _, terms in suns], axis=1))
 
 
-def sunny(altitude, direction, weather: WeatherSeries, stride: int, efficacy):
-    """The suns of every ``stride``-th sample with the sun up and a direct part."""
+def sunny(altitude, weather: WeatherSeries, stride: int, efficacy) -> np.ndarray:
+    """The indices of every ``stride``-th sample with the sun up and a direct part."""
     _, direct = outdoor_illuminance(altitude, weather.gh[::stride], weather.dh[::stride],
                                     efficacy, weather.ev_global[::stride],
                                     weather.ev_diffuse[::stride])
-    up = np.flatnonzero((altitude > 0.0) & (direct > 0.0))
-    return altitude[up], direction[up]
+    return np.flatnonzero((altitude > 0.0) & (direct > 0.0))
+
+
+def sunny_suns(altitude, terms, up, location):
+    """Altitude and direction of the sun at the steps ``up``, gathered and
+    worked out in ``BLOCK_STEPS`` batches."""
+    direction = [sun_directions(altitude[s], terms[:, s], location)[1]
+                 for s in np.split(up, range(BLOCK_STEPS, len(up), BLOCK_STEPS))]
+    return altitude[up], np.concatenate(direction)
 
 
 def time_beam(beam: BeamKernel, altitude, direction, probes, repeats: int = 1) -> float:
@@ -75,15 +84,22 @@ def time_beam(beam: BeamKernel, altitude, direction, probes, repeats: int = 1) -
 
 
 def time_layers(sim, weather: WeatherSeries, step: int, probes) -> None:
-    """Print the time per step of the sun position and of the sun patch."""
+    """Print the time per step of the sun position, and per sunny step of
+    the sun's direction and of the sun patch."""
     times = weather.times[::step]
     t0 = time.perf_counter()
-    altitude, direction = sun_blocks(times, sim.location)
+    altitude, terms = sun_blocks(times, sim.location)
     elapsed = time.perf_counter() - t0
     print(f"sun position: {len(times)} steps in {elapsed:.2f} s "
           f"({1e6 * elapsed / len(times):.2f} us/step)")
 
-    altitude, direction = sunny(altitude, direction, weather, step, sim.efficacy)
+    up = sunny(altitude, weather, step, sim.efficacy)
+    t0 = time.perf_counter()
+    altitude, direction = sunny_suns(altitude, terms, up, sim.location)
+    elapsed = time.perf_counter() - t0
+    print(f"sun direction: {len(up)} sunny steps in {elapsed:.2f} s "
+          f"({1e6 * elapsed / max(len(up), 1):.2f} us/step)")
+
     elapsed = time_beam(sim.beam, altitude, direction, probes)
     print(f"sun patch: {len(altitude)} sunny steps in {-(-len(altitude) // BLOCK_STEPS)} batches "
           f"in {elapsed:.2f} s ({1e6 * elapsed / max(len(altitude), 1):.2f} us/step)")
@@ -95,8 +111,9 @@ def time_l_room_beam(weather: WeatherSeries, step: int, tmp: Path) -> None:
     inputs.write_building(path, "l_room")
     building = parse_building(path)
     room = building.room
-    altitude, direction = sunny(*sun_blocks(weather.times[::3 * step], building.location),
-                                weather, 3 * step, building.efficacy)
+    altitude, terms = sun_blocks(weather.times[::3 * step], building.location)
+    up = sunny(altitude, weather, 3 * step, building.efficacy)
+    altitude, direction = sunny_suns(altitude, terms, up, building.location)
     beam = BeamKernel(room, room.floor_z + building.workplane_height)
     elapsed = time_beam(beam, altitude, direction, inputs.L_ROOM_PROBES[:5], repeats=5)
     per_step = 1e6 * elapsed / max(len(altitude), 1)

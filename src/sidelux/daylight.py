@@ -53,7 +53,7 @@ from .geometry import (
 )
 from .metrics import hour_groups
 from .solar import EfficacyModel, GeoLocation, OutdoorIlluminance, SolarState, WeatherSeries, \
-    local_time, outdoor_illuminance, sun_positions
+    local_time, outdoor_illuminance, sun_altitudes, sun_directions, sun_positions
 
 # Horizontal illuminance of the full CIE overcast dome for unit zenith
 # luminance: integral of (1+2 sin g)/3 * sin g over the hemisphere = 7*pi/9.
@@ -664,10 +664,11 @@ class Simulator:
     The daylight-factor field depends on geometry only, so it is computed
     once at construction and reused for every timestep; per step only the
     outdoor conversion and the sun-patch geometry change. Periods are
-    stepped in time blocks of ``BLOCK_STEPS`` timesteps: sun position,
+    stepped in time blocks of ``BLOCK_STEPS`` timesteps: sun altitude,
     outdoor conversion and the DF term, each one array pass per block. The
-    sunny steps (sun above the horizon, a direct part) are held across
-    blocks and handed to the :class:`BeamKernel` in batches of
+    sunny steps (sun above the horizon, a direct part), the only ones whose
+    sun azimuth and direction are worked out, are held across blocks and
+    handed to the :class:`BeamKernel` in batches of
     ``BLOCK_STEPS``, and once more at the end of the period, so the working
     arrays depend on the block and batch size, not on the period.
     """
@@ -816,7 +817,7 @@ class Simulator:
         for i in range(0, n, BLOCK_STEPS):
             block = slice(i, i + BLOCK_STEPS)
             r = rows[block]
-            altitude, _, direction = sun_positions(times[block], self.location)
+            altitude, terms = sun_altitudes(times[block], self.location)
             diffuse, direct = outdoor_illuminance(
                 altitude, weather.gh[r], weather.dh[r], self.efficacy,
                 weather.ev_global[r], weather.ev_diffuse[r])
@@ -826,8 +827,10 @@ class Simulator:
             # + 0.0, as a sunny step adds its direct term: a -0.0 product reads 0.0
             probe_global[block] = probe_df[None, :] * e_global[:, None] + 0.0
             sunny = np.flatnonzero((altitude > 0.0) & (direct > 0.0))
+            sunny_altitude = altitude[sunny]
+            _, direction = sun_directions(sunny_altitude, terms[:, sunny], self.location)
             held = tuple(np.concatenate((h, new)) for h, new in
-                         zip(held, (sunny + i, altitude[sunny], direction[sunny])))
+                         zip(held, (sunny + i, sunny_altitude, direction)))
             while len(held[0]) >= BLOCK_STEPS:
                 add_beam(tuple(h[:BLOCK_STEPS] for h in held))
                 held = tuple(h[BLOCK_STEPS:] for h in held)

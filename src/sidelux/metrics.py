@@ -138,7 +138,8 @@ def hour_groups(timestamps):
     Returns the hour starts (``datetime64[us]``, chronological) and a
     function giving, for values aligned with ``timestamps``, the arithmetic
     mean per hour: a 1-D mean of the hour's samples in their given order,
-    the same value to the bit as ``np.mean`` of that hour's list.
+    the same value to the bit as ``np.mean`` of that hour's list. The hours
+    of one length are averaged together, as the rows of one 2-D gather.
     """
     hours = np.asarray(timestamps, dtype="datetime64[us]").astype("datetime64[h]")
     order = np.argsort(hours, kind="stable")
@@ -146,10 +147,19 @@ def hour_groups(timestamps):
     first = np.ones(len(hours), dtype=bool)
     first[1:] = hours[1:] != hours[:-1]
     starts = np.flatnonzero(first)
+    lengths = np.diff(starts, append=len(hours))
+    # per hour length: which hours have it, and the sorted samples of each
+    rows = []
+    for length in np.unique(lengths):
+        which = np.flatnonzero(lengths == length)
+        rows.append((which, order[starts[which, None] + np.arange(length)]))
 
     def mean(values) -> np.ndarray:
-        groups = np.split(np.asarray(values, dtype=float)[order], starts)[1:]
-        return np.array([g.mean() for g in groups], dtype=float)
+        values = np.asarray(values, dtype=float)
+        means = np.empty(len(starts))
+        for which, samples in rows:
+            means[which] = values[samples].mean(axis=1)
+        return means
 
     return hours[starts].astype("datetime64[us]"), mean
 

@@ -7,6 +7,12 @@ from which declination and the equation of time follow; the hour angle then
 comes from true solar time. Accuracy is a few hundredths of a degree over
 1950-2100. Azimuth is measured clockwise from North, altitude above the
 horizon. Local axes everywhere are x=East, y=North, z=up.
+
+The position is two passes: :func:`sun_altitudes` works out the altitude of
+every step, which the outdoor conversion reads, and :func:`sun_directions`
+the azimuth and direction, which only the beam reads, so a period run calls
+it on the sunny steps it holds for the beam alone. :func:`sun_positions` is
+both passes over every step.
 """
 
 from __future__ import annotations
@@ -76,21 +82,23 @@ class SolarState:
 
 
 _J2000 = np.datetime64("2000-01-01T12:00:00", "us")
-_US_PER_HOUR = 3_600_000_000
+# the supported stamps: from 1950-01-01 up to, not including, 2101-01-01
+_FIRST, _END = np.datetime64("1950-01-01", "us"), np.datetime64("2101-01-01", "us")
+_US_PER_DAY = 86_400_000_000
 
 
-def sun_positions(times: np.ndarray, loc: GeoLocation) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sun altitude, azimuth (degrees) and unit direction from the sun toward
-    the ground, shape (n, 3), for an array of local civil timestamps.
+def sun_altitudes(times: np.ndarray, loc: GeoLocation) -> tuple[np.ndarray, np.ndarray]:
+    """Sun altitude (degrees) for an array of local civil timestamps, and the
+    hour-angle and declination terms, shape (4, n), from which
+    :func:`sun_directions` finds the azimuth and direction of any of them.
 
     Standard geometry: declination and the equation of time from the sun's
     low-precision mean elements, hour angle from true solar time.
     """
     t = np.asarray(times, dtype="datetime64[us]")
-    years = t.astype("datetime64[Y]").astype(np.int64) + 1970
-    bad = (years < 1950) | (years > 2100)
+    bad = ~((t >= _FIRST) & (t < _END))  # NaT compares false, so it is bad too
     if bad.any():
-        year = int(years[np.argmax(bad)])
+        year = int(t[np.argmax(bad)].astype("datetime64[Y]").astype(np.int64)) + 1970
         raise ValueError(f"timestamp year {year} outside supported range 1950-2100")
     days = (t - _J2000).astype(np.int64) / 1e6 / 86400.0 - loc.timezone / 24.0
     mean_long = np.radians((280.460 + 0.9856474 * days) % 360.0)
@@ -99,28 +107,50 @@ def sun_positions(times: np.ndarray, loc: GeoLocation) -> tuple[np.ndarray, np.n
         1.915 * np.sin(mean_anom) + 0.020 * np.sin(2.0 * mean_anom)
     )
     obliq = np.radians(23.439 - 0.0000004 * days)
-    decl = np.arcsin(np.sin(obliq) * np.sin(ecl_long))
-    ra = np.arctan2(np.cos(obliq) * np.sin(ecl_long), np.cos(ecl_long))
+    sin_ecl = np.sin(ecl_long)
+    decl = np.arcsin(np.sin(obliq) * sin_ecl)
+    ra = np.arctan2(np.cos(obliq) * sin_ecl, np.cos(ecl_long))
     # equation of time in minutes: mean longitude minus right ascension
     eqtime = 4.0 * np.degrees((mean_long - ra + math.pi) % (2.0 * math.pi) - math.pi)
-    us = (t - t.astype("datetime64[D]")).astype(np.int64)
-    hours = (us // _US_PER_HOUR + (us // 60_000_000 % 60) / 60.0
-             + (us // 1_000_000 % 60) / 3600.0 + (us % 1_000_000) / 3.6e9)
+    # time of day, floored, so also before 1970: hours, minutes, seconds, microseconds
+    seconds, us = np.divmod(t.view(np.int64) % _US_PER_DAY, 1_000_000)
+    minutes, seconds = np.divmod(seconds, 60)
+    hours, minutes = np.divmod(minutes, 60)
+    hours = hours + minutes / 60.0 + seconds / 3600.0 + us / 3.6e9
     tst = hours * 60.0 + eqtime + 4.0 * loc.longitude - 60.0 * loc.timezone
-    ha = np.radians(tst / 4.0 - 180.0)
+    terms = np.empty((4, len(t)))
+    ha, cos_ha, sin_decl, cos_decl = terms
+    np.radians(tst / 4.0 - 180.0, out=ha)
+    np.cos(ha, out=cos_ha)
+    np.sin(decl, out=sin_decl)
+    np.cos(decl, out=cos_decl)
     phi = math.radians(loc.latitude)
-    sin_alt = math.sin(phi) * np.sin(decl) + math.cos(phi) * np.cos(decl) * np.cos(ha)
-    altitude = np.degrees(np.arcsin(np.clip(sin_alt, -1.0, 1.0)))
+    sin_alt = math.sin(phi) * sin_decl + math.cos(phi) * cos_decl * cos_ha
+    return np.degrees(np.arcsin(np.clip(sin_alt, -1.0, 1.0))), terms
+
+
+def sun_directions(altitude: np.ndarray, terms: np.ndarray,
+                   loc: GeoLocation) -> tuple[np.ndarray, np.ndarray]:
+    """Sun azimuth (degrees) and unit direction from the sun toward the
+    ground, shape (n, 3), for altitudes and terms of :func:`sun_altitudes`,
+    all of its steps or the same subset gathered from both."""
+    ha, cos_ha, sin_decl, cos_decl = terms
+    phi = math.radians(loc.latitude)
     azimuth = (
-        np.degrees(
-            np.arctan2(
-                np.sin(ha) * np.cos(decl),
-                np.cos(ha) * np.cos(decl) * math.sin(phi) - np.sin(decl) * math.cos(phi),
-            )
-        )
+        np.degrees(np.arctan2(np.sin(ha) * cos_decl,
+                              cos_ha * cos_decl * math.sin(phi) - sin_decl * math.cos(phi)))
         + 180.0
     ) % 360.0
-    return altitude, azimuth, _sun_direction(altitude, azimuth)
+    return azimuth, _sun_direction(altitude, azimuth)
+
+
+def sun_positions(times: np.ndarray, loc: GeoLocation) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sun altitude, azimuth (degrees) and unit direction from the sun toward
+    the ground, shape (n, 3), for an array of local civil timestamps: the
+    two passes :func:`sun_altitudes` and :func:`sun_directions` over all of
+    them."""
+    altitude, terms = sun_altitudes(times, loc)
+    return (altitude, *sun_directions(altitude, terms, loc))
 
 
 def sun_position(when: datetime, loc: GeoLocation) -> SolarState:

@@ -391,3 +391,42 @@ def full_pass_clip(rings, clips, outside=False):
         rings = full_pass_emission(rings, side, inner)
         alive = inner.any(axis=1)[:, None]
     return (rings, slabs) if outside else rings
+
+
+def one_pass_sun_positions(times, latitude, longitude, timezone):
+    """Sun altitude, azimuth (degrees) and direction from the sun toward the
+    ground for local civil ``datetime64`` stamps, all in one pass: the
+    Astronomical Almanac's low-precision formula as ``solar`` wrote it before
+    its altitude and direction became two passes, with the calendar casts
+    for the year check and the time of day. The batched passes must give
+    these bits."""
+    t = np.asarray(times, dtype="datetime64[us]")
+    years = t.astype("datetime64[Y]").astype(np.int64) + 1970
+    bad = (years < 1950) | (years > 2100)
+    if bad.any():
+        raise ValueError(f"timestamp year {int(years[np.argmax(bad)])} outside supported range")
+    days = (t - np.datetime64("2000-01-01T12:00:00", "us")).astype(np.int64) / 1e6 / 86400.0 \
+        - timezone / 24.0
+    mean_long = np.radians((280.460 + 0.9856474 * days) % 360.0)
+    mean_anom = np.radians((357.528 + 0.9856003 * days) % 360.0)
+    ecl_long = mean_long + np.radians(
+        1.915 * np.sin(mean_anom) + 0.020 * np.sin(2.0 * mean_anom)
+    )
+    obliq = np.radians(23.439 - 0.0000004 * days)
+    decl = np.arcsin(np.sin(obliq) * np.sin(ecl_long))
+    ra = np.arctan2(np.cos(obliq) * np.sin(ecl_long), np.cos(ecl_long))
+    eqtime = 4.0 * np.degrees((mean_long - ra + math.pi) % (2.0 * math.pi) - math.pi)
+    us = (t - t.astype("datetime64[D]")).astype(np.int64)
+    hours = (us // 3_600_000_000 + (us // 60_000_000 % 60) / 60.0
+             + (us // 1_000_000 % 60) / 3600.0 + (us % 1_000_000) / 3.6e9)
+    tst = hours * 60.0 + eqtime + 4.0 * longitude - 60.0 * timezone
+    ha = np.radians(tst / 4.0 - 180.0)
+    phi = math.radians(latitude)
+    sin_alt = math.sin(phi) * np.sin(decl) + math.cos(phi) * np.cos(decl) * np.cos(ha)
+    altitude = np.degrees(np.arcsin(np.clip(sin_alt, -1.0, 1.0)))
+    azimuth = (np.degrees(np.arctan2(
+        np.sin(ha) * np.cos(decl),
+        np.cos(ha) * np.cos(decl) * math.sin(phi) - np.sin(decl) * math.cos(phi))) + 180.0) % 360.0
+    h, a = np.radians(altitude), np.radians(azimuth)
+    direction = np.stack((-np.sin(a) * np.cos(h), -np.cos(a) * np.cos(h), -np.sin(h)), axis=-1)
+    return altitude, azimuth, direction

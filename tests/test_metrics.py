@@ -190,6 +190,28 @@ def test_hourly_means_match_a_per_hour_mean_loop_bit_for_bit():
     assert got.tobytes() == expected.tobytes()
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(1, 300), min_size=1, max_size=8), st.integers(0, 2**32 - 1))
+def test_hourly_means_of_ragged_unsorted_hours_are_np_mean_bit_for_bit(lengths, seed):
+    """Hours of 1 to 300 samples, some past numpy's 128-sample pairwise
+    block and some of equal length, with the samples shuffled: each hour's
+    mean is ``np.mean`` of that hour's list in its given order, to the bit."""
+    rng = np.random.default_rng(seed)
+    hours = rng.choice(10_000, len(lengths), replace=False)
+    hour_of = np.repeat(hours, lengths)
+    offsets = hour_of * 3_600_000_000 + rng.integers(0, 3_600_000_000, len(hour_of))
+    start = np.datetime64("2009-01-01T00:00:00", "us")
+    times = start + offsets.astype("timedelta64[us]")
+    values = rng.lognormal(6.0, 2.0, len(times)) * (rng.random(len(times)) < 0.8)
+    shuffle = rng.permutation(len(times))
+    times, values, hour_of = times[shuffle], values[shuffle], hour_of[shuffle]
+    got_hours, means = resample_hourly(times, values)
+    hours.sort()
+    assert np.array_equal(got_hours, start + (hours * 3_600_000_000).astype("timedelta64[us]"))
+    expected = np.array([np.mean([float(v) for v in values[hour_of == h]]) for h in hours])
+    assert means.tobytes() == expected.tobytes()
+
+
 def test_resample_hourly_of_nothing_is_empty():
     hours, means = resample_hourly(np.array([], dtype="datetime64[us]"), [])
     assert len(hours) == 0 and len(means) == 0

@@ -17,7 +17,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conftest import (TROPICAL_SITE, assert_same_bits, make_canonical_room, random_l_room,
                       with_obstructions)
-from oracles import beam_image, beam_patch, overlap_area, shoelace_area
+from oracles import beam_image, beam_patch, one_pass_sun_positions, overlap_area, shoelace_area
 from sidelux import daylight
 from sidelux.daylight import (
     Aperture,
@@ -36,6 +36,8 @@ from sidelux.solar import (
     SolarState,
     WeatherSeries,
     reconstruct_illuminance,
+    sun_altitudes,
+    sun_directions,
     sun_position,
     sun_positions,
 )
@@ -299,6 +301,71 @@ def test_sun_positions_match_the_scalar_wrapper():
     with pytest.raises(ValueError, match="year 2101"):
         sun_positions(np.array(["2009-01-01", "2101-01-01"], dtype="datetime64[us]"),
                       TROPICAL_SITE)
+
+
+YEAR_2009 = np.datetime64("2009-01-01", "us") + np.arange(525_600) * np.timedelta64(1, "m")
+EDGE_STAMPS = np.array(["1950-01-01", "1955-03-04T05:06:07.123456", "1969-12-31T23:59:59.999999",
+                        "1970-01-01", "2100-12-31T23:59:59.999999"], dtype="datetime64[us]")
+
+
+@pytest.mark.parametrize("times", [YEAR_2009, EDGE_STAMPS], ids=["2009_minutes", "edges"])
+def test_the_two_sun_passes_give_the_one_pass_bits(times):
+    """The altitude of every step (pass one), and the azimuth and direction
+    from its terms (pass two), are the bits of the one-pass formula, also
+    before 1970 and in the last microsecond of 2100."""
+    loc = TROPICAL_SITE
+    altitude, azimuth, direction = one_pass_sun_positions(times, loc.latitude, loc.longitude,
+                                                          loc.timezone)
+    got, terms = sun_altitudes(times, loc)
+    assert_same_bits(got, altitude)
+    assert terms.shape == (4, len(times))
+    for got, expected in zip(sun_positions(times, loc), (altitude, azimuth, direction)):
+        assert_same_bits(got, expected)
+
+
+def test_the_direction_pass_on_gathered_steps_gives_their_full_pass_bits():
+    """Pass two over the sunny steps alone, or any other gathered subset,
+    gives those steps' azimuth and direction of the full pass, bit for bit."""
+    altitude, terms = sun_altitudes(YEAR_2009, TROPICAL_SITE)
+    azimuth, direction = sun_directions(altitude, terms, TROPICAL_SITE)
+    rng = np.random.default_rng(3)
+    for steps in (np.flatnonzero(altitude > 0.0), np.sort(rng.choice(len(altitude), 777)),
+                  np.array([5, 3, 5]), np.array([], dtype=np.intp)):
+        got_azimuth, got_direction = sun_directions(altitude[steps], terms[:, steps],
+                                                    TROPICAL_SITE)
+        assert_same_bits(got_azimuth, azimuth[steps])
+        assert_same_bits(got_direction, direction[steps])
+
+
+@pytest.mark.parametrize("stamps,year", [
+    (["1949-12-31T23:59:59.999999", "2101-01-01"], 1949),
+    (["2101-01-01", "1949-12-31T23:59:59.999999"], 2101),
+    (["2009-01-01", "1950-01-01", "1949-06-30"], 1949),
+    (["2100-12-31T23:59:59.999999", "2101-01-01T00:00:00.000001"], 2101),
+])
+def test_the_year_error_names_the_first_stamp_out_of_range(stamps, year):
+    with pytest.raises(ValueError, match=f"^timestamp year {year} outside supported range "
+                                         "1950-2100$"):
+        sun_altitudes(np.array(stamps, dtype="datetime64[us]"), TROPICAL_SITE)
+
+
+def test_no_stamps_pass_the_year_check_and_not_a_time_fails_it():
+    with pytest.raises(ValueError, match="outside supported range"):
+        sun_altitudes(np.array(["2009-01-01", "NaT"], dtype="datetime64[us]"), TROPICAL_SITE)
+    altitude, terms = sun_altitudes(np.array([], dtype="datetime64[us]"), TROPICAL_SITE)
+    assert altitude.shape == (0,) and terms.shape == (4, 0)
+
+
+def test_an_overcast_run_computes_no_sun_direction(coarse_sim):
+    """With no direct part on any step, every block hands pass two no step."""
+    weather = overcast_minutes(datetime(2009, 7, 15, 0, 0), 3 * daylight.BLOCK_STEPS - 5)
+    with mock.patch.object(daylight, "sun_directions", wraps=sun_directions) as spy:
+        res = coarse_sim.run(weather, probes=CELL_PROBES)
+    assert spy.call_count == 3
+    for call in spy.call_args_list:
+        altitude, terms, _ = call.args
+        assert altitude.shape == (0,) and terms.shape == (4, 0)
+    assert not res.patch_area.any() and res.outdoor_global.any()
 
 
 # ---------------------------------------------------------------------------
