@@ -5,9 +5,10 @@ Daylight-factor precomputation is reported separately from the stepping
 loop, since it runs once per geometry, and so are parsing the year's weather
 CSV and writing the year's results (both in a temporary directory). Three
 layers of the stepping are also timed on their own, in the stepping's
-``BLOCK_STEPS`` blocks: the sun position (altitude) of every step, and for
-the sunny steps, those with the sun up and a direct part, the sun's
-direction and the sun patches (``Simulator.beam``). The
+``BLOCK_STEPS`` blocks: the sun position (altitude) of every step, and of
+the lit steps alone (those whose weather carries light), which is what the
+stepping pays; and for the sunny steps, those with the sun up and a direct
+part, the sun's direction and the sun patches (``Simulator.beam``). The
 sun patches of the benchmark's L-shaped room (``perfbench/inputs.py``,
 ``L_ROOM``) are timed too, over every 3rd step with 5 of its probes, best
 of 5 passes: its floor is cut into convex parts, so this is the layer
@@ -54,12 +55,21 @@ def sun_blocks(times: np.ndarray, location):
             np.concatenate([terms for _, terms in suns], axis=1))
 
 
+def lit(weather: WeatherSeries, stride: int, efficacy) -> np.ndarray:
+    """Which of every ``stride``-th sample carries light as if the sun were
+    up: the steps whose altitude the stepping works out."""
+    diffuse, direct = outdoor_illuminance(True, weather.gh[::stride], weather.dh[::stride],
+                                          efficacy, weather.ev_global[::stride],
+                                          weather.ev_diffuse[::stride])
+    return (diffuse.view(np.uint64) | direct.view(np.uint64)) != 0
+
+
 def sunny(altitude, weather: WeatherSeries, stride: int, efficacy) -> np.ndarray:
     """The indices of every ``stride``-th sample with the sun up and a direct part."""
-    _, direct = outdoor_illuminance(altitude, weather.gh[::stride], weather.dh[::stride],
+    _, direct = outdoor_illuminance(altitude > 0.0, weather.gh[::stride], weather.dh[::stride],
                                     efficacy, weather.ev_global[::stride],
                                     weather.ev_diffuse[::stride])
-    return np.flatnonzero((altitude > 0.0) & (direct > 0.0))
+    return np.flatnonzero(direct > 0.0)
 
 
 def sunny_suns(altitude, terms, up, location):
@@ -84,14 +94,24 @@ def time_beam(beam: BeamKernel, altitude, direction, probes, repeats: int = 1) -
 
 
 def time_layers(sim, weather: WeatherSeries, step: int, probes) -> None:
-    """Print the time per step of the sun position, and per sunny step of
-    the sun's direction and of the sun patch."""
+    """Print the time per step of the sun position, over every step and
+    over the lit steps alone, which is what the stepping pays, and per sunny
+    step of the sun's direction and of the sun patch."""
     times = weather.times[::step]
     t0 = time.perf_counter()
     altitude, terms = sun_blocks(times, sim.location)
     elapsed = time.perf_counter() - t0
     print(f"sun position: {len(times)} steps in {elapsed:.2f} s "
           f"({1e6 * elapsed / len(times):.2f} us/step)")
+
+    is_lit = lit(weather, step, sim.efficacy)
+    t0 = time.perf_counter()
+    for i in range(0, len(times), BLOCK_STEPS):
+        sun_altitudes(times[i:i + BLOCK_STEPS][is_lit[i:i + BLOCK_STEPS]], sim.location)
+    elapsed = time.perf_counter() - t0
+    n_lit = int(is_lit.sum())
+    print(f"sun position (lit): {n_lit} of {len(times)} steps in {elapsed:.2f} s "
+          f"({1e6 * elapsed / max(n_lit, 1):.2f} us/step)")
 
     up = sunny(altitude, weather, step, sim.efficacy)
     t0 = time.perf_counter()

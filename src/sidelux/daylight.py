@@ -53,7 +53,8 @@ from .geometry import (
 )
 from .metrics import hour_groups
 from .solar import EfficacyModel, GeoLocation, OutdoorIlluminance, SolarState, WeatherSeries, \
-    local_time, outdoor_illuminance, sun_altitudes, sun_directions, sun_positions
+    check_ascending_years, local_time, outdoor_illuminance, sun_altitudes, sun_directions, \
+    sun_positions
 
 # Horizontal illuminance of the full CIE overcast dome for unit zenith
 # luminance: integral of (1+2 sin g)/3 * sin g over the hemisphere = 7*pi/9.
@@ -664,8 +665,12 @@ class Simulator:
     The daylight-factor field depends on geometry only, so it is computed
     once at construction and reused for every timestep; per step only the
     outdoor conversion and the sun-patch geometry change. Periods are
-    stepped in time blocks of ``BLOCK_STEPS`` timesteps: sun altitude,
-    outdoor conversion and the DF term, each one array pass per block. The
+    stepped in time blocks of ``BLOCK_STEPS`` timesteps, whose weather is
+    read as slices when the steps are the weather's own consecutive rows
+    and looked up row by row otherwise: outdoor conversion, sun altitude
+    and the DF term, each one array pass per block. The altitude is worked
+    out only for the steps whose weather carries light; every other step
+    is dark whatever the sun does. The
     sunny steps (sun above the horizon, a direct part), the only ones whose
     sun azimuth and direction are worked out, are held across blocks and
     handed to the :class:`BeamKernel` in batches of
@@ -786,11 +791,16 @@ class Simulator:
         probe_pts, probe_df = self._probe_df(probes)
 
         times = first + np.arange(n) * step
-        rows = np.minimum(np.searchsorted(weather.times, times), len(weather) - 1)
-        found = weather.times[rows] == times
-        if not found.all():
-            missing = times[np.argmin(found)].astype(datetime)
-            raise DataError(f"no weather record for {missing.isoformat()}")
+        # when the steps are the weather's own rows r0 ... r0 + n - 1, a block's
+        # columns are slices; otherwise each step's row is looked up and gathered
+        r0 = int(np.searchsorted(weather.times, first))
+        rows = None
+        if not np.array_equal(weather.times[r0:r0 + n], times):
+            rows = np.minimum(np.searchsorted(weather.times, times), len(weather) - 1)
+            found = weather.times[rows] == times
+            if not found.all():
+                missing = times[np.argmin(found)].astype(datetime)
+                raise DataError(f"no weather record for {missing.isoformat()}")
 
         field_at = sorted(map(local_time, set(field_at)))
         field_steps, off_step = np.divmod(np.array(field_at, "datetime64[us]") - first, step)
@@ -800,6 +810,8 @@ class Simulator:
             raise DataError("field requested at instants not visited by the stepping: "
                             + ", ".join(ts.isoformat() for ts in missing))
 
+        # only the lit steps' altitudes are worked out, but every step must be in range
+        check_ascending_years(times)
         outdoor_global, outdoor_diffuse, outdoor_direct = np.empty((3, n))
         patch_area = np.zeros(n)
         probe_global = np.empty((n, len(probes)))
@@ -815,22 +827,28 @@ class Simulator:
         # the sunny steps (their index, altitude and direction) not yet lit
         held = (np.empty(0, dtype=np.intp), np.empty(0), np.empty((0, 3)))
         for i in range(0, n, BLOCK_STEPS):
-            block = slice(i, i + BLOCK_STEPS)
-            r = rows[block]
-            altitude, terms = sun_altitudes(times[block], self.location)
+            block = slice(i, min(i + BLOCK_STEPS, n))
+            r = slice(r0 + i, r0 + block.stop) if rows is None else rows[block]
             diffuse, direct = outdoor_illuminance(
-                altitude, weather.gh[r], weather.dh[r], self.efficacy,
+                True, weather.gh[r], weather.dh[r], self.efficacy,
                 weather.ev_global[r], weather.ev_diffuse[r])
+            # only the lit steps, those with light as if the sun were up (-0.0 too,
+            # whose sign the sun keeps), need the altitude: any other step is +0.0
+            # whether the sun is up or not; the lit ones with the sun down are zeroed
+            lit = np.flatnonzero((diffuse.view(np.uint64) | direct.view(np.uint64)) != 0)
+            altitude, terms = sun_altitudes(times[block][lit], self.location)
+            dark = lit[~(altitude > 0.0)]
+            diffuse[dark] = direct[dark] = 0.0
             e_global = diffuse + direct
             outdoor_global[block], outdoor_diffuse[block], outdoor_direct[block] = \
                 e_global, diffuse, direct
             # + 0.0, as a sunny step adds its direct term: a -0.0 product reads 0.0
             probe_global[block] = probe_df[None, :] * e_global[:, None] + 0.0
-            sunny = np.flatnonzero((altitude > 0.0) & (direct > 0.0))
+            sunny = np.flatnonzero((altitude > 0.0) & (direct[lit] > 0.0))
             sunny_altitude = altitude[sunny]
             _, direction = sun_directions(sunny_altitude, terms[:, sunny], self.location)
             held = tuple(np.concatenate((h, new)) for h, new in
-                         zip(held, (sunny + i, sunny_altitude, direction)))
+                         zip(held, (lit[sunny] + i, sunny_altitude, direction)))
             while len(held[0]) >= BLOCK_STEPS:
                 add_beam(tuple(h[:BLOCK_STEPS] for h in held))
                 held = tuple(h[BLOCK_STEPS:] for h in held)

@@ -8,11 +8,13 @@ comes from true solar time. Accuracy is a few hundredths of a degree over
 1950-2100. Azimuth is measured clockwise from North, altitude above the
 horizon. Local axes everywhere are x=East, y=North, z=up.
 
-The position is two passes: :func:`sun_altitudes` works out the altitude of
-every step, which the outdoor conversion reads, and :func:`sun_directions`
-the azimuth and direction, which only the beam reads, so a period run calls
-it on the sunny steps it holds for the beam alone. :func:`sun_positions` is
-both passes over every step.
+The position is two passes: :func:`sun_altitudes` works out the altitude,
+which the outdoor conversion reads, and :func:`sun_directions` the azimuth
+and direction, which only the beam reads. A period run calls the first only
+on the steps whose weather carries light, since a step without light is
+dark whether the sun is up or not (:func:`check_ascending_years` checks the
+whole period's years), and the second on the sunny steps it holds for the
+beam alone. :func:`sun_positions` is both passes over every step.
 """
 
 from __future__ import annotations
@@ -87,6 +89,22 @@ _FIRST, _END = np.datetime64("1950-01-01", "us"), np.datetime64("2101-01-01", "u
 _US_PER_DAY = 86_400_000_000
 
 
+def _check_years(t: np.ndarray) -> None:
+    """Raise for the first of the stamps ``t`` outside 1950-2100, naming its year."""
+    bad = ~((t >= _FIRST) & (t < _END))  # NaT compares false, so it is bad too
+    if bad.any():
+        year = int(t[np.argmax(bad)].astype("datetime64[Y]").astype(np.int64)) + 1970
+        raise ValueError(f"timestamp year {year} outside supported range 1950-2100")
+
+
+def check_ascending_years(times: np.ndarray) -> None:
+    """The year check of :func:`sun_altitudes` over ascending ``times`` (at
+    least one), on two stamps: the stamps out of range are a run at the
+    start and a run at the end, so the first of them is the first stamp or
+    the first one at or past 2101."""
+    _check_years(times[[0, min(int(np.searchsorted(times, _END)), len(times) - 1)]])
+
+
 def sun_altitudes(times: np.ndarray, loc: GeoLocation) -> tuple[np.ndarray, np.ndarray]:
     """Sun altitude (degrees) for an array of local civil timestamps, and the
     hour-angle and declination terms, shape (4, n), from which
@@ -96,10 +114,7 @@ def sun_altitudes(times: np.ndarray, loc: GeoLocation) -> tuple[np.ndarray, np.n
     low-precision mean elements, hour angle from true solar time.
     """
     t = np.asarray(times, dtype="datetime64[us]")
-    bad = ~((t >= _FIRST) & (t < _END))  # NaT compares false, so it is bad too
-    if bad.any():
-        year = int(t[np.argmax(bad)].astype("datetime64[Y]").astype(np.int64)) + 1970
-        raise ValueError(f"timestamp year {year} outside supported range 1950-2100")
+    _check_years(t)
     days = (t - _J2000).astype(np.int64) / 1e6 / 86400.0 - loc.timezone / 24.0
     mean_long = np.radians((280.460 + 0.9856474 * days) % 360.0)
     mean_anom = np.radians((357.528 + 0.9856003 * days) % 360.0)
@@ -259,25 +274,26 @@ class OutdoorIlluminance:
         return cls(diffuse + direct, diffuse, direct)
 
 
-def outdoor_illuminance(altitude: np.ndarray, gh: np.ndarray, dh: np.ndarray,
+def outdoor_illuminance(up: np.ndarray | bool, gh: np.ndarray, dh: np.ndarray,
                         eff: EfficacyModel, ev_global: np.ndarray,
                         ev_diffuse: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Outdoor diffuse and direct horizontal illuminance (lux) per step.
+    """Outdoor diffuse and direct horizontal illuminance (lux) per step;
+    ``up`` marks the steps with the sun above the horizon (``True``: every
+    step).
 
     Below the horizon everything is zero. In passthrough mode the measured
     illuminances are used where both are measured (not NaN); everywhere else
     the beam horizontal irradiance max(0, Gh - Dh) and the diffuse irradiance
     are converted with the configured efficacies.
     """
-    up = altitude > 0.0
-    diffuse = np.where(up, eff.kd * dh, 0.0)
+    diffuse = eff.kd * dh
     # fmax, not maximum: a NaN difference gives no direct part
-    direct = np.where(up, eff.kb * np.fmax(0.0, gh - dh), 0.0)
+    direct = eff.kb * np.fmax(0.0, gh - dh)
     if eff.mode == "passthrough":
-        use = up & ~np.isnan(ev_global) & ~np.isnan(ev_diffuse)
+        use = ~np.isnan(ev_global) & ~np.isnan(ev_diffuse)
         diffuse = np.where(use, ev_diffuse, diffuse)
         direct = np.where(use, np.fmax(0.0, ev_global - ev_diffuse), direct)
-    return diffuse, direct
+    return np.where(up, diffuse, 0.0), np.where(up, direct, 0.0)
 
 
 def reconstruct_illuminance(sun: SolarState, gh: float, dh: float, eff: EfficacyModel,
@@ -286,7 +302,7 @@ def reconstruct_illuminance(sun: SolarState, gh: float, dh: float, eff: Efficacy
     """Outdoor illuminance for one sample (see :func:`outdoor_illuminance`);
     a measured illuminance left out counts as not measured."""
     diffuse, direct = outdoor_illuminance(
-        np.array([sun.altitude]), np.array([gh]), np.array([dh]), eff,
+        sun.altitude > 0.0, np.array([gh]), np.array([dh]), eff,
         np.array([ev_global], dtype=float), np.array([ev_diffuse], dtype=float),
     )
     return OutdoorIlluminance.from_components(float(diffuse[0]), float(direct[0]))

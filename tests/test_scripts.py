@@ -33,9 +33,12 @@ def test_benchmark_year_hourly_steps(tmp_path):
     assert re.search(r"^weather parse: 525600 rows in \d+\.\d\d s \(\d+ rows/s\)$", out, re.M)
     assert re.search(r"^summary write: 8760 rows in \d+\.\d\d s \(\d+ rows/s\)$", out, re.M)
     assert re.search(r"^sun position: 8760 steps in \d+\.\d\d s \(\d+\.\d\d us/step\)$", out, re.M)
+    lit = re.search(r"^sun position \(lit\): (\d+) of 8760 steps in \d+\.\d\d s "
+                    r"\(\d+\.\d\d us/step\)$", out, re.M)
     sunny = re.search(r"^sun patch: (\d+) sunny steps in (\d+) batches in \d+\.\d\d s "
                       r"\(\d+\.\d\d us/step\)$", out, re.M)
     assert sunny and 0 < int(sunny[1]) < 8760 and int(sunny[2]) == -(-int(sunny[1]) // 4096)
+    assert lit and int(sunny[1]) <= int(lit[1]) < 8760
     direction = re.search(r"^sun direction: (\d+) sunny steps in \d+\.\d\d s "
                           r"\(\d+\.\d\d us/step\)$", out, re.M)
     assert direction and direction[1] == sunny[1]

@@ -30,11 +30,13 @@ from sidelux.daylight import (
 )
 from sidelux.errors import ConfigError, DataError
 from sidelux.geometry import Polygon3
+from sidelux.io import parse_weather_csv, write_weather_csv
 from sidelux.solar import (
     EfficacyModel,
     OutdoorIlluminance,
     SolarState,
     WeatherSeries,
+    outdoor_illuminance,
     reconstruct_illuminance,
     sun_altitudes,
     sun_directions,
@@ -368,6 +370,120 @@ def test_an_overcast_run_computes_no_sun_direction(coarse_sim):
     assert not res.patch_area.any() and res.outdoor_global.any()
 
 
+def test_an_all_dark_run_computes_no_sun_altitude(coarse_sim):
+    """With no light on any step, by day too, every block hands pass one no
+    step, and every output is +0.0."""
+    n = 3 * daylight.BLOCK_STEPS - 5
+    times = np.datetime64("2009-07-15", "us") + np.arange(n) * np.timedelta64(1, "m")
+    weather = WeatherSeries(times, np.zeros(n), np.zeros(n))
+    with mock.patch.object(daylight, "sun_altitudes", wraps=sun_altitudes) as spy:
+        res = coarse_sim.run(weather, probes=CELL_PROBES)
+    assert spy.call_count == 3
+    for call in spy.call_args_list:
+        assert call.args[0].shape == (0,)
+    for series in (res.outdoor_global, res.outdoor_diffuse, res.outdoor_direct, res.patch_area,
+                   res.probe_global):
+        assert not series.any() and not np.signbit(series).any()
+
+
+@pytest.mark.parametrize("start,rows_minutes,n_rows,step,year", [
+    ("1949-12-31T23:50", 1, 20, 1, 1949),
+    ("2100-12-31T23:50", 1, 20, 1, 2101),
+    ("2100-12-31T23:50", 1, 20, 3, 2101),
+    ("2100-06-01", 400 * 1440, 3, 400 * 1440, 2101),  # the last step is in 2102
+], ids=["into_1950", "into_2101", "into_2101_gathered", "past_2101"])
+def test_a_dark_period_out_of_range_names_the_first_bad_year(coarse_sim, start, rows_minutes,
+                                                             n_rows, step, year):
+    """Only the lit steps' altitudes are worked out, yet a period of dark
+    steps outside 1950-2100 is refused, naming the first bad step's year."""
+    times = np.datetime64(start, "us") + np.arange(n_rows) * np.timedelta64(rows_minutes, "m")
+    weather = WeatherSeries(times, np.zeros(n_rows), np.zeros(n_rows))
+    with pytest.raises(ValueError, match=f"^timestamp year {year} outside supported range "
+                                         "1950-2100$"):
+        coarse_sim.run(weather, step_minutes=step)
+
+
+def assert_run_is_the_full_pass(sim, weather, monkeypatch, step_minutes=1):
+    """In blocks of 7 and of ``BLOCK_STEPS`` steps, ``run`` gives the bits of
+    a full pass that works out the altitude of every step: the outdoor
+    series, the sunny steps handed to the beam, and the probes of the other
+    steps. Returns the full pass's altitude and the last run."""
+    loc = sim.location
+    stride = slice(None, None, step_minutes)
+    altitude, _, _ = one_pass_sun_positions(weather.times[stride], loc.latitude, loc.longitude,
+                                            loc.timezone)
+    diffuse, direct = outdoor_illuminance(altitude > 0.0, weather.gh[stride], weather.dh[stride],
+                                          sim.efficacy, weather.ev_global[stride],
+                                          weather.ev_diffuse[stride])
+    sunny = (altitude > 0.0) & (direct > 0.0)
+    _, probe_df = sim._probe_df(CELL_PROBES)
+    for size in (7, daylight.BLOCK_STEPS):
+        with monkeypatch.context() as patch:
+            patch.setattr(daylight, "BLOCK_STEPS", size)
+            with mock.patch.object(sim, "_illuminance", wraps=sim._illuminance) as spy:
+                res = sim.run(weather, step_minutes=step_minutes, probes=CELL_PROBES)
+        assert_same_bits(res.timestamps, weather.times[stride])
+        for got, expected in zip((res.outdoor_diffuse, res.outdoor_direct, res.outdoor_global),
+                                 (diffuse, direct, diffuse + direct)):
+            assert_same_bits(got, expected)
+        *beam, _ = spy.call_args_list  # the beam batches, then the (empty) fields
+        assert_same_bits(np.concatenate([call.args[0] for call in beam]), altitude[sunny])
+        assert_same_bits(np.concatenate([call.args[3] for call in beam]), direct[sunny])
+        e_global = (diffuse + direct)[~sunny]
+        assert_same_bits(res.probe_global[~sunny], probe_df[None, :] * e_global[:, None] + 0.0)
+        assert not res.patch_area[~sunny].any()
+    return altitude, res
+
+
+def test_light_before_sunrise_reads_dark_as_in_the_full_pass(coarse_sim, monkeypatch):
+    """Records with light while the sun is still below the horizon are lit
+    steps whose altitude zeroes them."""
+    weather = winter_weather(1)
+    altitude, _, _ = sun_positions(weather.times, TROPICAL_SITE)
+    sunrise = int(np.argmax(altitude > 0.0))
+    gh, dh = weather.gh.copy(), weather.dh.copy()
+    gh[sunrise - 40:sunrise], dh[sunrise - 40:sunrise] = 4.0, 3.0
+    dawn = WeatherSeries(weather.times, gh, dh)
+    _, res = assert_run_is_the_full_pass(coarse_sim, dawn, monkeypatch)
+    assert not res.outdoor_global[sunrise - 40:sunrise].any()
+    assert res.outdoor_global[sunrise]
+
+
+def test_negative_zero_records_from_a_file_keep_the_full_pass_bits(coarse_sim, monkeypatch,
+                                                                   tmp_path):
+    """A -0.00 record carries light as far as the bits go: with the sun up
+    its diffuse part is -0.0, as in the full pass; with the sun down +0.0."""
+    weather = winter_weather(1)
+    path = tmp_path / "weather.csv"
+    write_weather_csv(weather, path)
+    lines = path.read_text().splitlines()
+    for k in (*range(100, 130), *range(700, 730)):  # before sunrise, then about noon
+        lines[1 + k] = lines[1 + k].split(",")[0] + ",-0.00,-0.00"
+    path.write_text("\n".join(lines) + "\n")
+    signed = parse_weather_csv(path)
+    assert np.signbit(signed.gh).sum() == np.signbit(signed.dh).sum() == 60
+    altitude, res = assert_run_is_the_full_pass(coarse_sim, signed, monkeypatch)
+    assert np.array_equal(np.signbit(res.outdoor_diffuse), np.signbit(signed.dh) & (altitude > 0.0))
+    assert np.signbit(res.outdoor_diffuse[700:730]).all()
+
+
+def test_measured_light_at_night_reads_dark_as_in_the_full_pass(monkeypatch):
+    """In passthrough mode a measured, non-zero illuminance at night makes a
+    lit step whose altitude zeroes it."""
+    sim = Simulator(make_canonical_room(), TROPICAL_SITE, cell=0.5,
+                    efficacy=EfficacyModel(mode="passthrough"))
+    weather = winter_weather(1, measured_every=3)
+    altitude, _, _ = sun_positions(weather.times, TROPICAL_SITE)
+    night = ~(altitude > 0.0)
+    assert not weather.gh[night].any()
+    evg, evd = weather.ev_global.copy(), weather.ev_diffuse.copy()
+    evg[night], evd[night] = 50.0, 20.0
+    measured = WeatherSeries(weather.times, weather.gh, weather.dh, evg, evd)
+    _, res = assert_run_is_the_full_pass(sim, measured, monkeypatch)
+    assert not res.outdoor_global[night].any()
+    assert res.outdoor_diffuse[~night].any() and res.outdoor_direct[~night].any()
+
+
 # ---------------------------------------------------------------------------
 # Beam invariants over random L-rooms with 0-2 obstructions, which do not
 # shade the beam.
@@ -679,6 +795,43 @@ def test_default_end_stops_at_the_last_sample(coarse_sim, step, n):
     res = coarse_sim.run(weather, step_minutes=step)
     assert len(res.timestamps) == n
     assert res.timestamps[-1] == weather.times[(n - 1) * step]
+
+
+def test_a_period_inside_the_weather_is_that_period_cut_out(coarse_sim, monkeypatch):
+    """A period that starts after the first record and ends before the last
+    reads its own rows: every series and field is the bits of a run on the
+    same rows cut out as their own series."""
+    monkeypatch.setattr(daylight, "BLOCK_STEPS", 512)  # the period ends inside a block
+    weather = winter_weather(2)
+    start, end = datetime(2009, 7, 1, 9, 13), datetime(2009, 7, 2, 15, 2)
+    rows = slice(*np.searchsorted(weather.times, np.array([start, end], "datetime64[us]")))
+    assert rows.start > 0 and rows.stop < len(weather)
+    field_at = [datetime(2009, 7, 1, 12, 0), datetime(2009, 7, 2, 10, 17)]
+    inside = coarse_sim.run(weather, start=start, end=end, probes=CELL_PROBES, field_at=field_at)
+    cut = coarse_sim.run(subset(weather, rows), probes=CELL_PROBES, field_at=field_at)
+    for attr in ("timestamps", "outdoor_global", "outdoor_diffuse", "outdoor_direct",
+                 "patch_area", "probe_global"):
+        assert_same_bits(getattr(inside, attr), getattr(cut, attr))
+    for when in field_at:
+        for attr in ("e_diffuse", "e_direct", "e_global"):
+            assert_same_bits(getattr(inside.fields[when], attr), getattr(cut.fields[when], attr))
+    assert (inside.patch_area > 0.0).sum() > 500
+
+
+def test_an_end_past_the_last_record_names_the_first_missing_stamp(coarse_sim):
+    start = datetime(2009, 7, 15, 10, 0)
+    weather = overcast_minutes(start, 30)
+    with pytest.raises(DataError, match="no weather record for 2009-07-15T10:30:00$"):
+        coarse_sim.run(weather, start=start + timedelta(minutes=5),
+                       end=start + timedelta(minutes=45))
+
+
+def test_seven_minute_steps_are_the_full_pass(monkeypatch):
+    """Steps coarser than the records look up their rows and give the bits
+    of the full pass over every 7th record."""
+    sim = Simulator(make_canonical_room(), TROPICAL_SITE, cell=0.5)
+    _, res = assert_run_is_the_full_pass(sim, winter_weather(2), monkeypatch, step_minutes=7)
+    assert (res.patch_area > 0.0).sum() > 100
 
 
 def test_first_missing_record_is_named(coarse_sim):
