@@ -4,15 +4,16 @@
 Daylight-factor precomputation is reported separately from the stepping
 loop, since it runs once per geometry, and so are parsing the year's weather
 CSV and writing the year's results (both in a temporary directory). Three
-layers of the stepping are also timed on their own, in the stepping's
-``BLOCK_STEPS`` blocks: the sun position (altitude) of every step, and of
-the lit steps alone (those whose weather carries light), which is what the
-stepping pays; and for the sunny steps, those with the sun up and a direct
-part, the sun's direction and the sun patches (``Simulator.beam``). The
-sun patches of the benchmark's L-shaped room (``perfbench/inputs.py``,
-``L_ROOM``) are timed too, over every 3rd step with 5 of its probes, best
-of 5 passes: its floor is cut into convex parts, so this is the layer
-those parts weigh on.
+layers of the stepping are read from the run itself, which records the rows
+and time of each call it makes (:func:`recorded`): the sun position, per
+step and per lit step (those whose weather carries light, the only ones
+whose altitude the run works out); the sun's direction, per sunny step (sun
+up, a direct part); and the sun patches (``Simulator.beam``) of the sunny
+steps, per step and in how many batches. The sun patches of the
+benchmark's L-shaped room (``perfbench/inputs.py``, ``L_ROOM``) are read the
+same way, from 5 runs over every 3rd step with 5 of its probes, best of 5:
+its floor is cut into convex parts, so this is the layer those parts weigh
+on.
 
     python scripts/benchmark_year.py [--cell 0.1] [--step 1]
 """
@@ -21,6 +22,7 @@ import argparse
 import sys
 import tempfile
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -30,11 +32,10 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 import inputs  # noqa: E402
-from sidelux.daylight import BLOCK_STEPS, BeamKernel  # noqa: E402
+from sidelux import daylight  # noqa: E402
 from sidelux.io import (  # noqa: E402
     parse_building, parse_weather_csv, write_results, write_weather_csv)
-from sidelux.solar import (  # noqa: E402
-    WeatherSeries, outdoor_illuminance, sun_altitudes, sun_directions)
+from sidelux.solar import WeatherSeries  # noqa: E402
 
 
 def year_weather(year=2009) -> WeatherSeries:
@@ -46,99 +47,71 @@ def year_weather(year=2009) -> WeatherSeries:
     return WeatherSeries(times, gh, 0.35 * gh)
 
 
-def sun_blocks(times: np.ndarray, location):
-    """Altitude of the sun at ``times`` and the terms of its direction, in
-    the stepping's ``BLOCK_STEPS`` blocks."""
-    suns = [sun_altitudes(times[i:i + BLOCK_STEPS], location)
-            for i in range(0, len(times), BLOCK_STEPS)]
-    return (np.concatenate([altitude for altitude, _ in suns]),
-            np.concatenate([terms for _, terms in suns], axis=1))
+@contextmanager
+def recorded(sim):
+    """While the block runs, log the rows and seconds of each call that
+    ``sim`` makes to the sun's altitude pass, its direction pass and its
+    beam (the ``BeamKernel`` call), as (rows, seconds) lists by name."""
+    targets = {"altitude": (daylight, "sun_altitudes"),
+               "direction": (daylight, "sun_directions"), "beam": (sim, "beam")}
+    originals = {name: getattr(*target) for name, target in targets.items()}
+    calls = {name: [] for name in targets}
+
+    def timed(name):
+        def call(*args):
+            t0 = time.perf_counter()
+            out = originals[name](*args)
+            calls[name].append((len(args[0]), time.perf_counter() - t0))
+            return out
+        return call
+
+    try:
+        for name, (owner, attr) in targets.items():
+            setattr(owner, attr, timed(name))
+        yield calls
+    finally:
+        for name, (owner, attr) in targets.items():
+            setattr(owner, attr, originals[name])
 
 
-def lit(weather: WeatherSeries, stride: int, efficacy) -> np.ndarray:
-    """Which of every ``stride``-th sample carries light as if the sun were
-    up: the steps whose altitude the stepping works out."""
-    diffuse, direct = outdoor_illuminance(True, weather.gh[::stride], weather.dh[::stride],
-                                          efficacy, weather.ev_global[::stride],
-                                          weather.ev_diffuse[::stride])
-    return (diffuse.view(np.uint64) | direct.view(np.uint64)) != 0
+def totals(log) -> tuple[int, float]:
+    """Rows and seconds over the calls of one log."""
+    return sum(rows for rows, _ in log), sum(seconds for _, seconds in log)
 
 
-def sunny(altitude, weather: WeatherSeries, stride: int, efficacy) -> np.ndarray:
-    """The indices of every ``stride``-th sample with the sun up and a direct part."""
-    _, direct = outdoor_illuminance(altitude > 0.0, weather.gh[::stride], weather.dh[::stride],
-                                    efficacy, weather.ev_global[::stride],
-                                    weather.ev_diffuse[::stride])
-    return np.flatnonzero(direct > 0.0)
+def per_step(seconds: float, n: int) -> str:
+    return f"{seconds:.2f} s ({1e6 * seconds / max(n, 1):.2f} us/step)"
 
 
-def sunny_suns(altitude, terms, up, location):
-    """Altitude and direction of the sun at the steps ``up``, gathered and
-    worked out in ``BLOCK_STEPS`` batches."""
-    direction = [sun_directions(altitude[s], terms[:, s], location)[1]
-                 for s in np.split(up, range(BLOCK_STEPS, len(up), BLOCK_STEPS))]
-    return altitude[up], np.concatenate(direction)
+def print_layers(calls, n: int) -> None:
+    """Print the sun position per step of the run and per lit step, and per
+    sunny step the sun's direction and the sun patch."""
+    n_lit, t_altitude = totals(calls["altitude"])
+    n_sunny, t_direction = totals(calls["direction"])
+    n_beam, t_beam = totals(calls["beam"])
+    print(f"sun position: {n} steps in {per_step(t_altitude + t_direction, n)}")
+    print(f"sun position (lit): {n_lit} of {n} steps in {per_step(t_altitude, n_lit)}")
+    print(f"sun direction: {n_sunny} sunny steps in {per_step(t_direction, n_sunny)}")
+    print(f"sun patch: {n_beam} sunny steps in {len(calls['beam'])} batches "
+          f"in {per_step(t_beam, n_beam)}")
 
 
-def time_beam(beam: BeamKernel, altitude, direction, probes, repeats: int = 1) -> float:
-    """The best of ``repeats`` passes of the beam over the suns, in
-    ``BLOCK_STEPS`` batches."""
-    points = np.array(probes, dtype=float)
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        for i in range(0, len(altitude), BLOCK_STEPS):
-            beam(altitude[i:i + BLOCK_STEPS], direction[i:i + BLOCK_STEPS], points)
-        best = min(best, time.perf_counter() - t0)
-    return best
-
-
-def time_layers(sim, weather: WeatherSeries, step: int, probes) -> None:
-    """Print the time per step of the sun position, over every step and
-    over the lit steps alone, which is what the stepping pays, and per sunny
-    step of the sun's direction and of the sun patch."""
-    times = weather.times[::step]
-    t0 = time.perf_counter()
-    altitude, terms = sun_blocks(times, sim.location)
-    elapsed = time.perf_counter() - t0
-    print(f"sun position: {len(times)} steps in {elapsed:.2f} s "
-          f"({1e6 * elapsed / len(times):.2f} us/step)")
-
-    is_lit = lit(weather, step, sim.efficacy)
-    t0 = time.perf_counter()
-    for i in range(0, len(times), BLOCK_STEPS):
-        sun_altitudes(times[i:i + BLOCK_STEPS][is_lit[i:i + BLOCK_STEPS]], sim.location)
-    elapsed = time.perf_counter() - t0
-    n_lit = int(is_lit.sum())
-    print(f"sun position (lit): {n_lit} of {len(times)} steps in {elapsed:.2f} s "
-          f"({1e6 * elapsed / max(n_lit, 1):.2f} us/step)")
-
-    up = sunny(altitude, weather, step, sim.efficacy)
-    t0 = time.perf_counter()
-    altitude, direction = sunny_suns(altitude, terms, up, sim.location)
-    elapsed = time.perf_counter() - t0
-    print(f"sun direction: {len(up)} sunny steps in {elapsed:.2f} s "
-          f"({1e6 * elapsed / max(len(up), 1):.2f} us/step)")
-
-    elapsed = time_beam(sim.beam, altitude, direction, probes)
-    print(f"sun patch: {len(altitude)} sunny steps in {-(-len(altitude) // BLOCK_STEPS)} batches "
-          f"in {elapsed:.2f} s ({1e6 * elapsed / max(len(altitude), 1):.2f} us/step)")
-
-
-def time_l_room_beam(weather: WeatherSeries, step: int, tmp: Path) -> None:
-    """Print the time per sunny step of the L-shaped room's sun patches."""
+def time_l_room_beam(weather: WeatherSeries, step: int, cell: float, tmp: Path) -> None:
+    """Print the time per sunny step of the L-shaped room's sun patches,
+    the best of 5 runs over every 3rd step."""
     path = tmp / "l_room.json"
     inputs.write_building(path, "l_room")
     building = parse_building(path)
-    room = building.room
-    altitude, terms = sun_blocks(weather.times[::3 * step], building.location)
-    up = sunny(altitude, weather, 3 * step, building.efficacy)
-    altitude, direction = sunny_suns(altitude, terms, up, building.location)
-    beam = BeamKernel(room, room.floor_z + building.workplane_height)
-    elapsed = time_beam(beam, altitude, direction, inputs.L_ROOM_PROBES[:5], repeats=5)
-    per_step = 1e6 * elapsed / max(len(altitude), 1)
-    print(f"L-room sun patch ({len(room.parts)} floor parts): {len(altitude)} sunny steps of "
-          f"every 3rd step in {elapsed:.2f} s, best of 5 ({per_step:.2f} us/step)")
+    building.workplane_cell = cell
+    sim = building.simulator()
+    runs = []
+    for _ in range(5):
+        with recorded(sim) as calls:
+            sim.run(weather, step_minutes=3 * step, probes=inputs.L_ROOM_PROBES[:5])
+        runs.append(totals(calls["beam"]))
+    n_sunny, best = min(runs, key=lambda run: run[1])
+    print(f"L-room sun patch ({len(sim.room.parts)} floor parts): {n_sunny} sunny steps of "
+          f"every 3rd step in {best:.2f} s, best of 5 ({1e6 * best / max(n_sunny, 1):.2f} us/step)")
 
 
 def main() -> None:
@@ -165,14 +138,15 @@ def main() -> None:
         n = len(weather)
         print(f"weather parse: {n} rows in {elapsed:.2f} s ({n / elapsed:.0f} rows/s)")
 
-        t0 = time.perf_counter()
-        result = sim.run(weather, step_minutes=args.step, probes=probes)
-        elapsed = time.perf_counter() - t0
+        with recorded(sim) as calls:
+            t0 = time.perf_counter()
+            result = sim.run(weather, step_minutes=args.step, probes=probes)
+            elapsed = time.perf_counter() - t0
         n = len(result.timestamps)
         print(f"{n} steps on {sim.grid.n_points} points: {elapsed:.1f} s "
               f"({n / elapsed:.0f} steps/s)")
-        time_layers(sim, weather, args.step, probes)
-        time_l_room_beam(weather, args.step, Path(tmp))
+        print_layers(calls, n)
+        time_l_room_beam(weather, args.step, args.cell, Path(tmp))
 
         t0 = time.perf_counter()
         write_results(result, Path(tmp) / "year")

@@ -554,9 +554,10 @@ class BeamKernel:
     nothing. Per step and aperture the cut window slides along the unit sun
     direction d (from the sun toward the ground) onto the plane and the
     image is clipped against every convex floor part (``Room.parts``). A
-    window casts a patch only when the sun is above the horizon, the light
-    enters through it (d . n_out < -1e-9, n_out its wall's outward normal in
-    ``Room.outward``) and |d_z| > PARALLEL_TOL. A clipped piece of at most
+    window casts a patch only when the light enters through it (d . n_out <
+    -1e-9, n_out its wall's outward normal in ``Room.outward``) and comes
+    down, d_z < -PARALLEL_TOL: the direction alone decides, as d_z < 0
+    exactly when the sun is above the horizon. A clipped piece of at most
     EMPTY_AREA counts as empty; the patch area sums the pieces. A point is
     lit when the patch is non-empty and the point is in the (convex) image,
     within BOUNDARY_TOL metres of its edges included
@@ -576,16 +577,16 @@ class BeamKernel:
                               *(ap.polygon.coords[None] for ap in room.apertures))
         self.windows = split_rings(windows, windows[:, :, 2] - plane_z)[0]
 
-    def __call__(self, altitude: np.ndarray, direction: np.ndarray,
-                 points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Patch area per step and aperture, shape (B, K), and whether each
-        of the (N, 2) ``points`` lies in each non-empty patch, (B, K, N)."""
-        n_steps, n_ap = len(altitude), len(self.windows)
+    def __call__(self, direction: np.ndarray, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Patch area per step and aperture, shape (B, K), for the (B, 3)
+        sun ``direction``, and whether each of the (N, 2) ``points`` lies
+        in each non-empty patch, (B, K, N)."""
+        n_steps, n_ap = len(direction), len(self.windows)
         areas = np.zeros((n_steps, n_ap))
         lit = np.zeros((n_steps, n_ap, len(points)), dtype=bool)
         d = direction / np.sqrt(np.sum(direction * direction, axis=1))[:, None]
         facing = np.sum(direction[:, None, :] * self.room.outward[None], axis=2) < -1e-9
-        ok = facing & ((altitude > 0.0) & (np.abs(d[:, 2]) > PARALLEL_TOL))[:, None]
+        ok = facing & (d[:, 2] < -PARALLEL_TOL)[:, None]
         b, k = np.nonzero(ok)
         images = project_polygon_along_direction(self.windows[k], d[b], self.plane_z)
 
@@ -603,8 +604,7 @@ class BeamKernel:
 def compute_sun_patch(room: Room, ap: Aperture, sun: SolarState, plane_z: float) -> float:
     """Sun patch area (m^2) of one aperture for one sun position on the plane
     z = ``plane_z``: a batch of one through :class:`BeamKernel`."""
-    areas, _ = BeamKernel(room, plane_z)(np.array([sun.altitude]), sun.direction[None],
-                                         np.zeros((0, 2)))
+    areas, _ = BeamKernel(room, plane_z)(sun.direction[None], np.zeros((0, 2)))
     return float(areas[0, room.apertures.index(ap)])
 
 
@@ -668,14 +668,15 @@ class Simulator:
     stepped in time blocks of ``BLOCK_STEPS`` timesteps, whose weather is
     read as slices when the steps are the weather's own consecutive rows
     and looked up row by row otherwise: outdoor conversion, sun altitude
-    and the DF term, each one array pass per block. The altitude is worked
-    out only for the steps whose weather carries light; every other step
-    is dark whatever the sun does. The
-    sunny steps (sun above the horizon, a direct part), the only ones whose
-    sun azimuth and direction are worked out, are held across blocks and
-    handed to the :class:`BeamKernel` in batches of
-    ``BLOCK_STEPS``, and once more at the end of the period, so the working
-    arrays depend on the block and batch size, not on the period.
+    and the DF term, each one array pass per block. :meth:`run` alone
+    decides which steps are lit, dark and sunny: the altitude is worked out
+    only for the steps whose weather carries light, as every other step is
+    dark whatever the sun does; a lit step with the sun down is zeroed; the
+    sunny steps, those left with a direct part, alone get the sun's
+    direction, and are held across blocks and handed to the
+    :class:`BeamKernel` in batches of ``BLOCK_STEPS``, and once more at the
+    end of the period, so the working arrays depend on the block and batch
+    size, not on the period.
     """
 
     def __init__(self, room: Room, location: GeoLocation, cell: float = 0.1,
@@ -701,18 +702,19 @@ class Simulator:
             total = total + df_from_components(sc, erc, irc, ap.fc, ap.mf, ap.fr, ap.tau, ap.mg)
         return total
 
-    def _illuminance(self, altitude: np.ndarray, direction: np.ndarray, e_global: np.ndarray,
-                     e_direct: np.ndarray, points: np.ndarray, df: np.ndarray):
+    def _illuminance(self, direction: np.ndarray, e_global: np.ndarray, e_direct: np.ndarray,
+                     points: np.ndarray, df: np.ndarray):
         """Total patch area per step and diffuse and direct illuminance at
         ``points`` (shape (steps, points)) for a batch of steps; the beam
-        terms need the sun above the horizon and a direct component."""
+        runs on the steps with a direct component, and its ``direction``
+        alone rules out a sun at or below the horizon."""
         e_dif = df[None, :] * e_global[:, None]
         e_dir = np.zeros_like(e_dif)
-        area = np.zeros(len(altitude))
-        sunny = np.flatnonzero((altitude > 0.0) & (e_direct > 0.0))
+        area = np.zeros(len(direction))
+        sunny = np.flatnonzero(e_direct > 0.0)
         if len(sunny) == 0:
             return area, e_dif, e_dir
-        areas, lit = self.beam(altitude[sunny], direction[sunny], points[:, :2])
+        areas, lit = self.beam(direction[sunny], points[:, :2])
         ed = e_direct[sunny]
         dif, dirc, total = e_dif[sunny], e_dir[sunny], area[sunny]
         for k, ap in enumerate(self.room.apertures):
@@ -735,11 +737,11 @@ class Simulator:
         """Fields over the workplane grid at a batch of instants, each with
         its outdoor conditions and sun (None: below the horizon), from one
         :meth:`_illuminance` pass over the instants and the grid points."""
-        altitude = np.array([0.0 if sun is None else sun.altitude for sun in suns])
-        direction = np.array([np.zeros(3) if sun is None else sun.direction
+        # no sun points up, so it casts nothing (zeros would divide 0 by 0)
+        direction = np.array([(0.0, 0.0, 1.0) if sun is None else sun.direction
                               for sun in suns]).reshape(-1, 3)
         area, e_dif, e_dir = self._illuminance(
-            altitude, direction, np.array([o.e_global for o in outdoors]),
+            direction, np.array([o.e_global for o in outdoors]),
             np.array([o.e_direct for o in outdoors]), self.grid.points, self.df)
         return [IlluminanceField(grid=self.grid, timestamp=when, outdoor=outdoor, sun=sun,
                                  df=self.df, e_diffuse=e_dif[j], e_direct=e_dir[j],
@@ -818,20 +820,18 @@ class Simulator:
 
         def add_beam(held):
             """The beam terms of one batch of held steps."""
-            steps, altitude, direction = held
+            steps, direction = held
             patch_area[steps], e_dif, e_dir = self._illuminance(
-                altitude, direction, outdoor_global[steps], outdoor_direct[steps],
-                probe_pts, probe_df)
+                direction, outdoor_global[steps], outdoor_direct[steps], probe_pts, probe_df)
             probe_global[steps] = e_dif + e_dir
 
-        # the sunny steps (their index, altitude and direction) not yet lit
-        held = (np.empty(0, dtype=np.intp), np.empty(0), np.empty((0, 3)))
+        # the sunny steps (their index and direction) not yet lit
+        held = (np.empty(0, dtype=np.intp), np.empty((0, 3)))
         for i in range(0, n, BLOCK_STEPS):
             block = slice(i, min(i + BLOCK_STEPS, n))
             r = slice(r0 + i, r0 + block.stop) if rows is None else rows[block]
-            diffuse, direct = outdoor_illuminance(
-                True, weather.gh[r], weather.dh[r], self.efficacy,
-                weather.ev_global[r], weather.ev_diffuse[r])
+            diffuse, direct = outdoor_illuminance(weather.gh[r], weather.dh[r], self.efficacy,
+                                                  weather.ev_global[r], weather.ev_diffuse[r])
             # only the lit steps, those with light as if the sun were up (-0.0 too,
             # whose sign the sun keeps), need the altitude: any other step is +0.0
             # whether the sun is up or not; the lit ones with the sun down are zeroed
@@ -844,11 +844,11 @@ class Simulator:
                 e_global, diffuse, direct
             # + 0.0, as a sunny step adds its direct term: a -0.0 product reads 0.0
             probe_global[block] = probe_df[None, :] * e_global[:, None] + 0.0
-            sunny = np.flatnonzero((altitude > 0.0) & (direct[lit] > 0.0))
-            sunny_altitude = altitude[sunny]
-            _, direction = sun_directions(sunny_altitude, terms[:, sunny], self.location)
+            # the dark steps are zeroed, so a direct part means the sun is up
+            sunny = np.flatnonzero(direct[lit] > 0.0)
+            _, direction = sun_directions(altitude[sunny], terms[:, sunny], self.location)
             held = tuple(np.concatenate((h, new)) for h, new in
-                         zip(held, (lit[sunny] + i, sunny_altitude, direction)))
+                         zip(held, (lit[sunny] + i, direction)))
             while len(held[0]) >= BLOCK_STEPS:
                 add_beam(tuple(h[:BLOCK_STEPS] for h in held))
                 held = tuple(h[BLOCK_STEPS:] for h in held)

@@ -9,12 +9,13 @@ comes from true solar time. Accuracy is a few hundredths of a degree over
 horizon. Local axes everywhere are x=East, y=North, z=up.
 
 The position is two passes: :func:`sun_altitudes` works out the altitude,
-which the outdoor conversion reads, and :func:`sun_directions` the azimuth
-and direction, which only the beam reads. A period run calls the first only
-on the steps whose weather carries light, since a step without light is
-dark whether the sun is up or not (:func:`check_ascending_years` checks the
-whole period's years), and the second on the sunny steps it holds for the
-beam alone. :func:`sun_positions` is both passes over every step.
+and :func:`sun_directions` the azimuth and direction, which only the beam
+reads; :func:`sun_positions` is both over caller stamps and checks their
+years. A period run checks its whole period's years once
+(:func:`check_ascending_years`), calls the first pass only on the steps
+whose weather carries light and the second on the sunny steps it holds for
+the beam, and zeroes the dark steps of the outdoor conversion
+(:func:`outdoor_illuminance`), which reads no sun.
 """
 
 from __future__ import annotations
@@ -98,7 +99,7 @@ def _check_years(t: np.ndarray) -> None:
 
 
 def check_ascending_years(times: np.ndarray) -> None:
-    """The year check of :func:`sun_altitudes` over ascending ``times`` (at
+    """The year check of :func:`sun_positions` over ascending ``times`` (at
     least one), on two stamps: the stamps out of range are a run at the
     start and a run at the end, so the first of them is the first stamp or
     the first one at or past 2101."""
@@ -111,10 +112,10 @@ def sun_altitudes(times: np.ndarray, loc: GeoLocation) -> tuple[np.ndarray, np.n
     :func:`sun_directions` finds the azimuth and direction of any of them.
 
     Standard geometry: declination and the equation of time from the sun's
-    low-precision mean elements, hour angle from true solar time.
+    low-precision mean elements, hour angle from true solar time. The
+    stamps' years are the caller's to check.
     """
     t = np.asarray(times, dtype="datetime64[us]")
-    _check_years(t)
     days = (t - _J2000).astype(np.int64) / 1e6 / 86400.0 - loc.timezone / 24.0
     mean_long = np.radians((280.460 + 0.9856474 * days) % 360.0)
     mean_anom = np.radians((357.528 + 0.9856003 * days) % 360.0)
@@ -161,9 +162,11 @@ def sun_directions(altitude: np.ndarray, terms: np.ndarray,
 
 def sun_positions(times: np.ndarray, loc: GeoLocation) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sun altitude, azimuth (degrees) and unit direction from the sun toward
-    the ground, shape (n, 3), for an array of local civil timestamps: the
-    two passes :func:`sun_altitudes` and :func:`sun_directions` over all of
-    them."""
+    the ground, shape (n, 3), for an array of local civil timestamps, all
+    in 1950-2100: the two passes :func:`sun_altitudes` and
+    :func:`sun_directions` over all of them."""
+    times = np.asarray(times, dtype="datetime64[us]")
+    _check_years(times)
     altitude, terms = sun_altitudes(times, loc)
     return (altitude, *sun_directions(altitude, terms, loc))
 
@@ -274,17 +277,15 @@ class OutdoorIlluminance:
         return cls(diffuse + direct, diffuse, direct)
 
 
-def outdoor_illuminance(up: np.ndarray | bool, gh: np.ndarray, dh: np.ndarray,
-                        eff: EfficacyModel, ev_global: np.ndarray,
+def outdoor_illuminance(gh: np.ndarray, dh: np.ndarray, eff: EfficacyModel, ev_global: np.ndarray,
                         ev_diffuse: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Outdoor diffuse and direct horizontal illuminance (lux) per step;
-    ``up`` marks the steps with the sun above the horizon (``True``: every
-    step).
+    """Outdoor diffuse and direct horizontal illuminance (lux) per step, as
+    if the sun were up; the steps with the sun down are the caller's to zero.
 
-    Below the horizon everything is zero. In passthrough mode the measured
-    illuminances are used where both are measured (not NaN); everywhere else
-    the beam horizontal irradiance max(0, Gh - Dh) and the diffuse irradiance
-    are converted with the configured efficacies.
+    In passthrough mode the measured illuminances are used where both are
+    measured (not NaN); everywhere else the beam horizontal irradiance
+    max(0, Gh - Dh) and the diffuse irradiance are converted with the
+    configured efficacies.
     """
     diffuse = eff.kd * dh
     # fmax, not maximum: a NaN difference gives no direct part
@@ -293,16 +294,19 @@ def outdoor_illuminance(up: np.ndarray | bool, gh: np.ndarray, dh: np.ndarray,
         use = ~np.isnan(ev_global) & ~np.isnan(ev_diffuse)
         diffuse = np.where(use, ev_diffuse, diffuse)
         direct = np.where(use, np.fmax(0.0, ev_global - ev_diffuse), direct)
-    return np.where(up, diffuse, 0.0), np.where(up, direct, 0.0)
+    return diffuse, direct
 
 
 def reconstruct_illuminance(sun: SolarState, gh: float, dh: float, eff: EfficacyModel,
                             ev_global: float | None = None,
                             ev_diffuse: float | None = None) -> OutdoorIlluminance:
-    """Outdoor illuminance for one sample (see :func:`outdoor_illuminance`);
-    a measured illuminance left out counts as not measured."""
+    """Outdoor illuminance for one sample (see :func:`outdoor_illuminance`):
+    zero with the sun at or below the horizon. A measured illuminance left
+    out counts as not measured."""
+    if sun.altitude <= 0.0:
+        return OutdoorIlluminance(0.0, 0.0, 0.0)
     diffuse, direct = outdoor_illuminance(
-        sun.altitude > 0.0, np.array([gh]), np.array([dh]), eff,
+        np.array([gh]), np.array([dh]), eff,
         np.array([ev_global], dtype=float), np.array([ev_diffuse], dtype=float),
     )
     return OutdoorIlluminance.from_components(float(diffuse[0]), float(direct[0]))

@@ -95,7 +95,7 @@ def test_c04_sun_patch_analytic():
     # probes 1e-6 m inside, then outside, each edge x = 1.5, x = 2.5, y = 1, y = 2
     edges = np.array([(1.5, 1.5), (2.5, 1.5), (2.0, 1.0), (2.0, 2.0)])
     step = 1e-6 * np.array([(1, 0), (-1, 0), (0, 1), (0, -1)])
-    areas, lit = BeamKernel(room, 0.0)(np.array([sun.altitude]), sun.direction[None],
+    areas, lit = BeamKernel(room, 0.0)(sun.direction[None],
                                        np.concatenate((edges + step, edges - step)))
     assert areas[0, 0] == pytest.approx(1.0, abs=1e-6)
     assert lit[0, 0].tolist() == [True] * 4 + [False] * 4

@@ -223,8 +223,7 @@ class TestSunPatch:
         rng = np.random.default_rng(11)
         suns = [SolarState.from_angles(float(rng.uniform(-10, 85)), float(rng.uniform(0, 360)))
                 for _ in range(40)]
-        areas = BeamKernel(canonical_room, 0.01)(np.array([s.altitude for s in suns]),
-                                                  np.array([s.direction for s in suns]),
+        areas = BeamKernel(canonical_room, 0.01)(np.array([s.direction for s in suns]),
                                                   np.zeros((0, 2)))[0]
         assert np.all((areas >= 0.0) & (areas <= canonical_room.s_t + 1e-9))
 

@@ -89,8 +89,7 @@ def window_image_area(d, plane_z):
     room = Room(floor=floor, height=2.8, optics=SurfaceOptics(0.2, 0.6, 0.6),
                 apertures=(Aperture(win),))
     d = np.asarray(d, dtype=float)[None]
-    altitude = np.degrees(np.arcsin(-d[:, 2] / np.linalg.norm(d)))
-    return BeamKernel(room, plane_z)(altitude, d, np.zeros((0, 2)))[0][0, 0]
+    return BeamKernel(room, plane_z)(d, np.zeros((0, 2)))[0][0, 0]
 
 
 class TestProjection:

@@ -93,13 +93,10 @@ def beam_bits(tmp_path: Path, name: str) -> str:
                         + description.workplane_height)
     times = np.arange("2009-01-01", "2010-01-01", np.timedelta64(7, "m"), dtype="datetime64[us]")
     altitude, _, direction = sun_positions(times, description.location)
-    up = altitude > 0.0
-    altitude = altitude[up].astype(np.float32).astype(float)
-    direction = direction[up].astype(np.float32).astype(float)
+    direction = direction[altitude > 0.0].astype(np.float32).astype(float)
     digest = hashlib.sha256()
-    for i in range(0, len(altitude), BLOCK_STEPS):
-        areas, lit = kernel(altitude[i:i + BLOCK_STEPS], direction[i:i + BLOCK_STEPS],
-                            np.array(probes, dtype=float))
+    for i in range(0, len(direction), BLOCK_STEPS):
+        areas, lit = kernel(direction[i:i + BLOCK_STEPS], np.array(probes, dtype=float))
         digest.update(areas.tobytes())
         digest.update(lit.tobytes())
     return digest.hexdigest()

@@ -7,6 +7,7 @@ and whole runs against a reference stepped one minute at a time with
 
 import math
 import sys
+import warnings
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from unittest import mock
@@ -29,7 +30,7 @@ from sidelux.daylight import (
     daylight_factor,
 )
 from sidelux.errors import ConfigError, DataError
-from sidelux.geometry import Polygon3
+from sidelux.geometry import PARALLEL_TOL, Polygon3
 from sidelux.io import parse_weather_csv, write_weather_csv
 from sidelux.solar import (
     EfficacyModel,
@@ -83,8 +84,8 @@ def random_suns(rng, n):
     return [SolarState.from_angles(a, z) for a, z in zip(altitude, azimuth)]
 
 
-def kernel_inputs(suns):
-    return (np.array([s.altitude for s in suns]), np.array([s.direction for s in suns]))
+def directions(suns):
+    return np.array([s.direction for s in suns])
 
 
 def oracle_patches(room, suns, points=()):
@@ -103,7 +104,7 @@ def oracle_patches(room, suns, points=()):
 def test_kernel_area_matches_patch_oracle(name):
     room = ROOMS[name]()
     suns = random_suns(np.random.default_rng(7), 2400)
-    areas, lit = BeamKernel(room, PLANE_Z)(*kernel_inputs(suns), np.zeros((0, 2)))
+    areas, lit = BeamKernel(room, PLANE_Z)(directions(suns), np.zeros((0, 2)))
     assert areas.shape == (len(suns), len(room.apertures))
     assert lit.shape == (len(suns), len(room.apertures), 0)
     expected, _ = oracle_patches(room, suns)
@@ -131,7 +132,7 @@ def test_kernel_lit_matches_patch_oracle(name):
     lo, hi = room.floor.coords[:, :2].min(axis=0), room.floor.coords[:, :2].max(axis=0)
     points = rng.uniform(lo, hi, (300, 2))
     points = points[room.contains(np.column_stack((points, np.full(len(points), PLANE_Z))))]
-    areas, lit = BeamKernel(room, PLANE_Z)(*kernel_inputs(suns), points)
+    areas, lit = BeamKernel(room, PLANE_Z)(directions(suns), points)
     expected_areas, expected = oracle_patches(room, suns, points)
     floor = room.floor.coords[:, :2]
     clear_of_floor = _distance_to_edges(points, floor) > 1e-9
@@ -159,7 +160,7 @@ def test_lit_band_is_a_distance_in_metres(altitude, offset, expected):
     sun = SolarState.from_angles(altitude, 0.0)
     y = 3.5 - 1.49 / math.tan(math.radians(altitude))  # the image of the window's mid-height
     points = np.array([(1.45 - offset, y), (2.45 + offset, y)])
-    areas, lit = BeamKernel(make_canonical_room(), PLANE_Z)(*kernel_inputs([sun]), points)
+    areas, lit = BeamKernel(make_canonical_room(), PLANE_Z)(directions([sun]), points)
     assert areas[0, 0] > 0.0
     assert lit[0, 0].tolist() == [expected, expected]
 
@@ -171,7 +172,7 @@ def test_sunrise_sliver_is_empty():
     room = make_l_room()
     sun = sun_position(datetime(2009, 7, 3, 7, 1), TROPICAL_SITE)
     assert 0.0 < sun.altitude < 0.5
-    areas, _ = BeamKernel(room, PLANE_Z)(*kernel_inputs([sun]), np.zeros((0, 2)))
+    areas, _ = BeamKernel(room, PLANE_Z)(directions([sun]), np.zeros((0, 2)))
     assert areas.tolist() == [[0.0, 0.0]]
     assert oracle_patches(room, [sun])[0].tolist() == [[0.0, 0.0]]
 
@@ -183,6 +184,41 @@ def square_room_with_west_window(sill: float, head: float) -> Room:
                 apertures=(Aperture(window),))
 
 
+def test_the_direction_alone_keeps_the_beam_above_the_horizon():
+    """A west window whose sill is on the workplane, suns due west: a sun
+    below the horizon, one so low that |d_z| < PARALLEL_TOL (1e-8 deg) and
+    a horizontal direction, all facing the window, cast nothing and light
+    no point, while a sun at 0.01 deg casts its image over the whole 4 m
+    run of the floor behind the 1 m window (3.999999999999975 m^2, the
+    oracle's 4 m^2 within 1e-12)."""
+    room = square_room_with_west_window(0.0, 2.0)
+    points = np.stack(np.meshgrid(np.linspace(0.05, 3.95, 9), np.linspace(0.05, 3.95, 9)),
+                      axis=-1).reshape(-1, 2)
+    below, grazing, low = (SolarState.from_angles(a, 270.0) for a in (-5.0, 1e-8, 0.01))
+    assert abs(grazing.direction[2]) < PARALLEL_TOL
+    areas, lit = BeamKernel(room, PLANE_Z)(
+        np.array([below.direction, grazing.direction, (1.0, 0.0, 0.0)]), points)
+    assert not areas.any() and not lit.any()
+    areas, lit = BeamKernel(room, PLANE_Z)(directions([low]), points)
+    assert areas[0, 0] == 3.999999999999975
+    assert areas[0, 0] == pytest.approx(oracle_patches(room, [low])[0][0, 0], rel=0.0, abs=1e-12)
+    assert lit.any()
+
+
+@pytest.mark.parametrize("scope", daylight.PATCH_SCOPES)
+def test_no_sun_casts_no_beam_whatever_the_direct_part(scope):
+    """``evaluate`` without a sun (below the horizon) gives DF * E_global
+    alone, even with a direct part: no beam term, no patch, no warning."""
+    sim = Simulator(make_canonical_room(), TROPICAL_SITE, cell=0.5, patch_scope=scope)
+    outdoor = OutdoorIlluminance.from_components(8000.0, 30000.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fld = sim.evaluate(outdoor, None)
+    assert fld.patch_area == 0.0 and not fld.e_direct.any()
+    for got in (fld.e_diffuse, fld.e_global):
+        assert_same_bits(got, sim.df * outdoor.e_global)
+
+
 @pytest.mark.parametrize("gap,expected_area", [(1e-13, 0.0), (1e-5, 1e-5)])
 def test_pieces_of_at_most_empty_area_count_as_empty(gap, expected_area):
     """The sill's image lands ``gap`` short of the far wall, leaving a piece
@@ -190,7 +226,7 @@ def test_pieces_of_at_most_empty_area_count_as_empty(gap, expected_area):
     room = square_room_with_west_window(1.0, 2.0)
     altitude = math.degrees(math.atan2(1.0 - PLANE_Z, 4.0 - gap))
     sun = SolarState.from_angles(altitude, 270.0)
-    areas, _ = BeamKernel(room, PLANE_Z)(*kernel_inputs([sun]), np.zeros((0, 2)))
+    areas, _ = BeamKernel(room, PLANE_Z)(directions([sun]), np.zeros((0, 2)))
     expected, _ = oracle_patches(room, [sun])
     assert areas[0, 0] == pytest.approx(expected_area, rel=1e-6, abs=0.0)
     assert expected[0, 0] == pytest.approx(expected_area, rel=1e-6, abs=0.0)
@@ -204,11 +240,11 @@ def test_window_reaching_below_the_workplane_casts_its_upper_part():
     suns = random_suns(rng, 400)
     for sill in (0.0, 0.2):
         room = square_room_with_west_window(sill, 2.0)
-        areas, _ = BeamKernel(room, PLANE_Z)(*kernel_inputs(suns), np.zeros((0, 2)))
+        areas, _ = BeamKernel(room, PLANE_Z)(directions(suns), np.zeros((0, 2)))
         expected, _ = oracle_patches(room, suns)
         np.testing.assert_allclose(areas, expected, rtol=0.0, atol=1e-12)
         assert areas.any()
-    areas, lit = BeamKernel(room, 2.5)(*kernel_inputs(suns), rng.uniform(0.0, 4.0, (50, 2)))
+    areas, lit = BeamKernel(room, 2.5)(directions(suns), rng.uniform(0.0, 4.0, (50, 2)))
     assert not areas.any() and not lit.any()
 
 
@@ -246,7 +282,7 @@ def test_a_window_cut_by_the_workplane_matches_the_benchmark_reference(seed, sil
               [x1, depth, sill + tall]]
     building = rectangular_building(width, depth, window, plane_z)
     suns = random_suns(rng, 24)
-    areas, _ = BeamKernel(room_of(building), plane_z)(*kernel_inputs(suns), np.zeros((0, 2)))
+    areas, _ = BeamKernel(room_of(building), plane_z)(directions(suns), np.zeros((0, 2)))
     scene = physics.Scene(building)
     expected = [physics.patch_area(scene, sun.direction) if sun.altitude > 0.0 else 0.0
                 for sun in suns]
@@ -265,7 +301,7 @@ def test_the_test_cell_with_a_low_sill_matches_the_reference_table(plane_z, larg
     building = rectangular_building(3.9, 3.5, window, plane_z)
     times = np.datetime64("2009-06-21T07:00", "us") + np.arange(20) * np.timedelta64(30, "m")
     altitude, _, direction = sun_positions(times, TROPICAL_SITE)
-    areas, _ = BeamKernel(room_of(building), plane_z)(altitude, direction, np.zeros((0, 2)))
+    areas, _ = BeamKernel(room_of(building), plane_z)(direction, np.zeros((0, 2)))
     scene = physics.Scene(building)
     expected = [physics.patch_area(scene, d) if a > 0.0 else 0.0
                 for a, d in zip(altitude, direction)]
@@ -283,8 +319,8 @@ def test_a_cut_image_wholly_on_the_floor_balances_the_flux(plane_z):
     rng = np.random.default_rng(int(plane_z * 10))
     suns = [SolarState.from_angles(a, z) for a, z in zip(rng.uniform(35.0, 70.0, 50),
                                                         rng.uniform(-30.0, 30.0, 50) % 360.0)]
-    altitude, direction = kernel_inputs(suns)
-    areas, _ = BeamKernel(room, plane_z)(altitude, direction, np.zeros((0, 2)))
+    direction = directions(suns)
+    areas, _ = BeamKernel(room, plane_z)(direction, np.zeros((0, 2)))
     upper = 2.0 * (1.8 - plane_z)
     d = direction / np.linalg.norm(direction, axis=1)[:, None]
     np.testing.assert_allclose(areas[:, 0], upper * np.abs(d[:, 1]) / np.abs(d[:, 2]),
@@ -348,12 +384,12 @@ def test_the_direction_pass_on_gathered_steps_gives_their_full_pass_bits():
 def test_the_year_error_names_the_first_stamp_out_of_range(stamps, year):
     with pytest.raises(ValueError, match=f"^timestamp year {year} outside supported range "
                                          "1950-2100$"):
-        sun_altitudes(np.array(stamps, dtype="datetime64[us]"), TROPICAL_SITE)
+        sun_positions(np.array(stamps, dtype="datetime64[us]"), TROPICAL_SITE)
 
 
 def test_no_stamps_pass_the_year_check_and_not_a_time_fails_it():
     with pytest.raises(ValueError, match="outside supported range"):
-        sun_altitudes(np.array(["2009-01-01", "NaT"], dtype="datetime64[us]"), TROPICAL_SITE)
+        sun_positions(np.array(["2009-01-01", "NaT"], dtype="datetime64[us]"), TROPICAL_SITE)
     altitude, terms = sun_altitudes(np.array([], dtype="datetime64[us]"), TROPICAL_SITE)
     assert altitude.shape == (0,) and terms.shape == (4, 0)
 
@@ -405,17 +441,19 @@ def test_a_dark_period_out_of_range_names_the_first_bad_year(coarse_sim, start, 
 
 def assert_run_is_the_full_pass(sim, weather, monkeypatch, step_minutes=1):
     """In blocks of 7 and of ``BLOCK_STEPS`` steps, ``run`` gives the bits of
-    a full pass that works out the altitude of every step: the outdoor
-    series, the sunny steps handed to the beam, and the probes of the other
-    steps. Returns the full pass's altitude and the last run."""
+    a full pass that works out the sun of every step: the outdoor series,
+    the sunny steps' directions and direct parts handed to the beam, and
+    the probes of the other steps. Returns the full pass's altitude and the
+    last run."""
     loc = sim.location
     stride = slice(None, None, step_minutes)
-    altitude, _, _ = one_pass_sun_positions(weather.times[stride], loc.latitude, loc.longitude,
-                                            loc.timezone)
-    diffuse, direct = outdoor_illuminance(altitude > 0.0, weather.gh[stride], weather.dh[stride],
-                                          sim.efficacy, weather.ev_global[stride],
-                                          weather.ev_diffuse[stride])
-    sunny = (altitude > 0.0) & (direct > 0.0)
+    altitude, _, direction = one_pass_sun_positions(weather.times[stride], loc.latitude,
+                                                    loc.longitude, loc.timezone)
+    up = altitude > 0.0
+    diffuse, direct = (np.where(up, e, 0.0) for e in outdoor_illuminance(
+        weather.gh[stride], weather.dh[stride], sim.efficacy, weather.ev_global[stride],
+        weather.ev_diffuse[stride]))
+    sunny = up & (direct > 0.0)
     _, probe_df = sim._probe_df(CELL_PROBES)
     for size in (7, daylight.BLOCK_STEPS):
         with monkeypatch.context() as patch:
@@ -427,8 +465,8 @@ def assert_run_is_the_full_pass(sim, weather, monkeypatch, step_minutes=1):
                                  (diffuse, direct, diffuse + direct)):
             assert_same_bits(got, expected)
         *beam, _ = spy.call_args_list  # the beam batches, then the (empty) fields
-        assert_same_bits(np.concatenate([call.args[0] for call in beam]), altitude[sunny])
-        assert_same_bits(np.concatenate([call.args[3] for call in beam]), direct[sunny])
+        assert_same_bits(np.concatenate([call.args[0] for call in beam]), direction[sunny])
+        assert_same_bits(np.concatenate([call.args[2] for call in beam]), direct[sunny])
         e_global = (diffuse + direct)[~sunny]
         assert_same_bits(res.probe_global[~sunny], probe_df[None, :] * e_global[:, None] + 0.0)
         assert not res.patch_area[~sunny].any()
@@ -501,8 +539,8 @@ def test_patch_area_is_bounded_by_the_window_image(seed):
     of the window's image, and equals it (flux balance) where the oracle
     finds the whole image on the floor."""
     room, suns = random_room_and_suns(seed)
-    altitude, direction = kernel_inputs(suns)
-    areas, _ = BeamKernel(room, PLANE_Z)(altitude, direction, np.zeros((0, 2)))
+    direction = directions(suns)
+    areas, _ = BeamKernel(room, PLANE_Z)(direction, np.zeros((0, 2)))
     floor = room.floor.coords[:, :2]
     for k, ap in enumerate(room.apertures):
         bound = ap.area * np.abs(direction @ room.outward[k]) / np.abs(direction[:, 2])
@@ -522,7 +560,7 @@ def test_beam_terms_are_linear_in_the_direct_illuminance(seed, e_direct):
     and the patch-reflected term and leaves the DF * E_global part as it is."""
     room, suns = random_room_and_suns(seed)
     sim = Simulator(room, TROPICAL_SITE, cell=0.5)
-    areas, _ = sim.beam(*kernel_inputs(suns), np.zeros((0, 2)))
+    areas, _ = sim.beam(directions(suns), np.zeros((0, 2)))
     assume(areas.any())
     sun = suns[int(np.argmax(areas.sum(axis=1) > 0.0))]
     e_global = 20000.0
@@ -667,7 +705,7 @@ def test_run_is_the_same_bits_for_any_block_size(name, monkeypatch):
     weather = winter_weather(7)
     probes = CELL_PROBES if name == "test_cell" else L_PROBES
     field_at = [datetime(2009, 7, 2, 10, 17), datetime(2009, 7, 5, 12, 0)]
-    altitude, _, _ = sun_positions(weather.times, TROPICAL_SITE)
+    altitude, _, direction = sun_positions(weather.times, TROPICAL_SITE)
     runs = []
     for size in (7, 500, daylight.BLOCK_STEPS):
         with monkeypatch.context() as patch:
@@ -679,7 +717,7 @@ def test_run_is_the_same_bits_for_any_block_size(name, monkeypatch):
         assert len(fields.args[0]) == len(field_at)
         batches = [call.args[0] for call in beam]
         assert [len(b) for b in batches] == [size] * (len(sunny) // size) + [len(sunny) % size]
-        assert_same_bits(np.concatenate(batches), altitude[sunny])
+        assert_same_bits(np.concatenate(batches), direction[sunny])
         first, last = sunny[::size], sunny[size - 1::size]
         after = sunny[size::size]
         if size == 7:
