@@ -9,7 +9,10 @@ and time of each call it makes (:func:`recorded`): the sun position, per
 step and per lit step (those whose weather carries light, the only ones
 whose altitude the run works out); the sun's direction, per sunny step (sun
 up, a direct part); and the sun patches (``Simulator.beam``) of the sunny
-steps, per step and in how many batches. The sun patches of the
+steps, per step and in how many batches. The process's peak resident
+memory is printed before and after the stepping, whose outdoor conversion
+is one pass over the whole period; writing the year's weather CSV sets an
+earlier peak, which the stepping may stay under. The sun patches of the
 benchmark's L-shaped room (``perfbench/inputs.py``, ``L_ROOM``) are read the
 same way, from 5 runs over every 3rd step with 5 of its probes, best of 5:
 its floor is cut into convex parts, so this is the layer those parts weigh
@@ -19,6 +22,7 @@ on.
 """
 
 import argparse
+import resource
 import sys
 import tempfile
 import time
@@ -77,6 +81,11 @@ def recorded(sim):
 def totals(log) -> tuple[int, float]:
     """Rows and seconds over the calls of one log."""
     return sum(rows for rows, _ in log), sum(seconds for _, seconds in log)
+
+
+def peak_rss_mb() -> float:
+    """The process's peak resident memory so far (``ru_maxrss``, KiB on Linux)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
 def per_step(seconds: float, n: int) -> str:
@@ -138,6 +147,7 @@ def main() -> None:
         n = len(weather)
         print(f"weather parse: {n} rows in {elapsed:.2f} s ({n / elapsed:.0f} rows/s)")
 
+        before = peak_rss_mb()
         with recorded(sim) as calls:
             t0 = time.perf_counter()
             result = sim.run(weather, step_minutes=args.step, probes=probes)
@@ -146,6 +156,7 @@ def main() -> None:
         print(f"{n} steps on {sim.grid.n_points} points: {elapsed:.1f} s "
               f"({n / elapsed:.0f} steps/s)")
         print_layers(calls, n)
+        print(f"peak RSS: {before:.1f} MB before stepping, {peak_rss_mb():.1f} MB after")
         time_l_room_beam(weather, args.step, args.cell, Path(tmp))
 
         t0 = time.perf_counter()

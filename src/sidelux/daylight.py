@@ -64,7 +64,7 @@ CHUNK_POINTS = 512                  # points per array pass of the sky integral
 DEFAULT_LUMINANCE_FRACTION = 0.2    # obstruction luminance relative to the sky it hides
 UNOBSTRUCTED_C = 39.0               # split-flux obstruction coefficient, clear horizon
 PATCH_SCOPES = ("patch", "room")
-BLOCK_STEPS = 4096                  # steps per time block and per beam batch of Simulator.run
+BLOCK_STEPS = 4096                  # lit steps per sun and beam chunk of Simulator.run
 
 
 @dataclass(frozen=True)
@@ -564,9 +564,9 @@ class BeamKernel:
     (:func:`points_in_convex_rings`). Nothing shades the beam: other walls
     and obstructions do not cut the image.
 
-    :meth:`Simulator.run` calls it on full batches of ``BLOCK_STEPS`` sunny
-    steps, gathered across its time blocks; the clip cuts only the images
-    that a floor part's edge divides.
+    :meth:`Simulator.run` calls it once per chunk of ``BLOCK_STEPS`` lit
+    steps, on that chunk's sunny steps; the clip cuts only the images that
+    a floor part's edge divides.
     """
 
     def __init__(self, room: Room, plane_z: float):
@@ -664,19 +664,17 @@ class Simulator:
 
     The daylight-factor field depends on geometry only, so it is computed
     once at construction and reused for every timestep; per step only the
-    outdoor conversion and the sun-patch geometry change. Periods are
-    stepped in time blocks of ``BLOCK_STEPS`` timesteps, whose weather is
-    read as slices when the steps are the weather's own consecutive rows
-    and looked up row by row otherwise: outdoor conversion, sun altitude
-    and the DF term, each one array pass per block. :meth:`run` alone
-    decides which steps are lit, dark and sunny: the altitude is worked out
-    only for the steps whose weather carries light, as every other step is
-    dark whatever the sun does; a lit step with the sun down is zeroed; the
-    sunny steps, those left with a direct part, alone get the sun's
-    direction, and are held across blocks and handed to the
-    :class:`BeamKernel` in batches of ``BLOCK_STEPS``, and once more at the
-    end of the period, so the working arrays depend on the block and batch
-    size, not on the period.
+    outdoor conversion and the sun-patch geometry change. A period's
+    weather is read as slices when the steps are the weather's own
+    consecutive rows and looked up row by row otherwise; the outdoor
+    conversion and the DF term are each one array pass over the whole
+    period, so their temporaries grow with it. :meth:`run` alone decides
+    which steps are lit, dark and sunny: the altitude is worked out only
+    for the steps whose weather carries light, as every other step is dark
+    whatever the sun does, in chunks of ``BLOCK_STEPS`` lit steps; in each
+    chunk a lit step with the sun down is zeroed, and the sunny steps,
+    those left with a direct part, alone get the sun's direction and go to
+    the :class:`BeamKernel` as one batch.
     """
 
     def __init__(self, room: Room, location: GeoLocation, cell: float = 0.1,
@@ -793,7 +791,7 @@ class Simulator:
         probe_pts, probe_df = self._probe_df(probes)
 
         times = first + np.arange(n) * step
-        # when the steps are the weather's own rows r0 ... r0 + n - 1, a block's
+        # when the steps are the weather's own rows r0 ... r0 + n - 1, the period's
         # columns are slices; otherwise each step's row is looked up and gathered
         r0 = int(np.searchsorted(weather.times, first))
         rows = None
@@ -814,45 +812,33 @@ class Simulator:
 
         # only the lit steps' altitudes are worked out, but every step must be in range
         check_ascending_years(times)
-        outdoor_global, outdoor_diffuse, outdoor_direct = np.empty((3, n))
+        r = slice(r0, r0 + n) if rows is None else rows
+        outdoor_diffuse, outdoor_direct = outdoor_illuminance(
+            weather.gh[r], weather.dh[r], self.efficacy, weather.ev_global[r], weather.ev_diffuse[r])
+        # only the lit steps, those with light as if the sun were up (-0.0 too,
+        # whose sign the sun keeps), need the altitude: any other step is +0.0
+        # whether the sun is up or not; the lit ones with the sun down are zeroed.
+        # Found first, so its temporaries are freed before the outputs are made
+        lit = np.flatnonzero((outdoor_diffuse.view(np.uint64) | outdoor_direct.view(np.uint64)) != 0)
+        outdoor_global = outdoor_diffuse + outdoor_direct
+        # + 0.0, as a sunny step adds its direct term: a -0.0 product reads 0.0
+        probe_global = probe_df[None, :] * outdoor_global[:, None]
+        probe_global += 0.0
         patch_area = np.zeros(n)
-        probe_global = np.empty((n, len(probes)))
-
-        def add_beam(held):
-            """The beam terms of one batch of held steps."""
-            steps, direction = held
-            patch_area[steps], e_dif, e_dir = self._illuminance(
-                direction, outdoor_global[steps], outdoor_direct[steps], probe_pts, probe_df)
-            probe_global[steps] = e_dif + e_dir
-
-        # the sunny steps (their index and direction) not yet lit
-        held = (np.empty(0, dtype=np.intp), np.empty((0, 3)))
-        for i in range(0, n, BLOCK_STEPS):
-            block = slice(i, min(i + BLOCK_STEPS, n))
-            r = slice(r0 + i, r0 + block.stop) if rows is None else rows[block]
-            diffuse, direct = outdoor_illuminance(weather.gh[r], weather.dh[r], self.efficacy,
-                                                  weather.ev_global[r], weather.ev_diffuse[r])
-            # only the lit steps, those with light as if the sun were up (-0.0 too,
-            # whose sign the sun keeps), need the altitude: any other step is +0.0
-            # whether the sun is up or not; the lit ones with the sun down are zeroed
-            lit = np.flatnonzero((diffuse.view(np.uint64) | direct.view(np.uint64)) != 0)
-            altitude, terms = sun_altitudes(times[block][lit], self.location)
-            dark = lit[~(altitude > 0.0)]
-            diffuse[dark] = direct[dark] = 0.0
-            e_global = diffuse + direct
-            outdoor_global[block], outdoor_diffuse[block], outdoor_direct[block] = \
-                e_global, diffuse, direct
-            # + 0.0, as a sunny step adds its direct term: a -0.0 product reads 0.0
-            probe_global[block] = probe_df[None, :] * e_global[:, None] + 0.0
+        for i in range(0, len(lit), BLOCK_STEPS):
+            chunk = lit[i:i + BLOCK_STEPS]
+            altitude, terms = sun_altitudes(times[chunk], self.location)
+            dark = chunk[~(altitude > 0.0)]
+            outdoor_global[dark] = outdoor_diffuse[dark] = outdoor_direct[dark] = 0.0
+            probe_global[dark] = 0.0
             # the dark steps are zeroed, so a direct part means the sun is up
-            sunny = np.flatnonzero(direct[lit] > 0.0)
-            _, direction = sun_directions(altitude[sunny], terms[:, sunny], self.location)
-            held = tuple(np.concatenate((h, new)) for h, new in
-                         zip(held, (lit[sunny] + i, direction)))
-            while len(held[0]) >= BLOCK_STEPS:
-                add_beam(tuple(h[:BLOCK_STEPS] for h in held))
-                held = tuple(h[BLOCK_STEPS:] for h in held)
-        add_beam(held)
+            sunny = np.flatnonzero(outdoor_direct[chunk] > 0.0)
+            if len(sunny):
+                _, direction = sun_directions(altitude[sunny], terms[:, sunny], self.location)
+                steps = chunk[sunny]
+                patch_area[steps], e_dif, e_dir = self._illuminance(
+                    direction, outdoor_global[steps], outdoor_direct[steps], probe_pts, probe_df)
+                probe_global[steps] = e_dif + e_dir
 
         altitude, azimuth, direction = sun_positions(times[field_steps], self.location)
         suns = [SolarState(float(a), float(z), d) for a, z, d in zip(altitude, azimuth, direction)]

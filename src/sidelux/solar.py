@@ -13,9 +13,9 @@ and :func:`sun_directions` the azimuth and direction, which only the beam
 reads; :func:`sun_positions` is both over caller stamps and checks their
 years. A period run checks its whole period's years once
 (:func:`check_ascending_years`), calls the first pass only on the steps
-whose weather carries light and the second on the sunny steps it holds for
-the beam, and zeroes the dark steps of the outdoor conversion
-(:func:`outdoor_illuminance`), which reads no sun.
+whose weather carries light and the second only on the sunny steps among
+them, both in chunks of lit steps, and zeroes the dark steps of the
+outdoor conversion (:func:`outdoor_illuminance`), which reads no sun.
 """
 
 from __future__ import annotations
@@ -241,7 +241,8 @@ class EfficacyModel:
     ``constant`` converts irradiance with fixed luminous efficacies
     (kd for the diffuse part, kb for the beam part, lm/W); ``passthrough``
     prefers measured illuminances where a sample carries them and
-    falls back to the constant conversion otherwise.
+    falls back to the constant conversion otherwise, so both modes need
+    kd and kb in [50, 200].
     """
 
     mode: str = "constant"
@@ -251,10 +252,9 @@ class EfficacyModel:
     def __post_init__(self):
         if self.mode not in ("constant", "passthrough"):
             raise ValueError(f"unknown efficacy mode {self.mode!r}")
-        if self.mode == "constant":
-            for name, v in (("kd", self.kd), ("kb", self.kb)):
-                if not 50.0 <= v <= 200.0:
-                    raise ValueError(f"efficacy {name}={v} lm/W out of [50, 200]")
+        for name, v in (("kd", self.kd), ("kb", self.kb)):
+            if not 50.0 <= v <= 200.0:
+                raise ValueError(f"efficacy {name}={v} lm/W out of [50, 200]")
 
 
 @dataclass(frozen=True, slots=True)

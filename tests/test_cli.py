@@ -399,7 +399,9 @@ class TestUsageErrors:
          "room.apertures[0]: unknown field 'tau_vitr'"),
         (lambda d: d["room"]["surfaces"].append({"role": "floor", "reflectance": 0.3}),
          "room.surfaces[3].role: duplicate role 'floor'"),
-    ], ids=["timezone", "unknown-field", "duplicate-role"])
+        (lambda d: d.update(efficacy={"mode": "passthrough", "Kd": -500, "Kb": 1e6}),
+         "efficacy: efficacy kd=-500.0 lm/W out of [50, 200]"),
+    ], ids=["timezone", "unknown-field", "duplicate-role", "passthrough-efficacy"])
     def test_building_file_error_exits_2(self, tmp_path, capsys, mutate, message):
         data = json.loads(BUILDING_JSON % {"cell": "0.5"})
         mutate(data)

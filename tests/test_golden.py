@@ -81,7 +81,7 @@ def test_outputs_match_golden_digests(tmp_path, name):
 def beam_bits(tmp_path: Path, name: str) -> str:
     """sha256 of the beam's areas and lit masks at the building's probes
     over every 7th minute of 2009 with the sun up, in batches of
-    ``BLOCK_STEPS`` steps as ``Simulator.run`` hands them over. The sun
+    ``BLOCK_STEPS`` steps, the most ``Simulator.run`` hands over. The sun
     directions are rounded to float32 first, so the digest does not hang
     on the last bits of the platform's trigonometry; the beam itself uses
     only + - * / and sqrt."""

@@ -30,6 +30,8 @@ def test_run_test_cell_day(tmp_path):
 def test_benchmark_year_hourly_steps(tmp_path):
     out = run_script("benchmark_year.py", "--step", "60", "--cell", "0.3", cwd=tmp_path)
     assert "8760 steps" in out
+    rss = re.search(r"^peak RSS: (\d+\.\d) MB before stepping, (\d+\.\d) MB after$", out, re.M)
+    assert rss and float(rss[2]) >= float(rss[1]) > 0.0
     assert re.search(r"^weather parse: 525600 rows in \d+\.\d\d s \(\d+ rows/s\)$", out, re.M)
     assert re.search(r"^summary write: 8760 rows in \d+\.\d\d s \(\d+ rows/s\)$", out, re.M)
     assert re.search(r"^sun position: 8760 steps in \d+\.\d\d s \(\d+\.\d\d us/step\)$", out, re.M)

@@ -395,28 +395,25 @@ def test_no_stamps_pass_the_year_check_and_not_a_time_fails_it():
 
 
 def test_an_overcast_run_computes_no_sun_direction(coarse_sim):
-    """With no direct part on any step, every block hands pass two no step."""
+    """With no direct part on any step, no chunk of lit steps has a sunny
+    one, so none works out the sun's direction or calls the beam."""
     weather = overcast_minutes(datetime(2009, 7, 15, 0, 0), 3 * daylight.BLOCK_STEPS - 5)
-    with mock.patch.object(daylight, "sun_directions", wraps=sun_directions) as spy:
+    with mock.patch.object(daylight, "sun_directions", wraps=sun_directions) as spy, \
+            mock.patch.object(coarse_sim, "beam", wraps=coarse_sim.beam) as beam:
         res = coarse_sim.run(weather, probes=CELL_PROBES)
-    assert spy.call_count == 3
-    for call in spy.call_args_list:
-        altitude, terms, _ = call.args
-        assert altitude.shape == (0,) and terms.shape == (4, 0)
+    assert spy.call_count == 0 and beam.call_count == 0
     assert not res.patch_area.any() and res.outdoor_global.any()
 
 
 def test_an_all_dark_run_computes_no_sun_altitude(coarse_sim):
-    """With no light on any step, by day too, every block hands pass one no
-    step, and every output is +0.0."""
+    """With no light on any step, by day too, no step is lit, so the sun's
+    altitude is never worked out, and every output is +0.0."""
     n = 3 * daylight.BLOCK_STEPS - 5
     times = np.datetime64("2009-07-15", "us") + np.arange(n) * np.timedelta64(1, "m")
     weather = WeatherSeries(times, np.zeros(n), np.zeros(n))
     with mock.patch.object(daylight, "sun_altitudes", wraps=sun_altitudes) as spy:
         res = coarse_sim.run(weather, probes=CELL_PROBES)
-    assert spy.call_count == 3
-    for call in spy.call_args_list:
-        assert call.args[0].shape == (0,)
+    assert spy.call_count == 0
     for series in (res.outdoor_global, res.outdoor_diffuse, res.outdoor_direct, res.patch_area,
                    res.probe_global):
         assert not series.any() and not np.signbit(series).any()
@@ -440,7 +437,7 @@ def test_a_dark_period_out_of_range_names_the_first_bad_year(coarse_sim, start, 
 
 
 def assert_run_is_the_full_pass(sim, weather, monkeypatch, step_minutes=1):
-    """In blocks of 7 and of ``BLOCK_STEPS`` steps, ``run`` gives the bits of
+    """In chunks of 7 and of ``BLOCK_STEPS`` lit steps, ``run`` gives the bits of
     a full pass that works out the sun of every step: the outdoor series,
     the sunny steps' directions and direct parts handed to the beam, and
     the probes of the other steps. Returns the full pass's altitude and the
@@ -663,7 +660,7 @@ def check_against_reference(sim, weather, probes, field_at, step_minutes=1):
 
 
 def test_run_matches_reference_clear_winter_week(coarse_sim, monkeypatch):
-    monkeypatch.setattr(daylight, "BLOCK_STEPS", 512)  # so the week crosses many blocks
+    monkeypatch.setattr(daylight, "BLOCK_STEPS", 512)  # so the week spans many chunks
     weather = winter_weather(7)
     assert len(weather) > 10 * daylight.BLOCK_STEPS
     field_at = [datetime(2009, 7, 2, 3, 0), datetime(2009, 7, 3, 10, 17),
@@ -696,44 +693,57 @@ def test_run_matches_reference_passthrough_efficacy():
 
 @pytest.mark.parametrize("name", sorted(ROOMS))
 def test_run_is_the_same_bits_for_any_block_size(name, monkeypatch):
-    """Time blocks and beam batches of 7 and 500 steps give every series
-    and field of a winter week bit for bit as the default size does. At 7
-    a batch gathers the sunny steps of several blocks; at 500 a batch is
-    also flushed in the middle of a block. Each batch but the last holds
-    exactly that many sunny steps, in time order."""
-    sim = Simulator(ROOMS[name](), TROPICAL_SITE, cell=0.5)
-    weather = winter_weather(7)
+    """Chunks of 7, 500 and the default ``BLOCK_STEPS`` lit steps give every
+    series and field of a winter week bit for bit alike: with constant
+    efficacy, and with passthrough efficacy on weather whose every third
+    sample is measured and the others NaN; at minute steps, which read the
+    weather as slices, and at 7-minute steps, which gather its rows. The
+    diffuse irradiance reads -0.0 at one night and one sunny sample. Each
+    beam batch is the sunny steps of one chunk, in time order, so a chunk
+    with a dark or overcast lit step hands over a short batch."""
     probes = CELL_PROBES if name == "test_cell" else L_PROBES
-    field_at = [datetime(2009, 7, 2, 10, 17), datetime(2009, 7, 5, 12, 0)]
-    altitude, _, direction = sun_positions(weather.times, TROPICAL_SITE)
-    runs = []
-    for size in (7, 500, daylight.BLOCK_STEPS):
-        with monkeypatch.context() as patch:
-            patch.setattr(daylight, "BLOCK_STEPS", size)
-            with mock.patch.object(sim, "_illuminance", wraps=sim._illuminance) as spy:
-                runs.append(sim.run(weather, probes=probes, field_at=field_at))
-        sunny = np.flatnonzero((altitude > 0.0) & (runs[-1].outdoor_direct > 0.0))
-        *beam, fields = spy.call_args_list  # the beam batches, then one call for all the fields
-        assert len(fields.args[0]) == len(field_at)
-        batches = [call.args[0] for call in beam]
-        assert [len(b) for b in batches] == [size] * (len(sunny) // size) + [len(sunny) % size]
-        assert_same_bits(np.concatenate(batches), direction[sunny])
-        first, last = sunny[::size], sunny[size - 1::size]
-        after = sunny[size::size]
-        if size == 7:
-            assert np.any(first[:len(last)] // size != last // size)  # a batch spans blocks
-        if size == 500:
-            assert np.any(last[:len(after)] // size == after // size)  # a flush inside a block
-    for res in runs[:2]:
-        for attr in ("timestamps", "outdoor_global", "outdoor_diffuse", "outdoor_direct",
-                     "patch_area", "probe_global"):
-            assert_same_bits(getattr(res, attr), getattr(runs[-1], attr))
-        for when in field_at:
-            fld, ref = res.fields[when], runs[-1].fields[when]
-            assert fld.patch_area == ref.patch_area
-            for attr in ("df", "e_diffuse", "e_direct", "e_global"):
-                assert_same_bits(getattr(fld, attr), getattr(ref, attr))
-    assert (runs[-1].patch_area > 0.0).sum() > 2000
+    weather = winter_weather(7, measured_every=3)
+    dh = weather.dh.copy()
+    dh[[140, 700]] = -0.0  # 02:20 and 11:40 of the first day: unmeasured, on the 7-minute grid
+    weather = WeatherSeries(weather.times, weather.gh, dh, weather.ev_global, weather.ev_diffuse)
+    field_at = weather.times[[2058, 7917]].astype(datetime).tolist()
+    for mode, step in (("constant", 1), ("passthrough", 1), ("passthrough", 7)):
+        sim = Simulator(ROOMS[name](), TROPICAL_SITE, cell=0.5, efficacy=EfficacyModel(mode=mode))
+        stride = slice(None, None, step)
+        altitude, _, direction = sun_positions(weather.times[stride], TROPICAL_SITE)
+        diffuse, direct = outdoor_illuminance(weather.gh[stride], weather.dh[stride], sim.efficacy,
+                                              weather.ev_global[stride], weather.ev_diffuse[stride])
+        lit = np.flatnonzero(np.signbit(diffuse) | np.signbit(direct) | (diffuse != 0.0)
+                             | (direct != 0.0))
+        sunny = (altitude > 0.0) & (direct > 0.0)
+        runs = []
+        for size in (7, 500, daylight.BLOCK_STEPS):
+            with monkeypatch.context() as patch:
+                patch.setattr(daylight, "BLOCK_STEPS", size)
+                with mock.patch.object(sim, "_illuminance", wraps=sim._illuminance) as spy:
+                    runs.append(sim.run(weather, step_minutes=step, probes=probes,
+                                        field_at=field_at))
+            chunks = [lit[i:i + size] for i in range(0, len(lit), size)]
+            expected = [c[sunny[c]] for c in chunks if sunny[c].any()]
+            *beam, fields = spy.call_args_list  # the beam batches, then one call for all the fields
+            assert len(fields.args[0]) == len(field_at)
+            assert len(beam) == len(expected)
+            for call, steps in zip(beam, expected):
+                assert_same_bits(call.args[0], direction[steps])
+                assert_same_bits(call.args[2], direct[steps])
+            if size < len(lit):
+                assert any(len(steps) < size for steps in expected[:-1])  # a short batch
+        for res in runs[:2]:
+            for attr in ("timestamps", "outdoor_global", "outdoor_diffuse", "outdoor_direct",
+                         "patch_area", "probe_global"):
+                assert_same_bits(getattr(res, attr), getattr(runs[-1], attr))
+            for when in field_at:
+                fld, ref = res.fields[when], runs[-1].fields[when]
+                assert fld.patch_area == ref.patch_area
+                for attr in ("df", "e_diffuse", "e_direct", "e_global"):
+                    assert_same_bits(getattr(fld, attr), getattr(ref, attr))
+        assert np.flatnonzero(np.signbit(runs[-1].outdoor_diffuse)).tolist() == [700 // step]
+        assert (runs[-1].patch_area > 0.0).sum() > 2000 // step
 
 
 @pytest.mark.parametrize("name", sorted(ROOMS))
@@ -839,7 +849,7 @@ def test_a_period_inside_the_weather_is_that_period_cut_out(coarse_sim, monkeypa
     """A period that starts after the first record and ends before the last
     reads its own rows: every series and field is the bits of a run on the
     same rows cut out as their own series."""
-    monkeypatch.setattr(daylight, "BLOCK_STEPS", 512)  # the period ends inside a block
+    monkeypatch.setattr(daylight, "BLOCK_STEPS", 512)  # the period ends inside a chunk
     weather = winter_weather(2)
     start, end = datetime(2009, 7, 1, 9, 13), datetime(2009, 7, 2, 15, 2)
     rows = slice(*np.searchsorted(weather.times, np.array([start, end], "datetime64[us]")))
