@@ -13,9 +13,7 @@ from .daylight import (
     SurfaceOptics,
     daylight_factor,
     df_from_components,
-    externally_reflected_component,
     internally_reflected_component,
-    sky_component,
 )
 from .errors import (
     ConfigError,

@@ -437,53 +437,12 @@ def _piece_integrals(rings, u, h, z) -> np.ndarray:
     return (first + 2.0 * second) / (3.0 * OVERCAST_DOME)
 
 
-def _sky_at(point, aperture, obstructions, room: Room | None) -> tuple[float, float]:
-    """(sc, erc) of one aperture at one point. With a room, the room's own
-    kernel of that aperture, whose other walls may hide the window; without
-    one, the window is seen from the point's side of its plane."""
-    p = np.asarray(point, dtype=float).reshape(1, 3)
-    if room is None:
-        window = aperture.polygon if isinstance(aperture, Aperture) else aperture
-        facing = float((window.coords[0] - p[0]) @ window.normal) >= 0.0
-        kernel = SkyKernel(window, window.normal if facing else -window.normal, (), obstructions)
-    elif not room.contains(p)[0]:
-        raise ValueError("point lies outside the room")
-    elif tuple(obstructions) != room.obstructions:
-        raise ValueError("obstructions must be the room's own (room.obstructions)")
-    else:
-        kernel = room.sky[_aperture_index(room, aperture)]
-    sc, erc = kernel(p)
-    return float(sc[0]), float(erc[0])
-
-
-def _aperture_index(room: Room, aperture) -> int:
-    """Index of ``aperture``, an :class:`Aperture` or its polygon, in the room."""
-    for k, ap in enumerate(room.apertures):
-        if aperture is ap or aperture is ap.polygon:
+def _aperture_index(room: Room, ap: Aperture) -> int:
+    """Index of ``ap`` in the room's apertures, matched by identity."""
+    for k, own in enumerate(room.apertures):
+        if ap is own:
             return k
     raise ValueError("aperture is not one of the room's apertures")
-
-
-def sky_component(point, aperture, obstructions=(), room: Room | None = None) -> float:
-    """Fraction of the unobstructed overcast-dome horizontal illuminance
-    received at ``point`` directly from sky visible through the aperture.
-
-    ``aperture`` may be an :class:`Aperture`, a bare :class:`Polygon3`, or
-    None for the hypothetical full-dome view (which yields 1.0).
-    """
-    if aperture is None:
-        if room is not None and not room.contains(point)[0]:
-            raise ValueError("point lies outside the room")
-        return 1.0
-    return _sky_at(point, aperture, obstructions, room)[0]
-
-
-def externally_reflected_component(point, aperture, obstructions,
-                                   room: Room | None = None) -> float:
-    """Same integral as :func:`sky_component`, but over the parts of the
-    window behind which an obstruction hides the sky, each weighted by that
-    obstruction's luminance fraction."""
-    return _sky_at(point, aperture, obstructions, room)[1]
 
 
 def split_flux_irc(window_area: float, total_area: float, mean_reflectance: float,
@@ -539,8 +498,12 @@ def internally_reflected_component(room: Room, ap: Aperture) -> float:
 
 def daylight_factor(point, room: Room, ap: Aperture) -> DFBreakdown:
     """Daylight factor (as a fraction) at a point for one of the room's apertures."""
-    sc, erc = _sky_at(point, ap, room.obstructions, room)
-    irc = room.irc[_aperture_index(room, ap)]
+    p = np.asarray(point, dtype=float).reshape(1, 3)
+    if not room.contains(p)[0]:
+        raise ValueError("point lies outside the room")
+    k = _aperture_index(room, ap)
+    sc, erc = (float(c[0]) for c in room.sky[k](p))
+    irc = room.irc[k]
     df = df_from_components(sc, erc, irc, ap.fc, ap.mf, ap.fr, ap.tau, ap.mg)
     return DFBreakdown(sc=sc, erc=erc, irc=irc, df=df)
 

@@ -311,11 +311,10 @@ def write_weather_csv(weather: WeatherSeries, path) -> None:
     columns = [weather.gh, weather.dh]
     if measured.any():
         columns += [weather.ev_global, weather.ev_diffuse]
-    values = np.column_stack(columns)
-    lines = [",".join(WEATHER_COLUMNS_ILLUM if measured.any() else WEATHER_COLUMNS)]
-    for ts, row in zip(_iso(weather.times).astype(str).tolist(), values.tolist()):
-        lines.append(",".join([ts, *map(repr, row)]))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    header = ",".join(WEATHER_COLUMNS_ILLUM if measured.any() else WEATHER_COLUMNS)
+    with Path(path).open("wb") as out:
+        out.write((header + "\n").encode())
+        _write_rows(out, weather.times, columns, _exact_cells)
 
 
 def _t2_int(line: str, sl: slice, what: str, lineno: int) -> int:
@@ -446,6 +445,12 @@ def _number(mapping: dict, key: str, where: str, default: float | None = None) -
     return value
 
 
+def _given(mapping: dict, where: str, **args: str) -> dict:
+    """``{arg: _number(mapping, key, where)}`` for each ``key=arg`` that
+    ``mapping`` sets; a field the file leaves out takes the model's default."""
+    return {arg: _number(mapping, key, where) for key, arg in args.items() if key in mapping}
+
+
 def _vertices(raw, where: str) -> Polygon3:
     if not isinstance(raw, list) or len(raw) < 3:
         raise ConfigError(f"{where}: need a list of at least 3 [x, y, z] vertices")
@@ -515,13 +520,7 @@ def parse_building(path) -> BuildingDescription:
         where = f"room.apertures[{i}]"
         a = _fields(a, "room.apertures[]", where)
         poly = _vertices(_require(a, "vertices", where), f"{where}.vertices")
-        factors = dict(
-            tau=_number(a, "tau_vitre", where, 0.9),
-            mf=_number(a, "MF", where, 1.0),
-            fr=_number(a, "FR", where, 1.0),
-            mg=_number(a, "MG", where, 1.0),
-            fc=_number(a, "FC", where, 1.0),
-        )
+        factors = _given(a, where, tau_vitre="tau", MF="mf", FR="fr", MG="mg", FC="fc")
         try:
             apertures.append(Aperture(polygon=poly, **factors))
         except (ConfigError, GeometryError) as exc:
@@ -532,9 +531,9 @@ def parse_building(path) -> BuildingDescription:
         where = f"obstructions[{i}]"
         o = _fields(o, "obstructions[]", where)
         poly = _vertices(_require(o, "vertices", where), f"{where}.vertices")
-        fraction = _number(o, "luminance_fraction", where, 0.2)
+        fraction = _given(o, where, luminance_fraction="luminance_fraction")
         try:
-            obstructions.append(Obstruction(polygon=poly, luminance_fraction=fraction))
+            obstructions.append(Obstruction(polygon=poly, **fraction))
         except (ConfigError, GeometryError) as exc:
             raise type(exc)(f"{where}: {exc}") from None
 
@@ -553,9 +552,9 @@ def parse_building(path) -> BuildingDescription:
     wp_height = _number(wp, "height", "workplane", 0.01)
 
     eff_d = _fields(data.get("efficacy", {}), "efficacy")
-    kd, kb = _number(eff_d, "Kd", "efficacy", 120.0), _number(eff_d, "Kb", "efficacy", 93.0)
+    mode = {"mode": eff_d["mode"]} if "mode" in eff_d else {}
     try:
-        efficacy = EfficacyModel(mode=eff_d.get("mode", "constant"), kd=kd, kb=kb)
+        efficacy = EfficacyModel(**mode, **_given(eff_d, "efficacy", Kd="kd", Kb="kb"))
     except ValueError as exc:
         raise ConfigError(f"efficacy: {exc}") from None
 
@@ -638,18 +637,28 @@ def write_field_file(path, grid: GridMesh, values: np.ndarray, label: str) -> No
         out.write(matrix[matrix != 0])
 
 
-def _write_rows(out, times: np.ndarray, columns: list[np.ndarray]) -> None:
-    """Write one CSV row per time: its ISO-8601 stamp, then a comma and
-    ``%#.6g`` per value of the columns (each (n,) or (n, k)). Rows are built
-    as a NUL-padded byte matrix a block at a time, so memory stays flat, and
-    written with the NULs removed."""
+def _exact_cells(values: np.ndarray, lead: int) -> np.ndarray:
+    """``repr`` of every value after one ``lead`` byte, as NUL-padded
+    25-byte cells: numpy casts a float64 to ``S24`` as its ``repr``, and 24
+    bytes hold the longest, as in "-2.2250738585072014e-308"."""
+    text = np.char.add(bytes([lead]), np.asarray(values, dtype=np.float64).astype("S24"))
+    return text.view(np.uint8).reshape(text.shape + (25,))
+
+
+def _write_rows(out, times: np.ndarray, columns: list[np.ndarray], cells) -> None:
+    """Write one CSV row per time: its ISO-8601 stamp, then a comma and the
+    text ``cells`` (:func:`_cells` or :func:`_exact_cells`) gives each value
+    of the columns (each (n,) or (n, k)). Rows are built as a NUL-padded
+    byte matrix a block at a time, so memory stays flat, and written with
+    the NULs removed."""
     for i in range(0, len(times), _ROWS_PER_WRITE):
         block = slice(i, i + _ROWS_PER_WRITE)
         stamps = _iso(times[block])
         values = np.column_stack([c[block] for c in columns])
-        rows = np.empty((len(values), _STAMP_BYTES + values.shape[1] * _CELL + 1), dtype=np.uint8)
+        text = cells(values, _COMMA).reshape(len(values), -1)
+        rows = np.empty((len(values), _STAMP_BYTES + text.shape[1] + 1), dtype=np.uint8)
         rows[:, :_STAMP_BYTES] = stamps.view(np.uint8).reshape(-1, _STAMP_BYTES)
-        rows[:, _STAMP_BYTES:-1] = _cells(values, _COMMA).reshape(len(values), -1)
+        rows[:, _STAMP_BYTES:-1] = text
         rows[:, -1] = _LF
         out.write(rows[rows != 0])
 
@@ -669,7 +678,7 @@ def write_results(result: PeriodResult, prefix) -> list[Path]:
                result.patch_area, result.probe_global]
     with summary.open("wb") as out:
         out.write((",".join(header) + "\n").encode())
-        _write_rows(out, result.timestamps, columns)
+        _write_rows(out, result.timestamps, columns, _cells)
     paths.append(summary)
     for ts in sorted(result.fields):
         fld: IlluminanceField = result.fields[ts]
@@ -683,4 +692,4 @@ def write_probe_series_csv(result: PeriodResult, probe_index: int, path) -> None
     """One probe's illuminance as a two-column series CSV (for validation)."""
     with Path(path).open("wb") as out:
         out.write(b"timestamp,E_glo_lux\n")
-        _write_rows(out, result.timestamps, [result.probe_global[:, probe_index]])
+        _write_rows(out, result.timestamps, [result.probe_global[:, probe_index]], _cells)

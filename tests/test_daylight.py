@@ -13,13 +13,12 @@ from sidelux.daylight import (
     Obstruction,
     Room,
     Simulator,
+    SkyKernel,
     SurfaceOptics,
     compute_sun_patch,
     daylight_factor,
     df_from_components,
-    externally_reflected_component,
     internally_reflected_component,
-    sky_component,
     split_flux_irc,
 )
 from sidelux.geometry import Polygon3
@@ -30,23 +29,27 @@ WINDOW_RECT = ((1.5, 0.0, 0.8), (1.0, 0.0, 0.0), (0.0, 0.0, 1.0))
 P_INSIDE = np.array([2.0, 1.0, 0.8])
 
 
-class TestSkyComponent:
-    def test_full_dome_view_is_one(self):
-        assert sky_component(np.zeros(3), None) == pytest.approx(1.0, abs=2e-3)
+def bare_sky(point, window=WINDOW, obstructions=()):
+    """(sc, erc) at one point of a bare window in the plane y = 0, seen
+    from y > 0: its outward normal points to -y, away from the point."""
+    sc, erc = SkyKernel(window, (0.0, -1.0, 0.0), (), obstructions)(point)
+    return sc[0], erc[0]
 
+
+class TestSkyComponent:
     def test_vanishing_aperture(self):
         tiny = Polygon3([(2.0, 0, 1.0), (2.001, 0, 1.0), (2.001, 0, 1.001), (2.0, 0, 1.001)])
-        assert sky_component(P_INSIDE, tiny) == pytest.approx(0.0, abs=1e-4)
+        assert bare_sky(P_INSIDE, tiny)[0] == pytest.approx(0.0, abs=1e-4)
 
     def test_against_monte_carlo(self):
-        sc = sky_component(P_INSIDE, WINDOW)
+        sc, _ = bare_sky(P_INSIDE)
         sc_mc, _ = mc_sky_fractions(P_INSIDE, WINDOW_RECT)
         assert sc == pytest.approx(sc_mc, abs=0.02)
 
     def test_point_outside_room_rejected(self):
         room = make_canonical_room("south")
-        with pytest.raises(ValueError):
-            sky_component((10.0, 10.0, 0.5), room.apertures[0], room=room)
+        with pytest.raises(ValueError, match="^point lies outside the room$"):
+            daylight_factor((10.0, 10.0, 0.5), room, room.apertures[0])
 
 
 OBSTRUCTION_FULL = Obstruction(
@@ -59,20 +62,20 @@ OBSTRUCTION_PART = Obstruction(
 
 class TestExternallyReflected:
     def test_no_obstruction_zero(self):
-        assert externally_reflected_component(P_INSIDE, WINDOW, ()) == 0.0
+        assert bare_sky(P_INSIDE)[1] == 0.0
 
     def test_full_cover_equals_fraction_of_sc(self):
-        sc_open = sky_component(P_INSIDE, WINDOW)
-        erc = externally_reflected_component(P_INSIDE, WINDOW, (OBSTRUCTION_FULL,))
+        sc_open, _ = bare_sky(P_INSIDE)
+        sc, erc = bare_sky(P_INSIDE, obstructions=(OBSTRUCTION_FULL,))
         assert erc == pytest.approx(0.2 * sc_open, rel=1e-9)
-        assert sky_component(P_INSIDE, WINDOW, (OBSTRUCTION_FULL,)) == pytest.approx(0.0, abs=1e-12)
+        assert sc == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_fraction_gives_zero(self):
         obs = Obstruction(OBSTRUCTION_FULL.polygon, 0.0)
-        assert externally_reflected_component(P_INSIDE, WINDOW, (obs,)) == 0.0
+        assert bare_sky(P_INSIDE, obstructions=(obs,))[1] == 0.0
 
     def test_partial_cover_against_monte_carlo(self):
-        erc = externally_reflected_component(P_INSIDE, WINDOW, (OBSTRUCTION_PART,))
+        _, erc = bare_sky(P_INSIDE, obstructions=(OBSTRUCTION_PART,))
         _, erc_mc = mc_sky_fractions(
             P_INSIDE,
             WINDOW_RECT,

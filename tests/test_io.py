@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -13,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from sidelux import io as sidelux_io
 from sidelux.errors import ConfigError, DataError, GeometryError, ParseError
-from sidelux.daylight import PeriodResult
+from sidelux.daylight import Aperture, Obstruction, PeriodResult
 from sidelux.geometry import workplane_grid_for_parts
 from sidelux.io import (
     BUILDING_FIELDS,
@@ -27,7 +28,7 @@ from sidelux.io import (
     write_weather_csv,
 )
 from conftest import overcast_day_csv, same_weather
-from sidelux.solar import WeatherSeries
+from sidelux.solar import EfficacyModel, WeatherSeries
 
 DATA = Path(__file__).parent / "data"
 
@@ -110,6 +111,23 @@ class TestWeatherCsv:
         out = tmp_path / "w.csv"
         write_weather_csv(weather, out)
         assert same_weather(parse_weather_csv(out), weather)
+
+    def test_written_values_are_their_repr(self, tmp_path):
+        """Each value is written as ``repr`` writes it, edge values included:
+        the file stays exact on a numpy whose float-to-bytes cast ever
+        differs from ``repr``."""
+        edges = [0.0, -0.0, 5e-324, 1e-5, 1e-4, 0.1 + 0.2, 1 / 3, 1e16,
+                 9999999999999998.0, 1e300]
+        gh = [0.0, -0.0, 5e-324, 1e-5, 1e-4, 0.1 + 0.2, 1 / 3, 1499.9999999999998, 1500.0, 700.0]
+        dh = [-0.0, 0.0, 0.0, 5e-324, 1e-5, 0.1, 1 / 3, 1 / 3, 1e-4, 0.1 + 0.2]
+        times = [datetime(2009, 3, 21, 12, k, 0, 1000 * k) for k in range(len(gh))]
+        columns = (gh, dh, edges, edges[::-1])
+        weather = WeatherSeries(times, *columns)
+        write_weather_csv(weather, tmp_path / "w.csv")
+        rows = [",".join([t.isoformat(), *map(repr, row)]) for t, *row in zip(times, *columns)]
+        expected = "timestamp,Gh_Wm2,Dh_Wm2,Evg_lux,Evd_lux\n" + "".join(r + "\n" for r in rows)
+        assert (tmp_path / "w.csv").read_bytes() == expected.encode()
+        assert same_weather(parse_weather_csv(tmp_path / "w.csv"), weather)
 
     @pytest.mark.parametrize(
         "body,line",
@@ -521,6 +539,28 @@ class TestBuilding:
         assert b.efficacy.kd == 120.0 and b.efficacy.kb == 93.0
         assert b.patch_scope == "patch"
         assert b.room.s_t == pytest.approx(13.65)
+
+    def test_omitted_fields_take_the_models_defaults(self, tmp_path):
+        """A file that leaves out every optional field gets the defaults of
+        Aperture, Obstruction and EfficacyModel, which alone own them."""
+        def mutate(d):
+            aperture = d["room"]["apertures"][0]
+            d["room"]["apertures"][0] = {"vertices": aperture["vertices"]}
+            d["obstructions"] = [{"vertices": [[0, 8, 0], [4, 8, 0], [4, 8, 3], [0, 8, 3]]}]
+            del d["efficacy"], d["patch_scope"]
+
+        def settings(model):
+            return {f.name: getattr(model, f.name) for f in dataclasses.fields(model) if f.init}
+
+        b = parse_building(self._patched(tmp_path, mutate))
+        ap, = b.room.apertures
+        obs, = b.room.obstructions
+        assert settings(ap) == settings(Aperture(ap.polygon))
+        assert settings(obs) == settings(Obstruction(obs.polygon))
+        assert settings(b.efficacy) == settings(EfficacyModel())
+        assert (ap.tau, ap.mf, ap.fr, ap.mg, ap.fc) == (0.9, 1.0, 1.0, 1.0, 1.0)
+        assert obs.luminance_fraction == 0.2
+        assert (b.efficacy.mode, b.efficacy.kd, b.efficacy.kb) == ("constant", 120.0, 93.0)
 
     def _patched(self, tmp_path, mutate):
         data = json.loads((DATA / "reference_room.json").read_text())

@@ -24,8 +24,6 @@ from sidelux.daylight import (
     _piece_integrals,
     daylight_factor,
     df_from_components,
-    externally_reflected_component,
-    sky_component,
 )
 from sidelux.errors import DataError, GeometryError
 from sidelux.geometry import Polygon3, signed_ring_areas, split_rings
@@ -102,14 +100,12 @@ def test_points_hidden_by_re_entrant_walls_get_no_sky(window, point):
     room = make_l_room()
     ap = room.apertures[window]
     p = (*point, 0.01)
-    assert sky_component(p, ap, room.obstructions, room) == 0.0
-    assert externally_reflected_component(p, ap, room.obstructions, room) == 0.0
     parts = daylight_factor(p, room, ap)
     assert parts.sc == 0.0 and parts.erc == 0.0 and parts.irc > 0.0
     sc, erc = room.sky[window](np.array([p]))
     assert sc.tolist() == [0.0] and erc.tolist() == [0.0]
     # without the room's walls the same window is in plain view
-    assert sky_component(p, ap) > 1e-4
+    assert SkyKernel(ap.polygon, room.outward[window])(p)[0][0] > 1e-4
 
 
 @settings(max_examples=150, deadline=None)
@@ -125,13 +121,13 @@ def test_windows_hidden_in_plan_give_no_sky(seed, fx, fy):
     nodes = corner + np.linspace(0.0, 1.0, 33)[:, None] * e1 + 0.5 * e2
     walls = walls_other_than(room.floor.coords[:, :2], (corner, e1, e2))
     hidden = sight_classes(p, nodes, walls) == -2
-    sc = sky_component(p, ap, (), room)
+    sc = daylight_factor(p, room, ap).sc
     if hidden.all():
         assert sc == 0.0
     elif not hidden.any():
         assert sc > 0.0
     else:
-        assert 0.0 < sc < sky_component(p, ap)
+        assert 0.0 < sc < SkyKernel(ap.polygon, room.outward[0])(p)[0][0]
 
 
 def test_walls_beyond_the_window_line_do_not_hide_it():
@@ -144,8 +140,8 @@ def test_walls_beyond_the_window_line_do_not_hide_it():
     data = plain(room)
     for p in [(1.0, 5.5, 0.01), (0.5, 5.8, 0.01), (2.5, 5.9, 1.0)]:
         # the wall y = 3 beyond the window line lies behind part of the window
-        assert sky_component(p, window, (), room) == pytest.approx(sky_component(p, window),
-                                                                   rel=1e-12)
+        bare, _ = SkyKernel(window, room.outward[0])(p)
+        assert daylight_factor(p, room, room.apertures[0]).sc == pytest.approx(bare[0], rel=1e-12)
         assert engine_df(room, p) == pytest.approx(ray_cast_daylight_factor(p, data, 64), abs=1e-9)
 
 
@@ -384,8 +380,6 @@ def test_point_functions_build_no_kernel(name, tmp_path, monkeypatch):
         p = (x, y, 0.01)
         for ap in room.apertures:
             daylight_factor(p, room, ap)
-            sky_component(p, ap, room.obstructions, room)
-            externally_reflected_component(p, ap.polygon, room.obstructions, room)
     assert built == []
 
 
@@ -409,23 +403,14 @@ def test_point_functions_reject_what_the_room_does_not_hold():
     p = (1.45, 1.45, 0.01)
     ap = room.apertures[0]
     twin = Aperture(ap.polygon, tau=0.5)  # the same window with other glazing
-    west = Polygon3([(0, 2.2, 0.9), (0, 0.8, 0.9), (0, 0.8, 2.1), (0, 2.2, 2.1)])
-    for foreign in (twin, west):
+    west = Aperture(Polygon3([(0, 2.2, 0.9), (0, 0.8, 0.9), (0, 0.8, 2.1), (0, 2.2, 2.1)]))
+    # an aperture is matched by identity, so its bare polygon is foreign too
+    for foreign in (twin, west, ap.polygon):
         with pytest.raises(ValueError, match="^aperture is not one of the room's apertures$"):
-            sky_component(p, foreign, room.obstructions, room)
-        with pytest.raises(ValueError, match="^aperture is not one of the room's apertures$"):
-            externally_reflected_component(p, foreign, room.obstructions, room)
-    with pytest.raises(ValueError, match="^aperture is not one of the room's apertures$"):
-        daylight_factor(p, room, twin)
-    for obstructions in ((), room.obstructions[:1], room.obstructions[::-1]):
-        with pytest.raises(ValueError, match=r"^obstructions must be the room's own"):
-            sky_component(p, ap, obstructions, room)
-        with pytest.raises(ValueError, match=r"^obstructions must be the room's own"):
-            externally_reflected_component(p, ap.polygon, obstructions, room)
-    # the room's own, as a list, and the default () for a room without any
-    assert sky_component(p, ap, list(room.obstructions), room) == daylight_factor(p, room, ap).sc
-    cell = make_canonical_room()
-    assert sky_component((1.95, 1.27, 0.01), cell.apertures[0], room=cell) > 0.0
+            daylight_factor(p, room, foreign)
+    with pytest.raises(ValueError, match="^point lies outside the room$"):
+        daylight_factor((6.5, 6.5, 0.01), room, ap)
+    assert daylight_factor(p, room, ap).df > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -434,27 +419,37 @@ def test_point_functions_reject_what_the_room_does_not_hold():
 WINDOW = Polygon3([(1.5, 0, 0.8), (2.5, 0, 0.8), (2.5, 0, 1.8), (1.5, 0, 1.8)])
 
 
-def test_full_dome_is_exactly_one():
-    assert sky_component(np.zeros(3), None) == 1.0
+SOUTH = (0.0, -1.0, 0.0)  # WINDOW's outward normal, seen from y > 0
+
+
+def test_a_wide_window_sees_the_front_half_of_the_dome():
+    """A vertical window of half-width and height w, seen from 1 m in front
+    of it at its sill, sees the whole front half of the CIE overcast dome
+    as w grows: the SC tends to 0.5, which checks OVERCAST_DOME."""
+    gaps = []
+    for w in (1e2, 1e3, 1e4):
+        window = Polygon3([(-w, 0, 0), (w, 0, 0), (w, 0, w), (-w, 0, w)])
+        sc, _ = SkyKernel(window, SOUTH)((0.0, 1.0, 0.0))
+        gaps.append(0.5 - sc[0])
+    assert 0.0 < gaps[2] < gaps[1] < gaps[0]
+    assert gaps[2] < 1e-4
 
 
 @pytest.mark.parametrize("point", [(2.0, 0.0, 1.2), (1.5, 0.0, 0.8), (2.5, 0.0, 1.3)])
 def test_point_on_the_aperture_raises(point):
     with pytest.raises(GeometryError):
-        sky_component(point, WINDOW)
-    with pytest.raises(GeometryError):
-        externally_reflected_component(point, WINDOW, ())
+        SkyKernel(WINDOW, SOUTH)(point)
 
 
 def test_points_in_the_window_plane_off_the_aperture_or_above_it_see_nothing():
-    assert sky_component((4.0, 0.0, 1.0), WINDOW) == 0.0
-    assert sky_component((2.0, 1.0, 1.8), WINDOW) == 0.0
-    assert sky_component((2.0, 1.0, 2.5), WINDOW) == 0.0
+    sc, erc = SkyKernel(WINDOW, SOUTH)([(4.0, 0.0, 1.0), (2.0, 1.0, 1.8), (2.0, 1.0, 2.5)])
+    assert sc.tolist() == [0.0] * 3 and erc.tolist() == [0.0] * 3
 
 
 def test_window_seen_from_either_side_without_a_room():
-    assert sky_component((2.0, 1.0, 0.5), WINDOW) == pytest.approx(
-        sky_component((2.0, -1.0, 0.5), WINDOW), rel=1e-12)
+    front, _ = SkyKernel(WINDOW, SOUTH)((2.0, 1.0, 0.5))
+    back, _ = SkyKernel(WINDOW, (0.0, 1.0, 0.0))((2.0, -1.0, 0.5))
+    assert front[0] == pytest.approx(back[0], rel=1e-12)
 
 
 def test_batched_and_single_points_agree():
