@@ -568,7 +568,7 @@ def compute_sun_patch(room: Room, ap: Aperture, sun: SolarState, plane_z: float)
     """Sun patch area (m^2) of one aperture for one sun position on the plane
     z = ``plane_z``: a batch of one through :class:`BeamKernel`."""
     areas, _ = BeamKernel(room, plane_z)(sun.direction[None], np.zeros((0, 2)))
-    return float(areas[0, room.apertures.index(ap)])
+    return float(areas[0, _aperture_index(room, ap)])
 
 
 @dataclass(eq=False)
@@ -650,7 +650,7 @@ class Simulator:
         self.efficacy = efficacy if efficacy is not None else EfficacyModel()
         self.patch_scope = patch_scope
         if not 0.0 <= workplane_height <= room.height:
-            raise ConfigError(f"workplane height {workplane_height} m must lie between the "
+            raise ConfigError(f"workplane.height: {workplane_height} m must lie between the "
                               f"floor (0 m) and the ceiling ({room.height} m)")
         self.grid = room.workplane(cell, workplane_height)
         self.beam = BeamKernel(room, self.grid.plane_z)

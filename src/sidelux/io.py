@@ -17,9 +17,9 @@ Formats:
 Every parser either consumes its file completely or raises an error that
 carries the offending line number; nothing is silently skipped. Both CSV
 formats go through one table reader (``_read_table``): a file in the plain
-shape (see ``_plain_table``) is read in array passes, any other one by one
-per-line loop, and both build the same table. Each format's value rules are
-then checked once, on that table.
+shape (see ``_plain_table``) is read by numpy's own CSV loader, any other one
+by one per-line loop, and both build the same table. Each format's value
+rules are then checked once, on that table.
 """
 
 from __future__ import annotations
@@ -68,10 +68,9 @@ _EPOCH_ORDINAL = datetime(1970, 1, 1).toordinal()
 _LF, _COMMA, _SPACE = ord("\n"), ord(","), ord(" ")
 _PLAIN_BYTES = bytes([_LF, *range(0x20, 0x7F)])
 _STAMP = "YYYY-MM-DDThh:mm:ss"  # each letter a digit of that field
-# a value column costs rows x its widest value in bytes; a wider value sends
-# the file row by row
-_MAX_VALUE_WIDTH = 32
-_BLOCK_ROWS = 1 << 16
+_STAMP_FIELD = len(_STAMP) + 1  # a longer stamp fills the field and shows as too wide
+# suffixes of files np.loadtxt opens as compressed archives
+_DECOMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 # '%#.6g' in array passes (see _cells): a cell holds a lead byte and at most
 # 13 bytes of text, as in "-1.23457e-308"; a stamp at most 26 bytes
 _CELL = 16
@@ -130,102 +129,58 @@ class _Table(NamedTuple):
     lines: np.ndarray   # int64 file line of each body row, the header being line 1
 
 
-def _plain_table(data: bytes) -> _Table | None:
-    """A CSV file's header, stamps and values, read in array passes when the
+def _plain_table(path: Path, data: bytes) -> _Table | None:
+    """A CSV file's header, stamps and values, read by ``np.loadtxt`` when the
     whole file has the plain shape; None for any other file.
 
     The plain shape: printable ASCII and LF line ends only; at least one body
     row and no blank one; every body row a ``YYYY-MM-DDTHH:MM`` or
     ``YYYY-MM-DDTHH:MM:SS`` stamp (one width for the whole file) with a valid
-    calendar date and time, then exactly as many commas as the header and no
-    empty or overlong value. Values go through numpy's cast from bytes, which
-    applies Python's ``float``. On such a file the per-line loop of
-    :func:`_read_table` builds the same table, so that loop stays the
+    calendar date and time in year 1 or later, then exactly as many commas as
+    the header and values numpy's float parser reads. That parser gives the
+    same bits as Python's ``float`` but rejects digit-group underscores
+    (``1_000``), which send the file to the loop. On such a file the per-line
+    loop of :func:`_read_table` builds the same table, so that loop stays the
     reference; it also reads every other file and locates its errors.
-    """
-    if not data or data.translate(None, _PLAIN_BYTES):
-        return None
-    buf = np.frombuffer(data, np.uint8)
-    ends = _offsets(buf, _LF)
-    if not data.endswith(b"\n"):
-        ends = np.append(ends, len(buf))
-    if len(ends) < 2:
-        return None
-    header = data[:ends[0]].decode("ascii")
-    n_sep = header.count(",")
-    starts, ends = ends[:-1] + 1, ends[1:]
-    commas = _offsets(buf, _COMMA)[n_sep:]
-    if n_sep == 0 or len(commas) != len(starts) * n_sep:
-        return None
-    # each row's commas lie between its stamp and its end, so every row has n_sep
-    commas = commas.reshape(-1, n_sep)
-    width = int(commas[0, 0] - starts[0])
-    if (width not in (16, 19) or np.count_nonzero(commas[:, 0] - starts != width)
-            or np.count_nonzero(commas[:, -1] >= ends)):
-        return None
-    micros = np.empty(len(starts), np.int64)
-    values = np.empty((n_sep, len(starts)))
-    for i in range(0, len(starts), _BLOCK_ROWS):  # a block at a time, so temporaries stay small
-        rows = slice(i, i + _BLOCK_ROWS)
-        block = _stamp_micros(buf, starts[rows], width)
-        if block is None:
-            return None
-        micros[rows] = block
-        for j in range(n_sep):
-            block = _float_fields(buf, commas[rows, j] + 1,
-                                  commas[rows, j + 1] if j + 1 < n_sep else ends[rows])
-            if block is None:
-                return None
-            values[j, rows] = block
-    return _Table(header, micros, values, np.arange(2, len(starts) + 2))
 
-
-def _offsets(buf: np.ndarray, byte: int) -> np.ndarray:
-    """Offsets of every ``byte`` in a non-empty ``buf``, searched a MiB at a time."""
-    step = 1 << 20
-    return np.concatenate([np.flatnonzero(buf[i:i + step] == byte) + i
-                           for i in range(0, len(buf), step)])
-
-
-def _stamp_micros(buf: np.ndarray, starts: np.ndarray, width: int) -> np.ndarray | None:
-    """Microseconds since 1970 of the plain stamps at ``starts``; None unless
-    every one is a valid date and time."""
-    fields = dict.fromkeys("YMDhms", 0)
-    for k, c in enumerate(_STAMP[:width]):
-        column = buf[starts + k]
-        if c in fields:
-            digit = column - np.uint8(ord("0"))  # bytes below "0" wrap past 9
-            if np.count_nonzero(digit > 9):
-                return None
-            fields[c] = fields[c] * 10 + digit.astype(np.int64)
-        elif np.count_nonzero(column != ord(c)):
-            return None
-    year, month, day, hour, minute, second = fields.values()
-    if np.count_nonzero((year < 1) | (month < 1) | (month > 12) | (hour > 23) | (minute > 59)
-                        | (second > 59)):
+    numpy reads ``path`` again, through its C reader: ``data`` is only
+    checked. A file numpy would not read as those bytes (not a regular file,
+    one it decompresses by its suffix, or a row count that differs) takes
+    the loop."""
+    end = data.find(b"\n")  # of the header; slices of data would copy it
+    n_sep = data.count(b",", 0, end)
+    if (end < 0 or end + 1 == len(data) or n_sep == 0 or b"\n\n" in data
+            or data.translate(None, _PLAIN_BYTES) or path.suffix in _DECOMPRESSED
+            or not path.is_file()):
         return None
-    month_index = (year - 1970) * 12 + month - 1
-    first, following = (m.astype("datetime64[M]").astype("datetime64[D]").view(np.int64)
-                        for m in (month_index, month_index + 1))
-    if np.count_nonzero((day < 1) | (day > following - first)):
-        return None
-    return ((((first + day - 1) * 24 + hour) * 60 + minute) * 60 + second) * 1_000_000
-
-
-def _float_fields(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray | None:
-    """The fields ``buf[lo:hi]`` as floats by Python's ``float`` rules; None
-    if any of them is empty, overlong or not a number."""
-    size = hi - lo
-    width = int(size.max())
-    if size.min() == 0 or width > _MAX_VALUE_WIDTH:
-        return None
-    cells = np.zeros((len(lo), width), np.uint8)  # right-padded with NUL, which the cast drops
-    for k in range(width):
-        cells[:, k] = np.where(k < size, buf.take(lo + k, mode="clip"), 0)
     try:
-        return cells.view(f"S{width}")[:, 0].astype(np.float64)
+        rows = np.loadtxt(path, np.dtype(",".join([f"S{_STAMP_FIELD}"] + ["f8"] * n_sep)),
+                          delimiter=",", comments=None, skiprows=1, ndmin=1)
     except ValueError:
         return None
+    if len(rows) != data.count(b"\n", end + 1) + (not data.endswith(b"\n")):
+        return None
+    # the stamp field's bytes, NUL-padded, in place: a copy would cost memory
+    stamps = rows.view(np.uint8).reshape(len(rows), -1)[:, :_STAMP_FIELD]
+    width = 19 if stamps[0, 16] else 16
+    if np.count_nonzero(stamps[:, width]):
+        return None
+    for k, c in enumerate(_STAMP[:width]):
+        column = stamps[:, k]
+        if c in "YMDhms":  # numpy would also read a "+" or a space in a year
+            if np.count_nonzero(column - np.uint8(ord("0")) > 9):  # bytes below "0" wrap past 9
+                return None
+        elif np.count_nonzero(column != ord(c)):
+            return None
+    try:
+        times = rows["f0"].astype("datetime64[us]")
+    except ValueError:  # an impossible date or time
+        return None
+    if np.count_nonzero(times < np.datetime64("0001-01-01")):  # numpy reads year 0000
+        return None
+    values = np.array([rows[name] for name in rows.dtype.names[1:]])
+    return _Table(data[:end].decode("ascii"), times.view(np.int64), values,
+                  np.arange(2, len(rows) + 2))
 
 
 def _decode(data: bytes) -> str:
@@ -241,16 +196,18 @@ def _decode(data: bytes) -> str:
 
 def _read_table(path, check_header) -> _Table:
     """A CSV file's header, stamps and values, and the file line of each
-    body row, from one read of its bytes.
+    body row.
 
-    A file in the plain shape is read in array passes (:func:`_plain_table`),
-    any other one by the per-line loop below, which skips blank lines and
-    stops at the first malformed row (a wrong column count, a bad stamp, a
-    value ``float`` rejects) with its line. ``check_header`` sees the header
-    line before any row can fail. Both paths build the same table, so each
-    format's value rules are checked once, on the table."""
-    data = Path(path).read_bytes()
-    table = _plain_table(data)
+    The file's bytes are read once. A file in the plain shape is then read
+    again from its path by ``np.loadtxt`` (:func:`_plain_table`), any other
+    one from those bytes by the per-line loop below, which skips blank lines
+    and stops at the first malformed row (a wrong column count, a bad stamp,
+    a value ``float`` rejects) with its line. ``check_header`` sees the
+    header line before any row can fail. Both paths build the same table, so
+    each format's value rules are checked once, on the table."""
+    path = Path(path)  # np.loadtxt downloads a str that parses as a URL; a Path's text never does
+    data = path.read_bytes()
+    table = _plain_table(path, data)
     lines = [table.header] if table is not None else _decode(data).splitlines()
     if not lines:
         raise ParseError("empty CSV file", line=1)

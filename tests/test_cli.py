@@ -353,7 +353,8 @@ class TestWorkplaneHeight:
                 "dfmap": ["--out", str(tmp_path / "df.txt")]}[command]
         assert main([command, "--building", str(building), *args]) == 2
         err = capsys.readouterr().err
-        assert f"workplane height {height} m must lie between the floor (0 m) and the ceiling (2.8 m)" in err
+        assert (f"error: workplane.height: {height} m must lie between the floor (0 m) and the "
+                "ceiling (2.8 m)") in err.splitlines()
         assert list(tmp_path.glob("run*")) == [] and not (tmp_path / "df.txt").exists()
 
     @pytest.mark.parametrize("height", [0.0, 0.01, 2.8])

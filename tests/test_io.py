@@ -1,8 +1,12 @@
 import dataclasses
 import json
 import math
+import os
 import re
 import struct
+import sys
+import threading
+import warnings
 from datetime import datetime, timedelta
 from decimal import Decimal
 from pathlib import Path
@@ -29,6 +33,9 @@ from sidelux.io import (
 )
 from conftest import overcast_day_csv, same_weather
 from sidelux.solar import EfficacyModel, WeatherSeries
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import inputs  # noqa: E402
 
 DATA = Path(__file__).parent / "data"
 
@@ -311,17 +318,17 @@ def both_readers(path):
     """The outcome of the public reader on one file with the array path and
     with the per-line loop alone: the weather reader unless the header names
     a series."""
-    weather = not path.read_bytes().startswith(b"timestamp,E_lux")
+    weather = not path.read_bytes().startswith(b"timestamp,E_")
     public = parse_weather_csv if weather else parse_series_csv
     with mock.patch.object(sidelux_io, "WeatherSeries", _Recorded):
         arrays = _outcome(lambda: public(path))
-        with mock.patch.object(sidelux_io, "_plain_table", lambda data: None):
+        with mock.patch.object(sidelux_io, "_plain_table", lambda path, data: None):
             return arrays, _outcome(lambda: public(path))
 
 
 def is_plain(path) -> bool:
-    """Whether a file is read in array passes."""
-    return sidelux_io._plain_table(path.read_bytes()) is not None
+    """Whether a file is read by numpy's loader."""
+    return sidelux_io._plain_table(path, path.read_bytes()) is not None
 
 
 W3 = "timestamp,Gh_Wm2,Dh_Wm2\n"
@@ -426,7 +433,7 @@ PLAIN = [
     W3 + ROW + "\n" + NEXT,
     W3 + "2009-03-21T12:00:00,500.25,100.125\n2009-03-21T12:01:00,501.5,99.875\n",
     W5 + "2009-03-21T12:00,500.25,100.125,49200.5,12000.25\n",
-    W3 + "2008-02-29T12:00,500,100\n2009-07-01T12:00,1_000, 5 \n",
+    W3 + "2008-02-29T12:00,500,100\n2009-07-01T12:00,1000, 5 \n",
     W3 + "2009-07-01T12:00,nan,inf\n",
     W3 + "2009-07-01T12:01,500,100\n2009-07-01T12:00,500,100\n",
     "time,G,D\n2009-03-21T12:00,500,100\n",
@@ -435,7 +442,7 @@ PLAIN = [
 
 
 class TestArrayPath:
-    """Plain files are read in array passes; the per-line loop is the
+    """Plain files are read by numpy's loader; the per-line loop is the
     reference and reads every other file."""
 
     @pytest.mark.parametrize("text", EXISTING + ADVERSARIAL,
@@ -455,7 +462,8 @@ class TestArrayPath:
 
     @pytest.mark.parametrize("text", [ADVERSARIAL[0], ADVERSARIAL[5], W3 + "2009-07-01,500,100\n",
                                       W3 + "2009-02-29T12:00,500,100\n",
-                                      W3 + "2009-07-01T12:00,abc,100\n"])
+                                      W3 + "2009-07-01T12:00,abc,100\n",
+                                      W3 + "2009-07-01T12:00,1_000,100\n"])
     def test_other_files_take_the_per_line_path(self, tmp_path, text):
         path = tmp_path / "in.csv"
         path.write_bytes(text.encode("utf-8"))
@@ -471,6 +479,56 @@ class TestArrayPath:
         path = write(tmp_path, W3 + ROW + "\n" + NEXT + "\n")
         with mock.patch.object(sidelux_io, "WeatherSeries", _Recorded):
             assert parse_weather_csv(path).source.tolist() == [2, 3]
+
+    @pytest.mark.parametrize("writer", ["benchmark weather", "benchmark series", "weather",
+                                        "probe series"])
+    def test_the_files_the_repo_writes_take_the_array_path(self, tmp_path, writer):
+        """A day in each shape the benchmark and sidelux write; one sent to
+        the per-line loop would slow every workload that reads it."""
+        rng = np.random.default_rng(3)
+        minutes = inputs.minute_range("2009-07-01T00:00", 1)
+        times = minutes.astype("datetime64[m]").astype("datetime64[us]")
+        gh = rng.uniform(0.0, 1200.0, len(minutes))
+        dh = gh * rng.uniform(0.0, 1.0, len(minutes))
+        path = tmp_path / "in.csv"
+        if writer == "benchmark weather":
+            inputs.write_weather(path, minutes, gh, dh)
+        elif writer == "benchmark series":
+            inputs.write_series(path, minutes, gh)
+        elif writer == "weather":
+            write_weather_csv(WeatherSeries(times, gh, dh, None, None), path)
+        else:
+            zeros = np.zeros(len(minutes))
+            result = PeriodResult(
+                timestamps=times, outdoor_global=zeros, outdoor_diffuse=zeros,
+                outdoor_direct=zeros, patch_area=zeros, probe_points=((1.0, 1.0),),
+                probe_names=("p1",), probe_global=rng.lognormal(3.0, 4.0, (len(minutes), 1)),
+            )
+            write_probe_series_csv(result, 0, path)
+        assert is_plain(path)
+        public, rows = both_readers(path)
+        assert public == rows and len(public[0][1]) == 1440 * 8
+
+    @pytest.mark.parametrize("name", ["w.csv.gz", "w.csv.xz", "fifo"])
+    def test_archive_names_and_fifos_are_read_as_a_regular_file_is(self, tmp_path, name):
+        """A plain CSV named like an archive numpy decompresses, or a FIFO
+        that a second open would wait on forever, is read as a w.csv is."""
+        text = W3 + ROW + "\n" + NEXT + "\n"
+        expected = parse_weather_csv(write(tmp_path, text, "w.csv"))
+        path = tmp_path / name
+        if name == "fifo":
+            os.mkfifo(path)
+            threading.Thread(target=path.write_text, args=(text,), daemon=True).start()
+        else:
+            path.write_text(text)
+        read = []
+        reader = threading.Thread(target=lambda: read.append(parse_weather_csv(path)), daemon=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            reader.start()
+            reader.join(timeout=10.0)
+        assert not reader.is_alive(), "the read did not return"
+        assert len(read) == 1 and same_weather(read[0], expected)
 
 
 @settings(max_examples=300, deadline=None)

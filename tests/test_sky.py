@@ -22,13 +22,14 @@ from sidelux.daylight import (
     Room,
     SkyKernel,
     _piece_integrals,
+    compute_sun_patch,
     daylight_factor,
     df_from_components,
 )
 from sidelux.errors import DataError, GeometryError
 from sidelux.geometry import Polygon3, signed_ring_areas, split_rings
 from sidelux.io import parse_building
-from sidelux.solar import WeatherSeries
+from sidelux.solar import SolarState, WeatherSeries
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 EZ = np.array([0.0, 0.0, 1.0])
@@ -404,10 +405,13 @@ def test_point_functions_reject_what_the_room_does_not_hold():
     ap = room.apertures[0]
     twin = Aperture(ap.polygon, tau=0.5)  # the same window with other glazing
     west = Aperture(Polygon3([(0, 2.2, 0.9), (0, 0.8, 0.9), (0, 0.8, 2.1), (0, 2.2, 2.1)]))
+    sun = SolarState.from_angles(45.0, 0.0)
     # an aperture is matched by identity, so its bare polygon is foreign too
     for foreign in (twin, west, ap.polygon):
         with pytest.raises(ValueError, match="^aperture is not one of the room's apertures$"):
             daylight_factor(p, room, foreign)
+        with pytest.raises(ValueError, match="^aperture is not one of the room's apertures$"):
+            compute_sun_patch(room, foreign, sun, 0.01)
     with pytest.raises(ValueError, match="^point lies outside the room$"):
         daylight_factor((6.5, 6.5, 0.01), room, ap)
     assert daylight_factor(p, room, ap).df > 0.0
