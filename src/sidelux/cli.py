@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError, GeometryError, MetricError, ParseError
+from .errors import DataError
 from .io import (
     parse_building,
     parse_series_csv,
@@ -185,8 +185,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, DataError, ConfigError, GeometryError, MetricError,
-            OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # every sidelux error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - defensive

@@ -573,12 +573,11 @@ def compute_sun_patch(room: Room, ap: Aperture, sun: SolarState, plane_z: float)
 
 @dataclass(eq=False)
 class IlluminanceField:
-    """Per-point illuminances over the workplane grid for one instant."""
+    """Per-point illuminances over the workplane grid for one instant and
+    its total sun-patch area; the instant, outdoor conditions and sun are
+    the caller's (a run's ``fields`` key and columns)."""
 
     grid: GridMesh
-    timestamp: datetime | None
-    outdoor: OutdoorIlluminance
-    sun: SolarState | None
     df: np.ndarray
     e_diffuse: np.ndarray
     e_direct: np.ndarray
@@ -590,15 +589,14 @@ class IlluminanceField:
 class PeriodResult:
     """Time series produced by a period simulation on ``datetime64[us]`` step
     times: outdoor conditions, total patch area and workplane illuminance at
-    the probe points, plus full fields at explicitly requested instants."""
+    the probe points, one column per probe in the order given, plus full
+    fields at explicitly requested instants."""
 
     timestamps: np.ndarray
     outdoor_global: np.ndarray
     outdoor_diffuse: np.ndarray
     outdoor_direct: np.ndarray
     patch_area: np.ndarray
-    probe_points: tuple[tuple[float, float], ...]
-    probe_names: tuple[str, ...]
     probe_global: np.ndarray
     fields: dict[datetime, IlluminanceField] = field(default_factory=dict)
 
@@ -615,8 +613,6 @@ class PeriodResult:
             outdoor_diffuse=mean(self.outdoor_diffuse),
             outdoor_direct=mean(self.outdoor_direct),
             patch_area=mean(self.patch_area),
-            probe_points=self.probe_points,
-            probe_names=self.probe_names,
             probe_global=probe,
             fields=dict(self.fields),
         )
@@ -637,14 +633,16 @@ class Simulator:
     whatever the sun does, in chunks of ``BLOCK_STEPS`` lit steps; in each
     chunk a lit step with the sun down is zeroed, and the sunny steps,
     those left with a direct part, alone get the sun's direction and go to
-    the :class:`BeamKernel` as one batch.
+    the :class:`BeamKernel` as one batch. A run's columns are the one copy
+    of its outputs: its fields are built from them and the sun directions
+    of their steps, as :meth:`evaluate` builds one from its arguments.
     """
 
     def __init__(self, room: Room, location: GeoLocation, cell: float = 0.1,
                  workplane_height: float = 0.01, efficacy: EfficacyModel | None = None,
                  patch_scope: str = "patch"):
         if patch_scope not in PATCH_SCOPES:
-            raise ConfigError(f"patch scope must be one of {PATCH_SCOPES}")
+            raise ConfigError(f"patch_scope: must be one of {PATCH_SCOPES}, got {patch_scope!r}")
         self.room = room
         self.location = location
         self.efficacy = efficacy if efficacy is not None else EfficacyModel()
@@ -689,25 +687,26 @@ class Simulator:
         e_dif[sunny], e_dir[sunny], area[sunny] = dif, dirc, total
         return area, e_dif, e_dir
 
-    def evaluate(self, outdoor: OutdoorIlluminance, sun: SolarState | None,
-                 timestamp: datetime | None = None) -> IlluminanceField:
-        """Field over the workplane grid for given outdoor conditions."""
-        return self._fields([timestamp], [outdoor], [sun])[0]
-
-    def _fields(self, timestamps, outdoors, suns) -> list[IlluminanceField]:
-        """Fields over the workplane grid at a batch of instants, each with
-        its outdoor conditions and sun (None: below the horizon), from one
-        :meth:`_illuminance` pass over the instants and the grid points."""
+    def evaluate(self, outdoor: OutdoorIlluminance, sun: SolarState | None) -> IlluminanceField:
+        """Field over the workplane grid for given outdoor conditions and sun
+        (None: below the horizon)."""
         # no sun points up, so it casts nothing (zeros would divide 0 by 0)
-        direction = np.array([(0.0, 0.0, 1.0) if sun is None else sun.direction
-                              for sun in suns]).reshape(-1, 3)
-        area, e_dif, e_dir = self._illuminance(
-            direction, np.array([o.e_global for o in outdoors]),
-            np.array([o.e_direct for o in outdoors]), self.grid.points, self.df)
-        return [IlluminanceField(grid=self.grid, timestamp=when, outdoor=outdoor, sun=sun,
-                                 df=self.df, e_diffuse=e_dif[j], e_direct=e_dir[j],
-                                 e_global=e_dif[j] + e_dir[j], patch_area=float(area[j]))
-                for j, (when, outdoor, sun) in enumerate(zip(timestamps, outdoors, suns))]
+        direction = np.array([(0.0, 0.0, 1.0) if sun is None else sun.direction])
+        return self._fields(direction, np.array([outdoor.e_global]),
+                            np.array([outdoor.e_direct]))[0]
+
+    def _fields(self, direction: np.ndarray, e_global: np.ndarray,
+                e_direct: np.ndarray) -> list[IlluminanceField]:
+        """Fields over the workplane grid at a batch of instants, given by
+        their sun directions (n, 3) and outdoor global and direct
+        illuminance (n,), from one :meth:`_illuminance` pass over the
+        instants and the grid points."""
+        area, e_dif, e_dir = self._illuminance(direction, e_global, e_direct,
+                                               self.grid.points, self.df)
+        return [IlluminanceField(grid=self.grid, df=self.df, e_diffuse=e_dif[j],
+                                 e_direct=e_dir[j], e_global=e_dif[j] + e_dir[j],
+                                 patch_area=float(area[j]))
+                for j in range(len(direction))]
 
     def step(self, when: datetime, gh: float, dh: float, ev_global: float | None = None,
              ev_diffuse: float | None = None) -> IlluminanceField:
@@ -716,7 +715,7 @@ class Simulator:
         series = WeatherSeries([when], [gh], [dh], [ev_global], [ev_diffuse])
         return self.run(series, field_at=[when]).fields[when]
 
-    def _probe_df(self, probes: tuple[tuple[float, float], ...]):
+    def _probe_df(self, probes):
         pts = np.array([(x, y, self.grid.plane_z) for x, y in probes], dtype=float).reshape(-1, 3)
         outside = np.flatnonzero(~self.room.contains(pts))
         if len(outside):
@@ -733,8 +732,9 @@ class Simulator:
 
         Every step needs a sample at its exact time; a missing one is an
         error. Full fields are built only for the instants listed in
-        ``field_at``; each must be a step of the period, which is checked
-        before any step is taken.
+        ``field_at``, keyed by them; each must be a step of the period,
+        which is checked before any step is taken. The probe columns
+        follow the order of ``probes``.
         """
         if step_minutes < 1:
             raise ConfigError("step must be at least one minute")
@@ -749,8 +749,6 @@ class Simulator:
         n = int(-((first - end) // step))
         if n <= 0:
             raise DataError("empty simulation period (end must be after start)")
-        probes = tuple((float(x), float(y)) for x, y in probes)
-        probe_names = tuple(f"p{i + 1}" for i in range(len(probes)))
         probe_pts, probe_df = self._probe_df(probes)
 
         times = first + np.arange(n) * step
@@ -803,19 +801,14 @@ class Simulator:
                     direction, outdoor_global[steps], outdoor_direct[steps], probe_pts, probe_df)
                 probe_global[steps] = e_dif + e_dir
 
-        altitude, azimuth, direction = sun_positions(times[field_steps], self.location)
-        suns = [SolarState(float(a), float(z), d) for a, z, d in zip(altitude, azimuth, direction)]
-        outdoors = [OutdoorIlluminance(float(outdoor_global[k]), float(outdoor_diffuse[k]),
-                                       float(outdoor_direct[k])) for k in field_steps]
-        fields = dict(zip(field_at, self._fields(field_at, outdoors, suns)))
+        _, _, direction = sun_positions(times[field_steps], self.location)
+        fields = self._fields(direction, outdoor_global[field_steps], outdoor_direct[field_steps])
         return PeriodResult(
             timestamps=times,
             outdoor_global=outdoor_global,
             outdoor_diffuse=outdoor_diffuse,
             outdoor_direct=outdoor_direct,
             patch_area=patch_area,
-            probe_points=probes,
-            probe_names=probe_names,
             probe_global=probe_global,
-            fields=fields,
+            fields=dict(zip(field_at, fields)),
         )

@@ -36,13 +36,11 @@ import numpy as np
 
 from .daylight import (
     Aperture,
-    IlluminanceField,
     Obstruction,
     PeriodResult,
     Room,
     Simulator,
     SurfaceOptics,
-    PATCH_SCOPES,
 )
 from .errors import ConfigError, DataError, GeometryError, ParseError
 from .geometry import GridMesh, Polygon3
@@ -350,7 +348,10 @@ def parse_series_csv(path) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(eq=False)
 class BuildingDescription:
-    """Parsed building file: site, room and simulation settings."""
+    """Parsed building file: site, room and simulation settings. The
+    workplane height and the patch scope are kept as the file gives them:
+    :class:`Simulator`, which owns their rules, checks them when
+    :meth:`simulator` builds it."""
 
     location: GeoLocation
     room: Room
@@ -422,6 +423,24 @@ def _vertices(raw, where: str) -> Polygon3:
         raise ConfigError(f"{where}: {exc}") from None
 
 
+def _polygons(items, where: str, make, **args: str) -> tuple:
+    """``make(polygon=..., **factors)`` for each item of the JSON list
+    ``items`` at ``where``: an object of the fields of ``where[]`` with its
+    ``vertices`` and the factors ``args`` names (see :func:`_given`). An
+    error names the item's path, such as ``room.apertures[k]: ``."""
+    made = []
+    for i, node in enumerate(_typed(items, list, where)):
+        at = f"{where}[{i}]"
+        node = _fields(node, f"{where}[]", at)
+        poly = _vertices(_require(node, "vertices", at), f"{at}.vertices")
+        factors = _given(node, at, **args)
+        try:
+            made.append(make(polygon=poly, **factors))
+        except (ConfigError, GeometryError) as exc:
+            raise type(exc)(f"{at}: {exc}") from None
+    return tuple(made)
+
+
 def parse_building(path) -> BuildingDescription:
     """Read a building description JSON.
 
@@ -472,35 +491,12 @@ def parse_building(path) -> BuildingDescription:
             raise ConfigError(f"room.surfaces: missing reflectance for role {role!r}")
     optics = SurfaceOptics(floor=refl["floor"], walls=refl["walls"], ceiling=refl["ceiling"])
 
-    apertures = []
-    for i, a in enumerate(_typed(room_d.get("apertures", []), list, "room.apertures")):
-        where = f"room.apertures[{i}]"
-        a = _fields(a, "room.apertures[]", where)
-        poly = _vertices(_require(a, "vertices", where), f"{where}.vertices")
-        factors = _given(a, where, tau_vitre="tau", MF="mf", FR="fr", MG="mg", FC="fc")
-        try:
-            apertures.append(Aperture(polygon=poly, **factors))
-        except (ConfigError, GeometryError) as exc:
-            raise type(exc)(f"{where}: {exc}") from None
-
-    obstructions = []
-    for i, o in enumerate(_typed(data.get("obstructions", []), list, "obstructions")):
-        where = f"obstructions[{i}]"
-        o = _fields(o, "obstructions[]", where)
-        poly = _vertices(_require(o, "vertices", where), f"{where}.vertices")
-        fraction = _given(o, where, luminance_fraction="luminance_fraction")
-        try:
-            obstructions.append(Obstruction(polygon=poly, **fraction))
-        except (ConfigError, GeometryError) as exc:
-            raise type(exc)(f"{where}: {exc}") from None
-
-    room = Room(
-        floor=floor,
-        height=height,
-        optics=optics,
-        apertures=tuple(apertures),
-        obstructions=tuple(obstructions),
-    )
+    apertures = _polygons(room_d.get("apertures", []), "room.apertures", Aperture,
+                          tau_vitre="tau", MF="mf", FR="fr", MG="mg", FC="fc")
+    obstructions = _polygons(data.get("obstructions", []), "obstructions", Obstruction,
+                             luminance_fraction="luminance_fraction")
+    room = Room(floor=floor, height=height, optics=optics, apertures=apertures,
+                obstructions=obstructions)
 
     wp = _fields(_require(data, "workplane", "building"), "workplane")
     cell = _number(wp, "cell", "workplane")
@@ -515,17 +511,13 @@ def parse_building(path) -> BuildingDescription:
     except ValueError as exc:
         raise ConfigError(f"efficacy: {exc}") from None
 
-    scope = data.get("patch_scope", "patch")
-    if scope not in PATCH_SCOPES:
-        raise ConfigError(f"patch_scope: must be one of {PATCH_SCOPES}, got {scope!r}")
-
     return BuildingDescription(
         location=loc,
         room=room,
         workplane_cell=cell,
         workplane_height=wp_height,
         efficacy=efficacy,
-        patch_scope=scope,
+        patch_scope=data.get("patch_scope", "patch"),
     )
 
 
@@ -630,7 +622,7 @@ def write_results(result: PeriodResult, prefix) -> list[Path]:
     paths: list[Path] = []
     summary = Path(f"{prefix}_summary.csv")
     header = ["timestamp", "E_out_G_lux", "E_out_dif_lux", "E_out_Dir_S_lux", "S_TS_m2"]
-    header += [f"E_glo_{name}_lux" for name in result.probe_names]
+    header += [f"E_glo_p{j + 1}_lux" for j in range(result.probe_global.shape[1])]
     columns = [result.outdoor_global, result.outdoor_diffuse, result.outdoor_direct,
                result.patch_area, result.probe_global]
     with summary.open("wb") as out:
@@ -638,7 +630,7 @@ def write_results(result: PeriodResult, prefix) -> list[Path]:
         _write_rows(out, result.timestamps, columns, _cells)
     paths.append(summary)
     for ts in sorted(result.fields):
-        fld: IlluminanceField = result.fields[ts]
+        fld = result.fields[ts]
         path = Path(f"{prefix}_field_{ts.strftime('%Y%m%dT%H%M')}.txt")
         write_field_file(path, fld.grid, fld.e_global, ts.isoformat(timespec="minutes"))
         paths.append(path)

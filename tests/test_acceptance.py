@@ -36,7 +36,7 @@ from sidelux.metrics import (
     rsd,
 )
 from sidelux.solar import GeoLocation, OutdoorIlluminance, SolarState, WeatherSeries, \
-    sun_position
+    reconstruct_illuminance, sun_position
 from test_io import TMY2_HEADER, tmy2_line
 
 DATA = Path(__file__).parent / "data"
@@ -72,7 +72,7 @@ def test_c02_overcast_regime(canonical_sim):
         fld = canonical_sim.step(datetime(2009, 7, 15, 11, 0), gh, gh)
         assert fld.patch_area == 0.0
         assert not fld.e_direct.any()
-        expected = canonical_sim.df * fld.outdoor.e_global
+        expected = canonical_sim.df * (canonical_sim.efficacy.kd * gh)
         assert np.allclose(fld.e_global, expected, rtol=1e-12, atol=0.0)
 
 
@@ -192,12 +192,15 @@ def test_c08_daylight_factor_substitution():
 def test_c09_linearity(canonical_sim):
     """Scaling the outdoor illuminance scales every indoor output by the
     same factor to 1e-9 relative."""
-    base = canonical_sim.step(datetime(2009, 7, 15, 10, 0), 600.0, 150.0)
+    when = datetime(2009, 7, 15, 10, 0)
+    base = canonical_sim.step(when, 600.0, 150.0)
     assert base.patch_area > 0.0  # exercise all three terms
+    sun = sun_position(when, canonical_sim.location)
+    outdoor = reconstruct_illuminance(sun, 600.0, 150.0, canonical_sim.efficacy)
     for lam in (0.5, 2.0, 10.0):
-        out = OutdoorIlluminance.from_components(lam * base.outdoor.e_diffuse,
-                                                 lam * base.outdoor.e_direct)
-        scaled = canonical_sim.evaluate(out, base.sun)
+        out = OutdoorIlluminance.from_components(lam * outdoor.e_diffuse,
+                                                 lam * outdoor.e_direct)
+        scaled = canonical_sim.evaluate(out, sun)
         for a, b in (
             (scaled.e_diffuse, base.e_diffuse),
             (scaled.e_direct, base.e_direct),

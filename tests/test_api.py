@@ -1,6 +1,7 @@
 """The public names of the ``sidelux`` package."""
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import sidelux
@@ -34,3 +35,19 @@ def test_public_names_are_pinned():
         "relative_errors", "resample_hourly", "rmsd", "rsd", "sun_position",
     ]
     assert all(hasattr(sidelux, name) for name in bound_names())
+
+
+def test_result_members_are_pinned():
+    """A run's outputs are its columns and a field holds only what it adds
+    over the grid: no timestamp, outdoor conditions, sun or probe names
+    that repeat the caller's input or the run's columns."""
+    def names(cls):
+        return [f.name for f in dataclasses.fields(cls)]
+
+    assert names(sidelux.PeriodResult) == [
+        "timestamps", "outdoor_global", "outdoor_diffuse", "outdoor_direct", "patch_area",
+        "probe_global", "fields",
+    ]
+    assert names(sidelux.IlluminanceField) == [
+        "grid", "df", "e_diffuse", "e_direct", "e_global", "patch_area",
+    ]

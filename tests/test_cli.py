@@ -366,6 +366,21 @@ class TestWorkplaneHeight:
         assert main(["dfmap", "--building", str(building), "--out", str(tmp_path / "df.txt")]) == 0
 
 
+@pytest.mark.parametrize("command", ["simulate", "dfmap"])
+def test_bad_patch_scope_exits_2(tmp_path, capsys, command):
+    data = json.loads(BUILDING_JSON % {"cell": "0.5"})
+    data["patch_scope"] = "everywhere"
+    building = tmp_path / "b.json"
+    building.write_text(json.dumps(data), encoding="utf-8")
+    args = {"simulate": ["--weather", str(overcast_day_csv(tmp_path / "day.csv")),
+                         "--out", str(tmp_path / "run")],
+            "dfmap": ["--out", str(tmp_path / "df.txt")]}[command]
+    assert main([command, "--building", str(building), *args]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: patch_scope: must be one of ('patch', 'room'), got 'everywhere'"]
+    assert list(tmp_path.glob("run*")) == [] and not (tmp_path / "df.txt").exists()
+
+
 class TestUsageErrors:
     def test_unknown_command_exits_2(self):
         with pytest.raises(SystemExit) as err:

@@ -22,7 +22,8 @@ from sidelux.daylight import (
     split_flux_irc,
 )
 from sidelux.geometry import Polygon3
-from sidelux.solar import EfficacyModel, OutdoorIlluminance, SolarState, WeatherSeries
+from sidelux.solar import EfficacyModel, OutdoorIlluminance, SolarState, WeatherSeries, \
+    reconstruct_illuminance, sun_position
 
 WINDOW = Polygon3([(1.5, 0, 0.8), (2.5, 0, 0.8), (2.5, 0, 1.8), (1.5, 0, 1.8)])
 WINDOW_RECT = ((1.5, 0.0, 0.8), (1.0, 0.0, 0.0), (0.0, 0.0, 1.0))
@@ -354,15 +355,18 @@ class TestSimulate:
         fld = coarse_sim.step(datetime(2009, 7, 15, 10, 0), 300.0, 300.0)
         assert fld.patch_area == 0.0
         assert not fld.e_direct.any()
-        assert np.allclose(fld.e_global, coarse_sim.df * fld.outdoor.e_global, rtol=1e-12, atol=0)
+        e_global = coarse_sim.efficacy.kd * 300.0
+        assert np.allclose(fld.e_global, coarse_sim.df * e_global, rtol=1e-12, atol=0)
 
     def test_clear_noon_manual_recomputation(self, canonical_sim):
         sim = canonical_sim
-        fld = sim.step(datetime(2009, 7, 15, 10, 0), 600.0, 150.0)
+        when = datetime(2009, 7, 15, 10, 0)
+        fld = sim.step(when, 600.0, 150.0)
         assert fld.patch_area > 0.0
         ap = sim.room.apertures[0]
-        out = fld.outdoor
-        area, lit = beam_patch(sim.room.floor.coords[:, :2], ap.polygon.coords, fld.sun.direction,
+        sun = sun_position(when, sim.location)
+        out = reconstruct_illuminance(sun, 600.0, 150.0, sim.efficacy)
+        area, lit = beam_patch(sim.room.floor.coords[:, :2], ap.polygon.coords, sun.direction,
                                sim.grid.plane_z, sim.grid.points[:, :2])
         assert area == pytest.approx(fld.patch_area, abs=1e-12)
         rng = np.random.default_rng(3)
@@ -397,11 +401,14 @@ class TestSimulate:
         assert f_room.e_diffuse.sum() > f_patch.e_diffuse.sum()
 
     def test_linearity(self, canonical_sim):
-        base = canonical_sim.step(datetime(2009, 7, 15, 10, 0), 600.0, 150.0)
+        when = datetime(2009, 7, 15, 10, 0)
+        base = canonical_sim.step(when, 600.0, 150.0)
+        sun = sun_position(when, canonical_sim.location)
+        outdoor = reconstruct_illuminance(sun, 600.0, 150.0, canonical_sim.efficacy)
         for lam in (0.5, 2.0, 10.0):
-            out = OutdoorIlluminance.from_components(lam * base.outdoor.e_diffuse,
-                                                     lam * base.outdoor.e_direct)
-            scaled = canonical_sim.evaluate(out, base.sun)
+            out = OutdoorIlluminance.from_components(lam * outdoor.e_diffuse,
+                                                     lam * outdoor.e_direct)
+            scaled = canonical_sim.evaluate(out, sun)
             assert np.allclose(scaled.e_global, lam * base.e_global, rtol=1e-9)
             assert np.allclose(scaled.e_diffuse, lam * base.e_diffuse, rtol=1e-9)
             assert np.allclose(scaled.e_direct, lam * base.e_direct, rtol=1e-9)
@@ -514,10 +521,12 @@ class TestPeriod:
         room = make_canonical_room()
         sim = Simulator(room, TROPICAL_SITE, cell=0.5,
                         efficacy=EfficacyModel(mode="passthrough"))
-        fld = sim.step(datetime(2009, 7, 15, 11, 0), 300.0, 300.0, 25000.0, 25000.0)
-        assert fld.outdoor.e_global == pytest.approx(25000.0)
-        assert fld.outdoor.e_direct == 0.0
-        assert np.allclose(fld.e_global, sim.df * 25000.0, rtol=1e-12)
+        when = datetime(2009, 7, 15, 11, 0)
+        res = sim.run(WeatherSeries([when], [300.0], [300.0], [25000.0], [25000.0]),
+                      field_at=[when])
+        assert res.outdoor_global[0] == pytest.approx(25000.0)
+        assert res.outdoor_direct[0] == 0.0
+        assert np.allclose(res.fields[when].e_global, sim.df * 25000.0, rtol=1e-12)
 
     def test_missing_record_named(self, coarse_sim):
         start = datetime(2009, 7, 15, 10, 0)

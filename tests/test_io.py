@@ -501,8 +501,8 @@ class TestArrayPath:
             zeros = np.zeros(len(minutes))
             result = PeriodResult(
                 timestamps=times, outdoor_global=zeros, outdoor_diffuse=zeros,
-                outdoor_direct=zeros, patch_area=zeros, probe_points=((1.0, 1.0),),
-                probe_names=("p1",), probe_global=rng.lognormal(3.0, 4.0, (len(minutes), 1)),
+                outdoor_direct=zeros, patch_area=zeros,
+                probe_global=rng.lognormal(3.0, 4.0, (len(minutes), 1)),
             )
             write_probe_series_csv(result, 0, path)
         assert is_plain(path)
@@ -790,11 +790,15 @@ class TestBuilding:
             parse_building(self._patched(tmp_path, mutate))
 
     def test_bad_patch_scope(self, tmp_path):
+        """The file's value is kept as it is; the Simulator, which owns the
+        rule, rejects it, naming the field."""
         def mutate(d):
             d["patch_scope"] = "everywhere"
 
-        with pytest.raises(ConfigError):
-            parse_building(self._patched(tmp_path, mutate))
+        building = parse_building(self._patched(tmp_path, mutate))
+        message = "patch_scope: must be one of ('patch', 'room'), got 'everywhere'"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            building.simulator()
 
     def test_bad_json_is_parse_error(self, tmp_path):
         p = tmp_path / "b.json"
@@ -932,9 +936,7 @@ class TestResultWriters:
         result = PeriodResult(
             timestamps=stamps,
             outdoor_global=values[:, 0], outdoor_diffuse=values[:, 1],
-            outdoor_direct=values[:, 2], patch_area=values[:, 3],
-            probe_points=((1.0, 1.0), (2.0, 2.0), (3.0, 3.0)), probe_names=("p1", "p2", "p3"),
-            probe_global=values[:, 4:],
+            outdoor_direct=values[:, 2], patch_area=values[:, 3], probe_global=values[:, 4:],
         )
         [path] = write_results(result, tmp_path / "run")
         lines = path.read_text(encoding="utf-8").split("\n")
@@ -975,7 +977,7 @@ class TestResultWriters:
         result = PeriodResult(
             timestamps=np.datetime64("2009-07-01T06:00", "us") + np.arange(n) * np.timedelta64(1, "m"),
             outdoor_global=zeros, outdoor_diffuse=zeros, outdoor_direct=zeros, patch_area=zeros,
-            probe_points=((1.0, 1.0), (2.0, 2.0)), probe_names=("p1", "p2"), probe_global=probes,
+            probe_global=probes,
         )
         path = tmp_path / "probe.csv"
         write_probe_series_csv(result, 1, path)

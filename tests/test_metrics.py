@@ -181,8 +181,7 @@ def test_hourly_means_match_a_per_hour_mean_loop_bit_for_bit():
 
     result = PeriodResult(
         timestamps=times, outdoor_global=values[:, 0], outdoor_diffuse=values[:, 1],
-        outdoor_direct=values[:, 2], patch_area=values[:, 3], probe_points=((1, 1),) * 3,
-        probe_names=("p1", "p2", "p3"), probe_global=values[:, 4:],
+        outdoor_direct=values[:, 2], patch_area=values[:, 3], probe_global=values[:, 4:],
     ).hourly()
     assert result.timestamps.tolist() == hours
     got = np.column_stack((result.outdoor_global, result.outdoor_diffuse, result.outdoor_direct,

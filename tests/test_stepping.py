@@ -768,19 +768,41 @@ def test_run_fields_are_evaluate_bit_for_bit(name):
                                      float(res.outdoor_direct[k]))
         sun = SolarState(float(altitude[k]), float(azimuth[k]), direction[k])
         fld = res.fields[when]
-        assert fld.timestamp == when and fld.outdoor == outdoor
         assert fld.patch_area == res.patch_area[k]
-        for ref in (sim.evaluate(outdoor, sun, when),
+        for ref in (sim.evaluate(outdoor, sun),
                     sim.step(when, float(weather.gh[k]), float(weather.dh[k]))):
-            assert ref.timestamp == when and ref.outdoor == outdoor
-            assert (ref.sun.altitude, ref.sun.azimuth) == (fld.sun.altitude, fld.sun.azimuth)
-            assert_same_bits(ref.sun.direction, fld.sun.direction)
             assert ref.patch_area == fld.patch_area
             for attr in ("df", "e_diffuse", "e_direct", "e_global"):
                 assert_same_bits(getattr(ref, attr), getattr(fld, attr))
     assert res.fields[field_at[steps.index(dark)]].patch_area == 0.0
     assert not res.fields[field_at[steps.index(overcast)]].e_direct.any()
     assert res.fields[field_at[steps.index(sunny[len(sunny) // 2])]].e_direct.any()
+
+
+def test_run_fields_build_no_per_instant_objects(monkeypatch):
+    """``run`` builds its fields from its own columns: with ``SolarState``
+    and ``OutdoorIlluminance`` made to raise, a run with fields at sunny,
+    dark and overcast instants gives, bit for bit, what it gave before."""
+    sim = Simulator(make_l_room(), TROPICAL_SITE, cell=0.5)
+    weather = winter_weather(1)
+    field_at = weather.times[::97].astype(datetime).tolist()
+    expected = sim.run(weather, field_at=field_at)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a run builds no per-instant objects")
+
+    monkeypatch.setattr(daylight, "SolarState", forbidden)
+    monkeypatch.setattr(daylight, "OutdoorIlluminance", forbidden)
+    res = sim.run(weather, field_at=field_at)
+    e_global, e_direct = res.outdoor_global[::97], res.outdoor_direct[::97]
+    assert res.patch_area[::97].any() and not e_global.all()
+    assert ((e_global > 0.0) & (e_direct == 0.0)).any()
+    assert list(res.fields) == list(expected.fields) == field_at
+    for when in field_at:
+        fld, ref = res.fields[when], expected.fields[when]
+        assert fld.patch_area == ref.patch_area
+        for attr in ("e_diffuse", "e_direct", "e_global"):
+            assert_same_bits(getattr(fld, attr), getattr(ref, attr))
 
 
 # ---------------------------------------------------------------------------
