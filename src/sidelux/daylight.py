@@ -52,9 +52,8 @@ from .geometry import (
     workplane_grid_for_parts,
 )
 from .metrics import hour_groups
-from .solar import EfficacyModel, GeoLocation, OutdoorIlluminance, SolarState, WeatherSeries, \
-    check_ascending_years, local_time, outdoor_illuminance, sun_altitudes, sun_directions, \
-    sun_positions
+from .solar import EfficacyModel, GeoLocation, SolarState, WeatherSeries, check_ascending_years, \
+    local_time, outdoor_illuminance, sun_altitudes, sun_directions, sun_positions
 
 # Horizontal illuminance of the full CIE overcast dome for unit zenith
 # luminance: integral of (1+2 sin g)/3 * sin g over the hemisphere = 7*pi/9.
@@ -230,9 +229,6 @@ class Room:
         return ((self.floor_z - PLANARITY_TOL <= p[:, 2])
                 & (p[:, 2] <= self.floor_z + self.height + PLANARITY_TOL)
                 & points_in_convex_rings(p[:, :2], self.parts).any(axis=0))
-
-    def workplane(self, cell: float, height: float = 0.01) -> GridMesh:
-        return workplane_grid_for_parts(self.parts, self.floor_z, cell, height)
 
 
 @dataclass(frozen=True)
@@ -634,8 +630,11 @@ class Simulator:
     chunk a lit step with the sun down is zeroed, and the sunny steps,
     those left with a direct part, alone get the sun's direction and go to
     the :class:`BeamKernel` as one batch. A run's columns are the one copy
-    of its outputs: its fields are built from them and the sun directions
-    of their steps, as :meth:`evaluate` builds one from its arguments.
+    of its outputs: :meth:`evaluate` builds its fields from them and the sun
+    directions of their steps, as it builds any caller's. The field at a
+    given sun and outdoor diffuse and direct illuminance::
+
+        sim.evaluate(sun_position(when, loc).direction[None], [diffuse + direct], [direct])[0]
     """
 
     def __init__(self, room: Room, location: GeoLocation, cell: float = 0.1,
@@ -650,7 +649,7 @@ class Simulator:
         if not 0.0 <= workplane_height <= room.height:
             raise ConfigError(f"workplane.height: {workplane_height} m must lie between the "
                               f"floor (0 m) and the ceiling ({room.height} m)")
-        self.grid = room.workplane(cell, workplane_height)
+        self.grid = workplane_grid_for_parts(room.parts, room.floor_z, cell, workplane_height)
         self.beam = BeamKernel(room, self.grid.plane_z)
         self.df = self._df_for_points(self.grid.points)
 
@@ -687,22 +686,21 @@ class Simulator:
         e_dif[sunny], e_dir[sunny], area[sunny] = dif, dirc, total
         return area, e_dif, e_dir
 
-    def evaluate(self, outdoor: OutdoorIlluminance, sun: SolarState | None) -> IlluminanceField:
-        """Field over the workplane grid for given outdoor conditions and sun
-        (None: below the horizon)."""
-        # no sun points up, so it casts nothing (zeros would divide 0 by 0)
-        direction = np.array([(0.0, 0.0, 1.0) if sun is None else sun.direction])
-        return self._fields(direction, np.array([outdoor.e_global]),
-                            np.array([outdoor.e_direct]))[0]
-
-    def _fields(self, direction: np.ndarray, e_global: np.ndarray,
-                e_direct: np.ndarray) -> list[IlluminanceField]:
-        """Fields over the workplane grid at a batch of instants, given by
-        their sun directions (n, 3) and outdoor global and direct
-        illuminance (n,), from one :meth:`_illuminance` pass over the
-        instants and the grid points."""
-        area, e_dif, e_dir = self._illuminance(direction, e_global, e_direct,
-                                               self.grid.points, self.df)
+    def evaluate(self, direction: np.ndarray, e_global: np.ndarray,
+                 e_direct: np.ndarray) -> list[IlluminanceField]:
+        """Fields over the workplane grid at n instants, in one
+        :meth:`_illuminance` pass, from their sun directions (n, 3), from the
+        sun toward the ground, and outdoor horizontal illuminance (n,) with
+        0 <= e_direct <= e_global. A direction that does not point down (the
+        sun at or below the horizon) casts nothing, whatever the direct part."""
+        direction, e_global, e_direct = map(np.asarray, (direction, e_global, e_direct))
+        n = direction.shape[:1]
+        if direction.shape != n + (3,) or e_global.shape != n or e_direct.shape != n:
+            raise DataError("evaluate takes (n, 3) sun directions and (n,) illuminances")
+        if not ((0.0 <= e_direct) & (e_direct <= e_global)).all():
+            raise DataError("illuminances must satisfy 0 <= e_direct <= e_global")
+        area, e_dif, e_dir = self._illuminance(direction, e_global, e_direct, self.grid.points,
+                                               self.df)
         return [IlluminanceField(grid=self.grid, df=self.df, e_diffuse=e_dif[j],
                                  e_direct=e_dir[j], e_global=e_dif[j] + e_dir[j],
                                  patch_area=float(area[j]))
@@ -802,7 +800,7 @@ class Simulator:
                 probe_global[steps] = e_dif + e_dir
 
         _, _, direction = sun_positions(times[field_steps], self.location)
-        fields = self._fields(direction, outdoor_global[field_steps], outdoor_direct[field_steps])
+        fields = self.evaluate(direction, outdoor_global[field_steps], outdoor_direct[field_steps])
         return PeriodResult(
             timestamps=times,
             outdoor_global=outdoor_global,

@@ -359,7 +359,7 @@ def workplane_grid_for_parts(parts: np.ndarray, floor_z: float, cell: float,
     (P, W, 2) of its convex parts such as ``Room.parts``, with square cells
     of side ``cell``; a cell center is kept when inside any part, and the
     plane sits ``height`` meters above the floor."""
-    if cell <= 0.0:
+    if not cell > 0.0:  # NaN too
         raise ValueError("cell size must be positive")
     xmin, ymin = parts[:, :, 0].min(), parts[:, :, 1].min()
     xmax, ymax = parts[:, :, 0].max(), parts[:, :, 1].max()

@@ -35,8 +35,8 @@ from sidelux.metrics import (
     rmsd,
     rsd,
 )
-from sidelux.solar import GeoLocation, OutdoorIlluminance, SolarState, WeatherSeries, \
-    reconstruct_illuminance, sun_position
+from sidelux.solar import GeoLocation, SolarState, WeatherSeries, reconstruct_illuminance, \
+    sun_position
 from test_io import TMY2_HEADER, tmy2_line
 
 DATA = Path(__file__).parent / "data"
@@ -198,9 +198,8 @@ def test_c09_linearity(canonical_sim):
     sun = sun_position(when, canonical_sim.location)
     outdoor = reconstruct_illuminance(sun, 600.0, 150.0, canonical_sim.efficacy)
     for lam in (0.5, 2.0, 10.0):
-        out = OutdoorIlluminance.from_components(lam * outdoor.e_diffuse,
-                                                 lam * outdoor.e_direct)
-        scaled = canonical_sim.evaluate(out, sun)
+        diffuse, direct = lam * outdoor.e_diffuse, lam * outdoor.e_direct
+        scaled = canonical_sim.evaluate(sun.direction[None], [diffuse + direct], [direct])[0]
         for a, b in (
             (scaled.e_diffuse, base.e_diffuse),
             (scaled.e_direct, base.e_direct),

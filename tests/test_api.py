@@ -1,10 +1,16 @@
-"""The public names of the ``sidelux`` package."""
+"""The public names of the ``sidelux`` package and ``Simulator``'s public methods."""
 
 import ast
 import dataclasses
+import inspect
+from datetime import datetime
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import sidelux
+from conftest import TROPICAL_SITE, assert_same_bits, make_canonical_room
 
 
 def bound_names() -> list[str]:
@@ -51,3 +57,60 @@ def test_result_members_are_pinned():
     assert names(sidelux.IlluminanceField) == [
         "grid", "df", "e_diffuse", "e_direct", "e_global", "patch_area",
     ]
+
+
+def test_simulator_methods_are_pinned():
+    """``Simulator``'s public methods and their parameters (without
+    ``self``): ``evaluate`` takes the columns a run passes."""
+    methods = {name: list(inspect.signature(fn).parameters)[1:]
+               for name, fn in vars(sidelux.Simulator).items()
+               if callable(fn) and not name.startswith("_")}
+    assert methods == {
+        "evaluate": ["direction", "e_global", "e_direct"],
+        "run": ["weather", "start", "end", "step_minutes", "probes", "field_at"],
+        "step": ["when", "gh", "dh", "ev_global", "ev_diffuse"],
+    }
+
+
+def test_evaluate_a_batch_is_its_instants_one_at_a_time():
+    """``evaluate`` over a batch of sunny, dark and overcast instants gives,
+    bit for bit, what it gives for each instant alone. A direction that
+    points up casts nothing, whatever the direct part."""
+    sim = sidelux.Simulator(make_canonical_room(), TROPICAL_SITE, cell=0.25)
+    noon, morning, night = (sidelux.sun_position(datetime(2009, 7, 15, h), TROPICAL_SITE)
+                            for h in (12, 9, 1))
+    direction = np.array([noon.direction, night.direction, morning.direction, (0.0, 0.0, 1.0),
+                          morning.direction])
+    e_global = np.array([60000.0, 0.0, 12000.0, 38000.0, 50000.0])
+    e_direct = np.array([45000.0, 0.0, 0.0, 30000.0, 30000.0])
+    batch = sim.evaluate(direction, e_global, e_direct)
+    assert len(batch) == 5
+    for j, fld in enumerate(batch):
+        alone = sim.evaluate(direction[[j]], e_global[[j]], e_direct[[j]])[0]
+        assert alone.patch_area == fld.patch_area
+        for attr in ("df", "e_diffuse", "e_direct", "e_global"):
+            assert_same_bits(getattr(alone, attr), getattr(fld, attr))
+    assert batch[0].patch_area > 0.0 and batch[4].patch_area > 0.0
+    assert not batch[1].e_global.any()
+    up = batch[3]
+    assert up.patch_area == 0.0 and not up.e_direct.any()
+    for got in (up.e_diffuse, up.e_global):
+        assert_same_bits(got, sim.df * 38000.0)
+
+
+@pytest.mark.parametrize("direction,e_global,e_direct,message", [
+    ([(0.0, 0.0, -1.0)] * 2, [1.0, 2.0, 3.0], [0.0, 0.0, 1.0], "sun directions"),
+    ([(0.0, 0.0, -1.0)] * 2, [1.0, 2.0], [0.0], "sun directions"),
+    ((0.0, 0.0, -1.0), [1.0], [0.0], "sun directions"),
+    ([(0.0, -1.0)], [1.0], [0.0], "sun directions"),
+    ([(0.0, 0.0, -1.0)], [1000.0], [-1.0], "0 <= e_direct <= e_global"),
+    ([(0.0, 0.0, -1.0)], [1000.0], [2000.0], "0 <= e_direct <= e_global"),
+    ([(0.0, 0.0, -1.0)], [float("nan")], [0.0], "0 <= e_direct <= e_global"),
+])
+def test_evaluate_rejects_a_batch_that_does_not_line_up(direction, e_global, e_direct, message):
+    """Every instant needs one sun direction and both illuminances, with
+    0 <= E_direct <= E_global: a batch whose arrays do not line up would
+    give some instants no beam, so it is refused."""
+    sim = sidelux.Simulator(make_canonical_room(), TROPICAL_SITE, cell=0.5)
+    with pytest.raises(sidelux.DataError, match=message):
+        sim.evaluate(direction, e_global, e_direct)

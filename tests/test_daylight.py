@@ -21,9 +21,9 @@ from sidelux.daylight import (
     internally_reflected_component,
     split_flux_irc,
 )
-from sidelux.geometry import Polygon3
-from sidelux.solar import EfficacyModel, OutdoorIlluminance, SolarState, WeatherSeries, \
-    reconstruct_illuminance, sun_position
+from sidelux.geometry import Polygon3, workplane_grid_for_parts
+from sidelux.solar import EfficacyModel, SolarState, WeatherSeries, reconstruct_illuminance, \
+    sun_position
 
 WINDOW = Polygon3([(1.5, 0, 0.8), (2.5, 0, 0.8), (2.5, 0, 1.8), (1.5, 0, 1.8)])
 WINDOW_RECT = ((1.5, 0.0, 0.8), (1.0, 0.0, 0.0), (0.0, 0.0, 1.0))
@@ -204,7 +204,7 @@ class TestSunPatch:
         """The beam reaches exactly the grid points of the 1 m^2 patch
         spanning x 1.5-2.5 and y 1-2."""
         sim = Simulator(square_room(SOUTH_WINDOW), TROPICAL_SITE, cell=0.25, workplane_height=0.0)
-        fld = sim.evaluate(OutdoorIlluminance.from_components(0.0, 60000.0), SUN_45_SOUTH)
+        fld = sim.evaluate(SUN_45_SOUTH.direction[None], [60000.0], [60000.0])[0]
         assert fld.patch_area == pytest.approx(1.0, abs=1e-6)
         x, y = sim.grid.points[:, 0], sim.grid.points[:, 1]
         inside = (x > 1.5) & (x < 2.5) & (y > 1.0) & (y < 2.0)
@@ -241,7 +241,7 @@ class TestLShapedRoom:
 
     def test_grid_covers_only_l(self):
         room = self.room()
-        g = room.workplane(0.5, 0.01)
+        g = workplane_grid_for_parts(room.parts, room.floor_z, 0.5, 0.01)
         assert (g.nu, g.nv) == (8, 8)
         assert g.n_points == 48  # 64 bounding-box centers minus the notch
 
@@ -303,13 +303,13 @@ class TestPointFormulas:
         return inside
 
     def test_diffuse_without_patch(self, sim):
-        fld = sim.evaluate(OutdoorIlluminance.from_components(10000.0, 0.0), None)
+        fld = sim.evaluate([(0.0, 0.0, 1.0)], [10000.0], [0.0])[0]  # no sun: up casts nothing
         assert np.array_equal(fld.e_diffuse, sim.df * 10000.0)
 
     def test_diffuse_with_patch_term(self, sim):
         # the patch adds E_direct * rho_floor * S_patch / S_floor on top of
         # the daylight-factor base DF * (E_diffuse + E_direct)
-        fld = sim.evaluate(OutdoorIlluminance.from_components(10000.0, 50000.0), SUN_45_SOUTH)
+        fld = sim.evaluate(SUN_45_SOUTH.direction[None], [10000.0 + 50000.0], [50000.0])[0]
         inside = self.in_patch(sim)
         base = sim.df * 60000.0
         np.testing.assert_allclose(fld.e_diffuse[inside] - base[inside],
@@ -317,30 +317,30 @@ class TestPointFormulas:
         assert np.array_equal(fld.e_diffuse[~inside], base[~inside])
 
     def test_diffuse_overcast_no_patch_term(self, sim):
-        fld = sim.evaluate(OutdoorIlluminance.from_components(10000.0, 0.0), SUN_45_SOUTH)
+        fld = sim.evaluate(SUN_45_SOUTH.direction[None], [10000.0], [0.0])[0]
         assert fld.patch_area == 0.0
         assert np.array_equal(fld.e_diffuse, sim.df * 10000.0)
 
     def test_diffuse_outside_patch_scope_room(self, sim):
-        out = OutdoorIlluminance.from_components(10000.0, 50000.0)
+        e_global = 10000.0 + 50000.0
         outside = ~self.in_patch(sim)
         room_sim = Simulator(sim.room, TROPICAL_SITE, cell=0.5, patch_scope="room")
-        v_patch = sim.evaluate(out, SUN_45_SOUTH).e_diffuse
-        v_room = room_sim.evaluate(out, SUN_45_SOUTH).e_diffuse
-        assert np.array_equal(v_patch[outside], sim.df[outside] * out.e_global)
+        v_patch = sim.evaluate(SUN_45_SOUTH.direction[None], [e_global], [50000.0])[0].e_diffuse
+        v_room = room_sim.evaluate(SUN_45_SOUTH.direction[None], [e_global], [50000.0])[0].e_diffuse
+        assert np.array_equal(v_patch[outside], sim.df[outside] * e_global)
         assert np.all(v_room[outside] > v_patch[outside])
 
     def test_direct_inside_patch(self, sim):
-        fld = sim.evaluate(OutdoorIlluminance.from_components(0.0, 60000.0), SUN_45_SOUTH)
+        fld = sim.evaluate(SUN_45_SOUTH.direction[None], [60000.0], [60000.0])[0]
         np.testing.assert_allclose(fld.e_direct[self.in_patch(sim)], 54000.0, rtol=1e-12)
 
     def test_direct_outside_patch(self, sim):
-        fld = sim.evaluate(OutdoorIlluminance.from_components(0.0, 60000.0), SUN_45_SOUTH)
+        fld = sim.evaluate(SUN_45_SOUTH.direction[None], [60000.0], [60000.0])[0]
         assert not fld.e_direct[~self.in_patch(sim)].any()
 
     def test_direct_empty_patch(self, sim):
         behind = SolarState.from_angles(45.0, 0.0)
-        fld = sim.evaluate(OutdoorIlluminance.from_components(0.0, 60000.0), behind)
+        fld = sim.evaluate(behind.direction[None], [60000.0], [60000.0])[0]
         assert fld.patch_area == 0.0 and not fld.e_direct.any()
 
 
@@ -406,9 +406,8 @@ class TestSimulate:
         sun = sun_position(when, canonical_sim.location)
         outdoor = reconstruct_illuminance(sun, 600.0, 150.0, canonical_sim.efficacy)
         for lam in (0.5, 2.0, 10.0):
-            out = OutdoorIlluminance.from_components(lam * outdoor.e_diffuse,
-                                                     lam * outdoor.e_direct)
-            scaled = canonical_sim.evaluate(out, sun)
+            diffuse, direct = lam * outdoor.e_diffuse, lam * outdoor.e_direct
+            scaled = canonical_sim.evaluate(sun.direction[None], [diffuse + direct], [direct])[0]
             assert np.allclose(scaled.e_global, lam * base.e_global, rtol=1e-9)
             assert np.allclose(scaled.e_diffuse, lam * base.e_diffuse, rtol=1e-9)
             assert np.allclose(scaled.e_direct, lam * base.e_direct, rtol=1e-9)

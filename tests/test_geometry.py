@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import assert_same_bits, random_l_room
+from conftest import TROPICAL_SITE, assert_same_bits, make_canonical_room, random_l_room
 from oracles import (_even_odd_mask, full_pass_clip, full_pass_split, overlap_area,
                      rasterized_overlap_area, shoelace_area)
 from sidelux.errors import DegenerateMeshError, GeometryError
-from sidelux.daylight import Aperture, BeamKernel, Room, SurfaceOptics
+from sidelux.daylight import Aperture, BeamKernel, Room, Simulator, SurfaceOptics
 from sidelux.geometry import (
     PLANARITY_TOL,
     Polygon3,
@@ -278,6 +278,15 @@ class TestWorkplaneGrid:
     def test_cell_not_positive(self):
         with pytest.raises(ValueError):
             floor_grid(square(), 0.0, 0.0)
+
+    @pytest.mark.parametrize("cell", [0.0, float("nan")])
+    def test_cell_not_positive_through_the_simulator(self, cell):
+        """A NaN cell is not positive either: the grid function and
+        ``Simulator`` both give the package's own message for it."""
+        with pytest.raises(ValueError, match="^cell size must be positive$"):
+            floor_grid(square(), cell, 0.0)
+        with pytest.raises(ValueError, match="^cell size must be positive$"):
+            Simulator(make_canonical_room(), TROPICAL_SITE, cell=cell)
 
     def test_centers_inside_floor(self):
         tri = Polygon3([(0, 0, 0), (2, 0, 0), (0, 2, 0)])

@@ -27,7 +27,7 @@ from sidelux.daylight import (
     df_from_components,
 )
 from sidelux.errors import DataError, GeometryError
-from sidelux.geometry import Polygon3, signed_ring_areas, split_rings
+from sidelux.geometry import Polygon3, signed_ring_areas, split_rings, workplane_grid_for_parts
 from sidelux.io import parse_building
 from sidelux.solar import SolarState, WeatherSeries
 
@@ -201,7 +201,7 @@ def check_pieces(room: Room, points: np.ndarray, rng, n_cover=64):
 
 def test_pieces_of_every_l_room_grid_point():
     room = make_l_room()
-    points = room.workplane(0.1, 0.01).points
+    points = workplane_grid_for_parts(room.parts, room.floor_z, 0.1, 0.01).points
     assert len(points) == 2700
     assert check_pieces(room, points, np.random.default_rng(1), n_cover=16) > 2700
 

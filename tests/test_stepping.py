@@ -19,7 +19,7 @@ from hypothesis import assume, given, settings, strategies as st
 from conftest import (TROPICAL_SITE, assert_same_bits, make_canonical_room, random_l_room,
                       with_obstructions)
 from oracles import beam_image, beam_patch, one_pass_sun_positions, overlap_area, shoelace_area
-from sidelux import daylight
+from sidelux import daylight, solar
 from sidelux.daylight import (
     Aperture,
     BeamKernel,
@@ -34,7 +34,6 @@ from sidelux.geometry import PARALLEL_TOL, Polygon3
 from sidelux.io import parse_weather_csv, write_weather_csv
 from sidelux.solar import (
     EfficacyModel,
-    OutdoorIlluminance,
     SolarState,
     WeatherSeries,
     outdoor_illuminance,
@@ -207,16 +206,18 @@ def test_the_direction_alone_keeps_the_beam_above_the_horizon():
 
 @pytest.mark.parametrize("scope", daylight.PATCH_SCOPES)
 def test_no_sun_casts_no_beam_whatever_the_direct_part(scope):
-    """``evaluate`` without a sun (below the horizon) gives DF * E_global
-    alone, even with a direct part: no beam term, no patch, no warning."""
+    """``evaluate`` with the sun below the horizon, on the window's side,
+    gives DF * E_global alone, even with a direct part: no beam term, no
+    patch, no warning."""
     sim = Simulator(make_canonical_room(), TROPICAL_SITE, cell=0.5, patch_scope=scope)
-    outdoor = OutdoorIlluminance.from_components(8000.0, 30000.0)
+    below = SolarState.from_angles(-5.0, 0.0)
+    e_global = 8000.0 + 30000.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        fld = sim.evaluate(outdoor, None)
+        fld = sim.evaluate(below.direction[None], [e_global], [30000.0])[0]
     assert fld.patch_area == 0.0 and not fld.e_direct.any()
     for got in (fld.e_diffuse, fld.e_global):
-        assert_same_bits(got, sim.df * outdoor.e_global)
+        assert_same_bits(got, sim.df * e_global)
 
 
 @pytest.mark.parametrize("gap,expected_area", [(1e-13, 0.0), (1e-5, 1e-5)])
@@ -562,7 +563,7 @@ def test_beam_terms_are_linear_in_the_direct_illuminance(seed, e_direct):
     sun = suns[int(np.argmax(areas.sum(axis=1) > 0.0))]
     e_global = 20000.0
     base, once, twice = (
-        sim.evaluate(OutdoorIlluminance.from_components(e_global - m * e_direct, m * e_direct), sun)
+        sim.evaluate(sun.direction[None], [e_global], [m * e_direct])[0]
         for m in (0.0, 1.0, 2.0))
     assert np.array_equal(base.e_diffuse, sim.df * e_global) and not base.e_direct.any()
     lit = once.e_direct > 0.0
@@ -754,7 +755,7 @@ def test_run_fields_are_evaluate_bit_for_bit(name):
     that instant alone, and what ``step``, a one-sample run, gives."""
     sim = Simulator(ROOMS[name](), TROPICAL_SITE, cell=0.5)
     weather = winter_weather(1)
-    altitude, azimuth, direction = sun_positions(weather.times, TROPICAL_SITE)
+    altitude, _, direction = sun_positions(weather.times, TROPICAL_SITE)
     plain = sim.run(weather)
     sunny = np.flatnonzero(plain.patch_area > 0.0)
     dark = np.flatnonzero(altitude <= 0.0)[0]
@@ -764,13 +765,10 @@ def test_run_fields_are_evaluate_bit_for_bit(name):
     res = sim.run(weather, field_at=field_at)
     assert len(res.fields) == 5
     for k, when in zip(steps, field_at):
-        outdoor = OutdoorIlluminance(float(res.outdoor_global[k]), float(res.outdoor_diffuse[k]),
-                                     float(res.outdoor_direct[k]))
-        sun = SolarState(float(altitude[k]), float(azimuth[k]), direction[k])
         fld = res.fields[when]
         assert fld.patch_area == res.patch_area[k]
-        for ref in (sim.evaluate(outdoor, sun),
-                    sim.step(when, float(weather.gh[k]), float(weather.dh[k]))):
+        alone = sim.evaluate(direction[[k]], res.outdoor_global[[k]], res.outdoor_direct[[k]])[0]
+        for ref in (alone, sim.step(when, float(weather.gh[k]), float(weather.dh[k]))):
             assert ref.patch_area == fld.patch_area
             for attr in ("df", "e_diffuse", "e_direct", "e_global"):
                 assert_same_bits(getattr(ref, attr), getattr(fld, attr))
@@ -792,7 +790,7 @@ def test_run_fields_build_no_per_instant_objects(monkeypatch):
         raise AssertionError("a run builds no per-instant objects")
 
     monkeypatch.setattr(daylight, "SolarState", forbidden)
-    monkeypatch.setattr(daylight, "OutdoorIlluminance", forbidden)
+    monkeypatch.setattr(solar, "OutdoorIlluminance", forbidden)
     res = sim.run(weather, field_at=field_at)
     e_global, e_direct = res.outdoor_global[::97], res.outdoor_direct[::97]
     assert res.patch_area[::97].any() and not e_global.all()
