@@ -2,8 +2,11 @@
 """Time a full-year minute-step simulation on the reference grid.
 
 Daylight-factor precomputation is reported separately from the stepping
-loop, since it runs once per geometry, and so are parsing the year's weather
-CSV and writing the year's results (both in a temporary directory). Three
+loop, since it runs once per geometry: the ``Simulator`` build of the test
+cell and of the benchmark's L-shaped room (``perfbench/inputs.py``,
+``L_ROOM``), whose re-entrant walls and obstructions the sky kernel cuts
+around, best of 5 each. So are parsing the year's weather CSV and writing
+the year's results (both in a temporary directory). Three
 layers of the stepping are read from the run itself, which records the rows
 and time of each call it makes (:func:`recorded`): the sun position, per
 step and per lit step (those whose weather carries light, the only ones
@@ -105,14 +108,25 @@ def print_layers(calls, n: int) -> None:
           f"in {per_step(t_beam, n_beam)}")
 
 
-def time_l_room_beam(weather: WeatherSeries, step: int, cell: float, tmp: Path) -> None:
-    """Print the time per sunny step of the L-shaped room's sun patches,
-    the best of 5 runs over every 3rd step."""
-    path = tmp / "l_room.json"
-    inputs.write_building(path, "l_room")
+def built(path, cell: float, label: str):
+    """The simulator of the building file at ``path`` on a grid of ``cell``
+    m, built 5 times: print the best time of the build, its
+    daylight-factor precompute, in ms."""
     building = parse_building(path)
     building.workplane_cell = cell
-    sim = building.simulator()
+    seconds = []
+    for _ in range(5):
+        t0 = time.perf_counter()
+        sim = building.simulator()
+        seconds.append(time.perf_counter() - t0)
+    print(f"{label}daylight-factor precompute: {sim.grid.n_points} points in "
+          f"{1e3 * min(seconds):.1f} ms, best of 5")
+    return sim
+
+
+def time_l_room_beam(sim, weather: WeatherSeries, step: int) -> None:
+    """Print the time per sunny step of the L-shaped room's sun patches,
+    the best of 5 runs over every 3rd step."""
     runs = []
     for _ in range(5):
         with recorded(sim) as calls:
@@ -130,15 +144,12 @@ def main() -> None:
     parser.add_argument("--step", type=int, default=1)
     args = parser.parse_args()
 
-    building = parse_building(args.building)
-    building.workplane_cell = args.cell
-    t0 = time.perf_counter()
-    sim = building.simulator()
-    t_df = time.perf_counter() - t0
-    print(f"daylight-factor precompute: {sim.grid.n_points} points in {t_df:.2f} s")
-
     probes = [(1.95, 3.27), (1.95, 2.77), (1.95, 2.27), (1.95, 1.77), (1.95, 1.27)]
     with tempfile.TemporaryDirectory() as tmp:
+        inputs.write_building(Path(tmp) / "l_room.json", "l_room")
+        sim, l_sim = (built(path, args.cell, label)
+                      for path, label in ((args.building, ""), (Path(tmp) / "l_room.json", "L-room ")))
+
         path = Path(tmp) / "year.csv"
         write_weather_csv(year_weather(), path)
         t0 = time.perf_counter()
@@ -157,7 +168,7 @@ def main() -> None:
               f"({n / elapsed:.0f} steps/s)")
         print_layers(calls, n)
         print(f"peak RSS: {before:.1f} MB before stepping, {peak_rss_mb():.1f} MB after")
-        time_l_room_beam(weather, args.step, args.cell, Path(tmp))
+        time_l_room_beam(l_sim, weather, args.step)
 
         t0 = time.perf_counter()
         write_results(result, Path(tmp) / "year")

@@ -143,10 +143,12 @@ class Room:
     the plan rings (P, W, 2) of the floor's convex parts
     (:func:`decompose_convex`), counter-clockwise from above. Per aperture,
     from the wall found to hold it: ``outward`` (K, 3), that wall's outward
-    unit normal; ``sky``, its :class:`SkyKernel` behind the other walls and
-    the obstructions; ``irc``, its internally-reflected component. Two may
-    share an edge but not overlap. An error starts with the building-file
-    path it is about, such as ``room.height: `` or ``room.apertures[k]: ``."""
+    unit normal; ``casters``, what can hide it (:func:`_casters`: the other
+    walls on the room side of its plane, the obstruction parts beyond it);
+    ``sky``, its :class:`SkyKernel` behind those casters; ``irc``, its
+    internally-reflected component. Two may share an edge but not overlap.
+    An error starts with the building-file path it is about, such as
+    ``room.height: `` or ``room.apertures[k]: ``."""
 
     floor: Polygon3
     height: float
@@ -177,9 +179,11 @@ class Room:
         self.outward = np.array([outward for _, outward, _ in walls]).reshape(-1, 3)
         plan = self.floor.coords[:, :2]
         edges = np.stack((plan, np.roll(plan, -1, axis=0)), axis=1)  # walls: (n, 2 ends, 2)
-        self.sky = tuple(SkyKernel(ap.polygon, outward, np.delete(edges, wall, axis=0),
-                                   self.obstructions)
-                         for ap, (wall, outward, _) in zip(self.apertures, walls))
+        self.casters = tuple(_casters(ap.polygon, outward, np.delete(edges, wall, axis=0),
+                                      self.obstructions)
+                             for ap, (wall, outward, _) in zip(self.apertures, walls))
+        self.sky = tuple(SkyKernel(ap.polygon, outward, casters, self.obstructions)
+                         for ap, outward, casters in zip(self.apertures, self.outward, self.casters))
         try:
             self.irc = tuple(internally_reflected_component(self, ap) for ap in self.apertures)
         except ConfigError as exc:
@@ -231,6 +235,39 @@ class Room:
                 & points_in_convex_rings(p[:, :2], self.parts).any(axis=0))
 
 
+def _window_plane(window: Polygon3, outward) -> tuple[np.ndarray, np.ndarray]:
+    """A point of a vertical ``window``'s plane, at z = 0, and the plane's
+    horizontal unit normal along ``outward``."""
+    n = np.array([outward[0], outward[1], 0.0])
+    return np.array([*window.coords[0, :2], 0.0]), n / np.linalg.norm(n)
+
+
+def _casters(window: Polygon3, outward, walls, obstructions):
+    """What can hide a vertical ``window`` from the points in front of it,
+    the one rule for every kernel: a wall only on the room side of the
+    window's plane (``outward`` points away from the room), an obstruction
+    only beyond it. Returns the plan segments ``walls`` (M, 2, 2) cut to
+    the room side, the convex parts (P, W, 3) of the ``obstructions`` cut
+    to the far side (:func:`split_rings`, padded as it pads), and each
+    part's obstruction index (P,); what has nothing on its side is left out."""
+    origin, normal = _window_plane(window, outward)
+    walls = np.asarray(walls, dtype=float).reshape(-1, 2, 2)
+    g = -((walls - origin[:2]) @ normal[:2])  # (M, 2 ends), >= 0 on the room side
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = g[:, 0] / (g[:, 0] - g[:, 1])  # where the wall crosses the plane
+        cut = walls[:, :1] + s[:, None, None] * (walls[:, 1:] - walls[:, :1])
+    # a wall with no length on the room side, wholly beyond or touching at one end, is left out
+    kept = np.where(g[:, 0] < 0.0, s, 0.0) < np.where(g[:, 1] < 0.0, s, 1.0)
+    parts, owner = [np.empty((0, 1, 3))], []
+    for j, obs in enumerate(obstructions):
+        beyond, _ = split_rings(obs.parts, (obs.parts - origin) @ normal)
+        beyond = beyond[beyond.any(axis=(1, 2))]  # zeros where nothing lies beyond the plane
+        parts.append(beyond)
+        owner += [j] * len(beyond)
+    return (np.where((g < 0.0)[..., None], cut, walls)[kept], stack_rings(*parts),
+            np.array(owner, dtype=int))
+
+
 @dataclass(frozen=True)
 class DFBreakdown:
     """Daylight-factor components for one point and one aperture, all as
@@ -253,16 +290,18 @@ class SkyKernel:
     batch of points, in chunks of ``CHUNK_POINTS``.
 
     For each point the window is cut into convex pieces that each see one
-    thing. The window is clipped at the point's horizon. The strips that the
-    room's other walls hide are cut away: walls are full height and the
-    window vertical, so each strip is bounded by vertical lines found in
-    plan view. The rest is clipped by the central projection, from the
-    point onto the window plane, of every obstruction part beyond that
-    plane, one ring per piece, keeping the overlap and the slabs around it;
+    thing, behind the ``casters`` that ``Room`` works out once per window
+    (:func:`_casters`; a bare window has none). The window is clipped at the
+    point's horizon. The strips that the walls hide are cut away: walls are
+    full height and the window vertical, so each strip is bounded by
+    vertical lines found in plan view. The rest is clipped by the central
+    projection, from the point onto the window plane, of every obstruction
+    part, one ring per piece, keeping the overlap and the slabs around it;
     where two projections overlap, a line on the window divides the overlap
-    between them by which obstruction is nearer. A piece that sees sky adds
-    to the SC, one that sees an obstruction adds to the ERC at that
-    obstruction's luminance fraction.
+    between them by which obstruction is nearer (``obstructions`` are the
+    ones the parts' indices name). A piece that sees sky adds to the SC,
+    one that sees an obstruction adds to the ERC at that obstruction's
+    luminance fraction.
 
     Over a piece, L(g) sin(g) = (sin g + 2 sin^2 g)/3 integrates exactly
     from the piece's corners, seen as unit vectors from the point. With
@@ -272,23 +311,17 @@ class SkyKernel:
     Omega is the piece's solid angle. Both are normalized by OVERCAST_DOME.
     """
 
-    def __init__(self, window: Polygon3, outward, walls=(), obstructions=()):
-        n = np.array([outward[0], outward[1], 0.0])
-        self.normal = n / np.linalg.norm(n)
+    def __init__(self, window: Polygon3, outward, casters=((), (), ()), obstructions=()):
+        # window coordinates (u, z) map to origin + u along + z ez
+        self.origin, self.normal = _window_plane(window, outward)
         self.along = np.array([self.normal[1], -self.normal[0], 0.0])  # (along, normal, z) right-handed
-        self.origin = np.array([*window.coords[0, :2], 0.0])  # window coordinates (u, z) map to origin + u along + z ez
         ring = np.column_stack(((window.coords - self.origin) @ self.along, window.coords[:, 2]))
         self.ring = ring if signed_ring_areas(ring[None], ring[0])[0] > 0.0 else ring[::-1]
+        walls, self.parts, self.owner = casters
         self.walls = np.asarray(walls, dtype=float).reshape(-1, 2, 2)
         self.luminance = np.array([o.luminance_fraction for o in obstructions])
         self.planes = np.array([(*o.polygon.normal, o.polygon.normal @ o.polygon.coords[0])
                                 for o in obstructions]).reshape(-1, 4)
-        # the convex obstruction parts beyond the window plane, with their obstruction
-        self.parts = []
-        for j, obs in enumerate(obstructions):
-            beyond, _ = split_rings(obs.parts, (obs.parts - self.origin) @ self.normal)
-            # padded as split_rings pads; zeros where nothing lies beyond the plane
-            self.parts += [(piece, j) for piece in beyond if piece.any()]
 
     def __call__(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(sc, erc) at each of the (N, 3) ``points``."""
@@ -334,7 +367,7 @@ class SkyKernel:
                                      np.concatenate((owner[~cut], o, o)))
 
         cls = np.full(len(owner), -1)
-        for ring3, j in self.parts:
+        for ring3, j in zip(self.parts, self.owner):
             rings, owner, cls = self._cut_by_part(rings, owner, cls, ring3, j, pl, hl, ul, zl)
         return rings, live[owner], cls, (u, h, z)
 
@@ -342,17 +375,17 @@ class SkyKernel:
         """Per point and wall, the span [lo, hi] of the window's along-wall
         coordinate that the wall hides (lo >= hi where it hides nothing).
         Only the part of a wall between the point and the window line can
-        hide anything; its ends project from the point onto that line."""
+        hide anything: the walls are cut to the room side of that line once
+        (:func:`_casters`), and here to the side ahead of the point; the
+        ends of what is left project from the point onto the line."""
         rel = self.walls[None, :, :, :] - p[:, None, None, :2]     # (n, K, 2 ends, 2)
         depth = rel @ self.normal[:2]
         side = rel @ self.along[:2]
-        s_lo, s_hi = np.zeros(depth.shape[:2]), np.ones(depth.shape[:2])
-        for g0, g1 in ((depth[..., 0], depth[..., 1]),
-                       (h[:, None] - depth[..., 0], h[:, None] - depth[..., 1])):
-            with np.errstate(divide="ignore", invalid="ignore"):
-                s = g0 / (g0 - g1)
-            s_lo = np.where(g0 < 0.0, np.maximum(s_lo, np.where(g1 < 0.0, np.inf, s)), s_lo)
-            s_hi = np.where(g1 < 0.0, np.minimum(s_hi, np.where(g0 < 0.0, -np.inf, s)), s_hi)
+        g0, g1 = depth[..., 0], depth[..., 1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s = g0 / (g0 - g1)
+        s_lo = np.where(g0 < 0.0, np.where(g1 < 0.0, np.inf, s), 0.0)
+        s_hi = np.where(g1 < 0.0, np.where(g0 < 0.0, -np.inf, s), 1.0)
         ends = []
         with np.errstate(divide="ignore", invalid="ignore"):
             for s in (s_lo, s_hi):
@@ -690,15 +723,20 @@ class Simulator:
                  e_direct: np.ndarray) -> list[IlluminanceField]:
         """Fields over the workplane grid at n instants, in one
         :meth:`_illuminance` pass, from their sun directions (n, 3), from the
-        sun toward the ground, and outdoor horizontal illuminance (n,) with
-        0 <= e_direct <= e_global. A direction that does not point down (the
-        sun at or below the horizon) casts nothing, whatever the direct part."""
+        sun toward the ground, each of finite, non-zero length, and finite
+        outdoor horizontal illuminance (n,) with 0 <= e_direct <= e_global. A
+        direction that does not point down (the sun at or below the horizon)
+        casts nothing, whatever the direct part."""
         direction, e_global, e_direct = map(np.asarray, (direction, e_global, e_direct))
         n = direction.shape[:1]
         if direction.shape != n + (3,) or e_global.shape != n or e_direct.shape != n:
             raise DataError("evaluate takes (n, 3) sun directions and (n,) illuminances")
-        if not ((0.0 <= e_direct) & (e_direct <= e_global)).all():
-            raise DataError("illuminances must satisfy 0 <= e_direct <= e_global")
+        if not (np.isfinite(e_global) & (0.0 <= e_direct) & (e_direct <= e_global)).all():
+            raise DataError("illuminances must be finite and satisfy 0 <= e_direct <= e_global")
+        with np.errstate(over="ignore"):  # the norm as the beam works it out
+            norm = np.sqrt(np.sum(direction * direction, axis=1))
+        if not ((norm > 0.0) & (norm < np.inf)).all():
+            raise DataError("sun directions must have a finite, non-zero length")
         area, e_dif, e_dir = self._illuminance(direction, e_global, e_direct, self.grid.points,
                                                self.df)
         return [IlluminanceField(grid=self.grid, df=self.df, e_diffuse=e_dif[j],

@@ -150,16 +150,18 @@ def random_room(rng: np.random.Generator) -> tuple[Room, GeoLocation]:
     return room, loc
 
 
-def random_l_room(rng: np.random.Generator) -> Room:
+def random_l_room(rng: np.random.Generator, any_wall: bool = False) -> Room:
     """A random L-shaped room (a rectangle with one corner notched out,
     turned by a random quarter turn) with one window on a random wall of
     its convex hull, so the re-entrant walls hide it from part of the
-    floor."""
+    floor. With ``any_wall`` the window's wall is any of the six, so a
+    window on one of the two re-entrant walls has the building's other
+    wing beyond its plane."""
     w, d = rng.uniform(4.0, 8.0, 2)
     wn, dn = w * rng.uniform(0.35, 0.65), d * rng.uniform(0.35, 0.65)
     ring = np.array([(0, 0), (w, 0), (w, d - dn), (w - wn, d - dn), (w - wn, d), (0, d)])
     hull_walls = (0, 1, 4, 5)
-    i = hull_walls[rng.integers(0, 4)]
+    i = int(rng.integers(0, 6)) if any_wall else hull_walls[rng.integers(0, 4)]
     a, b = ring[i], ring[(i + 1) % 6]
     length = float(np.linalg.norm(b - a))
     width = rng.uniform(0.6, min(2.0, length - 0.2))

@@ -114,3 +114,25 @@ def test_evaluate_rejects_a_batch_that_does_not_line_up(direction, e_global, e_d
     sim = sidelux.Simulator(make_canonical_room(), TROPICAL_SITE, cell=0.5)
     with pytest.raises(sidelux.DataError, match=message):
         sim.evaluate(direction, e_global, e_direct)
+
+
+INF, NAN = float("inf"), float("nan")
+
+
+@pytest.mark.parametrize("direction,e_global,message", [
+    ((0.0, 0.0, 0.0), 1000.0, "finite, non-zero length"),
+    ((0.0, 1e-300, -1e-300), 1000.0, "finite, non-zero length"),  # its squares underflow to 0
+    ((0.0, 1e200, -1e200), 1000.0, "finite, non-zero length"),  # its squares overflow
+    ((0.0, INF, -1.0), 1000.0, "finite, non-zero length"),
+    ((0.0, -1.0, NAN), 1000.0, "finite, non-zero length"),
+    ((0.0, 0.0, -1.0), INF, "must be finite"),
+])
+def test_evaluate_refuses_a_degenerate_direction_or_an_infinite_light(direction, e_global, message):
+    """The beam divides each direction by its length, and a field scales
+    E_global: a direction of zero or non-finite computed length, or an
+    infinite E_global, is refused before any arithmetic warns or a field
+    comes back with no beam or no finite value. The unit directions a run
+    passes are always accepted."""
+    sim = sidelux.Simulator(make_canonical_room(), TROPICAL_SITE, cell=0.5)
+    with pytest.raises(sidelux.DataError, match=message):
+        sim.evaluate([direction], [e_global], [500.0])

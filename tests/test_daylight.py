@@ -15,6 +15,7 @@ from sidelux.daylight import (
     Simulator,
     SkyKernel,
     SurfaceOptics,
+    _casters,
     compute_sun_patch,
     daylight_factor,
     df_from_components,
@@ -33,7 +34,9 @@ P_INSIDE = np.array([2.0, 1.0, 0.8])
 def bare_sky(point, window=WINDOW, obstructions=()):
     """(sc, erc) at one point of a bare window in the plane y = 0, seen
     from y > 0: its outward normal points to -y, away from the point."""
-    sc, erc = SkyKernel(window, (0.0, -1.0, 0.0), (), obstructions)(point)
+    outward = (0.0, -1.0, 0.0)
+    casters = _casters(window, outward, (), obstructions)
+    sc, erc = SkyKernel(window, outward, casters, obstructions)(point)
     return sc[0], erc[0]
 
 

@@ -146,6 +146,64 @@ def test_walls_beyond_the_window_line_do_not_hide_it():
         assert engine_df(room, p) == pytest.approx(ray_cast_daylight_factor(p, data, 64), abs=1e-9)
 
 
+def test_casters_are_the_walls_on_the_room_side_and_the_obstructions_beyond():
+    """What can hide a window on the re-entrant wall x = 3 of the L room:
+    the wall y = 0, which crosses the window plane, cut at it; the walls
+    wholly beyond the plane, or touching it at one end, left out; the
+    obstruction across the plane cut at it, the one wholly behind it left
+    out and the one wholly beyond it kept whole."""
+    base = make_l_room()
+    window = Polygon3([(3, 4, 0.9), (3, 5, 0.9), (3, 5, 2.1), (3, 4, 2.1)])
+    across = Obstruction(Polygon3([(1, 7, 0), (7, 7, 0), (7, 7, 3), (1, 7, 3)]))
+    behind = Obstruction(Polygon3([(-2, 8, 0), (2, 8, 0), (2, 8, 4), (-2, 8, 4)]))
+    beyond = Obstruction(Polygon3([(8, 0, 0), (8, 6, 0), (8, 6, 4), (8, 0, 4)]))
+    room = Room(floor=base.floor, height=base.height, optics=base.optics,
+                apertures=(Aperture(window),), obstructions=(across, behind, beyond))
+    assert room.outward.tolist() == [[1.0, 0.0, 0.0]]
+    walls, parts, owner = room.casters[0]
+    assert walls.tolist() == [[[0, 0], [3, 0]], [[3, 6], [0, 6]], [[0, 6], [0, 0]]]
+    assert owner.tolist() == [0, 2]
+    assert parts.shape == (2, 4, 3)
+    assert sorted(map(tuple, parts[0])) == [(3, 7, 0), (3, 7, 3), (7, 7, 0), (7, 7, 3)]
+    assert sorted(map(tuple, parts[1])) == sorted(map(tuple, beyond.polygon.coords))
+    # the sky kernel reads them as they are
+    assert np.shares_memory(room.sky[0].walls, walls) and room.sky[0].parts is parts
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_casters_of_windows_on_any_wall_keep_to_their_side_of_the_plane(seed):
+    """Every wall end the casters keep lies on the room side of the window
+    plane, within 1e-12 m, and is a corner of the floor or on the plane;
+    every vertex of an obstruction part lies beyond the plane, and each
+    part belongs to an obstruction that reaches beyond it."""
+    rng = np.random.default_rng(300 + seed)
+    room = with_obstructions(random_l_room(rng, any_wall=True), rng, 2)
+    kernel = room.sky[0]
+    walls, parts, owner = room.casters[0]
+    depth = lambda x: (x[..., :2] - kernel.origin[:2]) @ kernel.normal[:2]
+    assert np.all(depth(walls) <= 1e-12)
+    corner = (np.abs(walls[:, :, None] - room.floor.coords[:, :2]).max(axis=-1) == 0.0).any(axis=-1)
+    assert np.all(corner | (np.abs(depth(walls)) <= 1e-12))
+    assert np.all(depth(parts) >= -1e-12)
+    reach = [depth(o.polygon.coords).max() > 0.0 for o in room.obstructions]
+    assert all(reach[j] for j in owner)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), count=st.integers(0, 2))
+def test_windows_on_any_wall_see_what_the_ray_cast_sees(seed, count):
+    """An L room's window on any of its six walls, the two re-entrant ones
+    included, with 0-2 obstructions in front of it: every piece of the
+    window a point sees is what a ray cast sees through it (walls hide it
+    only on the room side of its plane, obstructions only beyond it), and
+    the pieces cover the window where the ray cast sees through it."""
+    rng = np.random.default_rng(seed)
+    room = with_obstructions(random_l_room(rng, any_wall=True), rng, count)
+    z = room.apertures[0].polygon.coords[:, 2]
+    points = np.concatenate((random_points(room, rng, 3), random_points(room, rng, 3, (z.min(), z.max()))))
+    check_pieces(room, points, rng, n_cover=32)
+
+
 # ---------------------------------------------------------------------------
 # Each piece sees one thing, and the pieces cover what the point sees.
 
@@ -168,7 +226,7 @@ def check_pieces(room: Room, points: np.ndarray, rng, n_cover=64):
         centre = rings.mean(axis=1)
         ends = np.concatenate((rings, 0.5 * (rings + np.roll(rings, -1, axis=1))), axis=1)
         inner = centre[:, None, None] + FRACTIONS[None, :, None, None] * (ends - centre[:, None])[:, None]
-        inner = inner.reshape(len(rings), -1, 2)
+        inner = inner.reshape(len(rings), len(FRACTIONS) * ends.shape[1], 2)
         to_3d = lambda s: kernel.origin + s[:, :1] * kernel.along + s[:, 1:] * EZ
         for i, p in enumerate(points):
             mine = np.flatnonzero(owner == i)
@@ -295,9 +353,9 @@ def test_an_obstruction_across_the_window_plane_matches_the_oracle():
     """The fin's two merged parts are cut at the window plane into two
     pieces of four vertices, and the wall behind the plane is skipped."""
     room = l_fin_room()
-    kernel = room.sky[0]
-    assert [j for _, j in kernel.parts] == [0, 0]
-    assert not any(np.array_equal(piece[-1], piece[-2]) for piece, _ in kernel.parts)
+    _, parts, owner = room.casters[0]
+    assert owner.tolist() == [0, 0]
+    assert not any(np.array_equal(piece[-1], piece[-2]) for piece in parts)
     assert_fin_room_matches_the_oracle(room, [
         ((4.0, -3.0, 0.0), (0.0, 2.0, 0.0), (0.0, 0.0, 4.0)),
         ((4.0, -1.0, 0.0), (0.0, 2.0, 0.0), (0.0, 0.0, 1.5))])
@@ -321,9 +379,9 @@ def test_a_padded_obstruction_piece_matches_the_oracle():
     room = t_fin_room()
     widths = {len(np.unique(part, axis=0)) for part in room.obstructions[0].parts}
     assert widths == {3, 4}
-    kernel = room.sky[0]
-    assert {j for _, j in kernel.parts} == {0}
-    assert any(np.array_equal(piece[-1], piece[-2]) for piece, _ in kernel.parts)
+    _, parts, owner = room.casters[0]
+    assert set(owner.tolist()) == {0}
+    assert any(np.array_equal(piece[-1], piece[-2]) for piece in parts)
     assert_fin_room_matches_the_oracle(room, [
         ((4.0, -2.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 2.0)),
         ((4.0, -3.0, 2.0), (0.0, 4.0, 0.0), (0.0, 0.0, 1.0))])
