@@ -113,7 +113,7 @@ def built(path, cell: float, label: str):
     m, built 5 times: print the best time of the build, its
     daylight-factor precompute, in ms."""
     building = parse_building(path)
-    building.workplane_cell = cell
+    building.settings["cell"] = cell
     seconds = []
     for _ in range(5):
         t0 = time.perf_counter()

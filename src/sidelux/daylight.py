@@ -52,7 +52,7 @@ from .geometry import (
     workplane_grid_for_parts,
 )
 from .metrics import hour_groups
-from .solar import EfficacyModel, GeoLocation, SolarState, WeatherSeries, check_ascending_years, \
+from .solar import EfficacyModel, GeoLocation, SolarState, WeatherSeries, check_years, \
     local_time, outdoor_illuminance, sun_altitudes, sun_directions, sun_positions
 
 # Horizontal illuminance of the full CIE overcast dome for unit zenith
@@ -68,7 +68,8 @@ BLOCK_STEPS = 4096                  # lit steps per sun and beam chunk of Simula
 
 @dataclass(frozen=True)
 class SurfaceOptics:
-    """Interior reflectances per surface role."""
+    """Interior reflectances per surface role; an error starts with the
+    building-file path ``room.surfaces: ``, as :class:`Room`'s do."""
 
     floor: float
     walls: float
@@ -77,7 +78,7 @@ class SurfaceOptics:
     def __post_init__(self):
         for name, v in (("floor", self.floor), ("walls", self.walls), ("ceiling", self.ceiling)):
             if not 0.0 <= v <= 1.0:
-                raise ConfigError(f"{name} reflectance {v} out of [0, 1]")
+                raise ConfigError(f"room.surfaces: {name} reflectance {v} out of [0, 1]")
 
 
 @dataclass(frozen=True, eq=False)
@@ -679,6 +680,8 @@ class Simulator:
         self.location = location
         self.efficacy = efficacy if efficacy is not None else EfficacyModel()
         self.patch_scope = patch_scope
+        if not cell > 0.0:  # NaN too
+            raise ConfigError(f"workplane.cell: {cell} must be positive")
         if not 0.0 <= workplane_height <= room.height:
             raise ConfigError(f"workplane.height: {workplane_height} m must lie between the "
                               f"floor (0 m) and the ceiling ({room.height} m)")
@@ -808,7 +811,7 @@ class Simulator:
                             + ", ".join(ts.isoformat() for ts in missing))
 
         # only the lit steps' altitudes are worked out, but every step must be in range
-        check_ascending_years(times)
+        check_years(times)
         r = slice(r0, r0 + n) if rows is None else rows
         outdoor_diffuse, outdoor_direct = outdoor_illuminance(
             weather.gh[r], weather.dh[r], self.efficacy, weather.ev_global[r], weather.ev_diffuse[r])

@@ -98,11 +98,6 @@ class Polygon3:
         rel = np.atleast_2d(points) - self.coords[0]
         return np.column_stack((rel @ u, rel @ v))
 
-    def from_plane_2d(self, pts2: np.ndarray) -> np.ndarray:
-        u, v = self.basis
-        pts2 = np.atleast_2d(pts2)
-        return self.coords[0] + pts2[:, :1] * u + pts2[:, 1:2] * v
-
     @cached_property
     def is_convex(self) -> bool:
         v2 = self._verts2d
@@ -179,8 +174,9 @@ def clip_polygon(subject: Polygon3, clip: Polygon3) -> Polygon3 | None:
         return None
     # drop the padding and cut points that coincide with their predecessor
     ring = ring[np.linalg.norm(ring - np.roll(ring, 1, axis=0), axis=1) >= 1e-12]
+    u, v = clip.basis
     try:
-        return Polygon3(clip.from_plane_2d(ring))
+        return Polygon3(clip.coords[0] + ring[:, :1] * u + ring[:, 1:2] * v)
     except GeometryError:
         return None
 
@@ -337,10 +333,6 @@ class GridMesh:
     points: np.ndarray
     cells: np.ndarray
 
-    def __post_init__(self):
-        if self.nu < 1 or self.nv < 1 or len(self.points) < 1:
-            raise DegenerateMeshError("mesh has no cells")
-
     @property
     def n_points(self) -> int:
         return len(self.points)
@@ -359,8 +351,6 @@ def workplane_grid_for_parts(parts: np.ndarray, floor_z: float, cell: float,
     (P, W, 2) of its convex parts such as ``Room.parts``, with square cells
     of side ``cell``; a cell center is kept when inside any part, and the
     plane sits ``height`` meters above the floor."""
-    if not cell > 0.0:  # NaN too
-        raise ValueError("cell size must be positive")
     xmin, ymin = parts[:, :, 0].min(), parts[:, :, 1].min()
     xmax, ymax = parts[:, :, 0].max(), parts[:, :, 1].max()
     # 1e-6 slack so spans that are exact multiples of the cell size survive

@@ -44,7 +44,7 @@ from .daylight import (
 )
 from .errors import ConfigError, DataError, GeometryError, ParseError
 from .geometry import GridMesh, Polygon3
-from .solar import LOCAL_TIME, EfficacyModel, GeoLocation, WeatherSeries
+from .solar import LOCAL_TIME, EfficacyModel, GeoLocation, WeatherSeries, check_samples
 
 WEATHER_COLUMNS = ("timestamp", "Gh_Wm2", "Dh_Wm2")
 WEATHER_COLUMNS_ILLUM = WEATHER_COLUMNS + ("Evg_lux", "Evd_lux")
@@ -332,39 +332,33 @@ def _series_header(line: str) -> None:
 
 def parse_series_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Read a two-column ``timestamp,value`` CSV (any value column name)
-    into ``datetime64[us]`` times and finite values.
+    into strictly ascending ``datetime64[us]`` times and finite values.
 
-    The file is read by :func:`_read_table`; then a non-finite value is an
-    error on its line."""
+    The file is read by :func:`_read_table`; then the first row that breaks
+    a rule is an error on its line: a repeated stamp or one that goes back,
+    worded as in a weather file (:func:`check_samples`), or a non-finite
+    value."""
     table = _read_table(path, _series_header)
-    values = table.values[0]
-    bad = ~np.isfinite(values)
-    if bad.any():
-        row = int(np.argmax(bad))
-        raise DataError(f"value {float(values[row])} is not a finite number",
-                        line=int(table.lines[row]))
-    return table.micros.view("datetime64[us]"), values
+    times, values = table.micros.view("datetime64[us]"), table.values[0]
+    finite = (~np.isfinite(values), DataError, "value {value} is not a finite number")
+    check_samples(times, [finite], table.lines, value=values)
+    return times, values
 
 
 @dataclass(eq=False)
 class BuildingDescription:
-    """Parsed building file: site, room and simulation settings. The
-    workplane height and the patch scope are kept as the file gives them:
-    :class:`Simulator`, which owns their rules, checks them when
-    :meth:`simulator` builds it."""
+    """Parsed building file: site, room and the :class:`Simulator` keyword
+    arguments the file sets. A setting the file leaves out is not in
+    ``settings``: :class:`Simulator` and the models, which own every value
+    rule and default, check and fill them when :meth:`simulator` builds it."""
 
     location: GeoLocation
     room: Room
-    workplane_cell: float
-    workplane_height: float
-    efficacy: EfficacyModel
-    patch_scope: str
+    settings: dict
 
     def simulator(self) -> Simulator:
         """The :class:`Simulator` of this room, site and settings."""
-        return Simulator(self.room, self.location, cell=self.workplane_cell,
-                         workplane_height=self.workplane_height, efficacy=self.efficacy,
-                         patch_scope=self.patch_scope)
+        return Simulator(self.room, self.location, **self.settings)
 
 
 def _typed(node, kind: type, where: str):
@@ -390,14 +384,15 @@ def _require(mapping: dict, key: str, where: str):
     return mapping[key]
 
 
-def _number(mapping: dict, key: str, where: str, default: float | None = None) -> float:
-    """``mapping[key]`` as a finite float; required when there is no default."""
-    mapping = _typed(mapping, dict, where)
-    raw = _require(mapping, key, where) if default is None else mapping.get(key, default)
-    try:
-        value = float(raw)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{where}.{key}: {raw!r} is not a number") from None
+def _number(mapping: dict, key: str, where: str) -> float:
+    """``mapping[key]``, a required JSON number, as a finite float."""
+    raw = _require(mapping, key, where)
+    try:  # a bool or text is no JSON number, though float() would read it
+        value = float(raw) if type(raw) in (int, float) else None
+    except OverflowError:  # an integer past the float range
+        value = None
+    if value is None:
+        raise ConfigError(f"{where}.{key}: {raw!r} is not a number")
     if not math.isfinite(value):
         raise ConfigError(f"{where}.{key}: {value} is not a finite number")
     return value
@@ -453,9 +448,16 @@ def parse_building(path) -> BuildingDescription:
       efficacy{mode,Kd,Kb}                             (optional)
       patch_scope                                      (optional, patch|room)
 
-    L-shaped floors are accepted and decomposed into convex parts. A field
-    outside this schema (:data:`BUILDING_FIELDS`) and a surface role given
-    twice are errors that name their path.
+    L-shaped floors are accepted and decomposed into convex parts. The
+    parser checks the file's shape: objects and lists where the schema has
+    them, no field outside it (:data:`BUILDING_FIELDS`), every required
+    field, numbers that are finite JSON numbers (not ``true`` or text), and
+    each surface role once. Every value rule and default belongs to the
+    model that reads the value (:class:`GeoLocation`, :class:`SurfaceOptics`,
+    :class:`Room`, :class:`Aperture`, :class:`Obstruction`,
+    :class:`EfficacyModel`, :class:`Simulator`), and its errors, like the
+    parser's, name their path. A setting the file leaves out takes the
+    model's default.
     """
     try:
         data = json.loads(_decode(Path(path).read_bytes()))
@@ -479,8 +481,6 @@ def parse_building(path) -> BuildingDescription:
         where = f"room.surfaces[{i}]"
         role = _require(_fields(s, "room.surfaces[]", where), "role", where)
         value = _number(s, "reflectance", where)
-        if not 0.0 <= value <= 1.0:
-            raise ConfigError(f"{where}.reflectance: {value} out of [0, 1]")
         if role not in ("floor", "walls", "ceiling"):
             raise ConfigError(f"{where}.role: unknown role {role!r}")
         if role in refl:
@@ -489,7 +489,7 @@ def parse_building(path) -> BuildingDescription:
     for role in ("floor", "walls", "ceiling"):
         if role not in refl:
             raise ConfigError(f"room.surfaces: missing reflectance for role {role!r}")
-    optics = SurfaceOptics(floor=refl["floor"], walls=refl["walls"], ceiling=refl["ceiling"])
+    optics = SurfaceOptics(**refl)
 
     apertures = _polygons(room_d.get("apertures", []), "room.apertures", Aperture,
                           tau_vitre="tau", MF="mf", FR="fr", MG="mg", FC="fc")
@@ -499,26 +499,19 @@ def parse_building(path) -> BuildingDescription:
                 obstructions=obstructions)
 
     wp = _fields(_require(data, "workplane", "building"), "workplane")
-    cell = _number(wp, "cell", "workplane")
-    if cell <= 0.0:
-        raise ConfigError(f"workplane.cell: {cell} must be positive")
-    wp_height = _number(wp, "height", "workplane", 0.01)
-
-    eff_d = _fields(data.get("efficacy", {}), "efficacy")
-    mode = {"mode": eff_d["mode"]} if "mode" in eff_d else {}
-    try:
-        efficacy = EfficacyModel(**mode, **_given(eff_d, "efficacy", Kd="kd", Kb="kb"))
-    except ValueError as exc:
-        raise ConfigError(f"efficacy: {exc}") from None
-
-    return BuildingDescription(
-        location=loc,
-        room=room,
-        workplane_cell=cell,
-        workplane_height=wp_height,
-        efficacy=efficacy,
-        patch_scope=data.get("patch_scope", "patch"),
-    )
+    settings = {"cell": _number(wp, "cell", "workplane"),
+                **_given(wp, "workplane", height="workplane_height")}
+    if "efficacy" in data:
+        eff_d = _fields(data["efficacy"], "efficacy")
+        mode = {"mode": eff_d["mode"]} if "mode" in eff_d else {}
+        factors = _given(eff_d, "efficacy", Kd="kd", Kb="kb")
+        try:
+            settings["efficacy"] = EfficacyModel(**mode, **factors)
+        except ValueError as exc:
+            raise ConfigError(f"efficacy: {exc}") from None
+    if "patch_scope" in data:
+        settings["patch_scope"] = data["patch_scope"]
+    return BuildingDescription(location=loc, room=room, settings=settings)
 
 
 def _cells(values: np.ndarray, lead: int) -> np.ndarray:

@@ -11,8 +11,8 @@ horizon. Local axes everywhere are x=East, y=North, z=up.
 The position is two passes: :func:`sun_altitudes` works out the altitude,
 and :func:`sun_directions` the azimuth and direction, which only the beam
 reads; :func:`sun_positions` is both over caller stamps and checks their
-years. A period run checks its whole period's years once
-(:func:`check_ascending_years`), calls the first pass only on the steps
+years (:func:`check_years`). A period run checks its whole period's years
+once, with the same check, calls the first pass only on the steps
 whose weather carries light and the second only on the sunny steps among
 them, both in chunks of lit steps, and zeroes the dark steps of the
 outdoor conversion (:func:`outdoor_illuminance`), which reads no sun.
@@ -90,20 +90,12 @@ _FIRST, _END = np.datetime64("1950-01-01", "us"), np.datetime64("2101-01-01", "u
 _US_PER_DAY = 86_400_000_000
 
 
-def _check_years(t: np.ndarray) -> None:
+def check_years(t: np.ndarray) -> None:
     """Raise for the first of the stamps ``t`` outside 1950-2100, naming its year."""
     bad = ~((t >= _FIRST) & (t < _END))  # NaT compares false, so it is bad too
     if bad.any():
         year = int(t[np.argmax(bad)].astype("datetime64[Y]").astype(np.int64)) + 1970
         raise ValueError(f"timestamp year {year} outside supported range 1950-2100")
-
-
-def check_ascending_years(times: np.ndarray) -> None:
-    """The year check of :func:`sun_positions` over ascending ``times`` (at
-    least one), on two stamps: the stamps out of range are a run at the
-    start and a run at the end, so the first of them is the first stamp or
-    the first one at or past 2101."""
-    _check_years(times[[0, min(int(np.searchsorted(times, _END)), len(times) - 1)]])
 
 
 def sun_altitudes(times: np.ndarray, loc: GeoLocation) -> tuple[np.ndarray, np.ndarray]:
@@ -166,7 +158,7 @@ def sun_positions(times: np.ndarray, loc: GeoLocation) -> tuple[np.ndarray, np.n
     in 1950-2100: the two passes :func:`sun_altitudes` and
     :func:`sun_directions` over all of them."""
     times = np.asarray(times, dtype="datetime64[us]")
-    _check_years(times)
+    check_years(times)
     altitude, terms = sun_altitudes(times, loc)
     return (altitude, *sun_directions(altitude, terms, loc))
 
@@ -185,13 +177,34 @@ def local_time(when: datetime) -> datetime:
     return when
 
 
+def check_samples(t: np.ndarray, rules, lines, **columns: np.ndarray) -> None:
+    """Raise for the first sample of a series with stamps ``t`` that breaks
+    a rule, at its first broken rule: a stamp that repeats its predecessor,
+    one that goes back from it (both ParseErrors, as in the files they come
+    from), then each of ``rules``, rows of (mask over the samples, error
+    type, message). A message names the stamp as ``{t}`` and a sample's
+    value of each of ``columns`` by its keyword; the error carries the
+    sample's source line when ``lines`` (None or one per sample) gives one."""
+    same, back = np.zeros((2, len(t)), dtype=bool)
+    same[1:], back[1:] = t[1:] == t[:-1], t[1:] < t[:-1]
+    rules = ((same, ParseError, "duplicate timestamp {t}"),
+             (back, ParseError, "timestamps not ascending at {t}"), *rules)
+    hits = [(int(np.argmax(bad)), k) for k, (bad, _, _) in enumerate(rules) if bad.any()]
+    if hits:
+        row, k = min(hits)
+        _, error, message = rules[k]
+        raise error(message.format(t=t[row].astype(datetime).isoformat(),
+                                   **{name: float(c[row]) for name, c in columns.items()}),
+                    line=None if lines is None else int(lines[row]))
+
+
 class WeatherSeries:
     """Weather samples as columns: strictly ascending local civil timestamps
     (``datetime64[us]``), global and diffuse horizontal irradiance (W/m^2),
     and measured global and diffuse horizontal illuminance (lux), NaN where
-    not measured. Validated once, as a whole: the error names the first
-    sample that breaks a rule, then its first broken rule, and its source
-    line when ``lines`` gives one per sample.
+    not measured. Validated once, as a whole, by :func:`check_samples`:
+    the error names the first sample that breaks a rule, then its first
+    broken rule, and its source line when ``lines`` gives one per sample.
     """
 
     def __init__(self, times, gh, dh, ev_global=None, ev_diffuse=None, lines=None):
@@ -204,12 +217,7 @@ class WeatherSeries:
             for c in (gh, dh, ev_global, ev_diffuse)]
         if any(c.shape != (len(t),) for c in (t, gh, dh, evg, evd)):
             raise DataError("weather columns must be one-dimensional and of equal length")
-        same, back = np.zeros((2, len(t)), dtype=bool)
-        same[1:], back[1:] = t[1:] == t[:-1], t[1:] < t[:-1]
-        # time-order faults are ParseErrors, as in the files they come from
-        rules = (
-            (same, ParseError, "duplicate timestamp {t}"),
-            (back, ParseError, "timestamps not ascending at {t}"),
+        check_samples(t, (
             (~np.isfinite(gh), DataError, "global irradiance {gh} is not a finite number"),
             (~np.isfinite(dh), DataError, "diffuse irradiance {dh} is not a finite number"),
             (np.isinf(evg), DataError, "ev_global {evg} is not a finite number"),
@@ -221,14 +229,7 @@ class WeatherSeries:
              f"diffuse irradiance {{dh}} exceeds global {{gh}} by more than {DH_GH_TOL:.0%}"),
             (evg < 0.0, DataError, "ev_global {evg} lux negative"),
             (evd < 0.0, DataError, "ev_diffuse {evd} lux negative"),
-        )
-        hits = [(int(np.argmax(bad)), k) for k, (bad, _, _) in enumerate(rules) if bad.any()]
-        if hits:
-            row, k = min(hits)
-            _, error, message = rules[k]
-            raise error(message.format(t=t[row].astype(datetime).isoformat(), gh=float(gh[row]),
-                                       dh=float(dh[row]), evg=float(evg[row]), evd=float(evd[row])),
-                        line=None if lines is None else int(lines[row]))
+        ), lines, gh=gh, dh=dh, evg=evg, evd=evd)
 
     def __len__(self) -> int:
         return len(self.times)

@@ -136,3 +136,24 @@ def test_evaluate_refuses_a_degenerate_direction_or_an_infinite_light(direction,
     sim = sidelux.Simulator(make_canonical_room(), TROPICAL_SITE, cell=0.5)
     with pytest.raises(sidelux.DataError, match=message):
         sim.evaluate([direction], [e_global], [500.0])
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    """Every name a module of the package imports is read in that module:
+    the unused-import rule of a linter, in the standard library.
+    ``__init__.py`` imports to export. The one exception is
+    ``daylight.clip_polygon``, which perfbench's tracer self-test rebinds
+    in that module."""
+    unused = []
+    for path in sorted(Path(sidelux.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                unused += [f"{path.stem}.{bound}" for alias in node.names
+                           if (bound := alias.asname or alias.name.split(".")[0]) not in read]
+    assert unused == ["daylight.clip_polygon"]

@@ -2,12 +2,16 @@ import argparse
 import json
 import re
 from datetime import datetime, timedelta
+from functools import partial
 from pathlib import Path
 
 import pytest
 
-from conftest import BUILDING_JSON, overcast_day_csv
+from conftest import BUILDING_JSON, TROPICAL_SITE, make_canonical_room, overcast_day_csv
 from sidelux.cli import build_parser, main
+from sidelux.daylight import Simulator, SurfaceOptics
+from sidelux.errors import ConfigError, ParseError
+from sidelux.io import parse_series_csv
 
 
 def series_csv(path, rows):
@@ -461,3 +465,47 @@ class TestUsageErrors:
         code = main(["dfmap", "--building", str(bad), "--out", str(tmp_path / "x.txt")])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+
+NOON = datetime(2009, 7, 1, 12)
+
+
+@pytest.mark.parametrize("kind,value,file_message,api_message", [
+    ("cell", 0.0, "workplane.cell: 0.0 must be positive", None),
+    ("cell", -1.0, "workplane.cell: -1.0 must be positive", None),
+    ("cell", float("nan"), "workplane.cell: nan is not a finite number",
+     "workplane.cell: nan must be positive"),
+    ("walls", 1.2, "room.surfaces: walls reflectance 1.2 out of [0, 1]", None),
+    ("minutes", [0, 1, 1], "line 4: duplicate timestamp 2009-07-01T12:01:00", None),
+    ("minutes", [0, 2, 1], "line 4: timestamps not ascending at 2009-07-01T12:01:00", None),
+], ids=["cell-0", "cell-negative", "cell-nan", "reflectance", "repeated-stamp", "stamp-back"])
+def test_a_rule_refuses_its_input_from_a_file_and_from_the_api(tmp_path, capsys, kind, value,
+                                                               file_message, api_message):
+    """Each value rule has one owner, the model that reads the value, and
+    refuses its input both ways: from a file, through the CLI (exit 2, the
+    message naming the file path or line), and from the API. The API's
+    message is the file's unless the parser's shape check comes first (a
+    NaN is not a finite JSON number). The series time-order rule is the
+    weather file's, with its words."""
+    if kind == "minutes":
+        sim = series_csv(tmp_path / "sim.csv", [(NOON + timedelta(minutes=m), 1.0) for m in value])
+        ref = series_csv(tmp_path / "ref.csv", [(NOON + timedelta(minutes=m), 1.0)
+                                                for m in range(3)])
+        argv = ["validate", str(sim), str(ref)]
+        error, api = ParseError, partial(parse_series_csv, sim)
+    else:
+        data = json.loads(BUILDING_JSON % {"cell": "0.5"})
+        if kind == "cell":
+            data["workplane"]["cell"] = value
+            api = partial(Simulator, make_canonical_room(), TROPICAL_SITE, cell=value)
+        else:
+            data["room"]["surfaces"][1] = {"role": "walls", "reflectance": value}
+            api = partial(SurfaceOptics, floor=0.2, walls=value, ceiling=0.6)
+        building = tmp_path / "b.json"
+        building.write_text(json.dumps(data), encoding="utf-8")
+        argv = ["dfmap", "--building", str(building), "--out", str(tmp_path / "df.txt")]
+        error = ConfigError
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {file_message}\n"
+    with pytest.raises(error, match=f"^{re.escape(api_message or file_message)}$"):
+        api()

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 from conftest import TROPICAL_SITE, assert_same_bits, make_canonical_room, random_l_room
 from oracles import (_even_odd_mask, full_pass_clip, full_pass_split, overlap_area,
                      rasterized_overlap_area, shoelace_area)
-from sidelux.errors import DegenerateMeshError, GeometryError
+from sidelux.errors import ConfigError, DegenerateMeshError, GeometryError
 from sidelux.daylight import Aperture, BeamKernel, Room, Simulator, SurfaceOptics
 from sidelux.geometry import (
     PLANARITY_TOL,
@@ -275,17 +275,11 @@ class TestWorkplaneGrid:
         with pytest.raises(DegenerateMeshError):
             floor_grid(square(), 2.0, 0.0)
 
-    def test_cell_not_positive(self):
-        with pytest.raises(ValueError):
-            floor_grid(square(), 0.0, 0.0)
-
     @pytest.mark.parametrize("cell", [0.0, float("nan")])
     def test_cell_not_positive_through_the_simulator(self, cell):
-        """A NaN cell is not positive either: the grid function and
-        ``Simulator`` both give the package's own message for it."""
-        with pytest.raises(ValueError, match="^cell size must be positive$"):
-            floor_grid(square(), cell, 0.0)
-        with pytest.raises(ValueError, match="^cell size must be positive$"):
+        """A NaN cell is not positive either: ``Simulator``, which owns the
+        rule, names the building-file path; the grid function trusts it."""
+        with pytest.raises(ConfigError, match=f"^workplane.cell: {cell} must be positive$"):
             Simulator(make_canonical_room(), TROPICAL_SITE, cell=cell)
 
     def test_centers_inside_floor(self):

@@ -90,7 +90,7 @@ def beam_bits(tmp_path: Path, name: str) -> str:
     inputs.write_building(building, name)
     description = parse_building(building)
     kernel = BeamKernel(description.room, description.room.floor_z
-                        + description.workplane_height)
+                        + description.settings["workplane_height"])
     times = np.arange("2009-01-01", "2010-01-01", np.timedelta64(7, "m"), dtype="datetime64[us]")
     altitude, _, direction = sun_positions(times, description.location)
     direction = direction[altitude > 0.0].astype(np.float32).astype(float)

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import json
 import math
 import os
@@ -18,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from sidelux import io as sidelux_io
 from sidelux.errors import ConfigError, DataError, GeometryError, ParseError
-from sidelux.daylight import Aperture, Obstruction, PeriodResult
+from sidelux.daylight import Aperture, Obstruction, PeriodResult, Simulator
 from sidelux.geometry import workplane_grid_for_parts
 from sidelux.io import (
     BUILDING_FIELDS,
@@ -588,37 +589,45 @@ class TestBuilding:
         b = parse_building(DATA / "reference_room.json")
         assert b.location.latitude == -21.34
         assert b.location.albedo == 0.7
-        assert b.workplane_cell == 0.1
-        assert b.workplane_height == 0.01
+        assert b.settings["cell"] == 0.1
+        assert b.settings["workplane_height"] == 0.01
         assert b.room.optics.floor == 0.2
         assert b.room.optics.walls == 0.6
         ap = b.room.apertures[0]
         assert (ap.mg, ap.fr, ap.mf, ap.tau) == (0.8, 0.8, 0.9, 0.9)
-        assert b.efficacy.kd == 120.0 and b.efficacy.kb == 93.0
-        assert b.patch_scope == "patch"
+        efficacy = b.settings["efficacy"]
+        assert (efficacy.mode, efficacy.kd, efficacy.kb) == ("constant", 120.0, 93.0)
+        assert b.settings["patch_scope"] == "patch"
         assert b.room.s_t == pytest.approx(13.65)
 
     def test_omitted_fields_take_the_models_defaults(self, tmp_path):
         """A file that leaves out every optional field gets the defaults of
-        Aperture, Obstruction and EfficacyModel, which alone own them."""
+        Aperture, Obstruction, EfficacyModel and Simulator, which alone own
+        them: the parser passes on only what the file sets."""
         def mutate(d):
             aperture = d["room"]["apertures"][0]
             d["room"]["apertures"][0] = {"vertices": aperture["vertices"]}
             d["obstructions"] = [{"vertices": [[0, 8, 0], [4, 8, 0], [4, 8, 3], [0, 8, 3]]}]
-            del d["efficacy"], d["patch_scope"]
+            del d["efficacy"], d["patch_scope"], d["workplane"]["height"]
+            d["workplane"]["cell"] = 0.5
 
         def settings(model):
             return {f.name: getattr(model, f.name) for f in dataclasses.fields(model) if f.init}
 
         b = parse_building(self._patched(tmp_path, mutate))
+        assert b.settings == {"cell": 0.5}
         ap, = b.room.apertures
         obs, = b.room.obstructions
+        sim = b.simulator()
         assert settings(ap) == settings(Aperture(ap.polygon))
         assert settings(obs) == settings(Obstruction(obs.polygon))
-        assert settings(b.efficacy) == settings(EfficacyModel())
+        assert settings(sim.efficacy) == settings(EfficacyModel())
         assert (ap.tau, ap.mf, ap.fr, ap.mg, ap.fc) == (0.9, 1.0, 1.0, 1.0, 1.0)
         assert obs.luminance_fraction == 0.2
-        assert (b.efficacy.mode, b.efficacy.kd, b.efficacy.kb) == ("constant", 120.0, 93.0)
+        assert (sim.efficacy.mode, sim.efficacy.kd, sim.efficacy.kb) == ("constant", 120.0, 93.0)
+        defaults = inspect.signature(Simulator).parameters
+        assert sim.grid.plane_z == b.room.floor_z + defaults["workplane_height"].default == 0.01
+        assert sim.patch_scope == defaults["patch_scope"].default == "patch"
 
     def _patched(self, tmp_path, mutate):
         data = json.loads((DATA / "reference_room.json").read_text())
@@ -684,9 +693,15 @@ class TestBuilding:
         (("obstructions",), [7], r"obstructions\[0\]: expected an object"),
         (("efficacy",), 3, r"efficacy: expected an object"),
         (("room", "height"), 10**400, r"room.height: 10{400} is not a number"),
+        (("room", "apertures", 0, "tau_vitre"), True,
+         r"room.apertures\[0\].tau_vitre: True is not a number"),
+        (("room", "height"), "2.8", r"room.height: '2\.8' is not a number"),
+        (("efficacy", "Kd"), "120", r"efficacy.Kd: '120' is not a number"),
     ], ids=["top", "room", "location", "surfaces", "surface", "aperture", "obstruction",
-            "efficacy", "huge-int"])
+            "efficacy", "huge-int", "true", "text", "efficacy-text"])
     def test_node_of_wrong_type_names_its_path(self, tmp_path, path, value, message):
+        """A node of the wrong JSON type is refused with its path: a number
+        must be a JSON number, not ``true`` or text that ``float`` reads."""
         def mutate(d):
             for key in path[:-1]:
                 d = d[key]
