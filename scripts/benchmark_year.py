@@ -5,7 +5,8 @@ Daylight-factor precomputation is reported separately from the stepping
 loop, since it runs once per geometry: the ``Simulator`` build of the test
 cell and of the benchmark's L-shaped room (``perfbench/inputs.py``,
 ``L_ROOM``), whose re-entrant walls and obstructions the sky kernel cuts
-around, best of 5 each. So are parsing the year's weather CSV and writing
+around, best of 5 each, with the peak Python allocation (``tracemalloc``)
+of one more build. So are parsing the year's weather CSV and writing
 the year's results (both in a temporary directory). Three
 layers of the stepping are read from the run itself, which records the rows
 and time of each call it makes (:func:`recorded`): the sun position, per
@@ -29,6 +30,7 @@ import resource
 import sys
 import tempfile
 import time
+import tracemalloc
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -111,7 +113,8 @@ def print_layers(calls, n: int) -> None:
 def built(path, cell: float, label: str):
     """The simulator of the building file at ``path`` on a grid of ``cell``
     m, built 5 times: print the best time of the build, its
-    daylight-factor precompute, in ms."""
+    daylight-factor precompute, in ms, and the peak Python allocation of
+    one more build, traced apart so the tracing slows no timed one."""
     building = parse_building(path)
     building.settings["cell"] = cell
     seconds = []
@@ -119,8 +122,12 @@ def built(path, cell: float, label: str):
         t0 = time.perf_counter()
         sim = building.simulator()
         seconds.append(time.perf_counter() - t0)
+    tracemalloc.start()
+    building.simulator()
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
     print(f"{label}daylight-factor precompute: {sim.grid.n_points} points in "
-          f"{1e3 * min(seconds):.1f} ms, best of 5")
+          f"{1e3 * min(seconds):.1f} ms, best of 5; peak allocation {peak / 1e6:.2f} MB")
     return sim
 
 

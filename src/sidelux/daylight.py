@@ -48,6 +48,7 @@ from .geometry import (
     stack_rings,
     points_in_convex_rings,
     project_polygon_along_direction,
+    ring_sums,
     clip_polygon,  # not used here: perfbench's tracer self-test rebinds it in this module
     workplane_grid_for_parts,
 )
@@ -59,7 +60,9 @@ from .solar import EfficacyModel, GeoLocation, SolarState, WeatherSeries, check_
 # luminance: integral of (1+2 sin g)/3 * sin g over the hemisphere = 7*pi/9.
 OVERCAST_DOME = 7.0 * math.pi / 9.0
 
-CHUNK_POINTS = 512                  # points per array pass of the sky integral
+CHUNK_POINTS = 4096                 # points per array pass of the sky integral: a typical
+                                    # room's grid in one pass, about 2.3 kB a point behind
+                                    # two obstructions
 DEFAULT_LUMINANCE_FRACTION = 0.2    # obstruction luminance relative to the sky it hides
 UNOBSTRUCTED_C = 39.0               # split-flux obstruction coefficient, clear horizon
 PATCH_SCOPES = ("patch", "room")
@@ -288,7 +291,8 @@ def df_from_components(sc: float, erc: float, irc: float, fc: float,
 
 class SkyKernel:
     """Sky and externally reflected components of one vertical window at a
-    batch of points, in chunks of ``CHUNK_POINTS``.
+    batch of points, in chunks of ``CHUNK_POINTS``: a typical room's grid
+    takes one array pass, a larger one works in bounded slices.
 
     For each point the window is cut into convex pieces that each see one
     thing, behind the ``casters`` that ``Room`` works out once per window
@@ -344,9 +348,11 @@ class SkyKernel:
         the index of the point each belongs to; what each sees (-1 sky, j
         obstruction j); and per point its along-wall coordinate, distance in
         front of the window plane and height."""
+        # per point, by elementwise products: a matrix product (BLAS) would
+        # round a row differently with the rows around it
         rel = p - self.origin
-        h = -(rel @ self.normal)
-        u = rel @ self.along
+        h = -np.sum(rel * self.normal, axis=1)
+        u = np.sum(rel * self.along, axis=1)
         z = p[:, 2]
         on_plane = np.abs(h) < BOUNDARY_TOL
         if points_in_convex_rings(np.column_stack((u, z))[on_plane], self.ring[None]).any():
@@ -430,7 +436,7 @@ class SkyKernel:
         x = (self.origin[None, None, :] + rings[:, :, :1] * self.along
              + rings[:, :, 1:] * np.array([0.0, 0.0, 1.0]))
         nj, ni = self.planes[j, :3], self.planes[other, :3]
-        a_j = self.planes[j, 3] - pts @ nj
+        a_j = self.planes[j, 3] - np.sum(pts * nj, axis=1)
         a_i = self.planes[other, 3] - np.sum(pts * ni, axis=1)
         d_j = np.sum((x - pts[:, None]) * nj, axis=2)
         d_i = np.sum((x - pts[:, None]) * ni[:, None], axis=2)
@@ -459,11 +465,11 @@ def _piece_integrals(rings, u, h, z) -> np.ndarray:
     cos = np.sum(v * w, axis=2)
     with np.errstate(divide="ignore", invalid="ignore"):
         turn = np.where(sin > 0.0, np.arctan2(sin, cos) / sin, 0.0)
-    first = -0.5 * np.sum(turn * m[:, :, 2], axis=1)
+    first = -0.5 * ring_sums(turn * m[:, :, 2])
     g = np.sum(v * v[:, :1], axis=2)
     fan = np.arctan2(np.sum(v[:, :1] * m[:, 1:-1], axis=2), 1.0 + g[:, 1:-1] + cos[:, 1:-1] + g[:, 2:])
-    omega = np.abs(2.0 * np.sum(fan, axis=1))
-    second = (omega - np.sum(m[:, :, 2] * (v[:, :, 2] + w[:, :, 2]) / (1.0 + cos), axis=1)) / 3.0
+    omega = np.abs(2.0 * ring_sums(fan))
+    second = (omega - ring_sums(m[:, :, 2] * (v[:, :, 2] + w[:, :, 2]) / (1.0 + cos))) / 3.0
     return (first + 2.0 * second) / (3.0 * OVERCAST_DOME)
 
 

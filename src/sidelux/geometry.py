@@ -290,6 +290,18 @@ def split_rings(rings: np.ndarray, side: np.ndarray) -> tuple[np.ndarray, np.nda
     return tuple(_cut_rings(rings, side, side >= 0.0, side <= 0.0))
 
 
+def ring_sums(terms: np.ndarray) -> np.ndarray:
+    """Per row of ``terms`` (R, W), one term per vertex or edge of a ring,
+    their sum from the first to the last. A ring padded as
+    :func:`stack_rings` pads adds exact zeros before its closing edge, so
+    its sum does not depend on the width of the batch it is in; ``np.sum``
+    pairs the terms of a row 8 or more wide, which moves the last bits."""
+    total = np.zeros(len(terms))
+    for column in terms.T:
+        total += column
+    return total
+
+
 def signed_ring_areas(rings: np.ndarray, origin) -> np.ndarray:
     """Shoelace areas (positive counter-clockwise) of a batch of 2-D rings,
     shape (R, W, 2), taken about ``origin``, one point or one per ring: a

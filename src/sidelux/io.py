@@ -147,7 +147,10 @@ def _plain_table(path: Path, data: bytes) -> _Table | None:
     the loop."""
     end = data.find(b"\n")  # of the header; slices of data would copy it
     n_sep = data.count(b",", 0, end)
-    if (end < 0 or end + 1 == len(data) or n_sep == 0 or b"\n\n" in data
+    # a body of LFs only (or none) is no data to numpy, which warns; numpy
+    # skips a blank line among rows, so its row count falls short of the lines
+    lfs = data.count(b"\n", end + 1)
+    if (end < 0 or lfs == len(data) - end - 1 or n_sep == 0
             or data.translate(None, _PLAIN_BYTES) or path.suffix in _DECOMPRESSED
             or not path.is_file()):
         return None
@@ -156,7 +159,7 @@ def _plain_table(path: Path, data: bytes) -> _Table | None:
                           delimiter=",", comments=None, skiprows=1, ndmin=1)
     except ValueError:
         return None
-    if len(rows) != data.count(b"\n", end + 1) + (not data.endswith(b"\n")):
+    if len(rows) != lfs + (not data.endswith(b"\n")):
         return None
     # the stamp field's bytes, NUL-padded, in place: a copy would cost memory
     stamps = rows.view(np.uint8).reshape(len(rows), -1)[:, :_STAMP_FIELD]

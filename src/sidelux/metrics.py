@@ -149,8 +149,9 @@ def hour_groups(timestamps):
     starts = np.flatnonzero(first)
     lengths = np.diff(starts, append=len(hours))
     # per hour length: which hours have it, and the sorted samples of each
+    # (bincount, not np.unique, which loads numpy.ma on its first call)
     rows = []
-    for length in np.unique(lengths):
+    for length in np.flatnonzero(np.bincount(lengths)):
         which = np.flatnonzero(lengths == length)
         rows.append((which, order[starts[which, None] + np.arange(length)]))
 

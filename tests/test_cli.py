@@ -1,6 +1,9 @@
 import argparse
 import json
+import os
 import re
+import subprocess
+import sys
 from datetime import datetime, timedelta
 from functools import partial
 from pathlib import Path
@@ -12,6 +15,8 @@ from sidelux.cli import build_parser, main
 from sidelux.daylight import Simulator, SurfaceOptics
 from sidelux.errors import ConfigError, ParseError
 from sidelux.io import parse_series_csv
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def series_csv(path, rows):
@@ -212,6 +217,26 @@ class TestValidate:
         code = main(["validate", str(sim), str(ref), "--out", str(report), "--name", "cell_a"])
         assert code == 0
         assert "cell_a\t" in report.read_text()
+
+    def test_validate_leaves_numpy_ma_unimported(self, tmp_path):
+        """Loading ``numpy.ma`` costs a ``validate`` process about 30 ms; a
+        fresh interpreter shows whether ``validate`` loads it, as the test
+        process may already have done."""
+        t0 = datetime(2009, 3, 21, 10, 0)
+        rows = [(t0 + timedelta(minutes=m), 100.0 + m) for m in range(150)]
+        sim = series_csv(tmp_path / "sim.csv", rows)
+        ref = series_csv(tmp_path / "ref.csv", [(t, v + 1.0) for t, v in rows])
+        script = ("import sys\n"
+                  "from sidelux.cli import main\n"
+                  "sim, ref, out = sys.argv[1:]\n"
+                  "for mode in ('error', 'margin'):\n"
+                  "    assert main(['validate', sim, ref, '--resample', 'hourly',\n"
+                  "                 '--mode', mode, '--out', out]) == 0\n"
+                  "print('numpy.ma' in sys.modules)\n")
+        done = subprocess.run([sys.executable, "-c", script, str(sim), str(ref),
+                               str(tmp_path / "report.tsv")], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(SRC)}, check=True)
+        assert done.stdout == "False\n"
 
 
 class TestDfmap:

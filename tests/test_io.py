@@ -378,6 +378,9 @@ ADVERSARIAL = [
     W3 + ROW + "\n\n" + NEXT + "\n",
     W3 + ROW + "\n" + NEXT + "\n\n",
     W3 + ROW + "\n   \n" + NEXT + "\n",
+    W3 + "\n",
+    W3 + "\n\n",
+    W3 + "\n" + ROW + "\n",
     W3 + ROW + "\n" + NEXT,
     W3,
     W3.rstrip("\n"),

@@ -32,8 +32,8 @@ def test_benchmark_year_hourly_steps(tmp_path):
     assert "8760 steps" in out
     for label, points in (("", 143), ("L-room ", 300)):
         df = re.search(rf"^{label}daylight-factor precompute: (\d+) points in \d+\.\d ms, "
-                       r"best of 5$", out, re.M)
-        assert df and int(df[1]) == points
+                       r"best of 5; peak allocation (\d+\.\d\d) MB$", out, re.M)
+        assert df and int(df[1]) == points and float(df[2]) > 0.0
     rss = re.search(r"^peak RSS: (\d+\.\d) MB before stepping, (\d+\.\d) MB after$", out, re.M)
     assert rss and float(rss[2]) >= float(rss[1]) > 0.0
     assert re.search(r"^weather parse: 525600 rows in \d+\.\d\d s \(\d+ rows/s\)$", out, re.M)

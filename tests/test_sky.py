@@ -12,14 +12,17 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import make_canonical_room, random_l_room, random_room, with_obstructions
+from conftest import TROPICAL_SITE, make_canonical_room, random_l_room, random_room, \
+    with_obstructions
 from oracles import ray_cast_daylight_factor, ray_cast_sky, sight_classes, walls_other_than
 from test_stepping import L_PROBES, make_l_room
+from sidelux import daylight
 from sidelux.daylight import (
     Aperture,
     DFBreakdown,
     Obstruction,
     Room,
+    Simulator,
     SkyKernel,
     _piece_integrals,
     compute_sun_patch,
@@ -418,6 +421,23 @@ def test_probe_daylight_factors_match_the_benchmark_references(name, tmp_path):
     np.testing.assert_allclose(df, ref["df"], rtol=0.0, atol=1e-8)
     single = [engine_df(b.room, (x, y, sim.grid.plane_z)) for x, y in probes]
     np.testing.assert_allclose(single, ref["df"], rtol=0.0, atol=1e-8)
+
+
+@pytest.mark.parametrize("size", [1, 7, 512])
+def test_the_chunk_size_changes_no_bit_of_the_df_map(size, tmp_path, monkeypatch):
+    """The sky kernel's passes of ``CHUNK_POINTS`` points give the DF map of
+    the default size bit for bit, wherever a chunk ends: both benchmark
+    grids fit in one default pass, so smaller chunks cut them into many."""
+    builds = [benchmark_room(name, tmp_path)[0].simulator for name in ("test_cell", "l_room")]
+    rng = np.random.default_rng(28)
+    room = with_obstructions(random_l_room(rng), rng, 2)
+    assert set(room.casters[0][2].tolist()) == {0, 1}  # both obstructions can hide the window
+    builds.append(lambda: Simulator(room, TROPICAL_SITE, cell=0.25))
+    default = [build().df for build in builds]
+    assert max(len(df) for df in default[:2]) <= daylight.CHUNK_POINTS
+    monkeypatch.setattr(daylight, "CHUNK_POINTS", size)
+    for build, df in zip(builds, default):
+        assert build().df.tobytes() == df.tobytes()
 
 
 # ---------------------------------------------------------------------------
