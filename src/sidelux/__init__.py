@@ -13,7 +13,6 @@ from .daylight import (
     SurfaceOptics,
     daylight_factor,
     df_from_components,
-    internally_reflected_component,
 )
 from .errors import (
     ConfigError,

@@ -69,8 +69,6 @@ def _parse_probes(text: str) -> list[tuple[float, float]]:
 
 def _load_weather(path: str):
     p = Path(path)
-    if not p.exists():
-        raise DataError(f"weather file not found: {path}")
     if p.suffix.lower() in (".tm2", ".tmy2"):
         return parse_tmy2_subset(p)
     return parse_weather_csv(p)

@@ -111,10 +111,6 @@ class Aperture:
             if not 0.0 < v <= 1.0:
                 raise ConfigError(f"aperture factor {name}={v} out of (0, 1]")
 
-    @property
-    def area(self) -> float:
-        return self.polygon.area
-
 
 @dataclass(frozen=True, eq=False)
 class Obstruction:
@@ -145,14 +141,16 @@ class Room:
 
     Its derived geometry is worked out once, at construction: ``parts`` are
     the plan rings (P, W, 2) of the floor's convex parts
-    (:func:`decompose_convex`), counter-clockwise from above. Per aperture,
+    (:func:`decompose_convex`), counter-clockwise from above; ``perimeter``
+    sums the floor's edges, the plan segments of its walls. Per aperture,
     from the wall found to hold it: ``outward`` (K, 3), that wall's outward
     unit normal; ``casters``, what can hide it (:func:`_casters`: the other
     walls on the room side of its plane, the obstruction parts beyond it);
     ``sky``, its :class:`SkyKernel` behind those casters; ``irc``, its
-    internally-reflected component. Two may share an edge but not overlap.
-    An error starts with the building-file path it is about, such as
-    ``room.height: `` or ``room.apertures[k]: ``."""
+    internally-reflected component (:func:`split_flux_irc`), which needs a
+    mean reflectance below 0.99 to converge. Two may share an edge but not
+    overlap. An error starts with the building-file path it is about, such
+    as ``room.height: `` or ``room.apertures[k]: ``."""
 
     floor: Polygon3
     height: float
@@ -173,7 +171,10 @@ class Room:
         self.parts = decompose_convex(self.floor)[:, :, :2]
         self.floor_z = float(self.floor.coords[:, 2].mean())
         self.s_t = self.floor.area
-        walls = [self._wall_of(k, ap.polygon) for k, ap in enumerate(self.apertures)]
+        plan = self.floor.coords[:, :2]
+        edges = np.stack((plan, np.roll(plan, -1, axis=0)), axis=1)  # walls: (n, 2 ends, 2)
+        self.perimeter = float(np.linalg.norm(edges[:, 1] - edges[:, 0], axis=1).sum())
+        walls = [self._wall_of(k, ap.polygon, edges) for k, ap in enumerate(self.apertures)]
         for j, (wall, _, ring) in enumerate(walls):
             for i, (other, _, clip) in enumerate(walls[:j]):
                 if other == wall and abs(signed_ring_areas(clip_rings(ring[None], clip),
@@ -181,38 +182,37 @@ class Room:
                     raise GeometryError(f"room.apertures[{j}]: overlaps room.apertures[{i}] "
                                         "on the same wall")
         self.outward = np.array([outward for _, outward, _ in walls]).reshape(-1, 3)
-        plan = self.floor.coords[:, :2]
-        edges = np.stack((plan, np.roll(plan, -1, axis=0)), axis=1)  # walls: (n, 2 ends, 2)
         self.casters = tuple(_casters(ap.polygon, outward, np.delete(edges, wall, axis=0),
                                       self.obstructions)
                              for ap, (wall, outward, _) in zip(self.apertures, walls))
         self.sky = tuple(SkyKernel(ap.polygon, outward, casters, self.obstructions)
                          for ap, outward, casters in zip(self.apertures, self.outward, self.casters))
-        try:
-            self.irc = tuple(internally_reflected_component(self, ap) for ap in self.apertures)
-        except ConfigError as exc:
-            raise ConfigError(f"room.surfaces: {exc}") from None
+        a_walls = self.perimeter * self.height
+        total = 2.0 * self.s_t + a_walls
+        o = self.optics
+        r_mean = (o.floor * self.s_t + o.ceiling * self.s_t + o.walls * a_walls) / total
+        if self.apertures and r_mean >= 0.99:
+            raise ConfigError("room.surfaces: mean reflectance >= 0.99: inter-reflection diverges")
+        self.irc = tuple(self._irc(ap, a_walls, total, r_mean) for ap in self.apertures)
 
-    def _wall_of(self, k: int, window: Polygon3) -> tuple[int, np.ndarray, np.ndarray]:
-        """Index of the floor edge whose wall holds aperture ``k``'s
-        ``window``, that wall's outward unit normal, and the window's ring in
-        (along-wall, z) coordinates, counter-clockwise."""
-        pts = self.floor.coords
-        n = len(pts)
+    def _wall_of(self, k: int, window: Polygon3, edges) -> tuple[int, np.ndarray, np.ndarray]:
+        """Index of the floor edge of ``edges`` (n, 2 ends, 2) whose wall
+        holds aperture ``k``'s ``window``, that wall's outward unit normal,
+        and the window's ring in (along-wall, z) coordinates,
+        counter-clockwise."""
         lo = self.floor_z - PLANARITY_TOL
         hi = self.floor_z + self.height + PLANARITY_TOL
         apts = window.coords
         if apts[:, 2].min() < lo or apts[:, 2].max() > hi:
             raise GeometryError(f"room.apertures[{k}]: aperture extends beyond the wall height")
-        for i in range(n):
-            a, b = pts[i], pts[(i + 1) % n]
+        for i, (a, b) in enumerate(edges):
             e = b - a
-            length = float(np.linalg.norm(e[:2]))
+            length = float(np.linalg.norm(e))
             if length < 1e-12:
                 continue
             ex, ey = e[0] / length, e[1] / length
             outward = np.array([ey, -ex, 0.0])
-            off = (apts - a) @ outward
+            off = (apts[:, :2] - a) @ outward[:2]
             if float(np.abs(off).max()) > PLANARITY_TOL:
                 continue
             s = (apts[:, 0] - a[0]) * ex + (apts[:, 1] - a[1]) * ey
@@ -224,10 +224,19 @@ class Room:
         raise GeometryError(f"room.apertures[{k}]: aperture does not lie on any wall of the "
                             "floor outline")
 
-    @property
-    def perimeter(self) -> float:
-        pts = self.floor.coords
-        return float(np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1).sum())
+    def _irc(self, ap: Aperture, a_walls: float, total: float, r_mean: float) -> float:
+        """Internally-reflected component of ``ap`` from the room's wall
+        area, total area and mean reflectance, with the walls split at the
+        window's mid-height between the floor below and the ceiling above."""
+        mid = float(ap.polygon.coords[:, 2].mean()) - self.floor_z
+        mid = min(max(mid, 0.0), self.height)
+        a_lower = self.perimeter * mid
+        a_upper = a_walls - a_lower
+        o = self.optics
+        r_lower = (o.floor * self.s_t + o.walls * a_lower) / (self.s_t + a_lower)
+        r_upper = (o.ceiling * self.s_t + o.walls * a_upper) / (self.s_t + a_upper)
+        return split_flux_irc(ap.polygon.area, total, r_mean, r_lower, r_upper,
+                              _obstruction_coefficient(self, ap))
 
     def contains(self, points: np.ndarray) -> np.ndarray:
         """Which of the (N, 3) ``points`` lie in the room: over a floor part
@@ -487,10 +496,10 @@ def split_flux_irc(window_area: float, total_area: float, mean_reflectance: floa
     """Split-flux average internally-reflected component, as a fraction.
 
     ``lower_reflectance`` averages floor and walls below the window
-    mid-height, ``upper_reflectance`` ceiling and walls above it.
+    mid-height, ``upper_reflectance`` ceiling and walls above it. It
+    diverges as ``mean_reflectance`` reaches 1; :class:`Room` refuses a
+    mean of 0.99 or more.
     """
-    if mean_reflectance >= 0.99:
-        raise ConfigError("mean reflectance >= 0.99: inter-reflection diverges")
     return (
         0.85 * window_area / (total_area * (1.0 - mean_reflectance))
         * (obstruction_coefficient * lower_reflectance + 5.0 * upper_reflectance)
@@ -512,24 +521,6 @@ def _obstruction_coefficient(room: Room, ap: Aperture) -> float:
         angles.append(max(0.0, math.degrees(math.atan2(top - wc[2], max(horiz, 1e-9)))))
     mean_angle = sum(angles) / len(angles)
     return UNOBSTRUCTED_C * max(0.0, 1.0 - min(mean_angle, 80.0) / 80.0)
-
-
-def internally_reflected_component(room: Room, ap: Aperture) -> float:
-    """Internally-reflected component for one aperture from the room's
-    surface areas and reflectances."""
-    s_t = room.s_t
-    a_walls = room.perimeter * room.height
-    total = 2.0 * s_t + a_walls
-    mid = float(ap.polygon.coords[:, 2].mean()) - room.floor_z
-    mid = min(max(mid, 0.0), room.height)
-    a_lower = room.perimeter * mid
-    a_upper = a_walls - a_lower
-    o = room.optics
-    r_mean = (o.floor * s_t + o.ceiling * s_t + o.walls * a_walls) / total
-    r_lower = (o.floor * s_t + o.walls * a_lower) / (s_t + a_lower)
-    r_upper = (o.ceiling * s_t + o.walls * a_upper) / (s_t + a_upper)
-    c = _obstruction_coefficient(room, ap)
-    return split_flux_irc(ap.area, total, r_mean, r_lower, r_upper, c)
 
 
 def daylight_factor(point, room: Room, ap: Aperture) -> DFBreakdown:

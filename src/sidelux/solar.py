@@ -273,10 +273,6 @@ class OutdoorIlluminance:
         if abs(self.e_global - (self.e_diffuse + self.e_direct)) > 1e-6 * max(1.0, self.e_global):
             raise DataError("global illuminance must equal diffuse + direct")
 
-    @classmethod
-    def from_components(cls, diffuse: float, direct: float) -> "OutdoorIlluminance":
-        return cls(diffuse + direct, diffuse, direct)
-
 
 def outdoor_illuminance(gh: np.ndarray, dh: np.ndarray, eff: EfficacyModel, ev_global: np.ndarray,
                         ev_diffuse: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -310,4 +306,5 @@ def reconstruct_illuminance(sun: SolarState, gh: float, dh: float, eff: Efficacy
         np.array([gh]), np.array([dh]), eff,
         np.array([ev_global], dtype=float), np.array([ev_diffuse], dtype=float),
     )
-    return OutdoorIlluminance.from_components(float(diffuse[0]), float(direct[0]))
+    diffuse, direct = float(diffuse[0]), float(direct[0])
+    return OutdoorIlluminance(diffuse + direct, diffuse, direct)

@@ -37,7 +37,7 @@ def test_public_names_are_pinned():
         "Polygon3", "Room", "SeriesPair", "Simulator", "SolarState", "SurfaceOptics",
         "ValidationReport", "WeatherSeries", "build_margins", "clip_polygon",
         "daylight_factor", "decompose_convex", "df_from_components", "evaluate_pair",
-        "internally_reflected_component", "io", "mbd", "r2", "reconstruct_illuminance",
+        "io", "mbd", "r2", "reconstruct_illuminance",
         "relative_errors", "resample_hourly", "rmsd", "rsd", "sun_position",
     ]
     assert all(hasattr(sidelux, name) for name in bound_names())
@@ -157,3 +157,34 @@ def test_no_module_imports_a_name_it_never_uses():
                 unused += [f"{path.stem}.{bound}" for alias in node.names
                            if (bound := alias.asname or alias.name.split(".")[0]) not in read]
     assert unused == ["daylight.clip_polygon"]
+
+
+def test_no_module_binds_a_private_name_it_never_reads():
+    """Every private name (one leading ``_``) that a module of the package
+    binds at module level, as a function, class or constant, is read in
+    that module: a helper whose last caller went is deleted with it, not
+    left for a test to keep alive."""
+    unread = []
+    for path in sorted(Path(sidelux.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        bound = []
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                bound.append(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                bound += [t.id for t in targets if isinstance(t, ast.Name)]
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unread += [f"{path.stem}.{name}" for name in bound
+                   if name.startswith("_") and not name.startswith("__") and name not in read]
+    assert unread == []
+
+
+def test_every_module_parses_as_python_3_10():
+    """``pyproject.toml`` declares Python 3.10 or later: every module of the
+    package parses with the 3.10 grammar. This checks the grammar only;
+    the library calls each module makes are not checked against 3.10 or
+    the oldest numpy the project declares."""
+    for path in sorted(Path(sidelux.__file__).parent.glob("*.py")):
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))

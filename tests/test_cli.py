@@ -54,12 +54,13 @@ class TestSimulate:
         assert field.read_text().startswith("# 7 7 2009-03-21T12:00")
 
     def test_missing_weather_file(self, tmp_path, building_file, capsys):
+        missing = tmp_path / "nope.csv"
         code = main([
             "simulate", "--building", str(building_file),
-            "--weather", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "run"),
+            "--weather", str(missing), "--out", str(tmp_path / "run"),
         ])
         assert code == 2
-        assert "weather file not found" in capsys.readouterr().err
+        assert str(missing) in capsys.readouterr().err
 
     def test_tmy2_input_with_hourly_steps(self, tmp_path, building_file):
         from datetime import datetime as dt

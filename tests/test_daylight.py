@@ -19,7 +19,6 @@ from sidelux.daylight import (
     compute_sun_patch,
     daylight_factor,
     df_from_components,
-    internally_reflected_component,
     split_flux_irc,
 )
 from sidelux.geometry import Polygon3, workplane_grid_for_parts
@@ -100,7 +99,7 @@ class TestInternallyReflected:
             optics=SurfaceOptics(0.0, 0.0, 0.0),
             apertures=(Aperture(WINDOW),),
         )
-        assert internally_reflected_component(room, room.apertures[0]) == 0.0
+        assert room.irc[0] == 0.0
 
     def test_linear_in_window_area(self):
         small = split_flux_irc(1.0, 60.0, 0.5, 0.3, 0.7)
@@ -108,8 +107,15 @@ class TestInternallyReflected:
         assert large == pytest.approx(2.0 * small, rel=1e-12)
 
     def test_divergent_reflectance_rejected(self):
-        with pytest.raises(ConfigError):
-            split_flux_irc(1.0, 50.0, 0.995, 0.9, 0.9)
+        """The split-flux IRC diverges as the mean reflectance reaches 1:
+        ``Room`` refuses a mean of 0.99 or more when it has a window to
+        compute the IRC for, and accepts the same surfaces without one."""
+        floor = Polygon3([(0, 0, 0), (4, 0, 0), (4, 4, 0), (0, 4, 0)])
+        optics = SurfaceOptics(0.995, 0.995, 0.995)
+        with pytest.raises(ConfigError) as err:
+            Room(floor=floor, height=2.5, optics=optics, apertures=(Aperture(WINDOW),))
+        assert str(err.value) == "room.surfaces: mean reflectance >= 0.99: inter-reflection diverges"
+        assert Room(floor=floor, height=2.5, optics=optics).irc == ()
 
     def test_obstruction_reduces_coefficient(self):
         base = make_canonical_room("south")
@@ -120,8 +126,7 @@ class TestInternallyReflected:
             floor=base.floor, height=base.height, optics=base.optics,
             apertures=base.apertures, obstructions=(tall,),
         )
-        assert internally_reflected_component(shaded, shaded.apertures[0]) < \
-            internally_reflected_component(base, base.apertures[0])
+        assert shaded.irc[0] < base.irc[0]
 
 
 class TestDaylightFactor:

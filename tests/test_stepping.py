@@ -541,7 +541,7 @@ def test_patch_area_is_bounded_by_the_window_image(seed):
     areas, _ = BeamKernel(room, PLANE_Z)(direction, np.zeros((0, 2)))
     floor = room.floor.coords[:, :2]
     for k, ap in enumerate(room.apertures):
-        bound = ap.area * np.abs(direction @ room.outward[k]) / np.abs(direction[:, 2])
+        bound = ap.polygon.area * np.abs(direction @ room.outward[k]) / np.abs(direction[:, 2])
         assert np.all(areas[:, k] <= bound + 1e-9)
         for i, sun in enumerate(suns):
             image = beam_image(floor, ap.polygon.coords, sun.direction, PLANE_Z)
