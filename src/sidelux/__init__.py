@@ -31,7 +31,6 @@ from .geometry import (
 from .metrics import (
     SeriesPair,
     ValidationReport,
-    build_margins,
     evaluate_pair,
     mbd,
     r2,

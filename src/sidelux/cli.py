@@ -31,7 +31,7 @@ from .io import (
     write_field_file,
     write_results,
 )
-from .metrics import SeriesPair, build_margins, evaluate_pair, resample_hourly
+from .metrics import SeriesPair, evaluate_pair, resample_hourly
 
 
 def _parse_ts(text: str) -> datetime:
@@ -106,15 +106,15 @@ def _cmd_validate(args) -> int:
         ts_sim, v_sim = resample_hourly(ts_sim, v_sim)
         ts_ref, v_ref = resample_hourly(ts_ref, v_ref)
     if not np.array_equal(ts_sim, ts_ref):
-        raise DataError(
-            "timestamp mismatch between simulated and reference series "
-            "(consider --resample hourly)"
-        )
-    lower = upper = None
-    if args.mode == "margin":
-        lower, upper = build_margins(v_ref, args.error)
-    pair = SeriesPair(sim=v_sim, ref=v_ref, lower=lower, upper=upper)
-    report = evaluate_pair(pair, mode=args.mode)
+        # the first position where the stamps differ, or where one series ends
+        n = min(len(ts_sim), len(ts_ref))
+        i = int(np.argmin(np.append(ts_sim[:n] == ts_ref[:n], False)))
+        stamps = ", ".join(f"{name} has {ts[i].item().isoformat() if i < len(ts) else 'none'}"
+                           for name, ts in (("simulated", ts_sim), ("reference", ts_ref)))
+        hint = "" if args.resample else " (consider --resample hourly)"
+        raise DataError("timestamp mismatch between simulated and reference series at "
+                        f"position {i + 1}: {stamps}{hint}")
+    report = evaluate_pair(SeriesPair(v_sim, v_ref), args.error if args.mode == "margin" else None)
     name = args.name or Path(args.sim).stem
     table = report.to_table(name=name)
     if args.out == "-":

@@ -3,9 +3,9 @@
 Conventions: the normalized root-mean-square deviation and the mean bias
 deviation are normalized by the mean of the reference series; relative
 errors are fractions of the reference value at each point; the reliability
-percentage (``rsd``) is either the share of simulated values inside the
-reference margins (margin mode) or 100 minus the mean absolute relative
-error in percent (error mode).
+percentage (``rsd``) is 100 minus the mean absolute relative error in
+percent or, given an error fraction e as ``margin``, the share of simulated
+values within e*|ref| of their reference value, whatever its sign.
 """
 
 from __future__ import annotations
@@ -20,13 +20,10 @@ from .errors import MetricError
 
 @dataclass(eq=False)
 class SeriesPair:
-    """Aligned simulated and reference series, optionally with per-point
-    acceptance margins (lower/upper, same units as the values)."""
+    """Aligned simulated and reference series."""
 
     sim: np.ndarray
     ref: np.ndarray
-    lower: np.ndarray | None = None
-    upper: np.ndarray | None = None
 
     def __post_init__(self):
         self.sim = np.asarray(self.sim, dtype=float)
@@ -35,15 +32,6 @@ class SeriesPair:
             raise ValueError("series must be one-dimensional")
         if len(self.sim) != len(self.ref) or len(self.sim) < 1:
             raise ValueError("series must have equal, non-zero length")
-        if (self.lower is None) != (self.upper is None):
-            raise ValueError("margins need both lower and upper bounds")
-        if self.lower is not None:
-            self.lower = np.asarray(self.lower, dtype=float)
-            self.upper = np.asarray(self.upper, dtype=float)
-            if self.lower.shape != self.sim.shape or self.upper.shape != self.sim.shape:
-                raise ValueError("margins must match the series length")
-            if np.any(self.lower > self.upper):
-                raise ValueError("lower margin exceeds upper margin")
 
     @property
     def n(self) -> int:
@@ -106,30 +94,21 @@ def relative_errors(pair: SeriesPair) -> RelativeErrors:
     )
 
 
-def rsd(pair: SeriesPair, mode: str = "error") -> float:
+def rsd(pair: SeriesPair, margin: float | None = None) -> float:
     """Reliability percentage.
 
-    margin mode: 100 * (count of simulated values inside [lower, upper]) / N.
-    error mode: 100 - mean absolute relative error in percent, clamped to
-    [0, 100].
+    Without a margin: 100 - mean absolute relative error in percent, clamped
+    to [0, 100]. With an error fraction e in [0, 1]: 100 * (count of
+    simulated values between ref*(1 - e) and ref*(1 + e), ends included) / N.
     """
-    if mode == "margin":
-        if pair.lower is None or pair.upper is None:
-            raise ValueError("margin mode requires margins on the series pair")
-        inside = (pair.sim >= pair.lower) & (pair.sim <= pair.upper)
-        return float(inside.sum() / pair.n * 100.0)
-    if mode == "error":
+    if margin is None:
         err = relative_errors(pair)
         return float(min(100.0, max(0.0, 100.0 - err.mean_abs * 100.0)))
-    raise ValueError(f"unknown reliability mode {mode!r}")
-
-
-def build_margins(ref, error_fraction: float) -> tuple[np.ndarray, np.ndarray]:
-    """Symmetric margins ref*(1 -+ e) around the reference values."""
-    if not 0.0 <= error_fraction <= 1.0:
-        raise ValueError(f"error fraction {error_fraction} out of [0, 1]")
-    ref = np.asarray(ref, dtype=float)
-    return ref * (1.0 - error_fraction), ref * (1.0 + error_fraction)
+    if not 0.0 <= margin <= 1.0:
+        raise ValueError(f"error fraction {margin} out of [0, 1]")
+    a, b = pair.ref * (1.0 - margin), pair.ref * (1.0 + margin)
+    inside = (pair.sim >= np.minimum(a, b)) & (pair.sim <= np.maximum(a, b))
+    return float(inside.sum() / pair.n * 100.0)
 
 
 def hour_groups(timestamps):
@@ -215,8 +194,9 @@ class ValidationReport:
         return "\n".join(lines) + "\n"
 
 
-def evaluate_pair(pair: SeriesPair, mode: str = "error") -> ValidationReport:
-    """Compute every indicator for a series pair.
+def evaluate_pair(pair: SeriesPair, margin: float | None = None) -> ValidationReport:
+    """Compute every indicator for a series pair; ``margin`` picks the
+    reliability reading as in :func:`rsd`.
 
     A constant reference leaves R^2 undefined; the report records it as NaN
     rather than failing, since the other indicators are still meaningful.
@@ -235,6 +215,6 @@ def evaluate_pair(pair: SeriesPair, mode: str = "error") -> ValidationReport:
         eps_mean_pct=err.mean * 100.0,
         eps_mean_abs_pct=err.mean_abs * 100.0,
         n_excluded=err.n_excluded,
-        rsd_pct=rsd(pair, mode),
-        rsd_mode=mode,
+        rsd_pct=rsd(pair, margin),
+        rsd_mode="error" if margin is None else "margin",
     )

@@ -317,8 +317,10 @@ def rasterized_overlap_area(ring_a, ring_b, res=0.001):
     return float(inside.sum()) * res * res
 
 
-def loop_metrics(sim, ref):
-    """Spreadsheet-style plain-Python recomputation of every indicator."""
+def loop_metrics(sim, ref, margin=0.15):
+    """Spreadsheet-style plain-Python recomputation of every indicator,
+    with the reliability read both ways: from the mean absolute relative
+    error, and as the share of points within ``margin``*|ref| of ref."""
     n = len(sim)
     mean = sum(ref) / n
     sum_sq = sum((s - r) ** 2 for s, r in zip(sim, ref))
@@ -329,6 +331,7 @@ def loop_metrics(sim, ref):
     eps = [(s - r) / abs(r) for s, r in zip(sim, ref) if r != 0.0]
     eps_mean = sum(eps) / len(eps)
     eps_mean_abs = sum(abs(e) for e in eps) / len(eps)
+    inside = sum(1 for s, r in zip(sim, ref) if abs(s - r) <= margin * abs(r))
     return {
         "rmsd": rmsd,
         "mbd_pct": mbd,
@@ -337,6 +340,8 @@ def loop_metrics(sim, ref):
         "eps_mean": eps_mean,
         "eps_mean_abs": eps_mean_abs,
         "n_excluded": n - len(eps),
+        "rsd_error": min(100.0, max(0.0, 100.0 - eps_mean_abs * 100.0)),
+        "rsd_margin": inside / n * 100.0,
     }
 
 

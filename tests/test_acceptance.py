@@ -27,7 +27,7 @@ from sidelux.geometry import Polygon3, workplane_grid_for_parts
 from sidelux.io import parse_tmy2_subset, parse_weather_csv, write_weather_csv
 from sidelux.metrics import (
     SeriesPair,
-    build_margins,
+    evaluate_pair,
     mbd,
     r2,
     relative_errors,
@@ -165,19 +165,23 @@ def test_c07_metric_definitions():
     qe = relative_errors(q)
     assert qe.mean == pytest.approx(expected["eps_mean"], abs=1e-12)
     assert qe.mean_abs == pytest.approx(expected["eps_mean_abs"], abs=1e-12)
-    assert rsd(q, "error") == pytest.approx(100.0 - qe.mean_abs * 100.0, abs=1e-12)
+    assert rsd(q) == pytest.approx(expected["rsd_error"], abs=1e-12)
+    assert rsd(q, 0.15) == pytest.approx(expected["rsd_margin"], abs=1e-12)
+    assert 0.0 < expected["rsd_margin"] < 100.0  # the band splits the fixture
+    for margin, reading, mode in ((None, "rsd_error", "error"), (0.15, "rsd_margin", "margin")):
+        report = evaluate_pair(q, margin)
+        assert report.rsd_pct == pytest.approx(expected[reading], abs=1e-12)
+        assert report.rsd_mode == mode
 
     # 32.7 percent mean absolute error leaves 67.3 percent reliability
     sims = np.array([100.0 * (1.0 + s * 0.327) for s in (1, -1, 1, -1)])
     r = SeriesPair(sims, np.full(4, 100.0))
     assert relative_errors(r).mean_abs * 100.0 == pytest.approx(32.7, abs=1e-12)
-    assert rsd(r, "error") == pytest.approx(67.3, abs=1e-12)
+    assert rsd(r) == pytest.approx(67.3, abs=1e-12)
 
     # margin mode is a pure count ratio
-    lower, upper = build_margins(np.full(4, 100.0), 0.15)
-    m = SeriesPair(np.array([105.0, 95.0, 100.0, 140.0]), np.full(4, 100.0),
-                   lower=lower, upper=upper)
-    assert rsd(m, "margin") == 75.0
+    m = SeriesPair(np.array([105.0, 95.0, 100.0, 140.0]), np.full(4, 100.0))
+    assert rsd(m, 0.15) == 75.0
 
 
 def test_c08_daylight_factor_substitution():

@@ -35,7 +35,7 @@ def test_public_names_are_pinned():
         "EfficacyModel", "GeoLocation", "GeometryError", "GridMesh", "IlluminanceField",
         "MetricError", "Obstruction", "OutdoorIlluminance", "ParseError", "PeriodResult",
         "Polygon3", "Room", "SeriesPair", "Simulator", "SolarState", "SurfaceOptics",
-        "ValidationReport", "WeatherSeries", "build_margins", "clip_polygon",
+        "ValidationReport", "WeatherSeries", "clip_polygon",
         "daylight_factor", "decompose_convex", "df_from_components", "evaluate_pair",
         "io", "mbd", "r2", "reconstruct_illuminance",
         "relative_errors", "resample_hourly", "rmsd", "rsd", "sun_position",
@@ -70,6 +70,15 @@ def test_simulator_methods_are_pinned():
         "run": ["weather", "start", "end", "step_minutes", "probes", "field_at"],
         "step": ["when", "gh", "dh", "ev_global", "ev_diffuse"],
     }
+
+
+def test_validation_api_is_pinned():
+    """A series pair holds only the two series, and the reliability
+    reading has one knob, the error fraction that ``rsd`` and
+    ``evaluate_pair`` take as ``margin``."""
+    assert [f.name for f in dataclasses.fields(sidelux.SeriesPair)] == ["sim", "ref"]
+    for fn in (sidelux.rsd, sidelux.evaluate_pair):
+        assert list(inspect.signature(fn).parameters) == ["pair", "margin"]
 
 
 def test_evaluate_a_batch_is_its_instants_one_at_a_time():

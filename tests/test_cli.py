@@ -134,6 +134,15 @@ class TestValidate:
         assert code == 0
         assert "RSD_pct\t75" in capsys.readouterr().out
 
+    def test_margin_mode_negative_reference(self, tmp_path, capsys):
+        # a negative reference gets the band e*|ref| about it, not a refusal
+        t0 = datetime(2009, 3, 21, 10, 0)
+        sim = series_csv(tmp_path / "sim.csv", [(t0, -5.0), (t0 + timedelta(minutes=1), 1.0)])
+        ref = series_csv(tmp_path / "ref.csv", [(t0, -5.0), (t0 + timedelta(minutes=1), -5.0)])
+        code = main(["validate", str(sim), str(ref), "--mode", "margin", "--error", "0.15"])
+        assert code == 0
+        assert "RSD_pct\t50\n" in capsys.readouterr().out
+
     def test_require_rsd_gate(self, tmp_path, capsys):
         t0 = datetime(2009, 3, 21, 10, 0)
         ref_rows = [(t0 + timedelta(minutes=m), 100.0 + m) for m in range(4)]
@@ -180,7 +189,21 @@ class TestValidate:
         ref = series_csv(tmp_path / "ref.csv", [(t0 + timedelta(minutes=1), 1.0)])
         code = main(["validate", str(sim), str(ref)])
         assert code == 2
-        assert "mismatch" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: timestamp mismatch between simulated and reference series at position 1: "
+            "simulated has 2009-03-21T10:00:00, reference has 2009-03-21T10:01:00 "
+            "(consider --resample hourly)\n")
+        # resampled, two hours against two weeks: the third hour is the
+        # reference's alone, and the hint to resample is not given again
+        sim = series_csv(tmp_path / "sim.csv", [(t0 + timedelta(minutes=m), 1.0)
+                                                for m in range(120)])
+        ref = series_csv(tmp_path / "ref.csv", [(t0 + timedelta(minutes=m), 1.0)
+                                                for m in range(0, 14 * 1440, 10)])
+        code = main(["validate", str(sim), str(ref), "--resample", "hourly"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: timestamp mismatch between simulated and reference series at position 3: "
+            "simulated has none, reference has 2009-03-21T12:00:00\n")
 
     @pytest.mark.parametrize("text,message", [
         ("nan", "line 3: value nan is not a finite number"),

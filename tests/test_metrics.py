@@ -9,7 +9,6 @@ from sidelux.errors import MetricError
 from sidelux.daylight import PeriodResult
 from sidelux.metrics import (
     SeriesPair,
-    build_margins,
     evaluate_pair,
     mbd,
     r2,
@@ -20,8 +19,8 @@ from sidelux.metrics import (
 )
 
 
-def pair(sim, ref, **kw):
-    return SeriesPair(np.asarray(sim, dtype=float), np.asarray(ref, dtype=float), **kw)
+def pair(sim, ref):
+    return SeriesPair(np.asarray(sim, dtype=float), np.asarray(ref, dtype=float))
 
 
 class TestRmsd:
@@ -95,46 +94,53 @@ class TestRelativeErrors:
 
 class TestRsd:
     def test_margin_counting(self):
-        lower, upper = build_margins([100.0, 100.0, 100.0, 100.0], 0.1)
-        p = pair([105.0, 95.0, 100.0, 130.0], [100.0] * 4, lower=lower, upper=upper)
-        assert rsd(p, "margin") == 75.0
+        p = pair([105.0, 95.0, 100.0, 130.0], [100.0] * 4)
+        assert rsd(p, 0.1) == 75.0
 
     def test_margin_all_inside(self):
-        lower, upper = build_margins([100.0, 200.0], 0.15)
-        p = pair([100.0, 200.0], [100.0, 200.0], lower=lower, upper=upper)
-        assert rsd(p, "margin") == 100.0
+        p = pair([100.0, 200.0], [100.0, 200.0])
+        assert rsd(p, 0.15) == 100.0
+
+    def test_margin_band_about_a_negative_reference(self):
+        # the band is e*|ref| either side, as the error reading divides by |ref|
+        p = pair([-5.0, -5.75, -4.25, -5.8, -4.2, 5.0], [-5.0] * 6)
+        assert rsd(p, 0.15) == 50.0
 
     def test_error_mode_definition(self):
         # mean absolute relative error of 32.7% leaves 67.3% reliability
         sims = [100.0 * (1.0 + s * 0.327) for s in (1, -1, 1, -1)]
         p = pair(sims, [100.0] * 4)
-        assert rsd(p, "error") == pytest.approx(67.3, abs=1e-12)
+        assert rsd(p) == pytest.approx(67.3, abs=1e-12)
 
     def test_error_mode_clamped(self):
         p = pair([500.0], [100.0])  # 400% error
-        assert rsd(p, "error") == 0.0
+        assert rsd(p) == 0.0
 
-    def test_margin_mode_requires_margins(self):
-        with pytest.raises(ValueError):
-            rsd(pair([1.0], [1.0]), "margin")
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            rsd(pair([1.0], [1.0]), "fancy")
+    @pytest.mark.parametrize("e", [1.5, -0.1, float("nan")])
+    def test_error_fraction_out_of_range(self, e):
+        with pytest.raises(ValueError, match=rf"error fraction {e} out of \[0, 1\]"):
+            rsd(pair([1.0], [1.0]), e)
+        with pytest.raises(ValueError, match="error fraction"):
+            evaluate_pair(pair([1.0, 2.0], [1.0, 2.0]), e)
 
 
 class TestBuildMargins:
+    """The band that ``rsd`` builds about each reference from an error
+    fraction e: ref*(1 - e) to ref*(1 + e), ends included."""
+
     def test_fifteen_percent(self):
-        lower, upper = build_margins([1000.0], 0.15)
-        assert lower[0] == pytest.approx(850.0) and upper[0] == pytest.approx(1150.0)
+        p = pair([850.0, 1150.0, 849.99, 1150.01], [1000.0] * 4)
+        assert rsd(p, 0.15) == 50.0
 
     def test_zero_error_collapses(self):
-        lower, upper = build_margins([123.0], 0.0)
-        assert lower[0] == upper[0] == 123.0
+        p = pair([123.0, np.nextafter(123.0, 0.0), np.nextafter(123.0, 200.0)], [123.0] * 3)
+        assert rsd(p, 0.0) == pytest.approx(100.0 / 3.0, abs=1e-12)
 
     def test_zero_reference(self):
-        lower, upper = build_margins([0.0], 0.15)
-        assert lower[0] == upper[0] == 0.0
+        # a zero reference is inside only at 0, whatever the fraction
+        p = pair([0.0, 5e-324, -5e-324, 1.0], [0.0] * 4)
+        assert rsd(p, 0.15) == 25.0
+        assert rsd(p, 1.0) == 25.0
 
 
 class TestResampleHourly:
@@ -236,7 +242,7 @@ class TestAgainstLoopOracle:
 class TestReport:
     def test_table_contains_threshold_annotation(self):
         p = pair([100.0, 210.0], [100.0, 200.0])
-        report = evaluate_pair(p, mode="error")
+        report = evaluate_pair(p)
         table = report.to_table(name="demo")
         assert "RSD_pct" in table and "demo" in table
         assert "acceptable" in table
@@ -271,19 +277,23 @@ def test_scale_invariance(ref, scale):
     assert a.rsd_pct == pytest.approx(b.rsd_pct, rel=1e-9)
 
 
+signed_refs = st.lists(st.one_of(st.just(0.0), st.floats(-1000.0, 1000.0, allow_subnormal=False)),
+                       min_size=2, max_size=30)
+
+
 @settings(max_examples=60, deadline=None)
-@given(series, st.randoms(use_true_random=False))
+@given(signed_refs, st.randoms(use_true_random=False))
 def test_margin_rsd_reorder_invariant(ref, rnd):
     ref = np.array(ref)
-    sim = ref * 1.05
-    lower, upper = build_margins(ref, 0.1)
-    base = rsd(pair(sim, ref, lower=lower, upper=upper), "margin")
+    far = np.arange(len(ref)) % 3 == 0
+    sim = ref * np.where(far, 1.2, 1.05)
+    # a 5% miss is inside a 10% band and a 20% one outside, whatever the
+    # sign; a zero reference is matched by its zero sim
+    base = rsd(pair(sim, ref), 0.1)
+    assert base == (~far | (ref == 0.0)).sum() / len(ref) * 100.0
     order = list(range(len(ref)))
     rnd.shuffle(order)
-    shuffled = rsd(
-        pair(sim[order], ref[order], lower=lower[order], upper=upper[order]), "margin"
-    )
-    assert shuffled == base
+    assert rsd(pair(sim[order], ref[order]), 0.1) == base
 
 
 @settings(max_examples=60, deadline=None)
@@ -293,4 +303,4 @@ def test_error_rsd_plus_mean_abs_is_100(ref):
     sim = ref * 1.2
     err = relative_errors(pair(sim, ref))
     if err.mean_abs * 100.0 <= 100.0:
-        assert rsd(pair(sim, ref), "error") + err.mean_abs * 100.0 == pytest.approx(100.0, abs=1e-9)
+        assert rsd(pair(sim, ref)) + err.mean_abs * 100.0 == pytest.approx(100.0, abs=1e-9)
