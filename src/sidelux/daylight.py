@@ -144,8 +144,12 @@ class Room:
     (:func:`decompose_convex`), counter-clockwise from above; ``perimeter``
     sums the floor's edges, the plan segments of its walls. Per aperture,
     from the wall found to hold it: ``outward`` (K, 3), that wall's outward
-    unit normal; ``casters``, what can hide it (:func:`_casters`: the other
-    walls on the room side of its plane, the obstruction parts beyond it);
+    unit normal; ``casters``, what can hide it (:func:`_casters`: the
+    re-entrant walls on the room side of its plane, the obstruction parts
+    beyond it; a wall whose line has every floor vertex on its room side,
+    within PLANARITY_TOL, is an edge of the floor's convex hull, which no
+    sight line from the room to a window crosses, so a convex room has no
+    wall casters);
     ``sky``, its :class:`SkyKernel` behind those casters; ``irc``, its
     internally-reflected component (:func:`split_flux_irc`), which needs a
     mean reflectance below 0.99 to converge. Two may share an edge but not
@@ -173,7 +177,14 @@ class Room:
         self.s_t = self.floor.area
         plan = self.floor.coords[:, :2]
         edges = np.stack((plan, np.roll(plan, -1, axis=0)), axis=1)  # walls: (n, 2 ends, 2)
-        self.perimeter = float(np.linalg.norm(edges[:, 1] - edges[:, 0], axis=1).sum())
+        run = edges[:, 1] - edges[:, 0]
+        length = np.linalg.norm(run, axis=1)
+        self.perimeter = float(length.sum())
+        # a wall whose line has the whole floor on its room side, an edge of the
+        # floor's convex hull, cannot come between a point in the room and a window
+        normal = np.column_stack((run[:, 1], -run[:, 0])) / length[:, None]  # outward
+        beyond = ((plan[None] - edges[:, None, 0]) * normal[:, None]).sum(axis=2).max(axis=1)
+        inner = beyond > PLANARITY_TOL
         walls = [self._wall_of(k, ap.polygon, edges) for k, ap in enumerate(self.apertures)]
         for j, (wall, _, ring) in enumerate(walls):
             for i, (other, _, clip) in enumerate(walls[:j]):
@@ -182,7 +193,8 @@ class Room:
                     raise GeometryError(f"room.apertures[{j}]: overlaps room.apertures[{i}] "
                                         "on the same wall")
         self.outward = np.array([outward for _, outward, _ in walls]).reshape(-1, 3)
-        self.casters = tuple(_casters(ap.polygon, outward, np.delete(edges, wall, axis=0),
+        self.casters = tuple(_casters(ap.polygon, outward,
+                                      edges[inner & (np.arange(len(edges)) != wall)],
                                       self.obstructions)
                              for ap, (wall, outward, _) in zip(self.apertures, walls))
         self.sky = tuple(SkyKernel(ap.polygon, outward, casters, self.obstructions)
@@ -259,10 +271,12 @@ def _casters(window: Polygon3, outward, walls, obstructions):
     """What can hide a vertical ``window`` from the points in front of it,
     the one rule for every kernel: a wall only on the room side of the
     window's plane (``outward`` points away from the room), an obstruction
-    only beyond it. Returns the plan segments ``walls`` (M, 2, 2) cut to
-    the room side, the convex parts (P, W, 3) of the ``obstructions`` cut
-    to the far side (:func:`split_rings`, padded as it pads), and each
-    part's obstruction index (P,); what has nothing on its side is left out."""
+    only beyond it; :class:`Room` passes only its re-entrant walls, those
+    off the floor's convex hull. Returns the plan segments ``walls``
+    (M, 2, 2) cut to the room side, the convex parts (P, W, 3) of the
+    ``obstructions`` cut to the far side (:func:`split_rings`, padded as it
+    pads), and each part's obstruction index (P,); what has nothing on its
+    side is left out."""
     origin, normal = _window_plane(window, outward)
     walls = np.asarray(walls, dtype=float).reshape(-1, 2, 2)
     g = -((walls - origin[:2]) @ normal[:2])  # (M, 2 ends), >= 0 on the room side
@@ -305,17 +319,18 @@ class SkyKernel:
 
     For each point the window is cut into convex pieces that each see one
     thing, behind the ``casters`` that ``Room`` works out once per window
-    (:func:`_casters`; a bare window has none). The window is clipped at the
-    point's horizon. The strips that the walls hide are cut away: walls are
-    full height and the window vertical, so each strip is bounded by
-    vertical lines found in plan view. The rest is clipped by the central
-    projection, from the point onto the window plane, of every obstruction
-    part, one ring per piece, keeping the overlap and the slabs around it;
-    where two projections overlap, a line on the window divides the overlap
-    between them by which obstruction is nearer (``obstructions`` are the
-    ones the parts' indices name). A piece that sees sky adds to the SC,
-    one that sees an obstruction adds to the ERC at that obstruction's
-    luminance fraction.
+    (:func:`_casters`: its re-entrant walls and the obstruction parts beyond
+    it; a bare window has none, and a convex room no walls). The window is
+    clipped at the point's horizon. The strips that the walls hide are cut
+    away: walls are full height and the window vertical, so each strip is
+    bounded by vertical lines found in plan view. The rest is clipped by
+    the central projection, from the point onto the window plane, of every
+    obstruction part, one ring per piece, keeping the overlap and the slabs
+    around it; where two projections overlap, a line on the window divides
+    the overlap between them by which obstruction is nearer
+    (``obstructions`` are the ones the parts' indices name). A piece that
+    sees sky adds to the SC, one that sees an obstruction adds to the ERC
+    at that obstruction's luminance fraction.
 
     Over a piece, L(g) sin(g) = (sin g + 2 sin^2 g)/3 integrates exactly
     from the piece's corners, seen as unit vectors from the point. With
@@ -394,9 +409,10 @@ class SkyKernel:
         hide anything: the walls are cut to the room side of that line once
         (:func:`_casters`), and here to the side ahead of the point; the
         ends of what is left project from the point onto the line."""
-        rel = self.walls[None, :, :, :] - p[:, None, None, :2]     # (n, K, 2 ends, 2)
-        depth = rel @ self.normal[:2]
-        side = rel @ self.along[:2]
+        rx = self.walls[None, :, :, 0] - p[:, None, None, 0]     # (n, K, 2 ends)
+        ry = self.walls[None, :, :, 1] - p[:, None, None, 1]
+        depth = rx * self.normal[0] + ry * self.normal[1]
+        side = rx * self.along[0] + ry * self.along[1]
         g0, g1 = depth[..., 0], depth[..., 1]
         with np.errstate(divide="ignore", invalid="ignore"):
             s = g0 / (g0 - g1)
@@ -418,10 +434,10 @@ class SkyKernel:
         onto the window plane (:func:`clip_rings`, both outputs): the slabs
         cut off keep their class, the overlap goes to obstruction j where j
         is nearer."""
-        q = ring3[None] - p[:, None]
-        scale = h[:, None] / (q @ self.normal)
-        proj = np.stack((u[:, None] + scale * (q @ self.along), z[:, None] + scale * q[:, :, 2]),
-                        axis=-1)
+        qx, qy, qz = (ring3[None, :, i] - p[:, None, i] for i in range(3))
+        scale = h[:, None] / (qx * self.normal[0] + qy * self.normal[1])
+        proj = np.stack((u[:, None] + scale * (qx * self.along[0] + qy * self.along[1]),
+                         z[:, None] + scale * qz), axis=-1)
         area = signed_ring_areas(proj, proj[:, 0])
         proj = np.where((area < 0.0)[:, None, None], proj[:, ::-1], proj)
         cut = (area != 0.0)[owner]
@@ -464,21 +480,24 @@ def _piece_integrals(rings, u, h, z) -> np.ndarray:
     """Integral of L(g) sin(g) over the solid angle of each counter-clockwise
     piece on the window plane, seen from a point at along-wall coordinate
     ``u``, height ``z`` and distance ``h`` in front of the plane, over
-    OVERCAST_DOME."""
-    v = np.stack((rings[:, :, 0] - u[:, None], np.broadcast_to(h[:, None], rings.shape[:2]),
-                  rings[:, :, 1] - z[:, None]), axis=-1)
-    v /= np.linalg.norm(v, axis=2, keepdims=True)
-    w = np.roll(v, -1, axis=1)
-    m = np.cross(v, w)
-    sin = np.linalg.norm(m, axis=2)
-    cos = np.sum(v * w, axis=2)
+    OVERCAST_DOME. Each coordinate of the corners' unit vectors (a) and of
+    the next corner's (b) is its own (Q, W) plane."""
+    ax = rings[:, :, 0] - u[:, None]
+    az = rings[:, :, 1] - z[:, None]
+    length = np.sqrt(ax * ax + h[:, None] * h[:, None] + az * az)
+    ax, ay, az = ax / length, h[:, None] / length, az / length
+    bx, by, bz = (np.roll(c, -1, axis=1) for c in (ax, ay, az))
+    mx, my, mz = ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx  # m = a x b
+    sin = np.sqrt(mx * mx + my * my + mz * mz)
+    cos = ax * bx + ay * by + az * bz
     with np.errstate(divide="ignore", invalid="ignore"):
         turn = np.where(sin > 0.0, np.arctan2(sin, cos) / sin, 0.0)
-    first = -0.5 * ring_sums(turn * m[:, :, 2])
-    g = np.sum(v * v[:, :1], axis=2)
-    fan = np.arctan2(np.sum(v[:, :1] * m[:, 1:-1], axis=2), 1.0 + g[:, 1:-1] + cos[:, 1:-1] + g[:, 2:])
+    first = -0.5 * ring_sums(turn * mz)
+    g = ax * ax[:, :1] + ay * ay[:, :1] + az * az[:, :1]
+    fan = np.arctan2(ax[:, :1] * mx[:, 1:-1] + ay[:, :1] * my[:, 1:-1] + az[:, :1] * mz[:, 1:-1],
+                     1.0 + g[:, 1:-1] + cos[:, 1:-1] + g[:, 2:])
     omega = np.abs(2.0 * ring_sums(fan))
-    second = (omega - ring_sums(m[:, :, 2] * (v[:, :, 2] + w[:, :, 2]) / (1.0 + cos))) / 3.0
+    second = (omega - ring_sums(mz * (az + bz) / (1.0 + cos))) / 3.0
     return (first + 2.0 * second) / (3.0 * OVERCAST_DOME)
 
 

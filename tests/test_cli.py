@@ -11,10 +11,12 @@ from pathlib import Path
 import pytest
 
 from conftest import BUILDING_JSON, TROPICAL_SITE, make_canonical_room, overcast_day_csv
+from sidelux import cli
 from sidelux.cli import build_parser, main
 from sidelux.daylight import Simulator, SurfaceOptics
 from sidelux.errors import ConfigError, ParseError
 from sidelux.io import parse_series_csv
+from sidelux.metrics import SeriesPair, evaluate_pair, hour_groups, resample_hourly
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -231,6 +233,30 @@ class TestValidate:
         code = main(["validate", str(sim), str(ref), "--resample", "hourly"])
         assert code == 0
         assert "RSD_pct\t90.9091" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("mode", ["error", "margin"])
+    def test_resample_hourly_groups_identical_stamps_once(self, mode, tmp_path, capsys,
+                                                          monkeypatch):
+        """Series on the same raw stamps share one grouping by hour, and the
+        report is byte for byte the one of each series resampled on its own."""
+        t0 = datetime(2009, 3, 21, 10, 0)
+        rows = [(t0 + timedelta(minutes=7 * m), 100.0 + m * 1.1) for m in range(40)]
+        sim = series_csv(tmp_path / "sim.csv", rows)
+        ref = series_csv(tmp_path / "ref.csv", [(t, 0.9 * v + 3.0) for t, v in rows])
+        (ts, v_sim), (_, v_ref) = parse_series_csv(sim), parse_series_csv(ref)
+        pair = SeriesPair(resample_hourly(ts, v_sim)[1], resample_hourly(ts, v_ref)[1])
+        expected = evaluate_pair(pair, 0.15 if mode == "margin" else None).to_table(name="sim")
+        groupings = []
+
+        def counted(timestamps):
+            groupings.append(len(timestamps))
+            return hour_groups(timestamps)
+
+        monkeypatch.setattr(cli, "hour_groups", counted)
+        monkeypatch.setattr(cli, "resample_hourly", None)  # not called
+        assert main(["validate", str(sim), str(ref), "--resample", "hourly", "--mode", mode]) == 0
+        assert capsys.readouterr().out == expected
+        assert groupings == [40]
 
     def test_report_to_file(self, tmp_path):
         t0 = datetime(2009, 3, 21, 10, 0)

@@ -3,6 +3,7 @@ window's visible pieces against ray-cast oracles, the benchmark's frozen
 references and the visibility rules (horizon, walls, nearest obstruction).
 """
 
+import copy
 import json
 import sys
 from datetime import datetime
@@ -83,6 +84,19 @@ def crossing_obstructions_room() -> Room:
                 apertures=base.apertures, obstructions=(parallel, oblique))
 
 
+def hexagon_room() -> Room:
+    """A convex hexagonal floor, most of its walls oblique, with a window
+    on each of three walls."""
+    ring = [(0, 0), (4, -1), (7, 1), (7, 4), (3, 6), (-1, 3)]
+    windows = []
+    for i in (0, 2, 4):
+        a, b = np.array(ring[i], dtype=float), np.array(ring[i + 1], dtype=float)
+        p0, p1 = a + 0.3 * (b - a), a + 0.6 * (b - a)
+        windows.append(Aperture(Polygon3([(*p0, 0.9), (*p1, 0.9), (*p1, 2.1), (*p0, 2.1)])))
+    return Room(floor=Polygon3([(x, y, 0.0) for x, y in ring]), height=2.8,
+                optics=make_l_room().optics, apertures=tuple(windows))
+
+
 def l_fin_room() -> Room:
     """A south window, an L-shaped fin beside the room in the plane x = 4
     across the window plane y = 0, and a wall wholly behind that plane.
@@ -150,27 +164,71 @@ def test_walls_beyond_the_window_line_do_not_hide_it():
 
 
 def test_casters_are_the_walls_on_the_room_side_and_the_obstructions_beyond():
-    """What can hide a window on the re-entrant wall x = 3 of the L room:
-    the wall y = 0, which crosses the window plane, cut at it; the walls
-    wholly beyond the plane, or touching it at one end, left out; the
+    """What can hide a window on the re-entrant wall x = 3 of the L room: no
+    wall, as the walls y = 0, y = 6 and x = 0 are edges of the floor's
+    convex hull, which can hide no window, and the other re-entrant wall,
+    y = 3, touches the window plane at one end and lies beyond it; the
     obstruction across the plane cut at it, the one wholly behind it left
-    out and the one wholly beyond it kept whole."""
+    out and the one wholly beyond it kept whole. A window on the hull wall
+    x = 6 is hidden by the two re-entrant walls, kept whole: both lie on
+    the room side of its plane, y = 3 touching it at one end."""
     base = make_l_room()
     window = Polygon3([(3, 4, 0.9), (3, 5, 0.9), (3, 5, 2.1), (3, 4, 2.1)])
+    east = Polygon3([(6, 0.8, 0.9), (6, 2.2, 0.9), (6, 2.2, 2.1), (6, 0.8, 2.1)])
     across = Obstruction(Polygon3([(1, 7, 0), (7, 7, 0), (7, 7, 3), (1, 7, 3)]))
     behind = Obstruction(Polygon3([(-2, 8, 0), (2, 8, 0), (2, 8, 4), (-2, 8, 4)]))
     beyond = Obstruction(Polygon3([(8, 0, 0), (8, 6, 0), (8, 6, 4), (8, 0, 4)]))
     room = Room(floor=base.floor, height=base.height, optics=base.optics,
-                apertures=(Aperture(window),), obstructions=(across, behind, beyond))
-    assert room.outward.tolist() == [[1.0, 0.0, 0.0]]
+                apertures=(Aperture(window), Aperture(east)), obstructions=(across, behind, beyond))
+    assert room.outward.tolist() == [[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]
     walls, parts, owner = room.casters[0]
-    assert walls.tolist() == [[[0, 0], [3, 0]], [[3, 6], [0, 6]], [[0, 6], [0, 0]]]
+    assert walls.shape == (0, 2, 2)
+    assert room.casters[1][0].tolist() == [[[6, 3], [3, 3]], [[3, 3], [3, 6]]]
     assert owner.tolist() == [0, 2]
     assert parts.shape == (2, 4, 3)
     assert sorted(map(tuple, parts[0])) == [(3, 7, 0), (3, 7, 3), (7, 7, 0), (7, 7, 3)]
     assert sorted(map(tuple, parts[1])) == sorted(map(tuple, beyond.polygon.coords))
     # the sky kernel reads them as they are
-    assert np.shares_memory(room.sky[0].walls, walls) and room.sky[0].parts is parts
+    assert np.shares_memory(room.sky[1].walls, room.casters[1][0]) and room.sky[0].parts is parts
+
+
+def test_a_re_entrant_wall_across_the_window_plane_is_cut_at_it():
+    """A U-shaped floor with a longer left arm: a window on the top of the
+    right arm, y = 6, is hidden by the three walls of the notch, and the
+    left arm's inner wall x = 3, which crosses the window plane, is cut at
+    it."""
+    floor = Polygon3([(0, 0, 0), (9, 0, 0), (9, 6, 0), (6, 6, 0), (6, 3, 0), (3, 3, 0),
+                      (3, 8, 0), (0, 8, 0)])
+    window = Polygon3([(8.5, 6, 0.9), (7, 6, 0.9), (7, 6, 2.1), (8.5, 6, 2.1)])
+    room = Room(floor=floor, height=2.8, optics=make_l_room().optics, apertures=(Aperture(window),))
+    assert room.casters[0][0].tolist() == [[[6, 6], [6, 3]], [[6, 3], [3, 3]], [[3, 3], [3, 6]]]
+
+
+@pytest.mark.parametrize("room", [make_canonical_room("north"), make_canonical_room("south"),
+                                  hexagon_room()], ids=["north", "south", "hexagon"])
+def test_a_convex_room_has_no_wall_casters(room):
+    """Every wall of a convex room is an edge of its convex hull: no wall
+    comes between a point in the room and a window."""
+    assert [walls.shape for walls, _, _ in room.casters] == [(0, 2, 2)] * len(room.apertures)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), count=st.integers(0, 2))
+def test_the_hull_walls_as_casters_change_no_df_bit(seed, count):
+    """An L room's window on any of its six walls, with 0-2 obstructions:
+    handing the sky kernel every other wall, the edges of the floor's
+    convex hull included, gives the room's DF map bit for bit."""
+    rng = np.random.default_rng(seed)
+    room = with_obstructions(random_l_room(rng, any_wall=True), rng, count)
+    ap, outward = room.apertures[0], room.outward[0]
+    every_wall = walls_other_than(room.floor.coords[:, :2], rect_of(ap.polygon))
+    casters = daylight._casters(ap.polygon, outward, every_wall, room.obstructions)
+    assert len(casters[0]) > len(room.casters[0][0])  # hull walls on the room side are back
+    points = workplane_grid_for_parts(room.parts, room.floor_z, 0.2, 0.01).points
+    kernels = (room.sky[0], SkyKernel(ap.polygon, outward, casters, room.obstructions))
+    dfs = [df_from_components(*kernel(points), room.irc[0], ap.fc, ap.mf, ap.fr, ap.tau, ap.mg)
+           for kernel in kernels]
+    assert dfs[0].tobytes() == dfs[1].tobytes()
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -411,6 +469,24 @@ def benchmark_room(name, tmp_path):
     return parse_building(path), tuple(probes)
 
 
+def oblique_l_room(tmp_path):
+    """The benchmark L room, its obstructions with it, turned by 30 degrees
+    about the z axis, so no wall runs along an axis, parsed."""
+    building = copy.deepcopy(benchmark_inputs().BUILDINGS["l_room"])
+    c, s = np.cos(np.radians(30.0)), np.sin(np.radians(30.0))
+
+    def turned(vertices):
+        return [[c * x - s * y, s * x + c * y, z] for x, y, z in vertices]
+
+    room = building["room"]
+    room["floor_vertices"] = turned(room["floor_vertices"])
+    for node in (*room["apertures"], *building["obstructions"]):
+        node["vertices"] = turned(node["vertices"])
+    path = tmp_path / "oblique.json"
+    path.write_text(json.dumps(building), encoding="utf-8")
+    return parse_building(path)
+
+
 @pytest.mark.parametrize("name", ["test_cell", "l_room"])
 def test_probe_daylight_factors_match_the_benchmark_references(name, tmp_path):
     b, probes = benchmark_room(name, tmp_path)
@@ -427,8 +503,11 @@ def test_probe_daylight_factors_match_the_benchmark_references(name, tmp_path):
 def test_the_chunk_size_changes_no_bit_of_the_df_map(size, tmp_path, monkeypatch):
     """The sky kernel's passes of ``CHUNK_POINTS`` points give the DF map of
     the default size bit for bit, wherever a chunk ends: both benchmark
-    grids fit in one default pass, so smaller chunks cut them into many."""
+    grids fit in one default pass, so smaller chunks cut them into many.
+    The oblique L room's walls and window planes lie off the axes, where a
+    matrix product would round a point's sums with the points around it."""
     builds = [benchmark_room(name, tmp_path)[0].simulator for name in ("test_cell", "l_room")]
+    builds.append(oblique_l_room(tmp_path).simulator)
     rng = np.random.default_rng(28)
     room = with_obstructions(random_l_room(rng), rng, 2)
     assert set(room.casters[0][2].tolist()) == {0, 1}  # both obstructions can hide the window
@@ -475,6 +554,13 @@ def test_point_daylight_factors_are_the_simulators_to_the_bit(name, tmp_path):
             assert daylight_factor(p, room, ap) == DFBreakdown(
                 sc[i], erc[i], irc, df_from_components(sc[i], erc[i], irc, ap.fc, ap.mf, ap.fr,
                                                        ap.tau, ap.mg))
+
+
+def test_point_daylight_factors_of_an_oblique_room_are_the_map_to_the_bit(tmp_path):
+    """At every third grid point, spread over the whole floor (all of them
+    take about 6 s)."""
+    sim = oblique_l_room(tmp_path).simulator()
+    assert np.array_equal([engine_df(sim.room, p) for p in sim.grid.points[::3]], sim.df[::3])
 
 
 def test_point_functions_reject_what_the_room_does_not_hold():
