@@ -6,8 +6,11 @@ loop, since it runs once per geometry: the ``Simulator`` build of the test
 cell and of the benchmark's L-shaped room (``perfbench/inputs.py``,
 ``L_ROOM``), whose re-entrant walls and obstructions the sky kernel cuts
 around, best of 5 each, with the peak Python allocation (``tracemalloc``)
-of one more build. So are parsing the year's weather CSV and writing
-the year's results (both in a temporary directory). Three
+of one more build. The minor page faults (``ru_minflt``) of each first
+build and of the stepping are printed next to their times: a phase that
+reuses memory an earlier one freed takes fewer faults, so a smaller set-up
+can move faults into the stepping. So are parsing the year's weather CSV
+and writing the year's results (both in a temporary directory). Three
 layers of the stepping are read from the run itself, which records the rows
 and time of each call it makes (:func:`recorded`): the sun position, per
 step and per lit step (those whose weather carries light, the only ones
@@ -88,6 +91,19 @@ def totals(log) -> tuple[int, float]:
     return sum(rows for rows, _ in log), sum(seconds for _, seconds in log)
 
 
+def minor_faults() -> int:
+    """The process's minor page faults so far (``ru_minflt``)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def faulted(call):
+    """Run ``call()``: what it returns, its seconds and its minor page faults."""
+    faults = minor_faults()
+    t0 = time.perf_counter()
+    out = call()
+    return out, time.perf_counter() - t0, minor_faults() - faults
+
+
 def peak_rss_mb() -> float:
     """The process's peak resident memory so far (``ru_maxrss``, KiB on Linux)."""
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
@@ -114,21 +130,23 @@ def built(path, cell: float, label: str):
     """The simulator of the building file at ``path`` on a grid of ``cell``
     m, built 5 times: print the best time of the build, its
     daylight-factor precompute, in ms, and the peak Python allocation of
-    one more build, traced apart so the tracing slows no timed one."""
+    one more build, traced apart so the tracing slows no timed one. Returns
+    the simulator, and the seconds and minor page faults of the first
+    build."""
     building = parse_building(path)
     building.settings["cell"] = cell
-    seconds = []
+    runs = []
     for _ in range(5):
-        t0 = time.perf_counter()
-        sim = building.simulator()
-        seconds.append(time.perf_counter() - t0)
+        sim, *run = faulted(building.simulator)
+        runs.append(run)
     tracemalloc.start()
     building.simulator()
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     print(f"{label}daylight-factor precompute: {sim.grid.n_points} points in "
-          f"{1e3 * min(seconds):.1f} ms, best of 5; peak allocation {peak / 1e6:.2f} MB")
-    return sim
+          f"{1e3 * min(seconds for seconds, _ in runs):.1f} ms, best of 5; "
+          f"peak allocation {peak / 1e6:.2f} MB")
+    return sim, *runs[0]
 
 
 def time_l_room_beam(sim, weather: WeatherSeries, step: int) -> None:
@@ -154,8 +172,9 @@ def main() -> None:
     probes = [(1.95, 3.27), (1.95, 2.77), (1.95, 2.27), (1.95, 1.77), (1.95, 1.27)]
     with tempfile.TemporaryDirectory() as tmp:
         inputs.write_building(Path(tmp) / "l_room.json", "l_room")
-        sim, l_sim = (built(path, args.cell, label)
-                      for path, label in ((args.building, ""), (Path(tmp) / "l_room.json", "L-room ")))
+        (sim, build_s, build_faults), (l_sim, l_build_s, l_build_faults) = (
+            built(path, args.cell, label)
+            for path, label in ((args.building, ""), (Path(tmp) / "l_room.json", "L-room ")))
 
         path = Path(tmp) / "year.csv"
         write_weather_csv(year_weather(), path)
@@ -167,12 +186,14 @@ def main() -> None:
 
         before = peak_rss_mb()
         with recorded(sim) as calls:
-            t0 = time.perf_counter()
-            result = sim.run(weather, step_minutes=args.step, probes=probes)
-            elapsed = time.perf_counter() - t0
+            result, elapsed, faults = faulted(
+                lambda: sim.run(weather, step_minutes=args.step, probes=probes))
         n = len(result.timestamps)
         print(f"{n} steps on {sim.grid.n_points} points: {elapsed:.1f} s "
               f"({n / elapsed:.0f} steps/s)")
+        print(f"minor page faults: {build_faults} in the first build ({1e3 * build_s:.1f} ms), "
+              f"{l_build_faults} in the L-room's ({1e3 * l_build_s:.1f} ms), "
+              f"{faults} in the stepping ({elapsed:.1f} s)")
         print_layers(calls, n)
         print(f"peak RSS: {before:.1f} MB before stepping, {peak_rss_mb():.1f} MB after")
         time_l_room_beam(l_sim, weather, args.step)

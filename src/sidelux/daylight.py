@@ -49,6 +49,7 @@ from .geometry import (
     points_in_convex_rings,
     project_polygon_along_direction,
     ring_sums,
+    trim_rings,
     clip_polygon,  # not used here: perfbench's tracer self-test rebinds it in this module
     workplane_grid_for_parts,
 )
@@ -61,7 +62,7 @@ from .solar import EfficacyModel, GeoLocation, SolarState, WeatherSeries, check_
 OVERCAST_DOME = 7.0 * math.pi / 9.0
 
 CHUNK_POINTS = 4096                 # points per array pass of the sky integral: a typical
-                                    # room's grid in one pass, about 2.3 kB a point behind
+                                    # room's grid in one pass, about 1.5 kB a point behind
                                     # two obstructions
 DEFAULT_LUMINANCE_FRACTION = 0.2    # obstruction luminance relative to the sky it hides
 UNOBSTRUCTED_C = 39.0               # split-flux obstruction coefficient, clear horizon
@@ -274,7 +275,7 @@ def _casters(window: Polygon3, outward, walls, obstructions):
     only beyond it; :class:`Room` passes only its re-entrant walls, those
     off the floor's convex hull. Returns the plan segments ``walls``
     (M, 2, 2) cut to the room side, the convex parts (P, W, 3) of the
-    ``obstructions`` cut to the far side (:func:`split_rings`, padded as it
+    ``obstructions`` cut to the far side (:func:`trim_rings`, padded as it
     pads), and each part's obstruction index (P,); what has nothing on its
     side is left out."""
     origin, normal = _window_plane(window, outward)
@@ -287,7 +288,7 @@ def _casters(window: Polygon3, outward, walls, obstructions):
     kept = np.where(g[:, 0] < 0.0, s, 0.0) < np.where(g[:, 1] < 0.0, s, 1.0)
     parts, owner = [np.empty((0, 1, 3))], []
     for j, obs in enumerate(obstructions):
-        beyond, _ = split_rings(obs.parts, (obs.parts - origin) @ normal)
+        beyond = trim_rings(obs.parts, (obs.parts - origin) @ normal)
         beyond = beyond[beyond.any(axis=(1, 2))]  # zeros where nothing lies beyond the plane
         parts.append(beyond)
         owner += [j] * len(beyond)
@@ -321,7 +322,8 @@ class SkyKernel:
     thing, behind the ``casters`` that ``Room`` works out once per window
     (:func:`_casters`: its re-entrant walls and the obstruction parts beyond
     it; a bare window has none, and a convex room no walls). The window is
-    clipped at the point's horizon. The strips that the walls hide are cut
+    clipped at the point's horizon, once per distinct height, as the
+    horizon hangs on nothing else. The strips that the walls hide are cut
     away: walls are full height and the window vertical, so each strip is
     bounded by vertical lines found in plan view. The rest is clipped by
     the central projection, from the point onto the window plane, of every
@@ -384,18 +386,22 @@ class SkyKernel:
         live = np.flatnonzero(h >= BOUNDARY_TOL)  # only points in front of the window see through it
         pl, hl, ul, zl = p[live], h[live], u[live], z[live]
 
-        rings = np.broadcast_to(self.ring, (len(live),) + self.ring.shape)
-        rings, _ = split_rings(rings, rings[:, :, 1] - zl[:, None])  # the sky above the horizon
-        rings, owner = _nonempty(rings, np.arange(len(live)))
+        # the sky above the horizon, which hangs on the height alone: one cut per height
+        heights, level = np.unique(zl, return_inverse=True)
+        sky = trim_rings(np.broadcast_to(self.ring, (len(heights),) + self.ring.shape),
+                         self.ring[None, :, 1] - heights[:, None])
+        owner = np.flatnonzero((signed_ring_areas(sky, sky[:, 0]) > 0.0)[level])
+        rings = sky[level[owner]]
 
         lo, hi = self._wall_shadows(pl, hl, ul)
         for k in np.flatnonzero((lo < hi).any(axis=0)):
             cut = lo[owner, k] < hi[owner, k]
             r, o = rings[cut], owner[cut]
             beyond, before = split_rings(r, r[:, :, 0] - lo[o, k][:, None])
-            after, _ = split_rings(beyond, beyond[:, :, 0] - hi[o, k][:, None])
-            rings, owner = _nonempty(stack_rings(rings[~cut], before, after),
-                                     np.concatenate((owner[~cut], o, o)))
+            after = trim_rings(beyond, beyond[:, :, 0] - hi[o, k][:, None])
+            # only the rows the cut made can be empty: the rest have passed _nonempty
+            made, o = _nonempty(stack_rings(before, after), np.concatenate((o, o)))
+            rings, owner = stack_rings(rings[~cut], made), np.concatenate((owner[~cut], o))
 
         cls = np.full(len(owner), -1)
         for ring3, j in zip(self.parts, self.owner):
@@ -433,7 +439,10 @@ class SkyKernel:
         """Clip the pieces by the central projection of one obstruction part
         onto the window plane (:func:`clip_rings`, both outputs): the slabs
         cut off keep their class, the overlap goes to obstruction j where j
-        is nearer."""
+        is nearer. A slab's zero rows, where its edge cut nothing off, are
+        dropped before the stack, and only the rows the clip made are tested
+        for area: the pieces it passes by whole have passed
+        :func:`_nonempty` before."""
         qx, qy, qz = (ring3[None, :, i] - p[:, None, i] for i in range(3))
         scale = h[:, None] / (qx * self.normal[0] + qy * self.normal[1])
         proj = np.stack((u[:, None] + scale * (qx * self.along[0] + qy * self.along[1]),
@@ -445,12 +454,15 @@ class SkyKernel:
         r, outside = clip_rings(rings[cut], proj[o], outside=True)
         behind = (c >= 0) & (c != j)  # overlap with another obstruction's projection
         nearer_j, nearer_other = split_rings(r[behind], self._nearer(j, c[behind], o[behind], r[behind], p))
-        pieces = stack_rings(rings[~cut], *outside, r[~behind], nearer_j, nearer_other)
         oo, ob = o[~behind], o[behind]
-        owner = np.concatenate([owner[~cut]] + [o] * len(outside) + [oo, ob, ob])
-        cls = np.concatenate([cls[~cut]] + [c] * len(outside)
-                             + [np.full(len(oo) + len(ob), j), c[behind]])
-        return _nonempty(pieces, owner, cls)
+        sliced = [slab.any(axis=(1, 2)) for slab in outside]  # zeros where the edge cut nothing off
+        made, o, c = _nonempty(
+            stack_rings(*(slab[s] for slab, s in zip(outside, sliced)),
+                        r[~behind], nearer_j, nearer_other),
+            np.concatenate([o[s] for s in sliced] + [oo, ob, ob]),
+            np.concatenate([c[s] for s in sliced] + [np.full(len(oo) + len(ob), j), c[behind]]))
+        return (stack_rings(rings[~cut], made), np.concatenate((owner[~cut], o)),
+                np.concatenate((cls[~cut], c)))
 
     def _nearer(self, j, other, owner, rings, p) -> np.ndarray:
         """At each vertex of the pieces, a value that is positive where
@@ -558,7 +570,7 @@ class BeamKernel:
     """The sun patches of all apertures for a batch of sun directions.
 
     Each window is cut once, at construction, to its part above the plane
-    z = ``plane_z`` (:func:`split_rings`): only that part casts light onto
+    z = ``plane_z`` (:func:`trim_rings`): only that part casts light onto
     the plane, and a window wholly below it becomes a zero row, which casts
     nothing. Per step and aperture the cut window slides along the unit sun
     direction d (from the sun toward the ground) onto the plane and the
@@ -584,7 +596,7 @@ class BeamKernel:
         # the empty batch leads, so a room without windows gets one of shape (0, 1, 3)
         windows = stack_rings(np.empty((0, 1, 3)),
                               *(ap.polygon.coords[None] for ap in room.apertures))
-        self.windows = split_rings(windows, windows[:, :, 2] - plane_z)[0]
+        self.windows = trim_rings(windows, windows[:, :, 2] - plane_z)
 
     def __call__(self, direction: np.ndarray, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Patch area per step and aperture, shape (B, K), for the (B, 3)

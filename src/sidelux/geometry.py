@@ -4,10 +4,11 @@ clipping, point containment and workplane meshing.
 Convex rings are cut in batches of one common width, a short row repeating
 its last vertex (:func:`stack_rings`). There is one cut: :func:`split_rings`
 divides each ring along the zero line of an affine function given at its
-vertices; :func:`clip_rings` makes it along each edge of a convex clip
+vertices, and :func:`trim_rings` keeps only its side where that function
+is not negative; :func:`clip_rings` makes it along each edge of a convex clip
 ring, shared or one per row, and returns the inner side and, if asked, the
 slabs cut off; :func:`clip_polygon` is :func:`clip_rings` on a batch of
-one. Both go through :func:`_cut_rings`, which runs the Sutherland-Hodgman
+one. All three go through :func:`_cut_rings`, which runs the Sutherland-Hodgman
 pass only on the rows a line divides and copies or zeros the rest, with
 the bits of the full pass over every row. There is one containment test on
 the same batches:
@@ -288,6 +289,13 @@ def split_rings(rings: np.ndarray, side: np.ndarray) -> tuple[np.ndarray, np.nda
     comes back whole on its side and as that edge alone, of zero area, on
     the other."""
     return tuple(_cut_rings(rings, side, side >= 0.0, side <= 0.0))
+
+
+def trim_rings(rings: np.ndarray, side: np.ndarray) -> np.ndarray:
+    """The side where side >= 0 of :func:`split_rings`' cut, the same bits
+    and width, for a caller that throws the other side away: only the rows
+    that this side keeps in part go through the cut."""
+    return _cut_rings(rings, side, side >= 0.0)[0]
 
 
 def ring_sums(terms: np.ndarray) -> np.ndarray:

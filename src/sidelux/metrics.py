@@ -1,11 +1,12 @@
 """Validation statistics for simulated-vs-reference illuminance series.
 
 Conventions: the normalized root-mean-square deviation and the mean bias
-deviation are normalized by the mean of the reference series; relative
-errors are fractions of the reference value at each point; the reliability
-percentage (``rsd``) is 100 minus the mean absolute relative error in
-percent or, given an error fraction e as ``margin``, the share of simulated
-values within e*|ref| of their reference value, whatever its sign.
+deviation are normalized by the magnitude of the mean of the reference
+series; relative errors are fractions of the magnitude of the reference
+value at each point; the reliability percentage (``rsd``) is 100 minus the
+mean absolute relative error in percent or, given an error fraction e as
+``margin``, the share of simulated values within e*|ref| of their reference
+value, whatever its sign.
 """
 
 from __future__ import annotations
@@ -43,16 +44,18 @@ class SeriesPair:
 
 
 def rmsd(pair: SeriesPair) -> float:
-    """Root-mean-square deviation normalized by the reference mean."""
-    mean = pair.ref_mean
+    """Root-mean-square deviation normalized by the magnitude of the
+    reference mean, so it is never negative."""
+    mean = abs(pair.ref_mean)
     if mean == 0.0:
         raise MetricError("reference mean is zero: normalized RMSD undefined")
     return float(math.sqrt(np.mean((pair.sim - pair.ref) ** 2)) / mean)
 
 
 def mbd(pair: SeriesPair) -> float:
-    """Mean bias deviation in percent (positive = overestimation)."""
-    mean = pair.ref_mean
+    """Mean bias deviation in percent of the magnitude of the reference
+    mean (positive = overestimation, whatever the sign of the reference)."""
+    mean = abs(pair.ref_mean)
     if mean == 0.0:
         raise MetricError("reference mean is zero: MBD undefined")
     return float(np.sum(pair.sim - pair.ref) / (pair.n * mean) * 100.0)

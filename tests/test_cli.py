@@ -145,6 +145,17 @@ class TestValidate:
         assert code == 0
         assert "RSD_pct\t50\n" in capsys.readouterr().out
 
+    def test_negative_series_against_itself_reads_zero(self, tmp_path, capsys):
+        # normalized by the magnitude of the mean: 0 / 5, not 0 / -5 = -0
+        t0 = datetime(2009, 3, 21, 10, 0)
+        rows = [(t0 + timedelta(minutes=m), -5.0) for m in range(3)]
+        sim = series_csv(tmp_path / "sim.csv", rows)
+        ref = series_csv(tmp_path / "ref.csv", rows)
+        code = main(["validate", str(sim), str(ref), "--mode", "margin", "--error", "0.15"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "RMSD\t0\n" in out and "MBD_pct\t0\n" in out
+
     def test_require_rsd_gate(self, tmp_path, capsys):
         t0 = datetime(2009, 3, 21, 10, 0)
         ref_rows = [(t0 + timedelta(minutes=m), 100.0 + m) for m in range(4)]

@@ -20,6 +20,7 @@ from sidelux.geometry import (
     signed_ring_areas,
     split_rings,
     stack_rings,
+    trim_rings,
     workplane_grid_for_parts,
 )
 
@@ -623,14 +624,17 @@ def padded(clip: np.ndarray, at) -> np.ndarray:
 def test_cut_is_bit_identical_to_the_full_pass(subjects, data):
     """Cutting only the rows that a line divides gives, values and width,
     the bits of the full Sutherland-Hodgman pass over every row
-    (``tests/oracles.py``): for ``split_rings`` along a grid line, and for
-    ``clip_rings`` with or without the slabs, by a clip shared or one per
-    row, each padded by up to two edges of no length, on batches that mix
-    whole, cut, empty, touching and padded rows."""
+    (``tests/oracles.py``): for ``split_rings`` along a grid line and
+    ``trim_rings``, its side >= 0 alone, and for ``clip_rings`` with or
+    without the slabs, by a clip shared or one per row, each padded by up
+    to two edges of no length, on batches that mix whole, cut, empty,
+    touching and padded rows."""
     rings = stack_rings(*(s[None] for s in subjects))
     for side in (rings[:, :, 0] - data.draw(grid_coords), rings[:, :, 1] - data.draw(grid_coords)):
-        for got, expected in zip(split_rings(rings, side), full_pass_split(rings, side)):
-            assert_same_bits(got, expected)
+        expected = full_pass_split(rings, side)
+        for got, kept in zip(split_rings(rings, side), expected):
+            assert_same_bits(got, kept)
+        assert_same_bits(trim_rings(rings, side), expected[0])
     n_pad = data.draw(st.integers(0, 2))
 
     def draw_clip():

@@ -38,6 +38,10 @@ class TestRmsd:
         with pytest.raises(MetricError):
             rmsd(pair([1.0, -1.0], [1.0, -1.0]))
 
+    def test_negative_reference_normalizes_by_its_magnitude(self):
+        # sqrt((1 + 0.25) / 2) over |-5.5|, not over -5.5
+        assert rmsd(pair([-4.0, -6.5], [-5.0, -6.0])) == pytest.approx(0.14374, abs=1e-5)
+
 
 class TestMbd:
     def test_identical(self):
@@ -49,6 +53,14 @@ class TestMbd:
 
     def test_symmetric_cancellation(self):
         assert mbd(pair([110.0, 90.0], [100.0, 100.0])) == 0.0
+
+    def test_negative_reference_keeps_the_sign_of_the_bias(self):
+        # sims above a negative reference overestimate: 0.5 / (2 * |-5.5|)
+        assert mbd(pair([-4.0, -6.5], [-5.0, -6.0])) == pytest.approx(4.54545, abs=1e-5)
+
+    def test_zero_mean_undefined(self):
+        with pytest.raises(MetricError):
+            mbd(pair([1.0, -1.0], [1.0, -1.0]))
 
 
 class TestR2:

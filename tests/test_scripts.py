@@ -34,6 +34,8 @@ def test_benchmark_year_hourly_steps(tmp_path):
         df = re.search(rf"^{label}daylight-factor precompute: (\d+) points in \d+\.\d ms, "
                        r"best of 5; peak allocation (\d+\.\d\d) MB$", out, re.M)
         assert df and int(df[1]) == points and float(df[2]) > 0.0
+    assert re.search(r"^minor page faults: \d+ in the first build \(\d+\.\d ms\), \d+ in the "
+                     r"L-room's \(\d+\.\d ms\), \d+ in the stepping \(\d+\.\d s\)$", out, re.M)
     rss = re.search(r"^peak RSS: (\d+\.\d) MB before stepping, (\d+\.\d) MB after$", out, re.M)
     assert rss and float(rss[2]) >= float(rss[1]) > 0.0
     assert re.search(r"^weather parse: 525600 rows in \d+\.\d\d s \(\d+ rows/s\)$", out, re.M)

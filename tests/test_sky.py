@@ -632,6 +632,26 @@ def test_batched_and_single_points_agree():
     assert (erc > 0.0).sum() > 100 and (sc > 0.0).sum() > 100
 
 
+def test_points_at_several_heights_get_the_bits_of_one_point_calls():
+    """One kernel call over points that share five heights, shuffled: below
+    the sill, on the sill line, mid-window, on the head line and above the
+    head. The horizon is cut once per height; each point gets the bits of a
+    call on it alone, and above the head the window shows nothing."""
+    room = make_l_room()  # both windows from z = 0.9 to 2.1, behind walls and obstructions
+    plan = workplane_grid_for_parts(room.parts, room.floor_z, 0.6, 0.0).points[:, :2]
+    heights = (0.5, 0.9, 1.5, 2.1, 2.5)
+    points = np.array([(x, y, z) for z in heights for x, y in plan])
+    np.random.default_rng(32).shuffle(points)
+    for kernel in room.sky:
+        sc, erc = kernel(points)
+        single = np.array([np.concatenate(kernel(p)) for p in points])
+        assert single[:, 0].tobytes() == sc.tobytes() and single[:, 1].tobytes() == erc.tobytes()
+        above = points[:, 2] > 2.1
+        assert not sc[above].any() and not erc[above].any()
+        mid = points[:, 2] == 1.5
+        assert (sc[mid] > 0.0).sum() > 10 and (erc[mid] > 0.0).sum() > 10
+
+
 def test_empty_period_is_rejected_before_the_probe_daylight_factors(coarse_sim, monkeypatch):
     def no_df(points):
         raise AssertionError("probe daylight factors computed for an empty period")
