@@ -23,7 +23,8 @@ earlier peak, which the stepping may stay under. The sun patches of the
 benchmark's L-shaped room (``perfbench/inputs.py``, ``L_ROOM``) are read the
 same way, from 5 runs over every 3rd step with 5 of its probes, best of 5:
 its floor is cut into convex parts, so this is the layer those parts weigh
-on.
+on. The minor page faults of the first of those runs are printed after
+them.
 
     python scripts/benchmark_year.py [--cell 0.1] [--step 1]
 """
@@ -151,15 +152,20 @@ def built(path, cell: float, label: str):
 
 def time_l_room_beam(sim, weather: WeatherSeries, step: int) -> None:
     """Print the time per sunny step of the L-shaped room's sun patches,
-    the best of 5 runs over every 3rd step."""
-    runs = []
+    the best of 5 runs over every 3rd step, and the seconds and minor page
+    faults of the first of those runs."""
+    runs, stepping = [], []
     for _ in range(5):
         with recorded(sim) as calls:
-            sim.run(weather, step_minutes=3 * step, probes=inputs.L_ROOM_PROBES[:5])
+            stepping.append(faulted(lambda: sim.run(weather, step_minutes=3 * step,
+                                                    probes=inputs.L_ROOM_PROBES[:5]))[1:])
         runs.append(totals(calls["beam"]))
     n_sunny, best = min(runs, key=lambda run: run[1])
     print(f"L-room sun patch ({len(sim.room.parts)} floor parts): {n_sunny} sunny steps of "
           f"every 3rd step in {best:.2f} s, best of 5 ({1e6 * best / max(n_sunny, 1):.2f} us/step)")
+    seconds, faults = stepping[0]
+    print(f"L-room stepping: {faults} minor page faults in the first of the 5 runs "
+          f"({seconds:.2f} s)")
 
 
 def main() -> None:

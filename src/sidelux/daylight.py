@@ -173,31 +173,36 @@ class Room:
             self.floor = Polygon3(self.floor.coords[::-1])
         self.apertures = tuple(self.apertures)
         self.obstructions = tuple(self.obstructions)
-        self.parts = decompose_convex(self.floor)[:, :, :2]
-        self.floor_z = float(self.floor.coords[:, 2].mean())
-        self.s_t = self.floor.area
         plan = self.floor.coords[:, :2]
         edges = np.stack((plan, np.roll(plan, -1, axis=0)), axis=1)  # walls: (n, 2 ends, 2)
         run = edges[:, 1] - edges[:, 0]
         length = np.linalg.norm(run, axis=1)
+        if (length < 1e-12).any():  # Polygon3's rule for duplicate vertices, in plan
+            raise GeometryError("room.floor_vertices: consecutive floor vertices coincide in plan")
+        self.parts = decompose_convex(self.floor)[:, :, :2]
+        self.floor_z = float(self.floor.coords[:, 2].mean())
+        self.s_t = self.floor.area
         self.perimeter = float(length.sum())
+        along = run / length[:, None]
+        normal = np.column_stack((along[:, 1], -along[:, 0]))  # outward
         # a wall whose line has the whole floor on its room side, an edge of the
         # floor's convex hull, cannot come between a point in the room and a window
-        normal = np.column_stack((run[:, 1], -run[:, 0])) / length[:, None]  # outward
         beyond = ((plan[None] - edges[:, None, 0]) * normal[:, None]).sum(axis=2).max(axis=1)
         inner = beyond > PLANARITY_TOL
-        walls = [self._wall_of(k, ap.polygon, edges) for k, ap in enumerate(self.apertures)]
-        for j, (wall, _, ring) in enumerate(walls):
-            for i, (other, _, clip) in enumerate(walls[:j]):
+        walls = [self._wall_of(k, ap.polygon, edges, along, normal, length)
+                 for k, ap in enumerate(self.apertures)]
+        for j, (wall, ring) in enumerate(walls):
+            for i, (other, clip) in enumerate(walls[:j]):
                 if other == wall and abs(signed_ring_areas(clip_rings(ring[None], clip),
                                                            clip[0])[0]) > EMPTY_AREA:
                     raise GeometryError(f"room.apertures[{j}]: overlaps room.apertures[{i}] "
                                         "on the same wall")
-        self.outward = np.array([outward for _, outward, _ in walls]).reshape(-1, 3)
+        held = np.array([wall for wall, _ in walls], dtype=int)
+        self.outward = np.column_stack((normal[held], np.zeros(len(held))))
         self.casters = tuple(_casters(ap.polygon, outward,
                                       edges[inner & (np.arange(len(edges)) != wall)],
                                       self.obstructions)
-                             for ap, (wall, outward, _) in zip(self.apertures, walls))
+                             for ap, outward, wall in zip(self.apertures, self.outward, held))
         self.sky = tuple(SkyKernel(ap.polygon, outward, casters, self.obstructions)
                          for ap, outward, casters in zip(self.apertures, self.outward, self.casters))
         a_walls = self.perimeter * self.height
@@ -208,9 +213,11 @@ class Room:
             raise ConfigError("room.surfaces: mean reflectance >= 0.99: inter-reflection diverges")
         self.irc = tuple(self._irc(ap, a_walls, total, r_mean) for ap in self.apertures)
 
-    def _wall_of(self, k: int, window: Polygon3, edges) -> tuple[int, np.ndarray, np.ndarray]:
-        """Index of the floor edge of ``edges`` (n, 2 ends, 2) whose wall
-        holds aperture ``k``'s ``window``, that wall's outward unit normal,
+    def _wall_of(self, k: int, window: Polygon3, edges, along, normal,
+                 length) -> tuple[int, np.ndarray]:
+        """Index of the first floor edge of ``edges`` (n, 2 ends, 2), with
+        unit directions ``along``, outward unit normals ``normal`` and
+        lengths ``length``, whose wall holds aperture ``k``'s ``window``,
         and the window's ring in (along-wall, z) coordinates,
         counter-clockwise."""
         lo = self.floor_z - PLANARITY_TOL
@@ -218,24 +225,17 @@ class Room:
         apts = window.coords
         if apts[:, 2].min() < lo or apts[:, 2].max() > hi:
             raise GeometryError(f"room.apertures[{k}]: aperture extends beyond the wall height")
-        for i, (a, b) in enumerate(edges):
-            e = b - a
-            length = float(np.linalg.norm(e))
-            if length < 1e-12:
-                continue
-            ex, ey = e[0] / length, e[1] / length
-            outward = np.array([ey, -ex, 0.0])
-            off = (apts[:, :2] - a) @ outward[:2]
-            if float(np.abs(off).max()) > PLANARITY_TOL:
-                continue
-            s = (apts[:, 0] - a[0]) * ex + (apts[:, 1] - a[1]) * ey
-            if s.min() < -PLANARITY_TOL or s.max() > length + PLANARITY_TOL:
-                continue
-            ring = np.column_stack((s, apts[:, 2]))
-            ccw = signed_ring_areas(ring[None], ring[0])[0] > 0.0
-            return i, outward, ring if ccw else ring[::-1]
-        raise GeometryError(f"room.apertures[{k}]: aperture does not lie on any wall of the "
-                            "floor outline")
+        rel = apts[None, :, :2] - edges[:, None, 0]  # (n, V, 2)
+        off = np.abs((rel * normal[:, None]).sum(axis=2)).max(axis=1)
+        s = (rel * along[:, None]).sum(axis=2)
+        held = np.flatnonzero((off <= PLANARITY_TOL) & (s.min(axis=1) >= -PLANARITY_TOL)
+                              & (s.max(axis=1) <= length + PLANARITY_TOL))
+        if not len(held):
+            raise GeometryError(f"room.apertures[{k}]: aperture does not lie on any wall of the "
+                                "floor outline")
+        ring = np.column_stack((s[held[0]], apts[:, 2]))
+        ccw = signed_ring_areas(ring[None], ring[0])[0] > 0.0
+        return int(held[0]), ring if ccw else ring[::-1]
 
     def _irc(self, ap: Aperture, a_walls: float, total: float, r_mean: float) -> float:
         """Internally-reflected component of ``ap`` from the room's wall
@@ -684,14 +684,16 @@ class Simulator:
     outdoor conversion and the sun-patch geometry change. A period's
     weather is read as slices when the steps are the weather's own
     consecutive rows and looked up row by row otherwise; the outdoor
-    conversion and the DF term are each one array pass over the whole
-    period, so their temporaries grow with it. :meth:`run` alone decides
-    which steps are lit, dark and sunny: the altitude is worked out only
-    for the steps whose weather carries light, as every other step is dark
-    whatever the sun does, in chunks of ``BLOCK_STEPS`` lit steps; in each
-    chunk a lit step with the sun down is zeroed, and the sunny steps,
-    those left with a direct part, alone get the sun's direction and go to
-    the :class:`BeamKernel` as one batch. A run's columns are the one copy
+    conversion is one array pass over the whole period, so its temporaries
+    grow with it. :meth:`run` alone decides which steps are lit, dark and
+    sunny: the altitude is worked out only for the steps whose weather
+    carries light, as every other step is dark whatever the sun does, in
+    chunks of ``BLOCK_STEPS`` lit steps; in each chunk a lit step with the
+    sun down is zeroed, then the chunk's DF term is written once, and the
+    sunny steps, those left with a direct part, alone get the sun's
+    direction and go to the :class:`BeamKernel` as one batch, whose beam
+    terms :meth:`_illuminance` adds onto their DF term. The probe rows of
+    the steps in no chunk stay 0. A run's columns are the one copy
     of its outputs: :meth:`evaluate` builds its fields from them and the sun
     directions of their steps, as it builds any caller's. The field at a
     given sun and outdoor diffuse and direct illuminance::
@@ -724,40 +726,31 @@ class Simulator:
             total = total + df_from_components(sc, erc, irc, ap.fc, ap.mf, ap.fr, ap.tau, ap.mg)
         return total
 
-    def _illuminance(self, direction: np.ndarray, e_global: np.ndarray, e_direct: np.ndarray,
-                     points: np.ndarray, df: np.ndarray):
+    def _illuminance(self, direction: np.ndarray, e_direct: np.ndarray, points: np.ndarray,
+                     e_dif: np.ndarray):
         """Total patch area per step and diffuse and direct illuminance at
-        ``points`` (shape (steps, points)) for a batch of steps; the beam
-        runs on the steps with a direct component, and its ``direction``
-        alone rules out a sun at or below the horizon."""
-        e_dif = df[None, :] * e_global[:, None]
+        ``points`` (shape (steps, points)) for a batch of sunny steps: each
+        window's beam terms added onto ``e_dif``, the caller's DF term. The
+        ``direction`` alone rules out a sun at or below the horizon."""
+        areas, lit = self.beam(direction, points[:, :2])
         e_dir = np.zeros_like(e_dif)
         area = np.zeros(len(direction))
-        sunny = np.flatnonzero(e_direct > 0.0)
-        if len(sunny) == 0:
-            return area, e_dif, e_dir
-        areas, lit = self.beam(direction[sunny], points[:, :2])
-        ed = e_direct[sunny]
-        dif, dirc, total = e_dif[sunny], e_dir[sunny], area[sunny]
         for k, ap in enumerate(self.room.apertures):
-            term = ed * self.room.optics.floor * areas[:, k] / self.room.s_t
-            if self.patch_scope == "patch":
-                dif = dif + term[:, None] * lit[:, k]
-            else:
-                dif = dif + term[:, None]
-            dirc = dirc + lit[:, k] * (ed * ap.tau)[:, None]
-            total = total + areas[:, k]
-        e_dif[sunny], e_dir[sunny], area[sunny] = dif, dirc, total
+            term = e_direct * self.room.optics.floor * areas[:, k] / self.room.s_t
+            e_dif = e_dif + term[:, None] * (lit[:, k] | (self.patch_scope == "room"))
+            e_dir = e_dir + lit[:, k] * (e_direct * ap.tau)[:, None]
+            area = area + areas[:, k]
         return area, e_dif, e_dir
 
     def evaluate(self, direction: np.ndarray, e_global: np.ndarray,
                  e_direct: np.ndarray) -> list[IlluminanceField]:
-        """Fields over the workplane grid at n instants, in one
-        :meth:`_illuminance` pass, from their sun directions (n, 3), from the
-        sun toward the ground, each of finite, non-zero length, and finite
-        outdoor horizontal illuminance (n,) with 0 <= e_direct <= e_global. A
-        direction that does not point down (the sun at or below the horizon)
-        casts nothing, whatever the direct part."""
+        """Fields over the workplane grid at n instants, the DF term of all
+        and one :meth:`_illuminance` pass over those with a direct part,
+        from their sun directions (n, 3), from the sun toward the ground,
+        each of finite, non-zero length, and finite outdoor horizontal
+        illuminance (n,) with 0 <= e_direct <= e_global. A direction that
+        does not point down (the sun at or below the horizon) casts nothing,
+        whatever the direct part."""
         direction, e_global, e_direct = map(np.asarray, (direction, e_global, e_direct))
         n = direction.shape[:1]
         if direction.shape != n + (3,) or e_global.shape != n or e_direct.shape != n:
@@ -768,8 +761,13 @@ class Simulator:
             norm = np.sqrt(np.sum(direction * direction, axis=1))
         if not ((norm > 0.0) & (norm < np.inf)).all():
             raise DataError("sun directions must have a finite, non-zero length")
-        area, e_dif, e_dir = self._illuminance(direction, e_global, e_direct, self.grid.points,
-                                               self.df)
+        e_dif = self.df[None, :] * e_global[:, None]
+        e_dir = np.zeros_like(e_dif)
+        area = np.zeros(len(direction))
+        sunny = np.flatnonzero(e_direct > 0.0)
+        if len(sunny):
+            area[sunny], e_dif[sunny], e_dir[sunny] = self._illuminance(
+                direction[sunny], e_direct[sunny], self.grid.points, e_dif[sunny])
         return [IlluminanceField(grid=self.grid, df=self.df, e_diffuse=e_dif[j],
                                  e_direct=e_dir[j], e_global=e_dif[j] + e_dir[j],
                                  patch_area=float(area[j]))
@@ -849,23 +847,22 @@ class Simulator:
         # Found first, so its temporaries are freed before the outputs are made
         lit = np.flatnonzero((outdoor_diffuse.view(np.uint64) | outdoor_direct.view(np.uint64)) != 0)
         outdoor_global = outdoor_diffuse + outdoor_direct
-        # + 0.0, as a sunny step adds its direct term: a -0.0 product reads 0.0
-        probe_global = probe_df[None, :] * outdoor_global[:, None]
-        probe_global += 0.0
+        probe_global = np.zeros((n, len(probe_pts)))
         patch_area = np.zeros(n)
         for i in range(0, len(lit), BLOCK_STEPS):
             chunk = lit[i:i + BLOCK_STEPS]
             altitude, terms = sun_altitudes(times[chunk], self.location)
             dark = chunk[~(altitude > 0.0)]
             outdoor_global[dark] = outdoor_diffuse[dark] = outdoor_direct[dark] = 0.0
-            probe_global[dark] = 0.0
+            # + 0.0, as a sunny step adds its direct term: a -0.0 product reads 0.0
+            probe_global[chunk] = probe_df[None, :] * outdoor_global[chunk, None] + 0.0
             # the dark steps are zeroed, so a direct part means the sun is up
             sunny = np.flatnonzero(outdoor_direct[chunk] > 0.0)
             if len(sunny):
                 _, direction = sun_directions(altitude[sunny], terms[:, sunny], self.location)
                 steps = chunk[sunny]
                 patch_area[steps], e_dif, e_dir = self._illuminance(
-                    direction, outdoor_global[steps], outdoor_direct[steps], probe_pts, probe_df)
+                    direction, outdoor_direct[steps], probe_pts, probe_global[steps])
                 probe_global[steps] = e_dif + e_dir
 
         _, _, direction = sun_positions(times[field_steps], self.location)

@@ -11,11 +11,9 @@ horizon. Local axes everywhere are x=East, y=North, z=up.
 The position is two passes: :func:`sun_altitudes` works out the altitude,
 and :func:`sun_directions` the azimuth and direction, which only the beam
 reads; :func:`sun_positions` is both over caller stamps and checks their
-years (:func:`check_years`). A period run checks its whole period's years
-once, with the same check, calls the first pass only on the steps
-whose weather carries light and the second only on the sunny steps among
-them, both in chunks of lit steps, and zeroes the dark steps of the
-outdoor conversion (:func:`outdoor_illuminance`), which reads no sun.
+years (:func:`check_years`). The outdoor conversion
+(:func:`outdoor_illuminance`) reads no sun; ``Simulator.run`` decides which
+steps need which pass.
 """
 
 from __future__ import annotations

@@ -405,6 +405,19 @@ class TestLocalTime:
         assert code == 2
         assert "has a UTC offset" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--probes", "1,2,3", "bad probe '1,2,3' (expected x,y)"),
+        ("--probes", "a,b", "bad probe 'a,b' (expected x,y)"),
+        ("--start", "2009-13-01", "bad timestamp '2009-13-01' (expected ISO-8601)"),
+    ], ids=["three-numbers", "not-numbers", "month-13"])
+    def test_malformed_option_exits_2(self, tmp_path, building_file, capsys, flag, value,
+                                      message):
+        weather = overcast_day_csv(tmp_path / "day.csv")
+        code = main(["simulate", "--building", str(building_file), "--weather", str(weather),
+                     "--out", str(tmp_path / "run"), flag, value])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
 
 class TestNonFiniteInput:
     def test_simulate_nan_diffuse_exits_2(self, tmp_path, building_file, capsys):

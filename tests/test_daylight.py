@@ -476,6 +476,18 @@ class TestMultiAperture:
             self.room(self.W1, self.W2, second)
 
 
+@pytest.mark.parametrize("x,y0,y1", [(6, 4, 5), (3, 1, 2)], ids=["beyond-x6", "beyond-x3"])
+def test_window_on_a_wall_line_but_off_the_wall_is_rejected(x, y0, y1):
+    """On the L floor a window must lie within a floor edge, not just on its
+    line (a window on the re-entrant wall x = 3, y 4-5, is in test_sky)."""
+    floor = Polygon3([(0, 0, 0), (6, 0, 0), (6, 3, 0), (3, 3, 0), (3, 6, 0), (0, 6, 0)])
+    window = Polygon3([(x, y0, 0.9), (x, y1, 0.9), (x, y1, 2.1), (x, y0, 2.1)])
+    with pytest.raises(GeometryError, match=r"^room\.apertures\[0\]: aperture does not lie on "
+                                            r"any wall of the floor outline$"):
+        Room(floor=floor, height=2.8, optics=SurfaceOptics(0.2, 0.6, 0.6),
+             apertures=(Aperture(window),))
+
+
 class TestObstructedRoom:
     def test_obstruction_lowers_daylight_factor(self):
         base = make_canonical_room("south")

@@ -185,6 +185,7 @@ def tmy2_line(ts, ghi, dhi, gh_ill=9999, dh_ill=9999):
 
 
 TMY2_HEADER = " 94185 SOUTHPORT ST   4 S  21 20 E  55 29    50"
+_RECORD = tmy2_line(datetime(1985, 3, 21, 12, 0), 500, 100)
 
 
 class TestTmy2:
@@ -207,11 +208,30 @@ class TestTmy2:
         weather = parse_tmy2_subset(t2)
         assert np.isnan(weather.ev_global).all() and np.isnan(weather.ev_diffuse).all()
 
-    def test_truncated_line(self, tmp_path):
-        t2 = write(tmp_path, TMY2_HEADER + "\n 8503211" + "\n", name="s.tm2")
-        with pytest.raises(ParseError) as err:
+    @pytest.mark.parametrize("text,error,message,line", [
+        ("", ParseError, "empty TMY2 file", 1),
+        (" 94185 SOUTHPORT\n", ParseError, "TMY2 header line too short", 1),
+        (TMY2_HEADER + "\n 8503211\n", ParseError,
+         "record length 8 shorter than the 53 columns needed", 2),
+        (TMY2_HEADER + "\n" + _RECORD[:17] + " 5x0" + _RECORD[21:] + "\n", ParseError,
+         "non-numeric global irradiance field ' 5x0'", 2),
+        (TMY2_HEADER + "\n" + _RECORD[:7] + "00" + _RECORD[9:] + "\n", ParseError,
+         "hour 0 out of 1..24", 2),
+        (TMY2_HEADER + "\n" + _RECORD[:7] + "25" + _RECORD[9:] + "\n", ParseError,
+         "hour 25 out of 1..24", 2),
+        (TMY2_HEADER + "\n" + _RECORD[:3] + "0230" + _RECORD[7:] + "\n", ParseError,
+         "bad date: day is out of range for month", 2),
+        (TMY2_HEADER + "\n" + tmy2_line(datetime(1985, 3, 21, 12, 0), 9999, 50) + "\n",
+         DataError, "missing irradiance in TMY2 record", 2),
+        (TMY2_HEADER + "\n" + _RECORD + "\n\n 8503211\n", ParseError,
+         "record length 8 shorter than the 53 columns needed", 4),
+    ], ids=["empty", "short-header", "truncated", "non-numeric", "hour-0", "hour-25",
+            "impossible-date", "missing-irradiance", "blank-line-skipped"])
+    def test_malformed_file_is_located(self, tmp_path, text, error, message, line):
+        t2 = write(tmp_path, text, name="s.tm2")
+        with pytest.raises(error, match=f"^line {line}: {re.escape(message)}$") as err:
             parse_tmy2_subset(t2)
-        assert err.value.line == 2
+        assert type(err.value) is error and err.value.line == line
 
     def test_hour_24_maps_to_23(self, tmp_path):
         line = tmy2_line(datetime(1985, 3, 21, 23, 0), 0, 0)
@@ -799,7 +819,9 @@ class TestBuilding:
          ConfigError, "room.surfaces: mean reflectance >= 0.99: inter-reflection diverges"),
         ("floor_vertices", [[0, 0, 0], [3.9, 0, 0], [3.9, 3.5, 1], [0, 3.5, 1]],
          GeometryError, "room.floor_vertices: floor polygon must be horizontal"),
-    ], ids=["height", "reflectance", "tilted-floor"])
+        ("floor_vertices", [[0, 0, 0], [3.9, 0, 0], [3.9, 0, 5e-7], [3.9, 3.5, 0], [0, 3.5, 0]],
+         GeometryError, "room.floor_vertices: consecutive floor vertices coincide in plan"),
+    ], ids=["height", "reflectance", "tilted-floor", "edge-without-plan-length"])
     def test_room_error_names_its_path(self, tmp_path, key, value, error, message):
         def mutate(d):
             d["room"][key] = value

@@ -54,3 +54,5 @@ def test_benchmark_year_hourly_steps(tmp_path):
     l_room = re.search(r"^L-room sun patch \(2 floor parts\): (\d+) sunny steps of every 3rd step "
                        r"in \d+\.\d\d s, best of 5 \(\d+\.\d\d us/step\)$", out, re.M)
     assert l_room and int(l_room[1]) == 1342
+    assert re.search(r"^L-room stepping: \d+ minor page faults in the first of the 5 runs "
+                     r"\(\d+\.\d\d s\)$", out, re.M)

@@ -462,9 +462,9 @@ def assert_run_is_the_full_pass(sim, weather, monkeypatch, step_minutes=1):
         for got, expected in zip((res.outdoor_diffuse, res.outdoor_direct, res.outdoor_global),
                                  (diffuse, direct, diffuse + direct)):
             assert_same_bits(got, expected)
-        *beam, _ = spy.call_args_list  # the beam batches, then the (empty) fields
+        beam = spy.call_args_list  # the beam batches; no field, so no call for the fields
         assert_same_bits(np.concatenate([call.args[0] for call in beam]), direction[sunny])
-        assert_same_bits(np.concatenate([call.args[2] for call in beam]), direct[sunny])
+        assert_same_bits(np.concatenate([call.args[1] for call in beam]), direct[sunny])
         e_global = (diffuse + direct)[~sunny]
         assert_same_bits(res.probe_global[~sunny], probe_df[None, :] * e_global[:, None] + 0.0)
         assert not res.patch_area[~sunny].any()
@@ -731,7 +731,7 @@ def test_run_is_the_same_bits_for_any_block_size(name, monkeypatch):
             assert len(beam) == len(expected)
             for call, steps in zip(beam, expected):
                 assert_same_bits(call.args[0], direction[steps])
-                assert_same_bits(call.args[2], direct[steps])
+                assert_same_bits(call.args[1], direct[steps])
             if size < len(lit):
                 assert any(len(steps) < size for steps in expected[:-1])  # a short batch
         for res in runs[:2]:
