@@ -31,7 +31,7 @@ from .io import (
     write_field_file,
     write_results,
 )
-from .metrics import SeriesPair, evaluate_pair, hour_groups, resample_hourly
+from .metrics import SeriesPair, evaluate_pair, resample_hourly
 
 
 def _parse_ts(text: str) -> datetime:
@@ -104,8 +104,8 @@ def _cmd_validate(args) -> int:
     ts_ref, v_ref = parse_series_csv(args.reference)
     if args.resample == "hourly" and np.array_equal(ts_sim, ts_ref):
         # the same raw stamps: one grouping by hour serves both series
-        hours, mean = hour_groups(ts_sim)
-        ts_sim, v_sim, ts_ref, v_ref = hours, mean(v_sim), hours, mean(v_ref)
+        ts_sim, v_sim, v_ref = resample_hourly(ts_sim, v_sim, v_ref)
+        ts_ref = ts_sim
     elif args.resample == "hourly":
         ts_sim, v_sim = resample_hourly(ts_sim, v_sim)
         ts_ref, v_ref = resample_hourly(ts_ref, v_ref)

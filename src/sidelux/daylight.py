@@ -53,7 +53,7 @@ from .geometry import (
     clip_polygon,  # not used here: perfbench's tracer self-test rebinds it in this module
     workplane_grid_for_parts,
 )
-from .metrics import hour_groups
+from .metrics import resample_hourly
 from .solar import EfficacyModel, GeoLocation, SolarState, WeatherSeries, check_years, \
     local_time, outdoor_illuminance, sun_altitudes, sun_directions, sun_positions
 
@@ -138,7 +138,9 @@ class Obstruction:
 class Room:
     """A closed room: horizontal floor outline (convex or L-shaped), flat
     ceiling at ``height`` above it, apertures on the walls. The outline is
-    stored counter-clockwise from above.
+    stored counter-clockwise from above and without the vertices where it
+    goes straight on (within PLANARITY_TOL), so each wall is one straight
+    run of it, and a window may span a vertex of the given outline.
 
     Its derived geometry is worked out once, at construction: ``parts`` are
     the plan rings (P, W, 2) of the floor's convex parts
@@ -174,11 +176,22 @@ class Room:
         self.apertures = tuple(self.apertures)
         self.obstructions = tuple(self.obstructions)
         plan = self.floor.coords[:, :2]
-        edges = np.stack((plan, np.roll(plan, -1, axis=0)), axis=1)  # walls: (n, 2 ends, 2)
-        run = edges[:, 1] - edges[:, 0]
+        run = np.roll(plan, -1, axis=0) - plan
         length = np.linalg.norm(run, axis=1)
         if (length < 1e-12).any():  # Polygon3's rule for duplicate vertices, in plan
             raise GeometryError("room.floor_vertices: consecutive floor vertices coincide in plan")
+        # a wall is a straight run of the outline: drop each vertex where the
+        # outline goes on in its direction, off it by at most PLANARITY_TOL
+        back, back_length = np.roll(run, 1, axis=0), np.roll(length, 1)
+        turn = back[:, 0] * run[:, 1] - back[:, 1] * run[:, 0]
+        corner = ((np.abs(turn) > PLANARITY_TOL * (back_length + length))
+                  | ((back * run).sum(axis=1) <= 0.0))
+        if not corner.all():
+            self.floor = Polygon3(self.floor.coords[corner])
+            plan = self.floor.coords[:, :2]
+        edges = np.stack((plan, np.roll(plan, -1, axis=0)), axis=1)  # walls: (n, 2 ends, 2)
+        run = edges[:, 1] - edges[:, 0]
+        length = np.linalg.norm(run, axis=1)
         self.parts = decompose_convex(self.floor)[:, :, :2]
         self.floor_z = float(self.floor.coords[:, 2].mean())
         self.s_t = self.floor.area
@@ -661,17 +674,16 @@ class PeriodResult:
     def hourly(self) -> "PeriodResult":
         """Average the series into clock hours (fields left as-is); one
         grouping by hour serves every column."""
-        hours, mean = hour_groups(self.timestamps)
-        probe = np.empty((len(hours), self.probe_global.shape[1]))
-        for j, column in enumerate(self.probe_global.T):
-            probe[:, j] = mean(column)
+        hours, outdoor_global, outdoor_diffuse, outdoor_direct, patch_area, *probe = (
+            resample_hourly(self.timestamps, self.outdoor_global, self.outdoor_diffuse,
+                            self.outdoor_direct, self.patch_area, *self.probe_global.T))
         return PeriodResult(
             timestamps=hours,
-            outdoor_global=mean(self.outdoor_global),
-            outdoor_diffuse=mean(self.outdoor_diffuse),
-            outdoor_direct=mean(self.outdoor_direct),
-            patch_area=mean(self.patch_area),
-            probe_global=probe,
+            outdoor_global=outdoor_global,
+            outdoor_diffuse=outdoor_diffuse,
+            outdoor_direct=outdoor_direct,
+            patch_area=patch_area,
+            probe_global=np.column_stack(probe) if probe else np.empty((len(hours), 0)),
             fields=dict(self.fields),
         )
 

@@ -53,7 +53,9 @@ class Polygon3:
     input in its given order; the unit normal follows the right-hand rule
     around that order. Construction rejects non-finite coordinates, duplicate
     consecutive vertices, collinear rings, vertices off their common plane
-    (by more than ``PLANARITY_TOL``) and self-intersections.
+    (by more than ``PLANARITY_TOL``) and self-intersections, folds included:
+    a ring whose edges overlap, as two consecutive edges do when the second
+    runs back along the first.
     """
 
     def __init__(self, vertices):
@@ -122,8 +124,6 @@ def _ring_self_intersects(v2: np.ndarray) -> bool:
     for i in range(n):
         a1, a2 = v2[i], v2[(i + 1) % n]
         for j in range(i + 1, n):
-            if j == i or (j + 1) % n == i or (i + 1) % n == j:
-                continue  # adjacent edges share a vertex by design
             b1, b2 = v2[j], v2[(j + 1) % n]
             d1 = _orient(a1, a2, b1)
             d2 = _orient(a1, a2, b2)
@@ -134,7 +134,8 @@ def _ring_self_intersects(v2: np.ndarray) -> bool:
             ):
                 return True
             if abs(d1) <= eps and abs(d2) <= eps and abs(d3) <= eps and abs(d4) <= eps:
-                # collinear edges: overlap means the ring folds onto itself
+                # collinear edges: overlap means the ring folds onto itself, as
+                # two consecutive edges do when the second runs back along the first
                 lo1, hi1 = sorted((a1 @ (a2 - a1), a2 @ (a2 - a1)))
                 lo2, hi2 = sorted((b1 @ (a2 - a1), b2 @ (a2 - a1)))
                 if min(hi1, hi2) - max(lo1, lo2) > eps:

@@ -114,14 +114,15 @@ def rsd(pair: SeriesPair, margin: float | None = None) -> float:
     return float(inside.sum() / pair.n * 100.0)
 
 
-def hour_groups(timestamps):
-    """Group samples by clock hour, once for any number of value columns.
+def resample_hourly(timestamps, *columns) -> tuple[np.ndarray, ...]:
+    """Arithmetic mean per clock hour; hours without samples are omitted.
 
-    Returns the hour starts (``datetime64[us]``, chronological) and a
-    function giving, for values aligned with ``timestamps``, the arithmetic
-    mean per hour: a 1-D mean of the hour's samples in their given order,
-    the same value to the bit as ``np.mean`` of that hour's list. The hours
-    of one length are averaged together, as the rows of one 2-D gather.
+    Returns the hour starts (``datetime64[us]``, chronological) and one mean
+    column per value column aligned with ``timestamps``. The samples are
+    grouped by hour once for every column, and each mean is a 1-D mean of
+    the hour's samples in their given order, the same value to the bit as
+    ``np.mean`` of that hour's list. The hours of one length are averaged
+    together, as the rows of one 2-D gather.
     """
     hours = np.asarray(timestamps, dtype="datetime64[us]").astype("datetime64[h]")
     order = np.argsort(hours, kind="stable")
@@ -130,30 +131,16 @@ def hour_groups(timestamps):
     first[1:] = hours[1:] != hours[:-1]
     starts = np.flatnonzero(first)
     lengths = np.diff(starts, append=len(hours))
+    columns = [np.asarray(values, dtype=float) for values in columns]
+    means = [np.empty(len(starts)) for _ in columns]
     # per hour length: which hours have it, and the sorted samples of each
     # (bincount, not np.unique, which loads numpy.ma on its first call)
-    rows = []
     for length in np.flatnonzero(np.bincount(lengths)):
         which = np.flatnonzero(lengths == length)
-        rows.append((which, order[starts[which, None] + np.arange(length)]))
-
-    def mean(values) -> np.ndarray:
-        values = np.asarray(values, dtype=float)
-        means = np.empty(len(starts))
-        for which, samples in rows:
-            means[which] = values[samples].mean(axis=1)
-        return means
-
-    return hours[starts].astype("datetime64[us]"), mean
-
-
-def resample_hourly(timestamps, values) -> tuple[np.ndarray, np.ndarray]:
-    """Arithmetic mean per clock hour; hours without samples are omitted.
-
-    Returns (hour starts, means) in chronological order.
-    """
-    hours, mean = hour_groups(timestamps)
-    return hours, mean(values)
+        samples = order[starts[which, None] + np.arange(length)]
+        for values, mean in zip(columns, means):
+            mean[which] = values[samples].mean(axis=1)
+    return (hours[starts].astype("datetime64[us]"), *means)
 
 
 @dataclass(eq=False)

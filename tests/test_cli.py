@@ -16,7 +16,7 @@ from sidelux.cli import build_parser, main
 from sidelux.daylight import Simulator, SurfaceOptics
 from sidelux.errors import ConfigError, ParseError
 from sidelux.io import parse_series_csv
-from sidelux.metrics import SeriesPair, evaluate_pair, hour_groups, resample_hourly
+from sidelux.metrics import SeriesPair, evaluate_pair, resample_hourly
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -248,8 +248,9 @@ class TestValidate:
     @pytest.mark.parametrize("mode", ["error", "margin"])
     def test_resample_hourly_groups_identical_stamps_once(self, mode, tmp_path, capsys,
                                                           monkeypatch):
-        """Series on the same raw stamps share one grouping by hour, and the
-        report is byte for byte the one of each series resampled on its own."""
+        """Series on the same raw stamps share one ``resample_hourly`` call,
+        and the report is byte for byte the one of each series resampled on
+        its own."""
         t0 = datetime(2009, 3, 21, 10, 0)
         rows = [(t0 + timedelta(minutes=7 * m), 100.0 + m * 1.1) for m in range(40)]
         sim = series_csv(tmp_path / "sim.csv", rows)
@@ -257,17 +258,16 @@ class TestValidate:
         (ts, v_sim), (_, v_ref) = parse_series_csv(sim), parse_series_csv(ref)
         pair = SeriesPair(resample_hourly(ts, v_sim)[1], resample_hourly(ts, v_ref)[1])
         expected = evaluate_pair(pair, 0.15 if mode == "margin" else None).to_table(name="sim")
-        groupings = []
+        calls = []
 
-        def counted(timestamps):
-            groupings.append(len(timestamps))
-            return hour_groups(timestamps)
+        def counted(timestamps, *columns):
+            calls.append((len(timestamps), [list(c) for c in columns]))
+            return resample_hourly(timestamps, *columns)
 
-        monkeypatch.setattr(cli, "hour_groups", counted)
-        monkeypatch.setattr(cli, "resample_hourly", None)  # not called
+        monkeypatch.setattr(cli, "resample_hourly", counted)
         assert main(["validate", str(sim), str(ref), "--resample", "hourly", "--mode", mode]) == 0
         assert capsys.readouterr().out == expected
-        assert groupings == [40]
+        assert calls == [(40, [list(v_sim), list(v_ref)])]
 
     def test_report_to_file(self, tmp_path):
         t0 = datetime(2009, 3, 21, 10, 0)

@@ -536,6 +536,10 @@ class TestPeriod:
         assert len(res.timestamps) == 24
         assert res.probe_global.shape == (24, 2)
 
+    def test_hourly_without_probes_keeps_an_empty_probe_column_set(self, coarse_sim):
+        res = coarse_sim.run(minute_weather(datetime(2009, 7, 15, 10, 0), 120, 300.0, 300.0))
+        assert res.hourly().probe_global.shape == (2, 0)
+
     def test_passthrough_efficacy_uses_measured_values(self):
         room = make_canonical_room()
         sim = Simulator(room, TROPICAL_SITE, cell=0.5,

@@ -56,8 +56,29 @@ class TestPolygon:
             Polygon3([(0, 0, 0), (1, 0, 0), (1, 1, 0.1), (0, 1, 0)])
 
     def test_self_intersecting_raises(self):
-        with pytest.raises(GeometryError):
-            Polygon3([(0, 0, 0), (1, 1, 0), (1, 0, 0), (0, 1, 0)])  # bowtie
+        with pytest.raises(GeometryError, match="self-intersecting"):
+            Polygon3([(0, 0, 0), (2, 2, 0), (2, 0, 0), (0, 1, 0)])
+
+    def test_symmetric_bowtie_raises_as_collinear(self):
+        # its lobes cancel: no area, so the collinear check refuses it first
+        with pytest.raises(GeometryError, match="collinear"):
+            Polygon3([(0, 0, 0), (1, 1, 0), (1, 0, 0), (0, 1, 0)])
+
+    @pytest.mark.parametrize("ring", [
+        # an L with a zero-width slit: two consecutive edges run back along each other
+        [(0, 0, 0), (3, 0, 0), (3, 1, 0), (1, 1, 0), (2, 1, 0), (2, 2, 0), (0, 2, 0)],
+        # the same ring from the fold's tip: the fold is where the ring closes
+        [(1, 1, 0), (2, 1, 0), (2, 2, 0), (0, 2, 0), (0, 0, 0), (3, 0, 0), (3, 1, 0)],
+    ], ids=["slit", "slit-at-close"])
+    def test_folding_ring_raises(self, ring):
+        with pytest.raises(GeometryError, match="self-intersecting"):
+            Polygon3(ring)
+
+    def test_straight_vertex_is_no_fold(self):
+        """A vertex where the ring goes straight on is kept and is no
+        self-intersection."""
+        poly = Polygon3([(0, 0, 0), (2, 0, 0), (3.9, 0, 0), (3.9, 3.5, 0), (0, 3.5, 0)])
+        assert len(poly.coords) == 5 and poly.is_convex
 
     def test_non_finite_raises(self):
         with pytest.raises(GeometryError):

@@ -805,7 +805,9 @@ class TestBuilding:
          "aperture extends beyond the wall height"),
         ([[1.45, 3.5, 1.0], [2.45, 3.5, 1.0], [2.45, 3.5, 2.0], [1.45, 3.5, 2.0]],
          "overlaps room.apertures[0] on the same wall"),
-    ], ids=["off-wall", "too-tall", "overlap"])
+        ([[3.0, 3.5, 1.0], [3.5, 3.5, 1.0], [3.5, 3.5, 2.0], [3.3, 3.5, 1.5], [3.0, 3.5, 2.0]],
+         "aperture polygon must be convex"),
+    ], ids=["off-wall", "too-tall", "overlap", "non-convex"])
     def test_misplaced_aperture_names_its_path(self, tmp_path, vertices, message):
         def mutate(d):
             d["room"]["apertures"].append({"vertices": vertices})
@@ -821,7 +823,21 @@ class TestBuilding:
          GeometryError, "room.floor_vertices: floor polygon must be horizontal"),
         ("floor_vertices", [[0, 0, 0], [3.9, 0, 0], [3.9, 0, 5e-7], [3.9, 3.5, 0], [0, 3.5, 0]],
          GeometryError, "room.floor_vertices: consecutive floor vertices coincide in plan"),
-    ], ids=["height", "reflectance", "tilted-floor", "edge-without-plan-length"])
+        ("floor_vertices", 5, ConfigError,
+         "room.floor_vertices: need a list of at least 3 [x, y, z] vertices"),
+        ("floor_vertices", [[0, 0, 0], [3.9, 0, 0]], ConfigError,
+         "room.floor_vertices: need a list of at least 3 [x, y, z] vertices"),
+        ("floor_vertices", [[0, 0, 0], [3.9, 0], [3.9, 3.5, 0]], ConfigError,
+         "room.floor_vertices: each vertex must be [x, y, z]"),
+        ("floor_vertices", [[0, 0, 0], [3, 0, 0], [3, 1, 0], [1, 1, 0], [2, 1, 0], [2, 2, 0],
+                            [0, 2, 0]],
+         ConfigError, "room.floor_vertices: self-intersecting polygon"),
+        ("surfaces", [{"role": "roof", "reflectance": 0.6}], ConfigError,
+         "room.surfaces[0].role: unknown role 'roof'"),
+        ("surfaces", [{"role": "floor", "reflectance": 0.2}, {"role": "walls", "reflectance": 0.6}],
+         ConfigError, "room.surfaces: missing reflectance for role 'ceiling'"),
+    ], ids=["height", "reflectance", "tilted-floor", "edge-without-plan-length", "not-a-list",
+            "two-vertices", "two-coordinates", "slit-fold", "unknown-role", "missing-role"])
     def test_room_error_names_its_path(self, tmp_path, key, value, error, message):
         def mutate(d):
             d["room"][key] = value
@@ -864,8 +880,31 @@ class TestBuilding:
                 "luminance_fraction": 1.5,
             }]
 
-        with pytest.raises(ConfigError):
+        message = "obstructions[0]: luminance fraction 1.5 out of [0, 1]"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             parse_building(self._patched(tmp_path, mutate))
+
+    def test_tilted_obstruction_names_its_path(self, tmp_path):
+        def mutate(d):
+            d["obstructions"] = [{"vertices": [[-5, 6.0, 0], [10, 6.0, 0], [10, 8.0, 6],
+                                               [-5, 8.0, 6]]}]
+
+        message = "obstructions[0]: obstruction polygon must be vertical"
+        with pytest.raises(GeometryError, match=f"^{re.escape(message)}$"):
+            parse_building(self._patched(tmp_path, mutate))
+
+    def test_window_may_span_a_straight_vertex(self, tmp_path):
+        """A wall is a straight run of the outline: a floor vertex where the
+        outline goes straight on, under the window, gives the room without
+        it, DF map and IRC to the bit."""
+        def mutate(d):
+            d["room"]["floor_vertices"] = [[0, 0, 0], [3.9, 0, 0], [3.9, 3.5, 0], [2, 3.5, 0],
+                                           [0, 3.5, 0]]
+
+        plain = parse_building(DATA / "reference_room.json")
+        split = parse_building(self._patched(tmp_path, mutate))
+        assert split.room.irc == plain.room.irc
+        assert split.simulator().df.tobytes() == plain.simulator().df.tobytes()
 
     def test_l_shaped_floor_decomposed(self, tmp_path):
         def mutate(d):

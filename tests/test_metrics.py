@@ -155,6 +155,17 @@ class TestBuildMargins:
         assert rsd(p, 1.0) == 25.0
 
 
+@pytest.mark.parametrize("sim,ref,message", [
+    ([[1.0, 2.0]], [1.0, 2.0], "series must be one-dimensional"),
+    ([1.0, 2.0], 3.0, "series must be one-dimensional"),
+    ([1.0, 2.0], [1.0], "series must have equal, non-zero length"),
+    ([], [], "series must have equal, non-zero length"),
+], ids=["two-dimensional", "scalar", "unequal", "empty"])
+def test_series_pair_shape_errors(sim, ref, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        SeriesPair(sim, ref)
+
+
 class TestResampleHourly:
     def test_constant_hour(self):
         t0 = datetime(2009, 3, 21, 10, 0)
@@ -196,6 +207,9 @@ def test_hourly_means_match_a_per_hour_mean_loop_bit_for_bit():
     got_hours, means = resample_hourly(times, values[:, 0])
     assert got_hours.dtype == np.dtype("datetime64[us]") and got_hours.tolist() == hours
     assert means.tobytes() == expected[:, 0].tobytes()
+    got_hours, *columns = resample_hourly(times, *values.T)  # one grouping, seven columns
+    assert got_hours.tolist() == hours
+    assert np.column_stack(columns).tobytes() == expected.tobytes()
 
     result = PeriodResult(
         timestamps=times, outdoor_global=values[:, 0], outdoor_diffuse=values[:, 1],

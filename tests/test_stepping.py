@@ -827,6 +827,12 @@ def test_step_below_one_minute_or_too_long_raises(coarse_sim, step, message):
     assert len(coarse_sim.run(weather, step_minutes=longest).timestamps) == 1
 
 
+def test_empty_weather_raises(coarse_sim):
+    weather = overcast_minutes(datetime(2009, 7, 15, 10, 0), 0)
+    with pytest.raises(DataError, match="^empty weather series$"):
+        coarse_sim.run(weather)
+
+
 @pytest.mark.parametrize("order,message", [
     ([0, 1, 2, 4, 3, 5], "line 6: timestamps not ascending at 2009-07-15T10:03:00"),
     ([0, 1, 2, 2, 3, 4], "line 5: duplicate timestamp 2009-07-15T10:02:00"),
