@@ -14,9 +14,11 @@ and writing the year's results (both in a temporary directory). Three
 layers of the stepping are read from the run itself, which records the rows
 and time of each call it makes (:func:`recorded`): the sun position, per
 step and per lit step (those whose weather carries light, the only ones
-whose altitude the run works out); the sun's direction, per sunny step (sun
-up, a direct part); and the sun patches (``Simulator.beam``) of the sunny
-steps, per step and in how many batches. The process's peak resident
+for which the run asks whether the sun is up), with how many lit steps get
+an exact altitude (those with a direct part, and the anchors and near-horizon
+steps of ``solar.sun_up`` for the others); the sun's direction, per sunny
+step (sun up, a direct part); and the sun patches (``Simulator.beam``) of
+the sunny steps, per step and in how many batches. The process's peak resident
 memory is printed before and after the stepping, whose outdoor conversion
 is one pass over the whole period; writing the year's weather CSV sets an
 earlier peak, which the stepping may stay under. The sun patches of the
@@ -24,7 +26,9 @@ benchmark's L-shaped room (``perfbench/inputs.py``, ``L_ROOM``) are read the
 same way, from 5 runs over every 3rd step with 5 of its probes, best of 5:
 its floor is cut into convex parts, so this is the layer those parts weigh
 on. The minor page faults of the first of those runs are printed after
-them.
+them. Last, the same year with all its light diffuse (Dh = Gh) is stepped
+on the test cell, whose lit steps all take ``solar.sun_up``: its stepping
+time and its exact altitudes are printed.
 
     python scripts/benchmark_year.py [--cell 0.1] [--step 1]
 """
@@ -45,7 +49,7 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 import inputs  # noqa: E402
-from sidelux import daylight  # noqa: E402
+from sidelux import daylight, solar  # noqa: E402
 from sidelux.io import (  # noqa: E402
     parse_building, parse_weather_csv, write_results, write_weather_csv)
 from sidelux.solar import WeatherSeries  # noqa: E402
@@ -63,9 +67,12 @@ def year_weather(year=2009) -> WeatherSeries:
 @contextmanager
 def recorded(sim):
     """While the block runs, log the rows and seconds of each call that
-    ``sim`` makes to the sun's altitude pass, its direction pass and its
-    beam (the ``BeamKernel`` call), as (rows, seconds) lists by name."""
-    targets = {"altitude": (daylight, "sun_altitudes"),
+    ``sim`` makes to the sun's altitude pass (of the steps with a direct
+    part), ``sun_up`` (of the other lit steps) and the exact altitude
+    passes that makes, its direction pass and its beam (the ``BeamKernel``
+    call), as (rows, seconds) lists by name."""
+    targets = {"altitude": (daylight, "sun_altitudes"), "sun_up": (daylight, "sun_up"),
+               "exact": (solar, "sun_altitudes"),
                "direction": (daylight, "sun_directions"), "beam": (sim, "beam")}
     originals = {name: getattr(*target) for name, target in targets.items()}
     calls = {name: [] for name in targets}
@@ -114,14 +121,25 @@ def per_step(seconds: float, n: int) -> str:
     return f"{seconds:.2f} s ({1e6 * seconds / max(n, 1):.2f} us/step)"
 
 
+def print_exact(calls, label: str = "") -> None:
+    """Print how many of the run's lit steps got an exact altitude."""
+    n_exact = totals(calls["altitude"])[0] + totals(calls["exact"])[0]
+    n_lit = totals(calls["altitude"])[0] + totals(calls["sun_up"])[0]
+    print(f"{label}sun altitude (exact): {n_exact} of {n_lit} lit steps")
+
+
 def print_layers(calls, n: int) -> None:
-    """Print the sun position per step of the run and per lit step, and per
-    sunny step the sun's direction and the sun patch."""
-    n_lit, t_altitude = totals(calls["altitude"])
+    """Print the sun position per step of the run and per lit step, the lit
+    steps that got an exact altitude, and per sunny step the sun's direction
+    and the sun patch."""
+    n_direct, t_altitude = totals(calls["altitude"])
+    n_other, t_sun_up = totals(calls["sun_up"])
+    n_lit, t_lit = n_direct + n_other, t_altitude + t_sun_up
     n_sunny, t_direction = totals(calls["direction"])
     n_beam, t_beam = totals(calls["beam"])
-    print(f"sun position: {n} steps in {per_step(t_altitude + t_direction, n)}")
-    print(f"sun position (lit): {n_lit} of {n} steps in {per_step(t_altitude, n_lit)}")
+    print(f"sun position: {n} steps in {per_step(t_lit + t_direction, n)}")
+    print(f"sun position (lit): {n_lit} of {n} steps in {per_step(t_lit, n_lit)}")
+    print_exact(calls)
     print(f"sun direction: {n_sunny} sunny steps in {per_step(t_direction, n_sunny)}")
     print(f"sun patch: {n_beam} sunny steps in {len(calls['beam'])} batches "
           f"in {per_step(t_beam, n_beam)}")
@@ -208,6 +226,12 @@ def main() -> None:
         write_results(result, Path(tmp) / "year")
         elapsed = time.perf_counter() - t0
     print(f"summary write: {n} rows in {elapsed:.2f} s ({n / elapsed:.0f} rows/s)")
+
+    diffuse = WeatherSeries(weather.times, weather.gh, weather.gh)
+    with recorded(sim) as calls:
+        _, elapsed, _ = faulted(lambda: sim.run(diffuse, step_minutes=args.step, probes=probes))
+    print(f"all-diffuse year (Dh = Gh): {n} steps in {elapsed:.2f} s ({n / elapsed:.0f} steps/s)")
+    print_exact(calls, "all-diffuse ")
 
 
 if __name__ == "__main__":

@@ -55,7 +55,7 @@ from .geometry import (
 )
 from .metrics import resample_hourly
 from .solar import EfficacyModel, GeoLocation, SolarState, WeatherSeries, check_years, \
-    local_time, outdoor_illuminance, sun_altitudes, sun_directions, sun_positions
+    local_time, outdoor_illuminance, sun_altitudes, sun_directions, sun_positions, sun_up
 
 # Horizontal illuminance of the full CIE overcast dome for unit zenith
 # luminance: integral of (1+2 sin g)/3 * sin g over the hemisphere = 7*pi/9.
@@ -863,16 +863,24 @@ class Simulator:
         patch_area = np.zeros(n)
         for i in range(0, len(lit), BLOCK_STEPS):
             chunk = lit[i:i + BLOCK_STEPS]
-            altitude, terms = sun_altitudes(times[chunk], self.location)
-            dark = chunk[~(altitude > 0.0)]
+            # a step with a direct part needs its altitude, whose terms give its
+            # direction if the sun is up; any other lit step only whether it is up
+            direct = outdoor_direct[chunk] > 0.0
+            up = np.empty(len(chunk), dtype=bool)
+            up[~direct] = sun_up(times[chunk[~direct]], self.location)
+            steps = chunk[direct]
+            if len(steps):  # an overcast chunk has none, and an empty pass costs too
+                altitude, terms = sun_altitudes(times[steps], self.location)
+                up[direct] = altitude > 0.0
+            dark = chunk[~up]
             outdoor_global[dark] = outdoor_diffuse[dark] = outdoor_direct[dark] = 0.0
             # + 0.0, as a sunny step adds its direct term: a -0.0 product reads 0.0
             probe_global[chunk] = probe_df[None, :] * outdoor_global[chunk, None] + 0.0
             # the dark steps are zeroed, so a direct part means the sun is up
-            sunny = np.flatnonzero(outdoor_direct[chunk] > 0.0)
+            sunny = np.flatnonzero(outdoor_direct[steps] > 0.0)
             if len(sunny):
                 _, direction = sun_directions(altitude[sunny], terms[:, sunny], self.location)
-                steps = chunk[sunny]
+                steps = steps[sunny]
                 patch_area[steps], e_dif, e_dir = self._illuminance(
                     direction, outdoor_direct[steps], probe_pts, probe_global[steps])
                 probe_global[steps] = e_dif + e_dir

@@ -11,9 +11,13 @@ horizon. Local axes everywhere are x=East, y=North, z=up.
 The position is two passes: :func:`sun_altitudes` works out the altitude,
 and :func:`sun_directions` the azimuth and direction, which only the beam
 reads; :func:`sun_positions` is both over caller stamps and checks their
-years (:func:`check_years`). The outdoor conversion
+years (:func:`check_years`). :func:`sun_up` tells only whether the sun is
+up, with few exact altitudes. The outdoor conversion
 (:func:`outdoor_illuminance`) reads no sun; ``Simulator.run`` decides which
-steps need which pass.
+steps need which pass. Of its lit steps (those with light as if the sun
+were up), one with a direct part gets the altitude pass, and if the sun is
+up it is sunny and gets the direction pass too, while if the sun is down
+it is zeroed; one without a direct part asks only :func:`sun_up`.
 """
 
 from __future__ import annotations
@@ -133,6 +137,43 @@ def sun_altitudes(times: np.ndarray, loc: GeoLocation) -> tuple[np.ndarray, np.n
     phi = math.radians(loc.latitude)
     sin_alt = math.sin(phi) * sin_decl + math.cos(phi) * cos_decl * cos_ha
     return np.degrees(np.arcsin(np.clip(sin_alt, -1.0, 1.0))), terms
+
+
+# The altitude changes by at most the sun's speed on the sky: the hour angle
+# turns 0.25 deg/min times (1 + the equation of time's drift, under 0.0004)
+# and the declination drifts under 0.0003 deg/min, so under 0.2505 deg/min
+_ALTITUDE_RATE = 0.26 / 60e6     # degrees per microsecond, above that
+_ANCHOR_EVERY = 32               # stamps per exact altitude in sun_up
+_HORIZON_MARGIN = 1e-3           # degrees: a bound nearer the horizon decides nothing,
+                                 # which leaves room for rounding
+
+
+def sun_up(times: np.ndarray, loc: GeoLocation) -> np.ndarray:
+    """Whether the sun is above the horizon at each of the stamps ``times``:
+    ``sun_altitudes(times, loc)[0] > 0.0``, element by element.
+
+    The altitude is worked out exactly at every ``_ANCHOR_EVERY``-th stamp
+    and the last; every other stamp's altitude is bounded from the two
+    anchors around it by ``_ALTITUDE_RATE``, and only the stamps that the
+    bound leaves within ``_HORIZON_MARGIN`` of the horizon (an anchor's
+    bound is its altitude) get their exact altitude. The stamps' years are
+    the caller's to check.
+    """
+    t = np.asarray(times, dtype="datetime64[us]")
+    n = len(t)
+    if n == 0:
+        return np.zeros(0, dtype=bool)
+    anchors = np.append(np.arange(0, n, _ANCHOR_EVERY), n - 1)
+    altitude = sun_altitudes(t[anchors], loc)[0]
+    us = t.view(np.int64)
+    left = np.arange(n) // _ANCHOR_EVERY
+    # per anchor on either side of a stamp: its altitude and how far the stamp's may be from it
+    near = [(altitude[k], _ALTITUDE_RATE * np.abs(us - us[anchors[k]])) for k in (left, left + 1)]
+    up = np.maximum(*(a - r for a, r in near)) > _HORIZON_MARGIN
+    unsure = np.flatnonzero(~up & (np.minimum(*(a + r for a, r in near)) >= -_HORIZON_MARGIN))
+    if len(unsure):  # a pass over no stamp still costs about 50 us
+        up[unsure] = sun_altitudes(t[unsure], loc)[0] > 0.0
+    return up
 
 
 def sun_directions(altitude: np.ndarray, terms: np.ndarray,

@@ -48,6 +48,14 @@ def test_benchmark_year_hourly_steps(tmp_path):
     # the counts of the year's clear half-sine days at the test cell's site
     assert sunny and int(sunny[1]) == 4249 and int(sunny[2]) == 2
     assert lit and int(lit[1]) == 4380
+    # every lit step of the clear year has a direct part, so an exact altitude;
+    # all-diffuse, the hourly lit steps are too far apart for sun_up's bound to
+    # decide most of them, but its anchors and decided steps need no second one
+    for label, exact in (("", 4380), ("all-diffuse ", 3870)):
+        counts = re.search(rf"^{label}sun altitude \(exact\): (\d+) of (\d+) lit steps$", out, re.M)
+        assert counts and (int(counts[1]), int(counts[2])) == (exact, 4380)
+    assert re.search(r"^all-diffuse year \(Dh = Gh\): 8760 steps in \d+\.\d\d s \(\d+ steps/s\)$",
+                     out, re.M)
     direction = re.search(r"^sun direction: (\d+) sunny steps in \d+\.\d\d s "
                           r"\(\d+\.\d\d us/step\)$", out, re.M)
     assert direction and direction[1] == sunny[1]

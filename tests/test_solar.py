@@ -4,8 +4,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from conftest import assert_same_bits
+from sidelux import solar
 from sidelux.errors import DataError
 from sidelux.solar import (
     EfficacyModel,
@@ -13,7 +15,9 @@ from sidelux.solar import (
     SolarState,
     WeatherSeries,
     reconstruct_illuminance,
+    sun_altitudes,
     sun_position,
+    sun_up,
 )
 
 FIXTURES = Path(__file__).parent / "data" / "solar_noaa.json"
@@ -207,3 +211,88 @@ def test_continuity_in_irradiance(gh, frac, delta):
     gh2 = min(gh + delta, 1500.0)
     b = reconstruct_illuminance(sun, gh2, dh, EFF)
     assert abs(b.e_global - a.e_global) <= 200.0 * (gh2 - gh) + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# sun_up: the sign of the exact altitude, from a few exact altitudes and a
+# bound on how fast the altitude moves.
+
+MINUTE_US, DAY_US = 60_000_000, 86_400_000_000
+FIRST_US, END_US = (int(np.datetime64(day, "us").astype(np.int64))
+                    for day in ("1950-01-01", "2101-01-01"))
+SITES = st.builds(GeoLocation,
+                  latitude=st.one_of(st.sampled_from([-90.0, 90.0]), st.floats(-90.0, 90.0)),
+                  longitude=st.floats(-180.0, 180.0), timezone=st.floats(-12.0, 14.0))
+
+
+def as_stamps(us) -> np.ndarray:
+    return np.asarray(us, dtype=np.int64).astype("datetime64[us]")
+
+
+@st.composite
+def ascending_stamps(draw):
+    """Up to 3000 ascending stamps in 1950-2100, 1 or 60 minutes apart or
+    by random gaps of up to 2 days, from any microsecond."""
+    n = draw(st.integers(0, 3000))
+    spacing = draw(st.sampled_from([MINUTE_US, 60 * MINUTE_US, None]))
+    if spacing is None:
+        gaps = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).integers(1, 2 * DAY_US, n)
+    else:
+        gaps = np.full(n, spacing)
+    offsets = np.cumsum(gaps) - gaps[:1].sum()
+    span = int(offsets[-1]) if n else 0
+    return as_stamps(draw(st.integers(FIRST_US, END_US - 1 - span)) + offsets)
+
+
+@settings(max_examples=150, deadline=None)
+@given(site=SITES, times=ascending_stamps())
+def test_sun_up_is_the_sign_of_the_exact_altitude(site, times):
+    assert_same_bits(sun_up(times, site), sun_altitudes(times, site)[0] > 0.0)
+
+
+@pytest.mark.parametrize("stamps", [[], ["2009-06-21T12:00"], ["2009-12-21T00:00"],
+                                    ["1950-01-01"], ["2100-12-31T23:59:59.999999"]])
+@pytest.mark.parametrize("latitude", [-90.0, -21.34, 66.0, 90.0])
+def test_sun_up_of_no_stamp_or_one(stamps, latitude):
+    site = GeoLocation(latitude=latitude, longitude=55.48, timezone=4.0)
+    times = np.array(stamps, dtype="datetime64[us]")
+    assert_same_bits(sun_up(times, site), sun_altitudes(times, site)[0] > 0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(site=SITES, day=st.integers(1, (END_US - FIRST_US) // DAY_US - 2))
+def test_sun_up_splits_two_stamps_a_microsecond_apart_at_sunrise(site, day):
+    """Two stamps 1 us apart, found by bisection, bracket a sunrise: alone,
+    where both are anchors, and among minute stamps, where neither is."""
+    minutes = FIRST_US + day * DAY_US + np.arange(-100, 1540) * MINUTE_US
+    up = sun_altitudes(as_stamps(minutes), site)[0] > 0.0
+    rises = np.flatnonzero(~up[99:-100] & up[100:-99]) + 99
+    assume(len(rises))
+    k = int(rises[0])
+    lo, hi = int(minutes[k]), int(minutes[k + 1])
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if sun_altitudes(as_stamps([mid]), site)[0][0] > 0.0:
+            hi = mid
+        else:
+            lo = mid
+    pair = as_stamps([lo, hi])
+    assert sun_up(pair, site).tolist() == [False, True]
+    around = np.unique(np.concatenate((as_stamps(minutes[k - 99:k + 100]), pair)))
+    assert np.all(np.searchsorted(around, pair) % solar._ANCHOR_EVERY)  # neither is an anchor
+    assert_same_bits(sun_up(around, site), sun_altitudes(around, site)[0] > 0.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(site=SITES, seed=st.integers(0, 2**32 - 1))
+def test_the_altitude_moves_slower_than_the_rate_sun_up_assumes(site, seed):
+    """Over stamp pairs up to 2 h apart the altitude moves at most
+    0.2505 deg/min, the sun's largest speed on the sky, below the rate
+    ``sun_up`` bounds it by."""
+    assert solar._ALTITUDE_RATE * 60e6 >= 0.2505
+    rng = np.random.default_rng(seed)
+    t0 = rng.integers(FIRST_US, END_US - 120 * MINUTE_US, 500)
+    dt = rng.integers(0, 120 * MINUTE_US, 500, endpoint=True)
+    start, end = (sun_altitudes(as_stamps(t), site)[0] for t in (t0, t0 + dt))
+    moved = np.abs(end - start)
+    assert np.all(moved <= 0.2505 * dt / MINUTE_US + 1e-5)

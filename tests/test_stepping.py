@@ -34,6 +34,7 @@ from sidelux.geometry import PARALLEL_TOL, Polygon3
 from sidelux.io import parse_weather_csv, write_weather_csv
 from sidelux.solar import (
     EfficacyModel,
+    GeoLocation,
     SolarState,
     WeatherSeries,
     outdoor_illuminance,
@@ -463,8 +464,10 @@ def assert_run_is_the_full_pass(sim, weather, monkeypatch, step_minutes=1):
                                  (diffuse, direct, diffuse + direct)):
             assert_same_bits(got, expected)
         beam = spy.call_args_list  # the beam batches; no field, so no call for the fields
-        assert_same_bits(np.concatenate([call.args[0] for call in beam]), direction[sunny])
-        assert_same_bits(np.concatenate([call.args[1] for call in beam]), direct[sunny])
+        assert_same_bits(np.concatenate([np.zeros((0, 3)), *(call.args[0] for call in beam)]),
+                         direction[sunny])
+        assert_same_bits(np.concatenate([np.zeros(0), *(call.args[1] for call in beam)]),
+                         direct[sunny])
         e_global = (diffuse + direct)[~sunny]
         assert_same_bits(res.probe_global[~sunny], probe_df[None, :] * e_global[:, None] + 0.0)
         assert not res.patch_area[~sunny].any()
@@ -518,6 +521,89 @@ def test_measured_light_at_night_reads_dark_as_in_the_full_pass(monkeypatch):
     _, res = assert_run_is_the_full_pass(sim, measured, monkeypatch)
     assert not res.outdoor_global[night].any()
     assert res.outdoor_diffuse[~night].any() and res.outdoor_direct[~night].any()
+
+
+def all_diffuse(weather):
+    """``weather`` with its light all diffuse (Dh = Gh): no step has a direct part."""
+    return WeatherSeries(weather.times, weather.gh, weather.gh)
+
+
+def skimming_dawn_weather():
+    """A week about the December solstice at latitude 66, where the sun rises
+    less than 0.61 degrees for under two hours a day, with twilight light
+    from 08:00 to 16:00 (Dh = Gh), before sunrise, while the sun skims the
+    horizon and after sunset."""
+    times = np.datetime64("2009-12-18", "us") + np.arange(7 * 1440) * np.timedelta64(1, "m")
+    minute = np.arange(len(times)) % 1440
+    light = np.where((minute >= 8 * 60) & (minute < 16 * 60), 3.0, 0.0)
+    return WeatherSeries(times, light, light)
+
+
+SKIMMING_SITE = GeoLocation(latitude=66.0, longitude=25.0, timezone=2.0)
+
+
+@pytest.mark.parametrize("case", ["overcast_week", "skimming_dawn", "hourly_steps"])
+def test_steps_without_a_direct_part_are_the_full_pass(coarse_sim, monkeypatch, case):
+    """The lit steps without a direct part take ``sun_up``, the bound from a
+    few exact altitudes; the full pass works out every altitude. Over a
+    week, where the sun skims the horizon, and an hour apart, where the
+    bound decides little, the bits are the full pass's."""
+    sim, weather, step = coarse_sim, all_diffuse(winter_weather(7)), 1
+    if case == "skimming_dawn":
+        sim = Simulator(make_canonical_room(), SKIMMING_SITE, cell=0.5, workplane_height=0.01)
+        weather = skimming_dawn_weather()
+    elif case == "hourly_steps":
+        weather, step = all_diffuse(winter_weather(14)), 60
+    altitude, _ = assert_run_is_the_full_pass(sim, weather, monkeypatch, step_minutes=step)
+    lit, up = weather.gh[::step] > 0.0, altitude > 0.0
+    assert (lit & up).any()
+    assert (lit & ~up).any() == (case == "skimming_dawn")  # the others light only daytime
+
+
+def spy_exact_altitudes(monkeypatch) -> list:
+    """Record the stamps of each exact altitude pass that ``run`` makes: its
+    own ``sun_altitudes`` calls and those of ``solar.sun_up``."""
+    passes = []
+
+    def spy(times, loc):
+        passes.append(times)
+        return sun_altitudes(times, loc)
+
+    monkeypatch.setattr(daylight, "sun_altitudes", spy)
+    monkeypatch.setattr(solar, "sun_altitudes", spy)
+    return passes
+
+
+def test_an_overcast_quarter_works_out_few_exact_altitudes(coarse_sim, monkeypatch):
+    """Thirteen weeks of the benchmark's overcast minutes (Dh = Gh): no lit
+    step has a direct part, so only the anchors of ``sun_up`` and the steps
+    its bound leaves near the horizon get an exact altitude."""
+    minutes, gh, dh = inputs.overcast_weather(1)
+    weather = WeatherSeries(minutes.astype("datetime64[m]"), gh, dh)
+    passes = spy_exact_altitudes(monkeypatch)
+    res = coarse_sim.run(weather, probes=CELL_PROBES)
+    n_lit = np.count_nonzero(gh)
+    assert n_lit > 60_000 and res.outdoor_global.any()
+    assert sum(map(len, passes)) <= 0.10 * n_lit
+
+
+def test_steps_with_a_direct_part_are_worked_out_once(coarse_sim, monkeypatch):
+    """When every lit step has a direct part, by day and in the light before
+    sunrise, each lit step's altitude is worked out once, in its chunk's one
+    pass, and ``sun_up`` works out none."""
+    weather = winter_weather(3)
+    gh = weather.gh.copy()
+    altitude, _, _ = sun_positions(weather.times, TROPICAL_SITE)
+    sunrise = int(np.argmax(altitude > 0.0))
+    gh[sunrise - 40:sunrise] = 4.0
+    beamed = WeatherSeries(weather.times, gh, 0.3 * gh)
+    monkeypatch.setattr(daylight, "BLOCK_STEPS", 512)
+    passes = spy_exact_altitudes(monkeypatch)
+    coarse_sim.run(beamed, probes=CELL_PROBES)
+    lit = np.flatnonzero(gh)
+    chunks = [times for times in passes if len(times)]  # the pass for the fields gets none
+    assert len(chunks) == -(-len(lit) // 512)
+    assert_same_bits(np.concatenate(chunks), weather.times[lit])
 
 
 # ---------------------------------------------------------------------------
