@@ -12,12 +12,12 @@ reuses memory an earlier one freed takes fewer faults, so a smaller set-up
 can move faults into the stepping. So are parsing the year's weather CSV
 and writing the year's results (both in a temporary directory). Three
 layers of the stepping are read from the run itself, which records the rows
-and time of each call it makes (:func:`recorded`): the sun position, per
-step and per lit step (those whose weather carries light, the only ones
-for which the run asks whether the sun is up), with how many lit steps get
-an exact altitude (those with a direct part, and the anchors and near-horizon
-steps of ``solar.sun_up`` for the others); the sun's direction, per sunny
-step (sun up, a direct part); and the sun patches (``Simulator.beam``) of
+and time of each call it makes (:func:`recorded`): the sun, per step; per
+lit step (those whose weather carries light, the only ones for which the
+run asks whether the sun is up) ``solar.sun_up``, with how many exact
+altitudes are worked out (``sun_up``'s anchors and near-horizon steps, and
+one per sunny step for its position); the sun's position, per sunny step
+(sun up, a direct part); and the sun patches (``Simulator.beam``) of
 the sunny steps, per step and in how many batches. The process's peak resident
 memory is printed before and after the stepping, whose outdoor conversion
 is one pass over the whole period; writing the year's weather CSV sets an
@@ -27,7 +27,7 @@ same way, from 5 runs over every 3rd step with 5 of its probes, best of 5:
 its floor is cut into convex parts, so this is the layer those parts weigh
 on. The minor page faults of the first of those runs are printed after
 them. Last, the same year with all its light diffuse (Dh = Gh) is stepped
-on the test cell, whose lit steps all take ``solar.sun_up``: its stepping
+on the test cell, whose lit steps take only ``solar.sun_up``: its stepping
 time and its exact altitudes are printed.
 
     python scripts/benchmark_year.py [--cell 0.1] [--step 1]
@@ -67,13 +67,11 @@ def year_weather(year=2009) -> WeatherSeries:
 @contextmanager
 def recorded(sim):
     """While the block runs, log the rows and seconds of each call that
-    ``sim`` makes to the sun's altitude pass (of the steps with a direct
-    part), ``sun_up`` (of the other lit steps) and the exact altitude
-    passes that makes, its direction pass and its beam (the ``BeamKernel``
-    call), as (rows, seconds) lists by name."""
-    targets = {"altitude": (daylight, "sun_altitudes"), "sun_up": (daylight, "sun_up"),
-               "exact": (solar, "sun_altitudes"),
-               "direction": (daylight, "sun_directions"), "beam": (sim, "beam")}
+    ``sim`` makes to ``sun_up`` (of every lit step), ``sun_positions`` (of
+    the sunny steps), the exact altitude passes that both make and its beam
+    (the ``BeamKernel`` call), as (rows, seconds) lists by name."""
+    targets = {"sun_up": (daylight, "sun_up"), "position": (daylight, "sun_positions"),
+               "exact": (solar, "sun_altitudes"), "beam": (sim, "beam")}
     originals = {name: getattr(*target) for name, target in targets.items()}
     calls = {name: [] for name in targets}
 
@@ -122,25 +120,23 @@ def per_step(seconds: float, n: int) -> str:
 
 
 def print_exact(calls, label: str = "") -> None:
-    """Print how many of the run's lit steps got an exact altitude."""
-    n_exact = totals(calls["altitude"])[0] + totals(calls["exact"])[0]
-    n_lit = totals(calls["altitude"])[0] + totals(calls["sun_up"])[0]
+    """Print how many exact altitudes the run worked out, against its lit
+    steps: a sunny step gets one for its position, on top of any of
+    ``sun_up``'s."""
+    n_exact, n_lit = totals(calls["exact"])[0], totals(calls["sun_up"])[0]
     print(f"{label}sun altitude (exact): {n_exact} of {n_lit} lit steps")
 
 
 def print_layers(calls, n: int) -> None:
-    """Print the sun position per step of the run and per lit step, the lit
-    steps that got an exact altitude, and per sunny step the sun's direction
-    and the sun patch."""
-    n_direct, t_altitude = totals(calls["altitude"])
-    n_other, t_sun_up = totals(calls["sun_up"])
-    n_lit, t_lit = n_direct + n_other, t_altitude + t_sun_up
-    n_sunny, t_direction = totals(calls["direction"])
+    """Print the sun per step of the run, ``sun_up`` per lit step, the exact
+    altitudes, and per sunny step the sun's position and the sun patch."""
+    n_lit, t_lit = totals(calls["sun_up"])
+    n_sunny, t_position = totals(calls["position"])
     n_beam, t_beam = totals(calls["beam"])
-    print(f"sun position: {n} steps in {per_step(t_lit + t_direction, n)}")
-    print(f"sun position (lit): {n_lit} of {n} steps in {per_step(t_lit, n_lit)}")
+    print(f"sun position: {n} steps in {per_step(t_lit + t_position, n)}")
+    print(f"sun up (lit): {n_lit} of {n} steps in {per_step(t_lit, n_lit)}")
     print_exact(calls)
-    print(f"sun direction: {n_sunny} sunny steps in {per_step(t_direction, n_sunny)}")
+    print(f"sun position (sunny): {n_sunny} sunny steps in {per_step(t_position, n_sunny)}")
     print(f"sun patch: {n_beam} sunny steps in {len(calls['beam'])} batches "
           f"in {per_step(t_beam, n_beam)}")
 

@@ -55,7 +55,7 @@ from .geometry import (
 )
 from .metrics import resample_hourly
 from .solar import EfficacyModel, GeoLocation, SolarState, WeatherSeries, check_years, \
-    local_time, outdoor_illuminance, sun_altitudes, sun_directions, sun_positions, sun_up
+    local_time, outdoor_illuminance, sun_positions, sun_up
 
 # Horizontal illuminance of the full CIE overcast dome for unit zenith
 # luminance: integral of (1+2 sin g)/3 * sin g over the hemisphere = 7*pi/9.
@@ -698,14 +698,15 @@ class Simulator:
     consecutive rows and looked up row by row otherwise; the outdoor
     conversion is one array pass over the whole period, so its temporaries
     grow with it. :meth:`run` alone decides which steps are lit, dark and
-    sunny: the altitude is worked out only for the steps whose weather
-    carries light, as every other step is dark whatever the sun does, in
-    chunks of ``BLOCK_STEPS`` lit steps; in each chunk a lit step with the
-    sun down is zeroed, then the chunk's DF term is written once, and the
-    sunny steps, those left with a direct part, alone get the sun's
-    direction and go to the :class:`BeamKernel` as one batch, whose beam
-    terms :meth:`_illuminance` adds onto their DF term. The probe rows of
-    the steps in no chunk stay 0. A run's columns are the one copy
+    sunny, by two rules, in chunks of ``BLOCK_STEPS`` lit steps (those whose
+    weather carries light; every other step is dark whatever the sun does):
+    every lit step asks :func:`~sidelux.solar.sun_up`, and one with the sun
+    down is zeroed; then the chunk's DF term is written once, and the sunny
+    steps, those left with a direct part, alone get a
+    :func:`~sidelux.solar.sun_positions` call and go to the
+    :class:`BeamKernel` as one batch, whose beam terms :meth:`_illuminance`
+    adds onto their DF term. The probe rows of the steps in no chunk stay
+    0. A run's columns are the one copy
     of its outputs: :meth:`evaluate` builds its fields from them and the sun
     directions of their steps, as it builds any caller's. The field at a
     given sun and outdoor diffuse and direct illuminance::
@@ -813,6 +814,8 @@ class Simulator:
         which is checked before any step is taken. The probe columns
         follow the order of ``probes``.
         """
+        if not isinstance(step_minutes, (int, np.integer)):
+            raise ConfigError(f"step of {step_minutes!r} minutes is not a whole number of minutes")
         if step_minutes < 1:
             raise ConfigError("step must be at least one minute")
         if step_minutes > np.iinfo(np.int64).max // 60_000_000:  # microseconds must fit int64
@@ -848,13 +851,13 @@ class Simulator:
             raise DataError("field requested at instants not visited by the stepping: "
                             + ", ".join(ts.isoformat() for ts in missing))
 
-        # only the lit steps' altitudes are worked out, but every step must be in range
+        # only the lit steps ask for the sun, but every step must be in range
         check_years(times)
         r = slice(r0, r0 + n) if rows is None else rows
         outdoor_diffuse, outdoor_direct = outdoor_illuminance(
             weather.gh[r], weather.dh[r], self.efficacy, weather.ev_global[r], weather.ev_diffuse[r])
         # only the lit steps, those with light as if the sun were up (-0.0 too,
-        # whose sign the sun keeps), need the altitude: any other step is +0.0
+        # whose sign the sun keeps), ask whether the sun is up: any other step is +0.0
         # whether the sun is up or not; the lit ones with the sun down are zeroed.
         # Found first, so its temporaries are freed before the outputs are made
         lit = np.flatnonzero((outdoor_diffuse.view(np.uint64) | outdoor_direct.view(np.uint64)) != 0)
@@ -863,30 +866,23 @@ class Simulator:
         patch_area = np.zeros(n)
         for i in range(0, len(lit), BLOCK_STEPS):
             chunk = lit[i:i + BLOCK_STEPS]
-            # a step with a direct part needs its altitude, whose terms give its
-            # direction if the sun is up; any other lit step only whether it is up
-            direct = outdoor_direct[chunk] > 0.0
-            up = np.empty(len(chunk), dtype=bool)
-            up[~direct] = sun_up(times[chunk[~direct]], self.location)
-            steps = chunk[direct]
-            if len(steps):  # an overcast chunk has none, and an empty pass costs too
-                altitude, terms = sun_altitudes(times[steps], self.location)
-                up[direct] = altitude > 0.0
-            dark = chunk[~up]
+            dark = chunk[~sun_up(times[chunk], self.location)]
             outdoor_global[dark] = outdoor_diffuse[dark] = outdoor_direct[dark] = 0.0
             # + 0.0, as a sunny step adds its direct term: a -0.0 product reads 0.0
             probe_global[chunk] = probe_df[None, :] * outdoor_global[chunk, None] + 0.0
             # the dark steps are zeroed, so a direct part means the sun is up
-            sunny = np.flatnonzero(outdoor_direct[steps] > 0.0)
-            if len(sunny):
-                _, direction = sun_directions(altitude[sunny], terms[:, sunny], self.location)
-                steps = steps[sunny]
+            steps = chunk[outdoor_direct[chunk] > 0.0]
+            if len(steps):  # an overcast chunk has none, and an empty pass costs too
+                _, _, direction = sun_positions(times[steps], self.location)
                 patch_area[steps], e_dif, e_dir = self._illuminance(
                     direction, outdoor_direct[steps], probe_pts, probe_global[steps])
                 probe_global[steps] = e_dif + e_dir
 
-        _, _, direction = sun_positions(times[field_steps], self.location)
-        fields = self.evaluate(direction, outdoor_global[field_steps], outdoor_direct[field_steps])
+        fields = []
+        if field_at:  # a pass over no stamp still costs
+            _, _, direction = sun_positions(times[field_steps], self.location)
+            fields = self.evaluate(direction, outdoor_global[field_steps],
+                                   outdoor_direct[field_steps])
         return PeriodResult(
             timestamps=times,
             outdoor_global=outdoor_global,

@@ -8,16 +8,14 @@ comes from true solar time. Accuracy is a few hundredths of a degree over
 1950-2100. Azimuth is measured clockwise from North, altitude above the
 horizon. Local axes everywhere are x=East, y=North, z=up.
 
-The position is two passes: :func:`sun_altitudes` works out the altitude,
-and :func:`sun_directions` the azimuth and direction, which only the beam
-reads; :func:`sun_positions` is both over caller stamps and checks their
-years (:func:`check_years`). :func:`sun_up` tells only whether the sun is
-up, with few exact altitudes. The outdoor conversion
-(:func:`outdoor_illuminance`) reads no sun; ``Simulator.run`` decides which
-steps need which pass. Of its lit steps (those with light as if the sun
-were up), one with a direct part gets the altitude pass, and if the sun is
-up it is sunny and gets the direction pass too, while if the sun is down
-it is zeroed; one without a direct part asks only :func:`sun_up`.
+Two rules decide what is worked out at a step. :func:`sun_up` tells only
+whether the sun is up, from few exact altitudes (:func:`sun_altitudes`);
+:func:`sun_positions` gives the altitude, azimuth and direction of the
+stamps it is given and checks their years (:func:`check_years`). The
+outdoor conversion (:func:`outdoor_illuminance`) reads no sun;
+``Simulator.run`` asks :func:`sun_up` of every lit step (one with light as
+if the sun were up), zeroes those with the sun down, and works out the
+position only of the sunny steps left, those with a direct part.
 """
 
 from __future__ import annotations
@@ -103,7 +101,7 @@ def check_years(t: np.ndarray) -> None:
 def sun_altitudes(times: np.ndarray, loc: GeoLocation) -> tuple[np.ndarray, np.ndarray]:
     """Sun altitude (degrees) for an array of local civil timestamps, and the
     hour-angle and declination terms, shape (4, n), from which
-    :func:`sun_directions` finds the azimuth and direction of any of them.
+    :func:`sun_positions` finds the azimuth.
 
     Standard geometry: declination and the equation of time from the sun's
     low-precision mean elements, hour angle from true solar time. The
@@ -176,30 +174,22 @@ def sun_up(times: np.ndarray, loc: GeoLocation) -> np.ndarray:
     return up
 
 
-def sun_directions(altitude: np.ndarray, terms: np.ndarray,
-                   loc: GeoLocation) -> tuple[np.ndarray, np.ndarray]:
-    """Sun azimuth (degrees) and unit direction from the sun toward the
-    ground, shape (n, 3), for altitudes and terms of :func:`sun_altitudes`,
-    all of its steps or the same subset gathered from both."""
-    ha, cos_ha, sin_decl, cos_decl = terms
+def sun_positions(times: np.ndarray, loc: GeoLocation) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sun altitude, azimuth (degrees) and unit direction from the sun toward
+    the ground, shape (n, 3), for an array of local civil timestamps, all
+    in 1950-2100: the azimuth from the hour-angle and declination terms of
+    :func:`sun_altitudes`. Each stamp's bits are its own, whatever other
+    stamps come with it."""
+    times = np.asarray(times, dtype="datetime64[us]")
+    check_years(times)
+    altitude, (ha, cos_ha, sin_decl, cos_decl) = sun_altitudes(times, loc)
     phi = math.radians(loc.latitude)
     azimuth = (
         np.degrees(np.arctan2(np.sin(ha) * cos_decl,
                               cos_ha * cos_decl * math.sin(phi) - sin_decl * math.cos(phi)))
         + 180.0
     ) % 360.0
-    return azimuth, _sun_direction(altitude, azimuth)
-
-
-def sun_positions(times: np.ndarray, loc: GeoLocation) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sun altitude, azimuth (degrees) and unit direction from the sun toward
-    the ground, shape (n, 3), for an array of local civil timestamps, all
-    in 1950-2100: the two passes :func:`sun_altitudes` and
-    :func:`sun_directions` over all of them."""
-    times = np.asarray(times, dtype="datetime64[us]")
-    check_years(times)
-    altitude, terms = sun_altitudes(times, loc)
-    return (altitude, *sun_directions(altitude, terms, loc))
+    return altitude, azimuth, _sun_direction(altitude, azimuth)
 
 
 def sun_position(when: datetime, loc: GeoLocation) -> SolarState:

@@ -41,24 +41,24 @@ def test_benchmark_year_hourly_steps(tmp_path):
     assert re.search(r"^weather parse: 525600 rows in \d+\.\d\d s \(\d+ rows/s\)$", out, re.M)
     assert re.search(r"^summary write: 8760 rows in \d+\.\d\d s \(\d+ rows/s\)$", out, re.M)
     assert re.search(r"^sun position: 8760 steps in \d+\.\d\d s \(\d+\.\d\d us/step\)$", out, re.M)
-    lit = re.search(r"^sun position \(lit\): (\d+) of 8760 steps in \d+\.\d\d s "
+    lit = re.search(r"^sun up \(lit\): (\d+) of 8760 steps in \d+\.\d\d s "
                     r"\(\d+\.\d\d us/step\)$", out, re.M)
     sunny = re.search(r"^sun patch: (\d+) sunny steps in (\d+) batches in \d+\.\d\d s "
                       r"\(\d+\.\d\d us/step\)$", out, re.M)
     # the counts of the year's clear half-sine days at the test cell's site
     assert sunny and int(sunny[1]) == 4249 and int(sunny[2]) == 2
     assert lit and int(lit[1]) == 4380
-    # every lit step of the clear year has a direct part, so an exact altitude;
-    # all-diffuse, the hourly lit steps are too far apart for sun_up's bound to
-    # decide most of them, but its anchors and decided steps need no second one
-    for label, exact in (("", 4380), ("all-diffuse ", 3870)):
+    # every lit step asks sun_up, whose bound decides little an hour apart, so
+    # most get an exact altitude there (its anchors and decided steps need no
+    # second one), and in the clear year each sunny step one more for its position
+    for label, exact in (("", 8119), ("all-diffuse ", 3870)):
         counts = re.search(rf"^{label}sun altitude \(exact\): (\d+) of (\d+) lit steps$", out, re.M)
         assert counts and (int(counts[1]), int(counts[2])) == (exact, 4380)
     assert re.search(r"^all-diffuse year \(Dh = Gh\): 8760 steps in \d+\.\d\d s \(\d+ steps/s\)$",
                      out, re.M)
-    direction = re.search(r"^sun direction: (\d+) sunny steps in \d+\.\d\d s "
-                          r"\(\d+\.\d\d us/step\)$", out, re.M)
-    assert direction and direction[1] == sunny[1]
+    position = re.search(r"^sun position \(sunny\): (\d+) sunny steps in \d+\.\d\d s "
+                         r"\(\d+\.\d\d us/step\)$", out, re.M)
+    assert position and position[1] == sunny[1]
     l_room = re.search(r"^L-room sun patch \(2 floor parts\): (\d+) sunny steps of every 3rd step "
                        r"in \d+\.\d\d s, best of 5 \(\d+\.\d\d us/step\)$", out, re.M)
     assert l_room and int(l_room[1]) == 1342

@@ -6,6 +6,7 @@ and whole runs against a reference stepped one minute at a time with
 """
 
 import math
+import re
 import sys
 import warnings
 from datetime import datetime, timedelta, timezone
@@ -40,7 +41,6 @@ from sidelux.solar import (
     outdoor_illuminance,
     reconstruct_illuminance,
     sun_altitudes,
-    sun_directions,
     sun_position,
     sun_positions,
 )
@@ -364,17 +364,15 @@ def test_the_two_sun_passes_give_the_one_pass_bits(times):
 
 
 def test_the_direction_pass_on_gathered_steps_gives_their_full_pass_bits():
-    """Pass two over the sunny steps alone, or any other gathered subset,
-    gives those steps' azimuth and direction of the full pass, bit for bit."""
-    altitude, terms = sun_altitudes(YEAR_2009, TROPICAL_SITE)
-    azimuth, direction = sun_directions(altitude, terms, TROPICAL_SITE)
+    """``sun_positions`` over the sunny steps alone, or any other gathered
+    stamps, repeats and none among them, gives those steps' altitude,
+    azimuth and direction of the full pass, bit for bit."""
+    full = sun_positions(YEAR_2009, TROPICAL_SITE)
     rng = np.random.default_rng(3)
-    for steps in (np.flatnonzero(altitude > 0.0), np.sort(rng.choice(len(altitude), 777)),
+    for steps in (np.flatnonzero(full[0] > 0.0), np.sort(rng.choice(len(YEAR_2009), 777)),
                   np.array([5, 3, 5]), np.array([], dtype=np.intp)):
-        got_azimuth, got_direction = sun_directions(altitude[steps], terms[:, steps],
-                                                    TROPICAL_SITE)
-        assert_same_bits(got_azimuth, azimuth[steps])
-        assert_same_bits(got_direction, direction[steps])
+        for got, expected in zip(sun_positions(YEAR_2009[steps], TROPICAL_SITE), full):
+            assert_same_bits(got, expected[steps])
 
 
 @pytest.mark.parametrize("stamps,year", [
@@ -398,9 +396,9 @@ def test_no_stamps_pass_the_year_check_and_not_a_time_fails_it():
 
 def test_an_overcast_run_computes_no_sun_direction(coarse_sim):
     """With no direct part on any step, no chunk of lit steps has a sunny
-    one, so none works out the sun's direction or calls the beam."""
+    one, so none works out the sun's position or calls the beam."""
     weather = overcast_minutes(datetime(2009, 7, 15, 0, 0), 3 * daylight.BLOCK_STEPS - 5)
-    with mock.patch.object(daylight, "sun_directions", wraps=sun_directions) as spy, \
+    with mock.patch.object(daylight, "sun_positions", wraps=sun_positions) as spy, \
             mock.patch.object(coarse_sim, "beam", wraps=coarse_sim.beam) as beam:
         res = coarse_sim.run(weather, probes=CELL_PROBES)
     assert spy.call_count == 0 and beam.call_count == 0
@@ -413,7 +411,7 @@ def test_an_all_dark_run_computes_no_sun_altitude(coarse_sim):
     n = 3 * daylight.BLOCK_STEPS - 5
     times = np.datetime64("2009-07-15", "us") + np.arange(n) * np.timedelta64(1, "m")
     weather = WeatherSeries(times, np.zeros(n), np.zeros(n))
-    with mock.patch.object(daylight, "sun_altitudes", wraps=sun_altitudes) as spy:
+    with mock.patch.object(solar, "sun_altitudes", wraps=sun_altitudes) as spy:
         res = coarse_sim.run(weather, probes=CELL_PROBES)
     assert spy.call_count == 0
     for series in (res.outdoor_global, res.outdoor_diffuse, res.outdoor_direct, res.patch_area,
@@ -561,15 +559,16 @@ def test_steps_without_a_direct_part_are_the_full_pass(coarse_sim, monkeypatch, 
 
 
 def spy_exact_altitudes(monkeypatch) -> list:
-    """Record the stamps of each exact altitude pass that ``run`` makes: its
-    own ``sun_altitudes`` calls and those of ``solar.sun_up``."""
+    """Record the stamps of each exact altitude pass that ``run`` makes,
+    those of ``solar.sun_up`` and ``solar.sun_positions``; a pass over no
+    stamp fails, as it costs for nothing."""
     passes = []
 
     def spy(times, loc):
+        assert len(times), "an exact altitude pass over no stamp"
         passes.append(times)
         return sun_altitudes(times, loc)
 
-    monkeypatch.setattr(daylight, "sun_altitudes", spy)
     monkeypatch.setattr(solar, "sun_altitudes", spy)
     return passes
 
@@ -587,23 +586,45 @@ def test_an_overcast_quarter_works_out_few_exact_altitudes(coarse_sim, monkeypat
     assert sum(map(len, passes)) <= 0.10 * n_lit
 
 
-def test_steps_with_a_direct_part_are_worked_out_once(coarse_sim, monkeypatch):
-    """When every lit step has a direct part, by day and in the light before
-    sunrise, each lit step's altitude is worked out once, in its chunk's one
-    pass, and ``sun_up`` works out none."""
+def test_lit_steps_ask_sun_up_once_and_only_sunny_ones_get_a_position(coarse_sim, monkeypatch):
+    """With the light before sunrise and the overcast spells of
+    ``winter_weather``, in chunks of 512 lit steps: every lit step reaches
+    ``sun_up`` once, in its chunk's one call; each chunk makes one
+    ``sun_positions`` call, over exactly its sunny steps, which together are
+    the full pass's sunny steps, in order; no exact altitude pass gets no
+    stamp, so a run without fields works out none for them."""
     weather = winter_weather(3)
-    gh = weather.gh.copy()
+    gh, dh = weather.gh.copy(), weather.dh.copy()
     altitude, _, _ = sun_positions(weather.times, TROPICAL_SITE)
     sunrise = int(np.argmax(altitude > 0.0))
-    gh[sunrise - 40:sunrise] = 4.0
-    beamed = WeatherSeries(weather.times, gh, 0.3 * gh)
+    gh[sunrise - 40:sunrise], dh[sunrise - 40:sunrise] = 4.0, 1.0
+    dawn = WeatherSeries(weather.times, gh, dh)
     monkeypatch.setattr(daylight, "BLOCK_STEPS", 512)
-    passes = spy_exact_altitudes(monkeypatch)
-    coarse_sim.run(beamed, probes=CELL_PROBES)
+    spy_exact_altitudes(monkeypatch)
+    calls = {"sun_up": [], "sun_positions": []}
+
+    def spy(name):
+        original = getattr(daylight, name)
+
+        def call(times, loc):
+            calls[name].append(times)
+            return original(times, loc)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(daylight, name, spy(name))
+    coarse_sim.run(dawn, probes=CELL_PROBES)
     lit = np.flatnonzero(gh)
-    chunks = [times for times in passes if len(times)]  # the pass for the fields gets none
-    assert len(chunks) == -(-len(lit) // 512)
-    assert_same_bits(np.concatenate(chunks), weather.times[lit])
+    chunks = [lit[i:i + 512] for i in range(0, len(lit), 512)]
+    sunny = (altitude > 0.0) & (gh > dh)
+    assert [len(times) for times in calls["sun_up"]] == list(map(len, chunks))
+    assert_same_bits(np.concatenate(calls["sun_up"]), weather.times[lit])
+    expected = [weather.times[chunk[sunny[chunk]]] for chunk in chunks if sunny[chunk].any()]
+    assert len(calls["sun_positions"]) == len(expected) == len(chunks)
+    for got, steps in zip(calls["sun_positions"], expected):
+        assert_same_bits(got, steps)
+    assert_same_bits(np.concatenate(calls["sun_positions"]), weather.times[sunny])
+    assert (~sunny[lit]).any() and (gh[lit] == dh[lit]).any()  # lit steps that are not sunny
 
 
 # ---------------------------------------------------------------------------
@@ -911,6 +932,20 @@ def test_step_below_one_minute_or_too_long_raises(coarse_sim, step, message):
         coarse_sim.run(weather, step_minutes=step)
     longest = np.iinfo(np.int64).max // 60_000_000
     assert len(coarse_sim.run(weather, step_minutes=longest).timestamps) == 1
+
+
+@pytest.mark.parametrize("step,shown", [
+    (1.0, "1.0"), (1.5, "1.5"), (math.nan, "nan"), ("2", "'2'"), (None, "None"),
+], ids=["whole_float", "fraction", "nan", "string", "none"])
+def test_a_step_that_is_not_a_whole_number_of_minutes_is_refused(coarse_sim, step, shown):
+    """A step is an integer number of minutes, a numpy integer too; any other
+    value is refused, named, before any step is taken."""
+    weather = overcast_minutes(datetime(2009, 7, 15, 10, 0), 5)
+    with pytest.raises(ConfigError, match=rf"^step of {re.escape(shown)} minutes is not a whole "
+                                          "number of minutes$"):
+        coarse_sim.run(weather, step_minutes=step)
+    res = coarse_sim.run(weather, step_minutes=np.int64(2))
+    assert_same_bits(res.timestamps, weather.times[::2])
 
 
 def test_empty_weather_raises(coarse_sim):
