@@ -14,11 +14,12 @@ and writing the year's results (both in a temporary directory). Three
 layers of the stepping are read from the run itself, which records the rows
 and time of each call it makes (:func:`recorded`): the sun, per step; per
 lit step (those whose weather carries light, the only ones for which the
-run asks whether the sun is up) ``solar.sun_up``, with how many exact
-altitudes are worked out (``sun_up``'s anchors and near-horizon steps, and
-one per sunny step for its position); the sun's position, per sunny step
-(sun up, a direct part); and the sun patches (``Simulator.beam``) of
-the sunny steps, per step and in how many batches. The process's peak resident
+run asks whether the sun is up) ``solar.sun_up``, in how many calls, with
+how many exact altitudes are worked out in how many passes (``sun_up``'s
+anchors and near-horizon steps, and one per sunny step for its position);
+the sun's position, per sunny step (sun up, a direct part); and the sun
+patches (``Simulator.beam``) of the sunny steps, per step and in how many
+batches. The process's peak resident
 memory is printed before and after the stepping, whose outdoor conversion
 is one pass over the whole period; writing the year's weather CSV sets an
 earlier peak, which the stepping may stay under. The sun patches of the
@@ -28,7 +29,7 @@ its floor is cut into convex parts, so this is the layer those parts weigh
 on. The minor page faults of the first of those runs are printed after
 them. Last, the same year with all its light diffuse (Dh = Gh) is stepped
 on the test cell, whose lit steps take only ``solar.sun_up``: its stepping
-time and its exact altitudes are printed.
+time and its exact altitudes and passes are printed.
 
     python scripts/benchmark_year.py [--cell 0.1] [--step 1]
 """
@@ -115,16 +116,22 @@ def peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
+def counted(log, one: str, many: str) -> str:
+    """How many calls one log holds, as ``1 call`` or ``2 calls``."""
+    return f"{len(log)} {one if len(log) == 1 else many}"
+
+
 def per_step(seconds: float, n: int) -> str:
     return f"{seconds:.2f} s ({1e6 * seconds / max(n, 1):.2f} us/step)"
 
 
 def print_exact(calls, label: str = "") -> None:
     """Print how many exact altitudes the run worked out, against its lit
-    steps: a sunny step gets one for its position, on top of any of
-    ``sun_up``'s."""
+    steps, and in how many passes: a sunny step gets one for its position,
+    on top of any of ``sun_up``'s."""
     n_exact, n_lit = totals(calls["exact"])[0], totals(calls["sun_up"])[0]
-    print(f"{label}sun altitude (exact): {n_exact} of {n_lit} lit steps")
+    print(f"{label}sun altitude (exact): {n_exact} of {n_lit} lit steps "
+          f"in {counted(calls['exact'], 'pass', 'passes')}")
 
 
 def print_layers(calls, n: int) -> None:
@@ -134,7 +141,8 @@ def print_layers(calls, n: int) -> None:
     n_sunny, t_position = totals(calls["position"])
     n_beam, t_beam = totals(calls["beam"])
     print(f"sun position: {n} steps in {per_step(t_lit + t_position, n)}")
-    print(f"sun up (lit): {n_lit} of {n} steps in {per_step(t_lit, n_lit)}")
+    print(f"sun up (lit): {n_lit} of {n} steps in {counted(calls['sun_up'], 'call', 'calls')} "
+          f"in {per_step(t_lit, n_lit)}")
     print_exact(calls)
     print(f"sun position (sunny): {n_sunny} sunny steps in {per_step(t_position, n_sunny)}")
     print(f"sun patch: {n_beam} sunny steps in {len(calls['beam'])} batches "

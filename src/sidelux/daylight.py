@@ -67,7 +67,8 @@ CHUNK_POINTS = 4096                 # points per array pass of the sky integral:
 DEFAULT_LUMINANCE_FRACTION = 0.2    # obstruction luminance relative to the sky it hides
 UNOBSTRUCTED_C = 39.0               # split-flux obstruction coefficient, clear horizon
 PATCH_SCOPES = ("patch", "room")
-BLOCK_STEPS = 4096                  # lit steps per sun and beam chunk of Simulator.run
+BLOCK_STEPS = 4096                  # lit steps per beam chunk of Simulator.run: its sunny
+                                    # steps get one sun_positions call and one beam batch
 
 
 @dataclass(frozen=True)
@@ -698,15 +699,15 @@ class Simulator:
     consecutive rows and looked up row by row otherwise; the outdoor
     conversion is one array pass over the whole period, so its temporaries
     grow with it. :meth:`run` alone decides which steps are lit, dark and
-    sunny, by two rules, in chunks of ``BLOCK_STEPS`` lit steps (those whose
-    weather carries light; every other step is dark whatever the sun does):
-    every lit step asks :func:`~sidelux.solar.sun_up`, and one with the sun
-    down is zeroed; then the chunk's DF term is written once, and the sunny
-    steps, those left with a direct part, alone get a
-    :func:`~sidelux.solar.sun_positions` call and go to the
+    sunny. The lit steps are those whose weather carries light; every other
+    step is dark whatever the sun does. One :func:`~sidelux.solar.sun_up`
+    call over all the lit steps tells which have the sun down, and those
+    are zeroed; then the DF term of every step is written in one product.
+    The sunny steps, those left with a direct part, alone get a sun
+    position: in chunks of ``BLOCK_STEPS`` lit steps, a chunk's sunny steps
+    get one :func:`~sidelux.solar.sun_positions` call and go to the
     :class:`BeamKernel` as one batch, whose beam terms :meth:`_illuminance`
-    adds onto their DF term. The probe rows of the steps in no chunk stay
-    0. A run's columns are the one copy
+    adds onto their DF term. A run's columns are the one copy
     of its outputs: :meth:`evaluate` builds its fields from them and the sun
     directions of their steps, as it builds any caller's. The field at a
     given sun and outdoor diffuse and direct illuminance::
@@ -795,6 +796,10 @@ class Simulator:
 
     def _probe_df(self, probes):
         pts = np.array([(x, y, self.grid.plane_z) for x, y in probes], dtype=float).reshape(-1, 3)
+        finite = np.isfinite(pts).all(axis=1)
+        if not finite.all():  # before the room is asked, which cannot place it
+            x, y, _ = pts[np.argmin(finite)]
+            raise ConfigError(f"probe ({x}, {y}) is not a finite point")
         outside = np.flatnonzero(~self.room.contains(pts))
         if len(outside):
             x, y, _ = pts[outside[0]]
@@ -862,16 +867,19 @@ class Simulator:
         # Found first, so its temporaries are freed before the outputs are made
         lit = np.flatnonzero((outdoor_diffuse.view(np.uint64) | outdoor_direct.view(np.uint64)) != 0)
         outdoor_global = outdoor_diffuse + outdoor_direct
-        probe_global = np.zeros((n, len(probe_pts)))
+        dark = lit[~sun_up(times[lit], self.location)]
+        outdoor_global[dark] = outdoor_diffuse[dark] = outdoor_direct[dark] = 0.0
+        # the DF term of every step, probe by probe; + 0.0, as a sunny step adds its
+        # direct term: a -0.0 product reads 0.0
+        probe_global = np.multiply(probe_df[:, None], outdoor_global[None, :])
+        probe_global += 0.0
+        probe_global = probe_global.T
         patch_area = np.zeros(n)
-        for i in range(0, len(lit), BLOCK_STEPS):
-            chunk = lit[i:i + BLOCK_STEPS]
-            dark = chunk[~sun_up(times[chunk], self.location)]
-            outdoor_global[dark] = outdoor_diffuse[dark] = outdoor_direct[dark] = 0.0
-            # + 0.0, as a sunny step adds its direct term: a -0.0 product reads 0.0
-            probe_global[chunk] = probe_df[None, :] * outdoor_global[chunk, None] + 0.0
-            # the dark steps are zeroed, so a direct part means the sun is up
-            steps = chunk[outdoor_direct[chunk] > 0.0]
+        # the dark steps are zeroed, so a direct part means the sun is up; a beam batch
+        # is the sunny steps of one chunk of BLOCK_STEPS lit steps
+        sunny = np.flatnonzero(outdoor_direct[lit] > 0.0)  # as positions among the lit steps
+        chunks = np.searchsorted(sunny, np.arange(BLOCK_STEPS, len(lit), BLOCK_STEPS))
+        for steps in np.split(lit[sunny], chunks):
             if len(steps):  # an overcast chunk has none, and an empty pass costs too
                 _, _, direction = sun_positions(times[steps], self.location)
                 patch_area[steps], e_dif, e_dir = self._illuminance(

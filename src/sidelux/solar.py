@@ -13,9 +13,10 @@ whether the sun is up, from few exact altitudes (:func:`sun_altitudes`);
 :func:`sun_positions` gives the altitude, azimuth and direction of the
 stamps it is given and checks their years (:func:`check_years`). The
 outdoor conversion (:func:`outdoor_illuminance`) reads no sun;
-``Simulator.run`` asks :func:`sun_up` of every lit step (one with light as
-if the sun were up), zeroes those with the sun down, and works out the
-position only of the sunny steps left, those with a direct part.
+``Simulator.run`` asks :func:`sun_up` once, over all its lit steps (those
+with light as if the sun were up), zeroes those with the sun down, and
+works out the position only of the sunny steps left, those with a direct
+part, a chunk of them at a time.
 """
 
 from __future__ import annotations
@@ -141,36 +142,57 @@ def sun_altitudes(times: np.ndarray, loc: GeoLocation) -> tuple[np.ndarray, np.n
 # turns 0.25 deg/min times (1 + the equation of time's drift, under 0.0004)
 # and the declination drifts under 0.0003 deg/min, so under 0.2505 deg/min
 _ALTITUDE_RATE = 0.26 / 60e6     # degrees per microsecond, above that
-_ANCHOR_EVERY = 32               # stamps per exact altitude in sun_up
+_ANCHOR_BIN = 32 * 60_000_000    # microseconds of elapsed time per anchor of sun_up
 _HORIZON_MARGIN = 1e-3           # degrees: a bound nearer the horizon decides nothing,
                                  # which leaves room for rounding
 
 
 def sun_up(times: np.ndarray, loc: GeoLocation) -> np.ndarray:
-    """Whether the sun is above the horizon at each of the stamps ``times``:
-    ``sun_altitudes(times, loc)[0] > 0.0``, element by element.
+    """Whether the sun is above the horizon at each of the ascending stamps
+    ``times``: ``sun_altitudes(times, loc)[0] > 0.0``, element by element.
 
-    The altitude is worked out exactly at every ``_ANCHOR_EVERY``-th stamp
-    and the last; every other stamp's altitude is bounded from the two
-    anchors around it by ``_ALTITUDE_RATE``, and only the stamps that the
-    bound leaves within ``_HORIZON_MARGIN`` of the horizon (an anchor's
-    bound is its altitude) get their exact altitude. The stamps' years are
-    the caller's to check.
+    The anchors are the first stamp of each ``_ANCHOR_BIN`` of elapsed time
+    from the first stamp, and the last stamp; each gets its exact altitude,
+    whose sign is its answer, so stamps ``_ANCHOR_BIN`` or more apart are
+    all anchors. Between two anchors the altitude may leave each by
+    ``_ALTITUDE_RATE``, so the mean of the two anchors' one-sided bounds
+    bounds every stamp of the block between them: a block whose bound
+    clears the horizon by ``_HORIZON_MARGIN`` is wholly up or wholly down.
+    In the other blocks each stamp is bounded from its own two anchors, and
+    only the stamps that bound leaves within ``_HORIZON_MARGIN`` of the
+    horizon get their exact altitude. The stamps' years are the caller's
+    to check.
     """
     t = np.asarray(times, dtype="datetime64[us]")
     n = len(t)
     if n == 0:
         return np.zeros(0, dtype=bool)
-    anchors = np.append(np.arange(0, n, _ANCHOR_EVERY), n - 1)
-    altitude = sun_altitudes(t[anchors], loc)[0]
     us = t.view(np.int64)
-    left = np.arange(n) // _ANCHOR_EVERY
-    # per anchor on either side of a stamp: its altitude and how far the stamp's may be from it
-    near = [(altitude[k], _ALTITUDE_RATE * np.abs(us - us[anchors[k]])) for k in (left, left + 1)]
-    up = np.maximum(*(a - r for a, r in near)) > _HORIZON_MARGIN
-    unsure = np.flatnonzero(~up & (np.minimum(*(a + r for a, r in near)) >= -_HORIZON_MARGIN))
-    if len(unsure):  # a pass over no stamp still costs about 50 us
-        up[unsure] = sun_altitudes(t[unsure], loc)[0] > 0.0
+    bins = (us - us[0]) // _ANCHOR_BIN
+    first = np.ones(n, dtype=bool)  # the first stamp of each bin, and the last stamp
+    first[1:] = bins[1:] != bins[:-1]
+    first[-1] = True
+    anchors = np.flatnonzero(first)
+    counts = np.diff(anchors, append=n)  # the stamps from each anchor up to the next; 1 for the last
+    altitude = sun_altitudes(t[anchors], loc)[0]
+    # per block between two anchors: their mean altitude, and how far a stamp's may be from it
+    mean = 0.5 * (altitude[:-1] + altitude[1:])
+    reach = 0.5 * _ALTITUDE_RATE * (us[anchors[1:]] - us[anchors[:-1]])
+    up = np.repeat(np.append(mean - reach > _HORIZON_MARGIN, False), counts)
+    up[anchors] = altitude > 0.0
+    near_horizon = np.append(np.abs(mean) <= reach + _HORIZON_MARGIN, False)
+    if near_horizon.any():
+        inside = np.repeat(near_horizon, counts)
+        inside[anchors] = False
+        stamps = np.flatnonzero(inside)
+        left = np.searchsorted(anchors, stamps) - 1
+        # per anchor on either side of a stamp: its altitude and how far the stamp's may be from it
+        near = [(altitude[k], _ALTITUDE_RATE * np.abs(us[stamps] - us[anchors[k]]))
+                for k in (left, left + 1)]
+        up[stamps] = np.maximum(*(a - r for a, r in near)) > _HORIZON_MARGIN
+        unsure = stamps[~up[stamps] & (np.minimum(*(a + r for a, r in near)) >= -_HORIZON_MARGIN)]
+        if len(unsure):  # a pass over no stamp still costs about 50 us
+            up[unsure] = sun_altitudes(t[unsure], loc)[0] > 0.0
     return up
 
 

@@ -55,6 +55,19 @@ class TestSimulate:
         assert field.exists()
         assert field.read_text().startswith("# 7 7 2009-03-21T12:00")
 
+    def test_an_infinite_probe_is_one_error_line(self, tmp_path, building_file):
+        """A probe coordinate that overflows to infinity exits 2 with the
+        probe rule's message alone: no numpy warning comes before it."""
+        weather = overcast_day_csv(tmp_path / "day.csv")
+        done = subprocess.run([sys.executable, "-m", "sidelux", "simulate",
+                               "--building", str(building_file), "--weather", str(weather),
+                               "--out", str(tmp_path / "run"), "--probes", "1e400,1"],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(SRC)})
+        assert done.returncode == 2
+        assert done.stderr == "error: probe (inf, 1.0) is not a finite point\n"
+        assert list(tmp_path.glob("run*")) == []
+
     def test_missing_weather_file(self, tmp_path, building_file, capsys):
         missing = tmp_path / "nope.csv"
         code = main([

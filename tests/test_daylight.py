@@ -1,3 +1,4 @@
+import warnings
 from datetime import datetime, timedelta
 
 import numpy as np
@@ -572,6 +573,16 @@ class TestPeriod:
         start = datetime(2009, 7, 15, 10, 0)
         with pytest.raises(ConfigError):
             coarse_sim.run(minute_weather(start, 5, 300.0, 300.0), probes=[(50.0, 50.0)])
+
+    @pytest.mark.parametrize("probe", [(np.inf, 1.0), (1.0, -np.inf), (np.nan, 1.0)])
+    def test_probe_off_every_finite_point_rejected(self, coarse_sim, probe):
+        """Refused by the probe rule, before any array pass can warn."""
+        start = datetime(2009, 7, 15, 10, 0)
+        x, y = probe
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match=rf"^probe \({x}, {y}\) is not a finite point$"):
+                coarse_sim.run(minute_weather(start, 5, 300.0, 300.0), probes=[(1.0, 1.0), probe])
 
     def test_empty_period_rejected(self, coarse_sim):
         start = datetime(2009, 7, 15, 10, 0)

@@ -41,19 +41,20 @@ def test_benchmark_year_hourly_steps(tmp_path):
     assert re.search(r"^weather parse: 525600 rows in \d+\.\d\d s \(\d+ rows/s\)$", out, re.M)
     assert re.search(r"^summary write: 8760 rows in \d+\.\d\d s \(\d+ rows/s\)$", out, re.M)
     assert re.search(r"^sun position: 8760 steps in \d+\.\d\d s \(\d+\.\d\d us/step\)$", out, re.M)
-    lit = re.search(r"^sun up \(lit\): (\d+) of 8760 steps in \d+\.\d\d s "
+    lit = re.search(r"^sun up \(lit\): (\d+) of 8760 steps in (\d+) calls? in \d+\.\d\d s "
                     r"\(\d+\.\d\d us/step\)$", out, re.M)
     sunny = re.search(r"^sun patch: (\d+) sunny steps in (\d+) batches in \d+\.\d\d s "
                       r"\(\d+\.\d\d us/step\)$", out, re.M)
     # the counts of the year's clear half-sine days at the test cell's site
     assert sunny and int(sunny[1]) == 4249 and int(sunny[2]) == 2
-    assert lit and int(lit[1]) == 4380
-    # every lit step asks sun_up, whose bound decides little an hour apart, so
-    # most get an exact altitude there (its anchors and decided steps need no
-    # second one), and in the clear year each sunny step one more for its position
-    for label, exact in (("", 8119), ("all-diffuse ", 3870)):
-        counts = re.search(rf"^{label}sun altitude \(exact\): (\d+) of (\d+) lit steps$", out, re.M)
-        assert counts and (int(counts[1]), int(counts[2])) == (exact, 4380)
+    assert lit and int(lit[1]) == 4380 and int(lit[2]) == 1  # one sun_up call per run
+    # an hour apart, every lit step is an anchor of sun_up: one exact pass over them;
+    # in the clear year each sunny step gets one more exact altitude for its position,
+    # one pass per beam batch
+    for label, exact, passes in (("", 4380 + 4249, 3), ("all-diffuse ", 4380, 1)):
+        counts = re.search(rf"^{label}sun altitude \(exact\): (\d+) of (\d+) lit steps "
+                           r"in (\d+) pass(?:es)?$", out, re.M)
+        assert counts and tuple(map(int, counts.groups())) == (exact, 4380, passes)
     assert re.search(r"^all-diffuse year \(Dh = Gh\): 8760 steps in \d+\.\d\d s \(\d+ steps/s\)$",
                      out, re.M)
     position = re.search(r"^sun position \(sunny\): (\d+) sunny steps in \d+\.\d\d s "

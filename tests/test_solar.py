@@ -279,8 +279,42 @@ def test_sun_up_splits_two_stamps_a_microsecond_apart_at_sunrise(site, day):
     pair = as_stamps([lo, hi])
     assert sun_up(pair, site).tolist() == [False, True]
     around = np.unique(np.concatenate((as_stamps(minutes[k - 99:k + 100]), pair)))
-    assert np.all(np.searchsorted(around, pair) % solar._ANCHOR_EVERY)  # neither is an anchor
+    # neither is an anchor: neither starts a bin of elapsed time, and neither is the last stamp
+    bins = (around - around[0]).view(np.int64) // solar._ANCHOR_BIN
+    at = np.searchsorted(around, pair)
+    assert np.all(bins[at] == bins[at - 1]) and at[-1] < len(around) - 1
     assert_same_bits(sun_up(around, site), sun_altitudes(around, site)[0] > 0.0)
+
+
+@st.composite
+def skimming_lit_stamps(draw):
+    """The stamps a run asks ``sun_up`` about where the sun skims the
+    horizon: 1 to 6 consecutive days within 12 days of a solstice at a
+    latitude of 60-66 degrees, every 1, 2, 7 or 60 minutes, keeping only
+    the lit ones, those with the exact altitude above -2 to 0 degrees, as
+    weather lights a dawn before the sun is up. Returns the site and the
+    stamps."""
+    site = GeoLocation(latitude=draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(60.0, 66.0)),
+                       longitude=draw(st.floats(-180.0, 180.0)),
+                       timezone=draw(st.integers(-12, 14)))
+    solstice = np.datetime64(f"{draw(st.integers(1950, 2099))}-{draw(st.sampled_from(['06', '12']))}"
+                             "-21", "us")
+    first = solstice + np.timedelta64(draw(st.integers(-12, 12)), "D")
+    step = draw(st.sampled_from([1, 2, 7, 60]))
+    times = first + np.arange(0, draw(st.integers(1, 6)) * 1440, step) * np.timedelta64(1, "m")
+    lit = sun_altitudes(times, site)[0] > -draw(st.floats(0.0, 2.0))
+    return site, times[lit]
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=skimming_lit_stamps())
+def test_sun_up_of_lit_stamps_where_the_sun_skims_the_horizon(case):
+    """With the nights removed, a block that spans a night runs from a
+    day's last anchor to the next day's first stamp, hours later, and its
+    stamps near sunset are bounded one by one; the answer is still the sign
+    of the exact altitude."""
+    site, times = case
+    assert_same_bits(sun_up(times, site), sun_altitudes(times, site)[0] > 0.0)
 
 
 @settings(max_examples=100, deadline=None)
