@@ -67,8 +67,8 @@ CHUNK_POINTS = 4096                 # points per array pass of the sky integral:
 DEFAULT_LUMINANCE_FRACTION = 0.2    # obstruction luminance relative to the sky it hides
 UNOBSTRUCTED_C = 39.0               # split-flux obstruction coefficient, clear horizon
 PATCH_SCOPES = ("patch", "room")
-BLOCK_STEPS = 4096                  # lit steps per beam chunk of Simulator.run: its sunny
-                                    # steps get one sun_positions call and one beam batch
+BLOCK_STEPS = 4096                  # sunny steps per beam batch of Simulator.run: each batch
+                                    # gets one sun_positions call and one BeamKernel call
 
 
 @dataclass(frozen=True)
@@ -196,7 +196,7 @@ class Room:
         self.parts = decompose_convex(self.floor)[:, :, :2]
         self.floor_z = float(self.floor.coords[:, 2].mean())
         self.s_t = self.floor.area
-        self.perimeter = float(length.sum())
+        self.perimeter = float(ring_sums(length[None])[0])
         along = run / length[:, None]
         normal = np.column_stack((along[:, 1], -along[:, 0]))  # outward
         # a wall whose line has the whole floor on its room side, an edge of the
@@ -599,9 +599,9 @@ class BeamKernel:
     (:func:`points_in_convex_rings`). Nothing shades the beam: other walls
     and obstructions do not cut the image.
 
-    :meth:`Simulator.run` calls it once per chunk of ``BLOCK_STEPS`` lit
-    steps, on that chunk's sunny steps; the clip cuts only the images that
-    a floor part's edge divides.
+    :meth:`Simulator.run` calls it on up to ``BLOCK_STEPS`` sunny steps at a
+    time, and a step's areas and lit mask do not hang on the others; the
+    clip cuts only the images that a floor part's edge divides.
     """
 
     def __init__(self, room: Room, plane_z: float):
@@ -704,8 +704,8 @@ class Simulator:
     call over all the lit steps tells which have the sun down, and those
     are zeroed; then the DF term of every step is written in one product.
     The sunny steps, those left with a direct part, alone get a sun
-    position: in chunks of ``BLOCK_STEPS`` lit steps, a chunk's sunny steps
-    get one :func:`~sidelux.solar.sun_positions` call and go to the
+    position: ``BLOCK_STEPS`` of them at a time (the last batch fewer) get
+    one :func:`~sidelux.solar.sun_positions` call and go to the
     :class:`BeamKernel` as one batch, whose beam terms :meth:`_illuminance`
     adds onto their DF term. A run's columns are the one copy
     of its outputs: :meth:`evaluate` builds its fields from them and the sun
@@ -795,7 +795,14 @@ class Simulator:
         return self.run(series, field_at=[when]).fields[when]
 
     def _probe_df(self, probes):
-        pts = np.array([(x, y, self.grid.plane_z) for x, y in probes], dtype=float).reshape(-1, 3)
+        rows = []
+        for probe in probes:
+            try:
+                x, y = np.array(probe, dtype=float)
+            except (TypeError, ValueError):
+                raise ConfigError(f"probe {probe!r} is not an (x, y) pair") from None
+            rows.append((x, y, self.grid.plane_z))
+        pts = np.array(rows, dtype=float).reshape(-1, 3)
         finite = np.isfinite(pts).all(axis=1)
         if not finite.all():  # before the room is asked, which cannot place it
             x, y, _ = pts[np.argmin(finite)]
@@ -875,16 +882,14 @@ class Simulator:
         probe_global += 0.0
         probe_global = probe_global.T
         patch_area = np.zeros(n)
-        # the dark steps are zeroed, so a direct part means the sun is up; a beam batch
-        # is the sunny steps of one chunk of BLOCK_STEPS lit steps
-        sunny = np.flatnonzero(outdoor_direct[lit] > 0.0)  # as positions among the lit steps
-        chunks = np.searchsorted(sunny, np.arange(BLOCK_STEPS, len(lit), BLOCK_STEPS))
-        for steps in np.split(lit[sunny], chunks):
-            if len(steps):  # an overcast chunk has none, and an empty pass costs too
-                _, _, direction = sun_positions(times[steps], self.location)
-                patch_area[steps], e_dif, e_dir = self._illuminance(
-                    direction, outdoor_direct[steps], probe_pts, probe_global[steps])
-                probe_global[steps] = e_dif + e_dir
+        # the dark steps are zeroed, so a direct part means the sun is up
+        sunny = np.flatnonzero(outdoor_direct > 0.0)
+        for i in range(0, len(sunny), BLOCK_STEPS):
+            steps = sunny[i:i + BLOCK_STEPS]
+            _, _, direction = sun_positions(times[steps], self.location)
+            patch_area[steps], e_dif, e_dir = self._illuminance(
+                direction, outdoor_direct[steps], probe_pts, probe_global[steps])
+            probe_global[steps] = e_dif + e_dir
 
         fields = []
         if field_at:  # a pass over no stamp still costs

@@ -75,7 +75,7 @@ class Polygon3:
         if np.any(np.linalg.norm(edges, axis=1) < 1e-12):
             raise GeometryError("duplicate consecutive vertices")
         centered = pts - pts.mean(axis=0)
-        newell = np.cross(centered, np.roll(centered, -1, axis=0)).sum(axis=0)
+        newell = ring_sums(np.cross(centered, np.roll(centered, -1, axis=0)).T)
         nrm = float(np.linalg.norm(newell))
         scale = max(1.0, float(np.abs(centered).max()))
         if nrm <= 1e-12 * scale * scale:
@@ -301,10 +301,10 @@ def trim_rings(rings: np.ndarray, side: np.ndarray) -> np.ndarray:
 
 def ring_sums(terms: np.ndarray) -> np.ndarray:
     """Per row of ``terms`` (R, W), one term per vertex or edge of a ring,
-    their sum from the first to the last. A ring padded as
-    :func:`stack_rings` pads adds exact zeros before its closing edge, so
-    its sum does not depend on the width of the batch it is in; ``np.sum``
-    pairs the terms of a row 8 or more wide, which moves the last bits."""
+    their sum from the first to the last, the one way a ring's terms are
+    summed here. A ring padded as :func:`stack_rings` pads adds exact zeros
+    before its closing edge, so its sum does not depend on its batch's
+    width; ``np.sum`` pairs the terms of a row 8 or more wide."""
     total = np.zeros(len(terms))
     for column in terms.T:
         total += column
@@ -315,10 +315,11 @@ def signed_ring_areas(rings: np.ndarray, origin) -> np.ndarray:
     """Shoelace areas (positive counter-clockwise) of a batch of 2-D rings,
     shape (R, W, 2), taken about ``origin``, one point or one per ring: a
     point near the rings keeps the cross products small, so a sliver's area
-    is not buried in cancellation noise."""
+    is not buried in cancellation noise. Summed by :func:`ring_sums`, an
+    area, and every sign and emptiness test on it, hangs on its ring alone."""
     rel = rings - np.asarray(origin, dtype=float)[..., None, :]
     x, y = rel[:, :, 0], rel[:, :, 1]
-    return 0.5 * np.sum(x * np.roll(y, -1, axis=1) - np.roll(x, -1, axis=1) * y, axis=1)
+    return 0.5 * ring_sums(x * np.roll(y, -1, axis=1) - np.roll(x, -1, axis=1) * y)
 
 
 def points_in_convex_rings(points: np.ndarray, rings: np.ndarray) -> np.ndarray:

@@ -470,10 +470,7 @@ def parse_building(path) -> BuildingDescription:
     data = _fields(data, "building")
     loc_d = _fields(_require(data, "location", "building"), "location")
     site = [_number(loc_d, key, "location") for key in ("lat", "lon", "tz", "albedo")]
-    try:
-        loc = GeoLocation(*site)
-    except ValueError as exc:
-        raise ConfigError(f"location: {exc}") from None
+    loc = GeoLocation(*site)
 
     room_d = _fields(_require(data, "room", "building"), "room")
     floor = _vertices(_require(room_d, "floor_vertices", "room"), "room.floor_vertices")
@@ -508,10 +505,7 @@ def parse_building(path) -> BuildingDescription:
         eff_d = _fields(data["efficacy"], "efficacy")
         mode = {"mode": eff_d["mode"]} if "mode" in eff_d else {}
         factors = _given(eff_d, "efficacy", Kd="kd", Kb="kb")
-        try:
-            settings["efficacy"] = EfficacyModel(**mode, **factors)
-        except ValueError as exc:
-            raise ConfigError(f"efficacy: {exc}") from None
+        settings["efficacy"] = EfficacyModel(**mode, **factors)
     if "patch_scope" in data:
         settings["patch_scope"] = data["patch_scope"]
     return BuildingDescription(location=loc, room=room, settings=settings)

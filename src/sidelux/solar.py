@@ -12,11 +12,9 @@ Two rules decide what is worked out at a step. :func:`sun_up` tells only
 whether the sun is up, from few exact altitudes (:func:`sun_altitudes`);
 :func:`sun_positions` gives the altitude, azimuth and direction of the
 stamps it is given and checks their years (:func:`check_years`). The
-outdoor conversion (:func:`outdoor_illuminance`) reads no sun;
-``Simulator.run`` asks :func:`sun_up` once, over all its lit steps (those
-with light as if the sun were up), zeroes those with the sun down, and
-works out the position only of the sunny steps left, those with a direct
-part, a chunk of them at a time.
+outdoor conversion (:func:`outdoor_illuminance`) reads no sun. Which
+steps ask :func:`sun_up` and which get a position is ``Simulator.run``'s
+to decide; its docstring states the rule.
 """
 
 from __future__ import annotations
@@ -27,7 +25,7 @@ from datetime import datetime
 
 import numpy as np
 
-from .errors import DataError, ParseError
+from .errors import ConfigError, DataError, ParseError
 
 DH_GH_TOL = 0.02  # tolerated diffuse excess over global before data is rejected
 LOCAL_TIME = "timestamps are local civil time; the building's tz gives their UTC offset"
@@ -35,7 +33,8 @@ LOCAL_TIME = "timestamps are local civil time; the building's tz gives their UTC
 
 @dataclass(frozen=True)
 class GeoLocation:
-    """Site coordinates; longitude positive east, timezone in hours from UTC."""
+    """Site coordinates; longitude positive east, timezone in hours from UTC.
+    An error starts with the building-file path ``location: ``."""
 
     latitude: float
     longitude: float
@@ -44,13 +43,13 @@ class GeoLocation:
 
     def __post_init__(self):
         if not -90.0 <= self.latitude <= 90.0:
-            raise ValueError(f"latitude {self.latitude} out of [-90, 90]")
+            raise ConfigError(f"location: latitude {self.latitude} out of [-90, 90]")
         if not -180.0 <= self.longitude <= 180.0:
-            raise ValueError(f"longitude {self.longitude} out of [-180, 180]")
+            raise ConfigError(f"location: longitude {self.longitude} out of [-180, 180]")
         if not -12.0 <= self.timezone <= 14.0:
-            raise ValueError(f"timezone {self.timezone} out of [-12, 14]")
+            raise ConfigError(f"location: timezone {self.timezone} out of [-12, 14]")
         if not 0.0 <= self.albedo <= 1.0:
-            raise ValueError(f"albedo {self.albedo} out of [0, 1]")
+            raise ConfigError(f"location: albedo {self.albedo} out of [0, 1]")
 
 
 def _sun_direction(altitude, azimuth) -> np.ndarray:
@@ -222,7 +221,10 @@ def sun_position(when: datetime, loc: GeoLocation) -> SolarState:
 
 
 def local_time(when: datetime) -> datetime:
-    """``when`` itself; an offset-aware timestamp is an error."""
+    """``when`` itself; anything but a ``datetime``, and an offset-aware
+    one, is an error."""
+    if not isinstance(when, datetime):
+        raise DataError(f"timestamp {when!r} is not a datetime")
     if when.tzinfo is not None:
         raise DataError(f"timestamp {when.isoformat()} has a UTC offset; {LOCAL_TIME}")
     return when
@@ -294,7 +296,8 @@ class EfficacyModel:
     (kd for the diffuse part, kb for the beam part, lm/W); ``passthrough``
     prefers measured illuminances where a sample carries them and
     falls back to the constant conversion otherwise, so both modes need
-    kd and kb in [50, 200].
+    kd and kb in [50, 200]. An error starts with the building-file path
+    ``efficacy: ``.
     """
 
     mode: str = "constant"
@@ -303,10 +306,10 @@ class EfficacyModel:
 
     def __post_init__(self):
         if self.mode not in ("constant", "passthrough"):
-            raise ValueError(f"unknown efficacy mode {self.mode!r}")
+            raise ConfigError(f"efficacy: unknown efficacy mode {self.mode!r}")
         for name, v in (("kd", self.kd), ("kb", self.kb)):
             if not 50.0 <= v <= 200.0:
-                raise ValueError(f"efficacy {name}={v} lm/W out of [50, 200]")
+                raise ConfigError(f"efficacy: {name}={v} lm/W out of [50, 200]")
 
 
 @dataclass(frozen=True, slots=True)

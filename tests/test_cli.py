@@ -43,6 +43,15 @@ class TestSimulate:
                             r"\d+\.\d\d s write; wrote \S+_summary\.csv\n",
                             capsys.readouterr().err)
 
+    def test_empty_probe_chunks_are_skipped(self, tmp_path, building_file):
+        """Stray semicolons give no probe: the summary is the one without them."""
+        weather = overcast_day_csv(tmp_path / "day.csv")
+        for out, probes in (("plain", "1.95,1.27;1.95,2.27"), ("stray", ";1.95,1.27; ;1.95,2.27;")):
+            assert main(["simulate", "--building", str(building_file), "--weather", str(weather),
+                         "--out", str(tmp_path / out), "--probes", probes]) == 0
+        assert ((tmp_path / "stray_summary.csv").read_bytes()
+                == (tmp_path / "plain_summary.csv").read_bytes())
+
     def test_field_at_writes_detail_file(self, tmp_path, building_file):
         weather = overcast_day_csv(tmp_path / "day.csv")
         out = tmp_path / "run"
@@ -532,7 +541,7 @@ class TestUsageErrors:
         (lambda d: d["room"]["surfaces"].append({"role": "floor", "reflectance": 0.3}),
          "room.surfaces[3].role: duplicate role 'floor'"),
         (lambda d: d.update(efficacy={"mode": "passthrough", "Kd": -500, "Kb": 1e6}),
-         "efficacy: efficacy kd=-500.0 lm/W out of [50, 200]"),
+         "efficacy: kd=-500.0 lm/W out of [50, 200]"),
     ], ids=["timezone", "unknown-field", "duplicate-role", "passthrough-efficacy"])
     def test_building_file_error_exits_2(self, tmp_path, capsys, mutate, message):
         data = json.loads(BUILDING_JSON % {"cell": "0.5"})

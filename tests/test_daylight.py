@@ -1,3 +1,4 @@
+import re
 import warnings
 from datetime import datetime, timedelta
 
@@ -583,6 +584,19 @@ class TestPeriod:
             warnings.simplefilter("error")
             with pytest.raises(ConfigError, match=rf"^probe \({x}, {y}\) is not a finite point$"):
                 coarse_sim.run(minute_weather(start, 5, 300.0, 300.0), probes=[(1.0, 1.0), probe])
+
+    @pytest.mark.parametrize("probes,bad", [
+        ([(1.0, 2.0, 0.5)], (1.0, 2.0, 0.5)),
+        ([1.95, 2.0], 1.95),
+        ([(1.0, 1.0), ("x", 2.0)], ("x", 2.0)),
+        (["12"], "12"),
+    ], ids=["three-numbers", "bare-numbers", "not-a-number", "text"])
+    def test_a_probe_that_is_not_an_xy_pair_is_rejected(self, coarse_sim, probes, bad):
+        """Refused by the probe rule, naming the probe, not by unpacking."""
+        start = datetime(2009, 7, 15, 10, 0)
+        with pytest.raises(ConfigError,
+                           match=rf"^probe {re.escape(repr(bad))} is not an \(x, y\) pair$"):
+            coarse_sim.run(minute_weather(start, 5, 300.0, 300.0), probes=probes)
 
     def test_empty_period_rejected(self, coarse_sim):
         start = datetime(2009, 7, 15, 10, 0)

@@ -84,6 +84,16 @@ class TestPolygon:
         with pytest.raises(GeometryError):
             Polygon3([(float("nan"), 0.0, 0.0), (1, 0, 0), (1, 1, 0)])
 
+    @pytest.mark.parametrize("vertices,message", [
+        ([("a", 0, 0), (1, 0, 0), (1, 1, 0)], r"vertices must be \[x, y, z\] coordinates"),
+        ([(0, 0, 0), (1, 0), (1, 1, 0)], r"vertices must be \[x, y, z\] coordinates"),
+        ([(0, 0, 0), (1, 0, 0), (1, 0, 0), (1, 1, 0)], "duplicate consecutive vertices"),
+        ([(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 0, 0)], "duplicate consecutive vertices"),
+    ], ids=["not-a-number", "ragged", "repeated", "closed"])
+    def test_malformed_vertices_raise(self, vertices, message):
+        with pytest.raises(GeometryError, match=f"^{message}$"):
+            Polygon3(vertices)
+
     def test_two_dimensional_vertices_raise(self):
         with pytest.raises(GeometryError):
             Polygon3(np.array([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0)]))
@@ -177,8 +187,28 @@ class TestClip:
         assert out.area == pytest.approx(0.5, abs=1e-12)
 
     def test_non_coplanar_raises(self):
-        with pytest.raises(GeometryError):
+        with pytest.raises(GeometryError, match=r"^polygons are not coplanar \(planes offset\)$"):
             clip_polygon(square(z=0.0), square(z=1.0))
+        wall = Polygon3([(0, 0, 0), (1, 0, 0), (1, 0, 1), (0, 0, 1)])
+        with pytest.raises(GeometryError, match=r"^polygons are not coplanar \(normals differ\)$"):
+            clip_polygon(square(), wall)
+
+    def test_a_clockwise_clip_is_its_own_counter_clockwise_frame(self):
+        """A clip given clockwise from above has its normal down, and in its
+        own in-plane frame its ring still runs counter-clockwise, so the
+        clip's reversal guard is not reached by any ``Polygon3``."""
+        clockwise = Polygon3(square(2.0).coords[::-1])
+        assert clockwise.normal[2] == -1.0
+        assert signed_ring_areas(clockwise._verts2d[None], clockwise._verts2d[0])[0] > 0.0
+        out = clip_polygon(Polygon3([(1, 1, 0), (3, 1, 0), (3, 3, 0), (1, 3, 0)]), clockwise)
+        assert out is not None and out.area == pytest.approx(1.0, abs=1e-12)
+
+    def test_a_sliver_too_thin_for_a_polygon_is_empty(self):
+        """A piece 8 m long and 5e-13 m wide has more than EMPTY_AREA, but
+        its corners across the width coincide by the 1e-12 m rule, and what
+        is left is no ``Polygon3``."""
+        strip = Polygon3([(1, -1, 0), (9, -1, 0), (9, 5e-13, 0), (1, 5e-13, 0)])
+        assert clip_polygon(strip, square(10.0)) is None
 
     def test_non_convex_clip_raises(self):
         ell = Polygon3([(0, 0, 0), (4, 0, 0), (4, 2, 0), (2, 2, 0), (2, 4, 0), (0, 4, 0)])
@@ -297,6 +327,14 @@ class TestWorkplaneGrid:
         with pytest.raises(DegenerateMeshError):
             floor_grid(square(), 2.0, 0.0)
 
+    def test_no_cell_center_on_a_thin_l(self):
+        """Two 0.1 m arms of a 1 m L: its bounding box holds 2 x 2 cells of
+        0.5 m, and no cell centre lies on an arm."""
+        arms = np.array([[(0, 0), (1, 0), (1, 0.1), (0, 0.1)],
+                         [(0, 0), (0.1, 0), (0.1, 1), (0, 1)]], dtype=float)
+        with pytest.raises(DegenerateMeshError, match="^no cell center falls inside the floor$"):
+            workplane_grid_for_parts(arms, 0.0, 0.5, 0.01)
+
     @pytest.mark.parametrize("cell", [0.0, float("nan")])
     def test_cell_not_positive_through_the_simulator(self, cell):
         """A NaN cell is not positive either: ``Simulator``, which owns the
@@ -333,6 +371,19 @@ class TestDecompose:
         assert np.array_equal(parts, ell.coords[[[1, 2, 3, 0], [5, 0, 3, 4]]])
         assert all(Polygon3(p).is_convex for p in parts)
         assert sum(Polygon3(p).area for p in parts) == pytest.approx(ell.area, rel=1e-9)
+
+    def test_no_ear_is_an_error(self):
+        """An L whose convex corners but one are cut by edges of 1.2e-12 m
+        is a valid polygon, yet no corner is an ear: the cut corners turn by
+        less than the 1e-12 orientation threshold, and the re-entrant
+        corner lies within the boundary band of the last one's triangle."""
+        c = 8.5e-13
+        ell = [(0, 0), (1 - c, 0), (1, c), (1, 0.5 - c), (1 - c, 0.5), (0.5, 0.5), (0.5, 1 - c),
+               (0.5 - c, 1), (c, 1), (0, 1 - c)]
+        poly = Polygon3([(x, y, 0.0) for x, y in ell])
+        assert not poly.is_convex
+        with pytest.raises(GeometryError, match="^cannot decompose polygon into convex parts$"):
+            decompose_convex(poly)
 
     def test_parts_are_the_input_vertices_bit_for_bit(self):
         """On a floor turned by 0.3 rad, where no in-plane frame maps the
@@ -600,6 +651,20 @@ def test_clip_rings_matches_the_scanline_oracle(pair):
         whole = area + sum(np.abs(signed_ring_areas(s, clip.mean(axis=0))) for s in slabs)
         assert np.all(np.abs(whole - shoelace_area(subject)) <= 1e-12), whole
 
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(circles, st.booleans()), min_size=1, max_size=4), st.data())
+def test_a_ring_area_does_not_depend_on_its_batch(drawn, data):
+    """Each convex ring's signed area, alone at its own width, is bit for bit
+    its area in a batch among other rings, all padded as ``stack_rings``
+    pads to any width up to 24 (``np.sum`` pairs the terms of a row 8 or
+    more wide); rings of either orientation."""
+    rings = [circle_ring(*circle)[::-1 if flip else 1][None] for circle, flip in drawn]
+    width = data.draw(st.integers(max(r.shape[1] for r in rings), 24))
+    batch = stack_rings(np.zeros((0, width, 2)), *rings)
+    alone = np.concatenate([signed_ring_areas(r, r[:, 0]) for r in rings])
+    assert_same_bits(signed_ring_areas(batch, batch[:, 0]), alone)
 
 
 # Counter-clockwise clips on the integer grid, four vertices each, so that a

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import assert_same_bits
 from sidelux.cli import main
 from sidelux.daylight import BLOCK_STEPS, BeamKernel
 from sidelux.io import parse_building
@@ -55,7 +56,7 @@ GOLDEN = {
 
 BEAM_BITS = {
     "test_cell": "b82c5791213832d3b7a51cbcc395f2f06a36afd126faca807c6b3767f6b6db43",
-    "l_room": "80a2d82ee270bf0331d1e88238c7a462054a712d3817ee81995a6e2304d1eafc",
+    "l_room": "72bb5a134a26ed9553f11e3cde44c78c3f9801e41763d25c1e273ac4bea9e8bb",
 }
 
 
@@ -78,13 +79,12 @@ def test_outputs_match_golden_digests(tmp_path, name):
     assert outputs(tmp_path, name) == GOLDEN[name]
 
 
-def beam_bits(tmp_path: Path, name: str) -> str:
-    """sha256 of the beam's areas and lit masks at the building's probes
-    over every 7th minute of 2009 with the sun up, in batches of
-    ``BLOCK_STEPS`` steps, the most ``Simulator.run`` hands over. The sun
-    directions are rounded to float32 first, so the digest does not hang
-    on the last bits of the platform's trigonometry; the beam itself uses
-    only + - * / and sqrt."""
+def year_of_suns(tmp_path: Path, name: str):
+    """The building's ``BeamKernel``, its probes (N, 2) and its sun
+    directions over every 7th minute of 2009 with the sun up. The
+    directions are rounded to float32, so nothing here hangs on the last
+    bits of the platform's trigonometry; the beam itself uses only
+    + - * / and sqrt."""
     probes, _ = CASES[name]
     building = tmp_path / "building.json"
     inputs.write_building(building, name)
@@ -94,9 +94,17 @@ def beam_bits(tmp_path: Path, name: str) -> str:
     times = np.arange("2009-01-01", "2010-01-01", np.timedelta64(7, "m"), dtype="datetime64[us]")
     altitude, _, direction = sun_positions(times, description.location)
     direction = direction[altitude > 0.0].astype(np.float32).astype(float)
+    return kernel, np.array(probes, dtype=float), direction
+
+
+def beam_bits(tmp_path: Path, name: str) -> str:
+    """sha256 of the beam's areas and lit masks at the building's probes
+    over :func:`year_of_suns`, in batches of ``BLOCK_STEPS`` steps, the
+    most ``Simulator.run`` hands over."""
+    kernel, probes, direction = year_of_suns(tmp_path, name)
     digest = hashlib.sha256()
     for i in range(0, len(direction), BLOCK_STEPS):
-        areas, lit = kernel(direction[i:i + BLOCK_STEPS], np.array(probes, dtype=float))
+        areas, lit = kernel(direction[i:i + BLOCK_STEPS], probes)
         digest.update(areas.tobytes())
         digest.update(lit.tobytes())
     return digest.hexdigest()
@@ -105,3 +113,21 @@ def beam_bits(tmp_path: Path, name: str) -> str:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_beam_bits_match_golden_digests(tmp_path, name):
     assert beam_bits(tmp_path, name) == BEAM_BITS[name]
+
+
+def test_beam_bits_do_not_depend_on_the_batch(tmp_path):
+    """On the L room, whose clipped images come in many widths, each sun's
+    areas and lit mask are the same bits in one batch of the whole year,
+    in batches of 37 and alone, so ``Simulator.run`` may cut its sunny
+    steps into batches anywhere. Alone only every 25th sun, to keep the
+    test short (a call costs about the same for one sun as for 37)."""
+    kernel, probes, direction = year_of_suns(tmp_path, "l_room")
+    areas, lit = kernel(direction, probes)
+    batches = [kernel(direction[i:i + 37], probes) for i in range(0, len(direction), 37)]
+    assert_same_bits(np.concatenate([a for a, _ in batches]), areas)
+    assert np.array_equal(np.concatenate([m for _, m in batches]), lit)
+    for i in range(0, len(direction), 25):
+        one_area, one_lit = kernel(direction[i:i + 1], probes)
+        assert_same_bits(one_area[0], areas[i])
+        assert np.array_equal(one_lit[0], lit[i])
+    assert lit.any() and (areas > 0.0).all(axis=1).any()  # both windows cast patches

@@ -8,10 +8,11 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conftest import assert_same_bits
 from sidelux import solar
-from sidelux.errors import DataError
+from sidelux.errors import ConfigError, DataError
 from sidelux.solar import (
     EfficacyModel,
     GeoLocation,
+    OutdoorIlluminance,
     SolarState,
     WeatherSeries,
     reconstruct_illuminance,
@@ -69,6 +70,16 @@ class TestSunPosition:
         assert s.direction[2] == pytest.approx(-0.5, abs=1e-12)
         # sun in the south-east: light travels toward north-west
         assert s.direction[0] < 0.0 and s.direction[1] > 0.0
+
+    @pytest.mark.parametrize("altitude,azimuth,message", [
+        (90.5, 135.0, r"altitude 90\.5 out of \[-90, 90\]"),
+        (30.0, 360.0, r"azimuth 360\.0 out of \[0, 360\)"),
+        (30.0, 315.0, "direction vector inconsistent with altitude/azimuth"),
+    ], ids=["altitude", "azimuth", "direction"])
+    def test_solar_state_checks_its_angles(self, altitude, azimuth, message):
+        """Each check, given the direction of a sun at 30 degrees, azimuth 135."""
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SolarState(altitude, azimuth, SolarState.from_angles(30.0, 135.0).direction)
 
 
 class TestGeoLocation:
@@ -173,10 +184,29 @@ class TestReconstruct:
         assert out.e_diffuse == pytest.approx(12120.0)
 
 
+class TestOutdoorIlluminance:
+    @pytest.mark.parametrize("values,message", [
+        ((100.0, 100.0, -0.5), "illuminances must be non-negative"),
+        ((100.0, 60.0, 30.0), "global illuminance must equal diffuse \\+ direct"),
+    ], ids=["negative", "unbalanced"])
+    def test_checks_its_parts(self, values, message):
+        with pytest.raises(DataError, match=f"^{message}$"):
+            OutdoorIlluminance(*values)
+
+
 class TestEfficacyModel:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             EfficacyModel(kd=30.0)
+
+    @pytest.mark.parametrize("fields,message", [
+        ({"kd": 30.0}, r"kd=30\.0 lm/W out of \[50, 200\]"),
+        ({"kb": 250.0}, r"kb=250\.0 lm/W out of \[50, 200\]"),
+        ({"mode": "perez"}, "unknown efficacy mode 'perez'"),
+    ], ids=["kd", "kb", "mode"])
+    def test_errors_name_the_efficacy(self, fields, message):
+        with pytest.raises(ConfigError, match=f"^efficacy: {message}$"):
+            EfficacyModel(**fields)
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):

@@ -395,8 +395,8 @@ def test_no_stamps_pass_the_year_check_and_not_a_time_fails_it():
 
 
 def test_an_overcast_run_computes_no_sun_direction(coarse_sim):
-    """With no direct part on any step, no chunk of lit steps has a sunny
-    one, so none works out the sun's position or calls the beam."""
+    """With no direct part on any step, no step is sunny, so the run
+    works out no sun position and never calls the beam."""
     weather = overcast_minutes(datetime(2009, 7, 15, 0, 0), 3 * daylight.BLOCK_STEPS - 5)
     with mock.patch.object(daylight, "sun_positions", wraps=sun_positions) as spy, \
             mock.patch.object(coarse_sim, "beam", wraps=coarse_sim.beam) as beam:
@@ -437,7 +437,7 @@ def test_a_dark_period_out_of_range_names_the_first_bad_year(coarse_sim, start, 
 
 
 def assert_run_is_the_full_pass(sim, weather, monkeypatch, step_minutes=1):
-    """In chunks of 7 and of ``BLOCK_STEPS`` lit steps, ``run`` gives the bits of
+    """In beam batches of 7 and of ``BLOCK_STEPS`` sunny steps, ``run`` gives the bits of
     a full pass that works out the sun of every step: the outdoor series,
     the sunny steps' directions and direct parts handed to the beam, and
     the probes of the other steps. Returns the full pass's altitude and the
@@ -588,10 +588,11 @@ def test_an_overcast_quarter_works_out_few_exact_altitudes(coarse_sim, monkeypat
 
 def test_lit_steps_ask_sun_up_once_and_only_sunny_ones_get_a_position(coarse_sim, monkeypatch):
     """With the light before sunrise and the overcast spells of
-    ``winter_weather``, in chunks of 512 lit steps: every lit step reaches
-    ``sun_up`` once, in the run's one call, in order; each chunk makes one
-    ``sun_positions`` call, over exactly its sunny steps, which together are
-    the full pass's sunny steps, in order; no exact altitude pass gets no
+    ``winter_weather``, with ``BLOCK_STEPS`` 512: every lit step reaches
+    ``sun_up`` once, in the run's one call, in order; each run of 512
+    consecutive sunny steps (the last one shorter) makes one
+    ``sun_positions`` call, and together they are the full pass's sunny
+    steps, in order; no exact altitude pass gets no
     stamp, so a run without fields works out none for them."""
     weather = winter_weather(3)
     gh, dh = weather.gh.copy(), weather.dh.copy()
@@ -615,12 +616,12 @@ def test_lit_steps_ask_sun_up_once_and_only_sunny_ones_get_a_position(coarse_sim
         monkeypatch.setattr(daylight, name, spy(name))
     coarse_sim.run(dawn, probes=CELL_PROBES)
     lit = np.flatnonzero(gh)
-    chunks = [lit[i:i + 512] for i in range(0, len(lit), 512)]
     sunny = (altitude > 0.0) & (gh > dh)
     assert len(calls["sun_up"]) == 1
     assert_same_bits(calls["sun_up"][0], weather.times[lit])
-    expected = [weather.times[chunk[sunny[chunk]]] for chunk in chunks if sunny[chunk].any()]
-    assert len(calls["sun_positions"]) == len(expected) == len(chunks)
+    sunny_steps = np.flatnonzero(sunny)
+    expected = [weather.times[sunny_steps[i:i + 512]] for i in range(0, len(sunny_steps), 512)]
+    assert len(calls["sun_positions"]) == len(expected) > 1
     for got, steps in zip(calls["sun_positions"], expected):
         assert_same_bits(got, steps)
     assert_same_bits(np.concatenate(calls["sun_positions"]), weather.times[sunny])
@@ -768,7 +769,7 @@ def check_against_reference(sim, weather, probes, field_at, step_minutes=1):
 
 
 def test_run_matches_reference_clear_winter_week(coarse_sim, monkeypatch):
-    monkeypatch.setattr(daylight, "BLOCK_STEPS", 512)  # so the week spans many chunks
+    monkeypatch.setattr(daylight, "BLOCK_STEPS", 512)  # so the week spans many beam batches
     weather = winter_weather(7)
     assert len(weather) > 10 * daylight.BLOCK_STEPS
     field_at = [datetime(2009, 7, 2, 3, 0), datetime(2009, 7, 3, 10, 17),
@@ -801,14 +802,14 @@ def test_run_matches_reference_passthrough_efficacy():
 
 @pytest.mark.parametrize("name", sorted(ROOMS))
 def test_run_is_the_same_bits_for_any_block_size(name, monkeypatch):
-    """Chunks of 7, 500 and the default ``BLOCK_STEPS`` lit steps give every
+    """Beam batches of 7, 500 and the default ``BLOCK_STEPS`` sunny steps give every
     series and field of a winter week bit for bit alike: with constant
     efficacy, and with passthrough efficacy on weather whose every third
     sample is measured and the others NaN; at minute steps, which read the
     weather as slices, and at 7-minute steps, which gather its rows. The
     diffuse irradiance reads -0.0 at one night and one sunny sample. Each
-    beam batch is the sunny steps of one chunk, in time order, so a chunk
-    with a dark or overcast lit step hands over a short batch."""
+    beam batch is that many consecutive sunny steps, in time order, the
+    last one fewer."""
     probes = CELL_PROBES if name == "test_cell" else L_PROBES
     weather = winter_weather(7, measured_every=3)
     dh = weather.dh.copy()
@@ -821,9 +822,7 @@ def test_run_is_the_same_bits_for_any_block_size(name, monkeypatch):
         altitude, _, direction = sun_positions(weather.times[stride], TROPICAL_SITE)
         diffuse, direct = outdoor_illuminance(weather.gh[stride], weather.dh[stride], sim.efficacy,
                                               weather.ev_global[stride], weather.ev_diffuse[stride])
-        lit = np.flatnonzero(np.signbit(diffuse) | np.signbit(direct) | (diffuse != 0.0)
-                             | (direct != 0.0))
-        sunny = (altitude > 0.0) & (direct > 0.0)
+        sunny = np.flatnonzero((altitude > 0.0) & (direct > 0.0))
         runs = []
         for size in (7, 500, daylight.BLOCK_STEPS):
             with monkeypatch.context() as patch:
@@ -831,16 +830,13 @@ def test_run_is_the_same_bits_for_any_block_size(name, monkeypatch):
                 with mock.patch.object(sim, "_illuminance", wraps=sim._illuminance) as spy:
                     runs.append(sim.run(weather, step_minutes=step, probes=probes,
                                         field_at=field_at))
-            chunks = [lit[i:i + size] for i in range(0, len(lit), size)]
-            expected = [c[sunny[c]] for c in chunks if sunny[c].any()]
+            expected = [sunny[i:i + size] for i in range(0, len(sunny), size)]
             *beam, fields = spy.call_args_list  # the beam batches, then one call for all the fields
             assert len(fields.args[0]) == len(field_at)
             assert len(beam) == len(expected)
             for call, steps in zip(beam, expected):
                 assert_same_bits(call.args[0], direction[steps])
                 assert_same_bits(call.args[1], direct[steps])
-            if size < len(lit):
-                assert any(len(steps) < size for steps in expected[:-1])  # a short batch
         for res in runs[:2]:
             for attr in ("timestamps", "outdoor_global", "outdoor_diffuse", "outdoor_direct",
                          "patch_area", "probe_global"):
@@ -996,7 +992,7 @@ def test_a_period_inside_the_weather_is_that_period_cut_out(coarse_sim, monkeypa
     """A period that starts after the first record and ends before the last
     reads its own rows: every series and field is the bits of a run on the
     same rows cut out as their own series."""
-    monkeypatch.setattr(daylight, "BLOCK_STEPS", 512)  # the period ends inside a chunk
+    monkeypatch.setattr(daylight, "BLOCK_STEPS", 512)  # the period ends inside a beam batch
     weather = winter_weather(2)
     start, end = datetime(2009, 7, 1, 9, 13), datetime(2009, 7, 2, 15, 2)
     rows = slice(*np.searchsorted(weather.times, np.array([start, end], "datetime64[us]")))
@@ -1064,6 +1060,16 @@ def test_field_patch_area_is_its_step_patch_area(coarse_sim):
     res = coarse_sim.run(weather, field_at=field_at)
     for k, when in zip(steps, field_at):
         assert res.fields[when].patch_area == res.patch_area[k] > 0.0
+
+
+@pytest.mark.parametrize("argument", ["start", "end", "field_at"])
+def test_a_timestamp_that_is_not_a_datetime_is_rejected(coarse_sim, argument):
+    """A stamp given as text is refused by ``local_time``, naming it, before
+    any step is taken."""
+    weather = overcast_minutes(datetime(2009, 7, 15, 10, 0), 5)
+    value = "2009-07-15T10:02"
+    with pytest.raises(DataError, match=f"^timestamp '{value}' is not a datetime$"):
+        coarse_sim.run(weather, **{argument: [value] if argument == "field_at" else value})
 
 
 def test_utc_offset_rejected(coarse_sim):
